@@ -46,20 +46,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--engine",
-        choices=["soa", "object"],
-        default="soa",
-        help=(
-            "simulator execution mode: the flat-array core (soa, "
-            "default) or the object-graph reference loop — the engines "
-            "are digest-pinned byte-identical, so this never changes "
-            "results, only speed"
-        ),
-    )
-
-
 def _add_disruption_args(p: argparse.ArgumentParser) -> None:
     """Disruption/recovery flags shared by ``run`` and ``matrix``."""
     g = p.add_argument_group("disruptions")
@@ -353,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hard cap on scheduler queries (default: 200·n_jobs + 1000)",
     )
     _add_anneal_window(pr)
-    _add_engine(pr)
     _add_common(pr)
     _add_disruption_args(pr)
 
@@ -489,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_anneal_window(pm)
-    _add_engine(pm)
     _add_disruption_args(pm)
 
     ps = sub.add_parser(
@@ -587,70 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     pdig.add_argument("path", help="store (file or sharded dir)")
-
-    pb = sub.add_parser(
-        "bench",
-        help="performance benchmarks (replanning, decision snapshots)",
-        description=(
-            "Measure the scheduling hot paths and emit a machine-"
-            "readable report: replanning-event latency (incremental "
-            "vs naive packer), per-decision snapshot cost vs "
-            "completed-job count, end-to-end decision latency, and "
-            "serial sweep wall-clock. With --baseline, metrics that "
-            "regressed more than --threshold are reported as warnings "
-            "(exit status stays 0 — timing is advisory)."
-        ),
-    )
-    pb.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced sizes/repeats (the CI profile)",
-    )
-    pb.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the machine-readable report here (e.g. BENCH_PR2.json)",
-    )
-    pb.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="committed BENCH_*.json to diff against",
-    )
-    pb.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="relative regression tolerance vs --baseline (default 0.25)",
-    )
-    pb.add_argument(
-        "--dimensionless",
-        action="store_true",
-        help=(
-            "compare only dimensionless metrics (speedups and ratios) "
-            "vs --baseline — robust to CI runner hardware changes"
-        ),
-    )
-    pb.add_argument(
-        "--sections",
-        nargs="+",
-        metavar="SECTION",
-        default=None,
-        help=(
-            "run only these bench sections (e.g. 'scaling'); default: "
-            "all of them"
-        ),
-    )
-    pb.add_argument(
-        "--strict",
-        action="store_true",
-        help=(
-            "exit non-zero when --baseline comparison finds "
-            "regressions (the blocking CI gate; without it timing "
-            "stays advisory)"
-        ),
-    )
 
     pv = sub.add_parser(
         "serve",
@@ -1029,7 +949,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 checkpoint_interval=args.checkpoint_interval,
                 topology=topology,
                 anneal_window=args.anneal_window,
-                engine=args.engine,
                 workers=args.workers,
                 store=store,
                 resume=args.resume,
@@ -1126,55 +1045,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     file=sys.stderr,
                 )
             return 3
-        return 0
-
-    if args.command == "bench":
-        import os
-
-        from repro.experiments import bench
-
-        try:
-            report_dict = bench.run_bench(
-                quick=args.quick,
-                sections=args.sections,
-                progress=lambda msg: print(f"... {msg}", file=sys.stderr),
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(bench.render_report(report_dict))
-        if args.json:
-            bench.write_report(report_dict, args.json)
-            print(f"\nwrote {args.json}", file=sys.stderr)
-        if args.baseline:
-            baseline = bench.load_report(args.baseline)
-            regressions = bench.compare_to_baseline(
-                report_dict,
-                baseline,
-                threshold=args.threshold,
-                dimensionless_only=args.dimensionless,
-            )
-            gha = bool(os.environ.get("GITHUB_ACTIONS"))
-            if regressions:
-                severity = "error" if args.strict else "warning"
-                print(
-                    f"\n{len(regressions)} metric(s) regressed "
-                    f">{args.threshold * 100:.0f}% vs {args.baseline}:"
-                )
-                for reg in regressions:
-                    line = reg.describe()
-                    print(f"  {severity.upper()}: {line}")
-                    if gha:
-                        print(
-                            f"::{severity} title=bench regression::{line}"
-                        )
-                if args.strict:
-                    return 1
-            else:
-                print(
-                    f"\nno regressions >{args.threshold * 100:.0f}% "
-                    f"vs {args.baseline}"
-                )
         return 0
 
     if args.command == "store":
@@ -1286,7 +1156,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             restart_policy=restart_policy,
             checkpoint_interval=args.checkpoint_interval,
             anneal_window=args.anneal_window,
-            engine=args.engine,
         )
         base = run_single(
             args.scenario,

@@ -60,7 +60,7 @@ from repro.experiments.store import (
     cell_key_str,
 )
 from repro.experiments.storage import ShardedStore, StoreBackend, open_store
-from repro.schedulers.registry import supports_anneal_window
+from repro.schedulers.registry import scheduler_label
 from repro.sim.disruptions import DisruptionSpec, disruption_signature
 from repro.sim.topology import ClusterTopology, topology_signature
 from repro.workloads.generator import ArrivalMode
@@ -116,22 +116,12 @@ class MatrixCell:
     checkpoint_interval: Optional[float] = None
     topology: Optional[ClusterTopology] = None
     anneal_window: Optional[int] = None
-    #: Simulator execution mode ("soa" flat-array core / "object"
-    #: reference loop). Deliberately excluded from :attr:`key` — the
-    #: engines are digest-pinned byte-identical, so swapping them can
-    #: never fork an experiment's identity.
-    engine: str = "soa"
 
     @property
     def scheduler_label(self) -> str:
-        """Recorded scheduler name: ``<name>@w<W>`` when a window
-        applies (a windowed search is a different experiment), the
-        plain registry name for window-blind policies."""
-        if self.anneal_window is not None and supports_anneal_window(
-            self.scheduler
-        ):
-            return f"{self.scheduler}@w{self.anneal_window}"
-        return self.scheduler
+        """Recorded scheduler name (see
+        :func:`~repro.schedulers.registry.scheduler_label`)."""
+        return scheduler_label(self.scheduler, self.anneal_window)
 
     @property
     def key(self) -> CellKey:
@@ -182,13 +172,14 @@ class MatrixCell:
                 else None
             ),
             "anneal_window": self.anneal_window,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_config(cls, config: dict) -> "MatrixCell":
         """Inverse of :meth:`to_config`; raises ``ValueError`` on a
-        malformed dict (e.g. hand-edited sidecar)."""
+        malformed dict (e.g. hand-edited sidecar). Keys it does not
+        know are ignored, so configs written before the ``"engine"``
+        key was retired (PR 7–11 sidecars, older clients) still load."""
         try:
             disruptions = None
             if config.get("disruptions") is not None:
@@ -212,7 +203,6 @@ class MatrixCell:
                 ),
                 topology=topology,
                 anneal_window=int(window) if window is not None else None,
-                engine=str(config.get("engine", "soa")),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed cell config: {exc}") from exc
@@ -231,7 +221,6 @@ def expand_cells(
     checkpoint_interval: Optional[float] = None,
     topology: Optional[ClusterTopology] = None,
     anneal_window: Optional[int] = None,
-    engine: str = "soa",
 ) -> list[MatrixCell]:
     """Enumerate the full matrix in canonical (deterministic) order.
 
@@ -245,7 +234,7 @@ def expand_cells(
         MatrixCell(
             scenario, n_jobs, scheduler, wseed, sseed, arrival_mode,
             disruptions, restart_policy, checkpoint_interval, topology,
-            anneal_window, engine,
+            anneal_window,
         )
         for scenario in scenarios
         for n_jobs in sizes
@@ -315,7 +304,6 @@ def _execute_cell(cell: MatrixCell, attempt: int = 1) -> ExperimentRun:
         checkpoint_interval=cell.checkpoint_interval,
         topology=cell.topology,
         anneal_window=cell.anneal_window,
-        engine=cell.engine,
     )
 
 
@@ -741,7 +729,6 @@ def run_matrix_parallel(
     checkpoint_interval: Optional[float] = None,
     topology: Optional[ClusterTopology] = None,
     anneal_window: Optional[int] = None,
-    engine: str = "soa",
     workers: Optional[int] = None,
     store: Optional[Union[StoreBackend, str, Path]] = None,
     resume: bool = False,
@@ -793,7 +780,6 @@ def run_matrix_parallel(
         checkpoint_interval=checkpoint_interval,
         topology=topology,
         anneal_window=anneal_window,
-        engine=engine,
     )
     return run_cells(
         cells,

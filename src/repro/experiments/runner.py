@@ -15,7 +15,11 @@ from typing import Optional, Sequence
 
 from repro.analysis.stats import LatencySummary, summarize_latencies
 from repro.metrics.objectives import MetricReport, compute_metrics
-from repro.schedulers.registry import create_scheduler, supports_anneal_window
+from repro.schedulers.registry import (
+    create_scheduler,
+    scheduler_label,
+    supports_anneal_window,
+)
 from repro.experiments.store import CellKey, cell_key
 from repro.sim.cluster import ClusterModel, ResourcePool
 from repro.sim.disruptions import (
@@ -151,7 +155,6 @@ def run_single(
     checkpoint_interval: Optional[float] = None,
     anneal_window: Optional[int] = None,
     verify: bool = True,
-    engine: str = "soa",
 ) -> ExperimentRun:
     """Simulate one scenario instance under one scheduler.
 
@@ -189,11 +192,6 @@ def run_single(
         :class:`~repro.sim.simulator.HPCSimulator`).
     verify:
         Re-verify the capacity invariant on the finished schedule.
-    engine:
-        Simulator execution mode (``"soa"`` flat-array core or
-        ``"object"`` reference loop). The engines are digest-pinned
-        byte-identical, so this is deliberately NOT part of the cell
-        identity — swapping engines can never fork an experiment.
     """
     if jobs is None:
         job_list = generate_workload(
@@ -219,17 +217,12 @@ def run_single(
             horizon=estimate_horizon(job_list, the_cluster.total_nodes),
             topology=the_topology,
         )
-    window = (
-        anneal_window if supports_anneal_window(scheduler) else None
-    )
-    if window is not None:
+    if anneal_window is not None and supports_anneal_window(scheduler):
         sched = create_scheduler(
-            scheduler, seed=scheduler_seed, anneal_window=window
+            scheduler, seed=scheduler_seed, anneal_window=anneal_window
         )
-        scheduler_label = f"{scheduler}@w{window}"
     else:
         sched = create_scheduler(scheduler, seed=scheduler_seed)
-        scheduler_label = scheduler
     sim = HPCSimulator(
         jobs=job_list,
         scheduler=sched,
@@ -240,7 +233,6 @@ def run_single(
         disruptions=trace,
         restart_policy=restart_policy,
         checkpoint_interval=checkpoint_interval,
-        engine=engine,
     )
     result = sim.run()
     if verify:
@@ -248,7 +240,7 @@ def run_single(
     return ExperimentRun(
         scenario=scenario,
         n_jobs=len(job_list),
-        scheduler=scheduler_label,
+        scheduler=scheduler_label(scheduler, anneal_window),
         workload_seed=workload_seed,
         scheduler_seed=scheduler_seed,
         result=result,

@@ -8,7 +8,7 @@ override what they need.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.sim.actions import Action
 from repro.sim.columns import COLUMNAR_MIN_QUEUE
@@ -31,42 +31,34 @@ class BaseScheduler:
         Capability flag: the policy has a columnar decision kernel that
         consumes :meth:`SystemView.columns` instead of iterating ``Job``
         facades. Columnar kernels are byte-identical twins of the facade
-        path (digest-pinned), so opting in is purely a performance
-        choice; ``use_columns=False`` at construction forces the facade
-        path (the twin the parity tests diff against).
+        path (digest-pinned); which one a decision runs is chosen by
+        :meth:`columnar` from the view alone.
     """
 
     name: str = "base"
     emits_stop: bool = False
     supports_columns: bool = False
 
-    def __init__(self, *, use_columns: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._last_meta: dict[str, Any] = {}
-        #: Which kernel :meth:`decide` runs. Defaults to the columnar
-        #: one whenever the policy has it; never True without one.
-        self.use_columns: bool = (
-            self.supports_columns
-            if use_columns is None
-            else bool(use_columns) and self.supports_columns
-        )
 
     def columnar(self, view: SystemView) -> bool:
         """Should this decision run the columnar kernel?
 
-        True only when the policy opted in, the queue is deep enough
-        to amortize numpy dispatch
+        True only when the policy has a columnar kernel, the queue is
+        deep enough to amortize numpy dispatch
         (:data:`~repro.sim.columns.COLUMNAR_MIN_QUEUE`), *and* a
-        columnar projection is already attached to the view (the SoA
-        engine attaches one per decision point; bench harnesses attach
-        prebuilt masters). Short queues take the byte-identical facade
-        path, which beats vectorization on a handful of jobs, and
-        hand-built views — the object-graph reference engine's, and
-        test fixtures' — never pay the O(queue) fallback master build
-        per decision just to dispatch. A pure constant-factor switch —
-        the twin kernels are digest-pinned identical.
+        columnar projection is already attached to the view (the
+        engine attaches one per decision point). Short queues take the
+        byte-identical facade path, which beats vectorization on a
+        handful of jobs, and hand-built views — the object-graph test
+        oracle's, and test fixtures' — never pay the O(queue) fallback
+        master build per decision just to dispatch. A pure
+        constant-factor switch — the twin kernels are digest-pinned
+        identical.
         """
         return (
-            self.use_columns
+            self.supports_columns
             and len(view.queued) >= COLUMNAR_MIN_QUEUE
             and view._columns is not None
         )

@@ -12,23 +12,16 @@ ablations (same objective, same schedule decoder, different search).
 Representation: a chromosome is a job-priority permutation, decoded by
 the serial schedule-generation scheme of
 :mod:`repro.schedulers.packing`. Selection is k-tournament; crossover
-is order crossover; mutation swaps two positions. Elitism preserves
-the best chromosome.
+is prefix-anchored order crossover; mutation swaps two positions.
+Elitism preserves the best chromosome.
 
-Two crossover modes share that skeleton:
-
-* **prefix-sharing** (default): the copied parent-A slice is anchored
-  at position 0, so every child shares parent A's *prefix* up to the
-  cut. Children are then decoded through
-  :meth:`~repro.schedulers.packing.IncrementalPacker.pack_from`
-  against the parent's retained pack state — the same suffix-only
-  re-pack the annealer exploits per move, applied generation-wide:
-  each evaluation packs only the genes after the cut (or after the
-  first mutated position) instead of the whole permutation.
-* **legacy OX1** (``prefix_crossover=False``): the classic
-  middle-slice operator with cold full packs per chromosome —
-  byte-identical to the pre-prefix engine, retained for ablations and
-  the regression pin.
+The copied parent-A slice is anchored at position 0, so every child
+shares parent A's *prefix* up to the cut. Children are then decoded
+through :meth:`~repro.schedulers.packing.IncrementalPacker.pack_from`
+against the parent's retained pack state — the same suffix-only
+re-pack the annealer exploits per move, applied generation-wide: each
+evaluation packs only the genes after the cut (or after the first
+mutated position) instead of the whole permutation.
 """
 
 from __future__ import annotations
@@ -55,14 +48,7 @@ from repro.sim.simulator import SystemView
 
 @dataclass
 class GeneticConfig:
-    """GA hyperparameters. Defaults are sized for ≤100-job queues.
-
-    ``prefix_crossover`` selects the prefix-sharing operator (children
-    share a parent's prefix up to the cut and are evaluated through
-    the packer's prefix cache); ``False`` restores the legacy OX1
-    middle-slice operator with cold full packs — the pre-prefix
-    engine, bit for bit.
-    """
+    """GA hyperparameters. Defaults are sized for ≤100-job queues."""
 
     population: int = 20
     generations: int = 15
@@ -71,7 +57,6 @@ class GeneticConfig:
     mutation_rate: float = 0.2
     elite: int = 2
     flow_time_weight: float = 1e-3
-    prefix_crossover: bool = True
 
     def __post_init__(self) -> None:
         if self.population < 2:
@@ -82,26 +67,6 @@ class GeneticConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-
-
-def order_crossover(
-    parent_a: list[int], parent_b: list[int], rng: np.random.Generator
-) -> list[int]:
-    """OX1: copy a random slice from parent A, fill the rest in parent
-    B's relative order."""
-    n = len(parent_a)
-    if n < 2:
-        return list(parent_a)
-    i, j = sorted(rng.choice(n, size=2, replace=False))
-    child: list[Optional[int]] = [None] * n
-    child[i : j + 1] = parent_a[i : j + 1]
-    taken = set(parent_a[i : j + 1])
-    fill = [gene for gene in parent_b if gene not in taken]
-    it = iter(fill)
-    for idx in range(n):
-        if child[idx] is None:
-            child[idx] = next(it)
-    return child  # type: ignore[return-value]
 
 
 def prefix_crossover(
@@ -136,9 +101,8 @@ class GeneticOptimizer(BaseScheduler):
         self,
         seed: int | np.random.SeedSequence = 0,
         config: Optional[GeneticConfig] = None,
-        use_columns: Optional[bool] = None,
     ) -> None:
-        super().__init__(use_columns=use_columns)
+        super().__init__()
         self._seed = seed
         self.config = config or GeneticConfig()
         self.reset()
@@ -153,8 +117,7 @@ class GeneticOptimizer(BaseScheduler):
         self._plan: list[PackedJob] = []
         self._plan_pos = 0
         self.generations_run = 0
-        #: Aggregated packer work counters across planning events
-        #: (prefix mode only — the legacy path predates the counters).
+        #: Aggregated packer work counters across planning events.
         self._pack_stats: dict[str, int] = {}
 
     # -- GA machinery --------------------------------------------------------
@@ -175,13 +138,13 @@ class GeneticOptimizer(BaseScheduler):
         is built once and restored in O(k) per evaluation instead of
         being reconstructed for every chromosome.
 
-        In legacy OX1 mode chromosomes are unordered relative to each
-        other, so the prefix cache cannot help; ``checkpoint_stride``
-        is set huge to skip checkpointing entirely (full packs only).
-        In prefix mode (``prefix_n`` = queue size) the packer keeps
-        sparse checkpoints per incumbent and retains two generations'
-        worth of incumbents, so each child restores its parent's state
-        at the cut in O(k) and packs only the suffix.
+        The evolution packer (``prefix_n`` = queue size) keeps sparse
+        checkpoints per incumbent and retains two generations' worth of
+        incumbents, so each child restores its parent's state at the
+        cut in O(k) and packs only the suffix. The one-shot decode of
+        the winning order (``prefix_n=0``) has no prefix to share;
+        ``checkpoint_stride`` is set huge to skip checkpointing
+        entirely (one full pack).
         """
         releases = [
             (run.expected_end, run.job.nodes, run.job.memory_gb)
@@ -208,7 +171,7 @@ class GeneticOptimizer(BaseScheduler):
         self, ids: list[int], by_id: dict[int, Job]
     ) -> list[list[int]]:
         """Strong heuristic orders (LPT, SPT) plus seeded shuffles."""
-        if self.use_columns and len(ids) >= COLUMNAR_MIN_QUEUE:
+        if self.supports_columns and len(ids) >= COLUMNAR_MIN_QUEUE:
             # Stable argsorts over attribute columns: ties keep the ids
             # list order, exactly like Python's stable sort with a
             # scalar key. Columns come from the (possibly
@@ -244,55 +207,8 @@ class GeneticOptimizer(BaseScheduler):
         jobs = effective_jobs(view, jobs)
         by_id = {j.job_id: j for j in jobs}
         ids = [j.job_id for j in jobs]
-        if self.config.prefix_crossover:
-            best = self._evolve_prefix(ids, by_id, view)
-        else:
-            best = self._evolve_legacy(ids, by_id, view)
+        best = self._evolve_prefix(ids, by_id, view)
         return [by_id[jid] for jid in best]
-
-    def _evolve_legacy(
-        self, ids: list[int], by_id: dict[int, Job], view: SystemView
-    ) -> list[int]:
-        """The pre-prefix engine: OX1 crossover, cold full pack per
-        chromosome. Byte-identical to the PR-4 GA (pinned by digest)."""
-        cfg = self.config
-        rng = self._rng
-        packer = self._packer(view)
-
-        def evaluate(chromosome: list[int]) -> float:
-            order = [by_id[jid] for jid in chromosome]
-            return self._fitness(packer.pack(order), view.now)
-
-        population = self._seed_population(ids, by_id)
-        scores = [evaluate(c) for c in population]
-
-        for _ in range(cfg.generations):
-            self.generations_run += 1
-            ranked = sorted(range(len(population)), key=lambda i: scores[i])
-            next_pop = [list(population[i]) for i in ranked[: cfg.elite]]
-            while len(next_pop) < cfg.population:
-
-                def tournament() -> list[int]:
-                    contenders = rng.choice(
-                        len(population),
-                        size=min(cfg.tournament_k, len(population)),
-                        replace=False,
-                    )
-                    best = min(contenders, key=lambda i: scores[i])
-                    return population[best]
-
-                if rng.random() < cfg.crossover_rate and len(ids) >= 2:
-                    child = order_crossover(tournament(), tournament(), rng)
-                else:
-                    child = list(tournament())
-                if rng.random() < cfg.mutation_rate and len(ids) >= 2:
-                    i, j = rng.choice(len(ids), size=2, replace=False)
-                    child[i], child[j] = child[j], child[i]
-                next_pop.append(child)
-            population = next_pop
-            scores = [evaluate(c) for c in population]
-
-        return population[int(np.argmin(scores))]
 
     def _evolve_prefix(
         self, ids: list[int], by_id: dict[int, Job], view: SystemView
@@ -440,10 +356,7 @@ class GeneticOptimizer(BaseScheduler):
         return Delay
 
     def collect_extras(self) -> dict[str, Any]:
-        extras: dict[str, Any] = {
-            "generations": self.generations_run,
-            "prefix_crossover": self.config.prefix_crossover,
-        }
+        extras: dict[str, Any] = {"generations": self.generations_run}
         if self._pack_stats:
             extras["pack_stats"] = dict(self._pack_stats)
         return extras

@@ -88,8 +88,8 @@ class PlanStatistics:
 
     ``jobs_packed`` counts every placement the event's search paid for
     (an earliest-fit scan + reservation each); with ``accepted_moves``
-    it yields the packed-jobs-per-accepted-move figure the bench
-    tracks — the quantity windowed replanning bounds.
+    it yields the packed-jobs-per-accepted-move figure in the run's
+    extras — the quantity windowed replanning bounds.
     """
 
     time: float
@@ -180,22 +180,10 @@ class AnnealingOptimizer(BaseScheduler):
         self,
         seed: int | np.random.SeedSequence = 0,
         config: Optional[AnnealingConfig] = None,
-        use_incremental: bool = True,
-        use_columns: Optional[bool] = None,
     ) -> None:
-        super().__init__(use_columns=use_columns)
+        super().__init__()
         self._seed = seed
         self.config = config or AnnealingConfig()
-        #: When False, every candidate is packed from scratch with the
-        #: retained naive reference packer — the pre-incremental code
-        #: path, kept selectable for equivalence tests and the bench's
-        #: before/after replanning measurement.
-        self.use_incremental = use_incremental
-        if self.config.window is not None and not use_incremental:
-            raise ValueError(
-                "windowed replanning requires the incremental packer "
-                "(window=None or use_incremental=True)"
-            )
         self._rng = np.random.default_rng(seed)
         self._planned_ids: set[int] = set()
         #: Jobs this plan already started; one of them reappearing in
@@ -246,12 +234,11 @@ class AnnealingOptimizer(BaseScheduler):
 
     def _anneal_full(
         self,
+        packer: IncrementalPacker,
         order: list,
         initial_obj: float,
         now: float,
         iterations: int,
-        pack_candidate,
-        commit,
     ) -> tuple[list, float, int]:
         """Legacy full-width annealing over the whole priority order.
 
@@ -272,11 +259,11 @@ class AnnealingOptimizer(BaseScheduler):
             cand[lo], cand[hi] = cand[hi], cand[lo]
             # The candidate shares the incumbent's prefix below the
             # lower swap position: only the suffix is re-packed.
-            cand_placements = pack_candidate(cand, lo)
+            cand_placements = packer.pack_from(cand, lo)
             cand_obj = self._objective(cand_placements, now)
             delta = cand_obj - cur_obj
             if delta <= 0 or self._rng.random() < math.exp(-delta / temp):
-                commit(cand, lo, cand_placements)
+                packer.commit(cand, lo, cand_placements)
                 cur_order, cur_obj = cand, cand_obj
                 accepted += 1
                 if cur_obj < best_obj:
@@ -413,38 +400,12 @@ class AnnealingOptimizer(BaseScheduler):
             self._plan_pos = 0
             self._planned_ids = {j.job_id for j in unpackable}
             return
-        packed_counter = [0]
-        if self.use_incremental:
-            packer = IncrementalPacker(
-                now=view.now,
-                free_nodes=view.free_nodes,
-                free_memory_gb=view.free_memory_gb,
-                releases=releases,
-            )
-            pack_full = packer.pack
-            pack_candidate = packer.pack_from
-            commit = packer.commit
-        else:
-            packer = None
-            from repro.schedulers.packing_reference import (
-                reference_pack_order,
-            )
-
-            def pack_full(order):
-                packed_counter[0] += len(order)
-                return reference_pack_order(
-                    order,
-                    now=view.now,
-                    free_nodes=view.free_nodes,
-                    free_memory_gb=view.free_memory_gb,
-                    releases=releases,
-                )
-
-            def pack_candidate(order, pivot):
-                return pack_full(order)
-
-            def commit(order, pivot, placements):
-                pass
+        packer = IncrementalPacker(
+            now=view.now,
+            free_nodes=view.free_nodes,
+            free_memory_gb=view.free_memory_gb,
+            releases=releases,
+        )
 
         # Initial order: largest node-seconds first (LPT flavour), a
         # strong makespan heuristic the annealer then polishes. On
@@ -453,7 +414,7 @@ class AnnealingOptimizer(BaseScheduler):
         # rest (spread-across-domains: don't race a restart back into
         # the failing rack); identity on flat topologies. The windowed
         # search freezes the tail, so those demotions stay put.
-        if self.use_columns and len(jobs) >= COLUMNAR_MIN_QUEUE:
+        if self.supports_columns and len(jobs) >= COLUMNAR_MIN_QUEUE:
             # Columns must come from the *effective* jobs (restarted
             # jobs carry remapped durations), not the view's masters:
             # node_seconds here is nodes × remaining runtime. Small
@@ -463,7 +424,7 @@ class AnnealingOptimizer(BaseScheduler):
         else:
             order = sorted(jobs, key=lambda j: (-j.node_seconds, j.job_id))
             order = spread_requeue(view, order)
-        placements = pack_full(order)
+        placements = packer.pack(order)
         best_obj = initial_obj = self._objective(placements, view.now)
         iterations = self.config.iterations_for(n)
 
@@ -474,7 +435,7 @@ class AnnealingOptimizer(BaseScheduler):
                 packer, order, placements, view.now, iterations
             )
             if final is None:  # no epoch grounding packed the winner
-                final = pack_full(best_order)
+                final = packer.pack(best_order)
             final_obj = self._objective(final, view.now)
             # The windowed search optimizes a frozen-tail surrogate;
             # re-packing the tail under the winning head can land
@@ -486,10 +447,9 @@ class AnnealingOptimizer(BaseScheduler):
                 best_obj = final_obj
         elif n >= 2:
             best_order, best_obj, accepted = self._anneal_full(
-                order, best_obj, view.now, iterations,
-                pack_candidate, commit,
+                packer, order, best_obj, view.now, iterations
             )
-            final = pack_full(best_order)
+            final = packer.pack(best_order)
         else:
             final = placements
         # Execute in planned start-time order; capacity-starved jobs
@@ -507,11 +467,7 @@ class AnnealingOptimizer(BaseScheduler):
                 final_objective=best_obj,
                 window=window,
                 accepted_moves=accepted,
-                jobs_packed=(
-                    packer.stats.jobs_packed
-                    if packer is not None
-                    else packed_counter[0]
-                ),
+                jobs_packed=packer.stats.jobs_packed,
             )
         )
 

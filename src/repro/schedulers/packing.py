@@ -336,7 +336,7 @@ class PackStats:
     search plus a reservation) — the unit the windowed-annealing and
     prefix-GA optimizations minimize; ``jobs_replayed`` counts
     known-reservation replays on the checkpoint-restore path, which
-    cost one trusted reserve and no search. The bench's
+    cost one trusted reserve and no search. The annealer's
     packed-jobs-per-accepted-move figure divides ``jobs_packed`` by
     the consumer's accepted-move count.
     """

@@ -30,7 +30,6 @@ def _annealer_factory(
     seed: int = 0,
     anneal_window: Optional[int] = None,
     config: Optional[AnnealingConfig] = None,
-    use_columns: Optional[bool] = None,
     **kw,
 ) -> AnnealingOptimizer:
     """``ortools_like`` factory; ``anneal_window`` overlays the
@@ -41,32 +40,18 @@ def _annealer_factory(
             if config is not None
             else AnnealingConfig(window=anneal_window)
         )
-    return AnnealingOptimizer(
-        seed=seed, config=config, use_columns=use_columns, **kw
-    )
+    return AnnealingOptimizer(seed=seed, config=config, **kw)
 
 
 SCHEDULER_FACTORIES: Dict[str, SchedulerFactory] = {
-    "fcfs": lambda seed=0, use_columns=None, **kw: FCFSScheduler(
-        use_columns=use_columns
-    ),
-    "fcfs_backfill": lambda seed=0, use_columns=None, **kw: (
-        EasyBackfillScheduler(use_columns=use_columns)
-    ),
-    "sjf": lambda seed=0, use_columns=None, **kw: SJFScheduler(
-        strict=True, use_columns=use_columns
-    ),
-    "sjf_firstfit": lambda seed=0, use_columns=None, **kw: SJFScheduler(
-        strict=False, use_columns=use_columns
-    ),
+    "fcfs": lambda seed=0, **kw: FCFSScheduler(),
+    "fcfs_backfill": lambda seed=0, **kw: EasyBackfillScheduler(),
+    "sjf": lambda seed=0, **kw: SJFScheduler(strict=True),
+    "sjf_firstfit": lambda seed=0, **kw: SJFScheduler(strict=False),
     "ortools_like": _annealer_factory,
     "genetic": lambda seed=0, **kw: GeneticOptimizer(seed=seed, **kw),
-    "first_fit": lambda seed=0, use_columns=None, **kw: FirstFitScheduler(
-        use_columns=use_columns
-    ),
-    "largest_first": lambda seed=0, use_columns=None, **kw: (
-        LargestFirstScheduler(use_columns=use_columns)
-    ),
+    "first_fit": lambda seed=0, **kw: FirstFitScheduler(),
+    "largest_first": lambda seed=0, **kw: LargestFirstScheduler(),
     "random": lambda seed=0, **kw: RandomScheduler(seed=seed),
 }
 
@@ -77,9 +62,8 @@ SCHEDULER_FACTORIES: Dict[str, SchedulerFactory] = {
 WINDOW_AWARE_SCHEDULERS: frozenset[str] = frozenset({"ortools_like"})
 
 #: Schedulers with a columnar decision kernel (``supports_columns`` on
-#: the class). Columnar is the default for these; ``use_columns=False``
-#: at construction selects the byte-identical facade twin the parity
-#: tests diff against.
+#: the class), byte-identical to the facade twin that serves short
+#: queues and hand-built views.
 COLUMNAR_SCHEDULERS: frozenset[str] = frozenset(
     {
         "fcfs",
@@ -97,6 +81,16 @@ COLUMNAR_SCHEDULERS: frozenset[str] = frozenset(
 def supports_anneal_window(name: str) -> bool:
     """Does the named scheduler consume the ``anneal_window`` option?"""
     return name in WINDOW_AWARE_SCHEDULERS
+
+
+def scheduler_label(name: str, anneal_window: Optional[int] = None) -> str:
+    """Recorded scheduler name: ``<name>@w<W>`` when a window applies
+    (a windowed search is a different experiment, so the label — and
+    the cell key built on it — differs), the plain registry name for
+    window-blind policies."""
+    if anneal_window is not None and supports_anneal_window(name):
+        return f"{name}@w{anneal_window}"
+    return name
 
 
 def supports_columns(name: str) -> bool:

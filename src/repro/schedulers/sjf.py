@@ -12,8 +12,6 @@ useful as an ablation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.schedulers.base import BaseScheduler
@@ -26,14 +24,8 @@ class SJFScheduler(BaseScheduler):
 
     supports_columns = True
 
-    def __init__(
-        self,
-        *,
-        strict: bool = True,
-        use_walltime: bool = True,
-        use_columns: Optional[bool] = None,
-    ):
-        super().__init__(use_columns=use_columns)
+    def __init__(self, *, strict: bool = True, use_walltime: bool = True):
+        super().__init__()
         self.strict = strict
         self.use_walltime = use_walltime
         self.name = "sjf" if strict else "sjf_firstfit"

@@ -248,8 +248,9 @@ def run_soa(
     """Execute *sim* on the structure-of-arrays core.
 
     Semantically a line-by-line translation of the object engine
-    (``HPCSimulator._run_object``); see the module docstring for what
-    may differ (data layout) and what must not (everything observable).
+    (:func:`repro.sim._object_ref.run_object`); see the module
+    docstring for what may differ (data layout) and what must not
+    (everything observable).
 
     *calendar*, when given, must be a sealed, unconsumed
     :class:`~repro.sim.events.ArrayCalendar` holding exactly the

@@ -462,19 +462,9 @@ class HPCSimulator:
     disruptions: Optional[DisruptionTrace] = None
     restart_policy: str = "resubmit"
     checkpoint_interval: Optional[float] = None
-    #: Execution mode, NOT part of an experiment's identity: ``"soa"``
-    #: (default) runs the structure-of-arrays core in
-    #: :mod:`repro.sim.engine`; ``"object"`` runs the original
-    #: object-graph loop kept below as the reference implementation.
-    #: The two are pinned byte-identical by the regression suite.
-    engine: str = "soa"
 
     def __post_init__(self) -> None:
         self.restart_policy = normalize_restart_policy(self.restart_policy)
-        if self.engine not in ("soa", "object"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose 'soa' or 'object'"
-            )
         if self.checkpoint_interval is not None:
             if self.checkpoint_interval <= 0:
                 raise ValueError(
@@ -519,27 +509,16 @@ class HPCSimulator:
 
     # -- main loop -------------------------------------------------------
     def run(self) -> ScheduleResult:
-        """Execute the full simulation and return the schedule."""
-        if self.engine == "soa":
-            from repro.sim.engine import run_soa
+        """Execute the full simulation and return the schedule.
 
-            return run_soa(self)
-        return self._run_object()
-
-    def _run_object(self) -> ScheduleResult:
-        """The original object-graph event loop, demoted to the
-        test-support module :mod:`repro.sim._object_ref`.
-
-        Retained as the reference implementation the flat-array core
-        (:func:`repro.sim.engine.run_soa`) is digest-pinned against;
-        every semantic subtlety there (push order, stale-completion
-        checks, budget accounting, lazy compaction) is contractual for
-        both engines. Never imported on the default ``engine="soa"``
-        path.
+        Runs the structure-of-arrays core in :mod:`repro.sim.engine`.
+        The original object-graph loop survives only as the test
+        oracle :func:`repro.sim._object_ref.run_object`, which the
+        parity suites substitute for this method.
         """
-        from repro.sim._object_ref import run_object
+        from repro.sim.engine import run_soa
 
-        return run_object(self)
+        return run_soa(self)
 
 
 def simulate(
@@ -553,7 +532,6 @@ def simulate(
     disruptions: Optional[DisruptionTrace] = None,
     restart_policy: str = "resubmit",
     checkpoint_interval: Optional[float] = None,
-    engine: str = "soa",
 ) -> ScheduleResult:
     """One-call convenience wrapper around :class:`HPCSimulator`."""
     sim = HPCSimulator(
@@ -566,6 +544,5 @@ def simulate(
         disruptions=disruptions,
         restart_policy=restart_policy,
         checkpoint_interval=checkpoint_interval,
-        engine=engine,
     )
     return sim.run()

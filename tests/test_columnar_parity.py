@@ -3,8 +3,8 @@
 1. **Columnar/facade byte-identity**: every scheduler in
    :data:`COLUMNAR_SCHEDULERS` must produce bit-for-bit identical
    records, decisions, preemptions, and extras whether its decision
-   kernel runs on :class:`ViewColumns` (the default) or on the legacy
-   ``Job``-facade path (``use_columns=False``) — across clean,
+   kernel runs on :class:`ViewColumns` (the default) or on the
+   ``Job``-facade path (the ``facade_only`` fixture) — across clean,
    disrupted, correlated-topology, and drained/walltime regimes, plus
    windowed annealing.
 2. **Zero-copy contract**: engine-built views share one per-run set of
@@ -94,12 +94,12 @@ _CHEAP_KW = {
 }
 
 
-def run_twins(name, scenario, n, *, spec=None, topology=None, sched_kw=None,
-              **sim_kw):
+def run_twins(name, scenario, n, facade_only, *, spec=None, topology=None,
+              sched_kw=None, **sim_kw):
     """Run one cell columnar and facade; return both results."""
     jobs = generate_workload(scenario, n, seed=3)
     results = {}
-    for use_columns in (True, False):
+    for columnar in (True, False):
         cluster = ResourcePool(topology=topology)
         trace = None
         if spec is not None:
@@ -108,11 +108,11 @@ def run_twins(name, scenario, n, *, spec=None, topology=None, sched_kw=None,
                 horizon=estimate_horizon(jobs, cluster.total_nodes),
                 topology=topology,
             )
-        sched = create_scheduler(
-            name, seed=5, use_columns=use_columns, **(sched_kw or {})
-        )
-        assert sched.use_columns is use_columns
-        results[use_columns] = simulate(
+        sched = create_scheduler(name, seed=5, **(sched_kw or {}))
+        if not columnar:
+            facade_only(sched)
+        assert sched.supports_columns is columnar
+        results[columnar] = simulate(
             list(jobs),
             sched,
             cluster=cluster,
@@ -163,12 +163,15 @@ REGIMES = [
 class TestColumnarFacadeParity:
     @pytest.mark.parametrize("name", sorted(COLUMNAR_SCHEDULERS))
     @pytest.mark.parametrize("scenario,n,spec,topology,kw", REGIMES)
-    def test_byte_identical(self, name, scenario, n, spec, topology, kw):
+    def test_byte_identical(
+        self, name, scenario, n, spec, topology, kw, facade_only
+    ):
         n = min(n, _CHEAP_N.get(name, n))
         a, b = run_twins(
             name,
             scenario,
             n,
+            facade_only,
             spec=spec,
             topology=topology,
             sched_kw=_CHEAP_KW.get(name),
@@ -176,27 +179,24 @@ class TestColumnarFacadeParity:
         )
         assert_identical(a, b)
 
-    def test_windowed_annealer(self):
+    def test_windowed_annealer(self, facade_only):
         a, b = run_twins(
             "ortools_like",
             "heterogeneous_mix",
             60,
+            facade_only,
             sched_kw={"anneal_window": 8},
         )
         assert_identical(a, b)
 
-    def test_registry_capability_flags(self):
+    def test_registry_capability_flags(self, facade_only):
         for name in sorted(COLUMNAR_SCHEDULERS):
             assert supports_columns(name)
-            assert create_scheduler(name).use_columns is True
-            assert create_scheduler(name, use_columns=False).use_columns \
+            assert create_scheduler(name).supports_columns is True
+            assert facade_only(create_scheduler(name)).supports_columns \
                 is False
         assert not supports_columns("random")
-        sched = create_scheduler("random")
-        assert sched.supports_columns is False
-        # Forcing columns on a facade-only scheduler stays facade: the
-        # flag is a capability gate, not an override.
-        assert sched.use_columns is False
+        assert create_scheduler("random").supports_columns is False
 
 
 class CapturingFCFS(BaseScheduler):

@@ -540,80 +540,23 @@ class TestMatrixInterruptNoStore:
         assert "nothing persisted" in err
 
 
-class TestBenchCommand:
-    """The bench subcommand's control flow, with the (slow) bench
-    machinery stubbed out."""
+class TestRetiredOptions:
+    """The second benchmark and the twin-selector flag are gone from
+    the parser, not silently accepted."""
 
-    @pytest.fixture()
-    def bench_mod(self, monkeypatch):
-        from repro.experiments import bench
-
-        monkeypatch.setattr(
-            bench, "run_bench", lambda **kw: {"meta": {"quick": True}}
-        )
-        monkeypatch.setattr(
-            bench, "render_report", lambda rep: "BENCH TABLE"
-        )
-        return bench
-
-    def test_bad_section_is_a_friendly_error(self, monkeypatch, capsys):
-        from repro.experiments import bench
-
-        def raise_value_error(**kwargs):
-            raise ValueError("unknown bench section(s): nope")
-
-        monkeypatch.setattr(bench, "run_bench", raise_value_error)
-        assert main(["bench", "--sections", "nope"]) == 2
-        assert "unknown bench section" in capsys.readouterr().err
-
-    def test_json_report_is_written(
-        self, bench_mod, monkeypatch, capsys, tmp_path
-    ):
-        written = {}
-        monkeypatch.setattr(
-            bench_mod,
-            "write_report",
-            lambda rep, path: written.update(path=path),
-        )
-        out_path = str(tmp_path / "bench.json")
-        assert main(["bench", "--quick", "--json", out_path]) == 0
-        captured = capsys.readouterr()
-        assert "BENCH TABLE" in captured.out
-        assert f"wrote {out_path}" in captured.err
-        assert written["path"] == out_path
-
-    def test_strict_baseline_regression_fails_with_annotations(
-        self, bench_mod, monkeypatch, capsys
-    ):
-        class Reg:
-            def describe(self):
-                return "replan_ms: 10.0 -> 20.0 (+100%)"
-
-        monkeypatch.setattr(bench_mod, "load_report", lambda path: {})
-        monkeypatch.setattr(
-            bench_mod,
-            "compare_to_baseline",
-            lambda rep, base, threshold, dimensionless_only: [Reg()],
-        )
-        monkeypatch.setenv("GITHUB_ACTIONS", "1")
-        rc = main([
-            "bench", "--quick", "--baseline", "BENCH.json", "--strict",
-        ])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "1 metric(s) regressed" in out
-        assert "ERROR: replan_ms" in out
-        assert "::error title=bench regression::" in out
-
-    def test_clean_baseline_comparison_passes(
-        self, bench_mod, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(bench_mod, "load_report", lambda path: {})
-        monkeypatch.setattr(
-            bench_mod,
-            "compare_to_baseline",
-            lambda rep, base, threshold, dimensionless_only: [],
-        )
-        rc = main(["bench", "--quick", "--baseline", "BENCH.json"])
-        assert rc == 0
-        assert "no regressions >25%" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench"],
+            ["run", "--scenario", "adversarial", "-n", "8", "--engine", "soa"],
+            [
+                "matrix", "--scenarios", "adversarial", "--sizes", "8",
+                "--engine", "object",
+            ],
+        ],
+        ids=["bench", "run-engine", "matrix-engine"],
+    )
+    def test_argparse_rejects(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2

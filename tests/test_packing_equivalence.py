@@ -266,17 +266,28 @@ class MaterializingView:
 class TestSerialEquivalence:
     """Acceptance: fixed seeds -> byte-identical ScheduleResults."""
 
+    def test_fixture_substitutes_the_naive_packer(self, naive_packer):
+        """The naive side of the comparisons below must really pack
+        from scratch: a full O(queue) pack per candidate where the
+        kernel re-packs only a suffix."""
+        jobs = generate_workload("heterogeneous_mix", 40, seed=0)
+        fast = run_sim(jobs, AnnealingOptimizer(seed=7))
+        with naive_packer():
+            naive = run_sim(jobs, AnnealingOptimizer(seed=7))
+        assert naive.extras["packed_jobs"] > fast.extras["packed_jobs"]
+
     @pytest.mark.parametrize("scenario,seed", [
         ("heterogeneous_mix", 0),
         ("adversarial", 3),
         ("bursty_idle", 1),
     ])
-    def test_annealer_incremental_vs_naive_packer(self, scenario, seed):
+    def test_annealer_incremental_vs_naive_packer(
+        self, scenario, seed, naive_packer
+    ):
         jobs = generate_workload(scenario, 40, seed=seed)
         fast = run_sim(jobs, AnnealingOptimizer(seed=7))
-        naive = run_sim(
-            jobs, AnnealingOptimizer(seed=7, use_incremental=False)
-        )
+        with naive_packer():
+            naive = run_sim(jobs, AnnealingOptimizer(seed=7))
         assert result_fingerprint(fast) == result_fingerprint(naive)
         # The annealing trajectories must match step for step, not just
         # the final schedule.
@@ -308,18 +319,17 @@ class TestSerialEquivalence:
         b = run_sim(jobs, EasyBackfillScheduler())
         assert result_fingerprint(a) == result_fingerprint(b)
 
-    def test_walltime_enforced_simulation_unaffected(self):
+    def test_walltime_enforced_simulation_unaffected(self, naive_packer):
         jobs = generate_workload("heterogeneous_mix", 25, seed=8)
-        sim_a = HPCSimulator(
-            jobs=list(jobs),
-            scheduler=AnnealingOptimizer(seed=3),
-            enforce_walltime=True,
-        )
-        sim_b = HPCSimulator(
-            jobs=list(jobs),
-            scheduler=AnnealingOptimizer(seed=3, use_incremental=False),
-            enforce_walltime=True,
-        )
-        assert result_fingerprint(sim_a.run()) == result_fingerprint(
-            sim_b.run()
-        )
+
+        def walltime_run():
+            return HPCSimulator(
+                jobs=list(jobs),
+                scheduler=AnnealingOptimizer(seed=3),
+                enforce_walltime=True,
+            ).run()
+
+        fast = walltime_run()
+        with naive_packer():
+            naive = walltime_run()
+        assert result_fingerprint(fast) == result_fingerprint(naive)

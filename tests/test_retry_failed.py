@@ -9,12 +9,15 @@ store equals a store produced by a clean sweep, cell for cell.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import faultinject
 from repro.experiments.cli import main
 from repro.experiments.faultinject import FaultPlan, FaultRule
+from repro.experiments.parallel import MatrixCell
 from repro.experiments.store import (
     FailedCell,
     FailureSidecar,
@@ -118,6 +121,39 @@ class TestRetryFailedRecovers:
         failed = FailedCell.from_json(lines[0])
         assert failed.key[2] == "sjf"
         assert failed.config is not None
+
+
+#: A sidecar exactly as ``matrix --engine object --on-cell-failure
+#: quarantine`` wrote it at f8eab45 (PR 11): its config still carries
+#: the since-retired ``"engine"`` key.
+PR11_SIDECAR = Path(__file__).parent / "data" / "pr11_runs.jsonl.failures"
+
+
+class TestLegacyEngineKey:
+    def test_pr11_sidecar_config_loads_to_the_same_cell(self):
+        (record,) = FailureSidecar(PR11_SIDECAR).load()
+        assert record.config["engine"] == "object"
+        cell = MatrixCell.from_config(record.config)
+        assert cell.key == record.key
+        assert "engine" not in cell.to_config()
+        for engine in ("soa", "bogus", None):
+            assert MatrixCell.from_config(
+                {**cell.to_config(), "engine": engine}
+            ) == cell
+
+    def test_pr11_sidecar_retries_to_the_clean_sweep(self, tmp_path, capsys):
+        store = tmp_path / "runs.jsonl"
+        reference = tmp_path / "reference.jsonl"
+        assert main(sweep_args(reference)) == 0
+        shutil.copy(PR11_SIDECAR, store.with_name(store.name + ".failures"))
+        capsys.readouterr()
+        rc = main(["matrix", "--retry-failed", str(store), "--workers", "1"])
+        assert rc == 0
+        assert "recovered 1/1" in capsys.readouterr().out
+        recovered = metrics_by_key(store)
+        assert len(recovered) == 1
+        (key,) = recovered
+        assert recovered[key] == metrics_by_key(reference)[key]
 
 
 class TestRetryFailedEdgeCases:

@@ -8,39 +8,11 @@ from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.genetic import (
     GeneticConfig,
     GeneticOptimizer,
-    order_crossover,
     prefix_crossover,
 )
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import make_job, run_sim
-
-
-class TestOrderCrossover:
-    def test_child_is_permutation(self):
-        rng = np.random.default_rng(0)
-        a = [1, 2, 3, 4, 5, 6]
-        b = [6, 5, 4, 3, 2, 1]
-        for _ in range(20):
-            child = order_crossover(a, b, rng)
-            assert sorted(child) == sorted(a)
-
-    def test_short_parents(self):
-        rng = np.random.default_rng(0)
-        assert order_crossover([1], [1], rng) == [1]
-
-    def test_slice_preserved_from_parent_a(self):
-        rng = np.random.default_rng(3)
-        a = list(range(1, 9))
-        b = list(reversed(a))
-        child = order_crossover(a, b, rng)
-        # Some contiguous slice of the child matches parent A exactly.
-        found = any(
-            child[i:j] == a[i:j] and j - i >= 2
-            for i in range(len(a))
-            for j in range(i + 2, len(a) + 1)
-        )
-        assert found
 
 
 class TestPrefixCrossover:
@@ -121,18 +93,6 @@ class TestScheduling:
         result = run_sim(jobs, sched)
         assert result.extras["generations"] > 0
 
-    def test_prefix_and_legacy_modes_both_deterministic(self):
-        jobs = generate_workload("heterogeneous_mix", 15, seed=2)
-        for cfg in (
-            GeneticConfig(),
-            GeneticConfig(prefix_crossover=False),
-        ):
-            a = run_sim(jobs, GeneticOptimizer(seed=4, config=cfg))
-            b = run_sim(jobs, GeneticOptimizer(seed=4, config=cfg))
-            assert {r.job.job_id: r.start_time for r in a.records} == {
-                r.job.job_id: r.start_time for r in b.records
-            }
-
     def test_prefix_mode_reports_pack_stats(self):
         # Zero arrivals -> one planning event, so the cold-pack bound
         # below is exact (population x (generations + 1) evaluations).
@@ -141,7 +101,6 @@ class TestScheduling:
         )
         sched = GeneticOptimizer(seed=0)
         result = run_sim(jobs, sched)
-        assert result.extras["prefix_crossover"] is True
         stats = result.extras["pack_stats"]
         assert stats["jobs_packed"] > 0
         assert stats["incumbents_saved"] > 0
@@ -151,17 +110,6 @@ class TestScheduling:
         cfg = sched.config
         cold = cfg.population * (cfg.generations + 1) * 20
         assert stats["jobs_packed"] < cold
-
-    def test_legacy_mode_omits_pack_stats(self):
-        jobs = generate_workload("heterogeneous_mix", 10, seed=0)
-        result = run_sim(
-            jobs,
-            GeneticOptimizer(
-                seed=0, config=GeneticConfig(prefix_crossover=False)
-            ),
-        )
-        assert result.extras["prefix_crossover"] is False
-        assert "pack_stats" not in result.extras
 
     def test_comparable_to_annealer_on_static_instance(self):
         from repro.schedulers.optimizer import AnnealingOptimizer

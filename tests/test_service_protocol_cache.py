@@ -179,7 +179,6 @@ def run_cell_params(workload_seed=0):
             "checkpoint_interval": None,
             "topology": None,
             "anneal_window": None,
-            "engine": "soa",
         }
     }
 

@@ -54,7 +54,6 @@ def cell_config(scheduler="fcfs", n_jobs=10, workload_seed=0):
         "checkpoint_interval": None,
         "topology": None,
         "anneal_window": None,
-        "engine": "soa",
     }
 
 
@@ -183,6 +182,22 @@ class TestCellCache:
         assert a["source"] == b["source"] == "simulated"
         assert a["run"] != b["run"]
         assert stats["cache"]["simulations"] == 2
+
+    def test_legacy_engine_key_is_the_same_cell(self, tmp_path):
+        """Clients written against PRs 7-11 send ``"engine"`` in the
+        cell config; it is ignored, so the request lands on the same
+        CellKey (a memory hit) and returns the same run."""
+        with EmbeddedServer(
+            store_path=tmp_path / "cells.jsonl", workers=1
+        ) as srv:
+            with srv.client() as client:
+                first = client.run_cell(cell_config())
+                legacy = client.run_cell({**cell_config(), "engine": "soa"})
+                stats = client.stats()
+        assert first["source"] == "simulated"
+        assert legacy["source"] == "memory"
+        assert legacy["run"] == first["run"]
+        assert stats["cache"]["simulations"] == 1
 
     def test_malformed_cell_config_rejected(self, server):
         with server.client() as client:

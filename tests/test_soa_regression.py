@@ -1,20 +1,19 @@
 """Pinning tests for the structure-of-arrays simulator core (PR 6).
 
-1. **Engine byte-identity**: ``engine="soa"`` (the default) must replay
-   the object-graph loop bit for bit — records, decisions, preemptions,
-   extras, and metric floats — across the scheduler comparison set and
-   every disruption regime (node failures, correlated rack shocks,
-   drains, checkpoint/migrate restart policies, walltime enforcement,
-   dependency DAGs, windowed planning).
-2. **Pinned digests**: a seeded cell matrix hashes to digests generated
-   by the object engine at the moment the SoA core landed; both engines
-   must keep producing them, so drift in *either* is caught even after
-   one of them changes.
-3. **Parallel identity**: a serial SoA sweep and a 2-worker SoA sweep
-   of the same cells digest identically (the satellite CI smoke runs
-   the same check via the CLI).
-4. **Engine plumbing**: the engine flag is validated, reaches the
-   matrix engine, and is deliberately *not* part of the cell identity.
+1. **Engine byte-identity**: the SoA core must replay the object-graph
+   oracle (:func:`repro.sim._object_ref.run_object`, substituted for
+   ``HPCSimulator.run`` by the ``object_engine`` fixture) bit for bit —
+   records, decisions, preemptions, extras, and metric floats — across
+   the scheduler comparison set and every disruption regime (node
+   failures, correlated rack shocks, drains, checkpoint/migrate restart
+   policies, walltime enforcement, dependency DAGs, windowed planning).
+2. **Pinned digests**: a seeded cell matrix — including every identity
+   cell above — hashes to digests generated by the object oracle, so
+   SoA drift is caught by a constant and not only by agreement with a
+   twin.
+3. **Parallel identity**: a serial sweep and a 2-worker sweep of the
+   same cells digest identically (the satellite CI smoke runs the same
+   check via the CLI).
 """
 
 import pytest
@@ -23,6 +22,7 @@ from repro.experiments.parallel import expand_cells, run_cells
 from repro.experiments.runner import run_single
 from repro.schedulers.registry import create_scheduler
 from repro.sim.disruptions import DisruptionSpec
+from repro.sim.engine import _SortedIndex
 from repro.sim.simulator import HPCSimulator, SimulationError, simulate
 from repro.sim.topology import ClusterTopology
 from repro.workloads.dags import layered_dag_workload
@@ -43,6 +43,9 @@ CORRELATED = DisruptionSpec(
     mtbf=60_000.0, mttr=3_000.0, rack_mtbf=200_000.0, seed=11
 )
 TOPOLOGY = ClusterTopology(n_nodes=256, rack_size=16, racks_per_switch=4)
+
+#: Seeds every identity cell runs with.
+IDENTITY_SEEDS = {"workload_seed": 3, "scheduler_seed": 5}
 
 #: (scenario, n_jobs, scheduler, extra run_single kwargs) — one cell
 #: per behavioural regime the engines must agree on.
@@ -106,57 +109,89 @@ IDENTITY_CELLS = [
 
 
 class TestEngineByteIdentity:
+    def test_fixture_substitutes_the_oracle(self, object_engine):
+        """The comparisons below are only as good as the seam: inside
+        the block the oracle must really be what runs, and the SoA core
+        must be back afterwards."""
+        from repro.sim._object_ref import run_object
+
+        product_run = HPCSimulator.run
+        with object_engine():
+            assert HPCSimulator.run is run_object
+        assert HPCSimulator.run is product_run
+
     @pytest.mark.parametrize("scenario,n,scheduler,kw", IDENTITY_CELLS)
-    def test_engines_identical(self, scenario, n, scheduler, kw):
-        runs = {
-            engine: run_single(
-                scenario,
-                n,
-                scheduler,
-                workload_seed=3,
-                scheduler_seed=5,
-                engine=engine,
-                **kw,
-            )
-            for engine in ("object", "soa")
-        }
-        a, b = runs["object"].result, runs["soa"].result
+    def test_engines_identical(
+        self, scenario, n, scheduler, kw, object_engine
+    ):
+        soa = run_single(scenario, n, scheduler, **IDENTITY_SEEDS, **kw)
+        with object_engine():
+            obj = run_single(scenario, n, scheduler, **IDENTITY_SEEDS, **kw)
+        a, b = obj.result, soa.result
         assert a.records == b.records
         assert a.decisions == b.decisions
         assert a.preemptions == b.preemptions
         assert a.extras == b.extras
-        assert run_digest(runs["object"]) == run_digest(runs["soa"])
+        assert run_digest(obj) == run_digest(soa)
 
-    def test_dependency_dag_identical(self):
+    def test_dependency_dag_identical(self, object_engine):
         jobs = layered_dag_workload(24, seed=2, n_layers=4)
-        results = {
-            engine: simulate(
-                list(jobs), create_scheduler("fcfs"), engine=engine
-            )
-            for engine in ("object", "soa")
-        }
-        a, b = results["object"], results["soa"]
+        b = simulate(list(jobs), create_scheduler("fcfs"))
+        with object_engine():
+            a = simulate(list(jobs), create_scheduler("fcfs"))
         assert a.records == b.records
         assert a.decisions == b.decisions
 
-    def test_decision_budget_identical(self):
+    def test_decision_budget_identical(self, object_engine):
         """Both engines enforce ``max_decisions`` at the same count."""
         jobs = generate_workload("homogeneous_short", 8, seed=0)
-        for engine in ("object", "soa"):
+
+        def exhaust():
             sim = HPCSimulator(
                 jobs=list(jobs),
                 scheduler=create_scheduler("fcfs"),
                 max_decisions=3,
-                engine=engine,
             )
             with pytest.raises(SimulationError, match="budget exhausted \\(3\\)"):
                 sim.run()
 
+        exhaust()
+        with object_engine():
+            exhaust()
 
-#: SHA-256 digests generated by the *object* engine at the commit that
-#: introduced the SoA core; ``run_single(scenario, n, scheduler,
-#: workload_seed=ws, scheduler_seed=ss, **kw)`` on the default engine
-#: must keep reproducing them byte for byte.
+
+#: SHA-256 digests of the identity cells above (at
+#: :data:`IDENTITY_SEEDS`), generated by the *object* oracle at the
+#: last commit where it was a product option (``engine="object"``,
+#: f8eab45) and equal to the SoA digests there.
+IDENTITY_DIGESTS = {
+    "fcfs":
+        "82f21c9999cda061b98036664b8248b0720df5da51738962869d9757ed6a768a",
+    "sjf":
+        "328e83e79a4672dd86b65a0e839f3c56521f8ede86558b1fe4fe7f8e12ade0d1",
+    "optimizer":
+        "72902ed4f049ba68f15d30880cadc59447bf4aaf1eb5b259e8433292bddcbe44",
+    "llm-claude":
+        "24f49b690d0825e665edc57435b9cdd1207868be494233525d8b08eabcc2e2ef",
+    "llm-o4":
+        "52dc6e35f326a0827c2f981f7de4a99537cf02c8ee55dd533eb48b1b42043dab",
+    "windowed":
+        "d11f3f83a4264449d733eda89aaae328fb159470babb00407a3a0b4985a03d41",
+    "walltime-kills":
+        "8d11b11220ea41b788292168d832c6dc2e8b24564cbd71b88ab44492b61b1737",
+    "disrupted-checkpoint":
+        "1974f37222a9c334395cca7cbb40fd9f2d89dffcfd08339f4264530700068e54",
+    "correlated-migrate":
+        "f7dbfa1242e69c224640d996034397b6c858557b0de586630cfbbcd8bfde7da9",
+    "drained-walltime":
+        "3fd0b1d1e20bfdfad57790980dfadc325896391c261809014420e4391e6d0a6d",
+}
+
+#: SHA-256 digests generated by the *object* engine — the first six at
+#: the commit that introduced the SoA core, the identity cells per
+#: :data:`IDENTITY_DIGESTS`; ``run_single(scenario, n, scheduler,
+#: workload_seed=ws, scheduler_seed=ss, **kw)`` must keep reproducing
+#: them byte for byte.
 PINNED_CELLS = [
     pytest.param(
         "heterogeneous_mix", 60, "fcfs", 0, 0, {},
@@ -200,6 +235,16 @@ PINNED_CELLS = [
         "e35d3d707fa9dc5e6c20db72977ed8e33bba312b1b43e5db1ad4e4d8ca77d406",
         id="correlated",
     ),
+] + [
+    pytest.param(
+        *cell.values[:3],
+        IDENTITY_SEEDS["workload_seed"],
+        IDENTITY_SEEDS["scheduler_seed"],
+        cell.values[3],
+        IDENTITY_DIGESTS[cell.id],
+        id=f"identity-{cell.id}",
+    )
+    for cell in IDENTITY_CELLS
 ]
 
 
@@ -214,6 +259,25 @@ class TestPinnedDigests:
         assert run_digest(run) == expected
 
 
+class TestSortedIndexGrowth:
+    def test_grows_past_initial_capacity_in_sorted_order(self, rng):
+        """More simultaneously running jobs than the preallocated
+        capacity: the index doubles in place and keeps (key, seq)
+        order, ties included."""
+        index = _SortedIndex(capacity=4)
+        rows = [
+            (float(rng.integers(0, 20)), seq, 1000 + seq) for seq in range(50)
+        ]
+        for key, seq, ident in rows:
+            index.insert(key, seq, ident)
+        assert len(index) == 50
+        assert index.ids() == [ident for _, _, ident in sorted(rows)]
+        assert index.min_key() == min(rows)[0]
+        for key, seq, _ in rows[::2]:
+            index.remove(key, seq)
+        assert index.ids() == [ident for _, _, ident in sorted(rows[1::2])]
+
+
 class TestParallelIdentity:
     def test_serial_vs_two_workers(self):
         cells = expand_cells(
@@ -221,34 +285,9 @@ class TestParallelIdentity:
             [40],
             ["fcfs", "sjf"],
             workload_seeds=(0, 1),
-            engine="soa",
         )
         serial = run_cells(cells, workers=1)
         parallel = run_cells(cells, workers=2)
         assert [run_digest(r) for r in serial] == [
             run_digest(r) for r in parallel
         ]
-
-
-class TestEnginePlumbing:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            HPCSimulator(
-                jobs=[], scheduler=create_scheduler("fcfs"), engine="bogus"
-            )
-
-    def test_engine_not_part_of_cell_identity(self):
-        """Swapping digest-identical engines must never fork an
-        experiment: the cell key ignores the engine field."""
-        soa = expand_cells(["heterogeneous_mix"], [30], ["fcfs"])
-        obj = expand_cells(
-            ["heterogeneous_mix"], [30], ["fcfs"], engine="object"
-        )
-        assert soa[0].key == obj[0].key
-        assert soa[0].engine == "soa" and obj[0].engine == "object"
-
-    def test_simulate_forwards_engine(self):
-        jobs = generate_workload("homogeneous_short", 30, seed=0)
-        a = simulate(list(jobs), create_scheduler("fcfs"), engine="object")
-        b = simulate(list(jobs), create_scheduler("fcfs"))  # soa default
-        assert a.records == b.records

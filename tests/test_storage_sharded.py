@@ -309,13 +309,28 @@ class TestIterRuns:
         """Both backends answer the same query identically."""
         flat = RunStore(tmp_path / "runs.jsonl")
         sharded = ShardedStore(tmp_path / "runs.store", n_shards=4)
-        for run in fill(flat, 8):
+        runs = fill(flat, 8)
+        for run in runs:
             sharded.append(run)
-        where = {"scenario": "resource_sparse"}
-        assert (
-            sorted(flat.iter_runs(where), key=lambda r: r.key)
-            == list(sharded.iter_runs(where))
-        )
+        target = runs[3]
+        full_pin = {
+            "scenario": target.scenario,
+            "n_jobs": target.n_jobs,
+            "scheduler": target.scheduler,
+            "workload_seed": target.workload_seed,
+            "scheduler_seed": target.scheduler_seed,
+            "arrival_mode": target.arrival_mode,
+            "disruption_sig": target.disruption_sig,
+            "topology_sig": target.topology_sig,
+        }
+        for where in ({"scenario": "resource_sparse"}, full_pin):
+            assert (
+                sorted(flat.iter_runs(where), key=lambda r: r.key)
+                == list(sharded.iter_runs(where))
+            )
+        # The keyed fast path still honours an explicit key set.
+        assert list(flat.iter_runs(full_pin)) == [target]
+        assert list(flat.iter_runs(full_pin, keys={runs[0].key})) == []
 
 
 class TestOpenStore:

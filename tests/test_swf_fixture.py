@@ -9,6 +9,7 @@ metrics) is pinned end to end, not just unit-by-unit.
 """
 
 import hashlib
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -51,8 +52,9 @@ class TestFixtureRoundTrip:
         assert jobs_from_swf(copy) == jobs
 
     @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_replay_metrics_pinned(self, engine):
+    def test_replay_metrics_pinned(self, engine, object_engine):
         jobs = jobs_from_swf(FIXTURE)
-        result = simulate(jobs, create_scheduler("fcfs"), engine=engine)
+        with object_engine() if engine == "object" else nullcontext():
+            result = simulate(jobs, create_scheduler("fcfs"))
         assert len(result.records) == 30
         assert metrics_digest(result) == PINNED_METRICS_DIGEST
