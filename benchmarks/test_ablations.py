@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices :mod:`repro.core` names.
 
 Not paper figures — these quantify how much each architectural piece
 of the ReAct agent contributes:

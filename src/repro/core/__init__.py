@@ -24,7 +24,7 @@ Modules
     policy weights and calibrated virtual-latency models.
 ``reasoning``
     The deterministic multiobjective reasoning policy that stands in
-    for the cloud LLMs (see DESIGN.md substitution table).
+    for the cloud LLMs (its module docstring lists what is substituted).
 ``backends``
     The :class:`~repro.core.backends.LLMBackend` protocol and the
     simulated / scripted implementations.

@@ -143,10 +143,6 @@ class ReActSchedulingAgent(BaseScheduler):
             c.latency_s for c in self.calls if c.accepted and c.is_placement
         )
 
-    @property
-    def call_count(self) -> int:
-        return len(self.calls)
-
 
 def create_llm_scheduler(
     model: str | ModelProfile = "claude-3.7-sim",

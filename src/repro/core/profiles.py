@@ -14,8 +14,9 @@ The paper evaluates two reasoning models (§1.2, §3.3):
   Long-Job-Dominant.
 
 A :class:`ModelProfile` packages the two aspects we substitute for the
-cloud APIs (see DESIGN.md): :class:`PolicyWeights` steering the
-multiobjective reasoning policy, and a :class:`LatencyModel` producing
+cloud APIs (see :mod:`repro.core.reasoning`): :class:`PolicyWeights`
+steering the multiobjective reasoning policy, and a
+:class:`LatencyModel` producing
 *virtual* per-call latencies with the observed distributional shape.
 Nothing sleeps — latencies are sampled numbers fed to the overhead
 analysis.

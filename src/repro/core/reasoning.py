@@ -1,8 +1,8 @@
 """The multiobjective reasoning policy behind the simulated LLMs.
 
-This is the substitution heart (DESIGN.md §2): where the paper queries
-a cloud reasoning model, we run a deterministic, seedable policy that
-produces the same *kind* of decision the paper's traces show (Fig. 2):
+This is the substitution heart: where the paper queries a cloud
+reasoning model, we run a deterministic, seedable policy that produces
+the same *kind* of decision the paper's traces show (Fig. 2):
 
 * multiobjective scoring of every feasible queued job against the four
   prompt objectives (fairness, makespan, utilization, throughput);

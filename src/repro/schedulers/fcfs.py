@@ -36,18 +36,8 @@ class FCFSScheduler(BaseScheduler):
     """Strict arrival-order scheduling without backfilling."""
 
     name = "fcfs"
-    supports_columns = True
 
     def decide(self, view: SystemView) -> Action:
-        if self.columnar(view):
-            # Head-only policy: two O(1) scalar probes against the
-            # columnar surface — no per-decision gather even on a deep
-            # queue (the probes read the already-materialized queue
-            # snapshot, so cost is flat either way).
-            cols = view.columns()
-            if cols.fits_at(0):
-                return StartJob(cols.id_at(0))
-            return Delay
         if not view.queued:
             return Delay
         head = view.queued[0]

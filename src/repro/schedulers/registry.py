@@ -66,7 +66,6 @@ WINDOW_AWARE_SCHEDULERS: frozenset[str] = frozenset({"ortools_like"})
 #: queues and hand-built views.
 COLUMNAR_SCHEDULERS: frozenset[str] = frozenset(
     {
-        "fcfs",
         "fcfs_backfill",
         "sjf",
         "sjf_firstfit",

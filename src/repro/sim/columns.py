@@ -192,13 +192,12 @@ class ViewColumns:
     masks are computed at most once per decision point.
     """
 
-    __slots__ = ("_q", "_view", "_fits", "_eff_walltime", "_requeued")
+    __slots__ = ("_q", "_view", "_fits", "_requeued")
 
     def __init__(self, queue_cols: QueueColumns, view: "SystemView") -> None:
         self._q = queue_cols
         self._view = view
         self._fits: Optional[np.ndarray] = None
-        self._eff_walltime: Optional[np.ndarray] = None
         self._requeued: Optional[np.ndarray] = None
 
     # -- queue-order attribute columns ---------------------------------
@@ -290,26 +289,6 @@ class ViewColumns:
             )
             self._fits = mask
         return mask
-
-    def effective_walltime_col(self) -> np.ndarray:
-        """Per-job ``SystemView.effective_walltime`` as a column:
-        requested walltime, tightened to the known remaining runtime
-        for checkpoint-restarted jobs. The plain walltime column
-        (no copy) when nothing was restarted."""
-        col = self._eff_walltime
-        if col is None:
-            rem = self._view.remaining_runtimes
-            if not rem:
-                col = self.walltime
-            else:
-                col = self.walltime.copy()
-                ids = self.ids
-                for job_id, remaining in rem.items():
-                    hit = ids == job_id
-                    col[hit] = np.minimum(col[hit], remaining)
-                col.setflags(write=False)
-            self._eff_walltime = col
-        return col
 
     def requeued_mask(self) -> np.ndarray:
         """Mask of queued jobs that were evicted and requeued (present

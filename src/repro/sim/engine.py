@@ -14,8 +14,8 @@ list rebuild.
 
 **Byte-identity is the contract.** Every observable of a run — job
 records, decision stream, preemption records, view contents handed to
-schedulers — is bit-for-bit identical to the object engine's: the loop
-below is a line-by-line translation that changes data layout, never
+schedulers — is bit-for-bit identical to the object engine's:
+:class:`EngineState` is a translation that changes data layout, never
 semantics or float arithmetic. ``tests/test_soa_regression.py`` pins
 this on seeded scenarios including disrupted, correlated, windowed,
 walltime-enforced, and dependency workloads; the digest suites from
@@ -42,11 +42,12 @@ import dataclasses
 import math
 from array import array
 from bisect import bisect_left
+from functools import cache, partial
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.sim.actions import ActionKind
+from repro.sim.actions import Action, ActionKind
 from repro.sim.columns import JobColumns, QueueColumns, ViewColumns
 from repro.sim.constraints import ConstraintChecker
 from repro.sim.disruptions import DrainWindow, PreemptionRecord
@@ -59,7 +60,6 @@ from repro.sim.simulator import (
     SimulationError,
     SystemView,
 )
-from repro.sim.topology import ClusterTopology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import HPCSimulator
@@ -67,8 +67,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Job lifecycle codes for the flat state array.
 _PENDING, _QUEUED, _RUNNING, _COMPLETED, _BLOCKED = 0, 1, 2, 3, 4
 
-#: ``SystemView`` field layout the fast view constructor in
-#: :func:`run_soa` writes directly (init fields in declaration order,
+#: ``SystemView`` field layout :meth:`EngineState.build_view`'s fast
+#: constructor writes directly (init fields in declaration order,
 #: then the three lazy caches). Guarded at import so a field added to
 #: the dataclass cannot silently desynchronize the hot path.
 _VIEW_FIELDS = (
@@ -95,8 +95,8 @@ _VIEW_FIELDS = (
 )
 if tuple(f.name for f in dataclasses.fields(SystemView)) != _VIEW_FIELDS:
     raise AssertionError(
-        "SystemView fields changed; update run_soa's fast view "
-        "constructor to match"
+        "SystemView fields changed; update EngineState.build_view's "
+        "fast constructor to match"
     )
 if tuple(f.name for f in dataclasses.fields(RunningJob)) != (
     "job",
@@ -104,8 +104,8 @@ if tuple(f.name for f in dataclasses.fields(RunningJob)) != (
     "runtime",
 ):
     raise AssertionError(
-        "RunningJob fields changed; update run_soa's fast constructor "
-        "in start_running to match"
+        "RunningJob fields changed; update the fast constructor in "
+        "EngineState.start to match"
     )
 
 
@@ -220,70 +220,32 @@ class _SortedIndex:
 class _QueueMap:
     """Read-only dict facade over the flat queue state, for
     :class:`~repro.sim.constraints.ConstraintChecker` (which only ever
-    calls ``.get``/``in``/``len``)."""
+    calls ``.get``)."""
 
-    __slots__ = ("_get", "_len")
+    __slots__ = ("_idx_of", "_state", "_jobs")
 
-    def __init__(self, get, length) -> None:
-        self._get = get
-        self._len = length
+    def __init__(self, idx_of, state, jobs) -> None:
+        self._idx_of = idx_of
+        self._state = state
+        self._jobs = jobs
 
-    def get(self, key, default=None):
-        return self._get(key, default)
-
-    def __contains__(self, key) -> bool:
-        return self._get(key, None) is not None
-
-    def __len__(self) -> int:
-        return self._len()
-
-    def __bool__(self) -> bool:
-        return self._len() > 0
+    def get(self, job_id, default=None):
+        i = self._idx_of.get(job_id)
+        if i is None or self._state[i] != _QUEUED:
+            return default
+        return self._jobs[i]
 
 
-def run_soa(
-    sim: "HPCSimulator",
-    calendar: Optional[ArrayCalendar] = None,
-) -> ScheduleResult:
-    """Execute *sim* on the structure-of-arrays core.
+def _static_calendar(jobs, trace, calendar: Optional[ArrayCalendar]):
+    """The sealed static lane of a run: one ARRIVAL per job in workload
+    order (payload = workload index), then the disruption schedule.
 
-    Semantically a line-by-line translation of the object engine
-    (:func:`repro.sim._object_ref.run_object`); see the module
-    docstring for what may differ (data layout) and what must not
-    (everything observable).
-
-    *calendar*, when given, must be a sealed, unconsumed
-    :class:`~repro.sim.events.ArrayCalendar` holding exactly the
-    static events this function would otherwise build — one ARRIVAL
-    per job in workload order (payload = workload index), then the
-    disruption events. The service's session engine maintains such a
-    calendar incrementally (streamed arrivals appended to the sealed
-    lane) and passes a fork per replay; because the extend path
-    assigns sequence numbers exactly like a batch build, the run is
-    byte-identical to one over a calendar built here.
+    Static adds replay the object engine's push order exactly, so the
+    sequence numbers — the tie-break of last resort — are identical. A
+    prebuilt *calendar* is only checked for holding that many events.
     """
-    checker = ConstraintChecker()
-    scheduler = sim.scheduler
-    cluster = sim.cluster
-    jobs = sim.jobs
-    n_jobs = len(jobs)
-    idx_of = {job.job_id: i for i, job in enumerate(jobs)}
-
-    # -- flat job-state array -------------------------------------------
-    # One lifecycle code per workload position. A bytearray, not a
-    # numpy array: every hot access is a scalar read/write (plain
-    # Python ints, no numpy boxing), while the vectorized paths go
-    # through a zero-copy int8 view of the same buffer.
-    state = bytearray(n_jobs)  # zero-filled == _PENDING
-    state_np = np.frombuffer(state, dtype=np.int8)
-
-    # -- event calendar -------------------------------------------------
-    # Static adds replay the object engine's push order exactly, so the
-    # sequence numbers — the tie-break of last resort — are identical.
-    trace = sim.disruptions if sim.disruptions else None
-    disrupted = trace is not None
     if calendar is not None:
-        expected = n_jobs
+        expected = len(jobs)
         if trace is not None:
             expected += 2 * len(trace.failures)
             expected += 2 * len(trace.domain_failures)
@@ -295,170 +257,195 @@ def run_soa(
                 f"event(s); this simulation needs exactly {expected} "
                 "(one ARRIVAL per job plus the disruption schedule)"
             )
-        cal = calendar
-    else:
-        cal = ArrayCalendar()
-        for i, job in enumerate(jobs):
-            cal.add_static(job.submit_time, EventKind.ARRIVAL, i)
-        if trace is not None:
-            for idx, failure in enumerate(trace.failures):
-                cal.add_static(failure.time, EventKind.NODE_FAILURE, idx)
+        return calendar
+    cal = ArrayCalendar()
+    for i, job in enumerate(jobs):
+        cal.add_static(job.submit_time, EventKind.ARRIVAL, i)
+    if trace is not None:
+        for idx, failure in enumerate(trace.failures):
+            cal.add_static(failure.time, EventKind.NODE_FAILURE, idx)
+            cal.add_static(failure.repair_time, EventKind.NODE_REPAIR, idx)
+        for idx, shock in enumerate(trace.domain_failures):
+            cal.add_static(shock.time, EventKind.DOMAIN_FAILURE, idx)
+            cal.add_static(shock.repair_time, EventKind.DOMAIN_REPAIR, idx)
+        for idx, drain in enumerate(trace.drains):
+            if drain.announce_time < drain.start:
                 cal.add_static(
-                    failure.repair_time, EventKind.NODE_REPAIR, idx
+                    drain.announce_time, EventKind.DRAIN_ANNOUNCE, idx
                 )
-            for idx, shock in enumerate(trace.domain_failures):
-                cal.add_static(shock.time, EventKind.DOMAIN_FAILURE, idx)
-                cal.add_static(shock.repair_time, EventKind.DOMAIN_REPAIR, idx)
-            for idx, drain in enumerate(trace.drains):
-                if drain.announce_time < drain.start:
-                    cal.add_static(
-                        drain.announce_time, EventKind.DRAIN_ANNOUNCE, idx
-                    )
-                cal.add_static(drain.start, EventKind.DRAIN_START, idx)
-                cal.add_static(drain.end, EventKind.DRAIN_END, idx)
-        cal.seal()
+            cal.add_static(drain.start, EventKind.DRAIN_START, idx)
+            cal.add_static(drain.end, EventKind.DRAIN_END, idx)
+    cal.seal()
+    return cal
 
-    # Hoisted event-kind codes (popped events carry plain ints).
-    K_COMPLETION = int(EventKind.COMPLETION)
-    K_NODE_FAILURE = int(EventKind.NODE_FAILURE)
-    K_NODE_REPAIR = int(EventKind.NODE_REPAIR)
-    K_DOMAIN_FAILURE = int(EventKind.DOMAIN_FAILURE)
-    K_DOMAIN_REPAIR = int(EventKind.DOMAIN_REPAIR)
-    K_DRAIN_START = int(EventKind.DRAIN_START)
-    K_DRAIN_END = int(EventKind.DRAIN_END)
-    K_ARRIVAL = int(EventKind.ARRIVAL)
 
-    # -- queue (order array + state codes) ------------------------------
-    order = np.empty(max(n_jobs, 16), dtype=np.int64)
-    order_len = 0
-    n_queued = 0
-    n_blocked = 0
+class EngineState:
+    """Everything one run mutates, and the phases that mutate it.
 
-    running_objs: dict[int, RunningJob] = {}
-    records: list[JobRecord] = []
-    decisions: list[DecisionRecord] = []
-    pending_arrivals = n_jobs
-    completed_ids: list[int] = []
-    completed_set: set[int] = set()
-    dependents: dict[int, list[int]] = {}
-    for job in jobs:
-        for dep in job.depends_on:
-            dependents.setdefault(dep, []).append(job.job_id)
-    stopped = False
-    final_stop_asked = False
-    decision_budget = (
-        sim.max_decisions
-        if sim.max_decisions is not None
-        else 200 * n_jobs
-        + 1000
-        + 20 * (trace.n_events if trace is not None else 0)
+    :meth:`step` advances one time instant: :meth:`apply_events` (one
+    handler per :class:`~repro.sim.events.EventKind`), the
+    announce-time decision, the decision loop, the closing Stop query,
+    then the termination checks and the clock. :meth:`ask` is the only
+    place a scheduler is queried, validated and recorded. The cached
+    running-set and queue snapshots a view is assembled from are
+    dropped in exactly two places, :meth:`running_changed` and
+    :meth:`queue_changed`; the view itself also dies with its instant.
+
+    Semantically a translation of the object engine
+    (:func:`repro.sim._object_ref.run_object`); the module docstring
+    says what may differ (data layout) and what must not (everything
+    observable). Instances share nothing: all state hangs off ``self``.
+    """
+
+    __slots__ = (
+        # the run's inputs
+        "sim", "scheduler", "cluster", "jobs", "trace", "checker", "idx_of",
+        # clock and calendar
+        "now", "cal",
+        # job lifecycle codes and the queue over them
+        "state", "state_np", "order", "order_len", "n_queued", "n_blocked",
+        "pending_arrivals", "dependents", "completed_ids", "completed_set",
+        "queued_map",
+        # running set and its sorted indexes
+        "running", "run_info", "wt_index", "end_index", "place_seq",
+        # disruption bookkeeping
+        "remaining", "preemptions", "pending_restart", "effective_failures",
+        "domain_offline", "failed_down_nodes", "domain_kills", "n_kills",
+        "last_announce", "announce_pending",
+        # decision control and result lists
+        "stopped", "final_stop_asked", "decision_budget", "records",
+        "decisions",
+        # snapshots and what they are built from
+        "_view", "_prev_view", "_running_snap", "_queue_snap",
+        "_completed_log", "masters", "crossover",
+        # static per-run cluster facts, off the per-decision path
+        "topo", "has_domains", "drains",
     )
 
-    # -- disruption bookkeeping (sparse: plain dicts/sets) --------------
-    remaining: dict[int, float] = {}
-    preemptions: list[PreemptionRecord] = []
-    pending_restart: dict[int, int] = {}
-    effective_failures: set[int] = set()
-    domain_offline: dict[int, list[int]] = {}
-    failed_down_nodes: set[int] = set()
-    domain_kills: dict[str, int] = {}
-    last_announce = -math.inf
-    n_kills = {"failure": 0, "drain": 0, "preempt": 0}
-    announce_pending = False
+    def __init__(
+        self, sim: "HPCSimulator", calendar: Optional[ArrayCalendar] = None
+    ) -> None:
+        jobs = sim.jobs
+        n_jobs = len(jobs)
+        trace = sim.disruptions if sim.disruptions else None
+        self.sim = sim
+        self.scheduler = sim.scheduler
+        self.cluster = cluster = sim.cluster
+        self.jobs = jobs
+        self.trace = trace
+        self.checker = ConstraintChecker()
+        self.idx_of = {job.job_id: i for i, job in enumerate(jobs)}
 
-    # -- running-set sorted indexes (flat arrays) -----------------------
-    wt_index = _SortedIndex()  # (start + walltime, seq) -> job_id
-    end_index = _SortedIndex()  # (expected_end, seq) -> job_id
-    place_seq = 0
-    #: job_id -> (placement seq, walltime key, expected end) of the
-    #: current attempt; keeps the drop path and the stale-completion
-    #: check off the RunningJob property chain.
-    run_info: dict[int, tuple[int, float, float]] = {}
+        self.now = min(0.0, jobs[0].submit_time) if jobs else 0.0
+        self.cal = _static_calendar(jobs, trace, calendar)
 
-    # -- snapshots (copy-on-write, invalidated independently) -----------
-    view_cache: Optional[SystemView] = None
-    prev_view: Optional[SystemView] = None
-    running_snapshot: Optional[tuple[RunningJob, ...]] = None
-    running_sorted_snapshot: Optional[tuple[RunningJob, ...]] = None
-    queued_snapshot: Optional[tuple] = None
+        # One lifecycle code per workload position. A bytearray, not a
+        # numpy array: every hot access is a scalar read/write (plain
+        # Python ints, no numpy boxing), while the vectorized paths go
+        # through a zero-copy int8 view of the same buffer.
+        self.state = bytearray(n_jobs)  # zero-filled == _PENDING
+        self.state_np = np.frombuffer(self.state, dtype=np.int8)
+        # Queue order: workload positions, each at most once (kill
+        # purges a job's stale entry before requeueing it), so n_jobs
+        # slots always suffice. Placed ids linger until compaction.
+        self.order = np.empty(n_jobs, dtype=np.int64)
+        self.order_len = 0
+        self.n_queued = 0
+        self.n_blocked = 0
+        self.pending_arrivals = n_jobs
+        self.dependents: dict[int, list[int]] = {}
+        for job in jobs:
+            for dep in job.depends_on:
+                self.dependents.setdefault(dep, []).append(job.job_id)
+        self.completed_ids: list[int] = []
+        self.completed_set: set[int] = set()
+        self.queued_map = _QueueMap(self.idx_of, self.state, jobs)
 
-    # -- columnar projection (shares the queued_snapshot cadence) -------
-    #: Per-run master columns, built once on first columnar access; the
-    #: selector-based queue projection over them is invalidated exactly
-    #: where queued_snapshot is, so facade tuple and columns can never
-    #: disagree about what is queued.
-    job_columns: Optional[JobColumns] = None
+        self.running: dict[int, RunningJob] = {}
+        #: job_id -> (placement seq, walltime key, expected end) of the
+        #: current attempt; keeps the drop path and the stale-completion
+        #: check off the RunningJob property chain.
+        self.run_info: dict[int, tuple[int, float, float]] = {}
+        self.wt_index = _SortedIndex()  # (start + walltime, seq) -> job_id
+        self.end_index = _SortedIndex()  # (expected_end, seq) -> job_id
+        self.place_seq = 0
 
-    def get_masters() -> JobColumns:
-        nonlocal job_columns
-        if job_columns is None:
-            job_columns = JobColumns(jobs)
-        return job_columns
+        self.remaining: dict[int, float] = {}
+        self.preemptions: list[PreemptionRecord] = []
+        self.pending_restart: dict[int, int] = {}
+        self.effective_failures: set[int] = set()
+        self.domain_offline: dict[int, list[int]] = {}
+        self.failed_down_nodes: set[int] = set()
+        self.domain_kills: dict[str, int] = {}
+        self.n_kills = {"failure": 0, "drain": 0, "preempt": 0}
+        self.last_announce = -math.inf
+        self.announce_pending = False
 
-    queue_cols: Optional[QueueColumns] = None
-    crossover = QueueChurnCrossover()
+        self.stopped = False
+        self.final_stop_asked = False
+        self.decision_budget = sim.max_decisions
+        if sim.max_decisions is None:
+            n_events = trace.n_events if trace is not None else 0
+            self.decision_budget = 200 * n_jobs + 1000 + 20 * n_events
+        self.records: list[JobRecord] = []
+        self.decisions: list[DecisionRecord] = []
 
-    # Static per-run cluster facts, hoisted off the per-decision path.
-    topo: Optional[ClusterTopology] = getattr(cluster, "topology", None)
-    has_domains = topo is not None and not topo.is_flat
-    has_drain_windows = trace is not None and bool(trace.drains)
-    has_offline_attr = hasattr(cluster, "offline_nodes")
+        self._view: Optional[SystemView] = None
+        self._prev_view: Optional[SystemView] = None
+        #: (running jobs in placement order, in walltime-expiry order)
+        self._running_snap: Optional[tuple[tuple, tuple]] = None
+        #: (queued jobs, their columnar projection): built and dropped
+        #: together, so facade tuple and columns can never disagree
+        #: about what is queued.
+        self._queue_snap: Optional[tuple[tuple, QueueColumns]] = None
+        # One CompletedLog per completion, not per view: the log is
+        # append-only, so equal length means identical snapshot.
+        self._completed_log = CompletedLog(self.completed_ids)
+        #: Per-run master columns, built once on first columnar access
+        #: and shared by every queue projection of the run.
+        self.masters = cache(partial(JobColumns, jobs))
+        self.crossover = QueueChurnCrossover()
 
-    # One CompletedLog per completion-log length, not per view: the
-    # log is append-only, so equal length means identical snapshot.
-    completed_log = CompletedLog(completed_ids)
+        self.topo = getattr(cluster, "topology", None)
+        self.has_domains = self.topo is not None and not self.topo.is_flat
+        self.drains = trace.drains if trace is not None else ()
 
-    if hasattr(cluster, "reset"):
-        cluster.reset()
-    scheduler.reset()
+        if hasattr(cluster, "reset"):
+            cluster.reset()
+        self.scheduler.reset()
 
-    now = 0.0
-    if jobs:
-        now = min(now, jobs[0].submit_time)
+    # -- the two invalidation points -----------------------------------
+    def running_changed(self) -> None:
+        self._view = None
+        self._running_snap = None
 
-    def deps_met(job) -> bool:
-        return all(dep in completed_set for dep in job.depends_on)
+    def queue_changed(self) -> None:
+        self._view = None
+        self._queue_snap = None
 
-    def queued_get(job_id, default=None):
-        i = idx_of.get(job_id)
-        if i is None or state[i] != _QUEUED:
-            return default
-        return jobs[i]
+    # -- queue and running-set transitions -----------------------------
+    def _enqueue(self, i: int) -> None:
+        self.state[i] = _QUEUED
+        self.n_queued += 1
+        self.order[self.order_len] = i
+        self.order_len += 1
+        self.queue_changed()
 
-    queued_map = _QueueMap(queued_get, lambda: n_queued)
-
-    def q_append(i: int) -> None:
-        nonlocal order, order_len
-        if order_len == order.size:
-            grown = np.empty(order.size * 2, dtype=np.int64)
-            grown[:order_len] = order[:order_len]
-            order = grown
-        order[order_len] = i
-        order_len += 1
-
-    def invalidate_view() -> None:
-        nonlocal view_cache
-        view_cache = None
-
-    def enqueue(i: int) -> None:
-        nonlocal n_queued, queued_snapshot, queue_cols
-        state[i] = _QUEUED
-        n_queued += 1
-        q_append(i)
-        queued_snapshot = None
-        queue_cols = None
-
-    def start_running(i: int, start: float) -> None:
-        """Allocate job index *i* and schedule its completion."""
-        nonlocal place_seq
-        nonlocal view_cache, running_snapshot, running_sorted_snapshot
-        view_cache = None
-        running_snapshot = None
-        running_sorted_snapshot = None
-        job = jobs[i]
-        cluster.allocate(job)
-        full = remaining.get(job.job_id, job.duration)
-        runtime = min(full, job.walltime) if sim.enforce_walltime else full
+    def start(self, i: int) -> None:
+        """Take queued job index *i* off the queue, allocate it and
+        schedule its completion."""
+        self.state[i] = _RUNNING
+        self.n_queued -= 1
+        self.queue_changed()
+        self.running_changed()
+        job = self.jobs[i]
+        job_id = job.job_id
+        start = self.now
+        self.cluster.allocate(job)
+        full = self.remaining.get(job_id, job.duration)
+        runtime = full
+        if self.sim.enforce_walltime:
+            runtime = min(full, job.walltime)
         # Fast construction (cf. the view fast path): runtime is always
         # resolved here, so the frozen __init__ + __post_init__ dance
         # is three guarded setattrs for nothing.
@@ -466,31 +453,31 @@ def run_soa(
         run.__dict__.update(
             {"job": job, "start_time": start, "runtime": runtime}
         )
-        running_objs[job.job_id] = run
+        self.running[job_id] = run
+        seq = self.place_seq
+        self.place_seq = seq + 1
         wt_key = start + job.walltime
-        wt_index.insert(wt_key, place_seq, job.job_id)
+        self.wt_index.insert(wt_key, seq, job_id)
         expected_end = start + runtime
-        end_index.insert(expected_end, place_seq, job.job_id)
-        run_info[job.job_id] = (place_seq, wt_key, expected_end)
-        place_seq += 1
-        if job.job_id in pending_restart:
-            preemptions[pending_restart.pop(job.job_id)].restart_time = start
-        cal.push(expected_end, EventKind.COMPLETION, i)
+        self.end_index.insert(expected_end, seq, job_id)
+        self.run_info[job_id] = (seq, wt_key, expected_end)
+        if job_id in self.pending_restart:
+            restarted = self.preemptions[self.pending_restart.pop(job_id)]
+            restarted.restart_time = start
+        self.cal.push(expected_end, EventKind.COMPLETION, i)
 
-    def drop_running(job_id: int) -> RunningJob:
+    def _drop(self, job_id: int) -> RunningJob:
         """Remove a job from the running set and both sorted indexes."""
-        nonlocal view_cache, running_snapshot, running_sorted_snapshot
-        view_cache = None
-        running_snapshot = None
-        running_sorted_snapshot = None
-        run = running_objs.pop(job_id)
-        seq, wt_key, end_key = run_info.pop(job_id)
-        wt_index.remove(wt_key, seq)
-        end_index.remove(end_key, seq)
-        cluster.release(job_id)
+        self.running_changed()
+        run = self.running.pop(job_id)
+        seq, wt_key, end_key = self.run_info.pop(job_id)
+        self.wt_index.remove(wt_key, seq)
+        self.end_index.remove(end_key, seq)
+        self.cluster.release(job_id)
         return run
 
-    def kill_running(
+    def kill(
+        self,
         job_id: int,
         time: float,
         reason: str,
@@ -498,13 +485,12 @@ def run_soa(
     ) -> None:
         """Evict a running job and requeue it under the restart policy
         (see the object engine for the full semantics — identical)."""
-        nonlocal stopped, final_stop_asked, decision_budget
-        nonlocal order_len, n_queued, queued_snapshot
+        sim = self.sim
         if sim.max_decisions is None and reason != "preempt":
-            decision_budget += 8
-        run = drop_running(job_id)
+            self.decision_budget += 8
+        run = self._drop(job_id)
         elapsed = time - run.start_time
-        prior = remaining.get(job_id, run.job.duration)
+        prior = self.remaining.get(job_id, run.job.duration)
         if reason == "preempt":
             saved = elapsed
         elif sim.restart_policy == "resubmit":
@@ -516,29 +502,29 @@ def run_soa(
             )
             if (
                 sim.restart_policy == "preempt_migrate"
-                and last_announce >= run.start_time
+                and self.last_announce >= run.start_time
             ):
-                saved = max(saved, last_announce - run.start_time)
+                saved = max(saved, self.last_announce - run.start_time)
             saved = min(saved, elapsed)
-        remaining[job_id] = prior - saved
-        i = idx_of[job_id]
+        self.remaining[job_id] = prior - saved
+        i = self.idx_of[job_id]
         # Vectorized purge of the job's stale order entry (placed ids
         # linger until compaction; a duplicate would show the requeued
         # job twice in every view's queue).
-        live = order[:order_len]
+        live = self.order[: self.order_len]
         keep = live != i
         if not keep.all():
             kept = live[keep]
-            order[: kept.size] = kept
-            order_len = int(kept.size)
-        enqueue(i)
-        stopped = False
-        final_stop_asked = False
-        n_kills[reason] += 1
+            self.order[: kept.size] = kept
+            self.order_len = int(kept.size)
+        self._enqueue(i)
+        self.stopped = False
+        self.final_stop_asked = False
+        self.n_kills[reason] += 1
         if domain is not None:
-            domain_kills[domain] = domain_kills.get(domain, 0) + 1
-        pending_restart[job_id] = len(preemptions)
-        preemptions.append(
+            self.domain_kills[domain] = self.domain_kills.get(domain, 0) + 1
+        self.pending_restart[job_id] = len(self.preemptions)
+        self.preemptions.append(
             PreemptionRecord(
                 job_id=job_id,
                 nodes=run.job.nodes,
@@ -551,20 +537,99 @@ def run_soa(
             )
         )
         # The killed attempt's COMPLETION event stays in the calendar;
-        # the completion handler drops it as stale (mismatched
-        # expected end).
+        # _on_completion drops it as stale (mismatched expected end).
 
-    def apply_drain_start(idx: int) -> None:
-        drain = trace.drains[idx]
+    # -- event handlers, one per EventKind -----------------------------
+    def apply_events(self, now: float) -> None:
+        """Pop and apply every event due at *now*, in calendar order."""
+        pop_due, handlers = self.cal.pop_due, _HANDLERS
+        while True:
+            event = pop_due(now)
+            if event is None:
+                return
+            time, kind, payload = event
+            handlers[kind](self, payload, time)
+
+    def _on_completion(self, i: int, time: float) -> None:
+        job = self.jobs[i]
+        job_id = job.job_id
+        run = self.running.get(job_id)
+        if run is None or self.run_info[job_id][2] != time:
+            return  # stale: this attempt was killed
+        self._drop(job_id)
+        self.state[i] = _COMPLETED
+        full = self.remaining.pop(job_id, job.duration)
+        self.records.append(
+            JobRecord(job, run.start_time, time, killed=run.runtime < full)
+        )
+        self.completed_ids.append(job_id)
+        self._completed_log = CompletedLog(self.completed_ids)
+        done = self.completed_set
+        done.add(job_id)
+        for dep_id in self.dependents.get(job_id, ()):
+            j = self.idx_of[dep_id]
+            waiting = self.jobs[j].depends_on
+            if self.state[j] == _BLOCKED and done.issuperset(waiting):
+                self.n_blocked -= 1
+                self._enqueue(j)
+
+    def _on_arrival(self, i: int, time: float) -> None:
+        self.pending_arrivals -= 1
+        if self.completed_set.issuperset(self.jobs[i].depends_on):
+            self._enqueue(i)
+        else:
+            self.state[i] = _BLOCKED
+            self.n_blocked += 1
+
+    def _on_node_failure(self, idx: int, time: float) -> None:
+        node = self.trace.failures[idx].node
+        if node in self.failed_down_nodes:
+            return
+        victim = self.cluster.slot_victim(node)
+        if victim is not None:
+            self.kill(victim, time, "failure")
+        if self.cluster.mark_failed(node):
+            self.effective_failures.add(idx)
+            self.failed_down_nodes.add(node)
+
+    def _on_node_repair(self, idx: int, time: float) -> None:
+        if idx in self.effective_failures:
+            self.effective_failures.discard(idx)
+            node = self.trace.failures[idx].node
+            self.failed_down_nodes.discard(node)
+            self.cluster.mark_repaired(node)
+
+    def _on_domain_failure(self, idx: int, time: float) -> None:
+        shock = self.trace.domain_failures[idx]
+        cluster = self.cluster
+        fresh = [
+            node for node in shock.nodes if node not in self.failed_down_nodes
+        ]
+        # dict.fromkeys: each victim once, in first-slot order.
+        victims = dict.fromkeys(map(cluster.slot_victim, fresh))
+        victims.pop(None, None)
+        for victim in victims:
+            self.kill(victim, time, "failure", shock.domain)
+        taken = [node for node in fresh if cluster.mark_failed(node)]
+        if taken:
+            self.domain_offline[idx] = taken
+            self.failed_down_nodes.update(taken)
+
+    def _on_domain_repair(self, idx: int, time: float) -> None:
+        for node in self.domain_offline.pop(idx, ()):
+            self.failed_down_nodes.discard(node)
+            self.cluster.mark_repaired(node)
+
+    def _on_drain_start(self, idx: int, time: float) -> None:
+        drain = self.trace.drains[idx]
+        cluster = self.cluster
         tag = f"drain:{idx}"
-        within: Optional[range] = None
-        topo = getattr(cluster, "topology", None)
-        if drain.domain is not None and topo is not None:
-            within = topo.domain_range(drain.domain)
-        taken = 0
         target = min(drain.nodes, cluster.total_nodes)
-        if within is not None:
+        within: Optional[range] = None
+        if drain.domain is not None and self.topo is not None:
+            within = self.topo.domain_range(drain.domain)
             target = min(target, len(within))
+        taken = 0
         while taken < target:
             if cluster.drain_take_idle(tag, within):
                 taken += 1
@@ -572,383 +637,314 @@ def run_soa(
             victim = cluster.drain_victim(within)
             if victim is None:
                 break  # nothing left to take; partial drain
-            kill_running(victim, drain.start, "drain", drain.domain)
-        invalidate_view()
+            self.kill(victim, drain.start, "drain", drain.domain)
 
-    pop_due = cal.pop_due
+    def _on_drain_end(self, idx: int, time: float) -> None:
+        self.cluster.drain_release(f"drain:{idx}")
 
-    def process_events_at(time: float) -> None:
-        nonlocal pending_arrivals, last_announce, announce_pending
-        nonlocal n_queued, n_blocked, queued_snapshot, view_cache
-        while True:
-            event = pop_due(time)
-            if event is None:
-                return
-            event_time, kind, payload = event
-            view_cache = None
-            if kind == K_COMPLETION:
-                job = jobs[payload]
-                job_id = job.job_id
-                run = running_objs.get(job_id)
-                if run is None or run_info[job_id][2] != event_time:
-                    # Stale: this attempt was killed by a
-                    # failure/drain/preemption.
-                    continue
-                drop_running(job_id)
-                state[payload] = _COMPLETED
-                full = remaining.pop(job_id, job.duration)
-                records.append(
-                    JobRecord(
-                        job,
-                        run.start_time,
-                        event_time,
-                        killed=run.runtime < full,
-                    )
-                )
-                completed_ids.append(job_id)
-                completed_set.add(job_id)
-                for dep_id in dependents.get(job_id, ()):
-                    j = idx_of[dep_id]
-                    if state[j] == _BLOCKED and deps_met(jobs[j]):
-                        n_blocked -= 1
-                        enqueue(j)
-            elif kind == K_ARRIVAL:
-                pending_arrivals -= 1
-                if deps_met(jobs[payload]):
-                    enqueue(payload)
-                else:
-                    state[payload] = _BLOCKED
-                    n_blocked += 1
-            elif kind == K_NODE_FAILURE:
-                failure = trace.failures[payload]
-                if failure.node not in failed_down_nodes:
-                    victim = cluster.slot_victim(failure.node)
-                    if victim is not None:
-                        kill_running(victim, event_time, "failure")
-                    if cluster.mark_failed(failure.node):
-                        effective_failures.add(payload)
-                        failed_down_nodes.add(failure.node)
-            elif kind == K_NODE_REPAIR:
-                if payload in effective_failures:
-                    effective_failures.discard(payload)
-                    node = trace.failures[payload].node
-                    failed_down_nodes.discard(node)
-                    cluster.mark_repaired(node)
-            elif kind == K_DOMAIN_FAILURE:
-                shock = trace.domain_failures[payload]
-                fresh = [
-                    node
-                    for node in shock.nodes
-                    if node not in failed_down_nodes
-                ]
-                victims: list[int] = []
-                seen_victims: set[int] = set()
-                for node in fresh:
-                    victim = cluster.slot_victim(node)
-                    if victim is not None and victim not in seen_victims:
-                        seen_victims.add(victim)
-                        victims.append(victim)
-                for victim in victims:
-                    kill_running(victim, event_time, "failure", shock.domain)
-                taken = [
-                    node for node in fresh if cluster.mark_failed(node)
-                ]
-                if taken:
-                    domain_offline[payload] = taken
-                    failed_down_nodes.update(taken)
-            elif kind == K_DOMAIN_REPAIR:
-                for node in domain_offline.pop(payload, ()):
-                    failed_down_nodes.discard(node)
-                    cluster.mark_repaired(node)
-            elif kind == K_DRAIN_START:
-                apply_drain_start(payload)
-            elif kind == K_DRAIN_END:
-                cluster.drain_release(f"drain:{payload}")
-            else:  # DRAIN_ANNOUNCE
-                last_announce = event_time
-                announce_pending = True
+    def _on_drain_announce(self, idx: int, time: float) -> None:
+        self.last_announce = time
+        self.announce_pending = True
 
-    def build_view() -> SystemView:
-        nonlocal view_cache, prev_view, running_snapshot
-        nonlocal running_sorted_snapshot, queued_snapshot, order_len
-        nonlocal queue_cols, completed_log
-        if view_cache is not None:
-            return view_cache
-        next_arrival: Optional[float] = None
-        next_completion: Optional[float] = None
-        if pending_arrivals:
-            # Same float the submit array holds; skipping the numpy
-            # round-trip matters at one call per decision point.
-            next_arrival = jobs[n_jobs - pending_arrivals].submit_time
-        if running_objs:
-            next_completion = end_index.min_key()
-        reused_queue = queued_snapshot is not None
+    # -- the view ------------------------------------------------------
+    def _snapshot_queue(self) -> tuple[tuple, QueueColumns]:
+        """Filter the order array down to the live queue (compacting it
+        when mostly stale); the queued tuple and its columns."""
+        order, order_len = self.order, self.order_len
+        crossover = self.crossover
+        if order_len <= crossover.threshold:
+            # Scalar path: on a short queue (the steady-state regime)
+            # vectorized masking costs more in numpy dispatch than it
+            # saves. The crossover adapts to the observed churn rate
+            # (see QueueChurnCrossover).
+            state = self.state
+            ids = live = [
+                i for i in order[:order_len].tolist() if state[i] == _QUEUED
+            ]
+            n_live = len(live)
+        else:
+            # A fresh boolean-index copy, never a view of the order
+            # array — safe to hold as the columns' selector.
+            live = order[:order_len]
+            live = live[self.state_np[live] == _QUEUED]
+            n_live = int(live.size)
+            ids = live.tolist()
+        crossover.observe(order_len, n_live)
+        if order_len > 2 * n_live + 8:
+            order[:n_live] = live
+            self.order_len = n_live
+        return (
+            tuple(map(self.jobs.__getitem__, ids)),
+            QueueColumns(self.masters, live, n_live),
+        )
+
+    def build_view(self) -> SystemView:
+        """The scheduler's view of this instant (cached until the
+        running set, the queue or the clock moves)."""
+        if self._view is not None:
+            return self._view
+        cluster = self.cluster
+        jobs = self.jobs
+        pending_arrivals = self.pending_arrivals
+        reused_queue = self._queue_snap is not None
         if not reused_queue:
-            if order_len <= crossover.threshold:
-                # Scalar path: on a short queue (the steady-state
-                # regime) vectorized masking costs more in numpy
-                # dispatch than it saves. The crossover adapts to the
-                # observed churn rate (see QueueChurnCrossover).
-                live_l = [
-                    i
-                    for i in order[:order_len].tolist()
-                    if state[i] == _QUEUED
-                ]
-                crossover.observe(order_len, len(live_l))
-                if order_len > 2 * len(live_l) + 8:
-                    order[: len(live_l)] = live_l
-                    order_len = len(live_l)
-                queued_snapshot = tuple(map(jobs.__getitem__, live_l))
-                queue_cols = QueueColumns(
-                    get_masters, live_l, len(live_l)
-                )
-            else:
-                live = order[:order_len]
-                live = live[state_np[live] == _QUEUED]
-                crossover.observe(order_len, live.size)
-                if order_len > 2 * live.size + 8:
-                    order[: live.size] = live
-                    order_len = int(live.size)
-                queued_snapshot = tuple(map(jobs.__getitem__, live.tolist()))
-                # `live` is a fresh boolean-index copy, never a view of
-                # the order array — safe to hold as the selector.
-                queue_cols = QueueColumns(get_masters, live, int(live.size))
-        if running_snapshot is None:
-            running_snapshot = tuple(running_objs.values())
-            running_sorted_snapshot = tuple(
-                map(running_objs.__getitem__, wt_index.ids())
+            self._queue_snap = self._snapshot_queue()
+        queued, queue_cols = self._queue_snap
+        if self._running_snap is None:
+            running = self.running
+            self._running_snap = (
+                tuple(running.values()),
+                tuple(map(running.__getitem__, self.wt_index.ids())),
             )
+        running_snap, running_sorted = self._running_snap
+        now = self.now
         drains: tuple[DrainWindow, ...] = ()
-        if has_drain_windows:
+        if self.drains:
             drains = tuple(
-                d for d in trace.drains if d.announce_time <= now < d.end
+                d for d in self.drains if d.announce_time <= now < d.end
             )
-        domain_free: tuple[int, ...] = ()
-        if has_domains:
-            domain_free = tuple(cluster.domain_free_nodes())
+        remaining = self.remaining
         # Fast construction: write the instance dict directly instead
         # of going through the frozen dataclass __init__ (17 guarded
         # object.__setattr__ calls per decision point). The field
         # layout is pinned against the dataclass by the import-time
         # _VIEW_FIELDS check.
-        if len(completed_log) != len(completed_ids):
-            completed_log = CompletedLog(completed_ids)
         view = SystemView.__new__(SystemView)
-        view.__dict__.update({
+        fields = view.__dict__
+        fields.update({
             "now": now,
-            "queued": queued_snapshot,
-            "running": running_snapshot,
-            "completed_ids": completed_log,
+            "queued": queued,
+            "running": running_snap,
+            "completed_ids": self._completed_log,
             "free_nodes": cluster.free_nodes,
             "free_memory_gb": cluster.free_memory_gb,
             "total_nodes": cluster.total_nodes,
             "total_memory_gb": cluster.total_memory_gb,
             "pending_arrivals": pending_arrivals,
-            "next_arrival_time": next_arrival,
-            "next_completion_time": next_completion,
-            "blocked_jobs": n_blocked,
-            "nodes_offline": (
-                cluster.offline_nodes if has_offline_attr else 0
+            "next_arrival_time": (
+                jobs[len(jobs) - pending_arrivals].submit_time
+                if pending_arrivals
+                else None
             ),
+            "next_completion_time": (
+                self.end_index.min_key() if self.running else None
+            ),
+            "blocked_jobs": self.n_blocked,
+            "nodes_offline": getattr(cluster, "offline_nodes", 0),
             "upcoming_drains": drains,
             "remaining_runtimes": (
                 dict(remaining) if remaining else _NO_REMAINING
             ),
-            "topology": topo,
-            "domain_free_nodes": domain_free,
+            "topology": self.topo,
+            "domain_free_nodes": (
+                tuple(cluster.domain_free_nodes()) if self.has_domains else ()
+            ),
             "_queued_index": None,
-            "_running_sorted": running_sorted_snapshot,
+            "_running_sorted": running_sorted,
             # Zero-copy columnar projection: shared masters, selector
             # gathered at most once per queue change.
-            "_columns": None,
+            "_columns": ViewColumns(queue_cols, view),
         })
-        if queue_cols is not None:
-            view.__dict__["_columns"] = ViewColumns(queue_cols, view)
-        view_cache = view
         # Unchanged queue: carry the previous view's lazily-built id
         # index forward so optimizer-style schedulers don't rebuild an
         # O(queue) dict at every decision point of a stable backlog.
+        prev = self._prev_view
         if (
             reused_queue
-            and prev_view is not None
-            and prev_view.queued is queued_snapshot
-            and prev_view._queued_index is not None
+            and prev is not None
+            and prev.queued is queued
+            and prev._queued_index is not None
         ):
-            view.__dict__["_queued_index"] = prev_view._queued_index
-        prev_view = view_cache
-        return view_cache
+            fields["_queued_index"] = prev._queued_index
+        self._view = self._prev_view = view
+        return view
 
-    while True:
-        process_events_at(now)
+    # -- decisions -----------------------------------------------------
+    def ask(
+        self, view: SystemView, retry_index: int = 0, closing: bool = False
+    ) -> Optional[Action]:
+        """Query the scheduler once, validate and record its answer;
+        return the action if it was accepted, else ``None``.
+
+        The *closing* Stop query offers nothing to preempt and does not
+        feed a rejection back to the scheduler.
+        """
+        scheduler = self.scheduler
+        action = scheduler.decide(view)
+        result = self.checker.validate(
+            action,
+            queued=self.queued_map,
+            cluster=self.cluster,
+            all_scheduled=view.all_jobs_scheduled,
+            running=None if closing else self.running,
+        )
+        self.decisions.append(
+            DecisionRecord(
+                time=self.now,
+                action=action,
+                accepted=result.ok,
+                violations=result.violations,
+                retry_index=retry_index,
+                meta=dict(scheduler.decision_meta()),
+            )
+        )
+        if result.ok:
+            return action
+        if not closing:
+            scheduler.on_rejection(action, result.violations, view)
+        return None
+
+    def apply_action(self, action: Action) -> None:
+        """Carry out an accepted action (Delay changes nothing)."""
+        kind = action.kind
+        if kind is ActionKind.PREEMPT:
+            self.kill(action.job_id, self.now, "preempt")  # type: ignore[arg-type]
+        elif kind is ActionKind.STOP:
+            self.stopped = True
+        elif kind is not ActionKind.DELAY:  # StartJob / BackfillJob
+            self.start(self.idx_of[action.job_id])  # type: ignore[index]
+
+    def _decision_loop(self) -> None:
+        """Keep querying while jobs are queued and the scheduler keeps
+        placing them (within the same timestep)."""
+        max_retries = self.sim.max_retries
+        decisions = self.decisions
+        retries = 0
+        while self.n_queued and not self.stopped:
+            if len(decisions) >= self.decision_budget:
+                raise SimulationError(
+                    f"decision budget exhausted ({self.decision_budget}); "
+                    f"scheduler {self.scheduler.name!r} appears stuck"
+                )
+            action = self.ask(self.build_view(), retries)
+            if action is None:
+                retries += 1
+                if retries > max_retries:
+                    return  # force a delay
+            elif action.kind is ActionKind.DELAY:
+                return
+            else:
+                retries = 0
+                self.apply_action(action)
+
+    def step(self) -> bool:
+        """Advance one time instant; ``False`` once the run is over."""
+        self._view = None  # views carry `now`
+        self.apply_events(self.now)
 
         # Announce-time reactive decision (see the object engine).
-        if (
-            announce_pending
-            and running_objs
-            and not n_queued
-            and not stopped
-            and len(decisions) < decision_budget
-        ):
-            view = build_view()
-            action = scheduler.decide(view)
-            result = checker.validate(
-                action,
-                queued=queued_map,
-                cluster=cluster,
-                all_scheduled=view.all_jobs_scheduled,
-                running=running_objs,
-            )
-            decisions.append(
-                DecisionRecord(
-                    time=now,
-                    action=action,
-                    accepted=result.ok,
-                    violations=result.violations,
-                    meta=dict(scheduler.decision_meta()),
-                )
-            )
-            if not result.ok:
-                scheduler.on_rejection(action, result.violations, view)
-            elif action.kind is ActionKind.PREEMPT:
-                kill_running(action.job_id, now, "preempt")  # type: ignore[arg-type]
-            elif action.kind is ActionKind.STOP:
-                stopped = True
-        announce_pending = False
+        if self.announce_pending:
+            self.announce_pending = False
+            if (
+                self.running
+                and not self.n_queued
+                and not self.stopped
+                and len(self.decisions) < self.decision_budget
+            ):
+                action = self.ask(self.build_view())
+                if action is not None:
+                    self.apply_action(action)
 
-        # Decision phase: keep querying while jobs are queued and the
-        # scheduler keeps placing them (within the same timestep).
-        retries = 0
-        while n_queued and not stopped:
-            if len(decisions) >= decision_budget:
-                raise SimulationError(
-                    f"decision budget exhausted ({decision_budget}); "
-                    f"scheduler {scheduler.name!r} appears stuck"
-                )
-            view = build_view()
-            action = scheduler.decide(view)
-            result = checker.validate(
-                action,
-                queued=queued_map,
-                cluster=cluster,
-                all_scheduled=view.all_jobs_scheduled,
-                running=running_objs,
-            )
-            meta = dict(scheduler.decision_meta())
-            decisions.append(
-                DecisionRecord(
-                    time=now,
-                    action=action,
-                    accepted=result.ok,
-                    violations=result.violations,
-                    retry_index=retries,
-                    meta=meta,
-                )
-            )
-            if not result.ok:
-                scheduler.on_rejection(action, result.violations, view)
-                retries += 1
-                if retries > sim.max_retries:
-                    break  # force a delay
-                continue
-
-            retries = 0
-            if action.kind is ActionKind.DELAY:
-                break
-            if action.kind is ActionKind.STOP:
-                stopped = True
-                break
-            if action.kind is ActionKind.PREEMPT:
-                kill_running(action.job_id, now, "preempt")  # type: ignore[arg-type]
-                continue
-            # StartJob / BackfillJob
-            i = idx_of[action.job_id]  # type: ignore[index]
-            state[i] = _RUNNING
-            n_queued -= 1
-            queued_snapshot = None
-            queue_cols = None
-            start_running(i, now)  # invalidates the view cache
+        if self.n_queued and not self.stopped:
+            self._decision_loop()
 
         # Closing-Stop query for narrate-stop agents.
         if (
-            not n_queued
-            and not n_blocked
-            and pending_arrivals == 0
-            and not stopped
-            and not final_stop_asked
-            and getattr(scheduler, "emits_stop", False)
+            not self.n_queued
+            and not self.n_blocked
+            and self.pending_arrivals == 0
+            and not self.stopped
+            and not self.final_stop_asked
+            and getattr(self.scheduler, "emits_stop", False)
         ):
-            final_stop_asked = True
-            view = build_view()
-            action = scheduler.decide(view)
-            result = checker.validate(
-                action,
-                queued=queued_map,
-                cluster=cluster,
-                all_scheduled=True,
-            )
-            decisions.append(
-                DecisionRecord(
-                    time=now,
-                    action=action,
-                    accepted=result.ok,
-                    violations=result.violations,
-                    meta=dict(scheduler.decision_meta()),
-                )
-            )
-            if result.ok and action.kind is ActionKind.STOP:
-                stopped = True
+            self.final_stop_asked = True
+            action = self.ask(self.build_view(), closing=True)
+            if action is not None:
+                self.apply_action(action)
 
-        # Termination / time advance.
-        if (
-            not n_queued
-            and not running_objs
-            and not n_blocked
-            and pending_arrivals == 0
-        ):
-            break
-        if (
-            n_blocked
-            and not n_queued
-            and not running_objs
-            and pending_arrivals == 0
-        ):
-            raise SimulationError(
-                f"{n_blocked} jobs blocked on dependencies with "
-                "nothing running — dependency graph is inconsistent"
-            )
-        if stopped and not running_objs and pending_arrivals == 0 and n_queued:
-            raise SimulationError("stopped with jobs still queued")
-        next_time = cal.peek_time()
+        return self._advance()
+
+    def _advance(self) -> bool:
+        """Termination checks, then move the clock to the next event."""
+        n_queued = self.n_queued
+        if not self.running and self.pending_arrivals == 0:
+            if not n_queued:
+                if self.n_blocked:
+                    raise SimulationError(
+                        f"{self.n_blocked} jobs blocked on dependencies "
+                        "with nothing running — dependency graph is "
+                        "inconsistent"
+                    )
+                return False
+            if self.stopped:
+                raise SimulationError("stopped with jobs still queued")
+        next_time = self.cal.peek_time()
         if next_time is None:
-            if n_queued and not stopped:
+            if n_queued and not self.stopped:
                 raise SimulationError(
-                    f"deadlock at t={now}: {n_queued} jobs queued, "
+                    f"deadlock at t={self.now}: {n_queued} jobs queued, "
                     "no running jobs, no pending arrivals, and the "
-                    f"scheduler {scheduler.name!r} keeps delaying"
+                    f"scheduler {self.scheduler.name!r} keeps delaying"
                 )
-            break
-        if next_time > now:
-            view_cache = None  # views carry `now`
-            now = next_time
+            return False
+        if next_time > self.now:
+            self.now = next_time
+        return True
 
-    result = ScheduleResult(
-        records=records,
-        decisions=decisions,
-        total_nodes=cluster.total_nodes,
-        total_memory_gb=cluster.total_memory_gb,
-        scheduler_name=scheduler.name,
-        preemptions=preemptions,
-        disrupted=disrupted,
-    )
-    if disrupted:
-        result.extras["disruption_kills"] = dict(n_kills)
-        n_domain_events = len(trace.domain_failures) + sum(
-            1 for d in trace.drains if d.domain is not None
+    def result(self) -> ScheduleResult:
+        """The finished run (call once :meth:`step` returned False)."""
+        trace = self.trace
+        result = ScheduleResult(
+            records=self.records,
+            decisions=self.decisions,
+            total_nodes=self.cluster.total_nodes,
+            total_memory_gb=self.cluster.total_memory_gb,
+            scheduler_name=self.scheduler.name,
+            preemptions=self.preemptions,
+            disrupted=trace is not None,
         )
-        if n_domain_events:
-            result.extras["domain_events"] = n_domain_events
-            result.extras["domain_kills"] = dict(sorted(domain_kills.items()))
-    collect = getattr(scheduler, "collect_extras", None)
-    if collect is not None:
-        result.extras.update(collect())
-    return result
+        if trace is not None:
+            result.extras["disruption_kills"] = dict(self.n_kills)
+            n_domain_events = len(trace.domain_failures) + sum(
+                1 for d in trace.drains if d.domain is not None
+            )
+            if n_domain_events:
+                result.extras["domain_events"] = n_domain_events
+                result.extras["domain_kills"] = dict(
+                    sorted(self.domain_kills.items())
+                )
+        collect = getattr(self.scheduler, "collect_extras", None)
+        if collect is not None:
+            result.extras.update(collect())
+        return result
+
+
+#: Event handlers by ``EventKind`` value (popped events carry plain
+#: ints). Plain functions, not bound methods: a state holds no
+#: reference to itself.
+_HANDLERS = {
+    int(kind): getattr(EngineState, f"_on_{kind.name.lower()}")
+    for kind in EventKind
+}
+
+
+def run_soa(
+    sim: "HPCSimulator",
+    calendar: Optional[ArrayCalendar] = None,
+) -> ScheduleResult:
+    """Execute *sim* on the structure-of-arrays core.
+
+    *calendar*, when given, must be a sealed, unconsumed
+    :class:`~repro.sim.events.ArrayCalendar` holding exactly the
+    static events this function would otherwise build — one ARRIVAL
+    per job in workload order (payload = workload index), then the
+    disruption events. The service's session engine maintains such a
+    calendar incrementally (streamed arrivals appended to the sealed
+    lane) and passes a fork per replay; because the extend path
+    assigns sequence numbers exactly like a batch build, the run is
+    byte-identical to one over a calendar built here.
+    """
+    state = EngineState(sim, calendar)
+    while state.step():
+        pass
+    return state.result()

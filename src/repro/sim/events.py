@@ -71,9 +71,6 @@ class Event:
     kind: EventKind
     job_id: int
 
-    def sort_key(self, seq: int) -> tuple[float, int, int]:
-        return (self.time, int(self.kind), seq)
-
 
 @dataclass
 class EventQueue:

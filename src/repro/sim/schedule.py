@@ -13,7 +13,7 @@ layer consumes (guide idiom: vectorize the numeric hot path).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -211,9 +211,3 @@ class ScheduleResult:
         assert peak_mem <= self.total_memory_gb + 1e-6, (
             f"memory capacity violated: peak {peak_mem} > {self.total_memory_gb}"
         )
-
-
-def merge_results(results: Iterable[ScheduleResult]) -> list[ScheduleResult]:
-    """Materialize an iterable of results (simple convenience used by
-    repetition experiments)."""
-    return list(results)

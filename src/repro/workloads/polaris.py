@@ -20,7 +20,7 @@ provides:
   (``User_1``, ``Group_1``, …), keep node counts as-is and derive
   memory as 512 GB × nodes.
 
-Substitution note (DESIGN.md §2): the paper's §5 claim is that the
+Substitution note: the paper's §5 claim is that the
 agent *generalizes to real traces under an assumed-idle start*; the
 claim is exercised by trace structure, not by the identity of specific
 November-2024 jobs.
