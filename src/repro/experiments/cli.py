@@ -18,7 +18,9 @@ ad-hoc single simulations, and list registered scenarios/schedulers::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,7 +28,7 @@ from repro.experiments import figures, report
 from repro.experiments.parallel import expand_cells, run_matrix_parallel
 from repro.experiments.runner import DEFAULT_SCHEDULERS, run_single
 from repro.experiments.store import FailedCell
-from repro.experiments.storage import open_store
+from repro.experiments.storage import is_sharded_store, open_store
 from repro.metrics.normalize import normalize_to_baseline
 from repro.schedulers.registry import available_schedulers
 from repro.sim.disruptions import (
@@ -46,6 +48,80 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+#: The disruption and topology flag groups, one row per field of
+#: ``DisruptionSpec`` / ``ClusterTopology`` that has a flag: field name →
+#: (type, or the list of choices, and the help string). The flag is the
+#: field name with dashes, except for the rows in :data:`_FLAG_RENAMES`;
+#: every flag defaults to ``None`` ("not given"), which is how
+#: :func:`_build_disruption_spec` tells an override from a preset value.
+#: ``tests/test_cli_surface.py`` checks each row names a real field and
+#: makes a field without a row an explicit decision.
+_DISRUPTION_FLAGS = {
+    "mtbf": (float, "per-node mean time between failures (seconds)"),
+    "mttr": (float, "mean time to repair a failed node (seconds; default 900)"),
+    "failure_model": (
+        ["exponential", "weibull"],
+        "node up-time distribution (default exponential)",
+    ),
+    "drain_every": (float, "period between maintenance drains (seconds)"),
+    "drain_nodes": (int, "nodes taken per drain window"),
+    "drain_duration": (float, "drain window length (seconds; default 3600)"),
+    "drain_lead": (
+        float, "announcement lead before each drain (seconds; default 1800)"
+    ),
+    "drain_first": (
+        float,
+        "offset of the first drain window (seconds; default 7200 — "
+        "lower it for short workloads or no window will fit the "
+        "horizon)",
+    ),
+    "rack_mtbf": (
+        float,
+        "mean time between correlated shocks per failure domain "
+        "(seconds); enables whole-block rack/switch failures",
+    ),
+    "correlation": (
+        float,
+        "fraction of the struck domain each shock kills, in (0, 1] "
+        "(default 1.0: the whole rack/switch group)",
+    ),
+    "correlation_level": (
+        ["rack", "switch"],
+        "hierarchy level the shock process runs at (default rack)",
+    ),
+    "seed": (int, "seed for the failure RNG streams (default 0)"),
+}
+_TOPOLOGY_FLAGS = {
+    "rack_size": (
+        int,
+        f"nodes per rack over the {CLUSTER_NODES}-node partition "
+        "(default: flat — no failure domains)",
+    ),
+    "racks_per_switch": (
+        int, "racks per switch group (default 1; requires --rack-size)"
+    ),
+}
+#: Field name → ``args`` attribute where the two differ.
+_FLAG_RENAMES = {"seed": "disruption_seed"}
+
+
+def _add_field_flags(group, table) -> None:
+    for field, (kind, help_text) in table.items():
+        flag = "--" + _FLAG_RENAMES.get(field, field).replace("_", "-")
+        spec = {"type": kind} if isinstance(kind, type) else {"choices": kind}
+        group.add_argument(flag, default=None, help=help_text, **spec)
+
+
+def _given_fields(args, table) -> dict:
+    """``{field: value}`` for the rows of *table* whose flag was given."""
+    given = {}
+    for field in table:
+        value = getattr(args, _FLAG_RENAMES.get(field, field))
+        if value is not None:
+            given[field] = value
+    return given
+
+
 def _add_disruption_args(p: argparse.ArgumentParser) -> None:
     """Disruption/recovery flags shared by ``run`` and ``matrix``."""
     g = p.add_argument_group("disruptions")
@@ -60,76 +136,8 @@ def _add_disruption_args(p: argparse.ArgumentParser) -> None:
             "--mtbf/--drain-* flags override preset fields"
         ),
     )
-    g.add_argument(
-        "--mtbf", type=float, default=None,
-        help="per-node mean time between failures (seconds)",
-    )
-    g.add_argument(
-        "--mttr", type=float, default=None,
-        help="mean time to repair a failed node (seconds; default 900)",
-    )
-    g.add_argument(
-        "--failure-model", choices=["exponential", "weibull"], default=None,
-        help="node up-time distribution (default exponential)",
-    )
-    g.add_argument(
-        "--drain-every", type=float, default=None,
-        help="period between maintenance drains (seconds)",
-    )
-    g.add_argument(
-        "--drain-nodes", type=int, default=None,
-        help="nodes taken per drain window",
-    )
-    g.add_argument(
-        "--drain-duration", type=float, default=None,
-        help="drain window length (seconds; default 3600)",
-    )
-    g.add_argument(
-        "--drain-lead", type=float, default=None,
-        help="announcement lead before each drain (seconds; default 1800)",
-    )
-    g.add_argument(
-        "--drain-first", type=float, default=None,
-        help=(
-            "offset of the first drain window (seconds; default 7200 — "
-            "lower it for short workloads or no window will fit the "
-            "horizon)"
-        ),
-    )
-    g.add_argument(
-        "--rack-mtbf", type=float, default=None,
-        help=(
-            "mean time between correlated shocks per failure domain "
-            "(seconds); enables whole-block rack/switch failures"
-        ),
-    )
-    g.add_argument(
-        "--correlation", type=float, default=None,
-        help=(
-            "fraction of the struck domain each shock kills, in (0, 1] "
-            "(default 1.0: the whole rack/switch group)"
-        ),
-    )
-    g.add_argument(
-        "--correlation-level", choices=["rack", "switch"], default=None,
-        help="hierarchy level the shock process runs at (default rack)",
-    )
-    g.add_argument(
-        "--disruption-seed", type=int, default=None,
-        help="seed for the failure RNG streams (default 0)",
-    )
-    t = p.add_argument_group("topology")
-    t.add_argument(
-        "--rack-size", type=int, default=None,
-        help=(
-            f"nodes per rack over the {CLUSTER_NODES}-node partition "
-            "(default: flat — no failure domains)"
-        ),
-    )
-    t.add_argument(
-        "--racks-per-switch", type=int, default=None,
-        help="racks per switch group (default 1; requires --rack-size)",
-    )
+    _add_field_flags(g, _DISRUPTION_FLAGS)
+    _add_field_flags(p.add_argument_group("topology"), _TOPOLOGY_FLAGS)
     g.add_argument(
         "--restart-policy",
         choices=[p.replace("_", "-") for p in RESTART_POLICIES],
@@ -161,28 +169,37 @@ def _add_anneal_window(p: argparse.ArgumentParser) -> None:
     )
 
 
-class DisruptionArgsError(ValueError):
-    """Invalid disruption flag combination (reported as a friendly
-    CLI error, not a traceback)."""
+class UsageError(ValueError):
+    """A flag combination or an argument the command cannot act on.
+    Handlers raise it; :func:`main` reports it as ``error: <msg>`` and
+    exits 2 — the one place a usage error is printed."""
 
 
-def _check_anneal_window(args) -> None:
-    """Friendly validation for ``--anneal-window`` (the config would
-    reject it anyway, but deep inside a worker process)."""
-    if args.anneal_window is not None and args.anneal_window < 2:
-        raise DisruptionArgsError("--anneal-window must be at least 2")
+#: The name this class had while only the disruption flags raised it.
+DisruptionArgsError = UsageError
+
+
+@contextlib.contextmanager
+def _usage_errors(prefix: str = ""):
+    """Report a ``ValueError`` from the wrapped call (a store that
+    cannot be opened, a spec that rejects its values) as a usage error
+    instead of a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{prefix}{exc}") from exc
 
 
 def _check_fault_args(args) -> None:
     """Friendly validation for the fault-tolerance flags."""
     if args.cell_timeout is not None and args.cell_timeout <= 0:
-        raise DisruptionArgsError("--cell-timeout must be positive")
+        raise UsageError("--cell-timeout must be positive")
     if args.max_retries < 0:
-        raise DisruptionArgsError("--max-retries must be >= 0")
+        raise UsageError("--max-retries must be >= 0")
     if args.retry_backoff is not None and args.retry_backoff < 0:
-        raise DisruptionArgsError("--retry-backoff must be >= 0")
+        raise UsageError("--retry-backoff must be >= 0")
     if args.cell_timeout is not None and args.workers == 1:
-        raise DisruptionArgsError(
+        raise UsageError(
             "--cell-timeout needs --workers >= 2: an inline sweep "
             "cannot preempt its own process"
         )
@@ -191,7 +208,7 @@ def _check_fault_args(args) -> None:
 def _build_disruption_spec(args) -> Optional[DisruptionSpec]:
     """Combine a preset with flag overrides; None when undisrupted.
 
-    Raises :class:`DisruptionArgsError` on invalid combinations
+    Raises :class:`UsageError` on invalid combinations
     (e.g. ``--drain-every`` without ``--drain-nodes``, or
     ``--restart-policy checkpoint`` without ``--checkpoint-interval``).
     """
@@ -199,53 +216,27 @@ def _build_disruption_spec(args) -> Optional[DisruptionSpec]:
         args.restart_policy.replace("-", "_") == "checkpoint"
         and args.checkpoint_interval is None
     ):
-        raise DisruptionArgsError(
+        raise UsageError(
             "--restart-policy checkpoint requires --checkpoint-interval"
         )
     if args.checkpoint_interval is not None and args.checkpoint_interval <= 0:
-        raise DisruptionArgsError("--checkpoint-interval must be positive")
+        raise UsageError("--checkpoint-interval must be positive")
     base = (
         get_disruption_preset(args.disruptions)
         if args.disruptions
         else DisruptionSpec()
     )
-    overrides = {}
-    if args.mtbf is not None:
-        overrides["mtbf"] = args.mtbf
-    if args.mttr is not None:
-        overrides["mttr"] = args.mttr
-    if args.failure_model is not None:
-        overrides["failure_model"] = args.failure_model
-    if args.drain_every is not None:
-        overrides["drain_every"] = args.drain_every
-    if args.drain_nodes is not None:
-        overrides["drain_nodes"] = args.drain_nodes
-    if args.drain_duration is not None:
-        overrides["drain_duration"] = args.drain_duration
-    if args.drain_lead is not None:
-        overrides["drain_lead"] = args.drain_lead
-    if args.drain_first is not None:
-        overrides["drain_first"] = args.drain_first
-    if args.rack_mtbf is not None:
-        overrides["rack_mtbf"] = args.rack_mtbf
-    if args.correlation is not None:
-        overrides["correlation"] = args.correlation
-    if args.correlation_level is not None:
-        overrides["correlation_level"] = args.correlation_level
-    if args.disruption_seed is not None:
-        overrides["seed"] = args.disruption_seed
+    overrides = _given_fields(args, _DISRUPTION_FLAGS)
     if overrides:
         import dataclasses
 
-        try:
+        with _usage_errors():
             base = dataclasses.replace(base, **overrides)
-        except ValueError as exc:
-            raise DisruptionArgsError(str(exc)) from exc
     if (
         (args.correlation is not None or args.correlation_level is not None)
         and base.rack_mtbf is None
     ):
-        raise DisruptionArgsError(
+        raise UsageError(
             "--correlation/--correlation-level need --rack-mtbf (or a "
             "correlated preset) to have any effect"
         )
@@ -255,24 +246,37 @@ def _build_disruption_spec(args) -> Optional[DisruptionSpec]:
 def _build_topology(args) -> Optional[ClusterTopology]:
     """Topology flags → :class:`ClusterTopology` over the paper's
     partition; ``None`` (flat) when no flag was given."""
-    if args.rack_size is None:
-        if args.racks_per_switch is not None:
-            raise DisruptionArgsError(
-                "--racks-per-switch requires --rack-size"
-            )
+    given = _given_fields(args, _TOPOLOGY_FLAGS)
+    if "rack_size" not in given:
+        if given:
+            raise UsageError("--racks-per-switch requires --rack-size")
         return None
-    try:
-        return ClusterTopology(
-            n_nodes=CLUSTER_NODES,
-            rack_size=args.rack_size,
-            racks_per_switch=(
-                1
-                if args.racks_per_switch is None
-                else args.racks_per_switch
-            ),
-        )
-    except ValueError as exc:
-        raise DisruptionArgsError(str(exc)) from exc
+    with _usage_errors():
+        return ClusterTopology(n_nodes=CLUSTER_NODES, **given)
+
+
+def _experiment_kwargs(args) -> dict:
+    """The disruption regime, restart policy and topology of a ``run``
+    or ``matrix`` — validated once (``--anneal-window`` with them: the
+    config would reject it anyway, but deep inside a worker process),
+    passed to every call that takes them."""
+    kwargs = {
+        "disruptions": _build_disruption_spec(args),
+        "topology": _build_topology(args),
+        "restart_policy": args.restart_policy.replace("-", "_"),
+        "checkpoint_interval": args.checkpoint_interval,
+    }
+    if args.anneal_window is not None and args.anneal_window < 2:
+        raise UsageError("--anneal-window must be at least 2")
+    return kwargs
+
+
+def _command(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """One subcommand: its parser, with the ``_cmd_*`` function that
+    :func:`main` calls for it."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,42 +289,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p2 = sub.add_parser("fig2", help="representative reasoning traces")
+    p2 = _command(sub, "fig2", _cmd_fig2, help="representative reasoning traces")
     p2.add_argument("--model", default="claude-3.7-sim")
     p2.add_argument("--n-jobs", type=int, default=20)
     _add_common(p2)
 
-    p3 = sub.add_parser("fig3", help="six scenarios × 60 jobs")
+    p3 = _command(sub, "fig3", _cmd_figure, help="six scenarios × 60 jobs")
     p3.add_argument("--n-jobs", type=int, default=60)
     _add_common(p3)
 
-    p4 = sub.add_parser("fig4", help="scalability on heterogeneous mix")
+    p4 = _command(sub, "fig4", _cmd_figure, help="scalability on heterogeneous mix")
     p4.add_argument(
         "--sizes", type=int, nargs="+", default=[10, 20, 40, 60, 80, 100]
     )
     _add_common(p4)
 
-    p5 = sub.add_parser("fig5", help="overhead per scenario (60 jobs)")
+    p5 = _command(sub, "fig5", _cmd_figure, help="overhead per scenario (60 jobs)")
     p5.add_argument("--n-jobs", type=int, default=60)
     _add_common(p5)
 
-    p6 = sub.add_parser("fig6", help="overhead scaling with queue size")
+    p6 = _command(sub, "fig6", _cmd_figure, help="overhead scaling with queue size")
     p6.add_argument(
         "--sizes", type=int, nargs="+", default=[10, 20, 40, 60, 80, 100]
     )
     _add_common(p6)
 
-    p7 = sub.add_parser("fig7", help="robustness over repetitions")
+    p7 = _command(sub, "fig7", _cmd_figure, help="robustness over repetitions")
     p7.add_argument("--n-jobs", type=int, default=100)
     p7.add_argument("--repeats", type=int, default=5)
     _add_common(p7)
 
-    p8 = sub.add_parser("fig8", help="Polaris trace evaluation")
+    p8 = _command(sub, "fig8", _cmd_figure, help="Polaris trace evaluation")
     p8.add_argument("--n-jobs", type=int, default=100)
     p8.add_argument("--trace-seed", type=int, default=2024)
     _add_common(p8)
 
-    pr = sub.add_parser("run", help="one scenario × scheduler simulation")
+    pr = _command(
+        sub, "run", _cmd_run, help="one scenario × scheduler simulation"
+    )
     pr.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     pr.add_argument("--scheduler", required=True)
     pr.add_argument("-n", "--n-jobs", type=int, default=60)
@@ -342,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pr)
     _add_disruption_args(pr)
 
-    pm = sub.add_parser(
-        "matrix",
+    pm = _command(
+        sub, "matrix", _cmd_matrix,
         help="parallel scenarios × sizes × schedulers × seeds sweep",
     )
     pm.add_argument(
@@ -476,8 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_anneal_window(pm)
     _add_disruption_args(pm)
 
-    ps = sub.add_parser(
-        "report", help="render normalized metrics from an artifact store"
+    ps = _command(
+        sub, "report", _cmd_report,
+        help="render normalized metrics from an artifact store",
     )
     ps.add_argument(
         "--store", required=True,
@@ -504,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     store_sub = pst.add_subparsers(dest="store_command", required=True)
-    pdoc = store_sub.add_parser(
-        "doctor",
+    pdoc = _command(
+        store_sub, "doctor", _cmd_store_doctor,
         help="salvage every parseable line from a corrupted store",
         description=(
             "Repair an artifact store in place: every parseable "
@@ -536,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
             "is unchanged, the file just stops carrying dead data"
         ),
     )
-    pmig = store_sub.add_parser(
-        "migrate",
+    pmig = _command(
+        store_sub, "migrate", _cmd_store_migrate,
         help="convert a store between JSONL and sharded layouts",
         description=(
             "Loss-free layout conversion: a JSONL file splits into a "
@@ -559,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="shard count when splitting to sharded (default 16)",
     )
-    pdig = store_sub.add_parser(
-        "digest",
+    pdig = _command(
+        store_sub, "digest", _cmd_store_digest,
         help="print the store's layout-independent content digest",
         description=(
             "SHA-256 over the canonically-ordered run set — equal for "
@@ -572,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pdig.add_argument("path", help="store (file or sharded dir)")
 
-    pv = sub.add_parser(
-        "serve",
+    pv = _command(
+        sub, "serve", _cmd_serve,
         help="run the scheduling daemon (JSON-lines over a socket)",
         description=(
             "Start the long-lived scheduling service: clients open "
@@ -637,8 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-memory LRU capacity, in cells (default 4096)",
     )
 
-    pc = sub.add_parser(
-        "compare",
+    pc = _command(
+        sub, "compare", _cmd_compare,
         help="paired cross-seed comparison of two schedulers (Wilcoxon)",
     )
     pc.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
@@ -647,8 +654,212 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("-n", "--n-jobs", type=int, default=40)
     pc.add_argument("--seeds", type=int, default=8)
 
-    sub.add_parser("list", help="list scenarios and schedulers")
+    _command(sub, "list", _cmd_list, help="list scenarios and schedulers")
     return parser
+
+
+def _cmd_list(args) -> int:
+    print("Scenarios:")
+    for name, spec in SCENARIOS.items():
+        print(f"  {name:20s} {spec.description}")
+    print("Schedulers:")
+    for name in available_schedulers():
+        print(f"  {name}")
+    print("Disruption presets:")
+    for name, dspec in DISRUPTION_PRESETS.items():
+        print(f"  {name:20s} {dspec.signature()}")
+    return 0
+
+
+def _cmd_fig2(args) -> int:
+    for sample in figures.figure2(
+        model=args.model, n_jobs=args.n_jobs, seed=args.seed
+    ):
+        print(sample.render())
+        print()
+    return 0
+
+
+#: fig3–fig8: the ``figures`` function and the keywords it takes from
+#: ``args``, the ``report`` renderer and its keywords. Both functions are
+#: looked up when the command runs.
+_FIGURES = {
+    "fig3": (
+        "figure3", ("n_jobs", "workload_seed", "scheduler_seed"),
+        "render_figure3", {},
+    ),
+    "fig4": (
+        "figure4", ("sizes", "workload_seed", "scheduler_seed"),
+        "render_figure4", {},
+    ),
+    "fig5": (
+        "figure5", ("n_jobs", "workload_seed", "scheduler_seed"),
+        "render_overhead_table",
+        {
+            "key_label": "scenario",
+            "title": "Figure 5 — overhead per scenario (60 jobs)",
+        },
+    ),
+    "fig6": (
+        "figure6", ("sizes", "workload_seed", "scheduler_seed"),
+        "render_overhead_table",
+        {
+            "key_label": "n_jobs",
+            "title": "Figure 6 — overhead scaling (heterogeneous mix)",
+        },
+    ),
+    "fig7": (
+        "figure7", ("n_jobs", "n_repeats", "workload_seed"),
+        "render_figure7", {},
+    ),
+    "fig8": (
+        "figure8", ("n_jobs", "trace_seed", "scheduler_seed"),
+        "render_figure8", {},
+    ),
+}
+#: Figure keyword → ``args`` attribute where the two differ.
+_FIGURE_ARGS = {"workload_seed": "seed", "n_repeats": "repeats"}
+
+
+def _cmd_figure(args) -> int:
+    fig_name, keywords, render_name, render_kwargs = _FIGURES[args.command]
+    data = getattr(figures, fig_name)(
+        **{kw: getattr(args, _FIGURE_ARGS.get(kw, kw)) for kw in keywords}
+    )
+    print(getattr(report, render_name)(data, **render_kwargs))
+    return 0
+
+
+def _cmd_run(args) -> int:
+    shared = {
+        "workload_seed": args.seed,
+        "arrival_mode": args.arrival_mode,
+        "enforce_walltime": args.enforce_walltime,
+        **_experiment_kwargs(args),
+    }
+    run = run_single(
+        args.scenario,
+        args.n_jobs,
+        args.scheduler,
+        scheduler_seed=args.scheduler_seed,
+        max_decisions=args.max_decisions,
+        anneal_window=args.anneal_window,
+        **shared,
+    )
+    base = run_single(args.scenario, args.n_jobs, "fcfs", **shared)
+    block = {
+        "fcfs": normalize_to_baseline(base.values, base.values),
+        run.scheduler: normalize_to_baseline(run.values, base.values),
+    }
+    title = f"{args.scenario}, {args.n_jobs} jobs, {run.scheduler}"
+    print(report.render_normalized_block(block, title))
+    if run.disruption_sig != "none":
+        kills = run.result.extras.get("disruption_kills", {})
+        print(
+            f"\ndisruptions [{run.disruption_sig}]: "
+            f"{len(run.result.preemptions)} preemptions "
+            f"(failures={kills.get('failure', 0)}, "
+            f"drains={kills.get('drain', 0)}, "
+            f"voluntary={kills.get('preempt', 0)})"
+        )
+        domain_kills = run.result.extras.get("domain_kills")
+        if domain_kills:
+            per_domain = ", ".join(f"{d}={n}" for d, n in domain_kills.items())
+            print(
+                f"blast radius [{run.topology_sig}]: kills by "
+                f"domain: {per_domain}"
+            )
+    if run.overhead is not None:
+        print(f"\nLLM overhead: {run.overhead.latency}")
+        print(
+            "total elapsed (accepted placements): "
+            f"{run.overhead.elapsed_s:.1f}s over {run.overhead.n_calls} calls"
+        )
+    return 0
+
+
+def _open_archive(path: str, *, must_exist: bool = False):
+    """``open_store`` for the commands that read or repair an archive.
+    A directory that is not a sharded store is not an archive at all
+    (``open_store`` takes any directory as the place to lay a fresh
+    one out), and ``doctor``/``digest`` refuse a missing path too."""
+    p = Path(path)
+    if (p.is_dir() and not is_sharded_store(p)) or (
+        must_exist and not p.exists()
+    ):
+        raise UsageError(f"no store at {path}")
+    with _usage_errors():
+        return open_store(path)
+
+
+def _drive_sweep(
+    args, launch, store, *, on_cell_failure: str, interrupted, finish,
+    failed_head: str, failed_foot: Optional[str] = None,
+) -> int:
+    """The sweep behind ``matrix`` and ``matrix --retry-failed``.
+
+    *launch* is ``run_matrix_parallel`` / ``run_cells`` with its cells
+    bound, called here with the progress printer and the pool and
+    fault-tolerance keywords. Ctrl-C prints ``interrupted(exc)`` and
+    exits 130; a cell out of retries under the abort policy exits 1;
+    otherwise ``finish(runs)`` reports the sweep, and quarantined cells
+    are listed under *failed_head* / *failed_foot* with exit 3.
+    """
+    from repro.experiments.parallel import (
+        DEFAULT_RETRY_BACKOFF_S,
+        CellFailedError,
+    )
+
+    def progress(cell, completed, total):
+        print(
+            f"[{completed}/{total}] {cell.scenario} n={cell.n_jobs} "
+            f"{cell.scheduler} wseed={cell.workload_seed} "
+            f"sseed={cell.scheduler_seed}",
+            flush=True,
+        )
+
+    failures: list[FailedCell] = []
+    try:
+        runs = launch(
+            workers=args.workers,
+            store=store,
+            progress=progress,
+            cell_timeout=args.cell_timeout,
+            max_retries=args.max_retries,
+            retry_backoff_s=(
+                DEFAULT_RETRY_BACKOFF_S
+                if args.retry_backoff is None
+                else args.retry_backoff
+            ),
+            on_cell_failure=on_cell_failure,
+            failures=failures,
+        )
+    except KeyboardInterrupt as exc:
+        print(f"\n{interrupted(exc)}", file=sys.stderr)
+        return 130
+    except CellFailedError as exc:
+        print(f"\nerror: sweep aborted — {exc}", file=sys.stderr)
+        if store is not None:
+            print(
+                f"{len(store.completed_keys())} cells persisted in {args.out}; "
+                "fix the failure and re-run with --resume (or use "
+                "--on-cell-failure quarantine to finish around it)",
+                file=sys.stderr,
+            )
+        return 1
+    finish(runs)
+    if not failures:
+        return 0
+    print(failed_head.format(n=len(failures)), file=sys.stderr)
+    for fc in failures:
+        print(
+            f"  {fc.label}: {fc.kind} x{fc.attempts} — "
+            f"{fc.error_type}: {fc.message}",
+            file=sys.stderr,
+        )
+    if failed_foot:
+        print(failed_foot, file=sys.stderr)
+    return 3
 
 
 def _matrix_retry_failed(args) -> int:
@@ -663,604 +874,253 @@ def _matrix_retry_failed(args) -> int:
     stay quarantined (their sidecar record refreshed) and the exit
     status is 3, mirroring the quarantine sweep itself.
     """
-    from repro.experiments.parallel import (
-        DEFAULT_RETRY_BACKOFF_S,
-        MatrixCell,
-        run_cells,
-    )
+    from repro.experiments.parallel import MatrixCell, run_cells
     from repro.experiments.store import FailureSidecar
 
-    store = open_store(args.retry_failed)
+    if args.scenarios or args.sizes or args.resume or args.out:
+        raise UsageError(
+            "--retry-failed takes the cell list from the failure sidecar; "
+            "it cannot be combined with --scenarios/--sizes/--out/--resume"
+        )
+    _check_fault_args(args)
+    store = _open_archive(args.retry_failed)
     sidecar = FailureSidecar.for_store(store)
     if not sidecar.path.exists():
         print(f"nothing to retry: no failure sidecar at {sidecar.path}")
         return 0
-    try:
+    with _usage_errors(f"unreadable sidecar {sidecar.path}: "):
         records = sidecar.load()
-    except ValueError as exc:
-        print(f"error: unreadable sidecar {sidecar.path}: {exc}",
-              file=sys.stderr)
-        return 2
     if not records:
         print(f"nothing to retry: {sidecar.path} is empty")
         return 0
     unretriable = [r for r in records if r.config is None]
     if unretriable:
-        print(
-            f"error: {len(unretriable)} record(s) in {sidecar.path} "
-            "predate the config-carrying sidecar format (schema v1) "
-            "and cannot be rebuilt; re-run the original matrix "
-            "command with --resume instead",
-            file=sys.stderr,
+        raise UsageError(
+            f"{len(unretriable)} record(s) in {sidecar.path} predate the "
+            "config-carrying sidecar format (schema v1) and cannot be rebuilt; "
+            "re-run the original matrix command with --resume instead"
         )
-        return 2
-    cells: list[MatrixCell] = []
-    seen = set()
+    cells: dict = {}
     for rec in records:
-        try:
+        with _usage_errors(f"bad config in {sidecar.path} for {rec.label}: "):
             cell = MatrixCell.from_config(rec.config)
-        except ValueError as exc:
-            print(
-                f"error: bad config in {sidecar.path} for "
-                f"{rec.label}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        if cell.key not in seen:
-            seen.add(cell.key)
-            cells.append(cell)
+        cells.setdefault(cell.key, cell)
     print(f"retrying {len(cells)} quarantined cell(s) from {sidecar.path}")
 
-    def progress(cell, completed, total):
+    def finish(runs) -> None:
+        # Recovered cells leave the sidecar; the cells that failed
+        # again each appended a refreshed record, which prune compacts.
+        recovered = cells.keys() & store.completed_keys()
+        sidecar.prune(recovered)
         print(
-            f"[{completed}/{total}] {cell.scenario} n={cell.n_jobs} "
-            f"{cell.scheduler} wseed={cell.workload_seed} "
-            f"sseed={cell.scheduler_seed}",
-            flush=True,
+            f"recovered {len(recovered)}/{len(cells)} cell(s) into {store.path}"
         )
 
-    failures: list[FailedCell] = []
-    try:
-        run_cells(
-            cells,
-            workers=args.workers,
-            store=store,
-            resume=True,
-            progress=progress,
-            cell_timeout=args.cell_timeout,
-            max_retries=args.max_retries,
-            retry_backoff_s=(
-                DEFAULT_RETRY_BACKOFF_S
-                if args.retry_backoff is None
-                else args.retry_backoff
-            ),
-            on_cell_failure="quarantine",
-            failures=failures,
-        )
-    except KeyboardInterrupt:
-        print(
-            f"\ninterrupted — completed retries are persisted in "
-            f"{store.path}; run --retry-failed again to finish",
-            file=sys.stderr,
-        )
-        return 130
-    # Prune recovered cells; compact duplicate records (the re-failed
-    # cells just appended a refreshed line each) down to last-wins.
-    done = store.completed_keys()
-    recovered_keys = {c.key for c in cells if c.key in done}
-    sidecar.prune(recovered_keys)
-    remaining = sidecar.load() if sidecar.path.exists() else []
-    last = {r.key: r for r in remaining}
-    if len(last) != len(remaining):
-        import os as _os
-
-        tmp = sidecar.path.with_name(sidecar.path.name + ".compact.tmp")
-        tmp.write_text(
-            "".join(r.to_json() + "\n" for r in last.values()),
-            encoding="utf-8",
-        )
-        _os.replace(tmp, sidecar.path)
-    print(
-        f"recovered {len(recovered_keys)}/{len(cells)} cell(s) into "
-        f"{store.path}"
+    return _drive_sweep(
+        args,
+        partial(run_cells, list(cells.values()), resume=True),
+        store,
+        on_cell_failure="quarantine",
+        interrupted=lambda exc: (
+            "interrupted — completed retries are persisted in "
+            f"{store.path}; run --retry-failed again to finish"
+        ),
+        finish=finish,
+        failed_head="{n} cell(s) still failing (sidecar kept):",
     )
-    if failures:
-        print(
-            f"{len(failures)} cell(s) still failing (sidecar kept):",
-            file=sys.stderr,
+
+
+def _print_matrix_report(runs, wanted: set, store) -> None:
+    """Report this invocation's matrix: fresh results win, persisted
+    runs fill in resumed cells, and unrelated sweeps sharing the store
+    file stay out of the output. Tolerate corrupt lines here — the
+    sweep itself succeeded; damage on disk is surfaced loudly by
+    --resume and repaired by `store doctor`."""
+    source = list(runs)
+    if store is not None:
+        # Keyed backend query: only the wanted cells come back (on a
+        # sharded store, only their shards are even parsed).
+        source += store.iter_runs(
+            keys=wanted - {r.key for r in runs}, on_corrupt="quarantine"
         )
-        for fc in failures:
-            print(
-                f"  {fc.label}: {fc.kind} x{fc.attempts} — "
-                f"{fc.error_type}: {fc.message}",
-                file=sys.stderr,
+    if source:
+        print(report.render_matrix_blocks(figures.matrix_blocks(source)))
+
+
+def _cmd_matrix(args) -> int:
+    if args.retry_failed is not None:
+        return _matrix_retry_failed(args)
+    if not args.scenarios or not args.sizes:
+        raise UsageError(
+            "--scenarios and --sizes are required (or use --retry-failed STORE)"
+        )
+    if args.resume and not args.out:
+        raise UsageError("--resume requires --out")
+    if args.shards is not None and args.store_format != "sharded":
+        raise UsageError("--shards needs --store-format sharded")
+    store = None
+    if args.out:
+        with _usage_errors():
+            store = open_store(
+                args.out, format=args.store_format, n_shards=args.shards
             )
-        return 3
+    # What identifies this sweep's cells, built once for the pool and
+    # for the report's own expansion of the same matrix.
+    matrix = (args.scenarios, args.sizes, args.schedulers)
+    identity = {
+        "workload_seeds": args.seeds,
+        "scheduler_seeds": args.scheduler_seeds,
+        "arrival_mode": args.arrival_mode,
+        "anneal_window": args.anneal_window,
+        **_experiment_kwargs(args),
+    }
+    _check_fault_args(args)
+
+    def interrupted(exc) -> str:
+        detail = f" ({exc})" if str(exc) else ""
+        if store is None:
+            return f"interrupted{detail} (no --out store; nothing persisted)"
+        return (
+            f"interrupted{detail} — {len(store.completed_keys())} cells persisted "
+            f"in {args.out}; re-run with --resume to finish the rest"
+        )
+
+    def finish(runs) -> None:
+        cells = expand_cells(*matrix, **identity)
+        if args.resume:
+            print(f"resumed: {len(cells) - len(runs)} cells already in "
+                  f"{args.out}, {len(runs)} executed")
+        _print_matrix_report(runs, {c.key for c in cells}, store)
+
+    return _drive_sweep(
+        args,
+        partial(run_matrix_parallel, *matrix, **identity, resume=args.resume),
+        store,
+        on_cell_failure=args.on_cell_failure,
+        interrupted=interrupted,
+        finish=finish,
+        failed_head=(
+            "\n{n} cell(s) quarantined after exhausting retries "
+            "(every other cell completed):"
+        ),
+        failed_foot=None if store is None else (
+            f"details in {store.sidecar_path}; the quarantined cells are "
+            "not persisted and will re-run under --resume"
+        ),
+    )
+
+
+def _cmd_store_doctor(args) -> int:
+    store = _open_archive(args.path, must_exist=True)
+    doc = store.doctor(dry_run=args.dry_run, dedupe=args.dedupe)
+    print(doc.summary())
+    return 0 if doc.clean else 1
+
+
+def _cmd_store_migrate(args) -> int:
+    from repro.experiments import storage
+
+    merging = storage.detect_format(args.src) == "sharded"
+    if merging and args.shards is not None:
+        raise UsageError(
+            "--shards applies when splitting jsonl -> sharded, not merging back"
+        )
+    with _usage_errors():
+        if merging:
+            rep = storage.migrate_to_jsonl(args.src, args.dest)
+        else:
+            n_shards = (
+                storage.DEFAULT_SHARDS if args.shards is None else args.shards
+            )
+            rep = storage.migrate_to_sharded(
+                args.src, args.dest, n_shards=n_shards
+            )
+    print(rep.summary())
+    return 0
+
+
+def _cmd_store_digest(args) -> int:
+    from repro.experiments.storage import store_digest
+
+    store = _open_archive(args.path, must_exist=True)
+    with _usage_errors():
+        print(store_digest(store))
+    return 0
+
+
+def _cmd_report(args) -> int:
+    where = {}
+    for item in args.where or ():
+        field, sep, value = item.partition("=")
+        if not sep or not field:
+            raise UsageError(f"bad --where {item!r} (expected FIELD=VALUE)")
+        where[field] = value
+    store = _open_archive(args.store)
+    with _usage_errors():
+        blocks = figures.store_blocks(store, where=where)
+    if not blocks:
+        print(f"no runs in {args.store}", file=sys.stderr)
+        return 1
+    if where:
+        print(f"== {report.describe_where(where)}\n")
+    print(report.render_matrix_blocks(blocks))
+    return 0
+
+
+def _cmd_serve(args) -> int:
+    import asyncio
+
+    from repro.service.server import run_server
+
+    if args.host is None and args.port:
+        raise UsageError("--port needs --host (or use --socket PATH)")
+
+    try:
+        asyncio.run(
+            run_server(
+                socket_path=args.socket,
+                host=args.host,
+                port=args.port,
+                store_path=args.store,
+                store_format=args.store_format,
+                workers=args.workers,
+                cache_size=args.cache_size,
+                ready=lambda server: print(
+                    f"repro-sched daemon listening on {server.address}",
+                    flush=True,
+                ),
+            )
+        )
+    except KeyboardInterrupt:  # pragma: no cover - signal race
+        pass
+    print("daemon stopped", flush=True)
+    return 0
+
+
+def _cmd_compare(args) -> int:
+    from repro.analysis.significance import (
+        compare_schedulers,
+        render_comparison,
+    )
+
+    comps = compare_schedulers(
+        args.scenario, args.n_jobs, args.a, args.b, n_seeds=args.seeds
+    )
+    print(
+        f"== {args.scenario}, {args.n_jobs} jobs, "
+        f"{args.seeds} workload seeds (paired)"
+    )
+    print(render_comparison(comps, args.a, args.b))
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.command == "list":
-        print("Scenarios:")
-        for name, spec in SCENARIOS.items():
-            print(f"  {name:20s} {spec.description}")
-        print("Schedulers:")
-        for name in available_schedulers():
-            print(f"  {name}")
-        print("Disruption presets:")
-        for name, dspec in DISRUPTION_PRESETS.items():
-            print(f"  {name:20s} {dspec.signature()}")
-        return 0
-
-    if args.command == "fig2":
-        samples = figures.figure2(
-            model=args.model, n_jobs=args.n_jobs, seed=args.seed
-        )
-        for sample in samples:
-            print(sample.render())
-            print()
-        return 0
-
-    if args.command == "fig3":
-        data = figures.figure3(
-            n_jobs=args.n_jobs,
-            workload_seed=args.seed,
-            scheduler_seed=args.scheduler_seed,
-        )
-        print(report.render_figure3(data))
-        return 0
-
-    if args.command == "fig4":
-        data = figures.figure4(
-            sizes=args.sizes,
-            workload_seed=args.seed,
-            scheduler_seed=args.scheduler_seed,
-        )
-        print(report.render_figure4(data))
-        return 0
-
-    if args.command == "fig5":
-        data = figures.figure5(
-            n_jobs=args.n_jobs,
-            workload_seed=args.seed,
-            scheduler_seed=args.scheduler_seed,
-        )
-        print(
-            report.render_overhead_table(
-                data,
-                key_label="scenario",
-                title="Figure 5 — overhead per scenario (60 jobs)",
-            )
-        )
-        return 0
-
-    if args.command == "fig6":
-        data = figures.figure6(
-            sizes=args.sizes,
-            workload_seed=args.seed,
-            scheduler_seed=args.scheduler_seed,
-        )
-        print(
-            report.render_overhead_table(
-                data,
-                key_label="n_jobs",
-                title="Figure 6 — overhead scaling (heterogeneous mix)",
-            )
-        )
-        return 0
-
-    if args.command == "fig7":
-        data = figures.figure7(
-            n_jobs=args.n_jobs,
-            n_repeats=args.repeats,
-            workload_seed=args.seed,
-        )
-        print(report.render_figure7(data))
-        return 0
-
-    if args.command == "fig8":
-        data = figures.figure8(
-            n_jobs=args.n_jobs,
-            trace_seed=args.trace_seed,
-            scheduler_seed=args.scheduler_seed,
-        )
-        print(report.render_figure8(data))
-        return 0
-
-    if args.command == "matrix":
-        from repro.experiments.parallel import (
-            DEFAULT_RETRY_BACKOFF_S,
-            CellFailedError,
-        )
-
-        if args.retry_failed is not None:
-            if args.scenarios or args.sizes or args.resume or args.out:
-                print(
-                    "error: --retry-failed takes the cell list from the "
-                    "failure sidecar; it cannot be combined with "
-                    "--scenarios/--sizes/--out/--resume",
-                    file=sys.stderr,
-                )
-                return 2
-            try:
-                _check_fault_args(args)
-            except DisruptionArgsError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            return _matrix_retry_failed(args)
-        if not args.scenarios or not args.sizes:
-            print(
-                "error: --scenarios and --sizes are required "
-                "(or use --retry-failed STORE)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.resume and not args.out:
-            print("error: --resume requires --out", file=sys.stderr)
-            return 2
-        if args.shards is not None and args.store_format != "sharded":
-            print(
-                "error: --shards needs --store-format sharded",
-                file=sys.stderr,
-            )
-            return 2
-        store = None
-        if args.out:
-            try:
-                store = open_store(
-                    args.out,
-                    format=args.store_format,
-                    n_shards=args.shards,
-                )
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        try:
-            disruption_spec = _build_disruption_spec(args)
-            topology = _build_topology(args)
-            _check_anneal_window(args)
-            _check_fault_args(args)
-        except DisruptionArgsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        restart_policy = args.restart_policy.replace("-", "_")
-
-        def progress(cell, completed, total):
-            print(
-                f"[{completed}/{total}] {cell.scenario} n={cell.n_jobs} "
-                f"{cell.scheduler} wseed={cell.workload_seed} "
-                f"sseed={cell.scheduler_seed}",
-                flush=True,
-            )
-
-        failures: list[FailedCell] = []
-        try:
-            runs = run_matrix_parallel(
-                args.scenarios,
-                args.sizes,
-                args.schedulers,
-                workload_seeds=args.seeds,
-                scheduler_seeds=args.scheduler_seeds,
-                arrival_mode=args.arrival_mode,
-                disruptions=disruption_spec,
-                restart_policy=restart_policy,
-                checkpoint_interval=args.checkpoint_interval,
-                topology=topology,
-                anneal_window=args.anneal_window,
-                workers=args.workers,
-                store=store,
-                resume=args.resume,
-                progress=progress,
-                cell_timeout=args.cell_timeout,
-                max_retries=args.max_retries,
-                retry_backoff_s=(
-                    DEFAULT_RETRY_BACKOFF_S
-                    if args.retry_backoff is None
-                    else args.retry_backoff
-                ),
-                on_cell_failure=args.on_cell_failure,
-                failures=failures,
-            )
-        except KeyboardInterrupt as exc:
-            detail = f" ({exc})" if str(exc) else ""
-            if store is not None:
-                print(
-                    f"\ninterrupted{detail} — "
-                    f"{len(store.completed_keys())} cells persisted in "
-                    f"{args.out}; re-run with --resume to finish the "
-                    "rest",
-                    file=sys.stderr,
-                )
-            else:
-                print(
-                    f"\ninterrupted{detail} (no --out store; nothing "
-                    "persisted)",
-                    file=sys.stderr,
-                )
-            return 130
-        except CellFailedError as exc:
-            print(f"\nerror: sweep aborted — {exc}", file=sys.stderr)
-            if store is not None:
-                print(
-                    f"{len(store.completed_keys())} cells persisted in "
-                    f"{args.out}; fix the failure and re-run with "
-                    "--resume (or use --on-cell-failure quarantine to "
-                    "finish around it)",
-                    file=sys.stderr,
-                )
-            return 1
-        cells = expand_cells(
-            args.scenarios,
-            args.sizes,
-            args.schedulers,
-            workload_seeds=args.seeds,
-            scheduler_seeds=args.scheduler_seeds,
-            arrival_mode=args.arrival_mode,
-            disruptions=disruption_spec,
-            restart_policy=restart_policy,
-            checkpoint_interval=args.checkpoint_interval,
-            topology=topology,
-            anneal_window=args.anneal_window,
-        )
-        if args.resume:
-            print(f"resumed: {len(cells) - len(runs)} cells already in "
-                  f"{args.out}, {len(runs)} executed")
-        # Report this invocation's matrix: fresh results win, persisted
-        # runs fill in resumed cells, and unrelated sweeps sharing the
-        # store file stay out of the output. Tolerate corrupt lines
-        # here — the sweep itself succeeded; damage on disk is surfaced
-        # loudly by --resume and repaired by `store doctor`.
-        source = list(runs)
-        if store is not None:
-            fresh = {r.key for r in runs}
-            wanted = {c.key for c in cells}
-            # Keyed backend query: only the wanted cells come back (on
-            # a sharded store, only their shards are even parsed).
-            source += list(
-                store.iter_runs(
-                    keys=wanted - fresh, on_corrupt="quarantine"
-                )
-            )
-        if source:
-            print(report.render_matrix_blocks(figures.matrix_blocks(source)))
-        if failures:
-            print(
-                f"\n{len(failures)} cell(s) quarantined after exhausting "
-                "retries (every other cell completed):",
-                file=sys.stderr,
-            )
-            for fc in failures:
-                print(
-                    f"  {fc.label}: {fc.kind} x{fc.attempts} — "
-                    f"{fc.error_type}: {fc.message}",
-                    file=sys.stderr,
-                )
-            if store is not None:
-                print(
-                    f"details in {store.sidecar_path}; the quarantined "
-                    "cells are not persisted and will re-run under "
-                    "--resume",
-                    file=sys.stderr,
-                )
-            return 3
-        return 0
-
-    if args.command == "store":
-        from repro.experiments.storage import (
-            DEFAULT_SHARDS,
-            detect_format,
-            migrate_to_jsonl,
-            migrate_to_sharded,
-            store_digest,
-        )
-
-        if args.store_command == "doctor":
-            if not Path(args.path).exists():
-                print(f"error: no store at {args.path}", file=sys.stderr)
-                return 2
-            store = open_store(args.path)
-            doc = store.doctor(dry_run=args.dry_run, dedupe=args.dedupe)
-            print(doc.summary())
-            return 0 if doc.clean else 1
-
-        if args.store_command == "migrate":
-            try:
-                src_format = detect_format(args.src)
-                if src_format == "sharded":
-                    if args.shards is not None:
-                        print(
-                            "error: --shards applies when splitting "
-                            "jsonl -> sharded, not merging back",
-                            file=sys.stderr,
-                        )
-                        return 2
-                    rep = migrate_to_jsonl(args.src, args.dest)
-                else:
-                    rep = migrate_to_sharded(
-                        args.src,
-                        args.dest,
-                        n_shards=(
-                            args.shards
-                            if args.shards is not None
-                            else DEFAULT_SHARDS
-                        ),
-                    )
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(rep.summary())
-            return 0
-
-        assert args.store_command == "digest"
-        if not Path(args.path).exists():
-            print(f"error: no store at {args.path}", file=sys.stderr)
-            return 2
-        try:
-            print(store_digest(open_store(args.path)))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    if args.command == "report":
-        where = None
-        if args.where:
-            where = {}
-            for item in args.where:
-                field, sep, value = item.partition("=")
-                if not sep or not field:
-                    print(
-                        f"error: bad --where {item!r} (expected "
-                        "FIELD=VALUE)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                where[field] = value
-        try:
-            blocks = figures.store_blocks(
-                open_store(args.store), where=where
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not blocks:
-            print(f"no runs in {args.store}", file=sys.stderr)
-            return 1
-        if where:
-            print(f"== {report.describe_where(where)}\n")
-        print(report.render_matrix_blocks(blocks))
-        return 0
-
-    if args.command == "run":
-        try:
-            disruption_spec = _build_disruption_spec(args)
-            topology = _build_topology(args)
-            _check_anneal_window(args)
-        except DisruptionArgsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        restart_policy = args.restart_policy.replace("-", "_")
-        run = run_single(
-            args.scenario,
-            args.n_jobs,
-            args.scheduler,
-            workload_seed=args.seed,
-            scheduler_seed=args.scheduler_seed,
-            arrival_mode=args.arrival_mode,
-            enforce_walltime=args.enforce_walltime,
-            max_decisions=args.max_decisions,
-            topology=topology,
-            disruptions=disruption_spec,
-            restart_policy=restart_policy,
-            checkpoint_interval=args.checkpoint_interval,
-            anneal_window=args.anneal_window,
-        )
-        base = run_single(
-            args.scenario,
-            args.n_jobs,
-            "fcfs",
-            workload_seed=args.seed,
-            arrival_mode=args.arrival_mode,
-            enforce_walltime=args.enforce_walltime,
-            topology=topology,
-            disruptions=disruption_spec,
-            restart_policy=restart_policy,
-            checkpoint_interval=args.checkpoint_interval,
-        )
-        block = {
-            "fcfs": normalize_to_baseline(base.values, base.values),
-            run.scheduler: normalize_to_baseline(run.values, base.values),
-        }
-        print(
-            report.render_normalized_block(
-                block,
-                f"{args.scenario}, {args.n_jobs} jobs, {run.scheduler}",
-            )
-        )
-        if run.disruption_sig != "none":
-            kills = run.result.extras.get("disruption_kills", {})
-            print(
-                f"\ndisruptions [{run.disruption_sig}]: "
-                f"{len(run.result.preemptions)} preemptions "
-                f"(failures={kills.get('failure', 0)}, "
-                f"drains={kills.get('drain', 0)}, "
-                f"voluntary={kills.get('preempt', 0)})"
-            )
-            domain_kills = run.result.extras.get("domain_kills")
-            if domain_kills:
-                per_domain = ", ".join(
-                    f"{dom}={n}" for dom, n in domain_kills.items()
-                )
-                print(
-                    f"blast radius [{run.topology_sig}]: kills by "
-                    f"domain: {per_domain}"
-                )
-        if run.overhead is not None:
-            print(f"\nLLM overhead: {run.overhead.latency}")
-            print(f"total elapsed (accepted placements): "
-                  f"{run.overhead.elapsed_s:.1f}s over "
-                  f"{run.overhead.n_calls} calls")
-        return 0
-
-    if args.command == "serve":
-        import asyncio
-
-        from repro.service.server import run_server
-
-        if args.host is None and args.port:
-            print(
-                "error: --port needs --host (or use --socket PATH)",
-                file=sys.stderr,
-            )
-            return 2
-
-        def ready(server) -> None:
-            print(
-                f"repro-sched daemon listening on {server.address}",
-                flush=True,
-            )
-
-        try:
-            asyncio.run(
-                run_server(
-                    socket_path=args.socket,
-                    host=args.host,
-                    port=args.port,
-                    store_path=args.store,
-                    store_format=args.store_format,
-                    workers=args.workers,
-                    cache_size=args.cache_size,
-                    ready=ready,
-                )
-            )
-        except KeyboardInterrupt:  # pragma: no cover - signal race
-            pass
-        print("daemon stopped", flush=True)
-        return 0
-
-    if args.command == "compare":
-        from repro.analysis.significance import (
-            compare_schedulers,
-            render_comparison,
-        )
-
-        comps = compare_schedulers(
-            args.scenario,
-            args.n_jobs,
-            args.a,
-            args.b,
-            n_seeds=args.seeds,
-        )
-        print(
-            f"== {args.scenario}, {args.n_jobs} jobs, "
-            f"{args.seeds} workload seeds (paired)"
-        )
-        print(render_comparison(comps, args.a, args.b))
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    try:
+        return args.handler(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -165,26 +165,44 @@ def _normalized_block(
     }
 
 
-def _run_all(
-    scenario: str,
-    n_jobs: int,
+def _overheads(
+    runs: Mapping[str, ExperimentRun]
+) -> dict[str, OverheadSummary]:
+    """{model: OverheadSummary} for one workload instance."""
+    out: dict[str, OverheadSummary] = {}
+    for model, run in runs.items():
+        assert run.overhead is not None
+        out[model] = run.overhead
+    return out
+
+
+def _sweep(
+    instances,
     schedulers: Sequence[str],
+    summarize,
     *,
     workload_seed: int,
     scheduler_seed: int,
-) -> dict[str, ExperimentRun]:
-    jobs = generate_workload(scenario, n_jobs, seed=workload_seed)
-    return {
-        name: run_single(
-            scenario,
-            n_jobs,
-            name,
-            workload_seed=workload_seed,
-            scheduler_seed=scheduler_seed,
-            jobs=jobs,
-        )
-        for name in schedulers
-    }
+) -> dict:
+    """The one body behind Figs. 3–6: ``{label: summarize(runs)}`` over
+    ``(label, scenario, n_jobs)`` workload instances, every scheduler
+    run on the same generated jobs. Figs. 3/5 iterate the scenario
+    axis, Figs. 4/6 the queue-size axis."""
+    out = {}
+    for label, scenario, n_jobs in instances:
+        jobs = generate_workload(scenario, n_jobs, seed=workload_seed)
+        out[label] = summarize({
+            name: run_single(
+                scenario,
+                n_jobs,
+                name,
+                workload_seed=workload_seed,
+                scheduler_seed=scheduler_seed,
+                jobs=jobs,
+            )
+            for name in schedulers
+        })
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +293,13 @@ def figure3(
     Heterogeneous Mix is excluded by default, as in the paper (§3.5 —
     it is covered by the scalability analysis).
     """
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for scenario in scenarios:
-        runs = _run_all(
-            scenario,
-            n_jobs,
-            schedulers,
-            workload_seed=workload_seed,
-            scheduler_seed=scheduler_seed,
-        )
-        out[scenario] = _normalized_block(runs)
-    return out
+    return _sweep(
+        [(scenario, scenario, n_jobs) for scenario in scenarios],
+        schedulers,
+        _normalized_block,
+        workload_seed=workload_seed,
+        scheduler_seed=scheduler_seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +318,13 @@ def figure4(
 
     Returns ``{n_jobs: {scheduler: {metric: normalized}}}``.
     """
-    out: dict[int, dict[str, dict[str, float]]] = {}
-    for n_jobs in sizes:
-        runs = _run_all(
-            scenario,
-            n_jobs,
-            schedulers,
-            workload_seed=workload_seed,
-            scheduler_seed=scheduler_seed,
-        )
-        out[n_jobs] = _normalized_block(runs)
-    return out
+    return _sweep(
+        [(n_jobs, scenario, n_jobs) for n_jobs in sizes],
+        schedulers,
+        _normalized_block,
+        workload_seed=workload_seed,
+        scheduler_seed=scheduler_seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +343,13 @@ def figure5(
 
     Returns ``{scenario: {model: OverheadSummary}}``.
     """
-    out: dict[str, dict[str, OverheadSummary]] = {}
-    for scenario in scenarios:
-        jobs = generate_workload(scenario, n_jobs, seed=workload_seed)
-        per_model: dict[str, OverheadSummary] = {}
-        for model in models:
-            run = run_single(
-                scenario,
-                n_jobs,
-                model,
-                workload_seed=workload_seed,
-                scheduler_seed=scheduler_seed,
-                jobs=jobs,
-            )
-            assert run.overhead is not None
-            per_model[model] = run.overhead
-        out[scenario] = per_model
-    return out
+    return _sweep(
+        [(scenario, scenario, n_jobs) for scenario in scenarios],
+        models,
+        _overheads,
+        workload_seed=workload_seed,
+        scheduler_seed=scheduler_seed,
+    )
 
 
 def figure6(
@@ -364,23 +364,13 @@ def figure6(
 
     Returns ``{n_jobs: {model: OverheadSummary}}``.
     """
-    out: dict[int, dict[str, OverheadSummary]] = {}
-    for n_jobs in sizes:
-        jobs = generate_workload(scenario, n_jobs, seed=workload_seed)
-        per_model: dict[str, OverheadSummary] = {}
-        for model in models:
-            run = run_single(
-                scenario,
-                n_jobs,
-                model,
-                workload_seed=workload_seed,
-                scheduler_seed=scheduler_seed,
-                jobs=jobs,
-            )
-            assert run.overhead is not None
-            per_model[model] = run.overhead
-        out[n_jobs] = per_model
-    return out
+    return _sweep(
+        [(n_jobs, scenario, n_jobs) for n_jobs in sizes],
+        models,
+        _overheads,
+        workload_seed=workload_seed,
+        scheduler_seed=scheduler_seed,
+    )
 
 
 # ---------------------------------------------------------------------------

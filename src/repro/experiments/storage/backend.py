@@ -75,9 +75,10 @@ class StoreBackend(Protocol):
 
 
 def detect_format(path: Union[str, Path]) -> Optional[str]:
-    """What is on disk at *path*: ``"sharded"`` (a directory with a
-    manifest or shard files), ``"jsonl"`` (a file), or ``None``
-    (nothing yet — the caller's requested format decides)."""
+    """The layout *path* would open as: ``"sharded"`` (any directory —
+    a store, or the place a fresh one is laid out; ``is_sharded_store``
+    tells the two apart), ``"jsonl"`` (a file), or ``None`` (nothing
+    yet — the caller's requested format decides)."""
     p = Path(path)
     if p.is_dir():
         return "sharded"

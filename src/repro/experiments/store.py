@@ -285,6 +285,51 @@ class StoredRun:
             raise ValueError(f"store line missing field: {exc}") from exc
 
 
+def _repair_tail(path: Path, parse) -> None:
+    """Fix a final line left without its newline by a killed write.
+
+    Shared by every append-only JSONL file here (run archive, failure
+    sidecar); *parse* is that file's line parser, raising
+    ``ValueError`` on a bad line. A parseable tail lost only the
+    ``\\n`` — it is a complete record (``load`` already counts it), so
+    the newline is restored. An unparseable tail is a genuinely
+    partial write and is truncated away; without that, the next append
+    would glue its JSON onto the fragment, turning a tolerated
+    truncated tail into interior corruption that poisons every later
+    ``load``. Costs two seeks and one byte read when the file is
+    healthy.
+    """
+    if not path.exists():
+        return
+    with path.open("r+b") as fh:
+        fh.seek(0, os.SEEK_END)
+        size = fh.tell()
+        if size == 0:
+            return
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return
+        # Scan backwards for the last newline, chunk at a time.
+        last_nl = -1
+        pos = size
+        while pos > 0 and last_nl < 0:
+            start = max(0, pos - 65536)
+            fh.seek(start)
+            idx = fh.read(pos - start).rfind(b"\n")
+            if idx >= 0:
+                last_nl = start + idx
+            pos = start
+        fh.seek(last_nl + 1)
+        tail = fh.read().decode("utf-8", errors="replace")
+        try:
+            parse(tail)
+        except ValueError:
+            fh.truncate(last_nl + 1 if last_nl >= 0 else 0)
+        else:
+            fh.seek(0, os.SEEK_END)
+            fh.write(b"\n")
+
+
 class RunStore:
     """Append-only JSONL store of :class:`StoredRun` lines.
 
@@ -323,47 +368,6 @@ class RunStore:
         self._cache = None
 
     # -- writing ---------------------------------------------------------
-    def _repair_tail(self) -> None:
-        """Fix a final line left without its newline by a killed write.
-
-        A parseable tail lost only the ``\\n`` — it is a complete run
-        (``load`` already counts it), so the newline is restored. An
-        unparseable tail is a genuinely partial write and is truncated
-        away; without that, the next append would glue its JSON onto
-        the fragment, turning a tolerated truncated tail into interior
-        corruption that poisons every later ``load``. Costs two seeks
-        and one byte read when the file is healthy.
-        """
-        if not self.path.exists():
-            return
-        with self.path.open("r+b") as fh:
-            fh.seek(0, os.SEEK_END)
-            size = fh.tell()
-            if size == 0:
-                return
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) == b"\n":
-                return
-            # Scan backwards for the last newline, chunk at a time.
-            last_nl = -1
-            pos = size
-            while pos > 0 and last_nl < 0:
-                start = max(0, pos - 65536)
-                fh.seek(start)
-                idx = fh.read(pos - start).rfind(b"\n")
-                if idx >= 0:
-                    last_nl = start + idx
-                pos = start
-            fh.seek(last_nl + 1)
-            tail = fh.read().decode("utf-8", errors="replace")
-            try:
-                StoredRun.from_json(tail)
-            except ValueError:
-                fh.truncate(last_nl + 1 if last_nl >= 0 else 0)
-            else:
-                fh.seek(0, os.SEEK_END)
-                fh.write(b"\n")
-
     #: How many times ``append`` retries a failed write before letting
     #: the ``OSError`` surface. Disk-full is frequently transient on
     #: shared filesystems (another sweep's temp files, a log rotation);
@@ -388,7 +392,7 @@ class RunStore:
         last_err: Optional[OSError] = None
         for _attempt in range(1 + self.APPEND_RETRIES):
             try:
-                self._repair_tail()
+                _repair_tail(self.path, StoredRun.from_json)
                 # Chaos-harness hook: with a fault plan active this may
                 # tear or garble the line, or raise a synthetic ENOSPC
                 # (see faultinject); without one — the production
@@ -767,30 +771,43 @@ class FailureSidecar:
 
     def append(self, failed: FailedCell) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        _repair_tail(self.path, FailedCell.from_json)
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(failed.to_json() + "\n")
             fh.flush()
             os.fsync(fh.fileno())
 
     def load(self) -> list[FailedCell]:
+        """Every record, in file order. As in :meth:`RunStore.load`, an
+        unparseable final line is dropped only when it also lacks its
+        newline (a sweep killed mid-append); any other bad line raises.
+        """
         if not self.path.exists():
             return []
         records = []
         with self.path.open("r", encoding="utf-8") as fh:
             for line in fh:
-                if line.strip():
+                if not line.strip():
+                    continue
+                try:
                     records.append(FailedCell.from_json(line))
+                except ValueError:
+                    # Only the last line of a file can lack its "\n".
+                    if line.endswith("\n"):
+                        raise
         return records
 
     def prune(self, keys: set[CellKey]) -> int:
         """Drop records whose key is in *keys* (cells that have since
         succeeded — ``matrix --retry-failed`` calls this after a
-        retried cell lands in the store). Atomic rewrite; returns how
-        many records were removed. An emptied sidecar is deleted so a
+        retried cell lands in the store) and compact the rest to one
+        record per cell, the last written winning (a cell that failed
+        again appended a refreshed record). Atomic rewrite; returns how
+        many records were dropped. An emptied sidecar is deleted so a
         fully-recovered sweep leaves no ``.failures`` file behind.
         """
         records = self.load()
-        survivors = [r for r in records if r.key not in keys]
+        survivors = {r.key: r for r in records if r.key not in keys}
         removed = len(records) - len(survivors)
         if not removed:
             return 0
@@ -799,7 +816,7 @@ class FailureSidecar:
             return removed
         tmp = self.path.with_name(self.path.name + ".prune.tmp")
         tmp.write_text(
-            "".join(r.to_json() + "\n" for r in survivors),
+            "".join(r.to_json() + "\n" for r in survivors.values()),
             encoding="utf-8",
         )
         os.replace(tmp, self.path)
