@@ -15,11 +15,13 @@ Three layers, matching how often each changes:
   workload position. Built **once per run** (lazily, on the first
   columnar access) and shared by every view of that run; the no-copy
   property test pins exactly this sharing.
-* :class:`QueueColumns` — the queue-order projection: the engine's
-  live-position selector over the masters. Rebuilt only when the queue
-  actually changes (the same cadence as the cached ``queued`` tuple);
-  gathered columns are cached per rebuild, so a stable backlog pays
-  zero per-decision gather cost.
+* :class:`QueueColumns` — the queue-order projection: a private copy
+  of the engine's queued positions, selecting over the masters. Taken
+  only when the queue actually changes (the same cadence as the cached
+  ``queued`` tuple) and never aliasing a container the engine goes on
+  mutating, so a retained view keeps the queue of its own instant;
+  gathered columns are cached per copy, so a stable backlog pays zero
+  per-decision gather cost.
 * :class:`ViewColumns` — the per-view handle returned by
   :meth:`~repro.sim.simulator.SystemView.columns`: queue columns plus
   the view's capacity scalars/vectors and the derived per-decision
@@ -112,8 +114,11 @@ class QueueColumns:
 
     ``sel`` holds the workload positions of the queued jobs in queue
     order (``None`` means the identity selector: masters already *are*
-    queue order — the hand-built-view fallback). Gathers are lazy and
-    cached, so they run once per queue change, not once per decision.
+    queue order — the hand-built-view fallback). The projection owns
+    it: the engine hands over an ``array('q')`` copy, which the first
+    ``sel`` access wraps through the buffer protocol with no
+    per-element conversion. Gathers are lazy and cached, so they run
+    once per queue change, not once per decision.
     """
 
     __slots__ = ("_masters", "_sel", "n", "_gathered")

@@ -8,9 +8,10 @@ indexed by workload position, the event stream is an
 primitive-tuple completion lane, no per-event objects), and the
 running-set indexes (walltime expiry, next completion) are flat sorted
 arrays with in-place shift maintenance. Queue membership is a state
-code array plus an order array with vectorized purge/compaction, so
-requeue bookkeeping after kills is a masked copy instead of a Python
-list rebuild.
+code array; the queue itself is maintained, never re-derived: the
+queued workload positions and their ``Job`` objects sit side by side
+in queue order, appended to on enqueue and deleted from on start, so a
+snapshot is a plain copy of both.
 
 **Byte-identity is the contract.** Every observable of a run — job
 records, decision stream, preemption records, view contents handed to
@@ -31,9 +32,9 @@ layout buys on top of the object loop:
   arrival + disruption schedule — popped off sorted arrays by cursor;
 * O(1) next-completion lookup per view instead of an O(running) scan;
 * the queued-jobs tuple (and its id index) is cached across decision
-  points and rebuilt only when the queue actually changes — completions
+  points and re-copied only when the queue actually changes — completions
   and time advances on a deep backlog no longer pay O(queue) each;
-* kills purge/requeue through masked array ops.
+* a killed job is not in the queue, so its requeue is a plain append.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from array import array
 from bisect import bisect_left
 from functools import cache, partial
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
 
 from repro.sim.actions import Action, ActionKind
 from repro.sim.columns import JobColumns, QueueColumns, ViewColumns
@@ -107,47 +106,6 @@ if tuple(f.name for f in dataclasses.fields(RunningJob)) != (
         "RunningJob fields changed; update the fast constructor in "
         "EngineState.start to match"
     )
-
-
-class QueueChurnCrossover:
-    """Adaptive scalar/vector crossover for queue-snapshot rebuilds.
-
-    ``build_view`` filters the order array down to live queue entries
-    either with a Python loop (cheap on short, mostly-live scans) or a
-    vectorized mask (cheap on long or stale-heavy scans). The old fixed
-    64-entry crossover priced only *length*; under bursty churn — kills
-    and requeues leaving many stale placed ids between compactions —
-    the scalar loop wastes Python-level work on entries numpy would
-    mask in bulk, so the crossover should drop.
-
-    This helper tracks an EWMA of the observed stale fraction per
-    rebuild and lowers the threshold linearly from :data:`BASE`
-    (all-live queues, the old constant) to :data:`FLOOR` (fully stale
-    scans). Both paths produce identical snapshots and apply the same
-    compaction rule, so the tuning affects constant factors only —
-    never an observable.
-    """
-
-    BASE = 64
-    FLOOR = 16
-    #: EWMA smoothing: one burst moves the threshold a quarter of the
-    #: way; sustained churn converges within a handful of rebuilds.
-    ALPHA = 0.25
-
-    __slots__ = ("threshold", "_stale_ewma")
-
-    def __init__(self) -> None:
-        self.threshold: float = float(self.BASE)
-        self._stale_ewma = 0.0
-
-    def observe(self, scanned: int, live: int) -> None:
-        """Record one rebuild that scanned *scanned* order entries and
-        found *live* of them queued; retune the threshold."""
-        if scanned <= 0:
-            return
-        stale = 1.0 - live / scanned
-        self._stale_ewma += self.ALPHA * (stale - self._stale_ewma)
-        self.threshold = self.BASE - (self.BASE - self.FLOOR) * self._stale_ewma
 
 
 class _SortedIndex:
@@ -303,7 +261,7 @@ class EngineState:
         # clock and calendar
         "now", "cal",
         # job lifecycle codes and the queue over them
-        "state", "state_np", "order", "order_len", "n_queued", "n_blocked",
+        "state", "queue_pos", "queue_jobs", "n_queued", "n_blocked",
         "pending_arrivals", "dependents", "completed_ids", "completed_set",
         "queued_map",
         # running set and its sorted indexes
@@ -317,7 +275,7 @@ class EngineState:
         "decisions",
         # snapshots and what they are built from
         "_view", "_prev_view", "_running_snap", "_queue_snap",
-        "_completed_log", "masters", "crossover",
+        "_completed_log", "masters",
         # static per-run cluster facts, off the per-decision path
         "topo", "has_domains", "drains",
     )
@@ -340,16 +298,14 @@ class EngineState:
         self.cal = _static_calendar(jobs, trace, calendar)
 
         # One lifecycle code per workload position. A bytearray, not a
-        # numpy array: every hot access is a scalar read/write (plain
-        # Python ints, no numpy boxing), while the vectorized paths go
-        # through a zero-copy int8 view of the same buffer.
+        # numpy array: every access is a scalar read/write (plain
+        # Python ints, no numpy boxing).
         self.state = bytearray(n_jobs)  # zero-filled == _PENDING
-        self.state_np = np.frombuffer(self.state, dtype=np.int8)
-        # Queue order: workload positions, each at most once (kill
-        # purges a job's stale entry before requeueing it), so n_jobs
-        # slots always suffice. Placed ids linger until compaction.
-        self.order = np.empty(n_jobs, dtype=np.int64)
-        self.order_len = 0
+        # The live queue, in queue order (arrival order, requeues at
+        # the tail): workload positions and the jobs at them, kept
+        # element for element equal by _enqueue and start.
+        self.queue_pos = array("q")
+        self.queue_jobs: list = []
         self.n_queued = 0
         self.n_blocked = 0
         self.pending_arrivals = n_jobs
@@ -404,7 +360,6 @@ class EngineState:
         #: Per-run master columns, built once on first columnar access
         #: and shared by every queue projection of the run.
         self.masters = cache(partial(JobColumns, jobs))
-        self.crossover = QueueChurnCrossover()
 
         self.topo = getattr(cluster, "topology", None)
         self.has_domains = self.topo is not None and not self.topo.is_flat
@@ -427,8 +382,8 @@ class EngineState:
     def _enqueue(self, i: int) -> None:
         self.state[i] = _QUEUED
         self.n_queued += 1
-        self.order[self.order_len] = i
-        self.order_len += 1
+        self.queue_pos.append(i)
+        self.queue_jobs.append(self.jobs[i])
         self.queue_changed()
 
     def start(self, i: int) -> None:
@@ -436,9 +391,14 @@ class EngineState:
         schedule its completion."""
         self.state[i] = _RUNNING
         self.n_queued -= 1
+        queue_pos = self.queue_pos
+        # FCFS-shaped policies start the head; anything else costs one
+        # C-level search.
+        at = 0 if queue_pos[0] == i else queue_pos.index(i)
+        del queue_pos[at]
+        job = self.queue_jobs.pop(at)
         self.queue_changed()
         self.running_changed()
-        job = self.jobs[i]
         job_id = job.job_id
         start = self.now
         self.cluster.allocate(job)
@@ -507,17 +467,7 @@ class EngineState:
                 saved = max(saved, self.last_announce - run.start_time)
             saved = min(saved, elapsed)
         self.remaining[job_id] = prior - saved
-        i = self.idx_of[job_id]
-        # Vectorized purge of the job's stale order entry (placed ids
-        # linger until compaction; a duplicate would show the requeued
-        # job twice in every view's queue).
-        live = self.order[: self.order_len]
-        keep = live != i
-        if not keep.all():
-            kept = live[keep]
-            self.order[: kept.size] = kept
-            self.order_len = int(kept.size)
-        self._enqueue(i)
+        self._enqueue(self.idx_of[job_id])
         self.stopped = False
         self.final_stop_asked = False
         self.n_kills[reason] += 1
@@ -648,34 +598,12 @@ class EngineState:
 
     # -- the view ------------------------------------------------------
     def _snapshot_queue(self) -> tuple[tuple, QueueColumns]:
-        """Filter the order array down to the live queue (compacting it
-        when mostly stale); the queued tuple and its columns."""
-        order, order_len = self.order, self.order_len
-        crossover = self.crossover
-        if order_len <= crossover.threshold:
-            # Scalar path: on a short queue (the steady-state regime)
-            # vectorized masking costs more in numpy dispatch than it
-            # saves. The crossover adapts to the observed churn rate
-            # (see QueueChurnCrossover).
-            state = self.state
-            ids = live = [
-                i for i in order[:order_len].tolist() if state[i] == _QUEUED
-            ]
-            n_live = len(live)
-        else:
-            # A fresh boolean-index copy, never a view of the order
-            # array — safe to hold as the columns' selector.
-            live = order[:order_len]
-            live = live[self.state_np[live] == _QUEUED]
-            n_live = int(live.size)
-            ids = live.tolist()
-        crossover.observe(order_len, n_live)
-        if order_len > 2 * n_live + 8:
-            order[:n_live] = live
-            self.order_len = n_live
+        """The queued tuple and its columns, as of now: both are
+        copies, so a view kept across a later queue change still shows
+        the queue of its own instant."""
         return (
-            tuple(map(self.jobs.__getitem__, ids)),
-            QueueColumns(self.masters, live, n_live),
+            tuple(self.queue_jobs),
+            QueueColumns(self.masters, self.queue_pos[:], self.n_queued),
         )
 
     def build_view(self) -> SystemView:

@@ -14,10 +14,8 @@
 3. **Vectorized-predicate equivalence**: ``healthy_domain_mask`` is
    elementwise-identical to the scalar ``fits_healthy_domain`` on
    rack-, switch-group-, and cluster-scale node counts.
-4. **Adaptive crossover**: ``QueueChurnCrossover`` lowers the
-   scalar/vector rebuild threshold under bursty churn (stale-heavy
-   scans) and recovers toward the all-live base, without ever touching
-   an observable.
+4. **Queue churn parity**: a high-churn disrupted run (kills and
+   requeues at every failure) is identical to the object oracle's.
 5. **Supersede-counter persistence**: a :class:`ShardedStore` reopened
    mid-sweep resumes its per-shard supersede counts from the manifest,
    so auto-compaction triggers at exactly the configured threshold
@@ -55,7 +53,6 @@ from repro.sim.disruptions import (
     DrainWindow,
     estimate_horizon,
 )
-from repro.sim.engine import QueueChurnCrossover
 from repro.sim.simulator import SystemView, simulate
 from repro.sim.topology import ClusterTopology
 from repro.workloads.generator import generate_workload
@@ -385,48 +382,10 @@ class TestHealthyDomainMask:
         assert healthy_domain_mask(view, nodes).all()
 
 
-class TestQueueChurnCrossover:
-    def test_starts_at_legacy_base(self):
-        assert QueueChurnCrossover().threshold == 64.0
-
-    def test_all_live_scans_keep_base(self):
-        xo = QueueChurnCrossover()
-        for _ in range(20):
-            xo.observe(100, 100)
-        assert xo.threshold == pytest.approx(64.0)
-
-    def test_bursty_churn_lowers_crossover(self):
-        """The satellite's crossover scenario: kills/requeues leave a
-        stale-heavy order array, and scans that a fixed 64 would have
-        taken through the scalar loop flip to the vectorized path."""
-        xo = QueueChurnCrossover()
-        for _ in range(12):
-            xo.observe(100, 10)  # 90% stale — a post-shock rebuild
-        # A 50-entry scan is below the legacy constant but above the
-        # churn-tuned threshold: the old code scalar-loops it, the
-        # adaptive one vectorizes.
-        assert xo.threshold < 50 < QueueChurnCrossover.BASE
-        assert xo.threshold >= QueueChurnCrossover.FLOOR
-
-    def test_recovers_when_churn_subsides(self):
-        xo = QueueChurnCrossover()
-        for _ in range(12):
-            xo.observe(100, 10)
-        low = xo.threshold
-        for _ in range(12):
-            xo.observe(100, 100)
-        assert xo.threshold > low
-        assert xo.threshold > 60.0  # back within reach of BASE
-
-    def test_empty_scan_is_a_no_op(self):
-        xo = QueueChurnCrossover()
-        xo.observe(0, 0)
-        assert xo.threshold == 64.0
-
-    def test_churn_is_invisible_to_observables(self, monkeypatch):
-        """Scalar vs vector path choice never changes behaviour: a
-        high-churn disrupted run digests identically whether every
-        rebuild is forced scalar or forced vectorized."""
+class TestQueueChurn:
+    def test_churn_is_invisible_to_observables(self, object_engine):
+        """Kills requeue at the tail and starts delete mid-queue: a
+        high-churn disrupted run equals the object oracle's."""
         jobs = generate_workload("checkpoint_stress", 80, seed=3)
         trace = SPEC.build(
             n_nodes=256, horizon=estimate_horizon(jobs, 256), topology=None
@@ -441,15 +400,10 @@ class TestQueueChurnCrossover:
                 checkpoint_interval=900.0,
             )
 
-        baseline = run()
-        for forced_threshold in (10 ** 9, 0):  # always-scalar / always-vector
-            monkeypatch.setattr(
-                QueueChurnCrossover, "BASE", forced_threshold
-            )
-            monkeypatch.setattr(
-                QueueChurnCrossover, "FLOOR", forced_threshold
-            )
-            assert_identical(baseline, run())
+        result = run()
+        assert result.preemptions  # the cell really churns
+        with object_engine():
+            assert_identical(result, run())
 
 
 class TestSupersedePersistence:

@@ -1,4 +1,4 @@
-"""``EngineState`` from the outside: audit, isolation, shape.
+"""``EngineState`` from the outside: audit, isolation, views, shape.
 
 1. **Step-wise invariant audit**: :func:`run_audited` drives
    :meth:`EngineState.step` itself and checks the state after every
@@ -12,8 +12,14 @@
    ``RandomScheduler``. Nothing in ``src/`` knows about it.
 2. **Instances share nothing**: two states stepped alternately digest
    exactly as when run alone.
-3. **Shape**: ``engine.py`` keeps no ``nonlocal``, no function longer
-   than the recorded maximum, and one decision site.
+3. **Views**: a view kept across later queue changes still shows the
+   queue of its own instant, columns included; and the queue contents
+   every ``decide`` sees equal the object oracle's, decision by
+   decision, where starts come from the middle, where kills requeue,
+   and where completions unblock dependents.
+4. **Shape**: ``engine.py`` keeps no ``nonlocal``, no function longer
+   than the recorded maximum, one decision site, and one queue
+   representation mutated in two places.
 """
 
 import ast
@@ -35,8 +41,9 @@ from repro.service.protocol import schedule_digest
 from repro.sim.cluster import NodeLevelCluster, ResourcePool
 from repro.sim.disruptions import DisruptionSpec, estimate_horizon
 from repro.sim.engine import EngineState, run_soa
-from repro.sim.simulator import HPCSimulator
+from repro.sim.simulator import HPCSimulator, simulate
 from repro.sim.topology import ClusterTopology
+from repro.workloads.dags import layered_dag_workload
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import _substituted
@@ -81,12 +88,17 @@ def audit(state: EngineState) -> int:
     assert len(running) == codes.count(engine._RUNNING)
     assert len(state.records) == codes.count(engine._COMPLETED)
 
-    # Queue order: no index twice (the capacity bound of the order
-    # array), every queued job present.
-    order = state.order[: state.order_len].tolist()
-    assert len(set(order)) == len(order)
-    queued = {i for i, code in enumerate(codes) if code == engine._QUEUED}
-    assert queued <= set(order)
+    # The queue containers are the live queue, nothing more or less:
+    # exactly the positions coded _QUEUED, each once, with the job at
+    # each position beside it.
+    positions = state.queue_pos.tolist()
+    assert len(positions) == state.n_queued
+    assert sorted(positions) == [
+        i for i, code in enumerate(codes) if code == engine._QUEUED
+    ]
+    assert [id(job) for job in state.queue_jobs] == [
+        id(state.jobs[p]) for p in positions
+    ]
     return held
 
 
@@ -179,6 +191,18 @@ class TestStepwiseAudit:
         run_audited(sim).verify_capacity()
 
 
+def _checkpoint_disrupted(jobs):
+    """Keyword arguments of a ``checkpoint_stress`` run under seeded
+    node failures and drains: kills, requeues at the tail."""
+    return {
+        "disruptions": SPEC.build(
+            n_nodes=256, horizon=estimate_horizon(jobs, 256)
+        ),
+        "restart_policy": "checkpoint",
+        "checkpoint_interval": 900.0,
+    }
+
+
 def _simulators():
     """Two unlike runs: disrupted backfill on the flat pool, and a
     correlated-failure SJF run on a rack topology."""
@@ -188,11 +212,7 @@ def _simulators():
         HPCSimulator(
             jobs=a_jobs,
             scheduler=create_scheduler("fcfs_backfill"),
-            disruptions=SPEC.build(
-                n_nodes=256, horizon=estimate_horizon(a_jobs, 256)
-            ),
-            restart_policy="checkpoint",
-            checkpoint_interval=900.0,
+            **_checkpoint_disrupted(a_jobs),
         ),
         HPCSimulator(
             jobs=b_jobs,
@@ -226,6 +246,108 @@ class TestInstancesShareNothing:
         assert [_digest(state.result()) for state in states] == alone
 
 
+class TestRetainedViews:
+    def test_view_kept_across_queue_changes_is_unchanged(self):
+        """Hold every view the scheduler is shown, touch no column
+        until the run is over (starts, kills and requeues since), then
+        resolve the columns for the first time."""
+        jobs = generate_workload("checkpoint_stress", 60, seed=1)
+        scheduler = create_scheduler("fcfs_backfill")
+        held = []
+        decide = scheduler.decide
+
+        def keeping(view):
+            held.append((view, [job.job_id for job in view.queued]))
+            return decide(view)
+
+        scheduler.decide = keeping
+        result = simulate(jobs, scheduler, **_checkpoint_disrupted(jobs))
+        assert result.preemptions and len(held) > len(jobs)
+        for view, ids_then in held:
+            cols = view.columns()
+            assert [job.job_id for job in view.queued] == ids_then
+            assert [jobs[p] for p in cols.sel.tolist()] == list(view.queued)
+            assert cols.ids.tolist() == ids_then
+            assert cols.n == len(ids_then)
+            assert cols.fits_mask().tolist() == [
+                view.can_fit(job) for job in view.queued
+            ]
+
+
+def queue_contents_log(run):
+    """What every ``decide`` of *run* saw queued: ids off the facade
+    tuple and ids off the columnar selector, per decision."""
+    log = []
+
+    def recording(scheduler):
+        decide = scheduler.decide
+
+        def logged(view):
+            log.append(
+                (
+                    [job.job_id for job in view.queued],
+                    view.columns().ids.tolist(),
+                )
+            )
+            return decide(view)
+
+        scheduler.decide = logged
+        return scheduler
+
+    result = run(recording)
+    assert len(log) == len(result.decisions)
+    assert all(facade == columnar for facade, columnar in log)
+    return log
+
+
+class TestViewContentsAgainstOracle:
+    def test_starts_from_the_middle_of_a_deep_backlog(self, object_engine):
+        jobs = [
+            job.with_submit_time(0.0)
+            for job in generate_workload("heterogeneous_mix", 150, seed=4)
+        ]
+
+        def run(recording):
+            return simulate(
+                list(jobs), recording(create_scheduler("sjf_firstfit"))
+            )
+
+        log = queue_contents_log(run)
+        # Not FCFS-shaped: most starts are not the head of the queue.
+        heads = sum(
+            1 for (a, _), (b, _) in zip(log, log[1:]) if b == a[1:]
+        )
+        assert len(log[0][0]) == 150 and heads < len(log) // 2
+        with object_engine():
+            assert queue_contents_log(run) == log
+
+    def test_requeues_at_the_tail(self, object_engine):
+        jobs = generate_workload("checkpoint_stress", 80, seed=3)
+
+        def run(recording):
+            result = simulate(
+                list(jobs),
+                recording(create_scheduler("fcfs_backfill")),
+                **_checkpoint_disrupted(jobs),
+            )
+            assert result.preemptions
+            return result
+
+        log = queue_contents_log(run)
+        with object_engine():
+            assert queue_contents_log(run) == log
+
+    def test_blocked_jobs_join_on_completion(self, object_engine):
+        jobs = layered_dag_workload(24, seed=2, n_layers=4)
+
+        def run(recording):
+            return simulate(list(jobs), recording(create_scheduler("fcfs")))
+
+        log = queue_contents_log(run)
+        with object_engine():
+            assert queue_contents_log(run) == log
+
+
 #: Longest function in ``engine.py`` after the closure was split
 #: (``EngineState.__init__``); ``run_soa`` was 710 lines before.
 MAX_FUNCTION_LINES = 91
@@ -233,10 +355,16 @@ MAX_FUNCTION_LINES = 91
 
 class TestEngineShape:
     source = Path(engine.__file__).read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    functions = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
 
     def test_no_nonlocal_and_no_long_function(self):
         lengths = {}
-        for node in ast.walk(ast.parse(self.source)):
+        for node in ast.walk(self.tree):
             assert not isinstance(node, ast.Nonlocal), node.lineno
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 lengths[node.name] = node.end_lineno - node.lineno + 1
@@ -264,3 +392,43 @@ class TestEngineShape:
             if not isinstance(ref, types.FrameType)
         ]
         assert holders == []
+
+    def test_the_queue_has_one_representation(self):
+        assert not hasattr(engine, "QueueChurnCrossover")
+        assert not {"order", "order_len", "crossover", "state_np"} & set(
+            EngineState.__slots__
+        )
+
+    def test_queue_containers_change_in_two_methods(self):
+        """``queue_pos`` / ``queue_jobs`` are created in ``__init__``,
+        changed in ``_enqueue`` and ``start``, and named in one more
+        place, ``_snapshot_queue`` — a single ``return`` of copies, no
+        loop, no comprehension, no mutating call. ``kill`` reaches the
+        queue through ``_enqueue`` alone."""
+
+        def attrs(name):
+            return {
+                node.attr
+                for node in ast.walk(self.functions[name])
+                if isinstance(node, ast.Attribute)
+            }
+
+        containers = {"queue_pos", "queue_jobs"}
+        naming = {name for name in self.functions if attrs(name) & containers}
+        assert naming == {"__init__", "_enqueue", "start", "_snapshot_queue"}
+
+        snapshot = self.functions["_snapshot_queue"]
+        docstring, returned = snapshot.body
+        assert isinstance(docstring, ast.Expr)
+        assert isinstance(returned, ast.Return)
+        assert not attrs("_snapshot_queue") & {
+            "append", "extend", "insert", "pop", "remove", "clear",
+        }
+        loops = (
+            ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+            ast.GeneratorExp,
+        )
+        assert not [n for n in ast.walk(snapshot) if isinstance(n, loops)]
+
+        assert "_enqueue" in attrs("kill")
+        assert not attrs("kill") & {"n_queued", "queue_changed", "state"}
