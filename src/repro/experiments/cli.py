@@ -28,7 +28,11 @@ from repro.experiments import figures, report
 from repro.experiments.parallel import expand_cells, run_matrix_parallel
 from repro.experiments.runner import DEFAULT_SCHEDULERS, run_single
 from repro.experiments.store import FailedCell
-from repro.experiments.storage import is_sharded_store, open_store
+from repro.experiments.storage import (
+    ShardedStore,
+    is_sharded_store,
+    open_store,
+)
 from repro.metrics.normalize import normalize_to_baseline
 from repro.schedulers.registry import available_schedulers
 from repro.sim.disruptions import (
@@ -778,17 +782,23 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _open_archive(path: str, *, must_exist: bool = False):
+def _open_archive(
+    path: str, *, must_exist: bool = False, repair: bool = False
+):
     """``open_store`` for the commands that read or repair an archive.
     A directory that is not a sharded store is not an archive at all
     (``open_store`` takes any directory as the place to lay a fresh
-    one out), and ``doctor``/``digest`` refuse a missing path too."""
+    one out), and ``doctor``/``digest`` refuse a missing path too.
+    Only ``doctor`` opens for *repair*: a garbled manifest, which is
+    an error to every other command, is its to rebuild."""
     p = Path(path)
     if (p.is_dir() and not is_sharded_store(p)) or (
         must_exist and not p.exists()
     ):
         raise UsageError(f"no store at {path}")
     with _usage_errors():
+        if repair and p.is_dir():
+            return ShardedStore.for_repair(p)
         return open_store(path)
 
 
@@ -1011,7 +1021,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_store_doctor(args) -> int:
-    store = _open_archive(args.path, must_exist=True)
+    store = _open_archive(args.path, must_exist=True, repair=True)
     doc = store.doctor(dry_run=args.dry_run, dedupe=args.dedupe)
     print(doc.summary())
     return 0 if doc.clean else 1

@@ -2,8 +2,9 @@
 
 Public surface:
 
-* :class:`StoreBackend` — the structural protocol every archive
-  implements (append / load / iter_runs / get / doctor / sidecar).
+* :class:`StoreBackend` — the base class of both layouts: the query
+  surface (``iter_runs`` / ``in`` / ``len``), written once over each
+  layout's append / load / get / completed_keys / doctor / sidecar.
 * :func:`open_store` — the front door: sniffs the on-disk layout (or
   honors an explicit ``format``) and returns the right backend.
 * :class:`ShardedStore` — cell-key-hash sharded directory layout for
@@ -14,9 +15,9 @@ Public surface:
 * :func:`store_digest` — layout-blind content identity (the CI
   serial-vs-sharded determinism pin).
 
-The single-file :class:`~repro.experiments.store.RunStore` stays where
-it always was; this package adds the protocol and the sharded layout
-on top without moving it.
+The single-file :class:`~repro.experiments.store.RunStore` and the
+base class live in :mod:`repro.experiments.store`; this package adds
+the sharded layout on top without moving them.
 """
 
 from repro.experiments.storage.backend import (

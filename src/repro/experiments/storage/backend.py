@@ -1,13 +1,13 @@
-"""The ``StoreBackend`` protocol and the ``open_store`` front door.
+"""The ``open_store`` front door and the cross-layout digest.
 
-Everything that consumes a run archive — the matrix engine, the
-service result cache, ``report``/``figures``, the doctor CLI, failure
-sidecars — programs against :class:`StoreBackend`, a structural
-protocol both the single-file :class:`~repro.experiments.store.RunStore`
-and the directory-per-archive
-:class:`~repro.experiments.storage.sharded.ShardedStore` satisfy.
-Consumers never branch on layout; they call :func:`open_store` and get
-whichever backend the path holds.
+Everything that consumes a run archive programs against
+:class:`~repro.experiments.store.StoreBackend`, the base class of the
+single-file :class:`~repro.experiments.store.RunStore` and the
+directory-per-archive
+:class:`~repro.experiments.storage.sharded.ShardedStore` (re-exported
+here under the name consumers have always imported). Consumers never
+branch on layout; they call :func:`open_store` and get whichever
+layout the path holds.
 
 :func:`store_digest` is the cross-backend identity: a SHA-256 over the
 canonically-ordered run set, equal for two stores exactly when
@@ -19,59 +19,13 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import (
-    Any,
-    Iterator,
-    Optional,
-    Protocol,
-    Union,
-    runtime_checkable,
-)
+from typing import Optional, Union
 
-from repro.experiments.store import CellKey, RunStore, StoredRun
+from repro.experiments.store import RunStore, StoreBackend
 from repro.experiments.storage.sharded import ShardedStore, is_sharded_dir
 
 #: ``open_store`` / CLI names for the two backends.
 STORE_FORMATS = ("jsonl", "sharded")
-
-
-@runtime_checkable
-class StoreBackend(Protocol):
-    """Structural contract of a run archive.
-
-    ``path`` is the archive's location (a file for JSONL, a directory
-    for sharded); everything else is the shared read/write/repair
-    surface. The protocol is structural on purpose — backends share no
-    base class, and anything satisfying this shape (a future
-    remote/work-stealing store) plugs into every consumer unchanged.
-    """
-
-    path: Path
-
-    def append(self, run) -> StoredRun: ...
-
-    def load(self, on_corrupt: str = "raise") -> list[StoredRun]: ...
-
-    def iter_runs(
-        self,
-        where: Optional[dict[str, Any]] = None,
-        *,
-        keys: Optional[set[CellKey]] = None,
-        on_corrupt: str = "raise",
-    ) -> Iterator[StoredRun]: ...
-
-    def completed_keys(self) -> set[CellKey]: ...
-
-    def get(self, key: CellKey) -> Optional[StoredRun]: ...
-
-    def doctor(self, dry_run: bool = False, *, dedupe: bool = False): ...
-
-    @property
-    def sidecar_path(self) -> Path: ...
-
-    def __contains__(self, key: CellKey) -> bool: ...
-
-    def __len__(self) -> int: ...
 
 
 def detect_format(path: Union[str, Path]) -> Optional[str]:
@@ -141,6 +95,5 @@ def store_digest(store: StoreBackend) -> str:
     return digest.hexdigest()
 
 
-def is_sharded_store(path: Union[str, Path]) -> bool:
-    """Convenience re-export of the sharded-layout sniff."""
-    return is_sharded_dir(path)
+#: The sharded-layout sniff, under the name the package exports.
+is_sharded_store = is_sharded_dir

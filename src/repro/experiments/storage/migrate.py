@@ -25,12 +25,11 @@ drops; it is *not* carried across (the cell re-runs on resume).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
-from repro.experiments.store import StoredRun
+from repro.experiments.store import StoredRun, _atomic_rewrite, _read_jsonl
 from repro.experiments.storage.sharded import (
     DEFAULT_SHARDS,
     ShardedStore,
@@ -72,32 +71,21 @@ class MigrationReport:
         )
 
 
-def _read_jsonl_lines(path: Path) -> tuple[list[str], bool]:
-    """The store file's lines (newline-stripped, verbatim otherwise)
-    plus whether the file ended with a newline. Interior corruption
-    raises; a torn unparseable tail (no newline) is dropped, exactly
-    like ``load()``."""
-    text = path.read_text(encoding="utf-8")
-    final_newline = text.endswith("\n")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    out: list[str] = []
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            StoredRun.from_json(line)
-        except ValueError as exc:
-            if lineno == len(lines) - 1 and not final_newline:
-                continue  # torn tail: a killed write, not data
+def _verbatim_lines(path: Path) -> Iterator[tuple[str, StoredRun]]:
+    """Each line of the store file at *path*, newline included where
+    the file has it, with its parsed run. Migration's corruption
+    policy over the shared reader: a torn tail is dropped, exactly
+    like ``load()``; any other bad line raises."""
+    for lineno, raw, stored, torn in _read_jsonl(path, StoredRun.from_json):
+        if torn:
+            return
+        if isinstance(stored, ValueError):
             raise ValueError(
-                f"{path}:{lineno + 1}: corrupt store line — run "
+                f"{path}:{lineno}: corrupt store line — run "
                 "`repro-sched store doctor` before migrating "
                 "(migration refuses to silently drop data)"
-            ) from exc
-        out.append(line)
-    return out, final_newline
+            ) from stored
+        yield raw, stored
 
 
 def _require_fresh_dest(dest: Path) -> None:
@@ -128,22 +116,21 @@ def migrate_to_sharded(
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     _require_fresh_dest(dest)
-    lines, final_newline = _read_jsonl_lines(src)
 
     order: list[int] = []
     shard_lines: list[list[str]] = [[] for _ in range(n_shards)]
-    for line in lines:
-        index = shard_index(StoredRun.from_json(line).key, n_shards)
-        shard_lines[index].append(line)
+    final_newline = True
+    for raw, stored in _verbatim_lines(src):
+        index = shard_index(stored.key, n_shards)
+        final_newline = raw.endswith("\n")
+        shard_lines[index].append(raw.rstrip("\n") + "\n")
         order.append(index)
 
     store = ShardedStore(dest, n_shards=n_shards)
     store.ensure_initialized()
-    for index, chunk in enumerate(shard_lines):
+    for shard_path, chunk in zip(store.shard_paths, shard_lines):
         if chunk:
-            store._shard(index).path.write_text(
-                "".join(line + "\n" for line in chunk), encoding="utf-8"
-            )
+            shard_path.write_text("".join(chunk), encoding="utf-8")
     (dest / ORDER_NAME).write_text(
         json.dumps(
             {
@@ -184,14 +171,10 @@ def migrate_to_jsonl(
     _require_fresh_dest(dest)
     store = ShardedStore(src)
 
-    per_shard: list[list[str]] = []
-    for index in range(store.n_shards):
-        shard_path = store._shard(index).path
-        if shard_path.exists():
-            lines, _ = _read_jsonl_lines(shard_path)
-        else:
-            lines = []
-        per_shard.append(lines)
+    per_shard = [
+        [raw.rstrip("\n") for raw, _stored in _verbatim_lines(shard_path)]
+        for shard_path in store.shard_paths
+    ]
     n_lines = sum(len(lines) for lines in per_shard)
 
     order, final_newline = _load_order(src, per_shard)
@@ -210,10 +193,8 @@ def migrate_to_jsonl(
     text = "\n".join(merged)
     if merged and final_newline:
         text += "\n"
-    tmp = dest.with_name(dest.name + ".migrate.tmp")
-    tmp.parent.mkdir(parents=True, exist_ok=True)
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, dest)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    _atomic_rewrite(dest, text)
     return MigrationReport(
         source=src,
         dest=dest,

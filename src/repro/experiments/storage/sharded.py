@@ -39,10 +39,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Optional, Union
 
 try:  # POSIX: real inter-process append locks.
     import fcntl
@@ -54,11 +53,10 @@ from repro.experiments.store import (
     CellKey,
     DoctorReport,
     RunStore,
+    StoreBackend,
     StoredRun,
+    _atomic_rewrite,
     cell_key_str,
-    matches_where,
-    normalize_where,
-    where_key,
 )
 
 #: Manifest file that marks a directory as a sharded store and pins
@@ -112,17 +110,15 @@ def is_sharded_dir(path: Union[str, Path]) -> bool:
     return any(p.glob("shard-*.jsonl"))
 
 
-class ShardedStore:
+class ShardedStore(StoreBackend):
     """Cell-key-hash sharded run store over per-shard ``RunStore``s.
 
-    Implements the same ``StoreBackend`` surface as
-    :class:`~repro.experiments.store.RunStore`; see the module
-    docstring for the layout and ordering contract. The directory and
-    manifest are created lazily on first append (a missing store reads
-    as empty, so ``--resume`` against a fresh path is a no-op), or
-    eagerly via :meth:`ensure_initialized` — the matrix engine calls
-    that before fanning out workers so every worker reads one agreed
-    shard count.
+    See the module docstring for the layout and ordering contract. The
+    directory and manifest are created lazily on first append (a
+    missing store reads as empty, so ``--resume`` against a fresh path
+    is a no-op), or eagerly via :meth:`ensure_initialized` — the
+    matrix engine calls that before fanning out workers so every
+    worker reads one agreed shard count.
     """
 
     def __init__(
@@ -132,9 +128,22 @@ class ShardedStore:
         n_shards: Optional[int] = None,
         auto_compact_threshold: Optional[int] = DEFAULT_AUTO_COMPACT,
     ):
+        self._open(path, n_shards, auto_compact_threshold, tolerant=False)
+
+    @classmethod
+    def for_repair(cls, path: Union[str, Path]) -> "ShardedStore":
+        """Open *path* for ``store doctor``: a garbled manifest counts
+        as lost — the shard count is inferred from the shard files, as
+        for a missing one — where every other way in raises, so that
+        :meth:`doctor` gets to run and rebuild it."""
+        store = cls.__new__(cls)
+        store._open(path, None, DEFAULT_AUTO_COMPACT, tolerant=True)
+        return store
+
+    def _open(self, path, n_shards, auto_compact_threshold, tolerant) -> None:
         self.path = Path(path)
         self.auto_compact_threshold = auto_compact_threshold
-        manifest = self._read_manifest()
+        manifest = self._read_manifest(tolerant)
         if manifest is not None:
             disk_shards = manifest["n_shards"]
             if n_shards is not None and n_shards != disk_shards:
@@ -144,15 +153,18 @@ class ShardedStore:
                     "at creation (rerouting keys needs a migrate)"
                 )
             self.n_shards = disk_shards
-        elif is_sharded_dir(self.path):
-            # Manifest lost but shard files present: infer the count
-            # so reads still work; ``doctor`` rewrites the manifest.
-            self.n_shards = n_shards or self._infer_n_shards()
         else:
-            self.n_shards = n_shards or DEFAULT_SHARDS
+            # A fresh store, or the manifest is lost: shard files on
+            # disk give the count, so reads still work (``doctor``
+            # rewrites the manifest); none means the default.
+            self.n_shards = n_shards or self._infer_n_shards()
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        self._shards: dict[int, RunStore] = {}
+        #: One ordinary :class:`RunStore` per shard file, by shard index.
+        self._shards = [
+            RunStore(self.path / shard_name(index))
+            for index in range(self.n_shards)
+        ]
         #: Superseded-line count per shard since the last compaction —
         #: the auto-compaction trigger. Persisted in the manifest (an
         #: additive key, older readers ignore it) so the threshold
@@ -168,12 +180,20 @@ class ShardedStore:
     def manifest_path(self) -> Path:
         return self.path / MANIFEST_NAME
 
-    def _read_manifest(self) -> Optional[dict[str, Any]]:
+    def _read_manifest(
+        self, tolerant: bool = False
+    ) -> Optional[dict[str, Any]]:
+        """The manifest payload, or ``None`` when there is none. A
+        garbled one — what ``store doctor`` rebuilds — raises, or with
+        *tolerant* (the doctor's own reads) counts as missing; one
+        written by newer code raises either way."""
         try:
             payload = json.loads(self.manifest_path.read_text("utf-8"))
         except FileNotFoundError:
             return None
         except (OSError, json.JSONDecodeError) as exc:
+            if tolerant:
+                return None
             raise ValueError(
                 f"{self.manifest_path}: unreadable manifest ({exc}); "
                 "run `repro-sched store doctor` to rebuild it"
@@ -184,6 +204,8 @@ class ShardedStore:
             or not isinstance(payload.get("n_shards"), int)
             or payload["n_shards"] < 1
         ):
+            if tolerant:
+                return None
             raise ValueError(
                 f"{self.manifest_path}: not a {STORE_FORMAT} manifest; "
                 "run `repro-sched store doctor` to rebuild it"
@@ -248,18 +270,14 @@ class ShardedStore:
         return payload
 
     def _write_manifest(self) -> None:
-        """Atomic manifest write (unique temp + ``os.replace``), safe
-        against concurrent writers racing to initialize the same store
-        — they all write identical content, last replace wins."""
+        """Atomic manifest write, safe against concurrent writers
+        racing to initialize the same store — they all write identical
+        content, last replace wins."""
         self.path.mkdir(parents=True, exist_ok=True)
-        tmp = self.manifest_path.with_name(
-            f"{MANIFEST_NAME}.{os.getpid()}.tmp"
-        )
-        tmp.write_text(
+        _atomic_rewrite(
+            self.manifest_path,
             json.dumps(self._manifest_payload(), sort_keys=True) + "\n",
-            encoding="utf-8",
         )
-        os.replace(tmp, self.manifest_path)
 
     def _infer_n_shards(self) -> int:
         indexes = []
@@ -267,9 +285,7 @@ class ShardedStore:
             stem = shard_file.name[len("shard-"):-len(".jsonl")]
             if stem.isdigit():
                 indexes.append(int(stem))
-        if not indexes:  # pragma: no cover - guarded by is_sharded_dir
-            return DEFAULT_SHARDS
-        return max(indexes) + 1
+        return max(indexes) + 1 if indexes else DEFAULT_SHARDS
 
     def ensure_initialized(self) -> None:
         """Create the directory, manifest, and every (empty) shard
@@ -279,20 +295,18 @@ class ShardedStore:
         and silently reroute keys."""
         if not self.manifest_path.exists():
             self._write_manifest()
-        for index in range(self.n_shards):
-            self._shard(index).path.touch(exist_ok=True)
+        for shard_path in self.shard_paths:
+            shard_path.touch(exist_ok=True)
 
     # -- shard plumbing --------------------------------------------------
-    def _shard(self, index: int) -> RunStore:
-        shard = self._shards.get(index)
-        if shard is None:
-            shard = RunStore(self.path / shard_name(index))
-            self._shards[index] = shard
-        return shard
+    @property
+    def shard_paths(self) -> list[Path]:
+        """Every shard file's path, in shard-index order."""
+        return [shard.path for shard in self._shards]
 
     def shard_for(self, key: CellKey) -> RunStore:
         """The per-shard :class:`RunStore` that owns *key*."""
-        return self._shard(shard_index(key, self.n_shards))
+        return self._shards[shard_index(key, self.n_shards)]
 
     @contextlib.contextmanager
     def _append_lock(self, index: int):
@@ -334,19 +348,17 @@ class ShardedStore:
         if not self.manifest_path.exists():
             self.ensure_initialized()
         index = shard_index(stored.key, self.n_shards)
-        shard = self._shard(index)
+        shard = self._shards[index]
         with self._append_lock(index):
             superseded = False
             if self.auto_compact_threshold is not None:
-                try:
+                # Corrupt shard: appends must still land (that is the
+                # crash-safety contract); compaction bookkeeping just
+                # sits this one out until doctor runs.
+                with contextlib.suppress(ValueError):
                     superseded = stored.key in shard
-                except ValueError:
-                    # Corrupt shard: appends must still land (that is
-                    # the crash-safety contract); compaction bookkeeping
-                    # just sits this one out until doctor runs.
-                    superseded = False
             shard.append(stored)
-            if superseded and self.auto_compact_threshold is not None:
+            if superseded:
                 self._merge_persisted_superseded()
                 count = self._superseded.get(index, 0) + 1
                 if count >= self.auto_compact_threshold:
@@ -371,73 +383,38 @@ class ShardedStore:
         is forwarded to every shard (:meth:`RunStore.load` semantics
         per shard file).
         """
-        runs: list[StoredRun] = []
-        for index in range(self.n_shards):
-            runs.extend(self._shard(index).load(on_corrupt=on_corrupt))
+        return self._scan(None, on_corrupt)
+
+    def _scan(
+        self, keys: Optional[set[CellKey]], on_corrupt: str
+    ) -> list[StoredRun]:
+        """Only the shards *keys* hash to are read, so a keyed
+        ``iter_runs`` costs what those shards cost, not the archive."""
+        indexes = (
+            range(self.n_shards)
+            if keys is None
+            else sorted({shard_index(key, self.n_shards) for key in keys})
+        )
+        runs = [
+            run
+            for index in indexes
+            for run in self._shards[index].load(on_corrupt=on_corrupt)
+        ]
         runs.sort(key=lambda run: run.key)
         return runs
-
-    def iter_runs(
-        self,
-        where: Optional[dict[str, Any]] = None,
-        *,
-        keys: Optional[set[CellKey]] = None,
-        on_corrupt: str = "raise",
-    ) -> Iterator[StoredRun]:
-        """Query by identity, touching as few shards as possible.
-
-        A *where* that pins every identity field parses exactly one
-        shard (the key routes there); an explicit *keys* set parses
-        only the shards those keys hash to. Partial filters scan all
-        shards — but each shard's parsed cache makes repeat queries
-        O(matches). Yields in canonical key order, matching
-        :meth:`load`.
-        """
-        where = normalize_where(where)
-        full = where_key(where) if where else None
-        if full is not None and on_corrupt == "raise":
-            if keys is not None and full not in keys:
-                return
-            run = self.get(full)
-            if run is not None:
-                yield run
-            return
-        shard_set: Optional[set[int]] = None
-        if keys is not None:
-            shard_set = {shard_index(k, self.n_shards) for k in keys}
-        runs: list[StoredRun] = []
-        for index in range(self.n_shards):
-            if shard_set is not None and index not in shard_set:
-                continue
-            for run in self._shard(index).load(on_corrupt=on_corrupt):
-                if keys is not None and run.key not in keys:
-                    continue
-                if where and not matches_where(run, where):
-                    continue
-                runs.append(run)
-        runs.sort(key=lambda run: run.key)
-        yield from runs
 
     def completed_keys(self) -> set[CellKey]:
         """Union of every shard's persisted keys (keys never span
         shards, so this is exact)."""
         keys: set[CellKey] = set()
-        for index in range(self.n_shards):
-            keys |= self._shard(index).completed_keys()
+        for shard in self._shards:
+            keys |= shard.completed_keys()
         return keys
 
     def get(self, key: CellKey) -> Optional[StoredRun]:
         """The persisted run for *key*, from its one owning shard —
         a single-shard parse (then cached), never a full-store scan."""
         return self.shard_for(key).get(key)
-
-    def __contains__(self, key: CellKey) -> bool:
-        return key in self.shard_for(key)
-
-    def __len__(self) -> int:
-        return sum(
-            len(self._shard(index)) for index in range(self.n_shards)
-        )
 
     # -- maintenance -----------------------------------------------------
     @property
@@ -467,9 +444,9 @@ class ShardedStore:
         superseded lines dropped. Corrupt shards are skipped (see
         :meth:`_compact_shard`)."""
         total = 0
-        for index in range(self.n_shards):
+        for index, shard in enumerate(self._shards):
             with self._append_lock(index):
-                total += self._compact_shard(self._shard(index))
+                total += self._compact_shard(shard)
             self._superseded[index] = 0
         if self.manifest_path.exists():
             self._write_manifest()
@@ -489,18 +466,12 @@ class ShardedStore:
         optional ``dedupe`` compaction. With *dry_run* nothing is
         written anywhere.
         """
-        manifest_repaired = False
-        try:
-            manifest_ok = self._read_manifest() is not None
-        except ValueError:
-            manifest_ok = False
-        if not manifest_ok:
-            manifest_repaired = True
-            if not dry_run:
-                self._write_manifest()
+        manifest_repaired = self._read_manifest(tolerant=True) is None
+        if manifest_repaired and not dry_run:
+            self._write_manifest()
         reports = tuple(
-            self._shard(index).doctor(dry_run=dry_run, dedupe=dedupe)
-            for index in range(self.n_shards)
+            shard.doctor(dry_run=dry_run, dedupe=dedupe)
+            for shard in self._shards
         )
         if dedupe and not dry_run:
             # Dedupe *is* compaction: counters reset with the debt.

@@ -24,7 +24,7 @@ import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
 
 from repro.experiments import faultinject
 
@@ -115,22 +115,6 @@ def normalize_where(
         name: (int(value) if name in _INT_WHERE_FIELDS else str(value))
         for name, value in where.items()
     }
-
-
-def where_key(where: dict[str, Any]) -> Optional[CellKey]:
-    """The full :data:`CellKey` when *where* pins every identity field
-    — the case a sharded store answers from one shard — else ``None``.
-    Expects an already-normalized filter."""
-    if set(where) != set(WHERE_FIELDS):
-        return None
-    return cell_key(*(where[name] for name in WHERE_FIELDS))
-
-
-def matches_where(run: "StoredRun", where: dict[str, Any]) -> bool:
-    """Whether *run*'s identity columns equal every filter value."""
-    return all(
-        getattr(run, name) == value for name, value in where.items()
-    )
 
 
 @dataclass(frozen=True)
@@ -330,7 +314,119 @@ def _repair_tail(path: Path, parse) -> None:
             fh.write(b"\n")
 
 
-class RunStore:
+def _read_jsonl(
+    path: Path, parse: Callable[[str], Any]
+) -> Iterator[tuple[int, str, Any, bool]]:
+    """The one reader of every append-only JSONL file here (run
+    archive, shard, failure sidecar), and the home of the torn-tail
+    rule.
+
+    Yields ``(lineno, raw, parsed, torn)`` per non-blank line: 1-based
+    line number, the line verbatim (newline included where the file
+    has it), what *parse* returned — or the ``ValueError`` it raised —
+    and whether that failure is a **torn tail**: an unparseable last
+    line that also lacks its newline, the signature of a write killed
+    mid-line. Any other failure is corruption, and what to do about it
+    is the caller's policy. A missing file reads as empty.
+    """
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        return
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            parsed, torn = parse(line), False
+        except ValueError as exc:
+            parsed = exc
+            torn = lineno == len(lines) and not line.endswith("\n")
+        yield lineno, line, parsed, torn
+
+
+def _atomic_rewrite(path: Path, text: str) -> None:
+    """Replace *path*'s content with *text*, or leave it untouched:
+    the text is fsynced into a per-process temp file and renamed over
+    *path*, so a reader — or a crash at any point — sees the old bytes
+    or the new ones, never a mix, and a failed rewrite leaves no temp
+    file behind."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+class StoreBackend:
+    """The query surface of a run archive, whatever its layout.
+
+    Everything that consumes an archive — the matrix engine, the
+    service result cache, ``report`` / ``figures``, the doctor CLI,
+    failure sidecars — programs against this class. A layout provides
+    ``path`` (a file for JSONL, a directory for sharded) and the
+    primitives ``append`` / ``load`` / ``get`` / ``completed_keys`` /
+    ``doctor`` / ``sidecar_path``; the queries below are written once
+    on top of them.
+    """
+
+    path: Path
+
+    def iter_runs(
+        self,
+        where: Optional[dict[str, Any]] = None,
+        *,
+        keys: Optional[set[CellKey]] = None,
+        on_corrupt: str = "raise",
+    ) -> Iterator[StoredRun]:
+        """Query persisted runs by identity instead of scanning.
+
+        *where* filters on cell-identity columns (:data:`WHERE_FIELDS`;
+        values are type-coerced, unknown fields raise). *keys*
+        restricts to an explicit key set — what the matrix engine uses
+        to report exactly its own cells out of a shared archive. Both
+        compose. A *where* that pins **every** identity field resolves
+        through ``get`` — one dict lookup against the parsed index of a
+        single file, a single-shard parse on a sharded store — which is
+        what makes keyed queries on big archives cheap; an explicit
+        *keys* set reads only the shards those keys route to.
+
+        *on_corrupt* follows ``load`` semantics. Yields runs in the
+        layout's load order, last write per cell winning.
+        """
+        where = normalize_where(where)
+        if len(where) == len(WHERE_FIELDS) and on_corrupt == "raise":
+            full = cell_key(*(where[name] for name in WHERE_FIELDS))
+            run = self.get(full) if keys is None or full in keys else None
+            if run is not None:
+                yield run
+            return
+        for run in self._scan(keys, on_corrupt):
+            if (keys is None or run.key in keys) and all(
+                getattr(run, name) == value for name, value in where.items()
+            ):
+                yield run
+
+    def _scan(
+        self, keys: Optional[set[CellKey]], on_corrupt: str
+    ) -> list[StoredRun]:
+        """Every run that may hold one of *keys* (all runs for
+        ``None``), in load order. A layout that can route a key to part
+        of the archive overrides this to read only that part."""
+        return self.load(on_corrupt=on_corrupt)
+
+    def __contains__(self, key: CellKey) -> bool:
+        return self.get(key) is not None
+
+    def __len__(self) -> int:
+        return len(self.completed_keys())
+
+
+class RunStore(StoreBackend):
     """Append-only JSONL store of :class:`StoredRun` lines.
 
     The file is created lazily on first append; a missing file reads as
@@ -340,21 +436,17 @@ class RunStore:
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        #: Parsed-file cache: (stat signature, runs, key set, by-key
-        #: map). Resume scans call ``completed_keys``/``__contains__``
-        #: in loops and the service's result cache calls :meth:`get`
-        #: per request; the cache makes those O(1) after one parse
-        #: instead of re-reading the archive per call. Invalidated
-        #: whenever the file's (mtime_ns, size) changes — including
-        #: writes by other processes — and explicitly on our own
-        #: writes.
+        #: Parsed-file cache: (stat signature, key → winning run). The
+        #: dict is the whole index: assigning to a key already present
+        #: keeps its first-appearance slot and takes the new value,
+        #: which is the archive's resolution rule. Resume scans test
+        #: membership in loops and the service's result cache calls
+        #: :meth:`get` per request; both cost one ``stat`` and one dict
+        #: lookup after one parse. Dropped whenever the file's
+        #: (mtime_ns, size) changes — including writes by other
+        #: processes; our own appends update it in place.
         self._cache: Optional[
-            tuple[
-                tuple[int, int],
-                tuple[StoredRun, ...],
-                frozenset[CellKey],
-                dict[CellKey, StoredRun],
-            ]
+            tuple[tuple[int, int], dict[CellKey, StoredRun]]
         ] = None
 
     def _stat_sig(self) -> Optional[tuple[int, int]]:
@@ -386,9 +478,16 @@ class RunStore:
         truncated away rather than glued onto the retry's line. If the
         condition persists the last error propagates — with the file
         left in a loadable state.
+
+        The parsed index survives the append when it was valid just
+        before the write and the file grew by exactly the bytes
+        written: k appends then parse the file once, not k times. A
+        retry, an injected torn or garbled line, or another writer's
+        bytes in between drop it, and the next read re-parses.
         """
         stored = run if isinstance(run, StoredRun) else StoredRun.from_run(run)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        line = stored.to_json()
         last_err: Optional[OSError] = None
         for _attempt in range(1 + self.APPEND_RETRIES):
             try:
@@ -398,8 +497,9 @@ class RunStore:
                 # (see faultinject); without one — the production
                 # default — it returns the line verbatim.
                 text, complete = faultinject.mangle_store_line(
-                    cell_key_str(stored.key), stored.to_json()
+                    cell_key_str(stored.key), line
                 )
+                before = self._stat_sig()
                 with self.path.open("a", encoding="utf-8") as fh:
                     fh.write(text + ("\n" if complete else ""))
                     fh.flush()
@@ -408,20 +508,55 @@ class RunStore:
                 last_err = exc
                 self._invalidate()
                 continue
-            self._invalidate()
+            after = self._stat_sig()
+            if (
+                self._cache is not None
+                and self._cache[0] == before
+                and complete
+                and text == line
+                and after is not None
+                and after[1] == before[1] + len(line.encode("utf-8")) + 1
+            ):
+                self._cache[1][stored.key] = stored
+                self._cache = (after, self._cache[1])
+            else:
+                self._invalidate()
             return stored
         assert last_err is not None
         raise last_err
 
     # -- reading ---------------------------------------------------------
-    def _iter_lines(self) -> Iterator[tuple[int, str, bool]]:
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        for i, line in enumerate(lines):
-            if line.strip():
-                yield i, line, i == len(lines) - 1
+    def _index(self, on_corrupt: str = "raise") -> dict[CellKey, StoredRun]:
+        """Key → winning run, in first-appearance order: the cached
+        index while the file is unchanged, else one parse of it."""
+        if on_corrupt not in ("raise", "quarantine"):
+            raise ValueError(f"unknown on_corrupt policy: {on_corrupt!r}")
+        sig = self._stat_sig()
+        if self._cache is not None and self._cache[0] == sig:
+            return self._cache[1]
+        index: dict[CellKey, StoredRun] = {}
+        clean = True
+        for lineno, _raw, stored, torn in _read_jsonl(
+            self.path, StoredRun.from_json
+        ):
+            if torn:
+                break
+            if isinstance(stored, ValueError):
+                if on_corrupt == "quarantine":
+                    clean = False
+                    continue
+                raise ValueError(
+                    f"{self.path}:{lineno}: corrupt store line "
+                    "(run `repro-sched store doctor` to salvage the "
+                    "parseable lines)"
+                ) from stored
+            index[stored.key] = stored
+        if clean and sig is not None:
+            # Only a fully-parsed file is cached: a quarantine-mode
+            # load over a corrupt file must not masquerade as the
+            # strict view on the next (default) call.
+            self._cache = (sig, index)
+        return index
 
     def load(self, on_corrupt: str = "raise") -> list[StoredRun]:
         """All persisted runs, in first-appearance order, with the
@@ -442,44 +577,18 @@ class RunStore:
           one corrupt line costs one cell, not the archive. Run
           :meth:`doctor` to repair the file itself.
         """
-        if on_corrupt not in ("raise", "quarantine"):
-            raise ValueError(f"unknown on_corrupt policy: {on_corrupt!r}")
-        sig = self._stat_sig()
-        if self._cache is not None and self._cache[0] == sig:
-            return list(self._cache[1])
-        order: dict[CellKey, int] = {}
-        runs: list[StoredRun] = []
-        clean = True
-        for lineno, line, is_last in self._iter_lines():
-            try:
-                stored = StoredRun.from_json(line)
-            except ValueError as exc:
-                if is_last and not line.endswith("\n"):
-                    break
-                if on_corrupt == "quarantine":
-                    clean = False
-                    continue
-                raise ValueError(
-                    f"{self.path}:{lineno + 1}: corrupt store line "
-                    "(run `repro-sched store doctor` to salvage the "
-                    "parseable lines)"
-                ) from exc
-            if stored.key in order:
-                runs[order[stored.key]] = stored
-            else:
-                order[stored.key] = len(runs)
-                runs.append(stored)
-        if clean and sig is not None:
-            # Only a fully-parsed file is cached: a quarantine-mode
-            # load over a corrupt file must not masquerade as the
-            # strict view on the next (default) call.
-            self._cache = (
-                sig,
-                tuple(runs),
-                frozenset(r.key for r in runs),
-                {r.key: r for r in runs},
-            )
-        return runs
+        return list(self._index(on_corrupt).values())
+
+    def completed_keys(self) -> set[CellKey]:
+        """Cell keys already persisted (what ``--resume`` skips)."""
+        return set(self._index())
+
+    def get(self, key: CellKey) -> Optional[StoredRun]:
+        """The persisted run for *key* (last write wins), or ``None``
+        — one ``stat`` and one dict lookup while the file is unchanged,
+        so the service's result cache can consult the archive per
+        request."""
+        return self._index().get(key)
 
     def doctor(
         self, dry_run: bool = False, *, dedupe: bool = False
@@ -491,9 +600,9 @@ class RunStore:
         line moves to ``<path>.quarantine``, prefixed with its original
         1-based line number, and a :class:`DoctorReport` says what was
         lost. A parseable final line that lost only its newline gets
-        the newline restored. The rewrite is atomic (temp file +
-        ``os.replace``), so a crash mid-doctor leaves the original
-        archive untouched. With *dry_run* nothing is written.
+        the newline restored. The rewrite is atomic, so a crash
+        mid-doctor leaves the original archive untouched. With
+        *dry_run* nothing is written.
 
         With *dedupe*, superseded duplicate-key lines are compacted
         away: each cell keeps only its **winning** (last-written) line,
@@ -503,26 +612,22 @@ class RunStore:
         duplicates are counted in ``n_deduped`` (they are superseded
         data, not corruption — nothing goes to quarantine).
         """
-        kept: list[str] = []
+        # Slot → verbatim line: keyed by cell under *dedupe*, so a
+        # later line takes its cell's first slot as in ``_index``;
+        # by line number otherwise, so every line keeps its own.
+        kept: dict[Any, str] = {}
         bad: list[tuple[int, str]] = []
-        slot_of: dict[CellKey, int] = {}
-        n_deduped = 0
-        for lineno, line, _is_last in self._iter_lines():
-            stripped = line.rstrip("\n")
-            try:
-                stored = StoredRun.from_json(stripped)
-            except ValueError:
-                bad.append((lineno + 1, stripped))
-                continue
-            if dedupe:
-                if stored.key in slot_of:
-                    kept[slot_of[stored.key]] = stripped
-                    n_deduped += 1
-                else:
-                    slot_of[stored.key] = len(kept)
-                    kept.append(stripped)
+        n_parseable = 0
+        for lineno, raw, stored, _torn in _read_jsonl(
+            self.path, StoredRun.from_json
+        ):
+            line = raw.rstrip("\n")
+            if isinstance(stored, ValueError):
+                bad.append((lineno, line))
             else:
-                kept.append(stripped)
+                n_parseable += 1
+                kept[stored.key if dedupe else lineno] = line
+        n_deduped = n_parseable - len(kept)
         report = DoctorReport(
             path=self.path,
             quarantine_path=self.quarantine_path,
@@ -534,15 +639,13 @@ class RunStore:
         )
         if dry_run or (not bad and not n_deduped):
             return report
-        tmp = self.path.with_name(self.path.name + ".doctor.tmp")
-        tmp.write_text(
-            "".join(line + "\n" for line in kept), encoding="utf-8"
-        )
         if bad:
             with self.quarantine_path.open("a", encoding="utf-8") as fh:
                 for lineno, line in bad:
                     fh.write(f"L{lineno}\t{line}\n")
-        os.replace(tmp, self.path)
+        _atomic_rewrite(
+            self.path, "".join(line + "\n" for line in kept.values())
+        )
         self._invalidate()
         return report
 
@@ -553,84 +656,12 @@ class RunStore:
 
     @property
     def sidecar_path(self) -> Path:
-        """Where this store's :class:`FailureSidecar` lives. Part of
-        the ``StoreBackend`` protocol — sidecar placement is a backend
-        decision (one file next to a JSONL store, a file *inside* a
-        sharded store's directory), so everything that writes or reads
-        failure records derives the path from the store, never from an
-        assumed file layout."""
+        """Where this store's :class:`FailureSidecar` lives. Sidecar
+        placement is a layout decision (one file next to a JSONL store,
+        a file *inside* a sharded store's directory), so everything
+        that writes or reads failure records derives the path from the
+        store, never from an assumed file layout."""
         return self.path.with_name(self.path.name + ".failures")
-
-    def iter_runs(
-        self,
-        where: Optional[dict[str, Any]] = None,
-        *,
-        keys: Optional[set[CellKey]] = None,
-        on_corrupt: str = "raise",
-    ) -> Iterator[StoredRun]:
-        """Query persisted runs by identity instead of scanning.
-
-        *where* filters on cell-identity columns (:data:`WHERE_FIELDS`;
-        values are type-coerced, unknown fields raise). *keys*
-        restricts to an explicit key set — what the matrix engine uses
-        to report exactly its own cells out of a shared archive. Both
-        compose. A *where* that pins **every** identity field resolves
-        through :meth:`get` — one dict lookup against the parsed-file
-        cache here, a single-shard parse on a sharded store — which is
-        what makes keyed queries on big archives cheap.
-
-        *on_corrupt* follows :meth:`load` semantics. Yields runs in the
-        backend's load order, last write per cell winning.
-        """
-        where = normalize_where(where)
-        full = where_key(where) if where else None
-        if full is not None and on_corrupt == "raise":
-            if keys is not None and full not in keys:
-                return
-            run = self.get(full)
-            if run is not None:
-                yield run
-            return
-        for run in self.load(on_corrupt=on_corrupt):
-            if keys is not None and run.key not in keys:
-                continue
-            if where and not matches_where(run, where):
-                continue
-            yield run
-
-    def completed_keys(self) -> set[CellKey]:
-        """Cell keys already persisted (what ``--resume`` skips)."""
-        sig = self._stat_sig()
-        if self._cache is not None and self._cache[0] == sig:
-            return set(self._cache[2])
-        return {run.key for run in self.load()}
-
-    def get(self, key: CellKey) -> Optional[StoredRun]:
-        """The persisted run for *key* (last write wins), or ``None``.
-
-        Served from the parsed-file cache, so the service's result
-        cache can consult the archive per request at dict-lookup cost.
-        """
-        sig = self._stat_sig()
-        if self._cache is None or self._cache[0] != sig:
-            self.load()
-        if self._cache is not None and self._cache[0] == sig:
-            return self._cache[3].get(key)
-        # Uncacheable file (e.g. it changed mid-load): fall back to a
-        # direct scan of the freshly-parsed view.
-        for run in self.load():
-            if run.key == key:
-                return run
-        return None
-
-    def __contains__(self, key: CellKey) -> bool:
-        """Membership convenience; served from the parsed-file cache,
-        so loops over many keys cost one parse, not one per call."""
-        return key in self.completed_keys()
-
-    def __len__(self) -> int:
-        """Cell count; served from the parsed-file cache."""
-        return len(self.load())
 
 
 @dataclass(frozen=True)
@@ -778,23 +809,19 @@ class FailureSidecar:
             os.fsync(fh.fileno())
 
     def load(self) -> list[FailedCell]:
-        """Every record, in file order. As in :meth:`RunStore.load`, an
-        unparseable final line is dropped only when it also lacks its
-        newline (a sweep killed mid-append); any other bad line raises.
+        """Every record, in file order. As in :meth:`RunStore.load`, a
+        torn tail (a sweep killed mid-append) is dropped; any other bad
+        line raises.
         """
-        if not self.path.exists():
-            return []
         records = []
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                try:
-                    records.append(FailedCell.from_json(line))
-                except ValueError:
-                    # Only the last line of a file can lack its "\n".
-                    if line.endswith("\n"):
-                        raise
+        for _lineno, _raw, record, torn in _read_jsonl(
+            self.path, FailedCell.from_json
+        ):
+            if torn:
+                break
+            if isinstance(record, ValueError):
+                raise record
+            records.append(record)
         return records
 
     def prune(self, keys: set[CellKey]) -> int:
@@ -814,10 +841,8 @@ class FailureSidecar:
         if not survivors:
             self.path.unlink()
             return removed
-        tmp = self.path.with_name(self.path.name + ".prune.tmp")
-        tmp.write_text(
+        _atomic_rewrite(
+            self.path,
             "".join(r.to_json() + "\n" for r in survivors.values()),
-            encoding="utf-8",
         )
-        os.replace(tmp, self.path)
         return removed

@@ -59,7 +59,7 @@ class ResultCache:
     """Two-tier (memory LRU → store backend) cell-result cache.
 
     The persistent tier is any ``StoreBackend`` — the single-file
-    JSONL store or a sharded directory — reached through the protocol
+    JSONL store or a sharded directory — reached through that class
     only (``get``/``append``), so the service is layout-blind.
     """
 

@@ -1,10 +1,13 @@
 """Tests for the JSONL experiment artifact store."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.experiments import store as store_mod
 from repro.experiments.runner import run_single
+from repro.experiments.storage import ShardedStore
 from repro.experiments.store import (
     SCHEMA_VERSION,
     FailedCell,
@@ -345,15 +348,18 @@ class TestDoctor:
 
 
 class TestKeyIndexCache:
-    def _count_parses(self, store, monkeypatch):
-        calls = {"n": 0}
-        real = type(store)._iter_lines
+    def _count_parses(self, monkeypatch):
+        """Reads of a store file, total and per file name: every parse
+        of an archive goes through the one reader."""
+        calls = {"n": 0, "by_file": Counter()}
+        real = store_mod._read_jsonl
 
-        def counting(self):
+        def counting(path, parse):
             calls["n"] += 1
-            return real(self)
+            calls["by_file"][path.name] += 1
+            return real(path, parse)
 
-        monkeypatch.setattr(type(store), "_iter_lines", counting)
+        monkeypatch.setattr(store_mod, "_read_jsonl", counting)
         return calls
 
     def test_membership_checks_parse_once(self, tmp_path, monkeypatch):
@@ -362,7 +368,7 @@ class TestKeyIndexCache:
         b = make_stored(scheduler="sjf")
         store.append(a)
         store.append(b)
-        calls = self._count_parses(store, monkeypatch)
+        calls = self._count_parses(monkeypatch)
         for _ in range(50):
             assert a.key in store
             assert len(store) == 2
@@ -378,6 +384,44 @@ class TestKeyIndexCache:
         store.append(b)
         assert len(store) == 2
         assert b.key in store
+
+    def test_own_appends_keep_the_index(self, tmp_path, monkeypatch):
+        """k appends by one object, each followed by reads, parse the
+        file once; a fresh object resolves the identical run list."""
+        store = RunStore(tmp_path / "runs.jsonl")
+        store.append(make_stored(workload_seed=0))
+        calls = self._count_parses(monkeypatch)
+        for seed in range(1, 9):
+            run = make_stored(workload_seed=seed)
+            assert run.key not in store
+            store.append(run)
+            assert store.get(run.key) == run
+        store.append(make_stored(workload_seed=3, metrics={"makespan": 1.0}))
+        assert calls["n"] == 1
+        assert store.load() == RunStore(store.path).load()
+        assert [r.workload_seed for r in store.load()] == list(range(9))
+
+    def test_sharded_appends_parse_each_shard_at_most_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The supersede check before every sharded append is served by
+        the index the previous append kept, not by a re-parse."""
+        seeded = ShardedStore(tmp_path / "runs.store", n_shards=4)
+        for seed in range(40):
+            seeded.append(make_stored(workload_seed=seed))
+        store = ShardedStore(tmp_path / "runs.store")
+        calls = self._count_parses(monkeypatch)
+        fresh = [make_stored(workload_seed=seed) for seed in range(40, 60)]
+        for run in fresh:
+            store.append(run)
+        assert calls["by_file"] and max(calls["by_file"].values()) == 1
+        # A fresh object on each shard file resolves the identical
+        # run list: the retained index is what a cold parse gives.
+        for run in fresh:
+            shard = store.shard_for(run.key)
+            assert shard.load() == RunStore(shard.path).load()
+        assert store.load() == ShardedStore(store.path).load()
+        assert len(store) == 60
 
     def test_external_write_invalidates(self, tmp_path):
         path = tmp_path / "runs.jsonl"

@@ -2,10 +2,12 @@
 ``store migrate``/``digest``, sharded ``store doctor``, and
 ``report --where``."""
 
+import json
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
-from repro.experiments.storage import MANIFEST_NAME, shard_name
+from repro.experiments.storage import MANIFEST_NAME, ShardedStore, shard_name
 
 MATRIX = [
     "matrix", "--scenarios", "adversarial", "--sizes", "6",
@@ -146,6 +148,46 @@ class TestStoreDoctorSharded:
         (tmp_path / "runs.store" / MANIFEST_NAME).unlink()
         assert main(["store", "doctor", str(tmp_path / "runs.store")]) == 1
         assert (tmp_path / "runs.store" / MANIFEST_NAME).exists()
+
+    def test_garbled_manifest_is_doctors_to_rebuild(self, tmp_path, capsys):
+        """Every other command refuses a garbled manifest and points at
+        ``store doctor``; doctor itself opens the store anyway, infers
+        the shard count from the shard files and rebuilds it."""
+        path = tmp_path / "runs.store"
+        assert main(MATRIX + [
+            "--out", str(path), "--store-format", "sharded", "--shards", "2",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["store", "digest", str(path)]) == 0
+        digest = capsys.readouterr().out
+        good = (path / MANIFEST_NAME).read_text()
+        for garbled in ("{oops", json.dumps({"format": "something-else"})):
+            (path / MANIFEST_NAME).write_text(garbled)
+            for refused in (["store", "digest", str(path)],
+                            ["report", "--store", str(path)]):
+                assert main(refused) == 2
+                assert "store doctor" in capsys.readouterr().err
+            assert main(["store", "doctor", "--dry-run", str(path)]) == 1
+            assert (path / MANIFEST_NAME).read_text() == garbled
+            assert main(["store", "doctor", str(path)]) == 1
+            assert "rebuilt" in capsys.readouterr().out
+            assert (path / MANIFEST_NAME).read_text() == good
+            assert main(["store", "doctor", str(path)]) == 0
+            capsys.readouterr()
+            assert main(["store", "digest", str(path)]) == 0
+            assert capsys.readouterr().out == digest
+
+    def test_newer_manifest_is_not_rebuilt(self, tmp_path, capsys):
+        """A manifest written by newer code is not garbled: doctor
+        refuses it like everyone else instead of downgrading it."""
+        store = ShardedStore(tmp_path / "runs.store", n_shards=2)
+        store.ensure_initialized()
+        payload = json.loads(store.manifest_path.read_text())
+        payload["manifest_version"] += 1
+        store.manifest_path.write_text(json.dumps(payload))
+        assert main(["store", "doctor", str(store.path)]) == 2
+        assert "upgrade" in capsys.readouterr().err
+        assert json.loads(store.manifest_path.read_text()) == payload
 
     def test_missing_store_exit_two(self, tmp_path):
         assert main(["store", "doctor", str(tmp_path / "nope")]) == 2

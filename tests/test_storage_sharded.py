@@ -165,6 +165,19 @@ class TestManifest:
         (tmp_path / "runs.store" / MANIFEST_NAME).write_text("{oops")
         with pytest.raises(ValueError, match="doctor"):
             ShardedStore(tmp_path / "runs.store")
+        # The doctor's own way in reads it as lost, like a missing one.
+        repairing = ShardedStore.for_repair(tmp_path / "runs.store")
+        assert repairing.n_shards == 2
+        assert repairing.doctor().manifest_repaired
+        assert ShardedStore(tmp_path / "runs.store").load() == [make_stored()]
+
+    def test_garbled_manifest_and_no_shards_is_a_fresh_store(self, tmp_path):
+        (tmp_path / "runs.store").mkdir()
+        (tmp_path / "runs.store" / MANIFEST_NAME).write_text("[]")
+        repairing = ShardedStore.for_repair(tmp_path / "runs.store")
+        assert repairing.n_shards == DEFAULT_SHARDS
+        assert repairing.doctor().manifest_repaired
+        assert ShardedStore(tmp_path / "runs.store").load() == []
 
 
 class TestCompaction:
