@@ -75,6 +75,7 @@ class ReActSchedulingAgent(BaseScheduler):
     def reset(self) -> None:
         super().reset()
         self.backend.reset()
+        self.prompt_builder.reset()
         self.scratchpad = Scratchpad(window=self._window)
         self.calls = []
 
@@ -132,6 +133,7 @@ class ReActSchedulingAgent(BaseScheduler):
             "model": self.backend.name,
             "scratchpad_entries": len(self.scratchpad),
             "scratchpad_text": self.scratchpad.render(),
+            **self.prompt_builder.counts(),
         }
 
     # -- overhead convenience -------------------------------------------------

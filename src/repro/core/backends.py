@@ -140,7 +140,7 @@ def _queue_heterogeneity(context: PromptContext) -> float:
     """Heterogeneity of the *current queue* feeding the latency model."""
     from repro.workloads.generator import workload_heterogeneity
 
-    return workload_heterogeneity(list(context.view.queued))
+    return workload_heterogeneity(context.view.queued)
 
 
 @dataclass

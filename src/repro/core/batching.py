@@ -94,6 +94,7 @@ class BatchedReActAgent(BaseScheduler):
             self.profile, np.random.default_rng(policy_seed)
         )
         self._latency_rng = np.random.default_rng(latency_seed)
+        self.prompt_builder.reset()
         self.scratchpad = Scratchpad(window=self._window)
         self.calls: list[LLMCallRecord] = []
         self._pending: list[tuple[Action, str]] = []
@@ -217,6 +218,7 @@ class BatchedReActAgent(BaseScheduler):
             "model": self.name,
             "batch_size": self.batch_size,
             "scratchpad_entries": len(self.scratchpad),
+            **self.prompt_builder.counts(),
         }
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +41,16 @@ from repro.sim.actions import (
 from repro.sim.job import Job
 
 _JOB_ID_IN_ACTION = re.compile(r"job_id\s*=\s*(\d+)", re.IGNORECASE)
+
+
+def _median(values: list[float]) -> float:
+    """Middle of the sorted values, the mean of the middle two for an
+    even count — what ``np.median`` computes, bit for bit."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,6 @@ class ReasoningStep:
 
     thought: str
     action: Action
-    scores: tuple[JobScore, ...] = ()
     hallucinated: bool = False
 
 
@@ -100,6 +109,19 @@ class ReasoningPolicy:
           would put to use;
         * throughput — shortness of the job relative to the candidate
           median (quick completions, like Job 9 in Fig. 2).
+
+        Returns every candidate's score, best first.
+        """
+        return self._ranked(ctx, candidates, len(candidates))
+
+    def _ranked(
+        self, ctx: PromptContext, candidates: list[Job], limit: int
+    ) -> list[JobScore]:
+        """The *limit* best candidates' scores, best first.
+
+        Plain floats throughout: the queues the paper studies are a
+        handful deep, where a numpy call's fixed cost exceeds the whole
+        loop, and IEEE doubles in the same order give the same bits.
         """
         view = ctx.view
         w = self.profile.weights
@@ -107,14 +129,14 @@ class ReasoningPolicy:
         if n == 0:
             return []
 
-        waits = np.array([view.now - j.submit_time for j in candidates])
-        max_wait = waits.max()
+        now = view.now
+        waits = [now - j.submit_time for j in candidates]
+        max_wait = max(waits)
         user_waits = view.user_wait_times()
         max_user_wait = max(user_waits.values(), default=0.0)
-        node_seconds = np.array([j.node_seconds for j in candidates])
-        max_ns = node_seconds.max()
-        walltimes = np.array([j.walltime for j in candidates])
-        median_wt = float(np.median(walltimes))
+        node_seconds = [j.node_seconds for j in candidates]
+        max_ns = max(node_seconds)
+        median_wt = max(_median([j.walltime for j in candidates]), 1e-9)
 
         free_nodes = max(view.free_nodes, 1)
         free_mem = max(view.free_memory_gb, 1e-9)
@@ -125,8 +147,16 @@ class ReasoningPolicy:
         throughput_weight = w.throughput * (
             1.0 + w.easy_win_bias * feasible_frac
         )
+        # API-style run-to-run nondeterminism (§4): a small
+        # seed-dependent perturbation that can flip near-ties. One
+        # sized draw consumes the stream exactly as n scalar draws do.
+        noise = (
+            self.rng.normal(0.0, w.decision_noise, size=n).tolist()
+            if w.decision_noise > 0
+            else None
+        )
 
-        scores: list[JobScore] = []
+        rows = []
         for i, job in enumerate(candidates):
             job_wait_score = waits[i] / max_wait if max_wait > 0 else 0.0
             user_score = (
@@ -134,34 +164,33 @@ class ReasoningPolicy:
                 if max_user_wait > 0
                 else 0.0
             )
-            fair = 0.6 * job_wait_score + 0.4 * user_score
-            make = node_seconds[i] / max_ns if max_ns > 0 else 0.0
-            util = 0.5 * min(job.nodes / free_nodes, 1.0) + 0.5 * min(
-                job.memory_gb / free_mem, 1.0
+            fair = w.fairness * (0.6 * job_wait_score + 0.4 * user_score)
+            make = w.makespan * (
+                node_seconds[i] / max_ns if max_ns > 0 else 0.0
             )
-            short = 1.0 / (1.0 + walltimes[i] / max(median_wt, 1e-9))
-            total = (
-                w.fairness * fair
-                + w.makespan * make
-                + w.utilization * util
-                + throughput_weight * short
+            util = w.utilization * (
+                0.5 * min(job.nodes / free_nodes, 1.0)
+                + 0.5 * min(job.memory_gb / free_mem, 1.0)
             )
-            if w.decision_noise > 0:
-                # API-style run-to-run nondeterminism (§4): a small
-                # seed-dependent perturbation that can flip near-ties.
-                total += float(self.rng.normal(0.0, w.decision_noise))
-            scores.append(
-                JobScore(
-                    job=job,
-                    fairness=w.fairness * fair,
-                    makespan=w.makespan * make,
-                    utilization=w.utilization * util,
-                    throughput=throughput_weight * short,
-                    total=total,
-                )
+            short = throughput_weight * (
+                1.0 / (1.0 + job.walltime / median_wt)
             )
-        scores.sort(key=lambda s: (-s.total, s.job.job_id))
-        return scores
+            total = fair + make + util + short
+            if noise is not None:
+                total += noise[i]
+            rows.append((-total, job.job_id, i, fair, make, util, short))
+        rows.sort()
+        return [
+            JobScore(
+                job=candidates[i],
+                fairness=fair,
+                makespan=make,
+                utilization=util,
+                throughput=short,
+                total=-neg_total,
+            )
+            for neg_total, _, i, fair, make, util, short in rows[:limit]
+        ]
 
     # -- scratchpad awareness ------------------------------------------------
     @staticmethod
@@ -187,9 +216,21 @@ class ReasoningPolicy:
             return ReasoningStep(thought=self._stop_thought(ctx), action=Stop)
 
         rejected = self.recently_rejected_ids(ctx)
-        queued = [j for j in view.queued if j.job_id not in rejected]
-        feasible = [j for j in queued if view.can_fit(j)]
-        infeasible = [j for j in queued if not view.can_fit(j)]
+        queued = (
+            [j for j in view.queued if j.job_id not in rejected]
+            if rejected
+            else view.queued
+        )
+        # One pass, ``view.can_fit``'s arithmetic inlined.
+        free_nodes = view.free_nodes
+        free_memory = view.free_memory_gb + 1e-9
+        feasible: list[Job] = []
+        infeasible: list[Job] = []
+        for j in queued:
+            if j.nodes <= free_nodes and j.memory_gb <= free_memory:
+                feasible.append(j)
+            else:
+                infeasible.append(j)
 
         # Occasional infeasible proposal (hallucination): pick the most
         # "attractive" blocked job, reasoning about fairness/utilization
@@ -236,7 +277,8 @@ class ReasoningPolicy:
                 return ReasoningStep(thought=thought, action=Delay)
             feasible = protected
 
-        scores = self.score_jobs(ctx, feasible)
+        # The thought names the three best; nobody reads the rest.
+        scores = self._ranked(ctx, feasible, 3)
         best = scores[0]
         head = view.queued[0]
         if best.job.job_id == head.job_id:
@@ -245,15 +287,13 @@ class ReasoningPolicy:
             # Picking a job out of arrival order = opportunistic backfill.
             action = BackfillJob(best.job.job_id)
         thought = self._decision_thought(ctx, scores, action)
-        return ReasoningStep(
-            thought=thought, action=action, scores=tuple(scores)
-        )
+        return ReasoningStep(thought=thought, action=action)
 
     # -- starvation protection ------------------------------------------------
     def _starvation_filter(
         self,
         ctx: PromptContext,
-        queued: list[Job],
+        queued: Sequence[Job],
         feasible: list[Job],
     ) -> Optional[tuple[Job, list[Job]]]:
         """Detect a starving job and compute the backfill-safe subset.
@@ -270,7 +310,7 @@ class ReasoningPolicy:
             return None
         starving = max(queued, key=lambda j: (view.now - j.submit_time, j.job_id))
         wait = view.now - starving.submit_time
-        median_wt = float(np.median([j.walltime for j in queued]))
+        median_wt = _median([j.walltime for j in queued])
         threshold = self.profile.weights.starvation_patience * max(
             median_wt, 300.0
         )

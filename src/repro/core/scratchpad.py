@@ -11,6 +11,7 @@ analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 
@@ -24,6 +25,12 @@ class ScratchpadEntry:
     feedback: str = ""
 
     def render(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # An entry is frozen, so it is rendered once however many
+        # prompts its window puts it in.
         parts = [f"[t={self.time:g}] Action: {self.action_text}"]
         if self.thought:
             # Keep the scratchpad compact: first line of the thought only.
@@ -56,7 +63,18 @@ class Scratchpad:
         action_text: str,
         feedback: str = "",
     ) -> ScratchpadEntry:
-        """Record one (thought, action, feedback) triple."""
+        """Record one (thought, action, feedback) triple.
+
+        Entries are kept in clock order — :meth:`recent_feedback` reads
+        the history from its tail — so a *time* earlier than the last
+        entry's is refused.
+        """
+        if self.entries and time < self.entries[-1].time:
+            raise ValueError(
+                f"scratchpad entries are appended in clock order: "
+                f"t={time:g} is before the last entry's "
+                f"t={self.entries[-1].time:g}"
+            )
         entry = ScratchpadEntry(time, thought, action_text, feedback)
         self.entries.append(entry)
         return entry
@@ -90,10 +108,17 @@ class Scratchpad:
     def recent_feedback(self, since_time: float) -> list[ScratchpadEntry]:
         """Entries carrying feedback at or after *since_time* — the
         reasoning policy uses these to avoid re-proposing jobs the
-        environment just rejected."""
-        return [
-            e for e in self.entries if e.feedback and e.time >= since_time
-        ]
+        environment just rejected. Read from the tail of the history up
+        to the first older entry, so the cost follows the entries since
+        *since_time*, not the length of the run."""
+        recent: list[ScratchpadEntry] = []
+        for entry in reversed(self.entries):
+            if entry.time < since_time:
+                break
+            if entry.feedback:
+                recent.append(entry)
+        recent.reverse()
+        return recent
 
     def clear(self) -> None:
         self.entries.clear()

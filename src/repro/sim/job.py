@@ -115,14 +115,6 @@ class Job:
         """GB-seconds of memory occupancy."""
         return self.memory_gb * self.duration
 
-    def describe(self) -> str:
-        """One-line human-readable description used in prompts."""
-        return (
-            f"Job {self.job_id}: {self.nodes} nodes, "
-            f"{self.memory_gb:g} GB, walltime={self.walltime:g}s, "
-            f"user={self.user}"
-        )
-
 
 def validate_workload(jobs: Iterable[Job]) -> list[Job]:
     """Validate a collection of jobs as a coherent workload.

@@ -112,6 +112,15 @@ class CompletedLog(Sequence[int]):
         for i in range(self._n):
             yield log[i]
 
+    def since(self, earlier: "CompletedLog") -> Optional[list[int]]:
+        """The ids completed after *earlier* was taken, or ``None`` when
+        *earlier* is not a shorter-or-equal snapshot of the same log
+        (so a reader that kept something derived from *earlier* knows
+        whether it can extend it or has to start over)."""
+        if earlier._log is not self._log or earlier._n > self._n:
+            return None
+        return self._log[earlier._n : self._n]
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (CompletedLog, tuple, list)):
             return len(self) == len(other) and all(

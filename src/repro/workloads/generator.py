@@ -8,6 +8,7 @@ every job at ``t = 0``; pass ``arrival_mode="zero"`` for that.
 
 from __future__ import annotations
 
+import math
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -88,12 +89,31 @@ def workload_heterogeneity(jobs: Sequence[Job]) -> float:
     paper observes to slow down on diverse queues (§3.7.1). A uniform
     workload scores ~0; the heterogeneous mix scores near 1.
     """
-    if len(jobs) < 2:
+    n = len(jobs)
+    if n < 2:
         return 0.0
-    arr = np.array([[j.duration, j.nodes, j.memory_gb] for j in jobs])
-    means = arr.mean(axis=0)
-    stds = arr.std(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cvs = np.where(means > 0, stds / means, 0.0)
+    # Sequential sums in plain floats: the same additions in the same
+    # order as numpy's axis-0 reductions over the (n, 3) array, so the
+    # same bits — without the array build, which costs more than the
+    # arithmetic at the queue depths the LLM latency model sees. (Not
+    # ``column.mean()``: 1-D reductions sum pairwise and differ.)
+    sum_d = sum_n = sum_m = 0.0
+    for j in jobs:
+        sum_d += j.duration
+        sum_n += j.nodes
+        sum_m += j.memory_gb
+    mean_d, mean_n, mean_m = sum_d / n, sum_n / n, sum_m / n
+    sq_d = sq_n = sq_m = 0.0
+    for j in jobs:
+        dev = j.duration - mean_d
+        sq_d += dev * dev
+        dev = j.nodes - mean_n
+        sq_n += dev * dev
+        dev = j.memory_gb - mean_m
+        sq_m += dev * dev
+    cv_sum = 0.0
+    for squares, mean in ((sq_d, mean_d), (sq_n, mean_n), (sq_m, mean_m)):
+        if mean > 0:
+            cv_sum += math.sqrt(squares / n) / mean
     # Gamma(1.5, 300) durations have CV ≈ 0.8; saturate around there.
-    return float(np.clip(cvs.mean() / 0.8, 0.0, 1.0))
+    return min(max(cv_sum / 3 / 0.8, 0.0), 1.0)

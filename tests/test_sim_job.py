@@ -67,12 +67,6 @@ class TestJobDerived:
         assert scaled.duration == 200.0
         assert scaled.walltime == 400.0
 
-    def test_describe_mentions_resources(self):
-        text = make_job(job_id=7, nodes=16, memory=32.0).describe()
-        assert "Job 7" in text
-        assert "16 nodes" in text
-        assert "32 GB" in text
-
 
 class TestWorkloadValidation:
     def test_sorted_by_submit_then_id(self):
