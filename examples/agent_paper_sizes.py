@@ -9,9 +9,13 @@ times the seven paper scenarios x both simulated profiles at n = 10,
 ``src/``, one on ``--parent``'s — and prints host seconds per size
 (each cell's best of ``--repeats``, summed over the 14 cells; median
 over ``--pairs``). Without ``--parent`` it times this checkout only.
-A side measurement, not a tracked metric.
+``--schedulers`` / ``--sizes`` time other policies the same way (the
+heuristics' short-queue kernels, say). A side measurement, not a
+tracked metric.
 
 Run:  python examples/agent_paper_sizes.py [--parent /path/to/other/checkout]
+      python examples/agent_paper_sizes.py --schedulers sjf largest_first \
+          --sizes 10 20 60 100 --parent /path/to/other/checkout
 """
 
 from __future__ import annotations
@@ -29,19 +33,19 @@ SIZES = (10, 20, 60)
 MODELS = ("claude-3.7-sim", "o4-mini-sim")
 
 
-def time_sizes(repeats: int) -> dict[str, float]:
+def time_sizes(args: argparse.Namespace) -> dict[str, float]:
     """Host seconds per size on whatever ``repro`` is importable."""
     from repro import create_scheduler, generate_workload, simulate
     from repro.workloads.scenarios import PAPER_SCENARIOS
 
     seconds = {}
-    for n in SIZES:
+    for n in args.sizes:
         total = 0.0
         for scenario in PAPER_SCENARIOS:
             jobs = generate_workload(scenario, n, seed=0)
-            for model in MODELS:
+            for model in args.schedulers:
                 best = float("inf")
-                for _ in range(repeats):
+                for _ in range(args.repeats):
                     scheduler = create_scheduler(model, seed=0)
                     start = time.perf_counter()
                     simulate(jobs, scheduler)
@@ -51,10 +55,17 @@ def time_sizes(repeats: int) -> dict[str, float]:
     return seconds
 
 
-def time_checkout(checkout: Path, repeats: int) -> dict[str, float]:
+def time_checkout(
+    checkout: Path, args: argparse.Namespace
+) -> dict[str, float]:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = subprocess.run(
-        [sys.executable, __file__, "--child", "--repeats", str(repeats)],
+        [
+            sys.executable, __file__, "--child",
+            "--repeats", str(args.repeats),
+            "--schedulers", *args.schedulers,
+            "--sizes", *map(str, args.sizes),
+        ],
         env=env, check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(out)
@@ -65,28 +76,30 @@ def main() -> None:
     parser.add_argument("--parent", type=Path, help="checkout to compare with")
     parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--schedulers", nargs="+", default=list(MODELS))
+    parser.add_argument("--sizes", nargs="+", type=int, default=list(SIZES))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     # Unknown flags are ignored: tests/test_examples.py runs every
     # example in-process, under pytest's own argv.
     args, _ = parser.parse_known_args()
 
     if args.child:
-        json.dump(time_sizes(args.repeats), sys.stdout)
+        json.dump(time_sizes(args), sys.stdout)
         return
     if args.parent is None:
         print(f"{'n':>4} {'seconds':>10}")
-        for n, seconds in time_sizes(args.repeats).items():
+        for n, seconds in time_sizes(args).items():
             print(f"{n:>4} {seconds:>10.4f}")
         return
 
     here = Path(__file__).resolve().parent.parent
     runs = {"parent": [], "change": []}
     for _ in range(args.pairs):
-        runs["parent"].append(time_checkout(args.parent, args.repeats))
-        runs["change"].append(time_checkout(here, args.repeats))
+        runs["parent"].append(time_checkout(args.parent, args))
+        runs["change"].append(time_checkout(here, args))
 
     print(f"{'n':>4} {'parent_s':>10} {'change_s':>10} {'change':>8}")
-    for n in map(str, SIZES):
+    for n in map(str, args.sizes):
         parent, change = (
             statistics.median(run[n] for run in runs[side])
             for side in ("parent", "change")

@@ -59,13 +59,9 @@ class LargestFirstScheduler(BaseScheduler):
             feasible = np.flatnonzero(cols.fits_mask())
             if not feasible.size:
                 return Delay
-            # max by (node_seconds, job_id): ids are unique, so the
-            # lexsort's last entry is exactly the facade's max-key job.
-            winner = feasible[
-                np.lexsort(
-                    (cols.ids[feasible], cols.node_seconds[feasible])
-                )[-1]
-            ]
+            # max by (node_seconds, job_id): ranks are unique, so the
+            # argmax is exactly the facade's max-key job.
+            winner = feasible[cols.rank("node_seconds")[feasible].argmax()]
             return StartJob(cols.id_at(int(winner)))
         # Single pass: track the max feasible job instead of
         # materializing the feasible tuple first.

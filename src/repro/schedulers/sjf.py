@@ -38,20 +38,19 @@ class SJFScheduler(BaseScheduler):
         cols = view.columns()
         if not cols.n:
             return Delay
-        runtime = cols.walltime if self.use_walltime else cols.duration
-        # lexsort's *last* key is primary: runtime ascending, job-id
-        # tie-break — the same total order as sorting (runtime, id)
-        # key tuples, with no per-job lambda call.
-        order = np.lexsort((cols.ids, runtime))
+        # The order by (runtime, job_id) is fixed for the run and held
+        # as a rank column, so the shortest job of any subset of the
+        # queue is an argmin over it.
+        key = "walltime" if self.use_walltime else "duration"
         if self.strict:
-            pos = int(order[0])
+            pos = cols.first_by(key)
             if cols.fits_at(pos):
                 return StartJob(cols.id_at(pos))
             return Delay
-        feasible = cols.fits_mask()[order]
-        hits = np.flatnonzero(feasible)
+        hits = np.flatnonzero(cols.fits_mask())
         if hits.size:
-            return StartJob(cols.id_at(int(order[int(hits[0])])))
+            pos = hits[cols.rank(key)[hits].argmin()]
+            return StartJob(cols.id_at(int(pos)))
         return Delay
 
     def decide(self, view: SystemView) -> Action:
@@ -59,13 +58,14 @@ class SJFScheduler(BaseScheduler):
             return self._decide_columns(view)
         if not view.queued:
             return Delay
-        ordered = sorted(view.queued, key=self._key)
         if self.strict:
-            head = ordered[0]
+            head = min(view.queued, key=self._key)
             if view.can_fit(head):
                 return StartJob(head.job_id)
             return Delay
-        for job in ordered:
-            if view.can_fit(job):
-                return StartJob(job.job_id)
+        head = min(
+            filter(view.can_fit, view.queued), key=self._key, default=None
+        )
+        if head is not None:
+            return StartJob(head.job_id)
         return Delay

@@ -6,15 +6,19 @@ facades one attribute at a time — the decision path re-materialized
 Python attribute reads the SoA core worked hard to avoid. This module
 is the scheduler-side counterpart: per-job attribute **columns** built
 once per workload, projected onto the current queue as numpy arrays, so
-sort/filter-shaped decision kernels run as argsorts and boolean masks
-instead of per-job key lambdas.
+sort/filter-shaped decision kernels run as boolean masks and one
+argmin over a precomputed rank instead of per-job key lambdas.
 
 Three layers, matching how often each changes:
 
 * :class:`JobColumns` — one array per job attribute, indexed by
   workload position. Built **once per run** (lazily, on the first
   columnar access) and shared by every view of that run; the no-copy
-  property test pins exactly this sharing.
+  property test pins exactly this sharing. A sort key ``(attribute,
+  job_id)`` never changes during a run, so each key in use also gets
+  one **rank column** here (:meth:`JobColumns.rank`): the only sort of
+  the run. Picking the queue's first job by that key is then a
+  selection, not a sort.
 * :class:`QueueColumns` — the queue-order projection: a private copy
   of the engine's queued positions, selecting over the masters. Taken
   only when the queue actually changes (the same cadence as the cached
@@ -29,10 +33,12 @@ Three layers, matching how often each changes:
 
 **Byte-identity is inherited, not re-proven**: columns carry the exact
 float/int values the ``Job`` facades hold (no casts through lower
-precision), so an argsort keyed on ``(column, job_id)`` reproduces a
-``sorted(..., key=...)`` over the same tuples bit for bit. Columnar
-schedulers are digest-pinned against their facade twins on the full
-disruption/topology regime matrix.
+precision), so the lexsort keyed on ``(column, job_id)`` behind a rank
+column orders jobs exactly as ``sorted(..., key=...)`` orders the same
+tuples, and ranks are unique (ties break on id): the argmin over any
+subset of the queue is that subset's first job in sorted order.
+Columnar schedulers are digest-pinned against their facade twins on
+the full disruption/topology regime matrix.
 
 Hand-built views (tests, bench harnesses) get the same surface with no
 engine behind them: the fallback builds masters from ``view.queued``
@@ -64,8 +70,8 @@ COLUMN_NAMES = (
 _INT_COLUMNS = frozenset({"job_id", "nodes"})
 
 #: Queue depth below which columnar kernels defer to their facade
-#: twins. On short steady-state queues numpy dispatch (lexsort, mask
-#: construction, boolean indexing at ~5–15 µs per call) costs more
+#: twins. On short steady-state queues numpy dispatch (gathers, mask
+#: construction, fancy indexing, argmin at ~1–10 µs per call) costs more
 #: than it saves over a handful of Python attribute reads; the decision
 #: microbench puts the break-even near this depth. Because both kernels
 #: are byte-identical, switching per decision is invisible to digests —
@@ -80,10 +86,10 @@ class JobColumns:
     read-only numpy array per attribute in :data:`COLUMN_NAMES`.
     ``node_seconds`` is materialized as ``nodes * duration`` with the
     same int×float IEEE multiply the :class:`Job` property performs,
-    so argsorts over the column reproduce facade key tuples exactly.
+    so sorts over the column reproduce facade key tuples exactly.
     """
 
-    __slots__ = ("n",) + COLUMN_NAMES
+    __slots__ = ("n", "_ranks") + COLUMN_NAMES
 
     def __init__(self, jobs: Sequence["Job"]) -> None:
         n = len(jobs)
@@ -107,6 +113,22 @@ class JobColumns:
         self.node_seconds = self.nodes * self.duration
         for name in COLUMN_NAMES:
             getattr(self, name).setflags(write=False)
+        self._ranks: dict[str, np.ndarray] = {}
+
+    def rank(self, key: str) -> np.ndarray:
+        """Each job's place in the workload sorted by ``(key column,
+        job_id)``, by workload position: the inverse permutation of one
+        lexsort, built on first use and kept for the run. Smaller rank
+        sorts first, and no two jobs share one."""
+        rank = self._ranks.get(key)
+        if rank is None:
+            # lexsort's *last* key is primary; job-id breaks ties.
+            order = np.lexsort((self.job_id, getattr(self, key)))
+            rank = np.empty(self.n, dtype=np.int64)
+            rank[order] = np.arange(self.n, dtype=np.int64)
+            rank.setflags(write=False)
+            self._ranks[key] = rank
+        return rank
 
 
 class QueueColumns:
@@ -121,7 +143,7 @@ class QueueColumns:
     once per queue change, not once per decision.
     """
 
-    __slots__ = ("_masters", "_sel", "n", "_gathered")
+    __slots__ = ("_masters", "_sel", "n", "_gathered", "_first")
 
     def __init__(
         self,
@@ -133,6 +155,7 @@ class QueueColumns:
         self._sel = sel
         self.n = n
         self._gathered: dict[str, np.ndarray] = {}
+        self._first: dict[str, int] = {}
 
     @property
     def masters(self) -> JobColumns:
@@ -155,18 +178,38 @@ class QueueColumns:
             self._sel = sel
         return sel
 
+    def _gather(self, name: str, master: np.ndarray) -> np.ndarray:
+        if self._sel is None:
+            arr = master
+        else:
+            arr = master[self.sel]
+            arr.setflags(write=False)
+        self._gathered[name] = arr
+        return arr
+
     def col(self, name: str) -> np.ndarray:
         """Queue-order column *name*; gathered once and cached."""
         arr = self._gathered.get(name)
         if arr is None:
-            master = getattr(self.masters, name)
-            if self._sel is None:
-                arr = master
-            else:
-                arr = master[self.sel]
-                arr.setflags(write=False)
-            self._gathered[name] = arr
+            arr = self._gather(name, getattr(self.masters, name))
         return arr
+
+    def rank(self, key: str) -> np.ndarray:
+        """Queue-order :meth:`JobColumns.rank` column for sort *key*;
+        gathered once and cached like any other column."""
+        name = "rank:" + key
+        arr = self._gathered.get(name)
+        if arr is None:
+            arr = self._gather(name, self.masters.rank(key))
+        return arr
+
+    def first_by(self, key: str) -> int:
+        """Queue position of the job that sorts first by ``(key,
+        job_id)``; computed once per queue change."""
+        pos = self._first.get(key)
+        if pos is None:
+            pos = self._first[key] = int(self.rank(key).argmin())
+        return pos
 
     def scalar(self, name: str, pos: int):
         """One queue-position read without forcing a full gather —
@@ -247,6 +290,15 @@ class ViewColumns:
     def node_seconds(self) -> np.ndarray:
         return self._q.col("node_seconds")
 
+    def rank(self, key: str) -> np.ndarray:
+        """Queue-order rank by ``(key, job_id)``: see
+        :meth:`JobColumns.rank`."""
+        return self._q.rank(key)
+
+    def first_by(self, key: str) -> int:
+        """Queue position of the smallest :meth:`rank`."""
+        return self._q.first_by(key)
+
     # -- capacity scalars/vectors --------------------------------------
     @property
     def free_nodes(self) -> int:
@@ -302,13 +354,12 @@ class ViewColumns:
         mask = self._requeued
         if mask is None:
             rem = self._view.remaining_runtimes
-            ids = self.ids
             if not rem:
                 mask = np.zeros(self.n, dtype=bool)
             else:
-                mask = np.zeros(self.n, dtype=bool)
-                for job_id in rem:
-                    mask |= ids == job_id
+                mask = np.isin(
+                    self.ids, np.fromiter(rem, np.int64, count=len(rem))
+                )
             self._requeued = mask
         return mask
 
