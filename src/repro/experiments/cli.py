@@ -202,11 +202,6 @@ def _check_fault_args(args) -> None:
         raise UsageError("--max-retries must be >= 0")
     if args.retry_backoff is not None and args.retry_backoff < 0:
         raise UsageError("--retry-backoff must be >= 0")
-    if args.cell_timeout is not None and args.workers == 1:
-        raise UsageError(
-            "--cell-timeout needs --workers >= 2: an inline sweep "
-            "cannot preempt its own process"
-        )
 
 
 def _build_disruption_spec(args) -> Optional[DisruptionSpec]:
@@ -445,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "per-cell wall-clock budget: a cell still running after "
-            "this long has its (hung) worker killed and is retried "
-            "against a rebuilt pool (default: no timeout; needs "
-            "--workers >= 2 — an inline sweep cannot preempt itself)"
+            "this long has its (hung) worker killed and replaced, and "
+            "is retried (default: no timeout; with one, cells run in "
+            "worker processes even at --workers 1)"
         ),
     )
     f.add_argument(

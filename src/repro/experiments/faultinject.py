@@ -75,9 +75,9 @@ class FaultRule:
 
     kind: str
     #: ``crash`` only: ``"raise"`` propagates :class:`InjectedCrash` to
-    #: the parent (pool survives); ``"exit"`` calls ``os._exit`` so the
-    #: worker dies without unwinding — the parent sees the whole pool
-    #: break, exactly like an OOM-killed worker.
+    #: the parent (worker survives); ``"exit"`` calls ``os._exit`` so
+    #: the worker dies without unwinding — the parent reads EOF on that
+    #: worker's pipe and replaces it, exactly like an OOM-killed worker.
     mode: str = "raise"
     #: Trigger probability in [0, 1]; hashed, not random (see module
     #: docstring). 1.0 = every matching (cell, attempt).
@@ -262,7 +262,7 @@ def on_cell_attempt(key: str, attempt: int) -> None:
         return
     if rule.mode == "exit":
         # Die like an OOM-killed worker: no unwinding, no IPC goodbye —
-        # the parent's pool breaks. Unreachable under coverage because
+        # that worker is replaced. Unreachable under coverage because
         # it only ever runs in a sacrificial subprocess.
         os._exit(rule.exit_code)  # pragma: no cover
     raise InjectedCrash(

@@ -1,10 +1,10 @@
-"""Process-pool experiment engine with streaming, resumable artifacts.
+"""Multi-process experiment engine with streaming, resumable artifacts.
 
 The paper's evaluation matrix (scenarios × sizes × schedulers × seeds)
 is embarrassingly parallel: every cell generates its workload from its
 own seed and simulates independently. This module fans the cells out
-over a :class:`~concurrent.futures.ProcessPoolExecutor` (the SimCash
-replication idiom), streams each finished run into a
+over worker processes it owns — one process, one pipe and at most one
+cell in flight each — streams each finished run into a
 :class:`~repro.experiments.store.RunStore` the moment it completes, and
 — with ``resume=True`` — skips cells the store already holds, so a
 killed sweep restarts where it left off.
@@ -17,11 +17,12 @@ arrival_mode) identity, never on worker scheduling, so
 same deterministic cell order.
 
 The engine is also fault-tolerant (the ScalienDB discipline: crashes
-are an input, not an exception): a crashed worker rebuilds the pool
-and retries only the unfinished cells, a hung worker is killed by a
-per-cell watchdog (``cell_timeout``), and a cell that keeps failing is
-quarantined as a structured :class:`~repro.experiments.store.FailedCell`
-record while the rest of the sweep completes. Because cells are pure
+are an input, not an exception) and recovery is sized to the failure:
+a crashed worker is replaced and only its cell retried, a hung worker
+is killed by a per-cell watchdog (``cell_timeout``) and replaced the
+same way, and a cell that keeps failing is quarantined as a structured
+:class:`~repro.experiments.store.FailedCell` record while the rest of
+the sweep completes. Because cells are pure
 functions of their key, none of this can change a persisted byte — a
 sweep that survived crashes is ``diff``-identical to one that never
 saw them, which is exactly what the chaos suite
@@ -31,18 +32,14 @@ saw them, which is exactly what the chaos suite
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import signal
 import time
 import traceback
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -248,38 +245,8 @@ def _worker_init() -> None:
     """Workers ignore SIGINT: a terminal Ctrl-C signals the whole
     process group, and without this the in-flight cells die with the
     keystroke instead of finishing and being persisted. Cancellation
-    stays the parent's job (it stops feeding the pool)."""
+    stays the parent's job (it stops feeding the workers)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-#: Per-process cache of open sharded stores for worker-side appends —
-#: keeps each worker's manifest read and per-shard parsed caches warm
-#: across the cells it executes.
-_WORKER_STORES: dict[str, ShardedStore] = {}
-
-
-def _execute_and_store_cell(
-    cell: MatrixCell, attempt: int, store_path: str
-) -> ExperimentRun:
-    """Worker entry point for sharded stores: simulate one cell, then
-    persist it **from inside the worker** into the cell's own shard.
-
-    This is what makes sharded pooled sweeps truly concurrent writers:
-    each worker appends directly to the shard its cell's key hashes
-    to, under that shard's lock only — workers on different shards
-    never serialize against each other, and the parent's funnel (every
-    result crossing back before any byte is written) is gone. Safe
-    because a key's shard assignment is process-independent and
-    last-write-wins per key is per-shard; a retried cell that already
-    landed just supersedes itself with identical bytes.
-    """
-    run = _execute_cell(cell, attempt)
-    store = _WORKER_STORES.get(store_path)
-    if store is None:
-        store = ShardedStore(store_path)
-        _WORKER_STORES[store_path] = store
-    store.append(run)
-    return run
 
 
 def _execute_cell(cell: MatrixCell, attempt: int = 1) -> ExperimentRun:
@@ -318,42 +285,354 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 def _traceback_tail(exc: BaseException, limit: int = 15) -> str:
-    """Last *limit* lines of the exception's formatted traceback —
-    workers chain the remote traceback onto the exception, so this
-    captures where the cell actually died, compact enough for one
-    sidecar line."""
+    """Last *limit* lines of the exception's formatted traceback,
+    compact enough for one sidecar line. An exception that crossed a
+    worker's pipe lost its traceback to the pickle; the tail the worker
+    sent along is preferred, so the record names the line that died."""
+    remote = getattr(exc, "worker_traceback", None)
+    if remote:
+        return remote
     lines = "".join(
         traceback.format_exception(type(exc), exc, exc.__traceback__)
     ).strip().splitlines()
     return "\n".join(lines[-limit:])
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcibly stop a pool *now*: SIGTERM (escalating to SIGKILL)
-    every worker, then shut the executor down without waiting.
+class WorkerLost(RuntimeError):
+    """A worker's pipe read EOF: the process died without a goodbye
+    (OOM kill, segfault, ``os._exit``) while running one cell."""
 
-    This is the watchdog's only option — ``ProcessPoolExecutor``
-    cannot cancel a running task, so a hung worker is reclaimed by
-    killing the whole pool and rebuilding it. Reaches into the private
-    ``_processes`` map deliberately; the fallback (shutdown without
-    waiting) still detaches us if that attribute ever moves.
+
+def _worker_main(
+    conn: Connection, parent_end: Connection, store_path: Optional[str]
+) -> None:
+    """Body of one owned worker process: answer ``(cell, attempt)``
+    tasks on *conn*, one at a time, with the run or with the exception
+    the cell raised, until the explicit ``None`` task.
+
+    With *store_path* (a sharded store) the worker persists each cell
+    itself, into the shard the cell's key hashes to and under that
+    shard's lock only — concurrent writers with no parent funnel.
+    Safe because a key's shard is process-independent and
+    last-write-wins is per shard: a retried cell that already landed
+    supersedes itself with identical bytes. The store object lives as
+    long as the worker, so its manifest read and parsed shards stay
+    warm across cells.
     """
-    procs = getattr(pool, "_processes", None)
-    procs = list(procs.values()) if procs else []
-    for proc in procs:
-        try:
-            proc.terminate()
-        except Exception:  # pragma: no cover - already-dead races
-            pass
-    for proc in procs:
-        proc.join(timeout=5.0)
-        if proc.is_alive():  # pragma: no cover - SIGTERM almost always lands
+    _worker_init()
+    # Under ``fork`` this process holds a copy of the parent's end of
+    # its own pipe; while it does, a dead parent never reads as EOF.
+    parent_end.close()
+    store = ShardedStore(store_path) if store_path is not None else None
+    try:
+        while (task := conn.recv()) is not None:
             try:
-                proc.kill()
-                proc.join(timeout=5.0)
-            except Exception:
+                answer = _execute_cell(*task)
+                if store is not None:
+                    store.append(answer)
+            except Exception as exc:
+                exc.worker_traceback = _traceback_tail(exc)
+                answer = exc
+            conn.send(answer)
+    except (EOFError, OSError):  # pragma: no cover - the parent died
+        return
+
+
+class _Worker:
+    """One child process the sweep owns, its duplex pipe, and the at
+    most one cell it has in flight (*index*, with its watchdog
+    *deadline* when a ``cell_timeout`` was asked for)."""
+
+    def __init__(self, store_path: Optional[str]) -> None:
+        self.store_path = store_path
+        self.start()
+
+    def start(self) -> None:
+        self.conn, child_end = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_worker_main, daemon=True,
+            args=(child_end, self.conn, self.store_path),
+        )
+        self.process.start()
+        # Ours must not keep the child's end open, or a *dead* worker
+        # would never read as EOF.
+        child_end.close()
+        self.index: Optional[int] = None
+        self.deadline: Optional[float] = None
+
+    def dismiss(self) -> None:
+        """Tell an idle worker to exit. Closing the pipe is not
+        enough: under ``fork`` every later worker inherited our end of
+        it, so the idle worker would never read EOF."""
+        if self.index is None:
+            try:
+                self.conn.send(None)
+            except OSError:  # pragma: no cover - it died idle
                 pass
-    pool.shutdown(wait=False, cancel_futures=True)
+
+    def reap(self) -> None:
+        """Leave no child behind: wait for a dismissed worker, kill a
+        busy (hung, or already dead) one — SIGTERM, then SIGKILL."""
+        if self.index is None:
+            self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=5.0)
+        if self.process.is_alive():  # pragma: no cover - SIGTERM lands
+            self.process.kill()
+            self.process.join(timeout=5.0)
+        self.conn.close()
+
+    def replace(self) -> None:
+        """This worker is lost (dead or hung): kill it and stand a
+        fresh process in its slot. No other worker is touched."""
+        self.reap()
+        self.start()
+
+
+@dataclass
+class _Sweep:
+    """The state of one :func:`run_cells` call — cells, attempts,
+    results, failures, and for the pooled path the FIFO queue, the
+    backoff clock (``ready_at``) and the owned workers — with the loop
+    bodies as methods (the ``EngineState`` pattern)."""
+
+    pending: list[MatrixCell]
+    store: Optional[StoreBackend]
+    progress: Optional[ProgressFn]
+    failures: Optional[list[FailedCell]]
+    cell_timeout: Optional[float]
+    max_retries: int
+    retry_backoff_s: float
+    on_cell_failure: str
+
+    def __post_init__(self) -> None:
+        self.sidecar = (
+            FailureSidecar.for_store(self.store)
+            if self.store is not None else None
+        )
+        self.attempts = [0] * len(self.pending)
+        self.results: dict[int, ExperimentRun] = {}
+        self.failed: dict[int, FailedCell] = {}
+        self.queue: deque[int] = deque(range(len(self.pending)))
+        self.ready_at: dict[int, float] = {}
+        self.workers: list[_Worker] = []
+        #: Sharded stores flip the write path: workers persist their
+        #: own cells into per-shard files (no parent funnel, no
+        #: cross-shard contention); the parent only does accounting.
+        self.persisted = False
+
+    # -- accounting (both paths) ----------------------------------------
+    def record(self, index: int, run: ExperimentRun) -> None:
+        self.results[index] = run
+        if self.store is not None and not self.persisted:
+            self.store.append(run)
+        if self.progress is not None:
+            self.progress(
+                self.pending[index], len(self.results), len(self.pending)
+            )
+
+    def backoff_s(self, index: int) -> float:
+        return self.retry_backoff_s * 2 ** (self.attempts[index] - 1)
+
+    def exhaust(self, index: int, exc: BaseException, kind: str) -> None:
+        """A cell is out of retries: quarantine it or abort the sweep."""
+        cell = self.pending[index]
+        if self.on_cell_failure != "quarantine":
+            raise CellFailedError(
+                f"cell {cell_key_str(cell.key)} failed "
+                f"({kind}) after {self.attempts[index]} attempt(s): {exc}"
+            ) from exc
+        self.failed[index] = FailedCell(
+            key=cell.key,
+            kind=kind,
+            error_type=type(exc).__name__,
+            message=str(exc),
+            traceback_tail=_traceback_tail(exc),
+            attempts=self.attempts[index],
+            config=cell.to_config(),
+        )
+        if self.failures is not None:
+            self.failures.append(self.failed[index])
+        if self.sidecar is not None:
+            self.sidecar.append(self.failed[index])
+
+    def cancelled(self) -> int:
+        return len(self.pending) - len(self.results) - len(self.failed)
+
+    # -- inline ---------------------------------------------------------
+    def run_inline(self) -> None:
+        """Serial execution in this process, same retry/quarantine
+        rules (no watchdog: a process cannot preempt itself, which is
+        why a ``cell_timeout`` always gets a worker)."""
+        for i, cell in enumerate(self.pending):
+            while True:
+                self.attempts[i] += 1
+                try:
+                    run = _execute_cell(cell, self.attempts[i])
+                except KeyboardInterrupt as exc:
+                    raise SweepInterrupted(
+                        f"sweep interrupted: {len(self.results)} cell(s) "
+                        f"completed (0 salvaged), "
+                        f"{self.cancelled()} cancelled"
+                    ) from exc
+                except Exception as exc:
+                    if self.attempts[i] > self.max_retries:
+                        self.exhaust(i, exc, "exception")
+                        break
+                    if self.retry_backoff_s > 0:
+                        time.sleep(self.backoff_s(i))
+                else:
+                    self.record(i, run)
+                    break
+
+    # -- owned workers --------------------------------------------------
+    def run_pooled(self, n_workers: int) -> None:
+        """The fault-tolerant loop: ``min(n_workers, cells)`` owned
+        processes with at most one cell each (a dispatched cell starts
+        at once, so its deadline clock is honest); an exception answer,
+        a dead worker, an overdue deadline each cost that one cell."""
+        store_path = None
+        if isinstance(self.store, ShardedStore):
+            # The manifest is written up front so every worker reads
+            # one agreed shard count.
+            self.store.ensure_initialized()
+            store_path = str(self.store.path)
+            self.persisted = True
+        try:
+            for _ in range(min(n_workers, len(self.pending))):
+                self.workers.append(_Worker(store_path))
+            while self.queue or self.busy():
+                self.dispatch()
+                for answer in self.collect(self.next_wake_s()):
+                    self.settle(*answer)
+                self.reap_overdue()
+        except BaseException as exc:
+            # Ctrl-C or an aborting cell: drop the queue, let in-flight
+            # cells finish and persist them — a resume loses nothing.
+            salvaged = self.salvage()
+            if isinstance(exc, KeyboardInterrupt):
+                raise SweepInterrupted(
+                    f"sweep interrupted: {len(self.results)} cell(s) "
+                    f"completed ({salvaged} salvaged after interrupt), "
+                    f"{self.cancelled()} cancelled"
+                ) from exc
+            if isinstance(exc, CellFailedError):
+                exc.args = (
+                    f"{exc.args[0]} [{len(self.results)} cell(s) "
+                    f"completed, {salvaged} salvaged after the failure, "
+                    f"{self.cancelled()} cancelled]",
+                )
+            raise
+        finally:
+            for worker in self.workers:
+                worker.dismiss()
+            for worker in self.workers:
+                worker.reap()
+
+    def busy(self) -> list[_Worker]:
+        return [w for w in self.workers if w.index is not None]
+
+    def dispatch(self) -> None:
+        """Hand ready cells to idle workers (FIFO; backoff delays only
+        the head, so retry order stays deterministic)."""
+        now = time.monotonic()
+        for worker in self.workers:
+            if not self.queue or self.ready_at.get(self.queue[0], 0.0) > now:
+                return
+            if worker.index is not None:
+                continue
+            index = self.queue.popleft()
+            self.attempts[index] += 1
+            try:
+                worker.conn.send((self.pending[index], self.attempts[index]))
+            except OSError:  # pragma: no cover - the worker died idle:
+                pass  # collect() reads its EOF like any other death
+            worker.index = index
+            if self.cell_timeout is not None:
+                worker.deadline = now + self.cell_timeout
+
+    def next_wake_s(self) -> Optional[float]:
+        """Seconds until the nearest watchdog deadline or — when a
+        worker is idle — the head's backoff expiry; ``None`` waits for
+        an answer alone."""
+        wakes = [w.deadline for w in self.workers if w.deadline is not None]
+        if self.queue and len(self.busy()) < len(self.workers):
+            wakes.append(self.ready_at.get(self.queue[0], 0.0))
+        return max(0.0, min(wakes) - time.monotonic()) if wakes else None
+
+    def collect(self, timeout: Optional[float]):
+        """Wait up to *timeout* for busy workers to answer and yield
+        ``(cell index, ExperimentRun | Exception, failure kind)`` per
+        answer. EOF on a pipe is a dead worker: it is replaced and its
+        cell answers :class:`WorkerLost`, a ``"pool-crash"``.
+
+        The worker's in-flight slot is cleared *before* the answer is
+        handed out: recording it may raise (the progress callback's
+        ``KeyboardInterrupt``), and the salvage pass must not wait for
+        an answer already consumed.
+        """
+        by_conn = {w.conn: w for w in self.busy()}
+        for conn in wait(list(by_conn), timeout):
+            worker = by_conn[conn]
+            index, kind = worker.index, "exception"
+            try:
+                answer = conn.recv()
+            except Exception as exc:  # EOFError, ConnectionResetError
+                kind = "pool-crash"
+                answer = WorkerLost(f"worker died mid-cell: {exc!r}")
+                worker.replace()
+            worker.index = worker.deadline = None
+            yield index, answer, kind
+
+    def settle(self, index: int, answer, kind: str) -> None:
+        """Book one answer: a run is recorded; an exception charges
+        the cell its attempt — back of the queue after its backoff, or
+        out of retries."""
+        if not isinstance(answer, Exception):
+            self.record(index, answer)
+        elif self.attempts[index] > self.max_retries:
+            self.exhaust(index, answer, kind)
+        else:
+            if self.retry_backoff_s > 0:
+                self.ready_at[index] = (
+                    time.monotonic() + self.backoff_s(index)
+                )
+            self.queue.append(index)
+
+    def reap_overdue(self) -> None:
+        """Watchdog: a hung cell cannot be cancelled, only killed with
+        its worker — that worker, and no other."""
+        now = time.monotonic()
+        for worker in self.workers:
+            if worker.deadline is not None and worker.deadline <= now:
+                index = worker.index
+                worker.replace()
+                timeout = TimeoutError(
+                    f"cell exceeded --cell-timeout "
+                    f"({self.cell_timeout:g}s); worker killed"
+                )
+                self.settle(index, timeout, "timeout")
+
+    def salvage(self) -> int:
+        """After Ctrl-C or an abort: wait for the in-flight cells (no
+        longer than the last watchdog deadline) and record the ones
+        that finish, progress callback included; returns how many."""
+        salvaged = 0
+        while self.busy():
+            deadlines = [w.deadline for w in self.busy() if w.deadline]
+            grace = (
+                max(0.0, max(deadlines) - time.monotonic())
+                if deadlines else None
+            )
+            answers = list(self.collect(grace))
+            if not answers:
+                break  # still hung at the last deadline: reap() kills
+            for index, answer, _ in answers:
+                if not isinstance(answer, Exception):
+                    self.record(index, answer)
+                    salvaged += 1
+        return salvaged
 
 
 def run_cells(
@@ -369,7 +648,7 @@ def run_cells(
     on_cell_failure: str = "abort",
     failures: Optional[list[FailedCell]] = None,
 ) -> list[ExperimentRun]:
-    """Execute *cells* across a fault-tolerant process pool.
+    """Execute *cells* across fault-tolerant worker processes.
 
     Returns the runs for the cells that completed, in the order the
     cells were given (completion order never leaks into results). With
@@ -377,23 +656,22 @@ def run_cells(
     holds are skipped — read them back with ``store.load()``.
 
     Fault tolerance (all of it inert on a healthy sweep — with no
-    failures the engine behaves byte-identically to a plain pool):
+    failures the engine behaves byte-identically to a plain pool), and
+    every failure costs exactly the one cell it happened to:
 
     * A cell that raises is retried up to *max_retries* times with
       deterministic exponential backoff (``retry_backoff_s *
       2**(attempt-1)``). Because cells are pure functions of their
       key, a retry that succeeds is bit-identical to what the first
       try would have produced.
-    * A dead worker (OOM kill, segfault — surfacing as
-      ``BrokenExecutor``) breaks the whole pool: the pool is rebuilt
-      and every unfinished in-flight cell is resubmitted. Cells whose
-      futures carried the break are charged a retry attempt;
-      bystanders re-ride free.
-    * With *cell_timeout*, a watchdog kills the pool when any cell
-      exceeds its wall-clock budget, charges the overdue cell(s) a
-      timeout attempt, and reschedules the rest — a hung worker costs
-      one rebuild, not the sweep. (Inline/1-worker sweeps cannot
-      preempt themselves; the timeout is ignored there.)
+    * A dead worker (OOM kill, segfault — its pipe reads EOF) is
+      replaced and the cell it was running charged a ``"pool-crash"``
+      attempt; the other workers and their cells are not touched.
+    * With *cell_timeout*, a watchdog kills the worker of any cell
+      over its wall-clock budget, replaces that worker and charges the
+      cell a ``"timeout"`` attempt. Such a sweep always runs in worker
+      processes — even one cell, even ``workers=1`` — because a
+      process cannot preempt itself.
     * A cell that exhausts its budget is handled per
       *on_cell_failure*: ``"abort"`` (default) raises
       :class:`CellFailedError` after salvaging finished cells;
@@ -419,301 +697,16 @@ def run_cells(
         done = store.completed_keys()
         pending = [c for c in pending if c.key not in done]
 
-    n_workers = resolve_workers(workers)
-    results: dict[int, ExperimentRun] = {}
-    failed: dict[int, FailedCell] = {}
-    attempts = [0] * len(pending)
-    sidecar = FailureSidecar.for_store(store) if store is not None else None
-
-    def record(
-        index: int, run: ExperimentRun, *, persisted: bool = False
-    ) -> None:
-        results[index] = run
-        if store is not None and not persisted:
-            store.append(run)
-        if progress is not None:
-            progress(pending[index], len(results), len(pending))
-
-    def quarantine(index: int, exc: BaseException, kind: str) -> None:
-        cell = pending[index]
-        failed[index] = FailedCell(
-            key=cell.key,
-            kind=kind,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            traceback_tail=_traceback_tail(exc),
-            attempts=attempts[index],
-            config=cell.to_config(),
-        )
-        if failures is not None:
-            failures.append(failed[index])
-        if sidecar is not None:
-            sidecar.append(failed[index])
-
-    def exhaust(index: int, exc: BaseException, kind: str) -> None:
-        """A cell is out of retries: quarantine it or abort the sweep."""
-        if on_cell_failure == "quarantine":
-            quarantine(index, exc, kind)
-            return
-        raise CellFailedError(
-            f"cell {cell_key_str(pending[index].key)} failed "
-            f"({kind}) after {attempts[index]} attempt(s): {exc}"
-        ) from exc
-
-    if n_workers == 1 or len(pending) <= 1:
-        _run_inline(
-            pending, attempts, results, failed, record, exhaust,
-            max_retries=max_retries, retry_backoff_s=retry_backoff_s,
-        )
-    else:
-        # Sharded stores flip the write path: workers persist their
-        # own cells into per-shard files (no parent funnel, no
-        # cross-shard contention); the parent only does accounting.
-        # The manifest is written up front so every worker reads one
-        # agreed shard count.
-        worker_store_path: Optional[str] = None
-        if isinstance(store, ShardedStore):
-            store.ensure_initialized()
-            worker_store_path = str(store.path)
-        _run_pooled(
-            pending, attempts, results, failed, record, exhaust,
-            n_workers=n_workers, cell_timeout=cell_timeout,
-            max_retries=max_retries, retry_backoff_s=retry_backoff_s,
-            worker_store_path=worker_store_path,
-        )
-    return [results[i] for i in range(len(pending)) if i in results]
-
-
-def _run_inline(
-    pending, attempts, results, failed, record, exhaust,
-    *, max_retries: int, retry_backoff_s: float,
-) -> None:
-    """Serial execution with the same retry/quarantine semantics as
-    the pool (minus the watchdog — a process cannot preempt itself)."""
-    for i, cell in enumerate(pending):
-        while True:
-            attempts[i] += 1
-            try:
-                run = _execute_cell(cell, attempts[i])
-            except KeyboardInterrupt as exc:
-                cancelled = len(pending) - len(results) - len(failed)
-                raise SweepInterrupted(
-                    f"sweep interrupted: {len(results)} cell(s) "
-                    f"completed (0 salvaged), {cancelled} cancelled"
-                ) from exc
-            except Exception as exc:
-                if attempts[i] <= max_retries:
-                    if retry_backoff_s > 0:
-                        time.sleep(
-                            retry_backoff_s * 2 ** (attempts[i] - 1)
-                        )
-                    continue
-                exhaust(i, exc, "exception")
-                break
-            else:
-                record(i, run)
-                break
-
-
-def _run_pooled(
-    pending, attempts, results, failed, record, exhaust,
-    *, n_workers: int, cell_timeout: Optional[float],
-    max_retries: int, retry_backoff_s: float,
-    worker_store_path: Optional[str] = None,
-) -> None:
-    """The fault-tolerant pool loop: windowed submission (at most
-    *n_workers* cells in flight, so a submitted cell starts
-    immediately and its deadline clock is honest), a watchdog over
-    per-cell deadlines, and pool rebuilds on breakage.
-
-    With *worker_store_path* (a sharded store), workers persist their
-    own cells (:func:`_execute_and_store_cell`) and ``record`` runs
-    with ``persisted=True`` — accounting only, no parent-side append.
-    """
-    persisted = worker_store_path is not None
-    queue: deque[int] = deque(range(len(pending)))
-    ready_at: dict[int, float] = {}
-    inflight: dict = {}
-    deadlines: dict = {}
-    pool = ProcessPoolExecutor(
-        max_workers=n_workers, initializer=_worker_init
+    sweep = _Sweep(
+        pending, store, progress, failures, cell_timeout, max_retries,
+        retry_backoff_s, on_cell_failure,
     )
-    consecutive_submit_breaks = 0
-
-    def requeue(index: int, charged: bool) -> None:
-        """Schedule a retry; charged failures back off, bystanders of
-        a pool rebuild go back to the front at once, uncharged."""
-        if charged:
-            if retry_backoff_s > 0:
-                ready_at[index] = time.monotonic() + (
-                    retry_backoff_s * 2 ** (attempts[index] - 1)
-                )
-            queue.append(index)
-        else:
-            attempts[index] -= 1
-            queue.appendleft(index)
-
-    def retry_or_exhaust(index: int, exc: BaseException, kind: str) -> None:
-        if attempts[index] <= max_retries:
-            requeue(index, charged=True)
-        else:
-            exhaust(index, exc, kind)
-
-    def drain_and_rebuild() -> None:
-        """Kill the (broken/hung) pool, keep any finished results,
-        resubmit the rest uncharged, and stand up a fresh pool."""
-        nonlocal pool
-        _kill_pool(pool)
-        for fut, i in list(inflight.items()):
-            if fut.done() and not fut.cancelled() and fut.exception() is None:
-                record(i, fut.result(), persisted=persisted)
-            else:
-                requeue(i, charged=False)
-        inflight.clear()
-        deadlines.clear()
-        pool = ProcessPoolExecutor(
-            max_workers=n_workers, initializer=_worker_init
-        )
-
-    try:
-        while queue or inflight:
-            now = time.monotonic()
-            # Fill free slots with ready cells (FIFO; backoff delays
-            # only the head so retry order stays deterministic).
-            while (
-                queue
-                and len(inflight) < n_workers
-                and ready_at.get(queue[0], 0.0) <= now
-            ):
-                i = queue.popleft()
-                att = attempts[i] + 1
-                try:
-                    if persisted:
-                        fut = pool.submit(
-                            _execute_and_store_cell, pending[i], att,
-                            worker_store_path,
-                        )
-                    else:
-                        fut = pool.submit(_execute_cell, pending[i], att)
-                except BrokenExecutor:
-                    # The pool died between batches; put the cell back
-                    # (uncharged — it never ran) and rebuild.
-                    queue.appendleft(i)
-                    consecutive_submit_breaks += 1
-                    if consecutive_submit_breaks > 3:
-                        raise RuntimeError(
-                            "process pool keeps breaking before any "
-                            "cell can start; giving up"
-                        )
-                    drain_and_rebuild()
-                    break
-                consecutive_submit_breaks = 0
-                attempts[i] = att
-                inflight[fut] = i
-                if cell_timeout is not None:
-                    deadlines[fut] = now + cell_timeout
-
-            if not inflight:
-                # Everything runnable is backing off; sleep until the
-                # head of the queue is ready.
-                time.sleep(
-                    max(0.0, ready_at.get(queue[0], 0.0) - time.monotonic())
-                )
-                continue
-
-            # Wake for the first completion, the nearest watchdog
-            # deadline, or the next backoff expiry — whichever first.
-            wakes = []
-            if deadlines:
-                wakes.append(min(deadlines.values()))
-            if queue and len(inflight) < n_workers:
-                wakes.append(ready_at.get(queue[0], 0.0))
-            timeout = (
-                max(0.0, min(wakes) - time.monotonic()) if wakes else None
-            )
-            done, _ = wait(
-                set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
-            )
-
-            pool_broken = False
-            for fut in done:
-                i = inflight.pop(fut)
-                deadlines.pop(fut, None)
-                exc = fut.exception()
-                if exc is None:
-                    record(i, fut.result(), persisted=persisted)
-                elif isinstance(exc, BrokenExecutor):
-                    # The worker died without a goodbye (OOM kill,
-                    # segfault, os._exit): the pool is toast.
-                    pool_broken = True
-                    retry_or_exhaust(i, exc, "pool-crash")
-                else:
-                    retry_or_exhaust(i, exc, "exception")
-
-            now = time.monotonic()
-            overdue = [f for f, dl in deadlines.items() if dl <= now]
-            if overdue:
-                # Watchdog: a hung worker cannot be cancelled, only
-                # killed with its pool. Charge the overdue cell(s); the
-                # drain below resubmits the innocent rest uncharged.
-                for fut in overdue:
-                    i = inflight.pop(fut)
-                    deadlines.pop(fut)
-                    retry_or_exhaust(
-                        i,
-                        TimeoutError(
-                            f"cell exceeded --cell-timeout "
-                            f"({cell_timeout:g}s); worker killed"
-                        ),
-                        "timeout",
-                    )
-                pool_broken = True
-
-            if pool_broken:
-                drain_and_rebuild()
-
-        pool.shutdown(wait=True)
-    except BaseException as exc:
-        # Ctrl-C or an aborting cell failure: drop the queued cells,
-        # let the <= n_workers in-flight cells finish, and persist
-        # those — a resumed sweep then loses nothing that actually
-        # completed. The salvage pass fires the progress callback with
-        # the same monotone completed/total accounting as the main
-        # loop, and the raised error reports the salvaged/cancelled
-        # split.
-        futs = set(inflight)
-        if futs:
-            grace = None
-            if deadlines:
-                grace = max(
-                    0.0, max(deadlines.values()) - time.monotonic()
-                )
-            wait(futs, timeout=grace)
-        salvaged = 0
-        for fut, i in list(inflight.items()):
-            if (
-                i not in results
-                and fut.done()
-                and not fut.cancelled()
-                and fut.exception() is None
-            ):
-                record(i, fut.result(), persisted=persisted)
-                salvaged += 1
-        _kill_pool(pool)
-        cancelled = len(pending) - len(results) - len(failed)
-        if isinstance(exc, KeyboardInterrupt):
-            raise SweepInterrupted(
-                f"sweep interrupted: {len(results)} cell(s) completed "
-                f"({salvaged} salvaged after interrupt), "
-                f"{cancelled} cancelled"
-            ) from exc
-        if isinstance(exc, CellFailedError):
-            exc.args = (
-                f"{exc.args[0]} [{len(results)} cell(s) completed, "
-                f"{salvaged} salvaged after the failure, "
-                f"{cancelled} cancelled]",
-            )
-        raise
+    n_workers = resolve_workers(workers)
+    if cell_timeout is None and (n_workers == 1 or len(pending) <= 1):
+        sweep.run_inline()
+    else:
+        sweep.run_pooled(n_workers)
+    return [sweep.results[i] for i in sorted(sweep.results)]
 
 
 def run_matrix_parallel(

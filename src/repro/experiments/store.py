@@ -729,7 +729,7 @@ class FailedCell:
     key: CellKey
     #: Failure class: "exception" (the cell raised), "timeout" (the
     #: watchdog killed a hung worker), "pool-crash" (the worker died —
-    #: OOM kill, segfault — and broke the pool).
+    #: OOM kill, segfault — and was replaced).
     kind: str
     error_type: str
     message: str

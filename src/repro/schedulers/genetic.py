@@ -41,7 +41,6 @@ from repro.schedulers.packing import (
 )
 from repro.schedulers.recovery import effective_jobs, split_unpackable
 from repro.sim.actions import Action, Delay, StartJob
-from repro.sim.columns import COLUMNAR_MIN_QUEUE
 from repro.sim.job import Job
 from repro.sim.simulator import SystemView
 
@@ -95,7 +94,6 @@ class GeneticOptimizer(BaseScheduler):
     """
 
     name = "genetic"
-    supports_columns = True
 
     def __init__(
         self,
@@ -171,27 +169,8 @@ class GeneticOptimizer(BaseScheduler):
         self, ids: list[int], by_id: dict[int, Job]
     ) -> list[list[int]]:
         """Strong heuristic orders (LPT, SPT) plus seeded shuffles."""
-        if self.supports_columns and len(ids) >= COLUMNAR_MIN_QUEUE:
-            # Stable argsorts over attribute columns: ties keep the ids
-            # list order, exactly like Python's stable sort with a
-            # scalar key. Columns come from the (possibly
-            # duration-remapped) planning jobs, not the view's masters.
-            # Small populations take the facade twin (same crossover
-            # rationale as BaseScheduler.columnar).
-            n = len(ids)
-            ns = np.fromiter(
-                (by_id[jid].node_seconds for jid in ids),
-                np.float64,
-                count=n,
-            )
-            wt = np.fromiter(
-                (by_id[jid].walltime for jid in ids), np.float64, count=n
-            )
-            lpt = [ids[k] for k in np.argsort(-ns, kind="stable").tolist()]
-            spt = [ids[k] for k in np.argsort(wt, kind="stable").tolist()]
-        else:
-            lpt = sorted(ids, key=lambda jid: -by_id[jid].node_seconds)
-            spt = sorted(ids, key=lambda jid: by_id[jid].walltime)
+        lpt = sorted(ids, key=lambda jid: -by_id[jid].node_seconds)
+        spt = sorted(ids, key=lambda jid: by_id[jid].walltime)
         population = [lpt, spt]
         while len(population) < self.config.population:
             perm = list(ids)

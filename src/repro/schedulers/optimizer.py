@@ -41,45 +41,11 @@ from repro.schedulers.packing import (
 )
 from repro.schedulers.recovery import (
     effective_jobs,
-    healthy_domain_mask,
     split_unpackable,
     spread_requeue,
 )
 from repro.sim.actions import Action, Delay, StartJob
-from repro.sim.columns import COLUMNAR_MIN_QUEUE
-from repro.sim.job import Job
 from repro.sim.simulator import SystemView
-
-
-def _columnar_initial_order(
-    view: SystemView, jobs: "list[Job]"
-) -> "list[Job]":
-    """LPT initial order + spread-across-domains demotion, columnar.
-
-    Byte-identical twin of ``sorted(jobs, key=(-node_seconds, id))``
-    followed by :func:`~repro.schedulers.recovery.spread_requeue`:
-    lexsort on the negated node-seconds column (float64 negation is
-    exact) with the id tie-break reproduces the key-tuple order, and
-    the demotion is a stable boolean partition. Columns are built from
-    the (possibly duration-remapped) planning jobs themselves, not the
-    view's masters.
-    """
-    n = len(jobs)
-    ns = np.fromiter((j.node_seconds for j in jobs), np.float64, count=n)
-    ids = np.fromiter((j.job_id for j in jobs), np.int64, count=n)
-    order_idx = np.lexsort((ids, -ns))
-    rem = view.remaining_runtimes
-    if rem and view.has_domains:
-        nodes = np.fromiter((j.nodes for j in jobs), np.int64, count=n)
-        requeued = np.fromiter(
-            (j.job_id in rem for j in jobs), bool, count=n
-        )
-        parked = (requeued & ~healthy_domain_mask(view, nodes))[order_idx]
-        if parked.any():
-            order_idx = np.concatenate(
-                (order_idx[~parked], order_idx[parked])
-            )
-    return [jobs[k] for k in order_idx.tolist()]
 
 
 @dataclass
@@ -174,7 +140,6 @@ class AnnealingOptimizer(BaseScheduler):
     """
 
     name = "ortools_like"
-    supports_columns = True
 
     def __init__(
         self,
@@ -414,16 +379,8 @@ class AnnealingOptimizer(BaseScheduler):
         # rest (spread-across-domains: don't race a restart back into
         # the failing rack); identity on flat topologies. The windowed
         # search freezes the tail, so those demotions stay put.
-        if self.supports_columns and len(jobs) >= COLUMNAR_MIN_QUEUE:
-            # Columns must come from the *effective* jobs (restarted
-            # jobs carry remapped durations), not the view's masters:
-            # node_seconds here is nodes × remaining runtime. Small
-            # replanning sets take the facade twin (same crossover
-            # rationale as BaseScheduler.columnar).
-            order = _columnar_initial_order(view, jobs)
-        else:
-            order = sorted(jobs, key=lambda j: (-j.node_seconds, j.job_id))
-            order = spread_requeue(view, order)
+        order = sorted(jobs, key=lambda j: (-j.node_seconds, j.job_id))
+        order = spread_requeue(view, order)
         placements = packer.pack(order)
         best_obj = initial_obj = self._objective(placements, view.now)
         iterations = self.config.iterations_for(n)

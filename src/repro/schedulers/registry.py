@@ -71,8 +71,6 @@ COLUMNAR_SCHEDULERS: frozenset[str] = frozenset(
         "sjf_firstfit",
         "first_fit",
         "largest_first",
-        "ortools_like",
-        "genetic",
     }
 )
 

@@ -12,7 +12,7 @@ async machinery stays entirely server-side.
 
 Error responses raise :class:`ServiceError` carrying the server's
 stable error type (``unknown_session``, ``session_error``,
-``bad_request``, ``service_closing``…).
+``bad_request``, ``service_closing``, ``worker_died``…).
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from repro.service.service import (
     SchedulingService,
     ServiceClosing,
     UnknownSession,
+    WorkerDied,
 )
 from repro.service.session import SessionError
 
@@ -201,6 +202,8 @@ def _error_type(exc: BaseException) -> str:
         return "session_error"
     if isinstance(exc, ServiceClosing):
         return "service_closing"
+    if isinstance(exc, WorkerDied):
+        return "worker_died"
     if isinstance(exc, ValueError):
         return "bad_request"
     if isinstance(exc, KeyError):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
@@ -43,7 +43,7 @@ from repro.experiments.parallel import (
     _worker_init,
     resolve_workers,
 )
-from repro.experiments.store import StoredRun
+from repro.experiments.store import StoredRun, cell_key_str
 from repro.service import protocol
 from repro.service.cache import DEFAULT_CACHE_SIZE, ResultCache
 from repro.service.session import Session, SessionConfig, SessionError
@@ -52,6 +52,12 @@ from repro.sim.job import Job
 
 class ServiceClosing(RuntimeError):
     """Request refused because the daemon is shutting down."""
+
+
+class WorkerDied(RuntimeError):
+    """A ``run_cell`` worker process died mid-simulation (OOM kill,
+    segfault). The broken pool was dropped; the next request builds a
+    fresh one, so the client may simply retry."""
 
 
 class UnknownSession(KeyError):
@@ -294,9 +300,19 @@ class SchedulingService:
 
     async def _simulate_cell(self, cell: MatrixCell) -> StoredRun:
         loop = asyncio.get_running_loop()
-        run = await loop.run_in_executor(
-            self._ensure_pool(), _execute_cell, cell
-        )
+        pool = self._ensure_pool()
+        try:
+            run = await loop.run_in_executor(pool, _execute_cell, cell)
+        except BrokenExecutor as exc:
+            # One dead worker breaks a ProcessPoolExecutor for good:
+            # drop it, or every later run_cell fails the same way.
+            if self._pool is pool:
+                self._pool = None
+                pool.shutdown(wait=False, cancel_futures=True)
+            raise WorkerDied(
+                f"a worker died simulating {cell_key_str(cell.key)}; "
+                f"the pool was replaced, retry the request"
+            ) from exc
         self.cache.stats.simulations += 1
         stored = StoredRun.from_run(run)
         self.cache.put(stored)

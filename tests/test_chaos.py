@@ -74,8 +74,8 @@ class TestCrashRecovery:
     def test_exit_mode_pool_break_is_survived(
         self, tmp_path, reference_lines
     ):
-        # os._exit in a worker breaks the whole pool (OOM-kill model);
-        # the engine must rebuild it and resubmit unfinished cells.
+        # os._exit kills one worker without a goodbye (OOM-kill model);
+        # the engine must replace it and retry that one cell.
         install(
             FaultPlan(
                 rules=(

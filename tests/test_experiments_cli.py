@@ -330,10 +330,27 @@ class TestFaultToleranceFlags:
         assert rc == 2
         assert "--cell-timeout" in capsys.readouterr().err
 
-    def test_cell_timeout_requires_pool_workers(self, capsys):
-        rc = main(self.MATRIX + ["--cell-timeout", "5"])
-        assert rc == 2
-        assert "--workers >= 2" in capsys.readouterr().err
+    def test_cell_timeout_is_honoured_at_one_worker(self, tmp_path, capsys):
+        # A process cannot preempt itself, so a sweep with a watchdog
+        # gets a worker process even at --workers 1.
+        from repro.experiments import faultinject
+
+        faultinject.install(
+            faultinject.FaultPlan(
+                rules=(faultinject.FaultRule(kind="hang", hang_s=30.0),)
+            )
+        )
+        try:
+            rc = main(self.MATRIX + [
+                "--cell-timeout", "1", "--max-retries", "0",
+                "--on-cell-failure", "quarantine",
+                "--out", str(tmp_path / "runs.jsonl"),
+            ])
+        finally:
+            faultinject.install(None)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "TimeoutError" in err and "--cell-timeout (1s)" in err
 
     def test_negative_max_retries_is_friendly_error(self, capsys):
         rc = main(self.MATRIX + ["--max-retries", "-1"])

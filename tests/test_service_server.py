@@ -12,7 +12,8 @@ serving invariants:
 * a repeated ``run_cell`` never simulates twice (memory hit), and a
   store-backed cache answers across a daemon restart;
 * graceful shutdown completes in-flight requests;
-* error responses carry stable types.
+* error responses carry stable types;
+* a worker death costs one request, not the daemon.
 """
 
 import threading
@@ -254,6 +255,36 @@ class TestShutdownAndErrors:
                 pytest.fail("open_session accepted after shutdown")
         finally:
             srv.stop()
+
+    def test_daemon_recovers_after_a_worker_death(self):
+        # One dead worker breaks a ProcessPoolExecutor for good; the
+        # daemon must drop it, answer the failing request with a typed
+        # error, and serve the next cell from a fresh pool.
+        from repro.experiments import faultinject
+
+        faultinject.install(
+            faultinject.FaultPlan(
+                rules=(
+                    faultinject.FaultRule(
+                        kind="crash", mode="exit", match="|sjf|"
+                    ),
+                )
+            )
+        )
+        try:
+            with EmbeddedServer(workers=1) as srv:
+                with srv.client() as client:
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.run_cell(cell_config(scheduler="sjf"))
+                    after = client.run_cell(cell_config(scheduler="fcfs"))
+                    stats = client.stats()
+        finally:
+            faultinject.install(None)
+        assert excinfo.value.error_type == "worker_died"
+        assert "adversarial|10|sjf|" in excinfo.value.message
+        assert after["source"] == "simulated"
+        assert stats["cache"]["simulations"] == 1
+        assert stats["inflight_cells"] == 0
 
     def test_unknown_session_error(self, server):
         with server.client() as client:
