@@ -11,30 +11,33 @@ over, and the same model EASY backfilling uses for reservations.
 The profile is the replanning hot path, so it is engineered for
 evaluation throughput:
 
-* breakpoints live in **flat preallocated arrays** with in-place
-  shifting on insert — no per-reservation ``np.insert`` reallocation
-  (three fresh arrays per breakpoint in the naive model, retained in
-  :mod:`repro.schedulers.packing_reference`);
-* the full profile state can be captured and restored in O(k)
-  (:meth:`ResourceProfile.snapshot` / :meth:`ResourceProfile.restore`),
-  which :class:`IncrementalPacker` uses to cache prefix-pack states so
-  a candidate permutation differing from the incumbent only from
-  position *m* onward re-packs just the suffix.
+* breakpoints live in **three plain lists of floats** (times, free
+  nodes, free memory) kept sorted with ``bisect`` + ``list.insert``.
+  At the paper's sizes a timeline holds 10-50 breakpoints, where one
+  numpy dispatch costs more than the whole scalar scan, and no larger
+  size measured (up to ~2,000 breakpoints) gave the arrays their cost
+  back — so there is one kernel and no size switch;
+* the full profile state can be captured and restored in O(k) as three
+  list copies (:meth:`ResourceProfile.snapshot` /
+  :meth:`ResourceProfile.restore`), which :class:`IncrementalPacker`
+  uses to cache prefix-pack states so a candidate permutation differing
+  from the incumbent only from position *m* onward re-packs just the
+  suffix;
+* the earliest-fit query is one early-exit scan that starts at the
+  interval holding ``not_before`` and visits each interval at most
+  once.
 
-Every query and mutation performs the *same floating-point operations
-in the same order* as the reference implementation, so placements,
-objectives, and therefore entire seeded annealing trajectories are
-bit-identical — verified by ``tests/test_packing_equivalence.py``.
-
-The feasibility scan is numpy-vectorized (prefix sums of infeasible
-intervals + ``searchsorted``), keeping a full 100-job packing in the
-hundreds of microseconds so the annealer can afford hundreds of
-evaluations per replanning event.
+Every query and mutation performs the *same floating-point comparisons
+and subtractions in the same order* as the naive ``np.insert`` model
+(kept as a test oracle in ``tests/packing_reference.py``), so
+placements, objectives, and therefore entire seeded annealing
+trajectories are bit-identical — verified by
+``tests/test_packing_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -51,15 +54,18 @@ class PackingError(RuntimeError):
 class ProfileSnapshot:
     """An O(k) copy of a profile's breakpoint state.
 
-    Immutable by convention: the arrays are private copies made by
-    :meth:`ResourceProfile.snapshot` and are only read back by
-    :meth:`ResourceProfile.restore`.
+    Immutable by convention: the lists are private copies made by
+    :meth:`ResourceProfile.snapshot` and are only copied back by
+    :meth:`ResourceProfile.restore`, never aliased by a live profile.
     """
 
-    size: int
-    times: np.ndarray
-    free_nodes: np.ndarray
-    free_memory: np.ndarray
+    times: list[float]
+    free_nodes: list[float]
+    free_memory: list[float]
+
+    @property
+    def size(self) -> int:
+        return len(self.times)
 
 
 class ResourceProfile:
@@ -78,7 +84,7 @@ class ResourceProfile:
         Times before the origin are clamped to it.
     """
 
-    __slots__ = ("_times", "_fn", "_fm", "_size", "_b_feas", "_b_tmp")
+    __slots__ = ("_times", "_fn", "_fm")
 
     def __init__(
         self,
@@ -94,77 +100,48 @@ class ResourceProfile:
             slot[0] += nodes
             slot[1] += mem
         times = [origin] + sorted(t for t in deltas if t > origin)
-        k = len(times)
-        # Preallocate headroom: each later reservation adds at most two
-        # breakpoints, so 2k+16 defers the first regrow past typical
-        # replan sizes; _grow doubles beyond that.
-        self._alloc(2 * k + 16)
-        self._size = k
-        self._times[:k] = times
         cur_n, cur_m = float(free_nodes), float(free_memory_gb)
         if origin in deltas:
             cur_n += deltas[origin][0]
             cur_m += deltas[origin][1]
-        self._fn[0], self._fm[0] = cur_n, cur_m
-        for i, t in enumerate(times[1:], start=1):
+        fn, fm = [cur_n], [cur_m]
+        for t in times[1:]:
             cur_n += deltas[t][0]
             cur_m += deltas[t][1]
-            self._fn[i], self._fm[i] = cur_n, cur_m
-
-    def _alloc(self, cap: int) -> None:
-        """(Re)allocate breakpoint storage and the scratch buffers the
-        query path writes into instead of allocating temporaries."""
-        self._times = np.empty(cap)
-        self._fn = np.empty(cap)
-        self._fm = np.empty(cap)
-        self._b_feas = np.empty(cap, dtype=bool)
-        self._b_tmp = np.empty(cap, dtype=bool)
+            fn.append(cur_n)
+            fm.append(cur_m)
+        self._times = times
+        self._fn = fn
+        self._fm = fm
 
     # -- views -------------------------------------------------------------
     @property
     def times(self) -> np.ndarray:
-        """Breakpoint times (read-only view of the live prefix)."""
-        return self._times[: self._size]
+        """Breakpoint times (a fresh array; inspection only)."""
+        return np.array(self._times)
 
     @property
     def free_nodes(self) -> np.ndarray:
-        """Free node capacity per interval (read-only view)."""
-        return self._fn[: self._size]
+        """Free node capacity per interval (a fresh array)."""
+        return np.array(self._fn)
 
     @property
     def free_memory(self) -> np.ndarray:
-        """Free memory capacity per interval (read-only view)."""
-        return self._fm[: self._size]
+        """Free memory capacity per interval (a fresh array)."""
+        return np.array(self._fm)
 
     # -- snapshot / rollback ------------------------------------------------
     def snapshot(self) -> ProfileSnapshot:
         """Capture the full breakpoint state in O(k)."""
-        k = self._size
         return ProfileSnapshot(
-            size=k,
-            times=self._times[:k].copy(),
-            free_nodes=self._fn[:k].copy(),
-            free_memory=self._fm[:k].copy(),
+            self._times.copy(), self._fn.copy(), self._fm.copy()
         )
 
     def restore(self, snap: ProfileSnapshot) -> None:
         """Roll the profile back to *snap* in O(k)."""
-        k = snap.size
-        if k > self._times.size:
-            self._grow(k)
-        self._times[:k] = snap.times
-        self._fn[:k] = snap.free_nodes
-        self._fm[:k] = snap.free_memory
-        self._size = k
-
-    def _grow(self, need: int) -> None:
-        cap = max(2 * self._times.size, need + 16)
-        k = self._size
-        old_times, old_fn, old_fm = self._times, self._fn, self._fm
-        self._alloc(cap)
-        self._times[:k] = old_times[:k]
-        self._fn[:k] = old_fn[:k]
-        self._fm[:k] = old_fm[:k]
+        self._times = snap.times.copy()
+        self._fn = snap.free_nodes.copy()
+        self._fm = snap.free_memory.copy()
 
     # -- queries ----------------------------------------------------------
     def earliest_start(
@@ -184,9 +161,9 @@ class ResourceProfile:
             profile's eventual maximum).
         """
         # Early-exit scan, equivalent interval-by-interval to the
-        # reference's full-vector formula (same clamping arithmetic,
-        # same searchsorted sides), so the returned start is
-        # bit-identical. Candidate intervals are visited in index
+        # oracle's full-vector formula (same clamping arithmetic, same
+        # thresholds, same searchsorted sides), so the returned start
+        # is bit-identical. Candidate intervals are visited in index
         # order with two provably-safe skips:
         #
         # * intervals ending at or before ``not_before`` can never be
@@ -196,40 +173,29 @@ class ResourceProfile:
         # * when the span check fails at infeasible interval b, every
         #   candidate at or below b also spans b — resume at b + 1.
         #
-        # The infeasible positions are materialized once, and a
-        # monotone pointer walks them: total cost is O(k) for the
-        # feasibility vector plus O(1) scalar work per probe, against
-        # the reference's ~10 full-array operations per query.
-        k = self._size
-        times = self._times[:k]
-        feas = self._b_feas[:k]
-        tmp = self._b_tmp[:k]
-        np.greater_equal(self._fn[:k], nodes - 1e-9, out=feas)
-        np.greater_equal(self._fm[:k], memory_gb - 1e-9, out=tmp)
-        feas &= tmp
-        infeasible = np.flatnonzero(np.logical_not(feas, out=tmp)).tolist()
-        n_inf = len(infeasible)
-        i = int(times.searchsorted(not_before, side="right")) - 1
+        # Each interval's feasibility is therefore tested at most once.
+        times, fn, fm = self._times, self._fn, self._fm
+        k = len(times)
+        need_n = nodes - 1e-9
+        need_m = memory_gb - 1e-9
+        i = bisect_right(times, not_before) - 1
         if i < 0:
             i = 0
-        ptr = bisect_left(infeasible, i)
         while i < k:
-            # Advance past the infeasible run at i, if any.
-            while ptr < n_inf and infeasible[ptr] == i:
+            if fn[i] >= need_n and fm[i] >= need_m:
+                start = times[i]
+                if start < not_before:
+                    start = not_before
+                end = start + duration
                 i += 1
-                ptr += 1
-            if i >= k:
-                break
-            start = times[i]
-            if start < not_before:
-                start = not_before
-            j = int(times.searchsorted(start + duration, side="left"))
-            if ptr >= n_inf or infeasible[ptr] >= j:
-                return float(start)
-            # Span fails at infeasible[ptr]; skip every candidate that
-            # would span it too.
-            i = infeasible[ptr] + 1
-            ptr += 1
+                while i < k and times[i] < end:
+                    if fn[i] >= need_n and fm[i] >= need_m:
+                        i += 1
+                    else:
+                        break
+                else:
+                    return float(start)
+            i += 1
         raise PackingError(
             f"request for {nodes} nodes / {memory_gb:g} GB × "
             f"{duration:g}s never fits this profile"
@@ -237,43 +203,26 @@ class ResourceProfile:
 
     def capacity_at(self, time: float) -> tuple[float, float]:
         """Free (nodes, memory) at *time* (clamped to the origin)."""
-        i = int(np.searchsorted(self.times, time, side="right")) - 1
-        i = max(i, 0)
-        return float(self._fn[i]), float(self._fm[i])
+        i = max(bisect_right(self._times, time) - 1, 0)
+        return self._fn[i], self._fm[i]
 
     # -- mutation -----------------------------------------------------------
     def _ensure_breakpoint(self, t: float) -> int:
         """Insert a breakpoint at *t* if absent; return its index."""
-        k = self._size
-        times = self._times
-        if t > times[k - 1]:
+        times, fn, fm = self._times, self._fn, self._fm
+        if t > times[-1]:
             # Append fast path: reservations usually extend the tail.
-            if k + 1 > times.size:
-                self._grow(k + 1)
-                times = self._times
-            times[k] = t
-            self._fn[k] = self._fn[k - 1]
-            self._fm[k] = self._fm[k - 1]
-            self._size = k + 1
-            return k
-        i = int(times[:k].searchsorted(t, side="left"))
+            times.append(t)
+            fn.append(fn[-1])
+            fm.append(fm[-1])
+            return len(times) - 1
+        i = bisect_left(times, t)
         if times[i] == t:
             return i
-        if k + 1 > times.size:
-            self._grow(k + 1)
-            times = self._times
         prev = max(i - 1, 0)
-        fn_prev = self._fn[prev]
-        fm_prev = self._fm[prev]
-        # In-place shift (numpy buffers overlapping copies) instead of
-        # allocating three fresh arrays per breakpoint.
-        times[i + 1 : k + 1] = times[i:k]
-        self._fn[i + 1 : k + 1] = self._fn[i:k]
-        self._fm[i + 1 : k + 1] = self._fm[i:k]
-        times[i] = t
-        self._fn[i] = fn_prev
-        self._fm[i] = fm_prev
-        self._size = k + 1
+        times.insert(i, t)
+        fn.insert(i, fn[prev])
+        fm.insert(i, fm[prev])
         return i
 
     def reserve(
@@ -287,15 +236,18 @@ class ResourceProfile:
         end = start + duration
         i = self._ensure_breakpoint(start)
         j = self._ensure_breakpoint(end)
-        if np.any(self._fn[i:j] < nodes - 1e-9) or np.any(
-            self._fm[i:j] < memory_gb - 1e-9
-        ):
-            raise PackingError(
-                f"reservation [{start:g}, {end:g}) for {nodes} nodes / "
-                f"{memory_gb:g} GB oversubscribes the profile"
-            )
-        self._fn[i:j] -= nodes
-        self._fm[i:j] -= memory_gb
+        fn, fm = self._fn, self._fm
+        need_n = nodes - 1e-9
+        need_m = memory_gb - 1e-9
+        for x in range(i, j):
+            if fn[x] < need_n or fm[x] < need_m:
+                raise PackingError(
+                    f"reservation [{start:g}, {end:g}) for {nodes} nodes / "
+                    f"{memory_gb:g} GB oversubscribes the profile"
+                )
+        for x in range(i, j):
+            fn[x] -= nodes
+            fm[x] -= memory_gb
 
     def reserve_trusted(
         self, start: float, duration: float, nodes: float, memory_gb: float
@@ -306,14 +258,15 @@ class ResourceProfile:
         a start just returned by :meth:`earliest_start` against this
         exact profile state, or the replay of a previously validated
         placement. The check in :meth:`reserve` can only fire on caller
-        error, and it costs two full-array comparisons per placement on
-        the replanning hot path.
+        error, and it costs a second pass over the reserved intervals
+        per placement on the replanning hot path.
         """
-        end = start + duration
         i = self._ensure_breakpoint(start)
-        j = self._ensure_breakpoint(end)
-        self._fn[i:j] -= nodes
-        self._fm[i:j] -= memory_gb
+        j = self._ensure_breakpoint(start + duration)
+        fn, fm = self._fn, self._fm
+        for x in range(i, j):
+            fn[x] -= nodes
+            fm[x] -= memory_gb
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,7 @@ def split_unpackable(
     """
     if view.nodes_offline <= 0:
         return list(jobs), []
+    releases = tuple(releases)  # summed twice; a generator would be spent
     eventual_nodes = view.free_nodes + sum(r[1] for r in releases)
     eventual_mem = view.free_memory_gb + sum(r[2] for r in releases)
     packable: list[Job] = []

@@ -1,8 +1,7 @@
 """Structure-of-arrays simulator core.
 
-This is the flat-array rebuild of :meth:`HPCSimulator.run`'s hot loop —
-the same treatment ``ResourceProfile`` received in the incremental
-packing kernel. Job lifecycle state lives in flat preallocated arrays
+This is the flat-array rebuild of :meth:`HPCSimulator.run`'s hot
+loop. Job lifecycle state lives in flat preallocated arrays
 indexed by workload position, the event stream is an
 :class:`~repro.sim.events.ArrayCalendar` (pre-sorted static lane +
 primitive-tuple completion lane, no per-event objects), and the
@@ -113,13 +112,13 @@ class _SortedIndex:
 
     The running-set indexes (walltime-expiry order, expected-end order)
     are maintained with bisect + in-place slice shifts over
-    preallocated primitive arrays (``array('d')``/``array('q')``) —
-    the ``ResourceProfile`` treatment, minus numpy: the running set is
-    small, element access is always scalar, and stdlib arrays hand back
-    plain Python floats/ints with none of the numpy boxing cost that
-    dominated the first cut of this index. ``seq`` (the monotone
-    placement counter) breaks key ties exactly like the object engine's
-    stable tuples.
+    preallocated primitive arrays (``array('d')``/``array('q')``),
+    not numpy — the same finding as ``ResourceProfile``'s list-backed
+    timeline: the running set is small, element access is always
+    scalar, and stdlib arrays hand back plain Python floats/ints with
+    none of the numpy boxing cost that dominated the first cut of this
+    index. ``seq`` (the monotone placement counter) breaks key ties
+    exactly like the object engine's stable tuples.
     """
 
     __slots__ = ("_keys", "_seqs", "_ids", "_n")

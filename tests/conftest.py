@@ -9,11 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.schedulers.packing_reference import reference_pack_order
 from repro.sim._object_ref import run_object
 from repro.sim.cluster import ResourcePool
 from repro.sim.job import Job
 from repro.sim.simulator import HPCSimulator
+
+from tests.packing_reference import reference_pack_order
 
 
 def make_job(

@@ -8,14 +8,12 @@ breakpoints are maintained with ``np.insert`` and rebuilt from scratch
 for every permutation evaluation.
 
 It is deliberately slow (O(k) array reallocation per breakpoint, full
-rebuild per pack) and deliberately retained:
-
-* the randomized equivalence tests assert that the incremental kernel
-  produces **bit-identical** placements and profile states against this
-  reference on arbitrary workloads;
-* ``repro-sched bench`` uses it as the "before" side of the replanning
-  speedup measurement, so the reported speedup is measured against the
-  real prior implementation rather than a synthetic strawman.
+rebuild per pack) and deliberately retained — as a test oracle only,
+outside the installed package: the randomized equivalence tests
+(``tests/test_packing_equivalence.py``) assert that the list-backed
+kernel produces **bit-identical** placements and profile states against
+it on arbitrary workloads, and ``tests/conftest.py``'s ``naive_packer``
+seam substitutes it for the incremental packer in whole simulations.
 
 Do not optimize this module. Behavioral changes here must be mirrored
 in :mod:`repro.schedulers.packing` and vice versa.

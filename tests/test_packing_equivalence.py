@@ -1,12 +1,12 @@
 """Equivalence guarantees of the incremental packing kernel.
 
-The performance rewrite (flat preallocated profile arrays, prefix-pack
+The performance rewrite (list-backed profile columns, prefix-pack
 caching, zero-copy decision snapshots) is only valid if it is
 *invisible* to results: the annealer's seeded trajectory acceptance
 decisions compare floats, so placements and objectives must be
 **bit-identical**, not merely close. These tests pin that contract
 against the retained naive reference implementation
-(:mod:`repro.schedulers.packing_reference`) at three levels:
+(``tests/packing_reference.py``) at three levels:
 
 1. single packs and incremental suffix re-packs vs the reference, on
    randomized workloads;
@@ -24,10 +24,11 @@ from repro.schedulers.fcfs import EasyBackfillScheduler
 from repro.schedulers.optimizer import AnnealingOptimizer
 from repro.schedulers.packing import (
     IncrementalPacker,
+    PackingError,
     ResourceProfile,
     pack_order,
 )
-from repro.schedulers.packing_reference import (
+from tests.packing_reference import (
     ReferenceResourceProfile,
     reference_pack_order,
 )
@@ -101,6 +102,85 @@ class TestPackOrderEquivalence:
             np.testing.assert_array_equal(fast.times, ref.times)
             np.testing.assert_array_equal(fast.free_nodes, ref.free_nodes)
             np.testing.assert_array_equal(fast.free_memory, ref.free_memory)
+
+    def test_two_thousand_breakpoints_match_reference(self):
+        """One kernel at every size: the scalar scan and ``list.insert``
+        must agree with the array model far past the paper's 10-50
+        breakpoints, interior inserts and long infeasible runs included."""
+        rng = np.random.default_rng(41)
+        releases = [(float(t), 1.0, 8.0) for t in range(100, 4000, 100)]
+        fast = ResourceProfile(0.0, 24, 192.0, releases=releases)
+        ref = ReferenceResourceProfile(0.0, 24, 192.0, releases=releases)
+        for _ in range(1800):
+            nodes = int(rng.integers(1, 17))
+            mem = float(rng.integers(1, 129))
+            dur = float(rng.uniform(0.5, 90.0))
+            nb = float(rng.uniform(0.0, 6000.0))
+            s_fast = fast.earliest_start(nodes, mem, dur, not_before=nb)
+            assert s_fast == ref.earliest_start(nodes, mem, dur, not_before=nb)
+            fast.reserve_trusted(s_fast, dur, nodes, mem)
+            ref.reserve(s_fast, dur, nodes, mem)
+        assert fast.times.size >= 2000
+        np.testing.assert_array_equal(fast.times, ref.times)
+        np.testing.assert_array_equal(fast.free_nodes, ref.free_nodes)
+        np.testing.assert_array_equal(fast.free_memory, ref.free_memory)
+
+    def test_int_arguments_still_yield_floats(self):
+        """Lists keep whatever they are given, arrays coerced: a start
+        or a capacity must come back a ``float`` even when every
+        argument was an ``int`` (``planned_start`` serialises as
+        ``0.0``, never ``0``)."""
+        fast = ResourceProfile(0, 8, 64, releases=[(40, 2, 16)])
+        ref = ReferenceResourceProfile(0, 8, 64, releases=[(40, 2, 16)])
+        for nodes, mem, dur, nb in [
+            (8, 64, 10, 0), (4, 16, 30, 0), (2, 8, 5, 12), (6, 8, 5, 12),
+            (10, 80, 7, 3),
+        ]:
+            start = fast.earliest_start(nodes, mem, dur, not_before=nb)
+            assert type(start) is float
+            assert start == ref.earliest_start(nodes, mem, dur, not_before=nb)
+            fast.reserve(start, dur, nodes, mem)
+            ref.reserve(start, dur, nodes, mem)
+            for t in (0, 10, 40, 45, 1000):
+                got = fast.capacity_at(t)
+                assert [type(v) for v in got] == [float, float]
+                assert got == ref.capacity_at(t)
+        np.testing.assert_array_equal(fast.times, ref.times)
+        np.testing.assert_array_equal(fast.free_nodes, ref.free_nodes)
+        np.testing.assert_array_equal(fast.free_memory, ref.free_memory)
+        jobs = [make_job(i + 1, submit=0, duration=10 * (i + 1)) for i in range(3)]
+        for placed in pack_order(jobs, now=0, free_nodes=4, free_memory_gb=64):
+            assert type(placed.start) is float
+
+    def test_drain_notches_and_queries_past_the_last_breakpoint(self):
+        """Negative releases (announced drains) make capacity
+        non-monotone, and ``not_before`` beyond the last breakpoint
+        starts the scan in the open-ended final interval."""
+        rng = np.random.default_rng(29)
+        releases = [
+            (20.0, 2.0, 16.0), (50.0, -6.0, -48.0), (90.0, 6.0, 48.0),
+            (120.0, -3.0, -24.0), (150.0, 3.0, 24.0), (-5.0, 1.0, 8.0),
+        ]
+        fast = ResourceProfile(10.0, 5, 40.0, releases=releases)
+        ref = ReferenceResourceProfile(10.0, 5, 40.0, releases=releases)
+        for step in range(60):
+            nodes = int(rng.integers(1, 9))
+            mem = float(rng.integers(1, 65))
+            dur = float(rng.uniform(1.0, 80.0))
+            last = float(fast.times[-1])
+            nb = last + 25.0 if step % 3 == 0 else float(rng.uniform(0.0, last))
+            s_fast = fast.earliest_start(nodes, mem, dur, not_before=nb)
+            assert s_fast == ref.earliest_start(nodes, mem, dur, not_before=nb)
+            if step % 3 == 0:
+                assert s_fast == nb  # final capacity is the full 8 / 64
+            fast.reserve(s_fast, dur, nodes, mem)
+            ref.reserve(s_fast, dur, nodes, mem)
+            np.testing.assert_array_equal(fast.times, ref.times)
+            np.testing.assert_array_equal(fast.free_nodes, ref.free_nodes)
+            np.testing.assert_array_equal(fast.free_memory, ref.free_memory)
+        for profile in (fast, ref):
+            with pytest.raises(PackingError):
+                profile.earliest_start(9, 8.0, 1.0, not_before=1e6)
 
 
 class TestIncrementalKernel:
@@ -189,6 +269,34 @@ class TestSnapshotRollback:
         profile.reserve(0.0, 50.0, 8, 64.0)
         assert snap.size == 1
         assert snap.free_nodes[0] == 8.0
+
+    def test_snapshots_never_alias_the_live_columns(self):
+        """Three list copies each way: mutating the profile after
+        ``snapshot()`` — or after ``restore()`` — must leave the
+        snapshot's columns alone, or a second rollback lands in a
+        different state than the first."""
+        profile = ResourceProfile(0.0, 8, 64.0, releases=[(30.0, 4, 32.0)])
+        profile.reserve(0.0, 10.0, 2, 8.0)
+        snap = profile.snapshot()
+        columns = (
+            profile.times, profile.free_nodes, profile.free_memory,
+        )
+        frozen = (
+            list(snap.times), list(snap.free_nodes), list(snap.free_memory),
+        )
+        for _ in range(2):
+            # Interior insert, tail append and in-place subtraction.
+            profile.reserve(5.0, 2.0, 1, 4.0)
+            profile.reserve_trusted(40.0, 20.0, 3, 12.0)
+            assert (
+                snap.times, snap.free_nodes, snap.free_memory
+            ) == frozen
+            profile.restore(snap)
+            for got, expected in zip(
+                (profile.times, profile.free_nodes, profile.free_memory),
+                columns,
+            ):
+                np.testing.assert_array_equal(got, expected)
 
     def test_restore_after_growth(self):
         profile = ResourceProfile(0.0, 64, 512.0)

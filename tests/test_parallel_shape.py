@@ -1,13 +1,9 @@
 """The shape of ``experiments/parallel.py``, so the pool rebuild does
 not grow back: the sweep owns its worker processes (nothing from
 ``concurrent.futures``, no reach into an executor's ``_processes``),
-the books are kept without a refund rule, and every function passes
-the complexity gate ``pyproject.toml`` sets — with no per-file
-exemption to hide behind.
-
-Counted on the stdlib ``ast`` with the C901 counter of
-``test_cli_shape.py``, because ruff is a lint-job dependency the test
-image does not carry: the gate that runs is the gate that is claimed.
+the books are kept without a refund rule, and the module has no
+per-file exemption from the complexity gate ``test_src_shape.py`` runs
+over all of ``src/repro``.
 """
 
 from __future__ import annotations
@@ -16,22 +12,10 @@ import ast
 from pathlib import Path
 
 from repro.experiments import parallel
-from tests.test_cli_shape import MAX_COMPLEXITY, complexity
 
 SOURCE = Path(parallel.__file__).read_text(encoding="utf-8")
 TREE = ast.parse(SOURCE)
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
-
-
-def test_no_function_over_the_complexity_gate():
-    functions = {
-        node.name: complexity(node)
-        for node in ast.walk(TREE)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    assert {"run_cells", "run_pooled", "collect"} <= set(functions)
-    over = {n: c for n, c in functions.items() if c > MAX_COMPLEXITY}
-    assert not over, over
 
 
 def test_the_per_file_exemption_is_gone():

@@ -1,5 +1,7 @@
 """Unit tests for the resource-profile packing engine."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.schedulers.packing import (
     plan_makespan,
     plan_total_completion,
 )
+from repro.schedulers.recovery import split_unpackable
 
 from tests.conftest import make_job
 
@@ -127,6 +130,43 @@ class TestResourceProfileEdgeCases:
             starts.append(start)
         assert starts == [1.5 * s for s in range(120)]
         assert profile.times.size > 120
+
+
+class TestSplitUnpackable:
+    """Parking against eventual capacity (degraded clusters only)."""
+
+    VIEW = SimpleNamespace(nodes_offline=2, free_nodes=2, free_memory_gb=16.0)
+    RELEASES = [(50.0, 4, 32.0), (80.0, 2, 16.0)]
+
+    def jobs(self):
+        return [
+            make_job(1, nodes=8, memory=64.0),  # fits once both release
+            make_job(2, nodes=2, memory=60.0),  # memory-bound the same way
+            make_job(3, nodes=9, memory=8.0),  # wider than the eventual pool
+        ]
+
+    def test_splits_against_current_plus_released_capacity(self):
+        packable, parked = split_unpackable(
+            self.VIEW, self.jobs(), self.RELEASES
+        )
+        assert [j.job_id for j in packable] == [1, 2]
+        assert [j.job_id for j in parked] == [3]
+
+    def test_generator_releases_are_summed_for_both_resources(self):
+        # The stream is read once for nodes and once for memory; spent
+        # after the first read, memory looked like nothing would ever
+        # be released and jobs 1 and 2 were parked at +inf.
+        from_list = split_unpackable(self.VIEW, self.jobs(), self.RELEASES)
+        from_generator = split_unpackable(
+            self.VIEW, self.jobs(), (r for r in self.RELEASES)
+        )
+        assert from_generator == from_list
+
+    def test_healthy_cluster_skips_the_split(self):
+        healthy = SimpleNamespace(nodes_offline=0)
+        assert split_unpackable(healthy, self.jobs(), iter(())) == (
+            self.jobs(), [],
+        )
 
 
 class TestPackOrder:
