@@ -16,6 +16,12 @@ from repro.sim.constraints import Violation
 from repro.sim.simulator import SystemView
 
 
+#: What a decision that says nothing about itself reports: one shared
+#: empty mapping, so clearing costs no allocation. Never written to —
+#: ``_set_meta`` replaces it, and readers copy (``dict(...)``).
+_NO_META: dict[str, Any] = {}
+
+
 class BaseScheduler:
     """Shared plumbing for all scheduling policies.
 
@@ -40,7 +46,7 @@ class BaseScheduler:
     supports_columns: bool = False
 
     def __init__(self) -> None:
-        self._last_meta: dict[str, Any] = {}
+        self._last_meta: dict[str, Any] = _NO_META
 
     def columnar(self, view: SystemView) -> bool:
         """Should this decision run the columnar kernel?
@@ -66,7 +72,7 @@ class BaseScheduler:
     # -- SchedulerProtocol -------------------------------------------------
     def reset(self) -> None:
         """Clear per-run state. Subclasses with state must extend."""
-        self._last_meta = {}
+        self._last_meta = _NO_META
 
     def decide(self, view: SystemView) -> Action:
         raise NotImplementedError
@@ -89,6 +95,12 @@ class BaseScheduler:
 
     def _set_meta(self, **kwargs: Any) -> None:
         self._last_meta = kwargs
+
+    def _clear_meta(self) -> None:
+        """Start a decision with nothing to report. A ``decide`` that
+        sets metadata on some paths only calls this first, or the
+        paths that set none would hand on the previous decision's."""
+        self._last_meta = _NO_META
 
     def __repr__(self) -> str:  # pragma: no cover - convenience
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -84,6 +84,28 @@ def head_reservation(
     return shadow, extra_nodes, extra_mem
 
 
+def _reservation(
+    view: SystemView, head: Job, head_fits: bool
+) -> tuple[float, int, float]:
+    """``(shadow_time, extra_nodes, extra_memory)`` for a head that
+    cannot be started now, whichever way it is blocked."""
+    if head_fits:
+        # Drain-parked head: it could start right now, so its
+        # reservation is the earliest drain-safe time (typically the
+        # blocking window's end), and the resources it will take then
+        # are exactly its own request. Short jobs ending before that
+        # shadow may borrow the head's share — without this,
+        # head_reservation would return shadow == now (the head "fits
+        # immediately") and the backfill window would collapse for the
+        # whole announce lead + window.
+        return (
+            view.earliest_drain_safe_start(head),
+            view.free_nodes - head.nodes,
+            view.free_memory_gb - head.memory_gb,
+        )
+    return head_reservation(head, view.running, view)
+
+
 class EasyBackfillScheduler(BaseScheduler):
     """FCFS with EASY (aggressive) backfilling, drain-aware.
 
@@ -113,75 +135,75 @@ class EasyBackfillScheduler(BaseScheduler):
     supports_columns = True
 
     def decide(self, view: SystemView) -> Action:
-        if not view.queued:
+        self._clear_meta()
+        queued = view.queued
+        if not queued:
             return Delay
-        head = view.queued[0]
+        cols = view._columns
+        if cols is not None and view.free_nodes < cols.min_nodes:
+            # Fewer free nodes than the smallest request queued: the
+            # head is blocked and nothing can backfill around it.
+            return Delay
+        head = queued[0]
         head_fits = view.can_fit(head)
         if head_fits and view.drain_safe(head):
             return StartJob(head.job_id)
-        if head_fits:
-            # Drain-parked head: it could start right now, so its
-            # reservation is the earliest drain-safe time (typically
-            # the blocking window's end), and the resources it will
-            # take then are exactly its own request. Short jobs ending
-            # before that shadow may borrow the head's share — without
-            # this, head_reservation would return shadow == now
-            # (the head "fits immediately") and the backfill window
-            # would collapse for the whole announce lead + window.
-            shadow = view.earliest_drain_safe_start(head)
-            extra_nodes = view.free_nodes - head.nodes
-            extra_mem = view.free_memory_gb - head.memory_gb
-        else:
-            shadow, extra_nodes, extra_mem = head_reservation(
-                head, view.running, view
-            )
-        spread_check = bool(view.remaining_runtimes) and view.has_domains
-        pressures = domain_pressures(view) if spread_check else ()
+        # What could start right now comes first: only if something
+        # can is the head's reservation worth computing.
         if self.columnar(view):
             # Vectorized candidate scan: one boolean mask per facade
             # predicate, elementwise-identical arithmetic (same 1e-9
             # slacks, same float64 adds), so the first set bit is the
             # exact job the scalar scan would have returned.
-            cols = view.columns()
             ok = cols.fits_mask() & cols.drain_safe_mask()
-            if spread_check:
+            ok[0] = False  # the head is the reservation, not a candidate
+            if not ok.any():
+                return Delay
+            shadow, extra_nodes, extra_mem = _reservation(
+                view, head, head_fits
+            )
+            if view.remaining_runtimes and view.has_domains:
                 unhealthy = cols.requeued_mask() & ~healthy_domain_mask(
-                    view, cols.nodes, pressures
+                    view, cols.nodes, domain_pressures(view)
                 )
                 ok &= ~unhealthy
             ok &= (view.now + cols.walltime <= shadow + 1e-9) | (
                 (cols.nodes <= extra_nodes)
                 & (cols.memory_gb <= extra_mem + 1e-9)
             )
-            ok[0] = False  # the head is the reservation, not a candidate
             hits = np.flatnonzero(ok)
-            if hits.size:
-                self._set_meta(
-                    shadow_time=shadow,
-                    reserved_job=head.job_id,
-                )
-                return BackfillJob(cols.id_at(int(hits[0])))
-            return Delay
-        # islice avoids copying the (possibly long) queue tuple per
-        # decision just to skip the head.
-        for job in islice(view.queued, 1, None):
-            if not view.can_fit(job) or not view.drain_safe(job):
-                continue
-            if (
-                spread_check
-                and job.job_id in view.remaining_runtimes
-                and not fits_healthy_domain(view, job, pressures)
-            ):
-                continue
-            ends_before_shadow = view.now + job.walltime <= shadow + 1e-9
-            fits_in_extras = (
-                job.nodes <= extra_nodes
-                and job.memory_gb <= extra_mem + 1e-9
+            if not hits.size:
+                return Delay
+            backfill = cols.id_at(int(hits[0]))
+        else:
+            # islice avoids copying the (possibly long) queue tuple per
+            # decision just to skip the head.
+            fitting = [
+                job
+                for job in islice(queued, 1, None)
+                if view.can_fit(job) and view.drain_safe(job)
+            ]
+            if not fitting:
+                return Delay
+            shadow, extra_nodes, extra_mem = _reservation(
+                view, head, head_fits
             )
-            if ends_before_shadow or fits_in_extras:
-                self._set_meta(
-                    shadow_time=shadow,
-                    reserved_job=head.job_id,
-                )
-                return BackfillJob(job.job_id)
-        return Delay
+            spread_check = bool(view.remaining_runtimes) and view.has_domains
+            pressures = domain_pressures(view) if spread_check else ()
+            for job in fitting:
+                if (
+                    spread_check
+                    and job.job_id in view.remaining_runtimes
+                    and not fits_healthy_domain(view, job, pressures)
+                ):
+                    continue
+                if view.now + job.walltime <= shadow + 1e-9 or (
+                    job.nodes <= extra_nodes
+                    and job.memory_gb <= extra_mem + 1e-9
+                ):
+                    backfill = job.job_id
+                    break
+            else:
+                return Delay
+        self._set_meta(shadow_time=shadow, reserved_job=head.job_id)
+        return BackfillJob(backfill)

@@ -430,6 +430,7 @@ class AnnealingOptimizer(BaseScheduler):
 
     # -- SchedulerProtocol -------------------------------------------------
     def decide(self, view: SystemView) -> Action:
+        self._clear_meta()
         queued_ids = {j.job_id for j in view.queued}
         if queued_ids - self._planned_ids or not self._consumed.isdisjoint(
             queued_ids

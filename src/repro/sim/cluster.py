@@ -94,6 +94,12 @@ class ResourcePool:
     _offline_nodes: int = field(init=False, default=0)
     #: Nodes held per active drain tag (see :meth:`drain_take_idle`).
     _drain_tags: dict[str, int] = field(init=False, default_factory=dict)
+    #: Last :meth:`domain_free_nodes` answer and the ``(topology, busy,
+    #: idle_end)`` it was computed for — everything it depends on, so
+    #: it is reused until one of them moves.
+    _domain_free: tuple[tuple, tuple[int, ...]] = field(
+        init=False, default=((), ()), repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.total_nodes <= 0:
@@ -282,13 +288,17 @@ class ResourcePool:
         assert topo is not None  # set in __post_init__
         busy = self.total_nodes - self._free_nodes - self._offline_nodes
         idle_end = self.total_nodes - self._offline_nodes
-        out = []
-        for rack in range(topo.n_racks):
-            nodes = topo.rack_nodes(rack)
-            lo = max(nodes.start, busy)
-            hi = min(nodes.stop, idle_end)
-            out.append(max(0, hi - lo))
-        return tuple(out)
+        key, free = self._domain_free
+        if key != (topo, busy, idle_end):
+            out = []
+            for rack in range(topo.n_racks):
+                nodes = topo.rack_nodes(rack)
+                lo = max(nodes.start, busy)
+                hi = min(nodes.stop, idle_end)
+                out.append(max(0, hi - lo))
+            free = tuple(out)
+            self._domain_free = ((topo, busy, idle_end), free)
+        return free
 
     def snapshot(self) -> dict[str, float]:
         """Structured state snapshot (used by prompt rendering)."""

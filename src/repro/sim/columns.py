@@ -141,19 +141,27 @@ class QueueColumns:
     ``sel`` access wraps through the buffer protocol with no
     per-element conversion. Gathers are lazy and cached, so they run
     once per queue change, not once per decision.
+
+    ``min_nodes`` is a lower bound on the node requests queued. The
+    engine keeps the exact minimum next to the queue and hands it
+    over, so a snapshot pays nothing for it; with ``free_nodes`` below
+    it no queued job fits, without looking at one. Projections with no
+    engine behind them leave it at 0, the bound that rules nothing out.
     """
 
-    __slots__ = ("_masters", "_sel", "n", "_gathered", "_first")
+    __slots__ = ("_masters", "_sel", "n", "min_nodes", "_gathered", "_first")
 
     def __init__(
         self,
         masters: Union[JobColumns, Callable[[], JobColumns]],
         sel: Optional[Sequence[int]],
         n: int,
+        min_nodes: float = 0,
     ) -> None:
         self._masters = masters
         self._sel = sel
         self.n = n
+        self.min_nodes = min_nodes
         self._gathered: dict[str, np.ndarray] = {}
         self._first: dict[str, int] = {}
 
@@ -309,6 +317,12 @@ class ViewColumns:
         return self._view.free_memory_gb
 
     @property
+    def min_nodes(self) -> float:
+        """No queued job asks for fewer nodes: see
+        :class:`QueueColumns`."""
+        return self._q.min_nodes
+
+    @property
     def domain_free_nodes(self) -> np.ndarray:
         """Free node count per rack as an int64 vector (empty for
         flat/absent topologies, like the view field it mirrors)."""
@@ -357,8 +371,12 @@ class ViewColumns:
             if not rem:
                 mask = np.zeros(self.n, dtype=bool)
             else:
-                mask = np.isin(
-                    self.ids, np.fromiter(rem, np.int64, count=len(rem))
+                # Membership in the view's own mapping, id by id: one
+                # hash probe each, no sort-and-search over two arrays.
+                mask = np.fromiter(
+                    map(rem.__contains__, self.ids.tolist()),
+                    dtype=bool,
+                    count=self.n,
                 )
             self._requeued = mask
         return mask

@@ -261,6 +261,7 @@ class EngineState:
         "now", "cal",
         # job lifecycle codes and the queue over them
         "state", "queue_pos", "queue_jobs", "n_queued", "n_blocked",
+        "size_counts", "queue_floor",
         "pending_arrivals", "dependents", "completed_ids", "completed_set",
         "queued_map",
         # running set and its sorted indexes
@@ -302,10 +303,13 @@ class EngineState:
         self.state = bytearray(n_jobs)  # zero-filled == _PENDING
         # The live queue, in queue order (arrival order, requeues at
         # the tail): workload positions and the jobs at them, kept
-        # element for element equal by _enqueue and start.
+        # element for element equal by _enqueue and start — as are the
+        # queued jobs per distinct node request and the smallest one.
         self.queue_pos = array("q")
         self.queue_jobs: list = []
         self.n_queued = 0
+        self.size_counts: dict[int, int] = {}
+        self.queue_floor: float = math.inf
         self.n_blocked = 0
         self.pending_arrivals = n_jobs
         self.dependents: dict[int, list[int]] = {}
@@ -381,8 +385,18 @@ class EngineState:
     def _enqueue(self, i: int) -> None:
         self.state[i] = _QUEUED
         self.n_queued += 1
+        job = self.jobs[i]
         self.queue_pos.append(i)
-        self.queue_jobs.append(self.jobs[i])
+        self.queue_jobs.append(job)
+        nodes = job.nodes
+        counts = self.size_counts
+        if nodes in counts:
+            counts[nodes] += 1
+        else:
+            # Only a size not yet queued can lower the floor.
+            counts[nodes] = 1
+            if nodes < self.queue_floor:
+                self.queue_floor = nodes
         self.queue_changed()
 
     def start(self, i: int) -> None:
@@ -396,6 +410,17 @@ class EngineState:
         at = 0 if queue_pos[0] == i else queue_pos.index(i)
         del queue_pos[at]
         job = self.queue_jobs.pop(at)
+        nodes = job.nodes
+        counts = self.size_counts
+        left = counts[nodes] - 1
+        if left:
+            counts[nodes] = left
+        else:
+            # The last job of this size left: only then can the floor
+            # rise, and only over the distinct sizes still queued.
+            del counts[nodes]
+            if nodes == self.queue_floor:
+                self.queue_floor = min(counts) if counts else math.inf
         self.queue_changed()
         self.running_changed()
         job_id = job.job_id
@@ -435,6 +460,17 @@ class EngineState:
         self.cluster.release(job_id)
         return run
 
+    def _own_remaining(self) -> dict[int, float]:
+        """``remaining`` for writing. Views share the mapping rather
+        than copy it, so the first change after a view took it copies:
+        that view keeps the mapping of its own instant. If any view
+        holds the current mapping, the latest one does (a non-empty
+        mapping goes into every view)."""
+        view = self._prev_view
+        if view is not None and view.remaining_runtimes is self.remaining:
+            self.remaining = dict(self.remaining)
+        return self.remaining
+
     def kill(
         self,
         job_id: int,
@@ -465,7 +501,7 @@ class EngineState:
             ):
                 saved = max(saved, self.last_announce - run.start_time)
             saved = min(saved, elapsed)
-        self.remaining[job_id] = prior - saved
+        self._own_remaining()[job_id] = prior - saved
         self._enqueue(self.idx_of[job_id])
         self.stopped = False
         self.final_stop_asked = False
@@ -507,7 +543,9 @@ class EngineState:
             return  # stale: this attempt was killed
         self._drop(job_id)
         self.state[i] = _COMPLETED
-        full = self.remaining.pop(job_id, job.duration)
+        full = job.duration
+        if job_id in self.remaining:
+            full = self._own_remaining().pop(job_id)
         self.records.append(
             JobRecord(job, run.start_time, time, killed=run.runtime < full)
         )
@@ -602,7 +640,10 @@ class EngineState:
         the queue of its own instant."""
         return (
             tuple(self.queue_jobs),
-            QueueColumns(self.masters, self.queue_pos[:], self.n_queued),
+            QueueColumns(
+                self.masters, self.queue_pos[:], self.n_queued,
+                self.queue_floor,
+            ),
         )
 
     def build_view(self) -> SystemView:
@@ -630,7 +671,6 @@ class EngineState:
             drains = tuple(
                 d for d in self.drains if d.announce_time <= now < d.end
             )
-        remaining = self.remaining
         # Fast construction: write the instance dict directly instead
         # of going through the frozen dataclass __init__ (17 guarded
         # object.__setattr__ calls per decision point). The field
@@ -659,9 +699,8 @@ class EngineState:
             "blocked_jobs": self.n_blocked,
             "nodes_offline": getattr(cluster, "offline_nodes", 0),
             "upcoming_drains": drains,
-            "remaining_runtimes": (
-                dict(remaining) if remaining else _NO_REMAINING
-            ),
+            # Shared, not copied: see _own_remaining.
+            "remaining_runtimes": self.remaining or _NO_REMAINING,
             "topology": self.topo,
             "domain_free_nodes": (
                 tuple(cluster.domain_free_nodes()) if self.has_domains else ()

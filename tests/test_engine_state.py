@@ -13,7 +13,8 @@
 2. **Instances share nothing**: two states stepped alternately digest
    exactly as when run alone.
 3. **Views**: a view kept across later queue changes still shows the
-   queue of its own instant, columns included; and the queue contents
+   queue of its own instant, columns included, and the remaining
+   runtimes of its own instant; and the queue contents
    every ``decide`` sees equal the object oracle's, decision by
    decision, where starts come from the middle, where kills requeue,
    and where completions unblock dependents.
@@ -24,7 +25,9 @@
 
 import ast
 import gc
+import math
 import types
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -99,6 +102,13 @@ def audit(state: EngineState) -> int:
     assert [id(job) for job in state.queue_jobs] == [
         id(state.jobs[p]) for p in positions
     ]
+
+    # The floor is an invariant of the queue, not a cache of it: at
+    # every step the smallest node request queued, with the per-size
+    # counts behind it equal to a recount (no size left at zero).
+    sizes = [job.nodes for job in state.queue_jobs]
+    assert state.size_counts == Counter(sizes)
+    assert state.queue_floor == min(sizes, default=math.inf)
     return held
 
 
@@ -272,6 +282,37 @@ class TestRetainedViews:
             assert cols.fits_mask().tolist() == [
                 view.can_fit(job) for job in view.queued
             ]
+
+
+    def test_view_kept_across_kills_and_completions_keeps_its_remaining(self):
+        """Views share the engine's ``remaining`` mapping instead of
+        copying it; a kill (adds or rewrites an entry) and the
+        completion of a restarted job (removes one) must not reach a
+        view taken before them."""
+        jobs = generate_workload("checkpoint_stress", 60, seed=1)
+        scheduler = create_scheduler("fcfs_backfill")
+        held = []
+        decide = scheduler.decide
+
+        def keeping(view):
+            held.append((view, dict(view.remaining_runtimes)))
+            return decide(view)
+
+        scheduler.decide = keeping
+        result = simulate(jobs, scheduler, **_checkpoint_disrupted(jobs))
+        assert all(view.remaining_runtimes == then for view, then in held)
+        mappings = [then for _, then in held]
+        # Both kinds of change happened between held views, and sharing
+        # did too: fewer distinct mappings than views that carry one.
+        assert any(
+            set(a) - set(b) for a, b in zip(mappings, mappings[1:])
+        ), "no restarted job completed between two views"
+        assert any(
+            set(b) - set(a) for a, b in zip(mappings, mappings[1:])
+        ), "no kill between two views"
+        carrying = [view for view, then in held if then]
+        shared = {id(view.remaining_runtimes) for view in carrying}
+        assert result.preemptions and len(shared) < len(carrying)
 
 
 def queue_contents_log(run):

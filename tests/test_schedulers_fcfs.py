@@ -118,6 +118,27 @@ class TestEasyBackfill:
         kinds = [d.action.kind for d in result.accepted_placements]
         assert ActionKind.BACKFILL in kinds
 
+    def test_decision_after_a_backfill_carries_no_stale_meta(self):
+        """The reservation a backfill reports belongs to that decision
+        only: the ``Delay`` and the ``StartJob`` recorded after it have
+        empty ``meta``. (``schedule_digest`` and the pinned regression
+        digests hash a decision's time, action and verdict, never its
+        ``meta``, so clearing it moves no pin.)"""
+        jobs = [
+            make_job(1, submit=0.0, duration=100.0, nodes=6),
+            make_job(2, submit=1.0, duration=50.0, nodes=8),
+            make_job(3, submit=2.0, duration=10.0, nodes=2),
+        ]
+        result = run_sim(jobs, EasyBackfillScheduler(), nodes=8, memory=64.0)
+        kinds = [d.action.kind for d in result.decisions]
+        at = kinds.index(ActionKind.BACKFILL)
+        assert result.decisions[at].meta == {
+            "shadow_time": 100.0, "reserved_job": 2,
+        }
+        assert kinds[at + 1] is ActionKind.DELAY
+        assert ActionKind.START in kinds[at + 1:]
+        assert all(d.meta == {} for d in result.decisions[at + 1:])
+
     def test_equals_fcfs_without_contention(self):
         jobs = [make_job(i, submit=float(i), duration=5.0, nodes=1) for i in range(1, 6)]
         a = run_sim(jobs, FCFSScheduler(), nodes=8, memory=64.0)

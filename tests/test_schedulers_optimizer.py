@@ -5,6 +5,7 @@ import pytest
 from repro.metrics.objectives import compute_metrics
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.optimizer import AnnealingConfig, AnnealingOptimizer
+from repro.sim.actions import ActionKind
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import make_job, run_sim
@@ -23,6 +24,17 @@ class TestBasicBehaviour:
         assert {r.job.job_id: r.start_time for r in a.records} == {
             r.job.job_id: r.start_time for r in b.records
         }
+
+    def test_only_a_start_reports_its_planned_start(self):
+        # A Delay decided after a StartJob used to hand on that start's
+        # ``planned_start``; metadata now begins empty at every decide.
+        jobs = [make_job(i, duration=50.0, nodes=5) for i in range(1, 4)]
+        result = run_sim(jobs, AnnealingOptimizer(seed=0), nodes=8, memory=64.0)
+        delays = [d for d in result.decisions if d.action.kind is ActionKind.DELAY]
+        starts = [d for d in result.decisions if d.action.kind is ActionKind.START]
+        assert delays and len(starts) == 3
+        assert all(d.meta == {} for d in delays)
+        assert all(set(d.meta) == {"planned_start"} for d in starts)
 
     def test_never_beats_capacity(self):
         jobs = generate_workload("high_parallelism", 30, seed=4)
