@@ -75,24 +75,30 @@ class PlanStatistics:
         return 1.0 - self.final_objective / self.initial_objective
 
 
+#: Windowed search only: the iteration budget is split into this many
+#: epochs, and at each epoch boundary the full order (current head +
+#: frozen tail) is re-packed once to ground the epoch's incumbent in the
+#: *true* objective — the returned plan is the true-best over epoch
+#: boundaries plus the surrogate-best head.
+WINDOW_EPOCHS = 4
+
+
 @dataclass
 class AnnealingConfig:
     """Annealer hyperparameters.
 
     ``iterations`` scales with queue size (``base + per_job * n``,
     capped) so small queues replan cheaply; ``t0_fraction`` sets the
-    initial temperature as a fraction of the initial objective.
+    initial temperature as a fraction of the initial objective, and
+    each move multiplies the temperature by ``cooling``. Moves are
+    uniform position swaps; the objective is makespan plus
+    ``flow_time_weight`` times the mean completion time.
 
     ``window`` bounds the search to the first W positions of the
     priority order: the tail is frozen as a fixed suffix, packed once
     per replanning event, and every annealing move re-packs at most W
     placements instead of an O(queue) suffix. ``None`` (the default)
     keeps the full search — bit-identical to the pre-window engine.
-
-    ``late_pivot_p`` biases the move set toward late pivots: the lower
-    swap position sits a Geometric(p)-distributed distance from the end
-    of the order, so re-packed suffixes average ~1/p jobs even without
-    a window. ``None`` (the default) keeps uniform position pairs.
     """
 
     base_iterations: int = 60
@@ -102,23 +108,10 @@ class AnnealingConfig:
     cooling: float = 0.995
     flow_time_weight: float = 1e-3
     window: Optional[int] = None
-    late_pivot_p: Optional[float] = None
-    #: Windowed search only: the iteration budget is split into this
-    #: many epochs, and at each epoch boundary the full order (current
-    #: head + frozen tail) is re-packed once to ground the epoch's
-    #: incumbent in the *true* objective — the returned plan is the
-    #: true-best over epoch boundaries plus the surrogate-best head.
-    window_epochs: int = 4
 
     def __post_init__(self) -> None:
         if self.window is not None and self.window < 2:
             raise ValueError("window must be at least 2 (or None)")
-        if self.late_pivot_p is not None and not (
-            0.0 < self.late_pivot_p <= 1.0
-        ):
-            raise ValueError("late_pivot_p must be in (0, 1] (or None)")
-        if self.window_epochs < 1:
-            raise ValueError("window_epochs must be at least 1")
 
     def iterations_for(self, n: int) -> int:
         return min(
@@ -178,24 +171,12 @@ class AnnealingOptimizer(BaseScheduler):
         )
 
     def _sample_move(self, m: int) -> Optional[tuple[int, int]]:
-        """Draw one swap move over ``range(m)`` as ``(lo, hi)``.
-
-        Uniform position pairs by default (``None`` on an i == j draw,
-        matching the legacy skip); with ``late_pivot_p`` the lower
-        position sits a Geometric(p) distance from the end of the
-        order, so the re-packed suffix averages ~1/p jobs.
-        """
-        p = self.config.late_pivot_p
-        if p is None:
-            i, j = self._rng.integers(0, m, size=2)
-            if i == j:
-                return None
-            return (int(i), int(j)) if i < j else (int(j), int(i))
-        lo = m - 1 - int(self._rng.geometric(p))
-        if lo < 0:
-            lo = 0
-        hi = lo + 1 + int(self._rng.integers(0, m - lo - 1))
-        return lo, hi
+        """Draw one uniform swap move over ``range(m)`` as ``(lo, hi)``;
+        ``None`` on an i == j draw, matching the legacy skip."""
+        i, j = self._rng.integers(0, m, size=2)
+        if i == j:
+            return None
+        return (int(i), int(j)) if i < j else (int(j), int(i))
 
     def _anneal_full(
         self,
@@ -253,7 +234,7 @@ class AnnealingOptimizer(BaseScheduler):
         frozen tail contributes no gradient, and a compact head is what
         frees early gaps for the tail to fill. To keep the search
         honest against the *true* objective, the iteration budget is
-        split into ``window_epochs`` epochs and the full order is
+        split into :data:`WINDOW_EPOCHS` epochs and the full order is
         re-packed once per epoch incumbent; the best full order seen at
         those groundings (or the final surrogate-best head) is
         returned, along with its already-computed full placements
@@ -268,7 +249,7 @@ class AnnealingOptimizer(BaseScheduler):
 
         def surrogate(head_placements: list[PackedJob]) -> float:
             head_max = max(p.end for p in head_placements)
-            total = float(sum(p.end for p in head_placements))
+            total = plan_total_completion(head_placements)
             return (head_max - now) + fw * total / window
 
         cur_head = list(order[:window])
@@ -279,7 +260,7 @@ class AnnealingOptimizer(BaseScheduler):
         # Groundings cost a full O(queue) pack each; cap them at one
         # per ~150 iterations so a small search budget is spent on
         # moves, not on re-realizing the tail.
-        epochs = min(cfg.window_epochs, max(1, iterations // 150))
+        epochs = min(WINDOW_EPOCHS, max(1, iterations // 150))
         true_best: Optional[tuple[list, list[PackedJob]]] = None
         true_best_obj = math.inf
         boundaries = {
@@ -356,8 +337,10 @@ class AnnealingOptimizer(BaseScheduler):
             releases.append((d.end, d.nodes, d_mem))
 
         # Jobs exceeding the profile's eventual capacity (nodes failed
-        # and not repaired within the plan) are parked at +inf — tried
-        # last, held until repairs — instead of crashing the packer.
+        # and not repaired within the plan, or memory a node-level
+        # cluster withholds beyond the release stream) are parked at
+        # +inf — tried last, held until they fit — instead of crashing
+        # the packer.
         jobs, unpackable = split_unpackable(view, jobs, releases)
         n = len(jobs)
         if n == 0 and unpackable:

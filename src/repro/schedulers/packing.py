@@ -20,9 +20,9 @@ evaluation throughput:
 * the full profile state can be captured and restored in O(k) as three
   list copies (:meth:`ResourceProfile.snapshot` /
   :meth:`ResourceProfile.restore`), which :class:`IncrementalPacker`
-  uses to cache prefix-pack states so a candidate permutation differing
-  from the incumbent only from position *m* onward re-packs just the
-  suffix;
+  uses to cache the annealer's incumbent at checkpoint positions so a
+  candidate permutation differing from it only from position *m*
+  onward re-packs just the suffix;
 * the earliest-fit query is one early-exit scan that starts at the
   interval holding ``not_before`` and visits each interval at most
   once.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -286,12 +286,11 @@ class PackStats:
     """Work counters one :class:`IncrementalPacker` accumulates.
 
     ``jobs_packed`` counts real placements (an ``earliest_start``
-    search plus a reservation) — the unit the windowed-annealing and
-    prefix-GA optimizations minimize; ``jobs_replayed`` counts
-    known-reservation replays on the checkpoint-restore path, which
-    cost one trusted reserve and no search. The annealer's
-    packed-jobs-per-accepted-move figure divides ``jobs_packed`` by
-    the consumer's accepted-move count.
+    search plus a reservation) — the unit windowed annealing
+    minimizes; ``jobs_replayed`` counts known-reservation replays on
+    the checkpoint-restore path, which cost one trusted reserve and no
+    search. The annealer's packed-jobs-per-accepted-move figure
+    divides ``jobs_packed`` by its accepted-move count.
     """
 
     jobs_packed: int = 0
@@ -299,9 +298,6 @@ class PackStats:
     full_packs: int = 0
     suffix_packs: int = 0
     commits: int = 0
-    incumbents_saved: int = 0
-    incumbents_loaded: int = 0
-    incumbents_evicted: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -310,21 +306,16 @@ class PackStats:
             "full_packs": self.full_packs,
             "suffix_packs": self.suffix_packs,
             "commits": self.commits,
-            "incumbents_saved": self.incumbents_saved,
-            "incumbents_loaded": self.incumbents_loaded,
-            "incumbents_evicted": self.incumbents_evicted,
         }
 
 
 @dataclass
 class _Incumbent:
-    """One retained (order, placements, checkpoints) pack state.
+    """The current (order, placements, checkpoints) pack state.
 
     Snapshots are immutable and *shared*: an incumbent committed from a
     ``pack_from`` at pivot *c* keeps every checkpoint at or below *c*
-    by reference, so a GA generation whose children share parents'
-    prefixes holds one snapshot per distinct prefix state, not one per
-    chromosome.
+    by reference, so an accepted annealing move copies no snapshot.
     """
 
     order: list[Job] = field(default_factory=list)
@@ -337,11 +328,12 @@ class IncrementalPacker:
 
     Built once per replanning event from the system snapshot (free
     capacity + expected releases), then used to evaluate many candidate
-    permutations. The packer keeps the incumbent order's placements and
-    O(k) profile snapshots at checkpoint positions; a candidate that
-    shares the incumbent's prefix up to ``pivot`` (an annealing swap at
-    positions ``i < j`` shares ``[0, i)``) restores the cached state at
-    the pivot and packs only the suffix.
+    permutations. The packer keeps one incumbent — the order last
+    packed or committed — with its placements and O(k) profile
+    snapshots at checkpoint positions; a candidate that shares the
+    incumbent's prefix up to ``pivot`` (an annealing swap at positions
+    ``i < j`` shares ``[0, i)``) restores the cached state at the pivot
+    and packs only the suffix.
 
     Checkpoint density is adaptive: every position for small queues,
     every ``n // 96`` positions for large ones (restoring then replays
@@ -362,33 +354,19 @@ class IncrementalPacker:
         free_nodes: float,
         free_memory_gb: float,
         releases: Iterable[tuple[float, float, float]] = (),
-        checkpoint_stride: Optional[int] = None,
-        retain_incumbents: int = 0,
     ) -> None:
         self._now = now
         self._profile = ResourceProfile(
             now, free_nodes, free_memory_gb, releases
         )
         self._base = self._profile.snapshot()
-        self._stride_override = checkpoint_stride
         # Checkpoint 0 from the start so pack_from() before any pack()
         # degrades to a pivot-0 full pack instead of failing.
         self._inc = _Incumbent(checkpoints={0: self._base})
-        #: Retention budget for :meth:`save_incumbent` (0 disables the
-        #: cache entirely); oldest saved incumbents are evicted first.
-        self._retain_incumbents = retain_incumbents
-        self._saved: dict[object, _Incumbent] = {}
         self.stats = PackStats()
 
-    @property
-    def _placements(self) -> list[PackedJob]:
-        # Back-compat alias used by tests/consumers predating the
-        # multi-incumbent cache.
-        return self._inc.placements
-
-    def _stride_for(self, n: int) -> int:
-        if self._stride_override is not None:
-            return max(1, self._stride_override)
+    @staticmethod
+    def _stride_for(n: int) -> int:
         return max(1, n // 96)
 
     def _place(self, job: Job) -> PackedJob:
@@ -467,41 +445,6 @@ class IncrementalPacker:
         self._inc = _Incumbent(list(order), list(placements), checkpoints)
         self.stats.commits += 1
 
-    # -- incumbent retention (one GA generation) ---------------------------
-    def save_incumbent(self, key: object) -> None:
-        """Retain the current incumbent under *key*.
-
-        O(1): the incumbent's placements and snapshots are kept by
-        reference (both are treated as immutable once saved — a later
-        ``pack``/``commit`` replaces ``self._inc`` rather than mutating
-        it). When the retention budget is exceeded, the oldest saved
-        incumbent is evicted — FIFO, matching the GA's use (parents of
-        one generation are saved together and all expire together).
-        """
-        if self._retain_incumbents <= 0:
-            return
-        self._saved.pop(key, None)
-        self._saved[key] = self._inc
-        self.stats.incumbents_saved += 1
-        while len(self._saved) > self._retain_incumbents:
-            oldest = next(iter(self._saved))
-            del self._saved[oldest]
-            self.stats.incumbents_evicted += 1
-
-    def load_incumbent(self, key: object) -> bool:
-        """Make the incumbent saved under *key* current; False if it
-        was never saved or has been evicted."""
-        inc = self._saved.get(key)
-        if inc is None:
-            return False
-        self._inc = inc
-        self.stats.incumbents_loaded += 1
-        return True
-
-    def clear_incumbents(self) -> None:
-        """Drop every saved incumbent (GA: start of a new generation)."""
-        self._saved.clear()
-
 
 def pack_order(
     jobs: Sequence[Job],
@@ -539,5 +482,15 @@ def plan_makespan(placements: Sequence[PackedJob], now: float) -> float:
 
 
 def plan_total_completion(placements: Sequence[PackedJob]) -> float:
-    """Sum of completion times (the flow-time tiebreak objective)."""
-    return float(sum(p.end for p in placements))
+    """Sum of completion times (the flow-time tiebreak objective).
+
+    A plain left-to-right fold, not builtin ``sum()``: from Python 3.12
+    ``sum()`` compensates float rounding, so the annealer's accept test
+    — and every seeded plan — would depend on the interpreter. The fold
+    is the value ``sum()`` returned on 3.11, where the goldens were
+    recorded.
+    """
+    total = 0.0
+    for p in placements:
+        total += p.end
+    return total

@@ -1,19 +1,20 @@
-"""Shared recovery-aware planning helpers for the plan-based
-optimizers (annealer, GA).
+"""Recovery-aware planning helpers for the plan-based optimizer (the
+annealer).
 
-Both optimizers decode job-priority permutations against the packing
-model; under disruptions they need the same two adjustments before
-packing, factored here so the logic cannot drift between them:
+The annealer decodes job-priority permutations against the packing
+model; under disruptions it needs two adjustments before packing:
 
 * :func:`effective_jobs` — checkpoint-restarted jobs only have their
   *remaining* runtime left; plan with that instead of the original
   duration. On undisrupted runs the mapping is empty and the original
   ``Job`` objects pass through untouched (bit-identical planning).
-* :func:`split_unpackable` — with nodes failed (offline and not
-  restored by any release in the planning horizon) a job can exceed
-  the profile's eventual capacity and would never pack; such jobs are
-  parked (planned at ``+inf``) until repairs restore capacity instead
-  of crashing the packer. Skipped entirely on healthy clusters.
+* :func:`split_unpackable` — a job can exceed the profile's eventual
+  capacity and would never pack: nodes failed and not restored by any
+  release in the planning horizon, or a node-level cluster that
+  withholds a whole node's memory per running job while the release
+  stream returns only what each job asked for. Such jobs are parked
+  (planned at ``+inf``) until the cluster can start them instead of
+  crashing the packer.
 
 With a non-flat :class:`~repro.sim.topology.ClusterTopology` the view
 additionally carries per-domain free capacity, and this module grows
@@ -61,12 +62,17 @@ def split_unpackable(
     for drain-aware planners. Eventual capacity is current free plus
     every delta; node capacity is non-decreasing outside drain notches,
     so a job fits some interval iff it fits the eventual capacity.
+    Runs on every replan: no cluster state guarantees that every job
+    fits (see the module docstring).
     """
-    if view.nodes_offline <= 0:
-        return list(jobs), []
-    releases = tuple(releases)  # summed twice; a generator would be spent
-    eventual_nodes = view.free_nodes + sum(r[1] for r in releases)
-    eventual_mem = view.free_memory_gb + sum(r[2] for r in releases)
+    # One pass, deltas folded left to right from zero — the value
+    # builtin ``sum()`` gave on 3.11, independent of the interpreter.
+    released_nodes = released_mem = 0
+    for _, nodes, mem in releases:
+        released_nodes += nodes
+        released_mem += mem
+    eventual_nodes = view.free_nodes + released_nodes
+    eventual_mem = view.free_memory_gb + released_mem
     packable: list[Job] = []
     unpackable: list[Job] = []
     for j in jobs:

@@ -19,7 +19,6 @@ from repro.schedulers.heuristics import (
     LargestFirstScheduler,
     RandomScheduler,
 )
-from repro.schedulers.genetic import GeneticOptimizer
 from repro.schedulers.optimizer import AnnealingConfig, AnnealingOptimizer
 from repro.schedulers.sjf import SJFScheduler
 
@@ -49,7 +48,6 @@ SCHEDULER_FACTORIES: Dict[str, SchedulerFactory] = {
     "sjf": lambda seed=0, **kw: SJFScheduler(strict=True),
     "sjf_firstfit": lambda seed=0, **kw: SJFScheduler(strict=False),
     "ortools_like": _annealer_factory,
-    "genetic": lambda seed=0, **kw: GeneticOptimizer(seed=seed, **kw),
     "first_fit": lambda seed=0, **kw: FirstFitScheduler(),
     "largest_first": lambda seed=0, **kw: LargestFirstScheduler(),
     "random": lambda seed=0, **kw: RandomScheduler(seed=seed),

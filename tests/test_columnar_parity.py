@@ -160,9 +160,9 @@ class TestColumnarFacadeParity:
             assert create_scheduler(name).supports_columns is True
             assert facade_only(create_scheduler(name)).supports_columns \
                 is False
-        # The planners sort once per replan, not per decision: their
-        # columnar twins measured inside the noise and were deleted.
-        for name in ("random", "ortools_like", "genetic"):
+        # The planner sorts once per replan, not per decision: its
+        # columnar twin measured inside the noise and was deleted.
+        for name in ("random", "ortools_like"):
             assert not supports_columns(name)
             assert create_scheduler(name).supports_columns is False
 

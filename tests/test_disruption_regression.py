@@ -26,7 +26,6 @@ SCHEDULERS = (
     "first_fit",
     "largest_first",
     "ortools_like",
-    "genetic",
     "random",
 )
 

@@ -8,8 +8,8 @@
    (integrated independently, step by step) equal goodput + wasted.
    It runs over the ten identity regimes of ``test_soa_regression``
    (where the audited run must also reproduce the pinned digest: the
-   audit only reads) and over generated workloads x disruptions under
-   ``RandomScheduler``. Nothing in ``src/`` knows about it.
+   audit only reads) and over generated workloads x disruptions x
+   every registered scheduler. Nothing in ``src/`` knows about it.
 2. **Instances share nothing**: two states stepped alternately digest
    exactly as when run alone.
 3. **Views**: a view kept across later queue changes still shows the
@@ -38,8 +38,7 @@ import repro.sim.engine as engine
 from repro.experiments.runner import run_single
 from repro.metrics.disruption import goodput_node_hours, wasted_node_hours
 from repro.metrics.objectives import compute_metrics
-from repro.schedulers.heuristics import RandomScheduler
-from repro.schedulers.registry import create_scheduler
+from repro.schedulers.registry import available_schedulers, create_scheduler
 from repro.service.protocol import schedule_digest
 from repro.sim.cluster import NodeLevelCluster, ResourcePool
 from repro.sim.disruptions import DisruptionSpec, estimate_horizon
@@ -136,6 +135,14 @@ def run_audited(sim: HPCSimulator):
 
 audited_engine = partial(_substituted, HPCSimulator, "run", run_audited)
 
+#: ``(registry name, anneal_window)`` pairs the generated workloads are
+#: drawn against: every registered policy, the LLM agents included, and
+#: the annealer's windowed search at two widths besides its full one.
+AUDITED_SCHEDULERS = [(name, None) for name in available_schedulers()] + [
+    ("ortools_like", 2),
+    ("ortools_like", 5),
+]
+
 
 class TestStepwiseAudit:
     @pytest.mark.parametrize("scenario,n,scheduler,kw", IDENTITY_CELLS)
@@ -148,6 +155,7 @@ class TestStepwiseAudit:
     @settings(max_examples=60, deadline=None)
     @given(
         raw=job_lists,
+        scheduler=st.sampled_from(AUDITED_SCHEDULERS),
         cluster_kind=st.sampled_from(["pool", "pool-racks", "nodes-racks"]),
         mtbf=st.one_of(st.none(), st.floats(200.0, 20_000.0)),
         rack_mtbf=st.one_of(st.none(), st.floats(500.0, 20_000.0)),
@@ -157,9 +165,11 @@ class TestStepwiseAudit:
         seed=st.integers(0, 2**16),
     )
     def test_generated_workloads_under_disruption(
-        self, raw, cluster_kind, mtbf, rack_mtbf, drain_every, drain_nodes,
-        policy, seed,
+        self, raw, scheduler, cluster_kind, mtbf, rack_mtbf, drain_every,
+        drain_nodes, policy, seed,
     ):
+        name, window = scheduler
+        options = {} if window is None else {"anneal_window": window}
         topology = None
         if cluster_kind != "pool":
             topology = ClusterTopology(n_nodes=8, rack_size=4)
@@ -192,7 +202,7 @@ class TestStepwiseAudit:
         )
         sim = HPCSimulator(
             jobs=jobs,
-            scheduler=RandomScheduler(seed=seed),
+            scheduler=create_scheduler(name, seed=seed, **options),
             cluster=cluster,
             disruptions=trace,
             restart_policy=policy,

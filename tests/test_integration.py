@@ -10,6 +10,8 @@ from repro.sim.cluster import NodeLevelCluster, ResourcePool
 from repro.sim.simulator import HPCSimulator
 from repro.workloads.generator import generate_workload
 
+from tests.conftest import make_job
+
 ALL_SCHEDULERS = available_schedulers()
 
 
@@ -46,6 +48,23 @@ class TestEverySchedulerEndToEnd:
             )
 
 
+@pytest.mark.parametrize("window", [2, 5, 8])
+class TestWindowedAnnealerEndToEnd:
+    def test_every_job_runs_whole_after_submission(self, window):
+        jobs = generate_workload("heterogeneous_mix", 25, seed=7)
+        sched = create_scheduler("ortools_like", seed=1, anneal_window=window)
+        result = HPCSimulator(jobs=jobs, scheduler=sched).run()
+        result.verify_capacity()
+        assert sorted(r.job.job_id for r in result.records) == [
+            j.job_id for j in jobs
+        ]
+        for rec in result.records:
+            assert rec.start_time >= rec.job.submit_time - 1e-9
+            assert rec.end_time - rec.start_time == pytest.approx(
+                rec.job.duration
+            )
+
+
 class TestClusterModelAgreement:
     def test_aggregate_vs_node_level_fcfs(self):
         """With evenly spread memory, both cluster models yield the same
@@ -64,6 +83,28 @@ class TestClusterModelAgreement:
         assert {r.job.job_id: r.start_time for r in agg.records} == {
             r.job.job_id: r.start_time for r in node.records
         }
+
+    @pytest.mark.parametrize("scheduler_name", ALL_SCHEDULERS)
+    def test_full_width_job_after_small_ones_on_nodes(self, scheduler_name):
+        """Each running job withholds a whole 8 GB node, so job 4 (all
+        eight nodes, 58 GB) fits only once the three small jobs are
+        gone. No policy may crash on it or start it early; the planner
+        parks it instead of failing to pack it."""
+        jobs = [
+            make_job(1, duration=1.0, nodes=1, memory=1.0),
+            make_job(2, duration=1.0, nodes=1, memory=1.0),
+            make_job(3, duration=2.0, nodes=1, memory=1.0),
+            make_job(4, submit=1.0, duration=1.0, nodes=8, memory=58.0),
+        ]
+        result = HPCSimulator(
+            jobs=jobs,
+            scheduler=create_scheduler(scheduler_name, seed=0),
+            cluster=NodeLevelCluster(node_count=8, memory_per_node_gb=8.0),
+        ).run()
+        result.verify_capacity()
+        starts = {r.job.job_id: r.start_time for r in result.records}
+        assert starts == {1: 0.0, 2: 0.0, 3: 0.0, 4: 2.0}
+        assert compute_metrics(result)["makespan"] == 3.0
 
 
 class TestWholePipelineDeterminism:

@@ -211,17 +211,36 @@ class TestIncrementalKernel:
                     packer.commit(cand, pivot, got)
                     current = cand
 
-    @pytest.mark.parametrize("stride", [1, 3, 1 << 30])
-    def test_checkpoint_stride_does_not_change_results(self, stride):
+    # Checkpoint strides 2, 3, 4 and 5.
+    @pytest.mark.parametrize("n", [192, 288, 384, 480])
+    def test_checkpoint_stride_does_not_change_results(self, n):
+        """Long queues checkpoint every ``n // 96`` positions. A pivot
+        between checkpoints replays known reservations from the one
+        below it, and a restore past the last commit's pivot densifies
+        the checkpoints it walks over — all invisible in placements."""
+        stride = n // 96
         rng = np.random.default_rng(5)
-        jobs = random_jobs(rng, 20)
+        current = random_jobs(rng, n)
         kwargs = dict(now=0.0, free_nodes=8, free_memory_gb=64.0)
-        packer = IncrementalPacker(checkpoint_stride=stride, **kwargs)
-        packer.pack(jobs)
-        cand = list(jobs)
-        cand[2], cand[15] = cand[15], cand[2]
-        assert_same_placements(
-            packer.pack_from(cand, 2), reference_pack_order(cand, **kwargs)
+        packer = IncrementalPacker(**kwargs)
+        packer.pack(current)
+        # Each pivot sits one past / one before a checkpoint; after the
+        # first commit only checkpoints 0 and `stride` survive, so the
+        # second pivot replays 6 * stride + 1 placements.
+        pivots = (stride + 1, 7 * stride + 1, 3 * stride - 1)
+        for step, lo in enumerate(pivots):
+            cand = list(current)
+            cand[lo], cand[n - 1 - step] = cand[n - 1 - step], cand[lo]
+            got = packer.pack_from(cand, lo)
+            assert_same_placements(got, reference_pack_order(cand, **kwargs))
+            if step == 1:
+                assert set(range(0, lo, stride)) <= set(
+                    packer._inc.checkpoints
+                )
+            packer.commit(cand, lo, got)
+            current = cand
+        assert packer.stats.jobs_replayed == 1 + (6 * stride + 1) + (
+            stride - 1
         )
 
     def test_pack_from_pivot_zero_equals_full_pack(self):

@@ -1,8 +1,11 @@
-"""The shape of ``ResourceProfile``, so the numpy kernel does not grow
-back: the query and mutation path is plain lists and floats, the
-preallocation machinery is deleted rather than renamed, and the paper
-cells still do exactly the planning work they did on arrays — the work
-got cheaper, none of it was skipped.
+"""The shape of the planner, so deleted machinery does not grow back.
+
+``ResourceProfile``'s query and mutation path is plain lists and
+floats, and the preallocation machinery is deleted rather than renamed.
+There is one planner — the annealer — and the packer carries nothing
+only a second search used: no saved incumbents, no stride override, no
+late-pivot move. The paper cells still do exactly the planning work
+they did on arrays — the work got cheaper, none of it was skipped.
 
 Guarded by structure and by counts, never by a stopwatch.
 """
@@ -10,12 +13,15 @@ Guarded by structure and by counts, never by a stopwatch.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.runner import run_single
-from repro.schedulers import packing
+from repro.schedulers import optimizer, packing
 from repro.workloads.scenarios import PAPER_SCENARIOS
 
 TREE = ast.parse(Path(packing.__file__).read_text(encoding="utf-8"))
@@ -61,6 +67,46 @@ def test_preallocation_is_gone_not_renamed():
         if isinstance(node, ast.ClassDef) and node.name.endswith("Profile")
     ] == ["ResourceProfile"]
     assert packing.ResourceProfile.__slots__ == ("_times", "_fn", "_fm")
+
+
+def test_one_planner():
+    assert importlib.util.find_spec("repro.schedulers.genetic") is None
+    assert not list(Path(packing.__file__).parent.glob("genetic*"))
+
+
+def test_packer_keeps_one_incumbent_and_no_knobs():
+    source = Path(packing.__file__).read_text(encoding="utf-8")
+    for name in (
+        "save_incumbent", "load_incumbent", "clear_incumbents", "_saved",
+        "_retain_incumbents", "_stride_override", "incumbents_",
+    ):
+        assert name not in source, name
+    keywords = inspect.signature(packing.IncrementalPacker).parameters
+    assert list(keywords) == ["now", "free_nodes", "free_memory_gb", "releases"]
+
+
+#: ``AnnealingConfig``'s fields once ``late_pivot_p`` was deleted and
+#: ``window_epochs`` became the module constant ``WINDOW_EPOCHS``.
+ANNEALER_OPTIONS = [
+    "base_iterations", "per_job_iterations", "max_iterations",
+    "t0_fraction", "cooling", "flow_time_weight", "window",
+]
+
+
+def test_annealer_options_and_uniform_move():
+    fields = [f.name for f in dataclasses.fields(optimizer.AnnealingConfig)]
+    assert fields == ANNEALER_OPTIONS
+    assert optimizer.WINDOW_EPOCHS == 4
+    tree = ast.parse(Path(optimizer.__file__).read_text(encoding="utf-8"))
+    sample_move = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_sample_move"
+    )
+    called = {
+        node.func.attr for node in ast.walk(sample_move)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert called == {"integers"}
 
 
 #: ``(replans, packed_jobs, accepted_moves)`` of the annealer on the

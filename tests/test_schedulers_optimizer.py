@@ -1,10 +1,16 @@
 """Unit tests for the annealing optimizer (OR-Tools substitute)."""
 
+import numpy as np
 import pytest
 
 from repro.metrics.objectives import compute_metrics
 from repro.schedulers.fcfs import FCFSScheduler
-from repro.schedulers.optimizer import AnnealingConfig, AnnealingOptimizer
+from repro.schedulers.optimizer import (
+    WINDOW_EPOCHS,
+    AnnealingConfig,
+    AnnealingOptimizer,
+)
+from repro.schedulers.packing import IncrementalPacker
 from repro.sim.actions import ActionKind
 from repro.workloads.generator import generate_workload
 
@@ -89,6 +95,57 @@ class TestReplanning:
         stats = result.extras["plan_stats"]
         assert stats
         assert all(s.final_objective <= s.initial_objective + 1e-9 for s in stats)
+
+
+class TestMoves:
+    @pytest.mark.parametrize("m", [2, 3, 17])
+    def test_move_is_a_valid_swap(self, m):
+        sched = AnnealingOptimizer(seed=1)
+        moves = [sched._sample_move(m) for _ in range(300)]
+        pairs = [move for move in moves if move is not None]
+        assert None in moves  # an i == j draw is skipped, not redrawn
+        assert all(0 <= lo < hi < m for lo, hi in pairs)
+        # Uniform: both ends of the order are reachable.
+        assert min(lo for lo, _ in pairs) == 0
+        assert max(hi for _, hi in pairs) == m - 1
+
+    def test_one_integers_draw_per_move(self):
+        # The seeded trajectories depend on this exact RNG call sequence.
+        sched = AnnealingOptimizer(seed=4)
+        rng = np.random.default_rng(4)
+        for m in (5, 40, 2, 9) * 25:
+            i, j = rng.integers(0, m, size=2)
+            expected = None if i == j else (min(i, j), max(i, j))
+            assert sched._sample_move(m) == expected
+
+
+class TestWindowEpochs:
+    @pytest.mark.parametrize(
+        "iterations,full_packs",
+        [
+            (100, 1),
+            (300, 3),
+            (600, WINDOW_EPOCHS + 1),
+            (3000, WINDOW_EPOCHS + 1),
+        ],
+    )
+    def test_groundings_per_replan(self, iterations, full_packs):
+        """One grounding per ~150 iterations, at most WINDOW_EPOCHS
+        epochs: the initial pack, a full pack per epoch boundary, and
+        one for the final surrogate-best head once any grounding ran."""
+        jobs = [
+            make_job(i + 1, duration=7.0 * (i % 5 + 1), nodes=i % 4 + 1)
+            for i in range(24)
+        ]
+        packer = IncrementalPacker(now=0.0, free_nodes=8, free_memory_gb=64.0)
+        placements = packer.pack(jobs)
+        sched = AnnealingOptimizer(seed=0, config=AnnealingConfig(window=8))
+        order, full, _ = sched._anneal_windowed(
+            packer, jobs, placements, 0.0, iterations
+        )
+        assert packer.stats.full_packs == full_packs
+        assert sorted(j.job_id for j in order) == [j.job_id for j in jobs]
+        assert (full is None) == (full_packs == 1)
 
 
 class TestConfig:

@@ -5,14 +5,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.schedulers.optimizer import AnnealingOptimizer
 from repro.schedulers.packing import (
+    IncrementalPacker,
+    PackedJob,
     PackingError,
+    PackStats,
     ResourceProfile,
     pack_order,
     plan_makespan,
     plan_total_completion,
 )
 from repro.schedulers.recovery import split_unpackable
+from repro.schedulers.registry import create_scheduler
+from repro.sim.cluster import NodeLevelCluster
+from repro.sim.simulator import simulate
 
 from tests.conftest import make_job
 
@@ -133,7 +140,7 @@ class TestResourceProfileEdgeCases:
 
 
 class TestSplitUnpackable:
-    """Parking against eventual capacity (degraded clusters only)."""
+    """Parking against eventual capacity, on every cluster."""
 
     VIEW = SimpleNamespace(nodes_offline=2, free_nodes=2, free_memory_gb=16.0)
     RELEASES = [(50.0, 4, 32.0), (80.0, 2, 16.0)]
@@ -162,11 +169,39 @@ class TestSplitUnpackable:
         )
         assert from_generator == from_list
 
-    def test_healthy_cluster_skips_the_split(self):
-        healthy = SimpleNamespace(nodes_offline=0)
-        assert split_unpackable(healthy, self.jobs(), iter(())) == (
-            self.jobs(), [],
+    def test_cluster_without_offline_nodes_splits_too(self):
+        # No node offline is no promise that every job fits (see the
+        # node-level case below), so there is no healthy-cluster gate.
+        healthy = SimpleNamespace(
+            nodes_offline=0, free_nodes=2, free_memory_gb=16.0
         )
+        packable, parked = split_unpackable(
+            healthy, self.jobs(), iter(self.RELEASES)
+        )
+        assert [j.job_id for j in packable] == [1, 2]
+        assert [j.job_id for j in parked] == [3]
+
+    @pytest.mark.parametrize("window", [None, 2, 5])
+    def test_node_level_cluster_parks_instead_of_crashing(self, window):
+        # A node-level cluster withholds a whole node's memory (8 GB)
+        # per running job while the planner's release stream returns
+        # only the 1 GB each job asked for, so job 4 never fits the
+        # profile (7 free nodes + 1 released; 56 + 1 GB < 58 GB). It
+        # used to raise PackingError; parked, it starts once job 3 ends.
+        jobs = [
+            make_job(1, duration=1.0, nodes=1, memory=1.0),
+            make_job(2, duration=1.0, nodes=1, memory=1.0),
+            make_job(3, duration=2.0, nodes=1, memory=1.0),
+            make_job(4, submit=1.0, duration=1.0, nodes=8, memory=58.0),
+        ]
+        result = simulate(
+            jobs,
+            create_scheduler("ortools_like", anneal_window=window),
+            cluster=NodeLevelCluster(node_count=8, memory_per_node_gb=8.0),
+        )
+        result.verify_capacity()
+        starts = {r.job.job_id: r.start_time for r in result.records}
+        assert starts == {1: 0.0, 2: 0.0, 3: 0.0, 4: 2.0}
 
 
 class TestPackOrder:
@@ -251,14 +286,65 @@ class TestPackOrder:
         assert plan_total_completion([]) == 0.0
 
 
+def neumaier_sum(values):
+    """Compensated summation: the float path of builtin ``sum()`` from
+    Python 3.12 on."""
+    total = comp = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp
+
+
+def left_fold(values):
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+class TestStatedSumOrder:
+    """The flow-time term is a left fold on every interpreter: a
+    compensated ``sum()`` would move the annealer's objectives, and
+    with them its accept decisions, by the last bits."""
+
+    def plans(self, n=60):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            yield [
+                PackedJob(
+                    make_job(i + 1, duration=float(rng.uniform(1.0, 5e3))),
+                    float(rng.uniform(0.0, 1e5)),
+                )
+                for i in range(n)
+            ]
+
+    def test_plan_total_completion_is_the_left_fold(self):
+        differing = [
+            plan for plan in self.plans()
+            if neumaier_sum(p.end for p in plan)
+            != left_fold(p.end for p in plan)
+        ]
+        assert len(differing) >= 10  # the hazard is not hypothetical
+        weight = AnnealingOptimizer().config.flow_time_weight
+        for plan in differing:
+            fold = left_fold(p.end for p in plan)
+            assert plan_total_completion(plan) == fold
+            assert AnnealingOptimizer()._objective(plan, 0.0) == (
+                plan_makespan(plan, 0.0) + weight * fold / len(plan)
+            )
+
+
 class TestPackStats:
     def jobs(self, n=10):
         return [make_job(i + 1, duration=10.0 * (i + 1), nodes=2)
                 for i in range(n)]
 
     def test_counters_track_packing_work(self):
-        from repro.schedulers.packing import IncrementalPacker
-
         packer = IncrementalPacker(now=0.0, free_nodes=8, free_memory_gb=64.0)
         jobs = self.jobs(10)
         packer.pack(jobs)
@@ -273,100 +359,75 @@ class TestPackStats:
         assert packer.stats.commits == 1
 
     def test_as_dict_round_trips_every_counter(self):
-        from repro.schedulers.packing import PackStats
-
         stats = PackStats(jobs_packed=3, commits=1)
         d = stats.as_dict()
         assert d["jobs_packed"] == 3
         assert d["commits"] == 1
         assert set(d) == {
             "jobs_packed", "jobs_replayed", "full_packs", "suffix_packs",
-            "commits", "incumbents_saved", "incumbents_loaded",
-            "incumbents_evicted",
+            "commits",
         }
 
 
-class TestIncumbentRetention:
-    def packer(self, retain=3):
-        from repro.schedulers.packing import IncrementalPacker
-
-        return IncrementalPacker(
-            now=0.0, free_nodes=8, free_memory_gb=64.0,
-            retain_incumbents=retain,
-        )
-
-    def jobs(self, n=12):
-        return [make_job(i + 1, duration=5.0 * (i + 1), nodes=2)
-                for i in range(n)]
-
-    def test_saved_incumbent_restores_exact_pack_state(self):
-        packer = self.packer()
-        jobs = self.jobs()
-        a = packer.pack(jobs)
-        packer.save_incumbent("a")
-        b_order = list(reversed(jobs))
-        packer.pack(b_order)
-        packer.save_incumbent("b")
-        # Evaluate a child sharing A's prefix up to 6: must equal a
-        # from-scratch pack of the child order.
-        assert packer.load_incumbent("a")
-        child = jobs[:6] + list(reversed(jobs[6:]))
-        got = packer.pack_from(child, 6)
-        expected = pack_order(
-            child, now=0.0, free_nodes=8, free_memory_gb=64.0
-        )
-        assert [(p.job.job_id, p.start) for p in got] == [
-            (p.job.job_id, p.start) for p in expected
-        ]
-        # A's own placements are untouched by B having been packed.
-        assert packer.load_incumbent("a")
-        assert [(p.job.job_id, p.start) for p in packer.pack_from(jobs, 12)] \
-            == [(p.job.job_id, p.start) for p in a]
-
-    def test_fifo_eviction_bounds_memory(self):
-        packer = self.packer(retain=2)
-        jobs = self.jobs(4)
-        for key in ("a", "b", "c"):
-            packer.pack(jobs)
-            packer.save_incumbent(key)
-        assert not packer.load_incumbent("a")  # evicted
-        assert packer.load_incumbent("b")
-        assert packer.load_incumbent("c")
-        assert packer.stats.incumbents_evicted == 1
-
-    def test_retention_disabled_by_default(self):
-        from repro.schedulers.packing import IncrementalPacker
-
-        packer = IncrementalPacker(now=0.0, free_nodes=8, free_memory_gb=64.0)
-        packer.pack(self.jobs(4))
-        packer.save_incumbent("a")
-        assert not packer.load_incumbent("a")
-
-    def test_clear_incumbents(self):
-        packer = self.packer()
-        packer.pack(self.jobs(4))
-        packer.save_incumbent("a")
-        packer.clear_incumbents()
-        assert not packer.load_incumbent("a")
-
+class TestCommit:
     def test_commit_shares_prefix_snapshots(self):
-        # A child committed at cut c keeps the parent's checkpoints at
-        # or below c by reference — the O(k) snapshot reuse the GA
-        # depends on for bounded memory.
-        from repro.schedulers.packing import IncrementalPacker
-
-        packer = IncrementalPacker(
-            now=0.0, free_nodes=8, free_memory_gb=64.0,
-            checkpoint_stride=2, retain_incumbents=4,
-        )
-        jobs = self.jobs(8)
+        # A candidate committed at pivot c keeps the incumbent's
+        # checkpoints at or below c by reference — the annealer relies
+        # on it: an accepted move copies no snapshot.
+        packer = IncrementalPacker(now=0.0, free_nodes=8, free_memory_gb=64.0)
+        jobs = [make_job(i + 1, duration=5.0 * (i + 1), nodes=2)
+                for i in range(8)]
         packer.pack(jobs)
-        parent_snapshots = {
-            pos: snap for pos, snap in packer._inc.checkpoints.items()
-        }
+        parent_snapshots = dict(packer._inc.checkpoints)
         child = jobs[:4] + list(reversed(jobs[4:]))
         placements = packer.pack_from(child, 4)
         packer.commit(child, 4, placements)
+        assert sorted(packer._inc.checkpoints) == [0, 1, 2, 3, 4]
         for pos, snap in packer._inc.checkpoints.items():
-            assert pos <= 4
             assert snap is parent_snapshots[pos]
+
+    KWARGS = dict(now=0.0, free_nodes=8, free_memory_gb=64.0)
+
+    def jobs(self, n=10):
+        return [
+            make_job(i + 1, duration=7.0 * (i % 4 + 1), nodes=i % 3 + 2)
+            for i in range(n)
+        ]
+
+    def test_pack_from_leaves_the_incumbent(self):
+        # A rejected move is simply never committed: the next candidate
+        # still shares its prefix with the order packed last.
+        packer = IncrementalPacker(**self.KWARGS)
+        jobs = self.jobs()
+        packer.pack(jobs)
+        packer.pack_from(jobs[:2] + list(reversed(jobs[2:])), 2)
+        second = list(jobs)
+        second[5], second[8] = second[8], second[5]
+        got = packer.pack_from(second, 5)
+        expected = pack_order(second, **self.KWARGS)
+        assert [(p.job.job_id, p.start) for p in got] == [
+            (p.job.job_id, p.start) for p in expected
+        ]
+        assert packer._inc.order == jobs
+        assert packer.stats.commits == 0
+
+    def test_commit_at_pivot_zero_keeps_only_the_base(self):
+        packer = IncrementalPacker(**self.KWARGS)
+        jobs = self.jobs()
+        packer.pack(jobs)
+        base = packer._inc.checkpoints[0]
+        reordered = list(reversed(jobs))
+        packer.commit(reordered, 0, packer.pack_from(reordered, 0))
+        assert list(packer._inc.checkpoints) == [0]
+        assert packer._inc.checkpoints[0] is base
+        # The next suffix pack replays the committed prefix from the
+        # base, checkpointing each position it walks over.
+        cand = list(reordered)
+        cand[3], cand[6] = cand[6], cand[3]
+        got = packer.pack_from(cand, 3)
+        expected = pack_order(cand, **self.KWARGS)
+        assert [(p.job.job_id, p.start) for p in got] == [
+            (p.job.job_id, p.start) for p in expected
+        ]
+        assert packer.stats.jobs_replayed == 3
+        assert sorted(packer._inc.checkpoints) == [0, 1, 2, 3]

@@ -19,7 +19,6 @@ class TestRegistry:
             "sjf",
             "sjf_firstfit",
             "ortools_like",
-            "genetic",
             "first_fit",
             "largest_first",
             "random",
@@ -35,6 +34,12 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown scheduler"):
             create_scheduler("quantum_annealer")
+
+    def test_retired_genetic_name_is_unknown(self):
+        # Deleted outright: no alias, no stub, the ordinary error.
+        assert "genetic" not in available_schedulers()
+        with pytest.raises(KeyError, match="unknown scheduler 'genetic'"):
+            create_scheduler("genetic")
 
     def test_available_sorted(self):
         names = available_schedulers()
@@ -78,14 +83,14 @@ class TestAnnealWindowOption:
             "ortools_like",
             seed=0,
             anneal_window=16,
-            config=AnnealingConfig(late_pivot_p=0.5),
+            config=AnnealingConfig(max_iterations=100),
         )
         assert sched.config.window == 16
-        assert sched.config.late_pivot_p == 0.5
+        assert sched.config.max_iterations == 100
 
     def test_supports_anneal_window(self):
         from repro.schedulers.registry import supports_anneal_window
 
         assert supports_anneal_window("ortools_like")
         assert not supports_anneal_window("fcfs")
-        assert not supports_anneal_window("genetic")
+        assert not supports_anneal_window("random")

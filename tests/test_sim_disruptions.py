@@ -998,8 +998,7 @@ class TestRunningIndex:
 class TestDisruptedRunsStayValid:
     @pytest.mark.parametrize(
         "scheduler_name",
-        ["fcfs", "fcfs_backfill", "sjf", "first_fit", "ortools_like",
-         "genetic"],
+        ["fcfs", "fcfs_backfill", "sjf", "first_fit", "ortools_like"],
     )
     def test_hostile_regime_completes_all_jobs(self, scheduler_name):
         from repro.schedulers.registry import create_scheduler

@@ -6,9 +6,9 @@
    generated by the pre-window code (commit f415ab5) on a seeded
    matrix of cells; records, decisions, preemptions, and metric floats
    all hash in at full precision.
-2. **Quality parity**: windowed runs (W ∈ {8, 32}) and prefix-sharing
-   GA runs on the seed scenarios must land within a pinned tolerance
-   of the full-search objective values.
+2. **Quality parity**: windowed runs (W ∈ {8, 32}) on the seed
+   scenarios must land within a pinned tolerance of the full-search
+   objective values.
 3. **Windowed determinism**: a seeded windowed run is bit-reproducible
    across runs and across serial vs. parallel matrix execution, and
    the window is part of the recorded scheduler label (cell identity).
@@ -24,7 +24,6 @@ from repro.experiments.parallel import expand_cells, run_cells
 from repro.experiments.runner import run_single
 from repro.experiments.store import RunStore
 from repro.metrics.objectives import compute_metrics
-from repro.schedulers.genetic import GeneticOptimizer
 from repro.schedulers.optimizer import AnnealingConfig, AnnealingOptimizer
 from repro.schedulers.packing import IncrementalPacker
 from repro.workloads.generator import generate_workload
@@ -89,21 +88,11 @@ class TestFullSearchByteIdentity:
         assert run.scheduler == "ortools_like"
 
 
-#: Pinned quality tolerances: windowed / prefix-GA final objectives may
-#: trail full search by at most this factor on the seed scenarios. W=32
-#: tracks the acceptance bar (3%); W=8 trades more quality for a 10×
-#: smaller per-move bound.
+#: Pinned quality tolerances: windowed final objectives may trail full
+#: search by at most this factor on the seed scenarios. W=32 tracks the
+#: acceptance bar (3%); W=8 trades more quality for a 10× smaller
+#: per-move bound.
 WINDOW_TOLERANCE = {8: 1.15, 32: 1.03}
-GA_PREFIX_TOLERANCE = 1.05
-
-#: Makespans the legacy OX1 full-search GA (cold full pack per
-#: chromosome, retired with ``GeneticConfig.prefix_crossover``) reached
-#: at f8eab45 on (scenario, workload seed) with 40 jobs, zero arrivals,
-#: scheduler seed 1 — the quality bar the prefix-sharing GA is held to.
-LEGACY_GA_MAKESPAN = {
-    ("heterogeneous_mix", 0): 2514.786950495762,
-    ("adversarial", 2): 100000.0,
-}
 
 
 class TestQualityParity:
@@ -128,15 +117,6 @@ class TestQualityParity:
         assert (
             windowed["makespan"]
             <= full["makespan"] * WINDOW_TOLERANCE[window]
-        )
-
-    @pytest.mark.parametrize("scenario,seed", sorted(LEGACY_GA_MAKESPAN))
-    def test_prefix_ga_near_legacy_full_search(self, scenario, seed):
-        jobs = generate_workload(scenario, 40, seed=seed, arrival_mode="zero")
-        prefix = compute_metrics(run_sim(jobs, GeneticOptimizer(seed=1)))
-        assert (
-            prefix["makespan"]
-            <= LEGACY_GA_MAKESPAN[scenario, seed] * GA_PREFIX_TOLERANCE
         )
 
     def test_windowed_never_worse_than_heuristic_order(self):
@@ -289,17 +269,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="window"):
             AnnealingConfig(window=1)
 
-    def test_late_pivot_p_range(self):
-        with pytest.raises(ValueError, match="late_pivot_p"):
-            AnnealingConfig(late_pivot_p=0.0)
-        with pytest.raises(ValueError, match="late_pivot_p"):
-            AnnealingConfig(late_pivot_p=1.5)
-        AnnealingConfig(late_pivot_p=1.0)
-
-    def test_window_epochs_positive(self):
-        with pytest.raises(ValueError, match="window_epochs"):
-            AnnealingConfig(window_epochs=0)
-
     def test_window_wider_than_queue_falls_back_to_full(self):
         jobs = generate_workload("heterogeneous_mix", 10, seed=0)
         full = run_sim(jobs, AnnealingOptimizer(seed=2))
@@ -310,50 +279,3 @@ class TestConfigValidation:
         assert {r.job.job_id: r.start_time for r in full.records} == {
             r.job.job_id: r.start_time for r in wide.records
         }
-
-
-class TestLatePivotBias:
-    def test_biased_moves_concentrate_late(self):
-        sched = AnnealingOptimizer(
-            seed=0, config=AnnealingConfig(late_pivot_p=0.5)
-        )
-        lows = [sched._sample_move(100)[0] for _ in range(300)]
-        # Geometric(0.5) from the back: median distance 1 -> the lower
-        # swap position overwhelmingly sits in the last decile.
-        assert sorted(lows)[len(lows) // 2] >= 90
-        assert all(0 <= lo < 100 for lo in lows)
-
-    def test_biased_move_is_valid_swap(self):
-        sched = AnnealingOptimizer(
-            seed=1, config=AnnealingConfig(late_pivot_p=0.05)
-        )
-        for m in (2, 3, 17):
-            for _ in range(100):
-                lo, hi = sched._sample_move(m)
-                assert 0 <= lo < hi < m
-
-    def test_biased_annealer_schedules_everything(self):
-        jobs = generate_workload("heterogeneous_mix", 30, seed=4)
-        result = run_sim(
-            jobs,
-            AnnealingOptimizer(
-                seed=0, config=AnnealingConfig(late_pivot_p=0.1)
-            ),
-        )
-        assert len(result.records) == 30
-        result.verify_capacity()
-
-    def test_bias_shortens_suffix_repacks(self):
-        jobs = generate_workload(
-            "heterogeneous_mix", 60, seed=1, arrival_mode="zero"
-        )
-        uniform = run_sim(jobs, AnnealingOptimizer(seed=5))
-        biased = run_sim(
-            jobs,
-            AnnealingOptimizer(
-                seed=5, config=AnnealingConfig(late_pivot_p=0.2)
-            ),
-        )
-        assert (
-            biased.extras["packed_jobs"] < uniform.extras["packed_jobs"]
-        )
