@@ -16,7 +16,7 @@ from repro.schedulers.heuristics import (
     RandomScheduler,
 )
 from repro.schedulers.optimizer import AnnealingOptimizer, PlanStatistics
-from repro.schedulers.packing import PackedJob, ResourceProfile, pack_order
+from repro.schedulers.packing import PackedJob, ResourceProfile
 from repro.schedulers.registry import (
     SCHEDULER_FACTORIES,
     available_schedulers,
@@ -39,5 +39,4 @@ __all__ = [
     "SJFScheduler",
     "available_schedulers",
     "create_scheduler",
-    "pack_order",
 ]

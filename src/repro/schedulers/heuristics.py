@@ -105,29 +105,3 @@ class RandomScheduler(BaseScheduler):
         pick = feasible[int(self._rng.integers(0, len(feasible)))]
         return StartJob(pick.job_id)
 
-
-class DelayingScheduler(BaseScheduler):
-    """Always delays for *n* decisions before behaving like first-fit.
-
-    Exists purely for simulator tests (retry/deadlock handling).
-    """
-
-    name = "delaying"
-
-    def __init__(self, delays: int = 0):
-        super().__init__()
-        self.delays = delays
-        self._count = 0
-
-    def reset(self) -> None:
-        super().reset()
-        self._count = 0
-
-    def decide(self, view: SystemView) -> Action:
-        if self._count < self.delays:
-            self._count += 1
-            return Delay
-        for job in view.queued:
-            if view.can_fit(job):
-                return StartJob(job.job_id)
-        return Delay

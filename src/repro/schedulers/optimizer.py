@@ -67,13 +67,6 @@ class PlanStatistics:
     accepted_moves: int = 0
     jobs_packed: int = 0
 
-    @property
-    def improvement(self) -> float:
-        """Relative objective improvement found by annealing."""
-        if self.initial_objective == 0:
-            return 0.0
-        return 1.0 - self.final_objective / self.initial_objective
-
 
 #: Windowed search only: the iteration budget is split into this many
 #: epochs, and at each epoch boundary the full order (current head +

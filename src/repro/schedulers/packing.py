@@ -3,8 +3,10 @@
 A :class:`ResourceProfile` is a stepwise-constant timeline of free
 (node, memory) capacity with breakpoints at reservation starts/ends and
 at the expected release times of already-running jobs. The serial
-schedule-generation scheme (:func:`pack_order`) places a permutation of
-jobs at their earliest feasible start times against the profile — the
+schedule-generation scheme (:meth:`IncrementalPacker.pack`) places a
+permutation of jobs, in order, each at its earliest feasible start
+against the profile (later jobs may start earlier in time if they fit
+a gap: permutations are priority lists) — the
 classic list-scheduling construction the annealing optimizer searches
 over, and the same model EASY backfilling uses for reservations.
 
@@ -40,8 +42,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.sim.job import Job
 
@@ -114,22 +114,6 @@ class ResourceProfile:
         self._fn = fn
         self._fm = fm
 
-    # -- views -------------------------------------------------------------
-    @property
-    def times(self) -> np.ndarray:
-        """Breakpoint times (a fresh array; inspection only)."""
-        return np.array(self._times)
-
-    @property
-    def free_nodes(self) -> np.ndarray:
-        """Free node capacity per interval (a fresh array)."""
-        return np.array(self._fn)
-
-    @property
-    def free_memory(self) -> np.ndarray:
-        """Free memory capacity per interval (a fresh array)."""
-        return np.array(self._fm)
-
     # -- snapshot / rollback ------------------------------------------------
     def snapshot(self) -> ProfileSnapshot:
         """Capture the full breakpoint state in O(k)."""
@@ -200,11 +184,6 @@ class ResourceProfile:
             f"request for {nodes} nodes / {memory_gb:g} GB × "
             f"{duration:g}s never fits this profile"
         )
-
-    def capacity_at(self, time: float) -> tuple[float, float]:
-        """Free (nodes, memory) at *time* (clamped to the origin)."""
-        i = max(bisect_right(self._times, time) - 1, 0)
-        return self._fn[i], self._fm[i]
 
     # -- mutation -----------------------------------------------------------
     def _ensure_breakpoint(self, t: float) -> int:
@@ -342,9 +321,9 @@ class IncrementalPacker:
     at ~96 snapshots while keeping restores cheap.
 
     All placements are produced by the identical operation sequence a
-    from-scratch pack would perform, so results are bit-identical to
-    :func:`pack_order` — the property the annealer's seeded trajectory
-    depends on.
+    from-scratch :meth:`pack` would perform, so a suffix re-pack is
+    bit-identical to a full pack — the property the annealer's seeded
+    trajectory depends on.
     """
 
     def __init__(
@@ -444,34 +423,6 @@ class IncrementalPacker:
         }
         self._inc = _Incumbent(list(order), list(placements), checkpoints)
         self.stats.commits += 1
-
-
-def pack_order(
-    jobs: Sequence[Job],
-    *,
-    now: float,
-    free_nodes: float,
-    free_memory_gb: float,
-    releases: Iterable[tuple[float, float, float]] = (),
-) -> list[PackedJob]:
-    """Serial schedule-generation scheme over a job permutation.
-
-    Places each job of *jobs*, in the given order, at its earliest
-    feasible start (never before its submit time or *now*) against a
-    shared :class:`ResourceProfile`. Later jobs in the order may start
-    earlier in time if they fit into gaps — permutations are priority
-    lists, not start-time orders.
-    """
-    profile = ResourceProfile(now, free_nodes, free_memory_gb, releases)
-    placements: list[PackedJob] = []
-    for job in jobs:
-        start = profile.earliest_start(
-            job.nodes, job.memory_gb, job.duration,
-            not_before=max(now, job.submit_time),
-        )
-        profile.reserve(start, job.duration, job.nodes, job.memory_gb)
-        placements.append(PackedJob(job, start))
-    return placements
 
 
 def plan_makespan(placements: Sequence[PackedJob], now: float) -> float:

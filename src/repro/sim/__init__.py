@@ -66,7 +66,7 @@ from repro.sim.disruptions import (
     periodic_drains,
     weibull_failures,
 )
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import EventKind
 from repro.sim.topology import ClusterTopology, topology_signature
 from repro.sim.job import Job, JobState
 from repro.sim.schedule import DecisionRecord, JobRecord, ScheduleResult
@@ -86,9 +86,7 @@ __all__ = [
     "DisruptionTrace",
     "DomainFailure",
     "DrainWindow",
-    "Event",
     "EventKind",
-    "EventQueue",
     "HPCSimulator",
     "Job",
     "JobRecord",

@@ -7,9 +7,10 @@ resources meeting its requirements, and topology/storage are abstracted
 away. :class:`ResourcePool` is that model.
 
 :class:`NodeLevelCluster` is an optional finer-grained model that tracks
-per-node memory and performs first-fit over an explicit node list; it is
-used in tests and ablations to confirm that aggregate accounting does
-not change scheduling outcomes for the paper's workloads (jobs spread
+per-node memory and performs first-fit over an explicit node list. It
+is the reference ``tests/test_integration.py::TestClusterModelAgreement``
+checks the aggregate model against: aggregate accounting does not
+change scheduling outcomes for the paper's workloads (jobs spread
 memory evenly across their nodes).
 """
 
@@ -301,7 +302,8 @@ class ResourcePool:
         return free
 
     def snapshot(self) -> dict[str, float]:
-        """Structured state snapshot (used by prompt rendering)."""
+        """Structured state snapshot: capacity, free and used nodes and
+        memory, as one plain dict."""
         return {
             "total_nodes": self.total_nodes,
             "total_memory_gb": self.total_memory_gb,
@@ -552,12 +554,6 @@ class NodeLevelCluster:
     @property
     def running_job_ids(self) -> list[int]:
         return sorted(self._placements)
-
-    def node_utilization(self) -> float:
-        return self.used_nodes / self.node_count
-
-    def memory_utilization(self) -> float:
-        return self.used_memory_gb / self.total_memory_gb
 
     def domain_free_nodes(self) -> tuple[int, ...]:
         """Exact free (idle, online) node count per rack."""

@@ -242,10 +242,10 @@ class ViewColumns:
 
     Queue-order attribute columns (delegated to the underlying
     :class:`QueueColumns`, shared across unchanged-queue decisions)
-    plus the view's capacity scalars and the vectorized per-decision
-    predicates. One instance per view, cached on the view itself —
-    repeated ``columns()`` calls return the same object, and derived
-    masks are computed at most once per decision point.
+    plus the queue floor and the vectorized per-decision predicates.
+    One instance per view, cached on the view itself — repeated
+    ``columns()`` calls return the same object, and derived masks are
+    computed at most once per decision point.
     """
 
     __slots__ = ("_q", "_view", "_fits", "_requeued")
@@ -286,18 +286,6 @@ class ViewColumns:
     def walltime(self) -> np.ndarray:
         return self._q.col("walltime")
 
-    @property
-    def duration(self) -> np.ndarray:
-        return self._q.col("duration")
-
-    @property
-    def submit_time(self) -> np.ndarray:
-        return self._q.col("submit_time")
-
-    @property
-    def node_seconds(self) -> np.ndarray:
-        return self._q.col("node_seconds")
-
     def rank(self, key: str) -> np.ndarray:
         """Queue-order rank by ``(key, job_id)``: see
         :meth:`JobColumns.rank`."""
@@ -307,26 +295,12 @@ class ViewColumns:
         """Queue position of the smallest :meth:`rank`."""
         return self._q.first_by(key)
 
-    # -- capacity scalars/vectors --------------------------------------
-    @property
-    def free_nodes(self) -> int:
-        return self._view.free_nodes
-
-    @property
-    def free_memory_gb(self) -> float:
-        return self._view.free_memory_gb
-
+    # -- the queue floor -----------------------------------------------
     @property
     def min_nodes(self) -> float:
         """No queued job asks for fewer nodes: see
         :class:`QueueColumns`."""
         return self._q.min_nodes
-
-    @property
-    def domain_free_nodes(self) -> np.ndarray:
-        """Free node count per rack as an int64 vector (empty for
-        flat/absent topologies, like the view field it mirrors)."""
-        return np.asarray(self._view.domain_free_nodes, dtype=np.int64)
 
     # -- O(1) scalar probes (no gather, no numpy boxing) ---------------
     # Single-position reads go through the view's queued tuple: the

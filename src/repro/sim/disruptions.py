@@ -170,10 +170,6 @@ class DrainWindow:
         if self.announce_time > self.start:
             raise ValueError(f"drain announced after its start: {self}")
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
     def overlaps(self, start: float, end: float) -> bool:
         """True if ``[start, end)`` intersects the drain window."""
         return start < self.end and end > self.start

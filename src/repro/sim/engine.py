@@ -249,7 +249,7 @@ class EngineState:
     :meth:`queue_changed`; the view itself also dies with its instant.
 
     Semantically a translation of the object engine
-    (:func:`repro.sim._object_ref.run_object`); the module docstring
+    (``run_object`` in ``tests/object_reference.py``); the module docstring
     says what may differ (data layout) and what must not (everything
     observable). Instances share nothing: all state hangs off ``self``.
     """

@@ -1,4 +1,4 @@
-"""Event queue for the discrete event simulator.
+"""Event calendar for the discrete event simulator.
 
 The simulator advances time only at *events* (paper §3.1): job arrivals
 and job completions, plus — with a disruption trace attached — node
@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -35,8 +33,8 @@ class EventKind(enum.IntEnum):
     against the shrunken cluster, and a domain failure striking at the
     instant a single node is restored sees that node back in service.
 
-    For events carrying a job (COMPLETION/ARRIVAL) ``Event.job_id`` is
-    the job id; for disruption events it indexes the failure,
+    For events carrying a job (COMPLETION/ARRIVAL) the payload is the
+    job's workload index; for disruption events it indexes the failure,
     domain-failure, or drain entry of the simulator's
     :class:`~repro.sim.disruptions.DisruptionTrace`.
     """
@@ -63,74 +61,14 @@ class EventKind(enum.IntEnum):
     ARRIVAL = 8
 
 
-@dataclass(frozen=True)
-class Event:
-    """A scheduled simulator event."""
-
-    time: float
-    kind: EventKind
-    job_id: int
-
-
-@dataclass
-class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects.
-
-    Heap entries carry a monotonically increasing sequence number so
-    that equal ``(time, kind)`` pairs pop in insertion order; this makes
-    whole simulations reproducible bit-for-bit under a fixed seed.
-    """
-
-    _heap: list[tuple[float, int, int, Event]] = field(default_factory=list)
-    _counter: "itertools.count[int]" = field(
-        default_factory=lambda: itertools.count()
-    )
-
-    def push(self, event: Event) -> None:
-        """Insert an event. Times must be finite and non-negative."""
-        if not (event.time >= 0.0 and event.time == event.time):
-            raise ValueError(f"event time must be finite and >= 0: {event}")
-        seq = next(self._counter)
-        heapq.heappush(self._heap, (event.time, int(event.kind), seq, event))
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event.
-
-        Raises
-        ------
-        IndexError
-            If the queue is empty.
-        """
-        return heapq.heappop(self._heap)[3]
-
-    def peek(self) -> Optional[Event]:
-        """Return the earliest event without removing it, or ``None``."""
-        return self._heap[0][3] if self._heap else None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest event, or ``None`` if empty."""
-        return self._heap[0][0] if self._heap else None
-
-    def pop_until(self, time: float) -> list[Event]:
-        """Pop every event with ``event.time <= time``, in order."""
-        out: list[Event] = []
-        while self._heap and self._heap[0][0] <= time:
-            out.append(self.pop())
-        return out
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
 class ArrayCalendar:
     """Array-backed event calendar for the structure-of-arrays engine.
 
-    Ordering contract is identical to :class:`EventQueue` — events pop
-    by ``(time, kind, seq)`` with ``seq`` the global insertion order —
-    but the representation avoids per-event object churn entirely:
+    Ordering contract: events pop in ascending ``(time, kind, seq)``
+    order, where ``kind`` is the :class:`EventKind` value and ``seq``
+    the global insertion order (every :meth:`add_static`, then every
+    :meth:`push` and :meth:`extend_static` event, in call order). The
+    representation avoids per-event object churn entirely:
 
     * The **static lane** holds every event known before the run starts
       (arrivals, failures/repairs, drains). It is built once from the
@@ -139,12 +77,13 @@ class ArrayCalendar:
       zero allocation per pop, O(n log n) once instead of O(n log n)
       heap churn spread over the run.
     * The **dynamic lane** receives events discovered mid-run (job
-      completions). It is a primitive-tuple min-heap — no ``Event``
-      objects — whose sequence numbers continue after the static
-      lane's, so cross-lane ties replay the object engine's insertion
-      order exactly.
+      completions). It is a primitive-tuple min-heap whose sequence
+      numbers continue after the static lane's, so cross-lane ties
+      replay the global insertion order exactly.
 
-    Pops return plain ``(time, kind_value, payload)`` triples.
+    The engine consumes it through :meth:`peek_time` and
+    :meth:`pop_due`, which return plain ``(time, kind_value, payload)``
+    triples.
     """
 
     __slots__ = (
@@ -170,7 +109,7 @@ class ArrayCalendar:
         self._n_static = 0
         self._next_seq = 0
         #: Cached (time, kind, seq) of the static head as plain Python
-        #: scalars — peek and pop both need it, so converting numpy
+        #: scalars — peek_time and pop_due both need it, so converting numpy
         #: scalars once per cursor position (not per call) keeps the
         #: per-event constant factor below the object queue's.
         self._head: Optional[tuple[float, int, int]] = None
@@ -188,8 +127,8 @@ class ArrayCalendar:
 
     def add_static(self, time: float, kind: EventKind, payload: int) -> None:
         """Append one pre-run event. Call order defines the sequence
-        numbers (the tie-break of last resort), exactly like pushing
-        into an :class:`EventQueue`."""
+        numbers, the tie-break of last resort: of two events at equal
+        ``(time, kind)`` the one added first pops first."""
         if self._sealed:
             raise RuntimeError("calendar already sealed")
         self._check_time(time)
@@ -346,47 +285,15 @@ class ArrayCalendar:
             return None
         return s[0]
 
-    def pop(self) -> tuple[float, int, int]:
-        """Remove and return the earliest ``(time, kind, payload)``.
-
-        Raises ``IndexError`` if the calendar is empty.
-        """
-        s = self._static_key()
-        if self._heap:
-            d = self._heap[0]
-            if s is None or (d[0], d[1], d[2]) < s:
-                heapq.heappop(self._heap)
-                self._last_popped = (d[0], d[1], d[2])
-                return (d[0], d[1], d[3])
-        if s is None:
-            raise IndexError("pop from an empty calendar")
-        i = self._cursor
-        self._cursor = i + 1
-        self._head = None
-        self._last_popped = s
-        return (s[0], s[1], self._payloads[i])
-
-    def pop_until(self, time: float) -> Iterator[tuple[float, int, int]]:
-        """Yield every event with ``event time <= time``, in order.
-
-        A generator rather than a list: the hot loop consumes events
-        one at a time and most steps pop only one or two.
-        """
-        while True:
-            t = self.peek_time()
-            if t is None or t > time:
-                return
-            yield self.pop()
-
     def pop_due(self, time: float) -> Optional[tuple[float, int, int]]:
-        """Pop and return the earliest event with ``event time <=
-        time``, or ``None`` — the peek + pop of :meth:`pop_until`
-        fused into one call.
+        """Pop and return the earliest ``(time, kind, payload)`` with
+        ``event time <= time``, or ``None`` if there is none
+        (``pop_due(math.inf)`` pops whatever is earliest).
 
         The engine's event drain runs this once per event plus one
-        ``None`` return per step; the separate peek/pop pair cost three
-        ``_static_key`` resolutions and a generator resumption per
-        event, which is measurable at one step per simulated event.
+        ``None`` return per step: one fused call, because a separate
+        peek and pop cost three ``_static_key`` resolutions per event,
+        which is measurable at one step per simulated event.
         """
         s = self._static_key()
         if self._heap:
@@ -407,6 +314,3 @@ class ArrayCalendar:
 
     def __len__(self) -> int:
         return (self._n_static - self._cursor) + len(self._heap)
-
-    def __bool__(self) -> bool:
-        return self._cursor < self._n_static or bool(self._heap)

@@ -522,8 +522,8 @@ class HPCSimulator:
 
         Runs the structure-of-arrays core in :mod:`repro.sim.engine`.
         The original object-graph loop survives only as the test
-        oracle :func:`repro.sim._object_ref.run_object`, which the
-        parity suites substitute for this method.
+        oracle ``run_object`` in ``tests/object_reference.py``, which
+        the parity suites substitute for this method.
         """
         from repro.sim.engine import run_soa
 

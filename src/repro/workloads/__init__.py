@@ -25,19 +25,10 @@ from repro.workloads.arrivals import (
     BurstyArrivals,
     PoissonArrivals,
 )
-from repro.workloads.dags import (
-    chain_workload,
-    critical_path_length,
-    fork_join_workload,
-    layered_dag_workload,
-)
+from repro.workloads.dags import critical_path_length, layered_dag_workload
 from repro.workloads.generator import generate_workload
 from repro.workloads.swf import jobs_from_swf, jobs_to_swf
-from repro.workloads.transforms import (
-    with_all_at_zero,
-    with_noisy_walltimes,
-    with_scaled_arrivals,
-)
+from repro.workloads.transforms import with_scaled_arrivals
 from repro.workloads.polaris import (
     POLARIS_MEMORY_PER_NODE_GB,
     POLARIS_NODES,
@@ -53,14 +44,10 @@ __all__ = [
     "ArrivalProcess",
     "BurstyArrivals",
     "PoissonArrivals",
-    "chain_workload",
     "critical_path_length",
-    "fork_join_workload",
     "jobs_from_swf",
     "jobs_to_swf",
     "layered_dag_workload",
-    "with_all_at_zero",
-    "with_noisy_walltimes",
     "with_scaled_arrivals",
     "POLARIS_MEMORY_PER_NODE_GB",
     "POLARIS_NODES",

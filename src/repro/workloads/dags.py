@@ -6,14 +6,10 @@ extension: scientific-workflow-shaped job graphs whose edges are
 expressed through :attr:`repro.sim.job.Job.depends_on` and enforced by
 the simulator's eligibility tracking.
 
-Three canonical shapes cover most real workflow patterns:
-
-* :func:`chain_workload` — strictly sequential pipelines (e.g.
-  simulate → post-process → archive);
-* :func:`fork_join_workload` — one setup job fanning out to parallel
-  workers that join into a reduce job (bag-of-tasks with barriers);
-* :func:`layered_dag_workload` — random layered DAGs with configurable
-  fan-in, the standard random-workflow model.
+:func:`layered_dag_workload` draws random layered DAGs with
+configurable fan-in, the standard random-workflow model;
+:func:`critical_path_length` is the makespan lower bound the dependency
+structure alone imposes.
 """
 
 from __future__ import annotations
@@ -50,81 +46,6 @@ def _draw_job(
         name=f"{scenario.name}_dag_{job_id}",
         depends_on=depends_on,
     )
-
-
-def chain_workload(
-    n_jobs: int,
-    seed: int | np.random.SeedSequence = 0,
-    *,
-    scenario: str | Scenario = "heterogeneous_mix",
-    user_pool: int = 4,
-) -> list[Job]:
-    """A single sequential pipeline: job *i* depends on job *i − 1*.
-
-    All jobs are submitted at ``t = 0`` (the workflow is known up
-    front); only the head is ever eligible, so the schedule serializes
-    regardless of policy — the degenerate case dependency handling must
-    get right.
-    """
-    if n_jobs < 0:
-        raise ValueError("n_jobs must be non-negative")
-    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    rng = np.random.default_rng(seed)
-    jobs = [
-        _draw_job(
-            spec, rng, i + 1,
-            submit_time=0.0,
-            depends_on=(i,) if i >= 1 else (),
-            user_pool=user_pool, index=i, total=n_jobs,
-        )
-        for i in range(n_jobs)
-    ]
-    validate_dependencies(jobs)
-    return validate_workload(jobs)
-
-
-def fork_join_workload(
-    n_workers: int,
-    seed: int | np.random.SeedSequence = 0,
-    *,
-    scenario: str | Scenario = "resource_sparse",
-    user_pool: int = 4,
-) -> list[Job]:
-    """Fork-join: setup job → *n_workers* parallel jobs → join job.
-
-    Returns ``n_workers + 2`` jobs. The workers all depend on the setup
-    job (id 1); the join job depends on every worker.
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
-    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    rng = np.random.default_rng(seed)
-    total = n_workers + 2
-    jobs = [
-        _draw_job(
-            spec, rng, 1, submit_time=0.0, depends_on=(),
-            user_pool=user_pool, index=0, total=total,
-        )
-    ]
-    worker_ids = []
-    for w in range(n_workers):
-        jid = 2 + w
-        worker_ids.append(jid)
-        jobs.append(
-            _draw_job(
-                spec, rng, jid, submit_time=0.0, depends_on=(1,),
-                user_pool=user_pool, index=w + 1, total=total,
-            )
-        )
-    jobs.append(
-        _draw_job(
-            spec, rng, total, submit_time=0.0,
-            depends_on=tuple(worker_ids),
-            user_pool=user_pool, index=total - 1, total=total,
-        )
-    )
-    validate_dependencies(jobs)
-    return validate_workload(jobs)
 
 
 def layered_dag_workload(

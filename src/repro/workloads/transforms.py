@@ -1,14 +1,7 @@
 """Workload transforms: derived instances for sensitivity studies.
 
-Pure functions mapping job lists to job lists:
-
-* :func:`with_noisy_walltimes` — replace the synthetic scenarios'
-  perfect runtime estimates with user-style requests (padded, quantized,
-  occasionally underestimated), the input EASY backfilling's
-  reservation quality depends on;
-* :func:`with_scaled_arrivals` — compress or stretch the arrival
-  process to sweep offered load without redrawing job demands;
-* :func:`with_all_at_zero` — collapse to the paper's §3.3 static mode.
+:func:`with_scaled_arrivals` compresses or stretches the arrival
+process to sweep offered load without redrawing job demands.
 """
 
 from __future__ import annotations
@@ -16,45 +9,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
-import numpy as np
-
 from repro.sim.job import Job, validate_workload
-
-
-def with_noisy_walltimes(
-    jobs: Sequence[Job],
-    seed: int | np.random.SeedSequence = 0,
-    *,
-    pad_range: tuple[float, float] = (1.2, 3.0),
-    underestimate_prob: float = 0.0,
-    quantize_s: float = 900.0,
-) -> list[Job]:
-    """Replace walltimes with user-style requested estimates.
-
-    Each walltime becomes ``duration × U(pad_range)``, rounded up to a
-    *quantize_s* grid (users request round numbers). With probability
-    *underestimate_prob* the request instead falls short of the true
-    duration (``duration × U(0.5, 0.95)``) — those jobs die at the
-    limit under ``enforce_walltime=True``.
-    """
-    lo, hi = pad_range
-    if not 1.0 <= lo <= hi:
-        raise ValueError("pad_range must satisfy 1.0 <= lo <= hi")
-    if not 0.0 <= underestimate_prob <= 1.0:
-        raise ValueError("underestimate_prob must be in [0, 1]")
-    if quantize_s < 0:
-        raise ValueError("quantize_s must be non-negative")
-    rng = np.random.default_rng(seed)
-    out: list[Job] = []
-    for job in jobs:
-        if rng.random() < underestimate_prob:
-            walltime = job.duration * rng.uniform(0.5, 0.95)
-        else:
-            walltime = job.duration * rng.uniform(lo, hi)
-            if quantize_s > 0:
-                walltime = float(np.ceil(walltime / quantize_s) * quantize_s)
-        out.append(replace(job, walltime=max(walltime, 1.0)))
-    return validate_workload(out)
 
 
 def with_scaled_arrivals(
@@ -72,7 +27,3 @@ def with_scaled_arrivals(
         [replace(j, submit_time=j.submit_time * factor) for j in jobs]
     )
 
-
-def with_all_at_zero(jobs: Sequence[Job]) -> list[Job]:
-    """Collapse every submission to ``t = 0`` (paper §3.3 static mode)."""
-    return validate_workload([replace(j, submit_time=0.0) for j in jobs])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from functools import partial
 from types import SimpleNamespace
@@ -9,12 +10,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.sim._object_ref import run_object
+from repro.service.protocol import schedule_digest
 from repro.sim.cluster import ResourcePool
 from repro.sim.job import Job
 from repro.sim.simulator import HPCSimulator
 
-from tests.packing_reference import reference_pack_order
+from tests.object_reference import run_object
+from tests.packing_reference import (
+    ReferenceResourceProfile,
+    reference_pack_order,
+)
 
 
 def make_job(
@@ -37,6 +42,31 @@ def make_job(
         user=user,
         walltime=duration if walltime is None else walltime,
     )
+
+
+def run_digest(run) -> str:
+    """Full-precision behavioural digest of one ExperimentRun — the
+    digest the service pins streamed schedules with."""
+    return schedule_digest(run.result, run.metrics.as_dict())
+
+
+def pop_earliest(calendar):
+    """The earliest ``(time, kind, payload)`` of an ``ArrayCalendar``,
+    removed (``None`` when empty): ``pop_due`` with no horizon."""
+    return calendar.pop_due(math.inf)
+
+
+def profile_columns(profile) -> tuple[list, list, list]:
+    """``(times, free nodes, free memory)`` as lists, of the kernel's
+    ``ResourceProfile`` or of the reference's arrays."""
+    if isinstance(profile, ReferenceResourceProfile):
+        return (
+            profile.times.tolist(),
+            profile.free_nodes.tolist(),
+            profile.free_memory.tolist(),
+        )
+    snap = profile.snapshot()
+    return snap.times, snap.free_nodes, snap.free_memory
 
 
 def run_sim(jobs, scheduler, *, nodes: int = 256, memory: float = 2048.0):

@@ -1,21 +1,22 @@
 """The original object-graph event loop — the reference engine.
 
-Demoted out of the shipping module (PR 10): the flat-array core in
-:mod:`repro.sim.engine` has carried the hot path since PR 6, with three
-PRs of drift-free differential history pinning the two engines
-byte-identical across every scheduler family and disruption regime.
-The object loop remains the executable specification those digests were
-generated against — ``HPCSimulator(engine="object")`` still routes
-here, the differential suites still replay it — but it is test-support
-code now: excluded from the coverage floor, never imported on the
-``engine="soa"`` path, and frozen except for contract-level fixes that
-must land in both engines.
+The flat-array core in :mod:`repro.sim.engine` is the only engine the
+package ships. This object loop is the executable specification the
+pinned digests were generated against, and it lives with the tests,
+outside the installed package: ``tests/conftest.py``'s
+``object_engine`` fixture substitutes :func:`run_object` for
+``HPCSimulator.run`` so the differential suites can replay it. It is
+frozen except for contract-level fixes that must land in both engines,
+which is also why it keeps its one long function (the file-level
+``ruff: noqa: C901`` below).
 
 Every semantic subtlety below (event push order, stale-completion
 checks, decision-budget accounting, lazy queue compaction) is
 contractual for both engines; see :mod:`repro.sim.engine`'s module
 docstring for the byte-identity statement.
 """
+
+# ruff: noqa: C901
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.sim.actions import ActionKind
 from repro.sim.constraints import ConstraintChecker
 from repro.sim.disruptions import DrainWindow, PreemptionRecord
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import EventKind
 from repro.sim.job import Job
 from repro.sim.schedule import DecisionRecord, JobRecord, ScheduleResult
 from repro.sim.simulator import (
@@ -37,6 +38,8 @@ from repro.sim.simulator import (
     SystemView,
 )
 from repro.sim.topology import ClusterTopology
+
+from tests.event_reference import Event, EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import HPCSimulator

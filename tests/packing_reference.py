@@ -90,11 +90,6 @@ class ReferenceResourceProfile:
             )
         return float(starts[idx[0]])
 
-    def capacity_at(self, time: float) -> tuple[float, float]:
-        i = int(np.searchsorted(self.times, time, side="right")) - 1
-        i = max(i, 0)
-        return float(self.free_nodes[i]), float(self.free_memory[i])
-
     # -- mutation -----------------------------------------------------------
     def _ensure_breakpoint(self, t: float) -> None:
         i = int(np.searchsorted(self.times, t, side="left"))
@@ -134,8 +129,8 @@ def reference_pack_order(
     free_memory_gb: float,
     releases: Iterable[tuple[float, float, float]] = (),
 ) -> list[PackedJob]:
-    """Full-rebuild serial schedule-generation scheme (the original
-    :func:`repro.schedulers.packing.pack_order`)."""
+    """Full-rebuild serial schedule-generation scheme, the one
+    :meth:`repro.schedulers.packing.IncrementalPacker.pack` must match."""
     profile = ReferenceResourceProfile(
         now, free_nodes, free_memory_gb, releases
     )

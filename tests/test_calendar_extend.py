@@ -16,11 +16,13 @@ import pytest
 
 from repro.sim.events import ArrayCalendar, EventKind
 
+from tests.conftest import pop_earliest
+
 
 def drain(cal: ArrayCalendar) -> list[tuple[float, int, int]]:
     out = []
-    while cal:
-        out.append(cal.pop())
+    while (event := pop_earliest(cal)) is not None:
+        out.append(event)
     return out
 
 
@@ -66,7 +68,7 @@ class TestExtendStatic:
         cal = batch_built(
             [(t, EventKind.ARRIVAL, i) for i, t in enumerate((0.0, 4.0, 8.0))]
         )
-        assert cal.pop()[0] == 0.0
+        assert pop_earliest(cal)[0] == 0.0
         # New events straddle the remaining static tail.
         cal.extend_static(
             [(2.0, EventKind.ARRIVAL, 10), (6.0, EventKind.ARRIVAL, 11)]
@@ -75,7 +77,7 @@ class TestExtendStatic:
 
     def test_extend_into_consumed_past_raises(self):
         cal = batch_built([(10.0, EventKind.ARRIVAL, 0)])
-        cal.pop()
+        pop_earliest(cal)
         with pytest.raises(ValueError, match="consumed past"):
             cal.extend_static([(3.0, EventKind.ARRIVAL, 1)])
         # Same time but a smaller kind also sorts before the popped
@@ -90,7 +92,7 @@ class TestExtendStatic:
         # A batch whose *second* event violates the floor must not
         # leak its first event into the lane.
         cal = batch_built([(10.0, EventKind.ARRIVAL, 0)])
-        cal.pop()
+        pop_earliest(cal)
         with pytest.raises(ValueError):
             cal.extend_static(
                 [(11.0, EventKind.ARRIVAL, 1), (1.0, EventKind.ARRIVAL, 2)]
@@ -121,7 +123,7 @@ class TestExtendStatic:
         assert len(cal) == 2
         cal.extend_static([(3.0, EventKind.ARRIVAL, 1)])
         assert len(cal) == 3
-        cal.pop()
+        pop_earliest(cal)
         assert len(cal) == 2
 
 
@@ -133,7 +135,7 @@ class TestFork:
     def test_fork_is_independent(self):
         events = [(float(i), EventKind.ARRIVAL, i) for i in range(5)]
         cal = batch_built(events)
-        cal.pop()
+        pop_earliest(cal)
         fork = cal.fork()
         # Consuming and growing the fork never moves the original.
         fork.extend_static([(9.0, EventKind.ARRIVAL, 99)])
@@ -152,7 +154,7 @@ class TestFork:
         # The consumed-past guard survives the fork: a fork of a
         # partially-consumed calendar refuses the same extends.
         cal = batch_built([(10.0, EventKind.ARRIVAL, 0)])
-        cal.pop()
+        pop_earliest(cal)
         fork = cal.fork()
         with pytest.raises(ValueError, match="consumed past"):
             fork.extend_static([(1.0, EventKind.ARRIVAL, 1)])

@@ -14,8 +14,6 @@
    runs as covering another's.
 """
 
-import hashlib
-
 import pytest
 
 from repro.experiments.parallel import expand_cells, run_cells
@@ -30,6 +28,8 @@ from repro.sim.disruptions import DisruptionSpec, DrainWindow
 from repro.sim.job import Job
 from repro.sim.simulator import SystemView
 from repro.sim.topology import ClusterTopology
+
+from tests.conftest import run_digest
 
 TOPO = ClusterTopology(n_nodes=256, rack_size=32, racks_per_switch=4)
 
@@ -65,33 +65,6 @@ PR3_DIGESTS = {
     "fcfs_backfill": "58c13469ea593cd9350b4efba09a2446137f4476c2ea7feaf1ad085475e87faa",
     "ortools_like": "05edfecb203854f5899a29a26af8e60104197f7813d23672bb4db7e9cb8dfa5f",
 }
-
-
-def run_digest(run) -> str:
-    """Full-precision behavioural digest of one ExperimentRun."""
-    h = hashlib.sha256()
-    r = run.result
-    for rec in r.records:
-        h.update(
-            f"{rec.job.job_id},{rec.start_time.hex()},{rec.end_time.hex()},"
-            f"{rec.killed}\n".encode()
-        )
-    for d in r.decisions:
-        h.update(
-            f"{d.time.hex()},{d.action.kind.value},{d.accepted},"
-            f"{len(d.violations)}\n".encode()
-        )
-    for p in r.preemptions:
-        restart = (
-            p.restart_time.hex() if p.restart_time is not None else "None"
-        )
-        h.update(
-            f"{p.job_id},{p.time.hex()},{p.reason},{p.work_saved.hex()},"
-            f"{p.work_lost.hex()},{restart}\n".encode()
-        )
-    for k, v in sorted(run.metrics.as_dict().items()):
-        h.update(f"{k}={float(v).hex()}\n".encode())
-    return h.hexdigest()
 
 
 class TestZeroCorrelationByteIdentity:

@@ -8,12 +8,7 @@ from repro.schedulers.heuristics import FirstFitScheduler
 from repro.schedulers.registry import create_scheduler
 from repro.sim.job import Job, validate_dependencies
 from repro.sim.simulator import HPCSimulator
-from repro.workloads.dags import (
-    chain_workload,
-    critical_path_length,
-    fork_join_workload,
-    layered_dag_workload,
-)
+from repro.workloads.dags import critical_path_length, layered_dag_workload
 
 from tests.conftest import make_job, run_sim
 
@@ -30,6 +25,14 @@ def dep_job(job_id, deps=(), **kwargs):
         user=base.user,
         depends_on=tuple(deps),
     )
+
+
+def chain(n, **kwargs):
+    """A pipeline: job *i* depends on job *i - 1*, all submitted at 0."""
+    return [
+        dep_job(i, deps=(i - 1,) if i > 1 else (), duration=10.0 * i, **kwargs)
+        for i in range(1, n + 1)
+    ]
 
 
 class TestJobDependencyField:
@@ -81,7 +84,7 @@ class TestExecutionOrdering:
         assert result.record_for(2).start_time >= result.record_for(1).end_time
 
     def test_chain_serializes_fully(self):
-        jobs = chain_workload(6, seed=0, scenario="resource_sparse")
+        jobs = chain(6, nodes=1)
         result = run_sim(jobs, FirstFitScheduler())
         records = sorted(result.records, key=lambda r: r.job.job_id)
         for prev, nxt in zip(records, records[1:]):
@@ -129,7 +132,7 @@ class TestExecutionOrdering:
 
 class TestLLMAgentWithDependencies:
     def test_agent_stops_only_after_blocked_jobs_run(self):
-        jobs = chain_workload(4, seed=1, scenario="resource_sparse")
+        jobs = chain(4, nodes=2)
         agent = create_scheduler("claude-3.7-sim", seed=0)
         result = run_sim(jobs, agent)
         assert len(result.records) == 4
@@ -139,26 +142,6 @@ class TestLLMAgentWithDependencies:
 
 
 class TestDagGenerators:
-    def test_chain_structure(self):
-        jobs = chain_workload(5, seed=0)
-        assert [j.depends_on for j in jobs] == [(), (1,), (2,), (3,), (4,)]
-
-    def test_chain_empty(self):
-        assert chain_workload(0) == []
-
-    def test_fork_join_structure(self):
-        jobs = fork_join_workload(4, seed=0)
-        assert len(jobs) == 6
-        by_id = {j.job_id: j for j in jobs}
-        assert by_id[1].depends_on == ()
-        for w in range(2, 6):
-            assert by_id[w].depends_on == (1,)
-        assert by_id[6].depends_on == (2, 3, 4, 5)
-
-    def test_fork_join_requires_worker(self):
-        with pytest.raises(ValueError):
-            fork_join_workload(0)
-
     def test_layered_dag_layers_only_point_backwards(self):
         jobs = layered_dag_workload(40, seed=5, n_layers=5)
         validate_dependencies(jobs)

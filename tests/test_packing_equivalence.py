@@ -26,7 +26,6 @@ from repro.schedulers.packing import (
     IncrementalPacker,
     PackingError,
     ResourceProfile,
-    pack_order,
 )
 from tests.packing_reference import (
     ReferenceResourceProfile,
@@ -35,7 +34,7 @@ from tests.packing_reference import (
 from repro.sim.simulator import HPCSimulator, SystemView
 from repro.workloads.generator import generate_workload
 
-from tests.conftest import make_job, run_sim
+from tests.conftest import make_job, profile_columns, run_sim
 
 
 def random_jobs(rng: np.random.Generator, n: int) -> list:
@@ -79,7 +78,7 @@ class TestPackOrderEquivalence:
                 now=5.0, free_nodes=8, free_memory_gb=64.0, releases=releases
             )
             assert_same_placements(
-                pack_order(jobs, **kwargs),
+                IncrementalPacker(**kwargs).pack(jobs),
                 reference_pack_order(jobs, **kwargs),
             )
 
@@ -99,9 +98,7 @@ class TestPackOrderEquivalence:
             assert s_fast == s_ref
             fast.reserve(s_fast, dur, nodes, mem)
             ref.reserve(s_ref, dur, nodes, mem)
-            np.testing.assert_array_equal(fast.times, ref.times)
-            np.testing.assert_array_equal(fast.free_nodes, ref.free_nodes)
-            np.testing.assert_array_equal(fast.free_memory, ref.free_memory)
+            assert profile_columns(fast) == profile_columns(ref)
 
     def test_two_thousand_breakpoints_match_reference(self):
         """One kernel at every size: the scalar scan and ``list.insert``
@@ -120,10 +117,8 @@ class TestPackOrderEquivalence:
             assert s_fast == ref.earliest_start(nodes, mem, dur, not_before=nb)
             fast.reserve_trusted(s_fast, dur, nodes, mem)
             ref.reserve(s_fast, dur, nodes, mem)
-        assert fast.times.size >= 2000
-        np.testing.assert_array_equal(fast.times, ref.times)
-        np.testing.assert_array_equal(fast.free_nodes, ref.free_nodes)
-        np.testing.assert_array_equal(fast.free_memory, ref.free_memory)
+        assert fast.snapshot().size >= 2000
+        assert profile_columns(fast) == profile_columns(ref)
 
     def test_int_arguments_still_yield_floats(self):
         """Lists keep whatever they are given, arrays coerced: a start
@@ -141,15 +136,12 @@ class TestPackOrderEquivalence:
             assert start == ref.earliest_start(nodes, mem, dur, not_before=nb)
             fast.reserve(start, dur, nodes, mem)
             ref.reserve(start, dur, nodes, mem)
-            for t in (0, 10, 40, 45, 1000):
-                got = fast.capacity_at(t)
-                assert [type(v) for v in got] == [float, float]
-                assert got == ref.capacity_at(t)
-        np.testing.assert_array_equal(fast.times, ref.times)
-        np.testing.assert_array_equal(fast.free_nodes, ref.free_nodes)
-        np.testing.assert_array_equal(fast.free_memory, ref.free_memory)
+            _, free_nodes, free_memory = profile_columns(fast)
+            assert {type(v) for v in free_nodes + free_memory} == {float}
+        assert profile_columns(fast) == profile_columns(ref)
         jobs = [make_job(i + 1, submit=0, duration=10 * (i + 1)) for i in range(3)]
-        for placed in pack_order(jobs, now=0, free_nodes=4, free_memory_gb=64):
+        packer = IncrementalPacker(now=0, free_nodes=4, free_memory_gb=64)
+        for placed in packer.pack(jobs):
             assert type(placed.start) is float
 
     def test_drain_notches_and_queries_past_the_last_breakpoint(self):
@@ -167,7 +159,7 @@ class TestPackOrderEquivalence:
             nodes = int(rng.integers(1, 9))
             mem = float(rng.integers(1, 65))
             dur = float(rng.uniform(1.0, 80.0))
-            last = float(fast.times[-1])
+            last = float(fast.snapshot().times[-1])
             nb = last + 25.0 if step % 3 == 0 else float(rng.uniform(0.0, last))
             s_fast = fast.earliest_start(nodes, mem, dur, not_before=nb)
             assert s_fast == ref.earliest_start(nodes, mem, dur, not_before=nb)
@@ -175,9 +167,7 @@ class TestPackOrderEquivalence:
                 assert s_fast == nb  # final capacity is the full 8 / 64
             fast.reserve(s_fast, dur, nodes, mem)
             ref.reserve(s_fast, dur, nodes, mem)
-            np.testing.assert_array_equal(fast.times, ref.times)
-            np.testing.assert_array_equal(fast.free_nodes, ref.free_nodes)
-            np.testing.assert_array_equal(fast.free_memory, ref.free_memory)
+            assert profile_columns(fast) == profile_columns(ref)
         for profile in (fast, ref):
             with pytest.raises(PackingError):
                 profile.earliest_start(9, 8.0, 1.0, not_before=1e6)
@@ -271,16 +261,12 @@ class TestSnapshotRollback:
         profile = ResourceProfile(0.0, 8, 64.0, releases=[(30.0, 4, 32.0)])
         profile.reserve(0.0, 10.0, 2, 8.0)
         snap = profile.snapshot()
-        times = profile.times.copy()
-        fn = profile.free_nodes.copy()
-        fm = profile.free_memory.copy()
+        before = profile_columns(profile)
         # Mutate heavily, then roll back.
         for s in range(5):
             profile.reserve(5.0 * s, 7.0, 1, 4.0)
         profile.restore(snap)
-        np.testing.assert_array_equal(profile.times, times)
-        np.testing.assert_array_equal(profile.free_nodes, fn)
-        np.testing.assert_array_equal(profile.free_memory, fm)
+        assert profile_columns(profile) == before
 
     def test_snapshot_is_isolated_from_later_mutation(self):
         profile = ResourceProfile(0.0, 8, 64.0)
@@ -297,9 +283,7 @@ class TestSnapshotRollback:
         profile = ResourceProfile(0.0, 8, 64.0, releases=[(30.0, 4, 32.0)])
         profile.reserve(0.0, 10.0, 2, 8.0)
         snap = profile.snapshot()
-        columns = (
-            profile.times, profile.free_nodes, profile.free_memory,
-        )
+        live = profile_columns(profile)
         frozen = (
             list(snap.times), list(snap.free_nodes), list(snap.free_memory),
         )
@@ -311,11 +295,7 @@ class TestSnapshotRollback:
                 snap.times, snap.free_nodes, snap.free_memory
             ) == frozen
             profile.restore(snap)
-            for got, expected in zip(
-                (profile.times, profile.free_nodes, profile.free_memory),
-                columns,
-            ):
-                np.testing.assert_array_equal(got, expected)
+            assert profile_columns(profile) == live
 
     def test_restore_after_growth(self):
         profile = ResourceProfile(0.0, 64, 512.0)
@@ -324,7 +304,7 @@ class TestSnapshotRollback:
         for s in range(80):
             profile.reserve(float(2 * s), 1.0, 1, 1.0)
         profile.restore(snap)
-        assert profile.times.size == 1
+        assert profile.snapshot().size == 1
         assert profile.earliest_start(64, 512.0, 1.0, not_before=0.0) == 0.0
 
 

@@ -11,13 +11,16 @@ from repro.metrics.normalize import normalize_to_baseline
 from repro.metrics.objectives import compute_metrics
 from repro.schedulers.fcfs import EasyBackfillScheduler, FCFSScheduler
 from repro.schedulers.heuristics import FirstFitScheduler, RandomScheduler
-from repro.schedulers.packing import ResourceProfile, pack_order
+from repro.schedulers.packing import IncrementalPacker, ResourceProfile
 from repro.schedulers.sjf import SJFScheduler
 from repro.sim.actions import BackfillJob, Delay, StartJob, Stop
 from repro.sim.cluster import ResourcePool
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import ArrayCalendar, EventKind
 from repro.sim.job import Job
 from repro.sim.simulator import HPCSimulator
+
+from tests.conftest import pop_earliest
+from tests.event_reference import Event, EventQueue
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -189,7 +192,9 @@ def test_grammar_round_trip(job_id, kind, thought):
 @given(raw=job_lists)
 def test_packing_never_oversubscribes(raw):
     jobs = build_jobs(raw)
-    packed = pack_order(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
+    packed = IncrementalPacker(now=0.0, free_nodes=8, free_memory_gb=64.0).pack(
+        jobs
+    )
     points = []
     for p in packed:
         assert p.start >= p.job.submit_time - 1e-9
@@ -240,12 +245,25 @@ def test_profile_earliest_start_is_feasible(releases, nodes, duration):
             st.sampled_from([EventKind.ARRIVAL, EventKind.COMPLETION]),
         ),
         max_size=30,
-    )
+    ),
+    n_static=st.integers(min_value=0, max_value=30),
 )
-def test_event_queue_pop_order(times):
+def test_event_queue_pop_order(times, n_static):
+    """The object queue pops in (time, kind) order, and the calendar
+    pops exactly its sequence for the same inserts — the first
+    *n_static* into the static lane, the rest pushed after sealing."""
     q = EventQueue()
+    cal = ArrayCalendar()
     for i, (t, kind) in enumerate(times):
         q.push(Event(t, kind, i))
+        if i < n_static:
+            cal.add_static(t, kind, i)
+    cal.seal()
+    for i, (t, kind) in enumerate(times[n_static:], n_static):
+        cal.push(t, kind, i)
     popped = [q.pop() for _ in range(len(times))]
     keys = [(e.time, int(e.kind)) for e in popped]
     assert keys == sorted(keys)
+    assert [pop_earliest(cal) for _ in times] == [
+        (e.time, int(e.kind), e.job_id) for e in popped
+    ]

@@ -12,7 +12,6 @@ from repro.schedulers.packing import (
     PackingError,
     PackStats,
     ResourceProfile,
-    pack_order,
     plan_makespan,
     plan_total_completion,
 )
@@ -21,7 +20,13 @@ from repro.schedulers.registry import create_scheduler
 from repro.sim.cluster import NodeLevelCluster
 from repro.sim.simulator import simulate
 
-from tests.conftest import make_job
+from tests.conftest import make_job, profile_columns
+
+
+def pack(jobs, **profile):
+    """Serial schedule generation: *jobs* in order, each at its earliest
+    feasible start."""
+    return IncrementalPacker(**profile).pack(jobs)
 
 
 class TestResourceProfile:
@@ -69,8 +74,7 @@ class TestResourceProfile:
 
     def test_capacity_at(self):
         profile = ResourceProfile(0.0, 8, 64.0, releases=[(10.0, 2, 8.0)])
-        assert profile.capacity_at(0.0) == (8.0, 64.0)
-        assert profile.capacity_at(10.0) == (10.0, 72.0)
+        assert profile_columns(profile) == ([0.0, 10.0], [8.0, 10.0], [64.0, 72.0])
 
     def test_memory_constraint_checked(self):
         profile = ResourceProfile(0.0, 8, 16.0, releases=[(30.0, 0, 48.0)])
@@ -83,7 +87,7 @@ class TestResourceProfileEdgeCases:
         profile.reserve(10.0, 0.0, 8, 64.0)
         # No capacity consumed anywhere, including at the instant itself.
         assert profile.earliest_start(8, 64.0, 5.0, not_before=0.0) == 0.0
-        assert profile.capacity_at(10.0) == (8.0, 64.0)
+        assert profile_columns(profile) == ([0.0, 10.0], [8.0, 8.0], [64.0, 64.0])
 
     def test_zero_duration_query_waits_for_feasible_interval(self):
         profile = ResourceProfile(0.0, 8, 64.0)
@@ -97,19 +101,18 @@ class TestResourceProfileEdgeCases:
         profile = ResourceProfile(
             0.0, 0, 0.0, releases=[(50.0, 3, 24.0), (50.0, 5, 40.0)]
         )
-        assert profile.times.size == 2  # origin + one merged breakpoint
-        assert profile.capacity_at(50.0) == (8.0, 64.0)
+        # The origin plus one merged breakpoint.
+        assert profile_columns(profile) == ([0.0, 50.0], [0.0, 8.0], [0.0, 64.0])
         assert profile.earliest_start(8, 64.0, 10.0, not_before=0.0) == 50.0
 
     def test_release_before_origin_clamps_to_origin(self):
         profile = ResourceProfile(100.0, 2, 16.0, releases=[(40.0, 6, 48.0)])
-        assert profile.times.size == 1
-        assert profile.capacity_at(100.0) == (8.0, 64.0)
+        assert profile_columns(profile) == ([100.0], [8.0], [64.0])
 
     def test_reservation_at_profile_origin(self):
         profile = ResourceProfile(25.0, 8, 64.0)
         profile.reserve(25.0, 10.0, 8, 64.0)
-        assert profile.capacity_at(25.0) == (0.0, 0.0)
+        assert profile_columns(profile) == ([25.0, 35.0], [0.0, 8.0], [0.0, 64.0])
         assert profile.earliest_start(1, 1.0, 1.0, not_before=25.0) == 35.0
 
     def test_reserve_trusted_matches_checked_reserve(self):
@@ -122,11 +125,7 @@ class TestResourceProfileEdgeCases:
         ]:
             checked.reserve(start, dur, nodes, mem)
             trusted.reserve_trusted(start, dur, nodes, mem)
-        np.testing.assert_array_equal(checked.times, trusted.times)
-        np.testing.assert_array_equal(checked.free_nodes, trusted.free_nodes)
-        np.testing.assert_array_equal(
-            checked.free_memory, trusted.free_memory
-        )
+        assert profile_columns(checked) == profile_columns(trusted)
 
     def test_growth_preserves_state(self):
         profile = ResourceProfile(0.0, 256, 2048.0)
@@ -136,7 +135,7 @@ class TestResourceProfileEdgeCases:
             profile.reserve(start, 3.0, 2, 16.0)
             starts.append(start)
         assert starts == [1.5 * s for s in range(120)]
-        assert profile.times.size > 120
+        assert profile.snapshot().size > 120
 
 
 class TestSplitUnpackable:
@@ -210,7 +209,7 @@ class TestPackOrder:
             make_job(1, duration=10.0, nodes=8),
             make_job(2, duration=20.0, nodes=8),
         ]
-        packed = pack_order(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
+        packed = pack(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
         assert packed[0].start == 0.0
         assert packed[1].start == 10.0
 
@@ -222,7 +221,7 @@ class TestPackOrder:
             make_job(2, duration=5.0, nodes=8),
             make_job(3, duration=3.0, nodes=2),
         ]
-        packed = pack_order(
+        packed = pack(
             [jobs[0], jobs[1], jobs[2]],
             now=0.0, free_nodes=8, free_memory_gb=64.0,
         )
@@ -233,12 +232,12 @@ class TestPackOrder:
 
     def test_respects_submit_times(self):
         jobs = [make_job(1, submit=42.0, duration=10.0, nodes=1)]
-        packed = pack_order(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
+        packed = pack(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
         assert packed[0].start == 42.0
 
     def test_respects_running_releases(self):
         jobs = [make_job(1, duration=10.0, nodes=8)]
-        packed = pack_order(
+        packed = pack(
             jobs,
             now=0.0,
             free_nodes=2,
@@ -258,7 +257,7 @@ class TestPackOrder:
             )
             for i in range(1, 40)
         ]
-        packed = pack_order(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
+        packed = pack(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
         # Sweep check against capacity.
         points = []
         for p in packed:
@@ -277,7 +276,7 @@ class TestPackOrder:
             make_job(1, duration=10.0, nodes=8),
             make_job(2, duration=20.0, nodes=8),
         ]
-        packed = pack_order(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
+        packed = pack(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
         assert plan_makespan(packed, 0.0) == 30.0
         assert plan_total_completion(packed) == 40.0
 
@@ -404,7 +403,7 @@ class TestCommit:
         second = list(jobs)
         second[5], second[8] = second[8], second[5]
         got = packer.pack_from(second, 5)
-        expected = pack_order(second, **self.KWARGS)
+        expected = pack(second, **self.KWARGS)
         assert [(p.job.job_id, p.start) for p in got] == [
             (p.job.job_id, p.start) for p in expected
         ]
@@ -425,7 +424,7 @@ class TestCommit:
         cand = list(reordered)
         cand[3], cand[6] = cand[6], cand[3]
         got = packer.pack_from(cand, 3)
-        expected = pack_order(cand, **self.KWARGS)
+        expected = pack(cand, **self.KWARGS)
         assert [(p.job.job_id, p.start) for p in got] == [
             (p.job.job_id, p.start) for p in expected
         ]

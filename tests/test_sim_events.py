@@ -1,8 +1,12 @@
-"""Unit tests for the event queue and the array-backed calendar."""
+"""Unit tests for the array-backed calendar, and for the object event
+queue (``tests/event_reference.py``) it is checked against."""
 
 import pytest
 
-from repro.sim.events import ArrayCalendar, Event, EventKind, EventQueue
+from repro.sim.events import ArrayCalendar, EventKind
+
+from tests.conftest import pop_earliest
+from tests.event_reference import Event, EventQueue
 
 
 def ev(time, kind=EventKind.ARRIVAL, job_id=1):
@@ -165,7 +169,7 @@ class TestArrayCalendarOrdering:
             (1.0, EventKind.ARRIVAL, 2),
             (3.0, EventKind.ARRIVAL, 3),
         )
-        assert [cal.pop()[0] for _ in range(3)] == [1.0, 3.0, 5.0]
+        assert [pop_earliest(cal)[0] for _ in range(3)] == [1.0, 3.0, 5.0]
 
     def test_same_instant_kind_order_is_pinned(self):
         """The full same-timestamp kind ordering, pushed scrambled —
@@ -180,7 +184,7 @@ class TestArrayCalendarOrdering:
             EventKind.DRAIN_END,
         ]
         cal = sealed(*[(5.0, kind, i) for i, kind in enumerate(scrambled)])
-        popped = [cal.pop()[1] for _ in range(len(scrambled))]
+        popped = [pop_earliest(cal)[1] for _ in range(len(scrambled))]
         assert popped == [
             int(EventKind.COMPLETION),
             int(EventKind.NODE_REPAIR),
@@ -195,7 +199,7 @@ class TestArrayCalendarOrdering:
         cal = sealed(
             *[(1.0, EventKind.ARRIVAL, payload) for payload in (7, 8, 9)]
         )
-        assert [cal.pop()[2] for _ in range(3)] == [7, 8, 9]
+        assert [pop_earliest(cal)[2] for _ in range(3)] == [7, 8, 9]
 
     def test_dynamic_lane_merges_by_time_and_kind(self):
         """A mid-run completion pushed *after* sealing still pops
@@ -205,9 +209,9 @@ class TestArrayCalendarOrdering:
             (2.0, EventKind.ARRIVAL, 1),
             (4.0, EventKind.ARRIVAL, 2),
         )
-        assert cal.pop()[2] == 1
+        assert pop_earliest(cal)[2] == 1
         cal.push(4.0, EventKind.COMPLETION, 99)
-        assert [cal.pop()[1:] for _ in range(2)] == [
+        assert [pop_earliest(cal)[1:] for _ in range(2)] == [
             (int(EventKind.COMPLETION), 99),
             (int(EventKind.ARRIVAL), 2),
         ]
@@ -218,7 +222,7 @@ class TestArrayCalendarOrdering:
         cal = sealed((3.0, EventKind.COMPLETION, 1))
         cal.push(3.0, EventKind.COMPLETION, 2)
         cal.push(3.0, EventKind.COMPLETION, 3)
-        assert [cal.pop()[2] for _ in range(3)] == [1, 2, 3]
+        assert [pop_earliest(cal)[2] for _ in range(3)] == [1, 2, 3]
 
     def test_matches_event_queue_on_scrambled_schedule(self):
         """Differential check: an arbitrary static schedule pops in
@@ -240,7 +244,7 @@ class TestArrayCalendarOrdering:
             (e.time, int(e.kind), e.job_id)
             for e in (q.pop() for _ in range(len(events)))
         ]
-        assert [cal.pop() for _ in range(len(events))] == expected
+        assert [pop_earliest(cal) for _ in range(len(events))] == expected
 
 
 class TestArrayCalendarOperations:
@@ -251,30 +255,42 @@ class TestArrayCalendarOperations:
 
     def test_empty_calendar(self):
         cal = sealed()
-        assert not cal and len(cal) == 0
+        assert len(cal) == 0
         assert cal.peek_time() is None
-        with pytest.raises(IndexError):
-            cal.pop()
+        assert pop_earliest(cal) is None
 
-    def test_pop_until_inclusive(self):
+    def test_pop_due_inclusive(self):
         cal = sealed(
             *[(t, EventKind.ARRIVAL, i) for i, t in enumerate([1.0, 2.0, 3.0, 4.0])]
         )
-        popped = list(cal.pop_until(3.0))
+        popped = []
+        while (event := cal.pop_due(3.0)) is not None:
+            popped.append(event)
         assert [time for time, _, _ in popped] == [1.0, 2.0, 3.0]
         assert len(cal) == 1
 
-    def test_pop_until_empty_result(self):
+    def test_pop_due_empty_result(self):
         cal = sealed((10.0, EventKind.ARRIVAL, 1))
-        assert list(cal.pop_until(5.0)) == []
+        assert cal.pop_due(5.0) is None
         assert len(cal) == 1
 
-    def test_len_and_bool_span_both_lanes(self):
+    def test_pop_due_merges_lanes_under_the_horizon(self):
+        """A due dynamic event pops before a later static one, and
+        neither pops past the horizon."""
+        cal = sealed((1.0, EventKind.ARRIVAL, 1), (6.0, EventKind.ARRIVAL, 2))
+        cal.push(3.0, EventKind.COMPLETION, 9)
+        assert cal.pop_due(2.0) == (1.0, int(EventKind.ARRIVAL), 1)
+        assert cal.pop_due(2.0) is None  # the dynamic head is not due
+        assert cal.pop_due(3.5) == (3.0, int(EventKind.COMPLETION), 9)
+        assert cal.pop_due(3.5) is None  # the static head is not due
+        assert cal.peek_time() == 6.0 and len(cal) == 1
+
+    def test_len_spans_both_lanes(self):
         cal = sealed((1.0, EventKind.ARRIVAL, 1))
         cal.push(2.0, EventKind.COMPLETION, 1)
-        assert cal and len(cal) == 2
-        cal.pop(), cal.pop()
-        assert not cal and len(cal) == 0
+        assert len(cal) == 2
+        pop_earliest(cal), pop_earliest(cal)
+        assert len(cal) == 0
 
 
 class TestArrayCalendarLifecycle:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.schedulers.base import BaseScheduler
 from repro.schedulers.fcfs import FCFSScheduler
-from repro.schedulers.heuristics import DelayingScheduler, FirstFitScheduler
+from repro.schedulers.heuristics import FirstFitScheduler
 from repro.sim.actions import Delay, StartJob, Stop
 from repro.sim.cluster import ResourcePool
 from repro.sim.schedule import ScheduleResult
@@ -383,6 +384,30 @@ class TestSimulateHelper:
         jobs = [make_job(i) for i in range(1, 6)]
         with pytest.raises(SimulationError, match="decision budget"):
             simulate(jobs, FCFSScheduler(), max_decisions=2)
+
+
+class DelayingScheduler(BaseScheduler):
+    """Always delays for *n* decisions before behaving like first-fit."""
+
+    name = "delaying"
+
+    def __init__(self, delays: int = 0):
+        super().__init__()
+        self.delays = delays
+        self._count = 0
+
+    def reset(self) -> None:
+        super().reset()
+        self._count = 0
+
+    def decide(self, view):
+        if self._count < self.delays:
+            self._count += 1
+            return Delay
+        for job in view.queued:
+            if view.can_fit(job):
+                return StartJob(job.job_id)
+        return Delay
 
 
 class TestDelayingScheduler:

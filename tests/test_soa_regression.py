@@ -1,7 +1,7 @@
 """Pinning tests for the structure-of-arrays simulator core (PR 6).
 
 1. **Engine byte-identity**: the SoA core must replay the object-graph
-   oracle (:func:`repro.sim._object_ref.run_object`, substituted for
+   oracle (``run_object`` in ``tests/object_reference.py``, substituted for
    ``HPCSimulator.run`` by the ``object_engine`` fixture) bit for bit —
    records, decisions, preemptions, extras, and metric floats — across
    the scheduler comparison set and every disruption regime (node
@@ -28,7 +28,7 @@ from repro.sim.topology import ClusterTopology
 from repro.workloads.dags import layered_dag_workload
 from repro.workloads.generator import generate_workload
 
-from tests.test_windowed_regression import run_digest
+from tests.conftest import run_digest
 
 SPEC = DisruptionSpec(
     mtbf=40_000.0,
@@ -113,7 +113,7 @@ class TestEngineByteIdentity:
         """The comparisons below are only as good as the seam: inside
         the block the oracle must really be what runs, and the SoA core
         must be back afterwards."""
-        from repro.sim._object_ref import run_object
+        from tests.object_reference import run_object
 
         product_run = HPCSimulator.run
         with object_engine():

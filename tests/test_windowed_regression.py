@@ -16,8 +16,6 @@
    ``spread_requeue`` demotions survive annealing verbatim.
 """
 
-import hashlib
-
 import pytest
 
 from repro.experiments.parallel import expand_cells, run_cells
@@ -28,34 +26,7 @@ from repro.schedulers.optimizer import AnnealingConfig, AnnealingOptimizer
 from repro.schedulers.packing import IncrementalPacker
 from repro.workloads.generator import generate_workload
 
-from tests.conftest import make_job, run_sim
-
-
-def run_digest(run) -> str:
-    """Full-precision behavioural digest of one ExperimentRun."""
-    h = hashlib.sha256()
-    r = run.result
-    for rec in r.records:
-        h.update(
-            f"{rec.job.job_id},{rec.start_time.hex()},{rec.end_time.hex()},"
-            f"{rec.killed}\n".encode()
-        )
-    for d in r.decisions:
-        h.update(
-            f"{d.time.hex()},{d.action.kind.value},{d.accepted},"
-            f"{len(d.violations)}\n".encode()
-        )
-    for p in r.preemptions:
-        restart = (
-            p.restart_time.hex() if p.restart_time is not None else "None"
-        )
-        h.update(
-            f"{p.job_id},{p.time.hex()},{p.reason},{p.work_saved.hex()},"
-            f"{p.work_lost.hex()},{restart}\n".encode()
-        )
-    for k, v in sorted(run.metrics.as_dict().items()):
-        h.update(f"{k}={float(v).hex()}\n".encode())
-    return h.hexdigest()
+from tests.conftest import make_job, run_digest, run_sim
 
 
 #: SHA-256 digests produced by the PR-4 engine (commit f415ab5) for
