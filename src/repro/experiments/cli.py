@@ -179,10 +179,6 @@ class UsageError(ValueError):
     exits 2 — the one place a usage error is printed."""
 
 
-#: The name this class had while only the disruption flags raised it.
-DisruptionArgsError = UsageError
-
-
 @contextlib.contextmanager
 def _usage_errors(prefix: str = ""):
     """Report a ``ValueError`` from the wrapped call (a store that

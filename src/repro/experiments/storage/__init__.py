@@ -24,7 +24,6 @@ from repro.experiments.storage.backend import (
     STORE_FORMATS,
     StoreBackend,
     detect_format,
-    is_sharded_store,
     open_store,
     store_digest,
 )
@@ -39,6 +38,7 @@ from repro.experiments.storage.sharded import (
     MANIFEST_NAME,
     ShardedDoctorReport,
     ShardedStore,
+    is_sharded_store,
     shard_index,
     shard_name,
 )

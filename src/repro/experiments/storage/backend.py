@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.experiments.store import RunStore, StoreBackend
-from repro.experiments.storage.sharded import ShardedStore, is_sharded_dir
+from repro.experiments.storage.sharded import ShardedStore
 
 #: ``open_store`` / CLI names for the two backends.
 STORE_FORMATS = ("jsonl", "sharded")
@@ -93,7 +93,3 @@ def store_digest(store: StoreBackend) -> str:
         digest.update(run.to_json().encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
-
-
-#: The sharded-layout sniff, under the name the package exports.
-is_sharded_store = is_sharded_dir

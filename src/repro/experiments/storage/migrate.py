@@ -33,7 +33,7 @@ from repro.experiments.store import StoredRun, _atomic_rewrite, _read_jsonl
 from repro.experiments.storage.sharded import (
     DEFAULT_SHARDS,
     ShardedStore,
-    is_sharded_dir,
+    is_sharded_store,
     shard_index,
 )
 
@@ -166,7 +166,7 @@ def migrate_to_jsonl(
     """
     src = Path(src)
     dest = Path(dest)
-    if not is_sharded_dir(src):
+    if not is_sharded_store(src):
         raise ValueError(f"{src}: no sharded store to migrate")
     _require_fresh_dest(dest)
     store = ShardedStore(src)

@@ -79,8 +79,8 @@ DEFAULT_SHARDS = 16
 #: *superseded* lines (appends whose key the shard already held), it
 #: is compacted in passing on the next append. Keeps long-lived
 #: re-swept stores from growing without bound, cheap enough to stay
-#: on by default; ``auto_compact_threshold=None`` disables it.
-DEFAULT_AUTO_COMPACT = 64
+#: on always; read at append time (``None`` disables it).
+DEFAULT_AUTO_COMPACT: Optional[int] = 64
 
 
 def shard_index(key: CellKey, n_shards: int) -> int:
@@ -98,7 +98,7 @@ def shard_name(index: int) -> str:
     return f"shard-{index:03d}.jsonl"
 
 
-def is_sharded_dir(path: Union[str, Path]) -> bool:
+def is_sharded_store(path: Union[str, Path]) -> bool:
     """Whether *path* looks like a sharded store: a directory holding
     a manifest, or (manifest lost) at least one shard file — the
     doctor can rebuild a manifest, so shard files alone still count."""
@@ -121,14 +121,8 @@ class ShardedStore(StoreBackend):
     worker reads one agreed shard count.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        n_shards: Optional[int] = None,
-        auto_compact_threshold: Optional[int] = DEFAULT_AUTO_COMPACT,
-    ):
-        self._open(path, n_shards, auto_compact_threshold, tolerant=False)
+    def __init__(self, path: Union[str, Path], *, n_shards: Optional[int] = None):
+        self._open(path, n_shards, tolerant=False)
 
     @classmethod
     def for_repair(cls, path: Union[str, Path]) -> "ShardedStore":
@@ -137,12 +131,11 @@ class ShardedStore(StoreBackend):
         for a missing one — where every other way in raises, so that
         :meth:`doctor` gets to run and rebuild it."""
         store = cls.__new__(cls)
-        store._open(path, None, DEFAULT_AUTO_COMPACT, tolerant=True)
+        store._open(path, None, tolerant=True)
         return store
 
-    def _open(self, path, n_shards, auto_compact_threshold, tolerant) -> None:
+    def _open(self, path, n_shards, tolerant) -> None:
         self.path = Path(path)
-        self.auto_compact_threshold = auto_compact_threshold
         manifest = self._read_manifest(tolerant)
         if manifest is not None:
             disk_shards = manifest["n_shards"]
@@ -339,7 +332,7 @@ class ShardedStore(StoreBackend):
         repair, bounded ENOSPC retries, and the chaos-harness write
         hook all apply per shard file. When the append supersedes a
         line the shard already held and the shard has crossed
-        :attr:`auto_compact_threshold` superseded lines, the shard is
+        :data:`DEFAULT_AUTO_COMPACT` superseded lines, the shard is
         compacted in passing (see :meth:`compact`).
         """
         stored = (
@@ -349,9 +342,10 @@ class ShardedStore(StoreBackend):
             self.ensure_initialized()
         index = shard_index(stored.key, self.n_shards)
         shard = self._shards[index]
+        threshold = DEFAULT_AUTO_COMPACT
         with self._append_lock(index):
             superseded = False
-            if self.auto_compact_threshold is not None:
+            if threshold is not None:
                 # Corrupt shard: appends must still land (that is the
                 # crash-safety contract); compaction bookkeeping just
                 # sits this one out until doctor runs.
@@ -361,7 +355,7 @@ class ShardedStore(StoreBackend):
             if superseded:
                 self._merge_persisted_superseded()
                 count = self._superseded.get(index, 0) + 1
-                if count >= self.auto_compact_threshold:
+                if count >= threshold:
                     self._compact_shard(shard)
                     count = 0
                 self._superseded[index] = count

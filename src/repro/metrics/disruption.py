@@ -37,6 +37,8 @@ disrupted runs keep the exact PR-3 metric set.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.sim.schedule import ScheduleResult
 
 #: Metric columns every disrupted run reports, in display order.
@@ -66,6 +68,20 @@ DISRUPTION_METRIC_NAMES: tuple[str, ...] = (
 INVOLUNTARY_REASONS: tuple[str, ...] = ("failure", "drain")
 
 
+def _left_fold(values: Iterable[float]) -> float:
+    """Sum *values* left to right in plain float arithmetic.
+
+    Not builtin ``sum()``: from Python 3.12 it compensates float
+    rounding, so every disrupted run's metrics — and the digests that
+    pin them — would depend on the interpreter. The fold is the value
+    ``sum()`` returned on 3.11, where the goldens were recorded.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def goodput_node_hours(result: ScheduleResult) -> float:
     """Node-hours of *useful* (committed) work.
 
@@ -74,18 +90,18 @@ def goodput_node_hours(result: ScheduleResult) -> float:
     they sum to each job's true duration, so goodput is independent of
     how often a job was bounced around.
     """
-    useful = sum(
+    useful = _left_fold(
         rec.job.nodes * (rec.end_time - rec.start_time)
         for rec in result.records
     )
-    useful += sum(p.nodes * p.work_saved for p in result.preemptions)
+    useful += _left_fold(p.nodes * p.work_saved for p in result.preemptions)
     return useful / 3600.0
 
 
 def wasted_node_hours(result: ScheduleResult) -> float:
     """Node-hours executed and then discarded by kills (work done
     since the last checkpoint when the node died / the drain hit)."""
-    return sum(p.lost_node_seconds for p in result.preemptions) / 3600.0
+    return _left_fold(p.lost_node_seconds for p in result.preemptions) / 3600.0
 
 
 def goodput_fraction(result: ScheduleResult) -> float:
@@ -105,7 +121,8 @@ def work_lost_per_kill(result: ScheduleResult) -> float:
     ]
     if not involuntary:
         return 0.0
-    return sum(p.lost_node_seconds for p in involuntary) / len(involuntary)
+    lost = _left_fold(p.lost_node_seconds for p in involuntary)
+    return lost / len(involuntary)
 
 
 def mean_requeue_latency(result: ScheduleResult) -> float:
@@ -125,7 +142,7 @@ def mean_requeue_latency(result: ScheduleResult) -> float:
     ]
     if not latencies:
         return 0.0
-    return float(sum(latencies) / len(latencies))
+    return _left_fold(latencies) / len(latencies)
 
 
 def largest_event_loss_node_hours(result: ScheduleResult) -> float:

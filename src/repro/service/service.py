@@ -9,9 +9,10 @@ tests pin holds for real connections too.
 Concurrency model, by workload class:
 
 * **Session replays** run on the default thread executor: the
-  incremental calendar lives in this process (it cannot cross a pickle
-  boundary without losing its identity), and numpy releases the GIL
-  enough that concurrent sessions overlap usefully. A per-session
+  session's accumulated jobs and its memoized result live in this
+  process, so a replay in a pool worker would pickle the whole
+  workload out and the whole schedule back on every generation, and
+  the pool stays free for ``run_cell``. A per-session
   :class:`asyncio.Lock` serializes operations *within* one session —
   isolation between sessions, ordering inside one.
 * **Sweep cells** (``run_cell``) are pure functions of their

@@ -1,31 +1,29 @@
-"""Per-session deterministic engine instances with streaming arrivals.
+"""Per-session scheduling worlds with streaming arrivals.
 
-A session is one client's isolated scheduling world: its own job list,
-its own seeded scheduler, and its own event calendar. Arrivals stream
-in over many ``submit_jobs`` calls and are appended to the session's
-**sealed** :class:`~repro.sim.events.ArrayCalendar` incrementally
-(:meth:`~repro.sim.events.ArrayCalendar.extend_static` — the static
-lane grows without rebuilding); a schedule query replays the engine
-over the accumulated workload, handing the engine a
-:meth:`~repro.sim.events.ArrayCalendar.fork` of that calendar.
+A session is one client's isolated scheduling world: its own job list
+and its own seeded scheduler. Arrivals stream in over many
+``submit_jobs`` calls; a schedule query replays the accumulated
+workload through :func:`~repro.experiments.runner.run_single` — the
+batch path itself, so for the jobs known at query time the served
+schedule is byte-identical to a batch run over those jobs by
+construction, not by a second implementation kept in step.
 
 Why replay instead of resuming a half-run simulation: the paper's
 schedulers observe global workload facts (``pending_arrivals``,
 ``all_jobs_scheduled``), so decisions taken before the full job set is
 known are *different* decisions — resuming would silently fork the
-session's results away from the batch reference. Replaying keeps the
-contract exact: for the jobs known at query time, the served schedule
-is byte-identical to ``simulate()`` over those jobs (the extend-built
-calendar assigns times/kinds/seqs exactly as a batch build would).
-Replays are memoized per generation, so polling ``get_schedule``
-without new arrivals costs one dict lookup, not a simulation.
+session's results away from the batch reference. Replays are memoized
+per generation, so polling ``get_schedule`` without new arrivals costs
+one dict lookup, not a simulation.
 
 The streaming contract: each appended batch must be strictly newer
 than everything already in the session — (submit_time, job_id)
-strictly increasing. That makes append order equal to the engine's
-sorted workload order, so calendar payload indexes stay stable as the
-session grows (the same reason the calendar itself refuses to extend
-into its consumed past).
+strictly increasing — with fresh job ids, and a rejected batch changes
+nothing. Append order is then the engine's sorted workload order, so a
+generation's workload is a prefix of every later one: a served
+generation is the batch run over that prefix, and a replay that
+resumes from a snapshot and re-simulates only the suffix a new batch
+touches would rely on the same ordering.
 """
 
 from __future__ import annotations
@@ -34,13 +32,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.metrics.objectives import compute_metrics
-from repro.schedulers.registry import create_scheduler
-from repro.sim.engine import run_soa
-from repro.sim.events import ArrayCalendar, EventKind
+from repro.experiments.runner import run_single
 from repro.sim.job import Job
 from repro.sim.schedule import ScheduleResult
-from repro.sim.simulator import HPCSimulator
 
 
 class SessionError(ValueError):
@@ -67,7 +61,6 @@ class Session:
     config: SessionConfig = field(default_factory=SessionConfig)
     #: Accumulated workload, in arrival (== engine) order.
     _jobs: list[Job] = field(default_factory=list)
-    _calendar: ArrayCalendar = field(init=False)
     _ids: set[int] = field(default_factory=set)
     #: Bumped per appended batch; the memoized result is valid only
     #: for the generation it was computed at.
@@ -82,11 +75,6 @@ class Session:
     #: run the engine twice for the same generation.
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
-    def __post_init__(self) -> None:
-        cal = ArrayCalendar()
-        cal.seal()  # empty static lane; every arrival comes via extend
-        self._calendar = cal
-
     # -- streaming arrivals ---------------------------------------------
     @property
     def n_jobs(self) -> int:
@@ -95,12 +83,12 @@ class Session:
     def append_jobs(self, jobs: Sequence[Job]) -> int:
         """Append one strictly-newer batch of arrivals.
 
-        Validates the streaming contract — inside the batch and
-        against the session tail, (submit_time, job_id) must be
-        strictly increasing, and job ids must be fresh — then extends
-        the calendar's static lane. Returns how many jobs were added.
-        A rejected batch changes nothing (validation runs before any
-        mutation).
+        Validates the streaming contract — submit times must be
+        numbers, inside the batch and against the session tail
+        (submit_time, job_id) must be strictly increasing, and job ids
+        must be fresh — then appends
+        the batch. Returns how many jobs were added. A rejected batch
+        changes nothing (validation runs before any mutation).
         """
         batch = list(jobs)
         if not batch:
@@ -111,6 +99,13 @@ class Session:
             else None
         )
         for job in batch:
+            if job.submit_time != job.submit_time:
+                # NaN compares false both ways, so the order check
+                # below would wave it through and every later replay
+                # would fail on it.
+                raise SessionError(
+                    f"job {job.job_id} has a NaN submit_time"
+                )
             mark = (job.submit_time, job.job_id)
             if last is not None and mark <= last:
                 raise SessionError(
@@ -124,11 +119,6 @@ class Session:
                     f"duplicate job id {job.job_id} in session"
                 )
             last = mark
-        base = len(self._jobs)
-        self._calendar.extend_static(
-            (job.submit_time, EventKind.ARRIVAL, base + i)
-            for i, job in enumerate(batch)
-        )
         self._jobs.extend(batch)
         self._ids.update(job.job_id for job in batch)
         self.generation += 1
@@ -140,9 +130,10 @@ class Session:
 
         Each distinct generation simulates exactly once (`n_runs`);
         repeat queries reuse the memoized result
-        (`n_result_reuses`). Every run builds a **fresh** scheduler
-        from the session's (name, seed) — state carried across replays
-        would break byte-identity with batch ``simulate()``.
+        (`n_result_reuses`). Every run is a fresh ``run_single`` with
+        a fresh scheduler from the session's (name, seed) — state
+        carried across replays would break byte-identity with the
+        batch run.
         """
         with self._lock:
             if self._result is not None and (
@@ -156,23 +147,22 @@ class Session:
                     "session has no jobs; submit_jobs before querying"
                 )
             generation = self.generation
-            sim = HPCSimulator(
-                jobs=list(self._jobs),
-                scheduler=create_scheduler(
-                    self.config.scheduler, seed=self.config.scheduler_seed
-                ),
-                max_retries=self.config.max_retries,
-                max_decisions=self.config.max_decisions,
-                enforce_walltime=self.config.enforce_walltime,
+            config = self.config
+            run = run_single(
+                "session",
+                len(self._jobs),
+                config.scheduler,
+                jobs=self._jobs,
+                scheduler_seed=config.scheduler_seed,
+                max_retries=config.max_retries,
+                max_decisions=config.max_decisions,
+                enforce_walltime=config.enforce_walltime,
             )
-            result = run_soa(sim, calendar=self._calendar.fork())
-            result.verify_capacity()
-            metrics = dict(compute_metrics(result).as_dict())
-            self._result = result
-            self._metrics = metrics
+            self._result = run.result
+            self._metrics = run.metrics.as_dict()
             self._result_generation = generation
             self.n_runs += 1
-            return result, metrics
+            return self._result, self._metrics
 
     def stats(self) -> dict[str, int]:
         return {

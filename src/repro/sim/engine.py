@@ -193,28 +193,14 @@ class _QueueMap:
         return self._jobs[i]
 
 
-def _static_calendar(jobs, trace, calendar: Optional[ArrayCalendar]):
-    """The sealed static lane of a run: one ARRIVAL per job in workload
+def _static_calendar(jobs, trace) -> ArrayCalendar:
+    """The sealed calendar of one run: one ARRIVAL per job in workload
     order (payload = workload index), then the disruption schedule.
 
     Static adds replay the object engine's push order exactly, so the
-    sequence numbers — the tie-break of last resort — are identical. A
-    prebuilt *calendar* is only checked for holding that many events.
+    sequence numbers — the tie-break of last resort — are identical.
+    Every run builds its own; nothing else constructs one.
     """
-    if calendar is not None:
-        expected = len(jobs)
-        if trace is not None:
-            expected += 2 * len(trace.failures)
-            expected += 2 * len(trace.domain_failures)
-            for drain in trace.drains:
-                expected += 3 if drain.announce_time < drain.start else 2
-        if len(calendar) != expected:
-            raise ValueError(
-                f"prebuilt calendar holds {len(calendar)} pending "
-                f"event(s); this simulation needs exactly {expected} "
-                "(one ARRIVAL per job plus the disruption schedule)"
-            )
-        return calendar
     cal = ArrayCalendar()
     for i, job in enumerate(jobs):
         cal.add_static(job.submit_time, EventKind.ARRIVAL, i)
@@ -280,9 +266,7 @@ class EngineState:
         "topo", "has_domains", "drains",
     )
 
-    def __init__(
-        self, sim: "HPCSimulator", calendar: Optional[ArrayCalendar] = None
-    ) -> None:
+    def __init__(self, sim: "HPCSimulator") -> None:
         jobs = sim.jobs
         n_jobs = len(jobs)
         trace = sim.disruptions if sim.disruptions else None
@@ -295,7 +279,7 @@ class EngineState:
         self.idx_of = {job.job_id: i for i, job in enumerate(jobs)}
 
         self.now = min(0.0, jobs[0].submit_time) if jobs else 0.0
-        self.cal = _static_calendar(jobs, trace, calendar)
+        self.cal = _static_calendar(jobs, trace)
 
         # One lifecycle code per workload position. A bytearray, not a
         # numpy array: every access is a scalar read/write (plain
@@ -894,23 +878,9 @@ _HANDLERS = {
 }
 
 
-def run_soa(
-    sim: "HPCSimulator",
-    calendar: Optional[ArrayCalendar] = None,
-) -> ScheduleResult:
-    """Execute *sim* on the structure-of-arrays core.
-
-    *calendar*, when given, must be a sealed, unconsumed
-    :class:`~repro.sim.events.ArrayCalendar` holding exactly the
-    static events this function would otherwise build — one ARRIVAL
-    per job in workload order (payload = workload index), then the
-    disruption events. The service's session engine maintains such a
-    calendar incrementally (streamed arrivals appended to the sealed
-    lane) and passes a fork per replay; because the extend path
-    assigns sequence numbers exactly like a batch build, the run is
-    byte-identical to one over a calendar built here.
-    """
-    state = EngineState(sim, calendar)
+def run_soa(sim: "HPCSimulator") -> ScheduleResult:
+    """Execute *sim* on the structure-of-arrays core."""
+    state = EngineState(sim)
     while state.step():
         pass
     return state.result()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -67,8 +67,9 @@ class ArrayCalendar:
     Ordering contract: events pop in ascending ``(time, kind, seq)``
     order, where ``kind`` is the :class:`EventKind` value and ``seq``
     the global insertion order (every :meth:`add_static`, then every
-    :meth:`push` and :meth:`extend_static` event, in call order). The
-    representation avoids per-event object churn entirely:
+    :meth:`push`, in call order). One calendar serves one run: the
+    engine builds it, seals it and consumes it. The representation
+    avoids per-event object churn entirely:
 
     * The **static lane** holds every event known before the run starts
       (arrivals, failures/repairs, drains). It is built once from the
@@ -98,7 +99,6 @@ class ArrayCalendar:
         "_sealed",
         "_pending",
         "_head",
-        "_last_popped",
     )
 
     def __init__(self) -> None:
@@ -113,10 +113,6 @@ class ArrayCalendar:
         #: scalars once per cursor position (not per call) keeps the
         #: per-event constant factor below the object queue's.
         self._head: Optional[tuple[float, int, int]] = None
-        #: (time, kind, seq) of the most recently popped event; the
-        #: floor :meth:`extend_static` enforces so a streamed append
-        #: can never rewrite the already-consumed past.
-        self._last_popped: Optional[tuple[float, int, int]] = None
 
     @staticmethod
     def _check_time(time: float) -> None:
@@ -135,9 +131,9 @@ class ArrayCalendar:
         self._pending.append((float(time), int(kind), int(payload)))
 
     def seal(self) -> None:
-        """Freeze the static lane: sort it into flat arrays. Dynamic
-        pushes are accepted before and after sealing; static adds only
-        before."""
+        """Freeze the static lane: sort it into flat arrays. Static
+        adds are accepted only before sealing, dynamic pushes only
+        after."""
         if self._sealed:
             raise RuntimeError("calendar already sealed")
         self._sealed = True
@@ -170,96 +166,6 @@ class ArrayCalendar:
         seq = self._next_seq
         self._next_seq = seq + 1
         heapq.heappush(self._heap, (float(time), int(kind), seq, int(payload)))
-
-    def extend_static(
-        self, events: Iterable[tuple[float, EventKind, int]]
-    ) -> None:
-        """Merge a batch of pre-run events into an already-**sealed**
-        static lane — the streaming-arrival append path.
-
-        Sequence numbers continue from the global counter in iteration
-        order, exactly as if the events had been ``add_static``-ed
-        before :meth:`seal` after everything already present; a
-        calendar grown by any sequence of extends therefore pops the
-        identical ``(time, kind, payload)`` stream as one built in a
-        single batch, which is what pins a served session's replay
-        byte-identical to a batch run. The unconsumed suffix is
-        re-merged with one lexsort (O((m+k) log(m+k)) for m remaining
-        + k new events) instead of rebuilding the whole lane.
-
-        Raises ``RuntimeError`` before sealing, and ``ValueError`` if a
-        new event would sort before an event that already popped — the
-        consumed past is immutable.
-        """
-        if not self._sealed:
-            raise RuntimeError("seal() the static lane before extending")
-        batch: list[tuple[float, int, int, int]] = []
-        floor = self._last_popped
-        for time, kind, payload in events:
-            self._check_time(time)
-            key = (float(time), int(kind))
-            if floor is not None and key < floor[:2]:
-                raise ValueError(
-                    f"cannot extend into the consumed past: event at "
-                    f"t={time!r} kind={int(kind)} sorts before the last "
-                    f"popped event (t={floor[0]!r} kind={floor[1]})"
-                )
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            batch.append((key[0], key[1], seq, int(payload)))
-        if not batch:
-            return
-        m = self._n_static - self._cursor
-        k = len(batch)
-        times = np.empty(m + k, dtype=np.float64)
-        kinds = np.empty(m + k, dtype=np.int64)
-        seqs = np.empty(m + k, dtype=np.int64)
-        times[:m] = self._times[self._cursor:self._n_static]
-        kinds[:m] = self._kinds[self._cursor:self._n_static]
-        seqs[:m] = self._seqs[self._cursor:self._n_static]
-        payloads = self._payloads[self._cursor:self._n_static]
-        for j, (t, kd, sq, p) in enumerate(batch):
-            times[m + j] = t
-            kinds[m + j] = kd
-            seqs[m + j] = sq
-            payloads.append(p)
-        # Full (time, kind, seq) order: new seqs are globally larger,
-        # so ties at equal (time, kind) keep existing events first —
-        # the same order one pre-seal build would have produced.
-        order = np.lexsort((seqs, kinds, times))
-        self._times = times[order]
-        self._kinds = kinds[order]
-        self._seqs = seqs[order]
-        self._payloads = [payloads[i] for i in order.tolist()]
-        self._cursor = 0
-        self._n_static = m + k
-        self._head = None
-
-    def fork(self) -> "ArrayCalendar":
-        """Independent copy of a sealed calendar.
-
-        The service's session engine holds one incrementally-extended
-        calendar per session and hands a fork to each replay —
-        :func:`~repro.sim.engine.run_soa` consumes its calendar
-        (cursor advances, completions land in the dynamic lane), so
-        the pristine original must survive for the next query.
-        """
-        if not self._sealed:
-            raise RuntimeError("seal() the static lane before forking")
-        clone = ArrayCalendar.__new__(ArrayCalendar)
-        clone._pending = []
-        clone._sealed = True
-        clone._heap = list(self._heap)
-        clone._cursor = self._cursor
-        clone._n_static = self._n_static
-        clone._next_seq = self._next_seq
-        clone._head = self._head
-        clone._last_popped = self._last_popped
-        clone._times = self._times.copy()
-        clone._kinds = self._kinds.copy()
-        clone._payloads = list(self._payloads)
-        clone._seqs = self._seqs.copy()
-        return clone
 
     def _static_key(self) -> Optional[tuple[float, int, int]]:
         head = self._head
@@ -302,14 +208,12 @@ class ArrayCalendar:
                 if d[0] > time:
                     return None
                 heapq.heappop(self._heap)
-                self._last_popped = (d[0], d[1], d[2])
                 return (d[0], d[1], d[3])
         if s is None or s[0] > time:
             return None
         i = self._cursor
         self._cursor = i + 1
         self._head = None
-        self._last_popped = s
         return (s[0], s[1], self._payloads[i])
 
     def __len__(self) -> int:

@@ -30,6 +30,7 @@ Unused columns are written as ``-1``. Comment/header lines start with
 
 from __future__ import annotations
 
+import zlib
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -82,11 +83,12 @@ def _format_field(value) -> str:
 
 def _label_id(label: str) -> int:
     """Extract the numeric suffix of ``user_N`` / ``group_N`` labels;
-    fall back to a stable non-negative hash for arbitrary names."""
+    fall back to a CRC-32 of the name for arbitrary labels (never
+    ``hash()``, which is salted per process)."""
     tail = label.rsplit("_", 1)[-1]
     if tail.isdigit():
         return int(tail)
-    return abs(hash(label)) % 100_000
+    return zlib.crc32(label.encode("utf-8")) % 100_000
 
 
 def jobs_from_swf(path: str | Path | TextIO) -> list[Job]:

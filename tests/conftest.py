@@ -56,6 +56,29 @@ def pop_earliest(calendar):
     return calendar.pop_due(math.inf)
 
 
+def neumaier_sum(values) -> float:
+    """Compensated summation: the float path of builtin ``sum()`` from
+    Python 3.12 on."""
+    total = comp = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp
+
+
+def left_fold(values) -> float:
+    """Plain left-to-right float summation: builtin ``sum()`` up to
+    Python 3.11, and the stated order of every digest-bearing sum."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def profile_columns(profile) -> tuple[list, list, list]:
     """``(times, free nodes, free memory)`` as lists, of the kernel's
     ``ResourceProfile`` or of the reference's arrays."""

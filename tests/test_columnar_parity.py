@@ -26,7 +26,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.storage import ShardedStore, shard_index
+from repro.experiments.storage import ShardedStore, shard_index, sharded
 from repro.schedulers.base import BaseScheduler
 from repro.schedulers.recovery import (
     domain_pressures,
@@ -381,9 +381,10 @@ class TestSupersedePersistence:
     def _manifest(self, path):
         return json.loads((path / "MANIFEST.json").read_text("utf-8"))
 
-    def test_counter_survives_reopen(self, tmp_path):
+    def test_counter_survives_reopen(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", 3)
         path = tmp_path / "runs.store"
-        store = ShardedStore(path, n_shards=2, auto_compact_threshold=3)
+        store = ShardedStore(path, n_shards=2)
         run = make_stored()
         store.append(run)
         store.append(run)  # supersede #1
@@ -394,7 +395,7 @@ class TestSupersedePersistence:
         # A fresh sweep process reopens the store: the count resumes
         # at 2, so the very next supersede crosses threshold 3 and
         # compacts — instead of silently restarting from zero.
-        reopened = ShardedStore(path, auto_compact_threshold=3)
+        reopened = ShardedStore(path)
         assert sum(reopened._superseded.values()) == 2
         reopened.append(run)  # supersede #3 → auto-compaction
         shard = reopened.shard_for(run.key)
@@ -406,10 +407,9 @@ class TestSupersedePersistence:
         assert len(lines) == 1  # compacted down to the winner
         assert "superseded" not in self._manifest(path)
 
-    def test_explicit_compact_persists_reset(self, tmp_path):
-        store = ShardedStore(
-            tmp_path / "runs.store", n_shards=2, auto_compact_threshold=100
-        )
+    def test_explicit_compact_persists_reset(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", 100)
+        store = ShardedStore(tmp_path / "runs.store", n_shards=2)
         run = make_stored()
         store.append(run)
         store.append(run)
@@ -417,9 +417,10 @@ class TestSupersedePersistence:
         assert store.compact() == 1
         assert "superseded" not in self._manifest(tmp_path / "runs.store")
 
-    def test_doctor_dedupe_resets_counters(self, tmp_path):
+    def test_doctor_dedupe_resets_counters(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", 100)
         path = tmp_path / "runs.store"
-        store = ShardedStore(path, n_shards=2, auto_compact_threshold=100)
+        store = ShardedStore(path, n_shards=2)
         run = make_stored()
         store.append(run)
         store.append(run)
@@ -443,13 +444,14 @@ class TestSupersedePersistence:
         manifest_path.write_text(json.dumps(payload), encoding="utf-8")
         assert ShardedStore(path)._superseded == {}
 
-    def test_sibling_shard_counts_survive_rewrites(self, tmp_path):
+    def test_sibling_shard_counts_survive_rewrites(self, tmp_path, monkeypatch):
         """Two writer handles on different shards: each manifest write
         merges the persisted counts first, so neither zeroes the
         other's progress."""
+        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", 100)
         path = tmp_path / "runs.store"
-        a = ShardedStore(path, n_shards=4, auto_compact_threshold=100)
-        b = ShardedStore(path, n_shards=4, auto_compact_threshold=100)
+        a = ShardedStore(path, n_shards=4)
+        b = ShardedStore(path, n_shards=4)
         run_a = make_stored(n_jobs=10)
         run_b = next(
             r

@@ -520,9 +520,9 @@ class TestDisruptionSpecFlags:
         assert spec.seed == 7
 
     def test_checkpoint_interval_must_be_positive(self):
-        from repro.experiments.cli import DisruptionArgsError
+        from repro.experiments.cli import UsageError
 
-        with pytest.raises(DisruptionArgsError, match="must be positive"):
+        with pytest.raises(UsageError, match="must be positive"):
             self._spec([
                 "--restart-policy", "checkpoint",
                 "--checkpoint-interval", "0",
@@ -530,10 +530,10 @@ class TestDisruptionSpecFlags:
 
     def test_invalid_override_reported_as_friendly_error(self):
         # The spec's own validation (mtbf > 0) surfaces as a
-        # DisruptionArgsError, not a bare dataclasses traceback.
-        from repro.experiments.cli import DisruptionArgsError
+        # UsageError, not a bare dataclasses traceback.
+        from repro.experiments.cli import UsageError
 
-        with pytest.raises(DisruptionArgsError, match="mtbf must be positive"):
+        with pytest.raises(UsageError, match="mtbf must be positive"):
             self._spec(["--mtbf", "-5"])
 
 

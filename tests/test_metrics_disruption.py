@@ -1,7 +1,12 @@
 """Unit tests for the reliability objectives."""
 
+import ast
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from repro.metrics import disruption
 from repro.metrics.disruption import (
     BLAST_METRIC_NAMES,
     CORE_DISRUPTION_METRIC_NAMES,
@@ -19,6 +24,8 @@ from repro.metrics.disruption import (
 from repro.sim.disruptions import PreemptionRecord
 from repro.sim.job import Job
 from repro.sim.schedule import JobRecord, ScheduleResult
+
+from tests.conftest import left_fold, neumaier_sum
 
 
 def make_result(records=(), preemptions=(), disrupted=True):
@@ -228,3 +235,110 @@ class TestIntegrationWithComputeMetrics:
         assert set(DISRUPTION_METRIC_NAMES) == (
             set(CORE_DISRUPTION_METRIC_NAMES) | set(BLAST_METRIC_NAMES)
         )
+
+
+class TestStatedSumOrder:
+    """The metrics twin of the planner's stated sum order: every float
+    total on the metrics digest is a left fold on every interpreter,
+    because a compensated ``sum()`` (Python 3.12+) moves it by the last
+    bits and with it every disrupted digest."""
+
+    def results(self, n=40):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            preemptions = []
+            for i in range(n):
+                start = float(rng.uniform(0.0, 1e5))
+                time = start + float(rng.uniform(1.0, 5e4))
+                saved = float(rng.uniform(0.0, time - start))
+                preemptions.append(
+                    preemption(
+                        job_id=i + 1,
+                        nodes=int(rng.integers(1, 65)),
+                        start=start,
+                        time=time,
+                        reason=("failure", "drain", "preempt")[i % 3],
+                        saved=saved,
+                        restart=time + float(rng.uniform(0.0, 3e4)),
+                    )
+                )
+            records = [
+                JobRecord(
+                    job(job_id=i + 1, nodes=int(rng.integers(1, 65))),
+                    p.restart_time,
+                    p.restart_time + float(rng.uniform(1.0, 5e4)),
+                )
+                for i, p in enumerate(preemptions)
+            ]
+            yield make_result(records=records, preemptions=preemptions)
+
+    @staticmethod
+    def terms(result):
+        """Each metric's summands, in the order the metric folds them."""
+        involuntary = [
+            p for p in result.preemptions
+            if p.reason in disruption.INVOLUNTARY_REASONS
+        ]
+        return {
+            "goodput_records": [
+                r.job.nodes * (r.end_time - r.start_time)
+                for r in result.records
+            ],
+            "goodput_saved": [
+                p.nodes * p.work_saved for p in result.preemptions
+            ],
+            "wasted": [p.lost_node_seconds for p in result.preemptions],
+            "lost_per_kill": [p.lost_node_seconds for p in involuntary],
+            "requeue": [p.requeue_latency for p in involuntary],
+        }
+
+    def test_float_metrics_are_the_left_fold(self):
+        differing = dict.fromkeys(self.terms(make_result()), 0)
+        for result in self.results():
+            t = self.terms(result)
+            for name, terms in t.items():
+                differing[name] += neumaier_sum(terms) != left_fold(terms)
+            assert goodput_node_hours(result) == (
+                left_fold(t["goodput_records"]) + left_fold(t["goodput_saved"])
+            ) / 3600.0
+            assert wasted_node_hours(result) == left_fold(t["wasted"]) / 3600.0
+            assert work_lost_per_kill(result) == (
+                left_fold(t["lost_per_kill"]) / len(t["lost_per_kill"])
+            )
+            assert mean_requeue_latency(result) == (
+                left_fold(t["requeue"]) / len(t["requeue"])
+            )
+        # The hazard is not hypothetical for any of the summations.
+        assert min(differing.values()) >= 10
+
+
+#: Builtin ``sum()`` calls allowed in ``metrics/disruption.py``: the
+#: integer counters, named by the metric key they fill.
+INTEGER_COUNTERS = frozenset({"n_kills", "n_domain_kills"})
+
+
+def test_no_builtin_float_sum_in_disruption_metrics():
+    tree = ast.parse(Path(disruption.__file__).read_text(encoding="utf-8"))
+
+    def is_sum(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+        )
+
+    allowed = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and key.value in INTEGER_COUNTERS:
+                    allowed.update(
+                        (id(call), key.value)
+                        for call in ast.walk(value) if is_sum(call)
+                    )
+    assert [
+        node.lineno for node in ast.walk(tree)
+        if is_sum(node) and id(node) not in allowed
+    ] == []
+    # Every allow-listed counter still exists: the list cannot rot.
+    assert set(allowed.values()) == INTEGER_COUNTERS

@@ -20,7 +20,7 @@ from repro.schedulers.registry import create_scheduler
 from repro.sim.cluster import NodeLevelCluster
 from repro.sim.simulator import simulate
 
-from tests.conftest import make_job, profile_columns
+from tests.conftest import left_fold, make_job, neumaier_sum, profile_columns
 
 
 def pack(jobs, **profile):
@@ -283,27 +283,6 @@ class TestPackOrder:
     def test_empty_plan(self):
         assert plan_makespan([], 0.0) == 0.0
         assert plan_total_completion([]) == 0.0
-
-
-def neumaier_sum(values):
-    """Compensated summation: the float path of builtin ``sum()`` from
-    Python 3.12 on."""
-    total = comp = 0.0
-    for x in values:
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
-
-
-def left_fold(values):
-    total = 0.0
-    for x in values:
-        total += x
-    return total
 
 
 class TestStatedSumOrder:

@@ -318,6 +318,26 @@ class TestShutdownAndErrors:
             assert client.session_stats(sid)["n_jobs"] == 1
             client.close_session(sid)
 
+    def test_nan_submit_time_is_refused_at_submit(self, server):
+        # JSON carries NaN; it must bounce off submit_jobs rather than
+        # sit in the session and fail every later query.
+        job = {
+            "job_id": 1,
+            "submit_time": float("nan"),
+            "duration": 1.0,
+            "nodes": 1,
+            "memory_gb": 1.0,
+        }
+        with server.client() as client:
+            sid = client.open_session(scheduler="fcfs")
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_jobs(sid, [job])
+            assert excinfo.value.error_type == "session_error"
+            client.submit_jobs(sid, [dict(job, submit_time=0.0)])
+            sched = client.get_schedule(sid)
+            client.close_session(sid)
+        assert [r["job_id"] for r in sched["records"]] == [1]
+
     def test_unknown_op_and_unknown_scheduler(self, server):
         with server.client() as client:
             with pytest.raises(ServiceError) as excinfo:

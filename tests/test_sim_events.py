@@ -285,11 +285,36 @@ class TestArrayCalendarOperations:
         assert cal.pop_due(3.5) is None  # the static head is not due
         assert cal.peek_time() == 6.0 and len(cal) == 1
 
+    def test_push_interleaves_with_unconsumed_static_tail(self):
+        """Pushes made mid-run land between the static events still
+        ahead of the cursor, in time order."""
+        cal = sealed(
+            *[(t, EventKind.ARRIVAL, i) for i, t in enumerate((0.0, 4.0, 8.0))]
+        )
+        assert pop_earliest(cal)[2] == 0
+        cal.push(2.0, EventKind.COMPLETION, 10)
+        cal.push(6.0, EventKind.COMPLETION, 11)
+        assert [pop_earliest(cal)[2] for _ in range(4)] == [10, 1, 11, 2]
+        assert pop_earliest(cal) is None
+
+    def test_sealed_empty_calendar_runs_on_pushes_alone(self):
+        """An empty static lane is valid: the dynamic lane alone keeps
+        the (time, kind, seq) order."""
+        cal = sealed()
+        cal.push(3.0, EventKind.ARRIVAL, 1)
+        cal.push(1.0, EventKind.ARRIVAL, 2)
+        cal.push(3.0, EventKind.COMPLETION, 3)
+        cal.push(1.0, EventKind.ARRIVAL, 4)
+        assert [pop_earliest(cal)[2] for _ in range(4)] == [2, 4, 3, 1]
+        assert len(cal) == 0
+
     def test_len_spans_both_lanes(self):
         cal = sealed((1.0, EventKind.ARRIVAL, 1))
         cal.push(2.0, EventKind.COMPLETION, 1)
         assert len(cal) == 2
-        pop_earliest(cal), pop_earliest(cal)
+        pop_earliest(cal)  # the static head; the pushed event remains
+        assert len(cal) == 1
+        pop_earliest(cal)
         assert len(cal) == 0
 
 

@@ -11,9 +11,11 @@ here, so the gate that runs locally is the gate the ``ruff`` job
 claims: raising the limit or exempting a file is a ``pyproject.toml``
 diff, and an exemption nothing needs any more fails.
 
-The rest pins what ships: one event calendar with one pop path, no
-object event queue and no object-graph oracle in the package (both
-live in ``tests/``), and a packing module without numpy.
+The rest pins what ships: one event calendar with one pop path, built
+by the engine for each run and handed in by no caller (served sessions
+replay through ``run_single``), no object event queue and no
+object-graph oracle in the package (both live in ``tests/``), and a
+packing module without numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from __future__ import annotations
 import ast
 from fnmatch import fnmatch
 from functools import cache
+from inspect import signature
 from pathlib import Path
+
+from repro.sim.engine import EngineState, run_soa
 
 try:
     import tomllib
@@ -151,10 +156,31 @@ def test_calendar_pops_one_way():
         node.name for node in calendar.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
-    assert public == {
-        "add_static", "seal", "push", "extend_static", "fork", "peek_time",
-        "pop_due",
-    }
+    assert public == {"add_static", "seal", "push", "peek_time", "pop_due"}
+    # No consumed-past floor: a calendar is built, sealed and consumed
+    # by one run, and nothing appends to it afterwards.
+    assert [
+        path.relative_to(ROOT).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if "_last_popped" in path.read_text(encoding="utf-8")
+    ] == []
+
+
+def test_one_way_into_the_engine():
+    """The engine builds its own calendar; no caller hands one in."""
+    assert list(signature(run_soa).parameters) == ["sim"]
+    assert list(signature(EngineState.__init__).parameters) == ["self", "sim"]
+
+
+def test_sessions_replay_through_the_batch_path():
+    imported = set()
+    for node in ast.walk(_tree("service/session.py")):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert imported.isdisjoint({"repro.sim.engine", "repro.sim.events"})
+    assert "repro.experiments.runner" in imported
 
 
 def test_packing_imports_no_numpy():

@@ -15,6 +15,7 @@ from repro.experiments.storage import (
     open_store,
     shard_index,
     shard_name,
+    sharded,
     store_digest,
 )
 
@@ -181,11 +182,9 @@ class TestManifest:
 
 
 class TestCompaction:
-    def test_explicit_compact_drops_superseded(self, tmp_path):
-        store = ShardedStore(
-            tmp_path / "runs.store", n_shards=2,
-            auto_compact_threshold=None,
-        )
+    def test_explicit_compact_drops_superseded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", None)
+        store = ShardedStore(tmp_path / "runs.store", n_shards=2)
         for _ in range(3):
             fill(store, 6)
         before = sum(
@@ -198,11 +197,9 @@ class TestCompaction:
         assert removed == 12
         assert len(store) == 6
 
-    def test_auto_compaction(self, tmp_path):
-        store = ShardedStore(
-            tmp_path / "runs.store", n_shards=1,
-            auto_compact_threshold=5,
-        )
+    def test_auto_compaction(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", 5)
+        store = ShardedStore(tmp_path / "runs.store", n_shards=1)
         run = make_stored()
         for i in range(12):
             store.append(
@@ -262,11 +259,9 @@ class TestShardedDoctor:
         )
         assert manifest["n_shards"] == 4
 
-    def test_dedupe(self, tmp_path):
-        store = ShardedStore(
-            tmp_path / "runs.store", n_shards=2,
-            auto_compact_threshold=None,
-        )
+    def test_dedupe(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", None)
+        store = ShardedStore(tmp_path / "runs.store", n_shards=2)
         fill(store, 4)
         fill(store, 4)
         report = store.doctor(dedupe=True)

@@ -1,6 +1,9 @@
 """Tests for SWF trace interoperability."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +40,34 @@ class TestRoundTrip:
         assert text.startswith(";")
         assert "bursty test trace" in text
         assert len(jobs_from_swf(path)) == 10
+
+
+_WRITE_NAMED_JOB = """
+import sys
+from repro.sim.job import Job
+from repro.workloads.swf import jobs_to_swf
+job = Job(job_id=1, submit_time=0.0, duration=60.0, nodes=2,
+          memory_gb=8.0, user="alice", group="physics")
+jobs_to_swf([job], sys.stdout)
+"""
+
+
+class TestReproducibleIds:
+    def test_named_labels_do_not_depend_on_hash_seed(self):
+        # Labels without a numeric suffix take the hash fallback; a
+        # salted builtin hash() wrote different ids in every process.
+        def written(hash_seed: str) -> bytes:
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join(sys.path),
+            )
+            return subprocess.run(
+                [sys.executable, "-c", _WRITE_NAMED_JOB],
+                env=env, capture_output=True, check=True,
+            ).stdout
+
+        assert written("1") == written("2")
 
 
 class TestRobustParsing:
