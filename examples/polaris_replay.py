@@ -8,8 +8,10 @@ Pipeline, exactly as the paper describes:
 2. preprocess it — drop EXIT_STATUS = -1 jobs, sort by submission,
    normalize timestamps, factorize users/groups, derive memory as
    512 GB × nodes;
-3. save/reload the cleaned trace as CSV (the artifact you would
-   publish for reproducibility);
+3. save/reload the cleaned trace in the Standard Workload Format
+   (SWF, the format published HPC traces use — the artifact you would
+   publish for reproducibility; SWF keeps times to two decimals and
+   numeric user/group ids);
 4. evaluate FCFS, SJF, the optimizer and both LLM agents on the
    assumed-idle partition and print normalized metrics.
 
@@ -29,7 +31,7 @@ from repro.workloads.polaris import (
     preprocess_trace,
     synthesize_polaris_trace,
 )
-from repro.workloads.traceio import jobs_from_csv, jobs_to_csv
+from repro.workloads.swf import jobs_from_swf, jobs_to_swf
 
 N_JOBS = 100
 TRACE_SEED = 2024
@@ -50,9 +52,9 @@ def main() -> None:
 
     # Publishable artifact: save and reload the cleaned trace.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "polaris_100.csv"
-        jobs_to_csv(jobs, path)
-        jobs = jobs_from_csv(path)
+        path = Path(tmp) / "polaris_100.swf"
+        jobs_to_swf(jobs, path)
+        jobs = jobs_from_swf(path)
         print(f"Trace round-tripped through {path.name} "
               f"({path.stat().st_size} bytes)\n")
 

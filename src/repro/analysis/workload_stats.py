@@ -38,15 +38,6 @@ class WorkloadStats:
     #: Fraction of jobs requesting more than half the partition.
     large_job_fraction: float
 
-    def summary(self) -> str:
-        return (
-            f"{self.n_jobs} jobs / {self.n_users} users; "
-            f"duration {self.duration_mean_s:.0f}s (CV {self.duration_cv:.2f}); "
-            f"nodes mean {self.nodes_mean:.1f} max {self.nodes_max}; "
-            f"offered load {self.offered_load:.2f}; "
-            f"heterogeneity {self.heterogeneity:.2f}"
-        )
-
 
 def characterize(
     jobs: Sequence[Job],

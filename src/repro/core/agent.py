@@ -136,15 +136,6 @@ class ReActSchedulingAgent(BaseScheduler):
             **self.prompt_builder.counts(),
         }
 
-    # -- overhead convenience -------------------------------------------------
-    @property
-    def total_elapsed_s(self) -> float:
-        """Total virtual scheduling time: sum of accepted placement-call
-        latencies (the paper's §3.7.1 accounting)."""
-        return sum(
-            c.latency_s for c in self.calls if c.accepted and c.is_placement
-        )
-
 
 def create_llm_scheduler(
     model: str | ModelProfile = "claude-3.7-sim",

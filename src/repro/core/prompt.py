@@ -59,10 +59,6 @@ class PromptContext:
     scratchpad: Scratchpad
     prompt_text: str
 
-    @property
-    def now(self) -> float:
-        return self.view.now
-
 
 @dataclass
 class _Fragments:

@@ -120,9 +120,6 @@ class Scratchpad:
         recent.reverse()
         return recent
 
-    def clear(self) -> None:
-        self.entries.clear()
-
     def __len__(self) -> int:
         return len(self.entries)
 

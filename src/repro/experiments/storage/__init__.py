@@ -9,7 +9,7 @@ Public surface:
   honors an explicit ``format``) and returns the right backend.
 * :class:`ShardedStore` — cell-key-hash sharded directory layout for
   million-run archives (single-shard keyed queries, concurrent
-  per-shard writers, compaction).
+  per-shard writers).
 * :func:`migrate_to_sharded` / :func:`migrate_to_jsonl` — loss-free
   conversion between layouts, round-trippable byte-identically.
 * :func:`store_digest` — layout-blind content identity (the CI

@@ -15,6 +15,10 @@ shard files, so
   cache, and doctor wholesale (the ScalienDB discipline: sharding
   composes with, never replaces, the crash-safety layer).
 
+Appends never rewrite a shard: superseded lines (a cell re-run into
+the same store) stay on disk until ``store doctor --dedupe`` drops
+them, exactly as for a single-file archive.
+
 Layout::
 
     runs.store/
@@ -74,13 +78,6 @@ MANIFEST_VERSION = 1
 #: almost never collides on a shard, few enough that a full load is
 #: still a handful of file reads.
 DEFAULT_SHARDS = 16
-
-#: Auto-compaction trigger: once a shard has accumulated this many
-#: *superseded* lines (appends whose key the shard already held), it
-#: is compacted in passing on the next append. Keeps long-lived
-#: re-swept stores from growing without bound, cheap enough to stay
-#: on always; read at append time (``None`` disables it).
-DEFAULT_AUTO_COMPACT: Optional[int] = 64
 
 
 def shard_index(key: CellKey, n_shards: int) -> int:
@@ -150,7 +147,9 @@ class ShardedStore(StoreBackend):
             # A fresh store, or the manifest is lost: shard files on
             # disk give the count, so reads still work (``doctor``
             # rewrites the manifest); none means the default.
-            self.n_shards = n_shards or self._infer_n_shards()
+            self.n_shards = (
+                n_shards if n_shards is not None else self._infer_n_shards()
+            )
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
         #: One ordinary :class:`RunStore` per shard file, by shard index.
@@ -158,15 +157,6 @@ class ShardedStore(StoreBackend):
             RunStore(self.path / shard_name(index))
             for index in range(self.n_shards)
         ]
-        #: Superseded-line count per shard since the last compaction —
-        #: the auto-compaction trigger. Persisted in the manifest (an
-        #: additive key, older readers ignore it) so the threshold
-        #: stays exact across sweep restarts: a store re-opened after
-        #: 63 supersedes compacts on the next one, instead of silently
-        #: restarting the count at zero.
-        self._superseded: dict[int, int] = (
-            self._parse_superseded(manifest) if manifest else {}
-        )
 
     # -- manifest --------------------------------------------------------
     @property
@@ -212,64 +202,21 @@ class ShardedStore(StoreBackend):
             )
         return payload
 
-    @staticmethod
-    def _parse_superseded(manifest: dict[str, Any]) -> dict[int, int]:
-        """Per-shard supersede counters from a manifest payload.
-
-        Tolerant by construction (the manifest may predate the key, or
-        a hand-edit may have mangled it): unknown shapes read as "no
-        pending supersedes", never as an error — counter loss only
-        delays a compaction, it cannot corrupt data.
-        """
-        raw = manifest.get("superseded")
-        counts: dict[int, int] = {}
-        if isinstance(raw, dict):
-            for key, value in raw.items():
-                try:
-                    index = int(key)
-                except (TypeError, ValueError):
-                    continue
-                if isinstance(value, int) and value > 0:
-                    counts[index] = value
-        return counts
-
-    def _merge_persisted_superseded(self) -> None:
-        """Refresh the in-memory counters from disk (persisted values
-        win): called under a shard's append lock, where the manifest's
-        count for *that* shard is authoritative — every writer updates
-        it under the same lock. Other shards' counts ride along so a
-        rewrite never zeroes a sibling writer's progress."""
-        try:
-            manifest = self._read_manifest()
-        except ValueError:
-            return
-        if manifest is not None:
-            self._superseded.update(self._parse_superseded(manifest))
-
-    def _manifest_payload(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
+    def _write_manifest(self) -> None:
+        """Atomic manifest write, safe against concurrent writers
+        racing to initialize the same store — they all write identical
+        content, last replace wins. Keys this code does not write (the
+        per-shard ``superseded`` counters of earlier versions) are
+        ignored on read and dropped on the next write."""
+        self.path.mkdir(parents=True, exist_ok=True)
+        payload = {
             "format": STORE_FORMAT,
             "manifest_version": MANIFEST_VERSION,
             "schema_version": SCHEMA_VERSION,
             "n_shards": self.n_shards,
         }
-        counts = {
-            str(index): count
-            for index, count in sorted(self._superseded.items())
-            if count > 0
-        }
-        if counts:
-            payload["superseded"] = counts
-        return payload
-
-    def _write_manifest(self) -> None:
-        """Atomic manifest write, safe against concurrent writers
-        racing to initialize the same store — they all write identical
-        content, last replace wins."""
-        self.path.mkdir(parents=True, exist_ok=True)
         _atomic_rewrite(
-            self.manifest_path,
-            json.dumps(self._manifest_payload(), sort_keys=True) + "\n",
+            self.manifest_path, json.dumps(payload, sort_keys=True) + "\n"
         )
 
     def _infer_n_shards(self) -> int:
@@ -330,10 +277,9 @@ class ShardedStore(StoreBackend):
 
         Rides the per-shard :meth:`RunStore.append` wholesale — tail
         repair, bounded ENOSPC retries, and the chaos-harness write
-        hook all apply per shard file. When the append supersedes a
-        line the shard already held and the shard has crossed
-        :data:`DEFAULT_AUTO_COMPACT` superseded lines, the shard is
-        compacted in passing (see :meth:`compact`).
+        hook all apply per shard file. The append neither reads the
+        shard nor rewrites it; a line it supersedes stays until
+        ``doctor(dedupe=True)``.
         """
         stored = (
             run if isinstance(run, StoredRun) else StoredRun.from_run(run)
@@ -341,28 +287,8 @@ class ShardedStore(StoreBackend):
         if not self.manifest_path.exists():
             self.ensure_initialized()
         index = shard_index(stored.key, self.n_shards)
-        shard = self._shards[index]
-        threshold = DEFAULT_AUTO_COMPACT
         with self._append_lock(index):
-            superseded = False
-            if threshold is not None:
-                # Corrupt shard: appends must still land (that is the
-                # crash-safety contract); compaction bookkeeping just
-                # sits this one out until doctor runs.
-                with contextlib.suppress(ValueError):
-                    superseded = stored.key in shard
-            shard.append(stored)
-            if superseded:
-                self._merge_persisted_superseded()
-                count = self._superseded.get(index, 0) + 1
-                if count >= threshold:
-                    self._compact_shard(shard)
-                    count = 0
-                self._superseded[index] = count
-                # Persist the counter so a restarted sweep resumes the
-                # count instead of restarting it (atomic replace; the
-                # shard lock serializes writers on this shard's count).
-                self._write_manifest()
+            self._shards[index].append(stored)
         return stored
 
     # -- reading ---------------------------------------------------------
@@ -418,34 +344,6 @@ class ShardedStore(StoreBackend):
         travel as one directory."""
         return self.path / "failures.jsonl"
 
-    def _compact_shard(self, shard: RunStore) -> int:
-        """Drop a clean shard's superseded lines (winning line kept
-        byte-verbatim at first-appearance position — exactly what
-        ``doctor --dedupe`` does, and provably invisible to
-        ``load()``). A shard with unparseable lines is left untouched:
-        compaction is routine housekeeping and must never quarantine
-        data behind the operator's back — that is :meth:`doctor`'s
-        job, done loudly.
-        """
-        try:
-            shard.load()
-        except ValueError:
-            return 0
-        return shard.doctor(dedupe=True).n_deduped
-
-    def compact(self) -> int:
-        """Explicitly compact every shard; returns the total number of
-        superseded lines dropped. Corrupt shards are skipped (see
-        :meth:`_compact_shard`)."""
-        total = 0
-        for index, shard in enumerate(self._shards):
-            with self._append_lock(index):
-                total += self._compact_shard(shard)
-            self._superseded[index] = 0
-        if self.manifest_path.exists():
-            self._write_manifest()
-        return total
-
     def doctor(
         self, dry_run: bool = False, *, dedupe: bool = False
     ) -> "ShardedDoctorReport":
@@ -457,8 +355,9 @@ class ShardedStore(StoreBackend):
         :meth:`ensure_initialized`); each shard then gets the ordinary
         doctor treatment — parseable lines kept byte-verbatim,
         unparseable lines moved to that shard's ``.quarantine`` file,
-        optional ``dedupe`` compaction. With *dry_run* nothing is
-        written anywhere.
+        and with *dedupe* superseded lines dropped — the one way a
+        sharded store sheds them, as for a single file. With *dry_run*
+        nothing is written anywhere.
         """
         manifest_repaired = self._read_manifest(tolerant=True) is None
         if manifest_repaired and not dry_run:
@@ -467,10 +366,6 @@ class ShardedStore(StoreBackend):
             shard.doctor(dry_run=dry_run, dedupe=dedupe)
             for shard in self._shards
         )
-        if dedupe and not dry_run:
-            # Dedupe *is* compaction: counters reset with the debt.
-            self._superseded = {}
-            self._write_manifest()
         return ShardedDoctorReport(
             path=self.path,
             shard_reports=reports,

@@ -66,14 +66,3 @@ def normalize_to_baseline(
         else:
             out[name] = value / base
     return out
-
-
-def is_improvement(metric: str, normalized: float) -> bool:
-    """True if a normalized value beats the FCFS baseline for *metric*."""
-    if math.isnan(normalized):
-        return False
-    if metric in LOWER_BETTER:
-        return normalized < 1.0
-    if metric in HIGHER_BETTER:
-        return normalized > 1.0
-    raise KeyError(f"unknown metric {metric!r}")

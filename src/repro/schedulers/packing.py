@@ -278,15 +278,6 @@ class PackStats:
     suffix_packs: int = 0
     commits: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "jobs_packed": self.jobs_packed,
-            "jobs_replayed": self.jobs_replayed,
-            "full_packs": self.full_packs,
-            "suffix_packs": self.suffix_packs,
-            "commits": self.commits,
-        }
-
 
 @dataclass
 class _Incumbent:

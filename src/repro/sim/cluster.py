@@ -126,13 +126,6 @@ class ResourcePool:
             and job.memory_gb <= self._free_memory_gb + 1e-9
         )
 
-    def fits_empty(self, job: Job) -> bool:
-        """True if *job* could run on an otherwise idle cluster."""
-        return (
-            job.nodes <= self.total_nodes
-            and job.memory_gb <= self.total_memory_gb + 1e-9
-        )
-
     # -- state transitions ---------------------------------------------
     def allocate(self, job: Job) -> None:
         if job.job_id in self._allocations:
@@ -170,7 +163,7 @@ class ResourcePool:
     # -- disruptions -----------------------------------------------------
     # The aggregate model has no node identity, so disruptions operate
     # on *occupancy slots*: running allocations are laid out
-    # contiguously over [0, used_nodes) in allocation order, and idle
+    # contiguously over [0, allocated nodes) in allocation order, and idle
     # capacity occupies the rest. A failure at slot index i therefore
     # kills the job holding slot i — or an idle node when i falls past
     # the busy region. Free memory can transiently go (slightly)
@@ -255,24 +248,8 @@ class ResourcePool:
         return self._offline_nodes
 
     @property
-    def used_nodes(self) -> int:
-        return self.total_nodes - self._free_nodes
-
-    @property
-    def used_memory_gb(self) -> float:
-        return self.total_memory_gb - self._free_memory_gb
-
-    @property
     def running_job_ids(self) -> list[int]:
         return sorted(self._allocations)
-
-    def node_utilization(self) -> float:
-        """Instantaneous node occupancy in [0, 1]."""
-        return self.used_nodes / self.total_nodes
-
-    def memory_utilization(self) -> float:
-        """Instantaneous memory occupancy in [0, 1]."""
-        return self.used_memory_gb / self.total_memory_gb
 
     def domain_free_nodes(self) -> tuple[int, ...]:
         """Free (idle, online) node count per rack.
@@ -300,18 +277,6 @@ class ResourcePool:
             free = tuple(out)
             self._domain_free = ((topo, busy, idle_end), free)
         return free
-
-    def snapshot(self) -> dict[str, float]:
-        """Structured state snapshot: capacity, free and used nodes and
-        memory, as one plain dict."""
-        return {
-            "total_nodes": self.total_nodes,
-            "total_memory_gb": self.total_memory_gb,
-            "free_nodes": self._free_nodes,
-            "free_memory_gb": self._free_memory_gb,
-            "used_nodes": self.used_nodes,
-            "used_memory_gb": self.used_memory_gb,
-        }
 
 
 @dataclass
@@ -422,12 +387,6 @@ class NodeLevelCluster:
 
     def can_fit(self, job: Job) -> bool:
         return self._candidate_nodes(job) is not None
-
-    def fits_empty(self, job: Job) -> bool:
-        return (
-            job.nodes <= self.node_count
-            and job.memory_gb / job.nodes <= self.memory_per_node_gb + 1e-9
-        )
 
     def allocate(self, job: Job) -> None:
         if job.job_id in self._placements:
@@ -544,14 +503,6 @@ class NodeLevelCluster:
         return int(self._node_offline.sum())
 
     @property
-    def used_nodes(self) -> int:
-        return self.node_count - self.free_nodes
-
-    @property
-    def used_memory_gb(self) -> float:
-        return self.total_memory_gb - self.free_memory_gb
-
-    @property
     def running_job_ids(self) -> list[int]:
         return sorted(self._placements)
 
@@ -567,13 +518,3 @@ class NodeLevelCluster:
     def placement_of(self, job_id: int) -> np.ndarray:
         """Node indices assigned to a running job (testing/inspection)."""
         return self._placements[job_id][0].copy()
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "total_nodes": self.total_nodes,
-            "total_memory_gb": self.total_memory_gb,
-            "free_nodes": self.free_nodes,
-            "free_memory_gb": self.free_memory_gb,
-            "used_nodes": self.used_nodes,
-            "used_memory_gb": self.used_memory_gb,
-        }

@@ -219,17 +219,6 @@ class QueueColumns:
             pos = self._first[key] = int(self.rank(key).argmin())
         return pos
 
-    def scalar(self, name: str, pos: int):
-        """One queue-position read without forcing a full gather —
-        O(1) even on the first access of a deep queue."""
-        arr = self._gathered.get(name)
-        if arr is not None:
-            return arr[pos]
-        master = getattr(self.masters, name)
-        if self._sel is None:
-            return master[pos]
-        return master[self.sel[pos]]
-
 
 def queue_columns_from_jobs(jobs: Sequence["Job"]) -> QueueColumns:
     """Fallback projection for hand-built views: masters over exactly

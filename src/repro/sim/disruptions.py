@@ -261,11 +261,6 @@ class DisruptionTrace:
             + len(self.domain_failures)
         )
 
-    @property
-    def n_correlated_node_failures(self) -> int:
-        """Total node-downings delivered by correlated shocks."""
-        return sum(df.n_nodes for df in self.domain_failures)
-
 
 # ---------------------------------------------------------------------------
 # Seeded generators

@@ -96,24 +96,10 @@ class Job:
         process rewriting and the all-at-zero experimental mode)."""
         return replace(self, submit_time=float(submit_time))
 
-    def scaled(self, duration_factor: float = 1.0) -> "Job":
-        """Return a copy with duration (and walltime) scaled — handy for
-        sensitivity sweeps."""
-        return replace(
-            self,
-            duration=self.duration * duration_factor,
-            walltime=self.walltime * duration_factor,
-        )
-
     @property
     def node_seconds(self) -> float:
         """Node-seconds of work, the numerator of node utilization."""
         return self.nodes * self.duration
-
-    @property
-    def memory_gb_seconds(self) -> float:
-        """GB-seconds of memory occupancy."""
-        return self.memory_gb * self.duration
 
 
 def validate_workload(jobs: Iterable[Job]) -> list[Job]:

@@ -53,11 +53,6 @@ class JobRecord:
         """Queued time before execution: start − submit."""
         return self.start_time - self.job.submit_time
 
-    @property
-    def turnaround_time(self) -> float:
-        """Submission-to-completion latency: end − submit."""
-        return self.end_time - self.job.submit_time
-
 
 @dataclass(frozen=True)
 class DecisionRecord:

@@ -96,10 +96,6 @@ class ClusterTopology:
             raise IndexError(f"node {node} outside [0, {self.n_nodes})")
         return node // self.rack_size
 
-    def switch_of(self, node: int) -> int:
-        """Switch-group index owning *node*."""
-        return self.rack_of(node) // self.racks_per_switch
-
     def rack_nodes(self, rack: int) -> range:
         """Contiguous node indices of rack *rack*."""
         if not 0 <= rack < self.n_racks:

@@ -37,7 +37,6 @@ from repro.workloads.polaris import (
     synthesize_polaris_trace,
 )
 from repro.workloads.scenarios import SCENARIO_NAMES, SCENARIOS, Scenario
-from repro.workloads.traceio import jobs_from_csv, jobs_to_csv
 
 __all__ = [
     "AllAtZero",
@@ -56,8 +55,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "Scenario",
     "generate_workload",
-    "jobs_from_csv",
-    "jobs_to_csv",
     "preprocess_trace",
     "synthesize_polaris_trace",
 ]

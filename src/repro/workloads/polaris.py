@@ -68,10 +68,6 @@ class RawTraceRecord:
     def runtime_s(self) -> float:
         return self.end_ts - self.start_ts
 
-    @property
-    def queued_wait_s(self) -> float:
-        return self.start_ts - self.submit_ts
-
 
 # Node-count classes observed on leadership systems: debug/test (1-2),
 # small (3-10), medium (11-64), large capability (65-560).

@@ -52,9 +52,3 @@ class TestCharacterize:
         assert sparse.offered_load < 0.2
         assert het.offered_load > 0.8
         assert het.heterogeneity > sparse.heterogeneity
-
-    def test_summary_string(self):
-        stats = characterize(generate_workload("adversarial", 20, seed=0))
-        text = stats.summary()
-        assert "20 jobs" in text
-        assert "offered load" in text

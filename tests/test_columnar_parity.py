@@ -15,18 +15,11 @@
    rack-, switch-group-, and cluster-scale node counts.
 4. **Queue churn parity**: a high-churn disrupted run (kills and
    requeues at every failure) is identical to the object oracle's.
-5. **Supersede-counter persistence**: a :class:`ShardedStore` reopened
-   mid-sweep resumes its per-shard supersede counts from the manifest,
-   so auto-compaction triggers at exactly the configured threshold
-   across restarts.
 """
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.experiments.storage import ShardedStore, shard_index, sharded
 from repro.schedulers.base import BaseScheduler
 from repro.schedulers.recovery import (
     domain_pressures,
@@ -55,7 +48,6 @@ from repro.sim.topology import ClusterTopology
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import make_job
-from tests.test_storage_sharded import make_stored
 
 SPEC = DisruptionSpec(
     mtbf=40_000.0,
@@ -243,22 +235,6 @@ class TestZeroCopy:
         assert cols.masters is cols.masters
         assert len(calls) == 1
 
-    def test_scalar_probe_matches_columns(self):
-        masters = JobColumns([make_job(i, nodes=i) for i in range(1, 7)])
-        sel = [5, 0, 2]
-        for cols in (
-            QueueColumns(masters, sel, 3),
-            queue_columns_from_jobs(
-                [make_job(i, nodes=i) for i in (6, 1, 3)]
-            ),
-        ):
-            # Before any gather: direct master read.
-            assert cols.scalar("nodes", 1) == 1
-            col = cols.col("nodes")
-            # After: served from the cached gather.
-            assert [cols.scalar("nodes", p) for p in range(3)] \
-                == col.tolist() == [6, 1, 3]
-
     def test_handbuilt_view_columns_cached(self):
         view = SystemView(
             now=0.0,
@@ -376,91 +352,3 @@ class TestQueueChurn:
         with object_engine():
             assert_identical(result, run())
 
-
-class TestSupersedePersistence:
-    def _manifest(self, path):
-        return json.loads((path / "MANIFEST.json").read_text("utf-8"))
-
-    def test_counter_survives_reopen(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", 3)
-        path = tmp_path / "runs.store"
-        store = ShardedStore(path, n_shards=2)
-        run = make_stored()
-        store.append(run)
-        store.append(run)  # supersede #1
-        store.append(run)  # supersede #2
-        manifest = self._manifest(path)
-        assert sum(manifest["superseded"].values()) == 2
-
-        # A fresh sweep process reopens the store: the count resumes
-        # at 2, so the very next supersede crosses threshold 3 and
-        # compacts — instead of silently restarting from zero.
-        reopened = ShardedStore(path)
-        assert sum(reopened._superseded.values()) == 2
-        reopened.append(run)  # supersede #3 → auto-compaction
-        shard = reopened.shard_for(run.key)
-        lines = [
-            line
-            for line in shard.path.read_text("utf-8").splitlines()
-            if line.strip()
-        ]
-        assert len(lines) == 1  # compacted down to the winner
-        assert "superseded" not in self._manifest(path)
-
-    def test_explicit_compact_persists_reset(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", 100)
-        store = ShardedStore(tmp_path / "runs.store", n_shards=2)
-        run = make_stored()
-        store.append(run)
-        store.append(run)
-        assert "superseded" in self._manifest(tmp_path / "runs.store")
-        assert store.compact() == 1
-        assert "superseded" not in self._manifest(tmp_path / "runs.store")
-
-    def test_doctor_dedupe_resets_counters(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", 100)
-        path = tmp_path / "runs.store"
-        store = ShardedStore(path, n_shards=2)
-        run = make_stored()
-        store.append(run)
-        store.append(run)
-        report = store.doctor(dedupe=True)
-        assert report.n_deduped == 1
-        assert "superseded" not in self._manifest(path)
-        assert store._superseded == {}
-
-    def test_mangled_counters_read_as_empty(self, tmp_path):
-        path = tmp_path / "runs.store"
-        ShardedStore(path, n_shards=2).ensure_initialized()
-        manifest_path = path / "MANIFEST.json"
-        payload = json.loads(manifest_path.read_text("utf-8"))
-        payload["superseded"] = {
-            "not-an-int": 3, "0": "three", "1": -2, "2": 0
-        }
-        manifest_path.write_text(json.dumps(payload), encoding="utf-8")
-        # Tolerant parse: counter loss only delays compaction.
-        assert ShardedStore(path)._superseded == {}
-        payload["superseded"] = ["nonsense"]
-        manifest_path.write_text(json.dumps(payload), encoding="utf-8")
-        assert ShardedStore(path)._superseded == {}
-
-    def test_sibling_shard_counts_survive_rewrites(self, tmp_path, monkeypatch):
-        """Two writer handles on different shards: each manifest write
-        merges the persisted counts first, so neither zeroes the
-        other's progress."""
-        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", 100)
-        path = tmp_path / "runs.store"
-        a = ShardedStore(path, n_shards=4)
-        b = ShardedStore(path, n_shards=4)
-        run_a = make_stored(n_jobs=10)
-        run_b = next(
-            r
-            for r in (make_stored(n_jobs=10 + i) for i in range(1, 64))
-            if shard_index(r.key, 4) != shard_index(run_a.key, 4)
-        )
-        a.append(run_a)
-        b.append(run_b)
-        a.append(run_a)  # writer A records its supersede
-        b.append(run_b)  # writer B must not wipe A's count
-        manifest = json.loads((path / "MANIFEST.json").read_text("utf-8"))
-        assert sorted(manifest["superseded"].values()) == [1, 1]

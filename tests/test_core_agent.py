@@ -3,6 +3,7 @@
 
 from repro.core.agent import ReActSchedulingAgent, create_llm_scheduler
 from repro.core.backends import ScriptedBackend
+from repro.experiments.runner import OverheadSummary
 from repro.sim.actions import ActionKind
 
 from tests.conftest import make_job, run_sim
@@ -85,7 +86,8 @@ class TestConstraintFeedbackLoop:
         calls = result.extras["llm_calls"]
         assert any(not c.accepted for c in calls)
         # Overhead accounting excludes rejected calls.
-        assert agent.total_elapsed_s < sum(c.latency_s for c in calls)
+        overhead = OverheadSummary.from_result(result)
+        assert overhead.elapsed_s < sum(c.latency_s for c in calls)
 
     def test_run_completes_despite_hallucinations(self):
         jobs = [make_job(i, submit=i * 1.0, duration=30.0, nodes=4) for i in range(1, 8)]

@@ -95,7 +95,6 @@ class TestPromptStructure:
         view = view_with(now=12.5)
         ctx = PromptBuilder().build(view, Scratchpad())
         assert ctx.view is view
-        assert ctx.now == 12.5
 
 
 class TestTokenEstimate:

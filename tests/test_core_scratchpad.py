@@ -74,13 +74,6 @@ class TestFeedback:
 
 
 class TestMisc:
-    def test_clear(self):
-        pad = Scratchpad()
-        pad.append(0.0, "", "Delay")
-        pad.clear()
-        assert len(pad) == 0
-        assert pad.render() == "(nothing yet)"
-
     def test_iter(self):
         pad = Scratchpad()
         pad.append(0.0, "", "Delay")

@@ -84,14 +84,6 @@ class TestDomainFailureValidation:
         )
         assert trace and trace.n_events == 2
 
-    def test_counts(self):
-        trace = DisruptionTrace(
-            domain_failures=(
-                DomainFailure(10.0, (0, 1, 2, 3), 100.0, domain="rack0"),
-            )
-        )
-        assert trace.n_correlated_node_failures == 4
-
 
 class TestCorrelatedGenerator:
     def test_deterministic(self):

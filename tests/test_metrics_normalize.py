@@ -7,7 +7,6 @@ import pytest
 from repro.metrics.normalize import (
     HIGHER_BETTER,
     LOWER_BETTER,
-    is_improvement,
     normalize_to_baseline,
 )
 from repro.metrics.objectives import METRIC_NAMES
@@ -45,18 +44,3 @@ class TestOrientation:
             == LOWER_BETTER | HIGHER_BETTER
         )
         assert not (LOWER_BETTER & HIGHER_BETTER)
-
-    def test_lower_better_improvement(self):
-        assert is_improvement("makespan", 0.8)
-        assert not is_improvement("makespan", 1.2)
-
-    def test_higher_better_improvement(self):
-        assert is_improvement("throughput", 1.2)
-        assert not is_improvement("throughput", 0.8)
-
-    def test_nan_is_not_improvement(self):
-        assert not is_improvement("avg_wait_time", math.nan)
-
-    def test_unknown_metric_raises(self):
-        with pytest.raises(KeyError):
-            is_improvement("quux", 1.0)

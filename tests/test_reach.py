@@ -12,6 +12,7 @@ import textwrap
 
 import pytest
 
+from repro.experiments.cli import build_parser
 from tests.tooling import reach
 
 DAGS = ("repro.workloads.dags", "critical_path_length")
@@ -54,6 +55,19 @@ def test_subprocess_of_a_measured_process_is_recorded():
         subprocess.run([sys.executable, "-c", {child!r}], check=True)
     """))
     assert DAGS in got
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*reach.CLI_CALLS.values(), *reach.DOCUMENTED_CALLS],
+    ids=[*reach.CLI_CALLS, *(
+        "documented: " + " ".join(argv) for argv in reach.DOCUMENTED_CALLS
+    )],
+)
+def test_every_call_of_the_tool_parses(argv):
+    """The tool's CLI calls stay valid against the parser, checked here
+    in milliseconds instead of by the full measurement."""
+    build_parser().parse_args(argv)
 
 
 def test_executable_lines_drop_the_coverage_exclusions():
@@ -112,6 +126,14 @@ class TestTable:
     def test_every_row_has_one_disposition_and_a_reason(self):
         readme = reach.README.read_text(encoding="utf-8")
         assert reach.row_errors(self.ROWS, readme) == []
+
+    def test_no_row_is_kept_for_its_own_unit_test(self):
+        """A unit test of a function is not a consumer (ROADMAP item
+        6): such a function gets one or is deleted."""
+        assert [
+            f"{r['module']}:{r['qualname']}" for r in self.ROWS
+            if r["reason"].startswith("own unit test only")
+        ] == []
 
     def test_a_new_row_carries_no_disposition(self):
         rows = reach.table_rows(

@@ -10,7 +10,6 @@ from repro.schedulers.packing import (
     IncrementalPacker,
     PackedJob,
     PackingError,
-    PackStats,
     ResourceProfile,
     plan_makespan,
     plan_total_completion,
@@ -335,16 +334,6 @@ class TestPackStats:
         assert packer.stats.jobs_packed == 16  # 10 + suffix of 6
         packer.commit(cand, 4, packer.pack_from(cand, 4))
         assert packer.stats.commits == 1
-
-    def test_as_dict_round_trips_every_counter(self):
-        stats = PackStats(jobs_packed=3, commits=1)
-        d = stats.as_dict()
-        assert d["jobs_packed"] == 3
-        assert d["commits"] == 1
-        assert set(d) == {
-            "jobs_packed", "jobs_replayed", "full_packs", "suffix_packs",
-            "commits",
-        }
 
 
 class TestCommit:

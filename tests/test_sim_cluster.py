@@ -17,7 +17,6 @@ class TestResourcePoolBasics:
         pool = ResourcePool(total_nodes=8, total_memory_gb=64.0)
         assert pool.free_nodes == 8
         assert pool.free_memory_gb == 64.0
-        assert pool.used_nodes == 0
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -63,26 +62,8 @@ class TestAllocation:
         with pytest.raises(AllocationError, match="no allocation"):
             ResourcePool().release(99)
 
-    def test_fits_empty_vs_can_fit(self):
-        pool = ResourcePool(total_nodes=8, total_memory_gb=64.0)
-        big = make_job(1, nodes=8, memory=64.0)
-        pool.allocate(make_job(2, nodes=1, memory=1.0))
-        assert pool.fits_empty(big)
-        assert not pool.can_fit(big)
-
 
 class TestUtilization:
-    def test_utilization_fractions(self):
-        pool = ResourcePool(total_nodes=10, total_memory_gb=100.0)
-        pool.allocate(make_job(1, nodes=5, memory=25.0))
-        assert pool.node_utilization() == pytest.approx(0.5)
-        assert pool.memory_utilization() == pytest.approx(0.25)
-
-    def test_snapshot_keys(self):
-        snap = ResourcePool().snapshot()
-        assert snap["free_nodes"] == 256
-        assert snap["used_memory_gb"] == 0.0
-
     def test_reset(self):
         pool = ResourcePool()
         pool.allocate(make_job(1, nodes=10, memory=10.0))
@@ -113,6 +94,8 @@ class TestNodeLevelCluster:
     def test_release_restores_nodes(self):
         cluster = NodeLevelCluster(node_count=4, memory_per_node_gb=8.0)
         cluster.allocate(make_job(1, nodes=3, memory=6.0))
+        # Nodes are exclusive, so memory accounting is whole-node.
+        assert cluster.free_memory_gb == pytest.approx(8.0)
         cluster.release(1)
         assert cluster.free_nodes == 4
         assert cluster.free_memory_gb == pytest.approx(32.0)
@@ -123,7 +106,6 @@ class TestNodeLevelCluster:
         cluster = NodeLevelCluster(node_count=4, memory_per_node_gb=8.0)
         job = make_job(1, nodes=1, memory=16.0)
         assert not cluster.can_fit(job)
-        assert not cluster.fits_empty(job)
         # The aggregate model would accept it — the models differ here.
         assert ResourcePool(total_nodes=4, total_memory_gb=32.0).can_fit(job)
 
@@ -171,18 +153,3 @@ class TestNodeLevelCluster:
         with pytest.raises(ValueError):
             NodeLevelCluster(memory_per_node_gb=0.0)
 
-
-class TestNodeLevelSnapshot:
-    def test_snapshot_tracks_usage(self):
-        cluster = NodeLevelCluster(node_count=4, memory_per_node_gb=8.0)
-        cluster.allocate(make_job(1, nodes=3, memory=6.0))
-        snap = cluster.snapshot()
-        assert snap["total_nodes"] == 4
-        assert snap["total_memory_gb"] == pytest.approx(32.0)
-        assert snap["free_nodes"] == 1
-        assert snap["used_nodes"] == 3
-        # Nodes are exclusive, so memory accounting is whole-node.
-        assert snap["used_memory_gb"] == pytest.approx(24.0)
-        assert snap["free_memory_gb"] == pytest.approx(8.0)
-        cluster.release(1)
-        assert cluster.snapshot()["used_nodes"] == 0

@@ -51,21 +51,12 @@ class TestJobDerived:
     def test_node_seconds(self):
         assert make_job(duration=100.0, nodes=4).node_seconds == 400.0
 
-    def test_memory_gb_seconds(self):
-        assert make_job(duration=10.0, memory=3.0).memory_gb_seconds == 30.0
-
     def test_with_submit_time_returns_copy(self):
         job = make_job(submit=0.0)
         moved = job.with_submit_time(50.0)
         assert moved.submit_time == 50.0
         assert job.submit_time == 0.0
         assert moved.job_id == job.job_id
-
-    def test_scaled_scales_duration_and_walltime(self):
-        job = make_job(duration=100.0, walltime=200.0)
-        scaled = job.scaled(duration_factor=2.0)
-        assert scaled.duration == 200.0
-        assert scaled.walltime == 400.0
 
 
 class TestWorkloadValidation:

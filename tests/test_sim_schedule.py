@@ -19,7 +19,7 @@ class TestJobRecord:
     def test_wait_and_turnaround(self):
         rec = record(submit=5.0, start=15.0, dur=10.0)
         assert rec.wait_time == 10.0
-        assert rec.turnaround_time == 20.0
+        assert result_with([rec]).to_arrays()["turnaround"][0] == 20.0
 
     def test_start_before_submit_rejected(self):
         job = make_job(1, submit=100.0)

@@ -62,9 +62,7 @@ class TestMembership:
 
     def test_switch_of_groups_racks(self):
         t = topo()
-        assert t.switch_of(0) == 0
-        assert t.switch_of(127) == 0
-        assert t.switch_of(128) == 1
+        assert t.switch_nodes(0) == range(0, 128)
         assert t.switch_nodes(1) == range(128, 256)
 
     def test_domain_levels(self):

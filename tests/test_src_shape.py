@@ -14,8 +14,10 @@ diff, and an exemption nothing needs any more fails.
 The rest pins what ships: one event calendar with one pop path, built
 by the engine for each run and handed in by no caller (served sessions
 replay through ``run_single``), no object event queue and no
-object-graph oracle in the package (both live in ``tests/``), and a
-packing module without numpy.
+object-graph oracle in the package (both live in ``tests/``), a
+packing module without numpy, and no second path beside ``store
+doctor --dedupe`` (sharded auto-compaction) or beside SWF (a CSV trace
+format).
 """
 
 from __future__ import annotations
@@ -200,3 +202,44 @@ def test_no_src_file_names_the_object_oracle():
         if "_object_ref" in path.read_text(encoding="utf-8")
         or "_object_ref" in path.name
     ] == []
+
+
+# -- one way to drop superseded lines, one trace format --------------------
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names
+
+
+def test_sharded_store_has_no_auto_compaction():
+    """``store doctor --dedupe`` is the one way superseded lines leave a
+    store, on either layout: the sharded store names no compaction and
+    keeps no supersede counters."""
+    tree = _tree("experiments/storage/sharded.py")
+    assert sorted(
+        name for name in _identifiers(tree)
+        if "compact" in name.lower() or "superseded" in name.lower()
+    ) == []
+    assert not any(
+        isinstance(node, ast.Constant) and node.value == "superseded"
+        for node in ast.walk(tree)
+    )
+
+
+def test_workloads_ship_no_csv_trace_format():
+    import repro.workloads as workloads
+
+    assert not (SRC / "workloads" / "traceio.py").exists()
+    assert not any("csv" in name for name in workloads.__all__)

@@ -7,7 +7,13 @@ import json
 import pytest
 
 from repro.experiments.cli import build_parser, main
-from repro.experiments.storage import MANIFEST_NAME, ShardedStore, shard_name
+from repro.experiments.storage import (
+    MANIFEST_NAME,
+    ShardedStore,
+    open_store,
+    shard_name,
+    store_digest,
+)
 
 MATRIX = [
     "matrix", "--scenarios", "adversarial", "--sizes", "6",
@@ -67,6 +73,16 @@ class TestMatrixStoreFormat:
             "--out", str(tmp_path / "runs.jsonl"), "--shards", "4",
         ]) == 2
 
+    @pytest.mark.parametrize("shards", ["0", "-1"])
+    def test_shards_below_one_rejected(self, tmp_path, capsys, shards):
+        out = tmp_path / "runs.store"
+        assert main(MATRIX + [
+            "--out", str(out), "--store-format", "sharded",
+            "--shards", shards,
+        ]) == 2
+        assert "n_shards must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_format_mismatch_rejected(self, tmp_path, capsys):
         assert main(MATRIX + [
             "--out", str(tmp_path / "ref.jsonl"),
@@ -110,6 +126,16 @@ class TestStoreMigrateCLI:
             "store", "migrate", str(tmp_path / "runs.store"),
             str(tmp_path / "back.jsonl"), "--shards", "4",
         ]) == 2
+
+    @pytest.mark.parametrize("shards", ["0", "-1"])
+    def test_shards_below_one_rejected(self, tmp_path, capsys, shards):
+        src = self._sweep(tmp_path)
+        dest = tmp_path / "runs.store"
+        assert main([
+            "store", "migrate", str(src), str(dest), "--shards", shards,
+        ]) == 2
+        assert "n_shards must be >= 1" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_existing_dest_rejected(self, tmp_path, capsys):
         src = self._sweep(tmp_path)
@@ -191,6 +217,48 @@ class TestStoreDoctorSharded:
 
     def test_missing_store_exit_two(self, tmp_path):
         assert main(["store", "doctor", str(tmp_path / "nope")]) == 2
+
+
+class TestLegacyManifest:
+    """Stores written by earlier versions carry per-shard ``superseded``
+    counters in their manifest. Every command that takes a store path
+    reads such a store as any other and leaves what it holds alone."""
+
+    COMMANDS = {
+        "doctor": ["store", "doctor", "{store}"],
+        "dedupe": ["store", "doctor", "{store}", "--dedupe"],
+        "digest": ["store", "digest", "{store}"],
+        "report": ["report", "--store", "{store}"],
+        "migrate": ["store", "migrate", "{store}", "{tmp}/back.jsonl"],
+        "resume": MATRIX + ["--out", "{store}", "--store-format", "sharded",
+                            "--resume"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_reads_it(self, tmp_path, capsys, command):
+        path = tmp_path / "runs.store"
+        assert main(MATRIX + [
+            "--out", str(path), "--store-format", "sharded", "--shards", "2",
+        ]) == 0
+        before = store_digest(open_store(path))
+        manifest = path / MANIFEST_NAME
+        payload = json.loads(manifest.read_text())
+        payload["superseded"] = {"0": 3, "1": 1}
+        manifest.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        capsys.readouterr()
+        argv = [
+            arg.format(store=path, tmp=tmp_path)
+            for arg in self.COMMANDS[command]
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert store_digest(open_store(path)) == before
+        if command == "digest":
+            assert out.strip() == before
+        elif command == "migrate":
+            assert store_digest(open_store(tmp_path / "back.jsonl")) == before
+        elif command == "resume":
+            assert "resumed: 2 cells already" in out
 
 
 class TestReportWhere:

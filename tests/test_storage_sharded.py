@@ -15,7 +15,6 @@ from repro.experiments.storage import (
     open_store,
     shard_index,
     shard_name,
-    sharded,
     store_digest,
 )
 
@@ -180,43 +179,71 @@ class TestManifest:
         assert repairing.doctor().manifest_repaired
         assert ShardedStore(tmp_path / "runs.store").load() == []
 
+    @pytest.mark.parametrize("n_shards", [0, -1])
+    def test_n_shards_below_one_raises(self, tmp_path, n_shards):
+        with pytest.raises(ValueError, match="n_shards must be >= 1"):
+            ShardedStore(tmp_path / "runs.store", n_shards=n_shards)
+        assert not (tmp_path / "runs.store").exists()
 
-class TestCompaction:
-    def test_explicit_compact_drops_superseded(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", None)
+    def test_manifest_with_superseded_counters_still_opens(self, tmp_path):
+        """Earlier versions persisted per-shard supersede counters in
+        the manifest. Such a store opens, appends and loads as any
+        other, and its digest is that of the runs it holds."""
+        path = tmp_path / "runs.store"
+        store = ShardedStore(path, n_shards=2)
+        runs = fill(store, 4)
+        store.append(runs[0])  # a superseded line, as the counters count
+        before = store_digest(store)
+        manifest_path = path / MANIFEST_NAME
+        payload = json.loads(manifest_path.read_text())
+        payload["superseded"] = {str(shard_index(runs[0].key, 2)): 1}
+        manifest_path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+
+        legacy = ShardedStore(path)
+        assert legacy.n_shards == 2
+        assert legacy.load() == sorted(runs, key=lambda r: r.key)
+        assert store_digest(legacy) == before
+        extra = make_stored(n_jobs=99)
+        legacy.append(extra)
+        reference = ShardedStore(tmp_path / "fresh.store", n_shards=2)
+        for run in runs + [extra]:
+            reference.append(run)
+        assert ShardedStore(path).load() == reference.load()
+        assert store_digest(ShardedStore(path)) == store_digest(reference)
+
+
+class TestAppendOnly:
+    """Appends never rewrite a shard or the manifest: superseded lines
+    stay on disk, however many pile up, until ``doctor(dedupe=True)``."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_superseded_lines_stay_until_dedupe(self, tmp_path, n_shards):
+        store = ShardedStore(tmp_path / "runs.store", n_shards=n_shards)
+        for i in range(150):  # three keys, 147 superseded lines
+            before = {p: p.read_bytes() for p in store.shard_paths
+                      if p.exists()}
+            store.append(make_stored(n_jobs=10 + i % 3,
+                                     metrics={"makespan": float(i)}))
+            for path, data in before.items():
+                assert path.read_bytes().startswith(data)
+        total = sum(len(p.read_text().splitlines()) for p in store.shard_paths)
+        assert total == 150
+        loaded = store.load()
+        assert store.doctor(dedupe=True).n_deduped == 147
+        assert sum(
+            len(p.read_text().splitlines()) for p in store.shard_paths
+        ) == 3
+        assert ShardedStore(store.path).load() == loaded
+        assert [r.metrics["makespan"] for r in loaded] == [147.0, 148.0, 149.0]
+
+    def test_appends_leave_the_manifest_alone(self, tmp_path):
         store = ShardedStore(tmp_path / "runs.store", n_shards=2)
-        for _ in range(3):
-            fill(store, 6)
-        before = sum(
-            len((tmp_path / "runs.store" / shard_name(i))
-                .read_text().strip().splitlines())
-            for i in range(2)
-        )
-        assert before == 18
-        removed = store.compact()
-        assert removed == 12
-        assert len(store) == 6
-
-    def test_auto_compaction(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", 5)
-        store = ShardedStore(tmp_path / "runs.store", n_shards=1)
-        run = make_stored()
-        for i in range(12):
-            store.append(
-                make_stored(metrics={"makespan": float(i)})
-            )
-        shard = tmp_path / "runs.store" / shard_name(0)
-        n_lines = len(shard.read_text().strip().splitlines())
-        assert n_lines < 12  # superseded lines were compacted away
-        assert store.get(run.key).metrics["makespan"] == 11.0
-
-    def test_compact_skips_corrupt_shard(self, tmp_path):
-        store = ShardedStore(tmp_path / "runs.store", n_shards=1)
-        fill(store, 4)
-        shard = tmp_path / "runs.store" / shard_name(0)
-        shard.write_text("{garbage\n" + shard.read_text())
-        assert store.compact() == 0  # never quarantines silently
-        assert "{garbage" in shard.read_text()
+        store.append(make_stored())
+        manifest = tmp_path / "runs.store" / MANIFEST_NAME
+        before = (manifest.read_bytes(), manifest.stat().st_mtime_ns)
+        for i in range(5):
+            store.append(make_stored(metrics={"makespan": float(i)}))
+        assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
 
 
 class TestShardedDoctor:
@@ -259,8 +286,7 @@ class TestShardedDoctor:
         )
         assert manifest["n_shards"] == 4
 
-    def test_dedupe(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sharded, "DEFAULT_AUTO_COMPACT", None)
+    def test_dedupe(self, tmp_path):
         store = ShardedStore(tmp_path / "runs.store", n_shards=2)
         fill(store, 4)
         fill(store, 4)

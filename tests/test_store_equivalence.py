@@ -102,8 +102,8 @@ filters = st.tuples(
 )
 
 
-# Sizes only grow here (no doctor, no compaction: every line is about
-# the same length, so a torn half never equals a whole one), which
+# Sizes only grow here (no doctor runs, and every line is about the
+# same length, so a torn half never equals a whole one), which
 # keeps the (mtime, size) signature from colliding inside one clock
 # tick; that collision is a limit of the signature, not of the index.
 @pytest.mark.parametrize("layout", ["jsonl", "sharded"])
@@ -184,11 +184,6 @@ def _case_doctor_dedupe(tmp_path):
     return lambda: store.doctor(dedupe=True), [store.path]
 
 
-def _case_compact(tmp_path):
-    store = _sharded_archive(tmp_path)
-    return store.compact, [*store.shard_paths, store.manifest_path]
-
-
 def _case_prune(tmp_path):
     sidecar = FailureSidecar(tmp_path / "runs.jsonl.failures")
     for record in (failed(0), failed(1), failed(0, 2)):
@@ -204,16 +199,13 @@ def _case_migrate_to_jsonl(tmp_path):
 
 def _case_manifest(tmp_path):
     store = _sharded_archive(tmp_path)
-    # A superseding append lands in its shard, then persists the
-    # supersede counter: the manifest write is what fails.
-    return (
-        lambda: store.append(make_run(0, 3)),
-        [store.manifest_path],
-    )
+    # A garbled manifest: the doctor's rebuild is the write that fails.
+    store.manifest_path.write_text("{garbled", encoding="utf-8")
+    return ShardedStore.for_repair(store.path).doctor, [store.manifest_path]
 
 
 @pytest.mark.parametrize("case", [
-    _case_doctor, _case_doctor_dedupe, _case_compact, _case_prune,
+    _case_doctor, _case_doctor_dedupe, _case_prune,
     _case_migrate_to_jsonl, _case_manifest,
 ], ids=lambda case: case.__name__[len("_case_"):])
 def test_failed_replace_leaves_the_original_and_no_temp(

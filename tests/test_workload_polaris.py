@@ -1,7 +1,12 @@
 """Unit tests for the Polaris trace substitute and preprocessing."""
 
+import io
+
 import pytest
 
+from repro import compute_metrics, create_scheduler, normalize_to_baseline
+from repro.sim.cluster import ResourcePool
+from repro.sim.simulator import simulate
 from repro.workloads.polaris import (
     POLARIS_MEMORY_PER_NODE_GB,
     POLARIS_NODES,
@@ -9,6 +14,7 @@ from repro.workloads.polaris import (
     preprocess_trace,
     synthesize_polaris_trace,
 )
+from repro.workloads.swf import jobs_from_swf, jobs_to_swf
 
 
 class TestSynthesizer:
@@ -43,7 +49,7 @@ class TestSynthesizer:
 
     def test_start_after_submit(self):
         records = synthesize_polaris_trace(n_jobs=100, seed=7)
-        assert all(r.queued_wait_s >= 0 for r in records)
+        assert all(r.start_ts >= r.submit_ts for r in records)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -107,3 +113,54 @@ class TestPreprocessing:
         assert all(
             j.nodes <= POLARIS_NODES and j.memory_gb <= total_mem for j in jobs
         )
+
+
+def swf_round_trip(jobs):
+    buf = io.StringIO()
+    jobs_to_swf(jobs, buf)
+    buf.seek(0)
+    return jobs_from_swf(buf)
+
+
+class TestSwfArtifact:
+    """The cleaned trace is published as SWF (examples/polaris_replay.py
+    step 3): what a replay needs survives the round trip."""
+
+    JOBS = preprocess_trace(
+        synthesize_polaris_trace(n_jobs=130, seed=2024), n_jobs=100
+    )
+
+    def test_preprocessed_trace_survives_swf(self):
+        back = swf_round_trip(self.JOBS)
+        assert [j.job_id for j in back] == [j.job_id for j in self.JOBS]
+        for orig, new in zip(self.JOBS, back):
+            assert new.nodes == orig.nodes
+            assert new.memory_gb == pytest.approx(orig.memory_gb, rel=1e-9)
+            for field in ("submit_time", "duration", "walltime"):
+                assert getattr(new, field) == pytest.approx(
+                    getattr(orig, field), abs=0.005
+                )
+            # Labels keep their numeric ids: the same users and groups.
+            assert new.user == orig.user.lower()
+            assert new.group == orig.group.lower()
+
+    def test_replay_table_survives_swf(self):
+        def table(jobs):
+            values = {}
+            for name in ("fcfs", "sjf", "ortools_like"):
+                result = simulate(
+                    jobs, create_scheduler(name, seed=0),
+                    cluster=ResourcePool(
+                        total_nodes=POLARIS_NODES,
+                        total_memory_gb=POLARIS_NODES
+                        * POLARIS_MEMORY_PER_NODE_GB,
+                    ),
+                )
+                values[name] = compute_metrics(result).values
+            return {
+                name: {m: round(v, 3) for m, v in
+                       normalize_to_baseline(row, values["fcfs"]).items()}
+                for name, row in values.items()
+            }
+
+        assert table(swf_round_trip(self.JOBS)) == table(self.JOBS)

@@ -12,9 +12,10 @@ which is how forked sweep workers leave.
 The user paths are what a user of this repository runs: every
 perfbench workload at full size, the paper-claim benchmarks
 (``benchmarks/``), every script in ``examples/``, one call of every
-leaf subcommand in ``tests/data/cli_surface.json``, ``matrix
---retry-failed``, and the fault-injected sweeps of the ``chaos`` CI
-job. ``tests/data/reachability.json`` has one row per ``src/repro``
+leaf subcommand in ``tests/data/cli_surface.json``, the documented
+paths those calls leave undriven (:data:`DOCUMENTED_CALLS`, and a TCP
+daemon streaming ``subscribe_events``), ``matrix --retry-failed``, and
+the fault-injected sweeps of the ``chaos`` CI job. ``tests/data/reachability.json`` has one row per ``src/repro``
 function none of them reaches, keyed by module and qualified name (no
 line numbers, so unrelated edits do not move rows). A row records
 whether tier-1 reaches the function and the one reason it ships
@@ -324,13 +325,35 @@ def _faults(*rules: dict) -> dict[str, str]:
 
 
 _SERVE = """\
-import subprocess, sys
-from repro.service.client import wait_for_server
-daemon = subprocess.Popen([sys.executable, "-m", "repro.experiments.cli",
-    "serve", "--socket", "d.sock", "--store", "cells.jsonl", "--workers", "1"])
+import subprocess, sys, threading
+from repro.service.client import ServiceClient, wait_for_server
+SERVE = [sys.executable, "-m", "repro.experiments.cli", "serve",
+         "--workers", "1"]
+daemon = subprocess.Popen(SERVE + ["--socket", "d.sock", "--store",
+                                   "cells.jsonl"])
 with wait_for_server(socket_path="d.sock", timeout=120) as client:
     client.ping()
     client.shutdown()
+if daemon.wait(timeout=120):
+    sys.exit("unix-socket daemon failed")
+# TCP on an ephemeral port (printed at startup), and one message of a
+# subscribe_events stream: sessions are opened until the subscriber,
+# which may register after the first of them, has read one.
+daemon = subprocess.Popen(SERVE + ["--host", "127.0.0.1"],
+                          stdout=subprocess.PIPE, text=True)
+host, port = daemon.stdout.readline().split()[-1].rsplit(":", 1)
+events = []
+with wait_for_server(host=host, port=int(port), timeout=120) as watcher, \\
+        ServiceClient.connect_tcp(host, int(port), timeout=120) as client:
+    reader = threading.Thread(
+        target=lambda: events.append(next(watcher.events())))
+    reader.start()
+    while reader.is_alive():
+        client.open_session("fcfs")
+        reader.join(0.05)
+    client.shutdown()
+if events[0]["event"] != "session_opened":
+    sys.exit(f"unexpected event {events[0]}")
 sys.exit(daemon.wait(timeout=120))
 """
 
@@ -356,6 +379,19 @@ CLI_CALLS = {
                       "--shards", "2"],
     "store digest": ["store", "digest", "m.store"],
 }
+
+#: Documented paths no call of :data:`CLI_CALLS` drives, run right after
+#: them in the same directory (``m.store`` is what ``store migrate``
+#: made): the sharded doctor, maintenance drains and their announce
+#: path, and the windowed annealer. :data:`_SERVE` adds TCP serving
+#: and ``subscribe_events``.
+DOCUMENTED_CALLS = [
+    ["store", "doctor", "m.store"],
+    ["run", "--scenario", "drain_window", "--scheduler", "fcfs_backfill",
+     "-n", "100", "--disruptions", "maintenance"],
+    ["run", "--scenario", "heterogeneous_mix", "--scheduler",
+     "ortools_like", "--anneal-window", "4", "-n", "20"],
+]
 
 
 def cli_leaves() -> list[str]:
@@ -414,6 +450,7 @@ def user_paths(out: Path) -> list[Step]:
         for script in sorted((ROOT / "examples").glob("*.py"))
     ]
     steps += [Step(_CLI + argv) for argv in CLI_CALLS.values()]
+    steps += [Step(_CLI + argv) for argv in DOCUMENTED_CALLS]
     steps.append(Step([_PY, "-c", _SERVE]))
     # The chaos CI job: a worker killed mid-cell plus a corrupt store
     # line, doctor, resume, a hung cell, a permanently failing one.
