@@ -31,6 +31,14 @@ Three layers, matching how often each changes:
   the view's capacity scalars/vectors and the derived per-decision
   masks (``fits_mask``), each cached on the view's lifetime.
 
+**Ownership runs one way.** A view owns its :class:`ViewColumns`; the
+columns refer back to the view through a weak reference. So a view and
+everything it holds (queue tuple, :class:`QueueColumns`, running
+tuples, completion log) form no reference cycle and are freed by
+reference count the moment the engine and the scheduler drop the view,
+not left to the cyclic collector. The columns are valid while their
+view lives, and the only way to reach them is ``view.columns()``.
+
 **Byte-identity is inherited, not re-proven**: columns carry the exact
 float/int values the ``Job`` facades hold (no casts through lower
 precision), so the lexsort keyed on ``(column, job_id)`` behind a rank
@@ -48,6 +56,7 @@ the masters — still zero copies per decision.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -235,13 +244,18 @@ class ViewColumns:
     One instance per view, cached on the view itself — repeated
     ``columns()`` calls return the same object, and derived masks are
     computed at most once per decision point.
+
+    The view owns this object; ``_view`` is only a weak reference back
+    (call it to get the view), so the pair is no reference cycle. Reach
+    the columns through ``view.columns()`` and use them while holding
+    the view: once the view is freed they have nothing to read.
     """
 
     __slots__ = ("_q", "_view", "_fits", "_requeued")
 
     def __init__(self, queue_cols: QueueColumns, view: "SystemView") -> None:
         self._q = queue_cols
-        self._view = view
+        self._view = weakref.ref(view)
         self._fits: Optional[np.ndarray] = None
         self._requeued: Optional[np.ndarray] = None
 
@@ -298,12 +312,12 @@ class ViewColumns:
     # of the masters. Identical values either way — the columns are
     # built from these very attributes.
     def id_at(self, pos: int) -> int:
-        return self._view.queued[pos].job_id
+        return self._view().queued[pos].job_id
 
     def fits_at(self, pos: int) -> bool:
         """``SystemView.can_fit`` for queue position *pos* — O(1),
         identical arithmetic."""
-        view = self._view
+        view = self._view()
         job = view.queued[pos]
         return (
             job.nodes <= view.free_nodes
@@ -317,7 +331,7 @@ class ViewColumns:
         comparisons, elementwise)."""
         mask = self._fits
         if mask is None:
-            view = self._view
+            view = self._view()
             mask = (self.nodes <= view.free_nodes) & (
                 self.memory_gb <= view.free_memory_gb + 1e-9
             )
@@ -330,7 +344,7 @@ class ViewColumns:
         spread-across-domains restart gate applies to."""
         mask = self._requeued
         if mask is None:
-            rem = self._view.remaining_runtimes
+            rem = self._view().remaining_runtimes
             if not rem:
                 mask = np.zeros(self.n, dtype=bool)
             else:
@@ -354,7 +368,7 @@ class ViewColumns:
         are rare and the peak-overlap window differs per job, so a
         faithful scalar loop beats a speculative vectorization here.
         """
-        view = self._view
+        view = self._view()
         if not view.upcoming_drains:
             return np.ones(self.n, dtype=bool)
         queued = view.queued

@@ -33,7 +33,11 @@ layout buys on top of the object loop:
 * the queued-jobs tuple (and its id index) is cached across decision
   points and re-copied only when the queue actually changes — completions
   and time advances on a deep backlog no longer pay O(queue) each;
-* a killed job is not in the queue, so its requeue is a plain append.
+* a killed job is not in the queue, so its requeue is a plain append;
+* views are freed by reference count: a view owns its
+  :class:`~repro.sim.columns.ViewColumns`, which refer back weakly, so
+  a dropped view and its queue snapshot never wait for the cyclic
+  collector.
 """
 
 from __future__ import annotations

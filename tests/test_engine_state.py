@@ -427,13 +427,14 @@ class TestEngineShape:
         assert self.source.count("checker.validate(") == 1
         assert self.source.count("DecisionRecord(") == 1
 
-    def test_nothing_in_a_run_refers_back_to_its_state(self):
+    @pytest.mark.parametrize("name", available_schedulers())
+    def test_nothing_in_a_run_refers_back_to_its_state(self, name):
         """No snapshot, column projection or handler keeps the state
-        alive: it is freed by reference count when the run ends, not
-        by a later cycle collection (daemon sessions build one per
-        generation)."""
+        alive, under any policy: it is freed by reference count when
+        the run ends, not by a later cycle collection (daemon sessions
+        build one per generation)."""
         jobs = generate_workload("heterogeneous_mix", 40, seed=0)
-        sim = HPCSimulator(jobs=jobs, scheduler=create_scheduler("sjf"))
+        sim = HPCSimulator(jobs=jobs, scheduler=create_scheduler(name))
         state = EngineState(sim)
         while state.step():
             pass
