@@ -15,6 +15,14 @@ only — they are large and re-derivable from the (scenario, seed) cell.
 Layout: one JSONL file, one line per cell, append-only. A truncated
 final line (interrupted write) is tolerated on load; corruption
 anywhere else raises.
+
+The line codec costs what the ``json`` module costs. Every
+:class:`StoredRun` field holds a JSON value by construction (``from_run``
+and ``from_json`` build nothing else), so ``to_json`` encodes a shallow
+field mapping, not a deep copy. ``from_json`` checks and coerces every
+value first and only then builds the instance without the frozen
+``__init__``. Both read ``_RUN_FIELDS``, which an import-time guard
+holds equal to the dataclass fields.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
 
@@ -226,9 +234,17 @@ class StoredRun:
         )
 
     # -- (de)serialization ----------------------------------------------
+    def as_dict(self) -> dict[str, Any]:
+        """Field name → value, for every name in :data:`_RUN_FIELDS`.
+
+        Shallow: nested dicts are the run's own, not copies, so the
+        mapping is for encoding (a store line, a wire payload), never
+        for mutating."""
+        return {name: getattr(self, name) for name in _RUN_FIELDS}
+
     def to_json(self) -> str:
         """One compact JSON line (no newline)."""
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self.as_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "StoredRun":
@@ -248,25 +264,60 @@ class StoredRun:
                 f"supported {SCHEMA_VERSION}; upgrade the code to read it"
             )
         try:
-            return cls(
-                scenario=str(payload["scenario"]),
-                n_jobs=int(payload["n_jobs"]),
-                scheduler=str(payload["scheduler"]),
-                workload_seed=int(payload["workload_seed"]),
-                scheduler_seed=int(payload["scheduler_seed"]),
-                metrics={
-                    str(k): float(v) for k, v in payload["metrics"].items()
-                },
-                arrival_mode=str(payload.get("arrival_mode", "scenario")),
-                decision_summary=dict(payload.get("decision_summary", {})),
-                overhead=payload.get("overhead"),
-                disruption_sig=str(payload.get("disruption_sig", "none")),
-                disruption=payload.get("disruption"),
-                topology_sig=str(payload.get("topology_sig", "flat")),
-                schema_version=version,
+            # In _RUN_FIELDS order, which is also the order the checks
+            # run in, so the first bad field is the one reported.
+            values = (
+                str(payload["scenario"]),
+                int(payload["n_jobs"]),
+                str(payload["scheduler"]),
+                int(payload["workload_seed"]),
+                int(payload["scheduler_seed"]),
+                {str(k): float(v) for k, v in payload["metrics"].items()},
+                str(payload.get("arrival_mode", "scenario")),
+                dict(payload.get("decision_summary", {})),
+                payload.get("overhead"),
+                str(payload.get("disruption_sig", "none")),
+                payload.get("disruption"),
+                str(payload.get("topology_sig", "flat")),
+                version,
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"store line missing field: {exc}") from exc
+        # Fast construction (the engine's SystemView idiom): every value
+        # is checked and coerced above, and the frozen __init__ would
+        # only repeat it as 13 guarded setattrs.
+        run = object.__new__(cls)
+        run.__dict__.update(zip(_RUN_FIELDS, values))
+        return run
+
+
+#: :class:`StoredRun`'s fields in declaration order: the keys
+#: ``as_dict`` writes and the slots ``from_json``'s fast construction
+#: fills. Guarded at import, as ``engine._VIEW_FIELDS`` is: a field
+#: added to the dataclass, or a ``__post_init__`` the fast path would
+#: skip, fails here rather than writing or loading short records.
+_RUN_FIELDS = (
+    "scenario",
+    "n_jobs",
+    "scheduler",
+    "workload_seed",
+    "scheduler_seed",
+    "metrics",
+    "arrival_mode",
+    "decision_summary",
+    "overhead",
+    "disruption_sig",
+    "disruption",
+    "topology_sig",
+    "schema_version",
+)
+if tuple(f.name for f in fields(StoredRun)) != _RUN_FIELDS or hasattr(
+    StoredRun, "__post_init__"
+):
+    raise AssertionError(
+        "StoredRun fields changed; update _RUN_FIELDS and from_json's "
+        "value tuple to match"
+    )
 
 
 def _repair_tail(path: Path, parse) -> None:
@@ -750,7 +801,7 @@ class FailedCell:
         return f"{sc}/{n}/{sched} w{ws} s{ss}"
 
     def to_json(self) -> str:
-        payload = asdict(self)
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["key"] = list(self.key)
         return json.dumps(payload, sort_keys=True)
 

@@ -36,8 +36,6 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
-from dataclasses import asdict
-
 from repro.experiments.parallel import (
     MatrixCell,
     _execute_cell,
@@ -325,7 +323,7 @@ class SchedulingService:
 
     @staticmethod
     def _cell_payload(stored: StoredRun, source: str) -> dict:
-        return {"source": source, "run": asdict(stored)}
+        return {"source": source, "run": stored.as_dict()}
 
     # -- introspection / lifecycle ---------------------------------------
     async def op_stats(self, params: dict) -> dict:
