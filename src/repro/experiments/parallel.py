@@ -25,8 +25,9 @@ same way, and a cell that keeps failing is quarantined as a structured
 the sweep completes. Because cells are pure
 functions of their key, none of this can change a persisted byte — a
 sweep that survived crashes is ``diff``-identical to one that never
-saw them, which is exactly what the chaos suite
-(:mod:`repro.experiments.faultinject`) asserts.
+saw them, which is exactly what the chaos suite asserts, with faults
+that ``tests/tooling/faults.py`` installs into :data:`cell_fault` and
+the store's write slot.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from repro.experiments import faultinject
 from repro.experiments.runner import (
     DEFAULT_SCHEDULERS,
     ExperimentRun,
@@ -74,6 +74,11 @@ DEFAULT_MAX_RETRIES = 2
 #: Base of the deterministic exponential backoff between retries of
 #: the same cell (seconds): attempt k waits base * 2**(k-1).
 DEFAULT_RETRY_BACKOFF_S = 0.1
+
+#: Chaos-harness slot, ``None`` unless a test installs one: called as
+#: ``(cell-key string, attempt)`` before a cell simulates, it may
+#: sleep, raise, or end the worker. Forked workers inherit it.
+cell_fault: Optional[Callable[[str, int], None]] = None
 
 
 class SweepInterrupted(KeyboardInterrupt):
@@ -258,7 +263,8 @@ def _execute_cell(cell: MatrixCell, attempt: int = 1) -> ExperimentRun:
     process gets the cell. The simulation itself never sees it — a
     retried cell reproduces its first-try result bit for bit.
     """
-    faultinject.on_cell_attempt(cell_key_str(cell.key), attempt)
+    if cell_fault is not None:
+        cell_fault(cell_key_str(cell.key), attempt)
     return run_single(
         cell.scenario,
         cell.n_jobs,

@@ -34,8 +34,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
 
-from repro.experiments import faultinject
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import ExperimentRun
 
@@ -477,6 +475,14 @@ class StoreBackend:
         return len(self.completed_keys())
 
 
+#: Chaos-harness slot, ``None`` unless a test installs one
+#: (``tests/tooling/faults.py``): called as ``(cell-key string, line)``
+#: before each write attempt of :meth:`RunStore.append`, it returns
+#: ``(text, complete)`` — a torn write is ``complete=False``, written
+#: without its newline — or raises ``OSError`` as a full disk would.
+write_fault: Optional[Callable[[str, str], tuple[str, bool]]] = None
+
+
 class RunStore(StoreBackend):
     """Append-only JSONL store of :class:`StoredRun` lines.
 
@@ -543,13 +549,9 @@ class RunStore(StoreBackend):
         for _attempt in range(1 + self.APPEND_RETRIES):
             try:
                 _repair_tail(self.path, StoredRun.from_json)
-                # Chaos-harness hook: with a fault plan active this may
-                # tear or garble the line, or raise a synthetic ENOSPC
-                # (see faultinject); without one — the production
-                # default — it returns the line verbatim.
-                text, complete = faultinject.mangle_store_line(
-                    cell_key_str(stored.key), line
-                )
+                text, complete = line, True
+                if write_fault is not None:
+                    text, complete = write_fault(cell_key_str(stored.key), line)
                 before = self._stat_sig()
                 with self.path.open("a", encoding="utf-8") as fh:
                     fh.write(text + ("\n" if complete else ""))

@@ -31,6 +31,12 @@ class ClusterModel(Protocol):
 
     total_nodes: int
     total_memory_gb: float
+    #: Set by the model itself (flat when none is given), never ``None``.
+    topology: ClusterTopology
+
+    def reset(self) -> None:
+        """Return to the fully idle state (the engine calls it per run)."""
+        ...
 
     def can_fit(self, job: Job) -> bool:
         """True if *job* could start right now."""

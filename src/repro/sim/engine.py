@@ -352,12 +352,11 @@ class EngineState:
         #: and shared by every queue projection of the run.
         self.masters = cache(partial(JobColumns, jobs))
 
-        self.topo = getattr(cluster, "topology", None)
-        self.has_domains = self.topo is not None and not self.topo.is_flat
+        self.topo = cluster.topology
+        self.has_domains = not self.topo.is_flat
         self.drains = trace.drains if trace is not None else ()
 
-        if hasattr(cluster, "reset"):
-            cluster.reset()
+        cluster.reset()
         self.scheduler.reset()
 
     # -- the two invalidation points -----------------------------------
@@ -601,7 +600,7 @@ class EngineState:
         tag = f"drain:{idx}"
         target = min(drain.nodes, cluster.total_nodes)
         within: Optional[range] = None
-        if drain.domain is not None and self.topo is not None:
+        if drain.domain is not None:
             within = self.topo.domain_range(drain.domain)
             target = min(target, len(within))
         taken = 0

@@ -20,6 +20,15 @@ from tests.packing_reference import (
     ReferenceResourceProfile,
     reference_pack_order,
 )
+from tests.tooling import faults
+
+
+@pytest.fixture(autouse=True)
+def _clean_faults():
+    """Every test starts and ends with fault injection off."""
+    faults.install(None)
+    yield
+    faults.install(None)
 
 
 def make_job(

@@ -5,7 +5,7 @@ Every test asserts the same invariant from a different angle: whatever
 the injected failure, the recovered store is line-identical to an
 undisturbed serial run (or, for permanent failures, a clean subset of
 one plus a structured quarantine record). Injection is deterministic
-(see :mod:`repro.experiments.faultinject`), so these tests are not
+(see ``tests/tooling/faults.py``), so these tests are not
 flaky-by-design — the same cells fail on the same attempts every run.
 """
 
@@ -13,15 +13,14 @@ import time
 
 import pytest
 
-from repro.experiments import faultinject
 from repro.experiments.cli import main
-from repro.experiments.faultinject import FaultPlan, FaultRule, install
 from repro.experiments.parallel import (
     CellFailedError,
     expand_cells,
     run_cells,
 )
 from repro.experiments.store import FailedCell, FailureSidecar, RunStore
+from tests.tooling.faults import FaultPlan, FaultRule, install
 
 SCENARIOS = ("adversarial", "resource_sparse")
 SIZES = (6,)
@@ -32,14 +31,6 @@ K_ADV_FCFS = "adversarial|6|fcfs|0|0|scenario|none|flat"
 K_ADV_SJF = "adversarial|6|sjf|0|0|scenario|none|flat"
 K_RS_FCFS = "resource_sparse|6|fcfs|0|0|scenario|none|flat"
 K_RS_SJF = "resource_sparse|6|sjf|0|0|scenario|none|flat"
-
-
-@pytest.fixture(autouse=True)
-def _clean_faults(monkeypatch):
-    monkeypatch.delenv(faultinject.ENV_VAR, raising=False)
-    install(None)
-    yield
-    install(None)
 
 
 def _cells():

@@ -333,7 +333,7 @@ class TestFaultToleranceFlags:
     def test_cell_timeout_is_honoured_at_one_worker(self, tmp_path, capsys):
         # A process cannot preempt itself, so a sweep with a watchdog
         # gets a worker process even at --workers 1.
-        from repro.experiments import faultinject
+        from tests.tooling import faults as faultinject
 
         faultinject.install(
             faultinject.FaultPlan(

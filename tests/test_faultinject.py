@@ -1,31 +1,27 @@
 """Unit tests for the deterministic fault-injection harness."""
 
-import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.faultinject import (
-    ENV_VAR,
+from repro.experiments import parallel, store
+from tests.tooling.faults import (
     FaultPlan,
     FaultRule,
     InjectedCrash,
     active_plan,
     install,
+    main,
     mangle_store_line,
     on_cell_attempt,
 )
 
+ROOT = Path(__file__).parent.parent
 KEY = "adversarial|10|fcfs|0|0|scenario|none|flat"
-
-
-@pytest.fixture(autouse=True)
-def _clean_faults(monkeypatch):
-    """Every test starts and ends with injection fully off."""
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    install(None)
-    yield
-    install(None)
 
 
 class TestFaultRule:
@@ -123,34 +119,17 @@ class TestFaultPlan:
 class TestActivation:
     def test_off_by_default(self):
         assert active_plan() is None
+        assert (store.write_fault, parallel.cell_fault) == (None, None)
 
-    def test_env_plan_parsed_and_cached(self, monkeypatch):
-        raw = json.dumps({"seed": 5, "rules": [{"kind": "crash"}]})
-        monkeypatch.setenv(ENV_VAR, raw)
-        plan = active_plan()
-        assert plan.seed == 5
-        assert active_plan() is plan  # cached on the raw string
-        monkeypatch.setenv(
-            ENV_VAR, json.dumps({"seed": 6, "rules": []})
-        )
-        assert active_plan().seed == 6  # new string, re-parsed
-
-    def test_blank_env_means_off(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "   ")
-        assert active_plan() is None
-
-    def test_install_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, json.dumps({"seed": 1, "rules": []}))
-        override = FaultPlan(seed=42)
-        install(override)
-        assert active_plan() is override
+    def test_install_fills_both_slots_and_none_clears_them(self):
+        plan = FaultPlan(seed=42)
+        install(plan)
+        assert active_plan() is plan
+        assert store.write_fault is mangle_store_line
+        assert parallel.cell_fault is on_cell_attempt
         install(None)
-        assert active_plan().seed == 1
-
-    def test_malformed_env_is_loud(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "{broken")
-        with pytest.raises(ValueError, match="malformed"):
-            active_plan()
+        assert active_plan() is None
+        assert (store.write_fault, parallel.cell_fault) == (None, None)
 
 
 class TestCellHook:
@@ -217,3 +196,43 @@ class TestStoreWriteHook:
     def test_cell_rules_do_not_mangle_writes(self):
         install(FaultPlan(rules=(FaultRule(kind="crash"),)))
         assert mangle_store_line(KEY, self.LINE) == (self.LINE, True)
+
+
+class TestEntryPoint:
+    SJF_CRASH = FaultPlan(
+        rules=(FaultRule(kind="crash", match="|sjf|", max_attempt=99),)
+    )
+
+    def sweep(self, out):
+        return [
+            "matrix", "--scenarios", "adversarial", "--sizes", "8",
+            "--schedulers", "fcfs", "sjf", "--workers", "2",
+            "--max-retries", "0", "--on-cell-failure", "quarantine",
+            "--out", str(out),
+        ]
+
+    def test_needs_a_plan_and_the_separator(self, capsys):
+        assert main(["matrix"]) == 2
+        assert main(["--plan", self.SJF_CRASH.to_json(), "matrix"]) == 2
+        assert "usage" in capsys.readouterr().err
+
+    def test_runs_the_cli_in_process_under_the_plan(self, tmp_path):
+        out = tmp_path / "runs.jsonl"
+        argv = ["--plan", self.SJF_CRASH.to_json(), "--", *self.sweep(out)]
+        assert main(argv) == 3
+        assert active_plan() == self.SJF_CRASH
+        assert "InjectedCrash" in Path(f"{out}.failures").read_text()
+
+    def test_as_a_module_from_the_repository_root(self, tmp_path):
+        # Run as ``__main__``: a crash raised in a forked worker still
+        # crosses the pipe and is recorded by its class name.
+        out = tmp_path / "runs.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tests.tooling.faults",
+             "--plan", self.SJF_CRASH.to_json(), "--", *self.sweep(out)],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert len(out.read_text().splitlines()) == 1
+        assert "InjectedCrash" in Path(f"{out}.failures").read_text()

@@ -12,24 +12,17 @@ import time
 
 import pytest
 
-from repro.experiments import faultinject
-from repro.experiments.faultinject import (
+from repro.experiments.parallel import expand_cells, run_cells
+from repro.experiments.runner import run_single
+from repro.experiments.store import RunStore, StoredRun
+from tests.tooling import faults as faultinject
+from tests.tooling.faults import (
     FaultPlan,
     FaultRule,
     InjectedCrash,
     mangle_store_line,
     on_cell_attempt,
 )
-from repro.experiments.parallel import expand_cells, run_cells
-from repro.experiments.runner import run_single
-from repro.experiments.store import RunStore, StoredRun
-
-
-@pytest.fixture(autouse=True)
-def clean_faults():
-    faultinject.install(None)
-    yield
-    faultinject.install(None)
 
 
 class TestLatencyRules:

@@ -17,8 +17,6 @@ from collections import Counter
 import pytest
 
 import repro.experiments.parallel as parallel_mod
-from repro.experiments import faultinject
-from repro.experiments.faultinject import FaultPlan, FaultRule, install
 from repro.experiments.parallel import (
     CellFailedError,
     MatrixCell,
@@ -27,6 +25,7 @@ from repro.experiments.parallel import (
     run_cells,
 )
 from repro.experiments.store import FailedCell, cell_key_str
+from tests.tooling.faults import FaultPlan, FaultRule, install
 
 K_VICTIM = "adversarial|6|fcfs|0|0|scenario|none|flat"
 K_QUICK = "adversarial|6|sjf|0|0|scenario|none|flat"
@@ -43,14 +42,6 @@ def _logging_execute(cell, attempt=1):
     with open(os.environ[EXECUTION_LOG], "a") as log:
         log.write(cell_key_str(cell.key) + "\n")
     return _REAL_EXECUTE(cell, attempt)
-
-
-@pytest.fixture(autouse=True)
-def _clean_faults(monkeypatch):
-    monkeypatch.delenv(faultinject.ENV_VAR, raising=False)
-    install(None)
-    yield
-    install(None)
 
 
 @pytest.fixture
@@ -210,14 +201,12 @@ class TestNoChildSurvives:
         marker = f"orphan-check-{os.getpid()}-{time.monotonic_ns()}"
         script = (
             "from repro.experiments.parallel import expand_cells, run_cells\n"
+            "from tests.tooling.faults import FaultPlan, FaultRule, install\n"
+            "install(FaultPlan(rules=(FaultRule(kind='latency', skew_s=1.0),)))\n"
             "run_cells(expand_cells(('adversarial',), (6,), "
             "('fcfs', 'sjf'), workload_seeds=(0, 1)), workers=3)\n"
         )
-        env = dict(os.environ)
-        env[faultinject.ENV_VAR] = FaultPlan(
-            rules=(FaultRule(kind="latency", skew_s=1.0),)
-        ).to_json()
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         sweep = subprocess.Popen([sys.executable, "-c", script, marker], env=env)
 
         def alive():

@@ -12,11 +12,7 @@ import json
 import shutil
 from pathlib import Path
 
-import pytest
-
-from repro.experiments import faultinject
 from repro.experiments.cli import main
-from repro.experiments.faultinject import FaultPlan, FaultRule
 from repro.experiments.parallel import MatrixCell
 from repro.experiments.store import (
     FailedCell,
@@ -24,13 +20,8 @@ from repro.experiments.store import (
     RunStore,
     cell_key,
 )
-
-
-@pytest.fixture(autouse=True)
-def clean_faults():
-    faultinject.install(None)
-    yield
-    faultinject.install(None)
+from tests.tooling import faults as faultinject
+from tests.tooling.faults import FaultPlan, FaultRule
 
 
 def sweep_args(store, max_retries=0):

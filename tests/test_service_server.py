@@ -260,7 +260,7 @@ class TestShutdownAndErrors:
         # One dead worker breaks a ProcessPoolExecutor for good; the
         # daemon must drop it, answer the failing request with a typed
         # error, and serve the next cell from a fresh pool.
-        from repro.experiments import faultinject
+        from tests.tooling import faults as faultinject
 
         faultinject.install(
             faultinject.FaultPlan(

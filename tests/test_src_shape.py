@@ -15,9 +15,10 @@ The rest pins what ships: one event calendar with one pop path, built
 by the engine for each run and handed in by no caller (served sessions
 replay through ``run_single``), no object event queue and no
 object-graph oracle in the package (both live in ``tests/``), a
-packing module without numpy, and no second path beside ``store
+packing module without numpy, no second path beside ``store
 doctor --dedupe`` (sharded auto-compaction) or beside SWF (a CSV trace
-format).
+format), no read of the environment, and no fault injection (the chaos
+harness is ``tests/tooling/faults.py``).
 """
 
 from __future__ import annotations
@@ -243,3 +244,56 @@ def test_workloads_ship_no_csv_trace_format():
 
     assert not (SRC / "workloads" / "traceio.py").exists()
     assert not any("csv" in name for name in workloads.__all__)
+
+
+# -- no behaviour armed by the environment, no fault injection shipped -----
+
+
+def environment_reads(tree: ast.AST) -> list[int]:
+    """Lines of every ``os.environ`` / ``os.environb`` / ``os.getenv``
+    (or the bare names a ``from os import`` brings in) in *tree*."""
+    names = {"environ", "environb", "getenv"}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+        )
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in names for alias in node.names))
+    )
+
+
+def test_the_guard_sees_each_way_to_read_the_environment():
+    for source in ('os.environ.get("X")', 'os.environb[b"X"]',
+                   'os.getenv("X")', "from os import getenv"):
+        assert environment_reads(ast.parse(source)) == [1]
+    assert environment_reads(ast.parse("os.path.join('a')")) == []
+
+
+def test_nothing_in_src_reads_the_environment():
+    """No setting of the package comes from a shell variable; fault
+    injection is installed by the test that wants it."""
+    assert {
+        path.relative_to(ROOT).as_posix(): lines
+        for path in sorted(SRC.rglob("*.py"))
+        if (lines := environment_reads(
+            ast.parse(path.read_text(encoding="utf-8"))
+        ))
+    } == {}
+
+
+def test_fault_injection_lives_in_the_tests():
+    import importlib.util
+
+    assert importlib.util.find_spec("repro.experiments.faultinject") is None
+    for module in ("experiments/store.py", "experiments/parallel.py"):
+        imported = set()
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+        assert not any(
+            name == "tests" or name.startswith("tests.") for name in imported
+        ), module

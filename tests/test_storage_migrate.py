@@ -4,8 +4,6 @@ import json
 
 import pytest
 
-from repro.experiments import faultinject
-from repro.experiments.faultinject import FaultPlan, FaultRule, install
 from repro.experiments.store import RunStore, StoredRun
 from repro.experiments.storage import (
     ORDER_NAME,
@@ -15,14 +13,7 @@ from repro.experiments.storage import (
     shard_name,
     store_digest,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_faults(monkeypatch):
-    monkeypatch.delenv(faultinject.ENV_VAR, raising=False)
-    install(None)
-    yield
-    install(None)
+from tests.tooling.faults import FaultPlan, FaultRule, install
 
 
 def make_stored(**overrides) -> StoredRun:

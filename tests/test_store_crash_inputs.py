@@ -11,10 +11,8 @@
 
 import pytest
 
-from repro.experiments import faultinject
 from repro.experiments import store as store_mod
 from repro.experiments.cli import main
-from repro.experiments.faultinject import FaultPlan, FaultRule
 from repro.experiments.storage import ShardedStore, is_sharded_store
 from repro.experiments.store import (
     FailedCell,
@@ -23,6 +21,8 @@ from repro.experiments.store import (
     StoredRun,
     cell_key,
 )
+from tests.tooling import faults as faultinject
+from tests.tooling.faults import FaultPlan, FaultRule
 
 
 def listing(path):

@@ -17,8 +17,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments import faultinject
-from repro.experiments.faultinject import FaultPlan, FaultRule, install
 from repro.experiments.storage import ShardedStore, migrate_to_jsonl
 from repro.experiments.store import (
     WHERE_FIELDS,
@@ -27,15 +25,7 @@ from repro.experiments.store import (
     RunStore,
     StoredRun,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_faults(monkeypatch):
-    monkeypatch.delenv(faultinject.ENV_VAR, raising=False)
-    install(None)
-    yield
-    install(None)
-
+from tests.tooling.faults import FaultPlan, FaultRule, install
 
 SEEDS = range(5)
 

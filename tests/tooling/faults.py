@@ -17,20 +17,20 @@ Determinism is the whole design:
 * Faults decide *which attempt fails*, never *what a run computes*:
   the simulation itself is untouched, so a retried cell reproduces its
   first-try result bit for bit.
-* Injection is **off by default**. A plan exists only when installed
-  programmatically (:func:`install`, for in-process tests) or via the
-  ``REPRO_FAULTS`` environment variable (JSON, inherited by pool
-  workers). With neither, every hook below is a no-op and the engine's
-  behavior is byte-identical to a build without this module.
+* The package ships no injection. ``repro.experiments.store`` and
+  ``repro.experiments.parallel`` each hold one hook slot that is
+  ``None`` unless :func:`install` fills it, in this process; forked
+  sweep workers and the daemon's forked pool inherit it.
 
-``REPRO_FAULTS`` example — kill (``os._exit``) the worker running any
-``sjf`` cell on its first attempt, and corrupt the store line of one
-specific cell::
+A subprocess gets a plan through this module's entry point, which
+installs it and runs ``repro-sched`` in process — here killing
+(``os._exit``) the worker running any ``sjf`` cell on its first
+attempt, and corrupting the store line of one specific cell::
 
-    REPRO_FAULTS='{"seed": 0, "rules": [
+    python -m tests.tooling.faults --plan '{"seed": 0, "rules": [
       {"kind": "crash", "mode": "exit", "match": "|sjf|"},
       {"kind": "corrupt_write", "match": "adversarial|10|fcfs|1|"}
-    ]}'
+    ]}' -- matrix --scenarios adversarial --sizes 10 --workers 2 ...
 
 Rule kinds: ``crash`` (worker raises :class:`InjectedCrash`, or with
 ``"mode": "exit"`` dies without cleanup like an OOM kill), ``hang``
@@ -49,13 +49,12 @@ import errno
 import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional
+from typing import Optional, Sequence
 
-#: Environment variable holding a JSON :class:`FaultPlan`; unset (the
-#: default) means no injection anywhere.
-ENV_VAR = "REPRO_FAULTS"
+from repro.experiments import cli, parallel, store
 
 #: Fault kinds applied at cell-execution time (in the worker).
 #: ``latency`` is benign (the attempt proceeds after the sleep);
@@ -117,9 +116,8 @@ class FaultRule:
 class FaultPlan:
     """A seeded set of :class:`FaultRule`\\ s.
 
-    The plan is plain frozen data so it serializes to/from the
-    ``REPRO_FAULTS`` JSON losslessly and crosses the process boundary
-    to pool workers unchanged.
+    The plan is plain frozen data so it serializes to/from the entry
+    point's ``--plan`` JSON losslessly.
     """
 
     seed: int = 0
@@ -173,6 +171,7 @@ class FaultPlan:
 
     # -- (de)serialization --------------------------------------------
     def to_json(self) -> str:
+        """The ``--plan`` argument that runs this plan in a subprocess."""
         return json.dumps(
             {
                 "seed": self.seed,
@@ -207,10 +206,8 @@ class FaultPlan:
 
 
 # -- activation --------------------------------------------------------
-#: Programmatic override (tests); None defers to the environment.
+#: The installed plan; None means injection is off.
 _installed: Optional[FaultPlan] = None
-#: (raw env string, parsed plan) cache so hot paths don't re-parse.
-_env_cache: tuple[Optional[str], Optional[FaultPlan]] = (None, None)
 #: Per-process store-write counters: how many times each cell's line
 #: has been written here. Lets a torn-write rule injure the first
 #: write of a cell and spare the re-write after resume (same process);
@@ -219,28 +216,22 @@ _write_attempts: dict[str, int] = {}
 
 
 def install(plan: Optional[FaultPlan]) -> None:
-    """Set (or with ``None`` clear) the in-process plan override and
-    reset write counters — test isolation in one call."""
+    """Set (or with ``None`` clear) the plan, fill (or clear) the hook
+    slots of the store and the sweep, and reset write counters — test
+    isolation in one call."""
     global _installed
     _installed = plan
     _write_attempts.clear()
+    store.write_fault = None if plan is None else mangle_store_line
+    parallel.cell_fault = None if plan is None else on_cell_attempt
 
 
-def active_plan(environ: Optional[Mapping[str, str]] = None) -> Optional[FaultPlan]:
-    """The live plan: the installed override, else ``REPRO_FAULTS``,
-    else ``None`` (injection off — the production default)."""
-    global _env_cache
-    if _installed is not None:
-        return _installed
-    raw = (os.environ if environ is None else environ).get(ENV_VAR)
-    if raw is None or not raw.strip():
-        return None
-    if _env_cache[0] != raw:
-        _env_cache = (raw, FaultPlan.from_json(raw))
-    return _env_cache[1]
+def active_plan() -> Optional[FaultPlan]:
+    """The installed plan, or ``None`` (injection off)."""
+    return _installed
 
 
-# -- hooks (called by the engine; no-ops without an active plan) -------
+# -- hooks (installed into the engine; no-ops without an active plan) --
 def on_cell_attempt(key: str, attempt: int) -> None:
     """Worker-side hook: crash or hang per the active plan.
 
@@ -300,3 +291,23 @@ def mangle_store_line(key: str, line: str) -> tuple[str, bool]:
     if rule.kind == "torn_write":
         return line[: max(1, len(line) // 2)], False
     return "#CORRUPT#" + line[len(line) // 3:], True
+
+
+# -- entry point ---------------------------------------------------------
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Install the ``--plan`` and run ``repro-sched`` with the arguments
+    after ``--`` in this process; return its exit status."""
+    args = list(sys.argv[1:] if argv is None else argv)
+    if len(args) < 3 or args[0] != "--plan" or args[2] != "--":
+        print(
+            "usage: python -m tests.tooling.faults --plan JSON -- "
+            "REPRO_SCHED_ARGS...",
+            file=sys.stderr,
+        )
+        return 2
+    install(FaultPlan.from_json(args[1]))
+    return cli.main(args[3:])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

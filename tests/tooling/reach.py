@@ -15,7 +15,9 @@ perfbench workload at full size, the paper-claim benchmarks
 leaf subcommand in ``tests/data/cli_surface.json``, the documented
 paths those calls leave undriven (:data:`DOCUMENTED_CALLS`, and a TCP
 daemon streaming ``subscribe_events``), ``matrix --retry-failed``, and
-the fault-injected sweeps of the ``chaos`` CI job. ``tests/data/reachability.json`` has one row per ``src/repro``
+the fault-injected sweeps of the ``chaos`` CI job, which run the CLI
+through the fault-plan entry point ``python -m tests.tooling.faults``
+(``tests/tooling/faults.py``). ``tests/data/reachability.json`` has one row per ``src/repro``
 function none of them reaches, keyed by module and qualified name (no
 line numbers, so unrelated edits do not move rows). A row records
 whether tier-1 reaches the function and the one reason it ships
@@ -45,7 +47,7 @@ import subprocess
 import sys
 import tempfile
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -180,7 +182,9 @@ class Collection:
             ),
             encoding="utf-8",
         )
-        path = [str(site), str(SRC)]
+        # The repository root, for the fault-plan entry point
+        # (``python -m tests.tooling.faults``) run from a scratch directory.
+        path = [str(site), str(SRC), str(ROOT)]
         if os.environ.get("PYTHONPATH"):
             path.append(os.environ["PYTHONPATH"])
         self.env = dict(
@@ -320,8 +324,10 @@ _SWEEP = [
 ]
 
 
-def _faults(*rules: dict) -> dict[str, str]:
-    return {"REPRO_FAULTS": json.dumps({"seed": 0, "rules": list(rules)})}
+def _faults(*rules: dict) -> list[str]:
+    """The argv prefix that runs ``repro-sched`` under a fault plan."""
+    plan = json.dumps({"seed": 0, "rules": list(rules)})
+    return [_PY, "-m", "tests.tooling.faults", "--plan", plan, "--"]
 
 
 _SERVE = """\
@@ -415,12 +421,10 @@ def cli_leaves() -> list[str]:
 @dataclass
 class Step:
     """One command: run in the repository root or else in a scratch
-    directory shared by all steps, with *env* added, expected to exit
-    with *status*."""
+    directory shared by all steps, expected to exit with *status*."""
 
     argv: list[str]
     in_root: bool = False
-    env: dict[str, str] = field(default_factory=dict)
     status: int = 0
 
 
@@ -463,19 +467,19 @@ def user_paths(out: Path) -> list[Step]:
     steps += [
         Step(_CLI + ["matrix", *_SWEEP, "--workers", "1", "--out",
                      "ref.jsonl"]),
-        Step(_CLI + ["matrix", *_SWEEP, "--workers", "2", "--max-retries",
-                     "2", "--retry-backoff", "0.05", "--out", "chaos.jsonl"],
-             env=_faults(crash, corrupt)),
+        Step(_faults(crash, corrupt) + [
+            "matrix", *_SWEEP, "--workers", "2", "--max-retries", "2",
+            "--retry-backoff", "0.05", "--out", "chaos.jsonl"]),
         Step(_CLI + ["store", "doctor", "chaos.jsonl"], status=1),
         Step(_CLI + ["matrix", *_SWEEP, "--workers", "2", "--out",
                      "chaos.jsonl", "--resume"]),
-        Step(_CLI + ["matrix", *_SWEEP, "--workers", "2", "--cell-timeout",
-                     "2", "--retry-backoff", "0.05", "--out", "hung.jsonl"],
-             env=_faults(hang)),
-        Step(_CLI + ["matrix", *_SWEEP, "--workers", "2", "--max-retries",
-                     "1", "--retry-backoff", "0.05", "--on-cell-failure",
-                     "quarantine", "--out", "quarantined.jsonl"],
-             env=_faults(dead), status=3),
+        Step(_faults(hang) + [
+            "matrix", *_SWEEP, "--workers", "2", "--cell-timeout", "2",
+            "--retry-backoff", "0.05", "--out", "hung.jsonl"]),
+        Step(_faults(dead) + [
+            "matrix", *_SWEEP, "--workers", "2", "--max-retries", "1",
+            "--retry-backoff", "0.05", "--on-cell-failure", "quarantine",
+            "--out", "quarantined.jsonl"], status=3),
         Step(_CLI + ["matrix", "--retry-failed", "quarantined.jsonl"]),
     ]
     return steps
@@ -497,11 +501,10 @@ def measure(steps: list[Step]) -> Hits:
         prefix="reach-scratch-"
     ) as scratch:
         for step in steps:
-            env = dict(collection.env, **step.env)
             cwd = ROOT if step.in_root else scratch
             print("reach:", " ".join(step.argv[1:])[:100], flush=True)
             proc = subprocess.run(
-                step.argv, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                step.argv, cwd=cwd, env=collection.env, stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT, text=True,
             )
             if proc.returncode != step.status:
