@@ -21,7 +21,7 @@ from repro.schedulers.registry import (
     supports_anneal_window,
 )
 from repro.experiments.store import CellKey, cell_key
-from repro.sim.cluster import ClusterModel, ResourcePool
+from repro.sim.cluster import ResourcePool
 from repro.sim.disruptions import (
     DisruptionSpec,
     DisruptionTrace,
@@ -145,7 +145,7 @@ def run_single(
     scheduler_seed: int = 0,
     arrival_mode: ArrivalMode = "scenario",
     jobs: Optional[Sequence[Job]] = None,
-    cluster: Optional[ClusterModel] = None,
+    cluster: Optional[ResourcePool] = None,
     topology: Optional[ClusterTopology] = None,
     max_retries: int = 3,
     max_decisions: Optional[int] = None,
@@ -208,7 +208,7 @@ def run_single(
         the_cluster = cluster
     else:
         the_cluster = ResourcePool(topology=topology)
-    the_topology = getattr(the_cluster, "topology", None)
+    the_topology = the_cluster.topology
     trace: Optional[DisruptionTrace] = None
     spec = disruptions if disruptions else None
     if spec is not None:

@@ -330,10 +330,10 @@ class AnnealingOptimizer(BaseScheduler):
             releases.append((d.end, d.nodes, d_mem))
 
         # Jobs exceeding the profile's eventual capacity (nodes failed
-        # and not repaired within the plan, or memory a node-level
-        # cluster withholds beyond the release stream) are parked at
-        # +inf — tried last, held until they fit — instead of crashing
-        # the packer.
+        # and not repaired within the plan, or memory the per-node
+        # test reference in tests/node_reference.py withholds beyond
+        # the release stream) are parked at +inf — tried last, held
+        # until they fit — instead of crashing the packer.
         jobs, unpackable = split_unpackable(view, jobs, releases)
         n = len(jobs)
         if n == 0 and unpackable:

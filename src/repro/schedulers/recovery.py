@@ -10,11 +10,11 @@ model; under disruptions it needs two adjustments before packing:
   ``Job`` objects pass through untouched (bit-identical planning).
 * :func:`split_unpackable` — a job can exceed the profile's eventual
   capacity and would never pack: nodes failed and not restored by any
-  release in the planning horizon, or a node-level cluster that
-  withholds a whole node's memory per running job while the release
-  stream returns only what each job asked for. Such jobs are parked
-  (planned at ``+inf``) until the cluster can start them instead of
-  crashing the packer.
+  release in the planning horizon, or — under the per-node test
+  reference ``tests/node_reference.py`` — a whole node's memory
+  withheld per running job while the release stream returns only what
+  each job asked for. Such jobs are parked (planned at ``+inf``) until
+  the cluster can start them instead of crashing the packer.
 
 With a non-flat :class:`~repro.sim.topology.ClusterTopology` the view
 additionally carries per-domain free capacity, and this module grows

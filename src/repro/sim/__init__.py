@@ -14,11 +14,10 @@ Public surface
     memory, user/group metadata).
 :class:`~repro.sim.cluster.ResourcePool`
     Aggregate node/memory accounting with first-fit feasibility, the
-    model the paper uses (256 nodes / 2048 GB partition).
-:class:`~repro.sim.cluster.NodeLevelCluster`
-    Optional finer-grained per-node model (first-fit over a node list).
+    model the paper uses (256 nodes / 2048 GB partition) and the only
+    cluster model the package ships.
 :class:`~repro.sim.simulator.HPCSimulator`
-    The discrete event engine: ties a workload, a cluster model and a
+    The discrete event engine: ties a workload, the cluster pool and a
     scheduler together and produces a :class:`~repro.sim.schedule.ScheduleResult`.
 :mod:`~repro.sim.actions`
     The action vocabulary shared by every scheduler
@@ -50,7 +49,7 @@ from repro.sim.actions import (
     StartJob,
     Stop,
 )
-from repro.sim.cluster import ClusterModel, NodeLevelCluster, ResourcePool
+from repro.sim.cluster import ResourcePool
 from repro.sim.constraints import ConstraintChecker, Violation, ViolationKind
 from repro.sim.disruptions import (
     DISRUPTION_PRESETS,
@@ -76,7 +75,6 @@ __all__ = [
     "Action",
     "ActionKind",
     "BackfillJob",
-    "ClusterModel",
     "ConstraintChecker",
     "DISRUPTION_PRESETS",
     "ClusterTopology",
@@ -92,7 +90,6 @@ __all__ = [
     "JobRecord",
     "JobState",
     "NodeFailure",
-    "NodeLevelCluster",
     "PreemptJob",
     "PreemptionRecord",
     "RESTART_POLICIES",

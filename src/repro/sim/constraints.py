@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.actions import Action, ActionKind
-from repro.sim.cluster import ClusterModel
+from repro.sim.cluster import ResourcePool
 from repro.sim.job import Job
 
 
@@ -78,7 +78,7 @@ class ConstraintChecker:
         action: Action,
         *,
         queued: dict[int, Job],
-        cluster: ClusterModel,
+        cluster: ResourcePool,
         all_scheduled: bool,
         running: Optional[dict[int, object]] = None,
     ) -> ValidationResult:

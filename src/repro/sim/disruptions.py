@@ -18,11 +18,11 @@ Semantics (see also the README "Faults & disruptions" section):
   shrinking free capacity — until its repair time.
 * A **drain** takes ``nodes`` nodes out of service over ``[start,
   end)`` for maintenance. Idle nodes are drained first; if too few are
-  idle, running jobs are preempted (most recently started first in the
-  aggregate model, highest node index first in the node-level model)
-  until the drain is satisfied. Drains are *announced*
-  ``announce_lead`` seconds ahead so recovery-aware schedulers can
-  avoid placing long jobs across the window.
+  idle, running jobs are preempted (most recently started first: the
+  top of the pool's occupancy-slot layout) until the drain is
+  satisfied. Drains are *announced* ``announce_lead`` seconds ahead so
+  recovery-aware schedulers can avoid placing long jobs across the
+  window.
 
 Reproducibility is part of the contract: traces are plain data
 generated from seeds up front (per-node RNG streams spawned from one
@@ -141,9 +141,9 @@ class DrainWindow:
     (no advance notice) and is clamped to 0.
 
     ``domain`` optionally pins the drain to one failure domain
-    (``rack2``): node-identity cluster models then take the drained
-    nodes from that domain's block instead of the global idle pool,
-    and schedulers still see the window as a single capacity notch of
+    (``rack2``): the drain takes at most that domain's size (the pool
+    has no node identity, so it takes them from the global idle pool),
+    and schedulers see the window as a single capacity notch of
     ``nodes`` (never N per-node events).
     """
 

@@ -684,13 +684,13 @@ class EngineState:
                 self.end_index.min_key() if self.running else None
             ),
             "blocked_jobs": self.n_blocked,
-            "nodes_offline": getattr(cluster, "offline_nodes", 0),
+            "nodes_offline": cluster.offline_nodes,
             "upcoming_drains": drains,
             # Shared, not copied: see _own_remaining.
             "remaining_runtimes": self.remaining or _NO_REMAINING,
             "topology": self.topo,
             "domain_free_nodes": (
-                tuple(cluster.domain_free_nodes()) if self.has_domains else ()
+                cluster.domain_free_nodes() if self.has_domains else ()
             ),
             "_queued_index": None,
             "_running_sorted": running_sorted,

@@ -29,7 +29,7 @@ from typing import (
 )
 
 from repro.sim.actions import Action
-from repro.sim.cluster import ClusterModel, ResourcePool
+from repro.sim.cluster import ResourcePool
 from repro.sim.constraints import Violation
 from repro.sim.disruptions import (
     DisruptionTrace,
@@ -464,7 +464,7 @@ class HPCSimulator:
 
     jobs: list[Job]
     scheduler: SchedulerProtocol
-    cluster: ClusterModel = field(default_factory=ResourcePool)
+    cluster: ResourcePool = field(default_factory=ResourcePool)
     max_retries: int = 3
     max_decisions: Optional[int] = None
     enforce_walltime: bool = False
@@ -491,9 +491,9 @@ class HPCSimulator:
         # resolve: a bad label must be a construction-time error, not
         # an IndexError deep in the event loop at DRAIN_START time.
         if self.disruptions is not None and self.disruptions.drains:
-            topo = getattr(self.cluster, "topology", None)
+            topo = self.cluster.topology
             for drain in self.disruptions.drains:
-                if drain.domain is None or topo is None:
+                if drain.domain is None:
                     continue
                 try:
                     topo.domain_range(drain.domain)
@@ -534,7 +534,7 @@ def simulate(
     jobs: Iterable[Job],
     scheduler: SchedulerProtocol,
     *,
-    cluster: Optional[ClusterModel] = None,
+    cluster: Optional[ResourcePool] = None,
     max_retries: int = 3,
     max_decisions: Optional[int] = None,
     enforce_walltime: bool = False,

@@ -10,7 +10,6 @@ restorations, and arrivals.
 import pytest
 
 from repro.schedulers.registry import create_scheduler
-from repro.sim.cluster import NodeLevelCluster
 from repro.sim.disruptions import (
     DISRUPTION_PRESETS,
     DisruptionSpec,
@@ -22,6 +21,8 @@ from repro.sim.disruptions import (
 from repro.sim.job import Job
 from repro.sim.simulator import HPCSimulator
 from repro.sim.topology import ClusterTopology
+
+from tests.node_reference import NodeLevelCluster
 
 TOPO = ClusterTopology(n_nodes=256, rack_size=32, racks_per_switch=4)
 

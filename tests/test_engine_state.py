@@ -40,7 +40,7 @@ from repro.metrics.disruption import goodput_node_hours, wasted_node_hours
 from repro.metrics.objectives import compute_metrics
 from repro.schedulers.registry import available_schedulers, create_scheduler
 from repro.service.protocol import schedule_digest
-from repro.sim.cluster import NodeLevelCluster, ResourcePool
+from repro.sim.cluster import ResourcePool
 from repro.sim.disruptions import DisruptionSpec, estimate_horizon
 from repro.sim.engine import EngineState, run_soa
 from repro.sim.simulator import HPCSimulator, simulate
@@ -49,6 +49,7 @@ from repro.workloads.dags import layered_dag_workload
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import _substituted
+from tests.node_reference import NodeLevelCluster
 from tests.test_properties import build_jobs, job_lists
 from tests.test_soa_regression import (
     CORRELATED,

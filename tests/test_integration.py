@@ -6,11 +6,12 @@ import pytest
 import repro  # noqa: F401 - registers LLM schedulers
 from repro.metrics.objectives import compute_metrics
 from repro.schedulers.registry import available_schedulers, create_scheduler
-from repro.sim.cluster import NodeLevelCluster, ResourcePool
+from repro.sim.cluster import ResourcePool
 from repro.sim.simulator import HPCSimulator
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import make_job
+from tests.node_reference import NodeLevelCluster
 
 ALL_SCHEDULERS = available_schedulers()
 

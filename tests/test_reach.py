@@ -29,10 +29,10 @@ def reached_by(*argv: str) -> set[tuple[str, str]]:
         return reach.reached(collection.hits())
 
 
-def test_quickstart_reaches_the_engine_and_not_the_node_model():
+def test_quickstart_reaches_the_engine_and_not_the_random_policy():
     got = reached_by(str(reach.ROOT / "examples" / "quickstart.py"))
     assert ("repro.sim.engine", "run_soa") in got
-    assert ("repro.sim.cluster", "NodeLevelCluster.allocate") not in got
+    assert ("repro.schedulers.heuristics", "RandomScheduler.decide") not in got
 
 
 def test_forked_child_leaving_through_os_exit_is_recorded():

@@ -16,10 +16,10 @@ from repro.schedulers.packing import (
 )
 from repro.schedulers.recovery import split_unpackable
 from repro.schedulers.registry import create_scheduler
-from repro.sim.cluster import NodeLevelCluster
 from repro.sim.simulator import simulate
 
 from tests.conftest import left_fold, make_job, neumaier_sum, profile_columns
+from tests.node_reference import NodeLevelCluster
 
 
 def pack(jobs, **profile):

@@ -1,10 +1,20 @@
 """Unit tests for the cluster resource models."""
 
+import ast
+
 import pytest
 
-from repro.sim.cluster import AllocationError, NodeLevelCluster, ResourcePool
+from repro.sim.cluster import AllocationError, ResourcePool
 
 from tests.conftest import make_job
+from tests.node_reference import NodeLevelCluster
+from tests.test_src_shape import SRC, is_cluster
+
+#: The modules that hold a cluster and read it.
+CLUSTER_READERS = (
+    "sim/engine.py", "sim/simulator.py", "sim/constraints.py",
+    "experiments/runner.py",
+)
 
 
 class TestResourcePoolBasics:
@@ -153,3 +163,37 @@ class TestNodeLevelCluster:
         with pytest.raises(ValueError):
             NodeLevelCluster(memory_per_node_gb=0.0)
 
+
+def cluster_reads() -> set[str]:
+    """Every attribute :data:`CLUSTER_READERS` reads off a cluster."""
+    trees = [
+        ast.parse((SRC / module).read_text(encoding="utf-8"))
+        for module in CLUSTER_READERS
+    ]
+    return {
+        node.attr for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and is_cluster(node.value)
+    }
+
+
+class TestClusterSeam:
+    """No ``Protocol`` ties the pool to the per-node reference any more;
+    this does, for exactly what the package reads."""
+
+    def test_the_collector_sees_the_engine_seam(self):
+        assert cluster_reads() >= {
+            "allocate", "release", "reset", "topology", "slot_victim",
+            "mark_failed", "mark_repaired", "drain_take_idle",
+            "drain_victim", "drain_release", "free_nodes",
+            "free_memory_gb", "total_nodes", "total_memory_gb",
+            "offline_nodes", "domain_free_nodes",
+        }
+
+    @pytest.mark.parametrize("model", [
+        ResourcePool(total_nodes=8, total_memory_gb=64.0),
+        NodeLevelCluster(node_count=8, memory_per_node_gb=8.0),
+    ], ids=["pool", "nodes"])
+    def test_both_models_provide_every_attribute_read(self, model):
+        assert sorted(
+            name for name in cluster_reads() if not hasattr(model, name)
+        ) == []

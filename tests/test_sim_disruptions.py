@@ -9,7 +9,7 @@ from repro.schedulers.base import BaseScheduler
 from repro.schedulers.fcfs import EasyBackfillScheduler, FCFSScheduler
 from repro.schedulers.optimizer import AnnealingOptimizer
 from repro.sim.actions import Delay, PreemptJob, StartJob
-from repro.sim.cluster import NodeLevelCluster, ResourcePool
+from repro.sim.cluster import ResourcePool
 from repro.sim.disruptions import (
     DISRUPTION_PRESETS,
     DisruptionSpec,
@@ -25,6 +25,8 @@ from repro.sim.disruptions import (
 )
 from repro.sim.job import Job
 from repro.sim.simulator import HPCSimulator, simulate
+
+from tests.node_reference import NodeLevelCluster
 
 
 def make_jobs(specs):

@@ -4,12 +4,14 @@ import pickle
 
 import pytest
 
-from repro.sim.cluster import NodeLevelCluster, ResourcePool
+from repro.sim.cluster import ResourcePool
 from repro.sim.job import Job
 from repro.sim.topology import (
     ClusterTopology,
     topology_signature,
 )
+
+from tests.node_reference import NodeLevelCluster
 
 
 def topo(n=256, rack=32, per_switch=4):

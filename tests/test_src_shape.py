@@ -17,8 +17,10 @@ replay through ``run_single``), no object event queue and no
 object-graph oracle in the package (both live in ``tests/``), a
 packing module without numpy, no second path beside ``store
 doctor --dedupe`` (sharded auto-compaction) or beside SWF (a CSV trace
-format), no read of the environment, and no fault injection (the chaos
-harness is ``tests/tooling/faults.py``).
+format), no read of the environment, no fault injection (the chaos
+harness is ``tests/tooling/faults.py``), and one cluster model, read
+without attribute probes (the per-node model is
+``tests/node_reference.py``).
 """
 
 from __future__ import annotations
@@ -186,14 +188,19 @@ def test_sessions_replay_through_the_batch_path():
     assert "repro.experiments.runner" in imported
 
 
-def test_packing_imports_no_numpy():
+def imported_packages(tree: ast.Module) -> set[str]:
+    """Top-level package of every import in *tree*."""
     imported = set()
-    for node in ast.walk(_tree("schedulers/packing.py")):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").split(".")[0])
-    assert "numpy" not in imported
+    return imported
+
+
+def test_packing_imports_no_numpy():
+    assert "numpy" not in imported_packages(_tree("schedulers/packing.py"))
 
 
 def test_no_src_file_names_the_object_oracle():
@@ -297,3 +304,65 @@ def test_fault_injection_lives_in_the_tests():
         assert not any(
             name == "tests" or name.startswith("tests.") for name in imported
         ), module
+
+
+# -- one cluster model, read without probes -------------------------------
+
+#: Names the package gives a cluster object: ``cluster`` and
+#: ``the_cluster`` locals, and any ``.cluster`` attribute.
+CLUSTER_NAMES = {"cluster", "the_cluster"}
+
+
+def is_cluster(node: ast.AST) -> bool:
+    """True if *node* is an expression the package holds a cluster in."""
+    return (
+        isinstance(node, ast.Name) and node.id in CLUSTER_NAMES
+        or isinstance(node, ast.Attribute) and node.attr == "cluster"
+    )
+
+
+def cluster_probes(tree: ast.AST) -> list[int]:
+    """Lines of every ``getattr`` / ``hasattr`` call on a cluster."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"getattr", "hasattr"}
+        and node.args and is_cluster(node.args[0])
+    )
+
+
+def test_cluster_module_ships_only_the_pool():
+    tree = _tree("sim/cluster.py")
+    assert sorted(
+        node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ) == ["AllocationError", "ResourcePool"]
+    assert "numpy" not in imported_packages(tree)
+
+
+def test_sim_exports_one_cluster_model():
+    import repro.sim as sim
+
+    for name in ("ClusterModel", "NodeLevelCluster"):
+        assert name not in sim.__all__ and not hasattr(sim, name)
+
+
+def test_the_guard_sees_each_cluster_probe():
+    for source in ('getattr(cluster, "topology", None)',
+                   'hasattr(self.cluster, "reset")',
+                   'getattr(the_cluster, "offline_nodes", 0)'):
+        assert cluster_probes(ast.parse(source)) == [1]
+    assert cluster_probes(ast.parse('getattr(self.scheduler, "x", 0)')) == []
+
+
+def test_nothing_in_src_probes_the_cluster():
+    """The engine reads ``ResourcePool`` attributes directly: no
+    ``getattr`` default or ``hasattr`` branch stands in for a second
+    model that might lack one."""
+    assert {
+        path.relative_to(ROOT).as_posix(): lines
+        for path in sorted(SRC.rglob("*.py"))
+        if (lines := cluster_probes(
+            ast.parse(path.read_text(encoding="utf-8"))
+        ))
+    } == {}
