@@ -754,8 +754,7 @@ def _cmd_run(args) -> int:
             f"\ndisruptions [{run.disruption_sig}]: "
             f"{len(run.result.preemptions)} preemptions "
             f"(failures={kills.get('failure', 0)}, "
-            f"drains={kills.get('drain', 0)}, "
-            f"voluntary={kills.get('preempt', 0)})"
+            f"drains={kills.get('drain', 0)})"
         )
         domain_kills = run.result.extras.get("domain_kills")
         if domain_kills:

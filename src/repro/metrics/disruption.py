@@ -10,9 +10,8 @@ is where they differentiate:
   (work past the last checkpoint is re-done on restart);
 * **goodput fraction** — goodput / (goodput + wasted), the
   dimensionless efficiency of the recovery path;
-* **work lost per kill** — mean node-seconds discarded per involuntary
-  kill (failure or drain eviction; voluntary ``PreemptJob`` suspends
-  are clean and excluded);
+* **work lost per kill** — mean node-seconds discarded per kill
+  (failure or drain eviction);
 * **requeue latency** — mean seconds a killed job waited between its
   eviction and its restart.
 
@@ -21,11 +20,11 @@ shocks, domain-scoped drains) additionally report the **blast-radius**
 objectives:
 
 * **largest event loss** — the worst single event's total discarded
-  node-hours, grouping every involuntary kill at one (time, reason,
-  domain) into one event: the quantity a whole-rack shock maximizes
-  and independent node churn cannot;
-* **domain kills / domains hit** — involuntary kills attributed to a
-  named failure domain, and how many distinct domains were struck.
+  node-hours, grouping every kill at one (time, reason, domain) into
+  one event: the quantity a whole-rack shock maximizes and independent
+  node churn cannot;
+* **domain kills / domains hit** — kills attributed to a named failure
+  domain, and how many distinct domains were struck.
 
 These are computed from the :class:`~repro.sim.schedule.ScheduleResult`
 preemption log and appear in :func:`~repro.metrics.objectives.compute_metrics`
@@ -63,9 +62,6 @@ BLAST_METRIC_NAMES: tuple[str, ...] = (
 DISRUPTION_METRIC_NAMES: tuple[str, ...] = (
     CORE_DISRUPTION_METRIC_NAMES + BLAST_METRIC_NAMES
 )
-
-#: Preemption reasons that count as involuntary kills.
-INVOLUNTARY_REASONS: tuple[str, ...] = ("failure", "drain")
 
 
 def _left_fold(values: Iterable[float]) -> float:
@@ -115,30 +111,20 @@ def goodput_fraction(result: ScheduleResult) -> float:
 
 
 def work_lost_per_kill(result: ScheduleResult) -> float:
-    """Mean node-seconds discarded per involuntary kill."""
-    involuntary = [
-        p for p in result.preemptions if p.reason in INVOLUNTARY_REASONS
-    ]
-    if not involuntary:
+    """Mean node-seconds discarded per kill."""
+    kills = result.preemptions
+    if not kills:
         return 0.0
-    lost = _left_fold(p.lost_node_seconds for p in involuntary)
-    return lost / len(involuntary)
+    return _left_fold(p.lost_node_seconds for p in kills) / len(kills)
 
 
 def mean_requeue_latency(result: ScheduleResult) -> float:
-    """Mean seconds between an involuntary kill and the victim's
-    restart.
-
-    Voluntary ``PreemptJob`` suspensions are excluded (matching
-    ``n_kills``/``work_lost_per_kill``): they restart on the policy's
-    own schedule and would dilute the involuntary-recovery latency
-    this metric exists to compare across restart policies.
-    """
+    """Mean seconds between a kill and the victim's restart (victims
+    never restarted are left out)."""
     latencies = [
         p.requeue_latency
         for p in result.preemptions
         if p.requeue_latency is not None
-        and p.reason in INVOLUNTARY_REASONS
     ]
     if not latencies:
         return 0.0
@@ -157,8 +143,6 @@ def largest_event_loss_node_hours(result: ScheduleResult) -> float:
     """
     events: dict[tuple[float, str, "str | None"], float] = {}
     for p in result.preemptions:
-        if p.reason not in INVOLUNTARY_REASONS:
-            continue
         key = (p.time, p.reason, p.domain)
         events[key] = events.get(key, 0.0) + p.lost_node_seconds
     if not events:
@@ -167,10 +151,10 @@ def largest_event_loss_node_hours(result: ScheduleResult) -> float:
 
 
 def domain_kill_counts(result: ScheduleResult) -> dict[str, int]:
-    """Involuntary kills per named failure domain (``rack3`` → 5)."""
+    """Kills per named failure domain (``rack3`` → 5)."""
     counts: dict[str, int] = {}
     for p in result.preemptions:
-        if p.reason in INVOLUNTARY_REASONS and p.domain is not None:
+        if p.domain is not None:
             counts[p.domain] = counts.get(p.domain, 0) + 1
     return dict(sorted(counts.items()))
 
@@ -199,13 +183,7 @@ def disruption_metrics(result: ScheduleResult) -> dict[str, float]:
         "goodput_node_hours": goodput_node_hours(result),
         "wasted_node_hours": wasted_node_hours(result),
         "goodput_fraction": goodput_fraction(result),
-        "n_kills": float(
-            sum(
-                1
-                for p in result.preemptions
-                if p.reason in INVOLUNTARY_REASONS
-            )
-        ),
+        "n_kills": float(len(result.preemptions)),
         "work_lost_per_kill": work_lost_per_kill(result),
         "mean_requeue_latency": mean_requeue_latency(result),
     }

@@ -150,11 +150,10 @@ def compute_metrics(result: ScheduleResult) -> MetricReport:
         "wait_fairness": per_job_fairness(arrays),
         "user_fairness": per_user_fairness(arrays),
     }
-    # Gate on ``disrupted`` alone (not on preemptions): a voluntary
-    # PreemptJob during an undisrupted run must not grow this run's
-    # metric keys past its sig="none" baselines, or normalization
-    # against them would KeyError. The preemption log itself stays
-    # available on the result for direct consumers.
+    # Gate on ``disrupted`` alone (not on preemptions): a disrupted
+    # run in which no job happened to be killed still reports the
+    # reliability columns, so every run of one disruption signature
+    # has the same metric keys.
     if result.disrupted:
         from repro.metrics.disruption import disruption_metrics
 

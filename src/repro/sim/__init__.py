@@ -20,9 +20,8 @@ Public surface
     The discrete event engine: ties a workload, the cluster pool and a
     scheduler together and produces a :class:`~repro.sim.schedule.ScheduleResult`.
 :mod:`~repro.sim.actions`
-    The action vocabulary shared by every scheduler
-    (``StartJob`` / ``BackfillJob`` / ``PreemptJob`` / ``Delay`` /
-    ``Stop``).
+    The paper's four actions, shared by every scheduler
+    (``StartJob`` / ``BackfillJob`` / ``Delay`` / ``Stop``).
 :class:`~repro.sim.constraints.ConstraintChecker`
     Structured feasibility validation; the natural-language rendering
     used for LLM feedback lives in :mod:`repro.core.constraints`.
@@ -45,7 +44,6 @@ from repro.sim.actions import (
     ActionKind,
     BackfillJob,
     Delay,
-    PreemptJob,
     StartJob,
     Stop,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "JobRecord",
     "JobState",
     "NodeFailure",
-    "PreemptJob",
     "PreemptionRecord",
     "RESTART_POLICIES",
     "ResourcePool",

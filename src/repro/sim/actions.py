@@ -21,18 +21,10 @@ from typing import Optional
 
 
 class ActionKind(enum.Enum):
-    """The verbs of the scheduling action space.
-
-    The paper's agent uses four (§2.2); ``PREEMPT`` is the disruption
-    subsystem's extension — voluntarily suspend a *running* job
-    (checkpoint it cleanly and requeue it), the mechanism a
-    recovery-aware policy uses to migrate work off nodes an announced
-    maintenance drain is about to take.
-    """
+    """The four verbs of the scheduling action space (paper §2.2)."""
 
     START = "StartJob"
     BACKFILL = "BackfillJob"
-    PREEMPT = "PreemptJob"
     DELAY = "Delay"
     STOP = "Stop"
 
@@ -41,7 +33,7 @@ class ActionKind(enum.Enum):
 class Action:
     """A concrete scheduling action.
 
-    ``job_id`` is required for START/BACKFILL/PREEMPT and must be
+    ``job_id`` is required for START/BACKFILL and must be
     ``None`` for DELAY/STOP.
     """
 
@@ -49,8 +41,7 @@ class Action:
     job_id: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind in (ActionKind.START, ActionKind.BACKFILL,
-                         ActionKind.PREEMPT):
+        if self.kind in (ActionKind.START, ActionKind.BACKFILL):
             if self.job_id is None:
                 raise ValueError(f"{self.kind.value} requires a job_id")
         elif self.job_id is not None:
@@ -79,14 +70,6 @@ def StartJob(job_id: int) -> Action:
 def BackfillJob(job_id: int) -> Action:
     """Opportunistically run the (smaller) job *job_id* ahead of queue order."""
     return Action(ActionKind.BACKFILL, job_id)
-
-
-def PreemptJob(job_id: int) -> Action:
-    """Gracefully suspend the *running* job *job_id*: checkpoint it at
-    the current instant and return it to the queue (no work is lost).
-    Only meaningful under the disruption subsystem; models
-    suspend/migrate ahead of an announced drain."""
-    return Action(ActionKind.PREEMPT, job_id)
 
 
 #: Wait; defer action until conditions change (next event).

@@ -23,7 +23,6 @@ class ViolationKind(enum.Enum):
 
     UNKNOWN_JOB = "unknown_job"
     NOT_QUEUED = "not_queued"
-    NOT_RUNNING = "not_running"
     NOT_YET_SUBMITTED = "not_yet_submitted"
     INSUFFICIENT_NODES = "insufficient_nodes"
     INSUFFICIENT_MEMORY = "insufficient_memory"
@@ -80,7 +79,6 @@ class ConstraintChecker:
         queued: dict[int, Job],
         cluster: ResourcePool,
         all_scheduled: bool,
-        running: Optional[dict[int, object]] = None,
     ) -> ValidationResult:
         """Validate *action* against the queue and cluster state.
 
@@ -95,29 +93,11 @@ class ConstraintChecker:
         all_scheduled:
             True when no job remains queued or pending-arrival (running
             jobs may still exist; ``Stop`` is legal then).
-        running:
-            Jobs currently holding resources, keyed by id; required to
-            accept a ``PreemptJob`` (callers that never see preemption
-            may omit it, in which case every preempt is rejected).
         """
         violations: list[Violation] = []
 
         if action.kind is ActionKind.DELAY:
             return ValidationResult(action)
-
-        if action.kind is ActionKind.PREEMPT:
-            if running is None or action.job_id not in running:
-                violations.append(
-                    Violation(
-                        ViolationKind.NOT_RUNNING,
-                        job_id=action.job_id,
-                        detail=(
-                            f"job {action.job_id} is not running; only "
-                            "running jobs can be preempted"
-                        ),
-                    )
-                )
-            return ValidationResult(action, tuple(violations))
 
         if action.kind is ActionKind.STOP:
             if not all_scheduled:

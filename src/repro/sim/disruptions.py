@@ -48,8 +48,7 @@ from repro.sim.topology import ClusterTopology
 #: all work on a kill; ``checkpoint`` resumes from the last periodic
 #: checkpoint; ``preempt_migrate`` additionally checkpoints every
 #: running job the moment a drain is announced (so drain victims lose
-#: at most the work since the announcement) and pairs with schedulers
-#: that proactively re-place work via the ``PreemptJob`` action.
+#: at most the work since the announcement).
 RESTART_POLICIES: tuple[str, ...] = ("resubmit", "checkpoint", "preempt_migrate")
 
 
@@ -760,7 +759,7 @@ def get_disruption_preset(name: str) -> DisruptionSpec:
 
 @dataclass
 class PreemptionRecord:
-    """One involuntary kill (failure/drain) or voluntary preemption.
+    """One kill of a running job by a node failure or a drain.
 
     ``work_saved`` is the checkpointed node-time the job keeps (per
     node: seconds of progress preserved); ``work_lost`` is what must be
@@ -774,13 +773,13 @@ class PreemptionRecord:
     nodes: int
     start_time: float
     time: float
-    reason: str  # "failure" | "drain" | "preempt"
+    reason: str  # "failure" | "drain"
     work_saved: float
     work_lost: float
     restart_time: Optional[float] = None
     #: Failure-domain label (``rack3``) when the kill came from a
     #: correlated shock or a domain-scoped drain; ``None`` for
-    #: independent node failures and voluntary preemptions. Blast-radius
+    #: independent node failures and unscoped drains. Blast-radius
     #: metrics group on (time, reason, domain) to attribute losses.
     domain: Optional[str] = None
 

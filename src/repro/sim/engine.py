@@ -230,10 +230,10 @@ class EngineState:
     """Everything one run mutates, and the phases that mutate it.
 
     :meth:`step` advances one time instant: :meth:`apply_events` (one
-    handler per :class:`~repro.sim.events.EventKind`), the
-    announce-time decision, the decision loop, the closing Stop query,
-    then the termination checks and the clock. :meth:`ask` is the only
-    place a scheduler is queried, validated and recorded. The cached
+    handler per :class:`~repro.sim.events.EventKind`), the decision
+    loop, the closing Stop query, then the termination checks and the
+    clock. :meth:`ask` is the only place a scheduler is queried,
+    validated and recorded. The cached
     running-set and queue snapshots a view is assembled from are
     dropped in exactly two places, :meth:`running_changed` and
     :meth:`queue_changed`; the view itself also dies with its instant.
@@ -259,7 +259,7 @@ class EngineState:
         # disruption bookkeeping
         "remaining", "preemptions", "pending_restart", "effective_failures",
         "domain_offline", "failed_down_nodes", "domain_kills", "n_kills",
-        "last_announce", "announce_pending",
+        "last_announce",
         # decision control and result lists
         "stopped", "final_stop_asked", "decision_budget", "records",
         "decisions",
@@ -324,9 +324,8 @@ class EngineState:
         self.domain_offline: dict[int, list[int]] = {}
         self.failed_down_nodes: set[int] = set()
         self.domain_kills: dict[str, int] = {}
-        self.n_kills = {"failure": 0, "drain": 0, "preempt": 0}
+        self.n_kills = {"failure": 0, "drain": 0}
         self.last_announce = -math.inf
-        self.announce_pending = False
 
         self.stopped = False
         self.final_stop_asked = False
@@ -468,14 +467,12 @@ class EngineState:
         """Evict a running job and requeue it under the restart policy
         (see the object engine for the full semantics — identical)."""
         sim = self.sim
-        if sim.max_decisions is None and reason != "preempt":
+        if sim.max_decisions is None:
             self.decision_budget += 8
         run = self._drop(job_id)
         elapsed = time - run.start_time
         prior = self.remaining.get(job_id, run.job.duration)
-        if reason == "preempt":
-            saved = elapsed
-        elif sim.restart_policy == "resubmit":
+        if sim.restart_policy == "resubmit":
             saved = 0.0
         else:  # checkpoint / preempt_migrate
             interval = sim.checkpoint_interval
@@ -618,7 +615,6 @@ class EngineState:
 
     def _on_drain_announce(self, idx: int, time: float) -> None:
         self.last_announce = time
-        self.announce_pending = True
 
     # -- the view ------------------------------------------------------
     def _snapshot_queue(self) -> tuple[tuple, QueueColumns]:
@@ -719,8 +715,8 @@ class EngineState:
         """Query the scheduler once, validate and record its answer;
         return the action if it was accepted, else ``None``.
 
-        The *closing* Stop query offers nothing to preempt and does not
-        feed a rejection back to the scheduler.
+        The *closing* Stop query does not feed a rejection back to the
+        scheduler.
         """
         scheduler = self.scheduler
         action = scheduler.decide(view)
@@ -729,7 +725,6 @@ class EngineState:
             queued=self.queued_map,
             cluster=self.cluster,
             all_scheduled=view.all_jobs_scheduled,
-            running=None if closing else self.running,
         )
         self.decisions.append(
             DecisionRecord(
@@ -750,9 +745,7 @@ class EngineState:
     def apply_action(self, action: Action) -> None:
         """Carry out an accepted action (Delay changes nothing)."""
         kind = action.kind
-        if kind is ActionKind.PREEMPT:
-            self.kill(action.job_id, self.now, "preempt")  # type: ignore[arg-type]
-        elif kind is ActionKind.STOP:
+        if kind is ActionKind.STOP:
             self.stopped = True
         elif kind is not ActionKind.DELAY:  # StartJob / BackfillJob
             self.start(self.idx_of[action.job_id])  # type: ignore[index]
@@ -784,19 +777,6 @@ class EngineState:
         """Advance one time instant; ``False`` once the run is over."""
         self._view = None  # views carry `now`
         self.apply_events(self.now)
-
-        # Announce-time reactive decision (see the object engine).
-        if self.announce_pending:
-            self.announce_pending = False
-            if (
-                self.running
-                and not self.n_queued
-                and not self.stopped
-                and len(self.decisions) < self.decision_budget
-            ):
-                action = self.ask(self.build_view())
-                if action is not None:
-                    self.apply_action(action)
 
         if self.n_queued and not self.stopped:
             self._decision_loop()

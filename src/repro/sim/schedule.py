@@ -85,8 +85,8 @@ class ScheduleResult:
         statistics). Keys are scheduler-specific.
     preemptions:
         One :class:`~repro.sim.disruptions.PreemptionRecord` per kill
-        (node failure, drain eviction, or voluntary ``PreemptJob``), in
-        chronological order. Empty for undisrupted runs.
+        (node failure or drain eviction), in chronological order. Empty
+        for undisrupted runs.
     disrupted:
         True when the run executed under a non-empty disruption trace
         (even if no job happened to be killed); gates the extra

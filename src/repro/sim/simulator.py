@@ -455,8 +455,6 @@ class HPCSimulator:
         ``checkpoint_interval``), or ``preempt_migrate`` (checkpoint
         semantics, plus an implicit checkpoint of every running job at
         each drain announcement, modeling proactive migration).
-        Voluntary ``PreemptJob`` actions always suspend cleanly (no
-        work lost) regardless of policy.
     checkpoint_interval:
         Seconds between periodic checkpoints; required (positive) for
         the ``checkpoint`` policy, optional for ``preempt_migrate``.

@@ -152,12 +152,12 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
     #: labels here makes "failing an already-down node is a no-op"
     #: hold uniformly across cluster models.
     failed_down_nodes: set[int] = set()
-    #: Involuntary kills attributed to a failure domain label.
+    #: Kills attributed to a failure domain label.
     domain_kills: dict[str, int] = {}
     #: Most recent drain announcement (preempt_migrate implicitly
     #: checkpoints every running job at that instant).
     last_announce = -math.inf
-    n_kills = {"failure": 0, "drain": 0, "preempt": 0}
+    n_kills = {"failure": 0, "drain": 0}
 
     # -- running-set snapshots (copy-on-write) ----------------------
     # ``view.running`` and the walltime-expiry index change only
@@ -245,26 +245,19 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
         domain: Optional[str] = None,
     ) -> None:
         """Evict a running job and requeue it under the restart
-        policy. ``reason`` "preempt" is the voluntary/graceful path
-        (clean suspend: no work lost). ``domain`` attributes the
-        kill to a failure domain (correlated shock / scoped drain)
-        for blast-radius accounting."""
+        policy. ``reason`` is "failure" or "drain"; ``domain``
+        attributes the kill to a failure domain (correlated shock /
+        scoped drain) for blast-radius accounting."""
         nonlocal stopped, final_stop_asked, decision_budget
-        if sim.max_decisions is None and reason != "preempt":
-            # Each trace-driven kill legitimately costs extra
-            # decisions (the victim must be re-placed, often after
-            # several delays); keep the runaway guard proportional.
-            # Voluntary preempts are *scheduler*-controlled and
-            # must not extend the budget — a policy looping
-            # start/preempt is exactly the runaway the guard
-            # exists to catch.
+        if sim.max_decisions is None:
+            # Each kill legitimately costs extra decisions (the
+            # victim must be re-placed, often after several delays);
+            # keep the runaway guard proportional.
             decision_budget += 8
         run = drop_running(job_id)
         elapsed = time - run.start_time
         prior = remaining.get(job_id, run.job.duration)
-        if reason == "preempt":
-            saved = elapsed
-        elif sim.restart_policy == "resubmit":
+        if sim.restart_policy == "resubmit":
             saved = 0.0
         else:  # checkpoint / preempt_migrate
             interval = sim.checkpoint_interval
@@ -338,19 +331,15 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
             kill_running(victim, drain.start, "drain", drain.domain)
         invalidate_view()
 
-    #: Set by DRAIN_ANNOUNCE; grants the scheduler one decision
-    #: query at the announcement even with an empty queue.
-    announce_pending = False
-
     def process_events_at(time: float) -> None:
-        nonlocal pending_arrivals, last_announce, announce_pending
+        nonlocal pending_arrivals, last_announce
         for event in events.pop_until(time):
             invalidate_view()
             if event.kind is EventKind.COMPLETION:
                 run = running.get(event.job_id)
                 if run is None or run.expected_end != event.time:
                     # Stale: the attempt this event belonged to was
-                    # killed by a failure/drain/preemption.
+                    # killed by a failure or a drain.
                     continue
                 drop_running(event.job_id)
                 full = remaining.pop(event.job_id, run.job.duration)
@@ -443,15 +432,9 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
                 sim.cluster.drain_release(f"drain:{event.job_id}")
             else:  # DRAIN_ANNOUNCE
                 last_announce = event.time
-                announce_pending = True
                 # preempt_migrate: implicit checkpoint of all
                 # running work at the announcement (handled lazily
-                # in kill_running via ``last_announce``). The
-                # ``announce_pending`` flag additionally grants one
-                # reactive decision query even when the queue is
-                # empty (see the main loop) — otherwise a fully
-                # busy cluster could never voluntarily preempt
-                # ahead of the window.
+                # in kill_running via ``last_announce``).
 
     def build_view() -> SystemView:
         nonlocal view_cache, running_snapshot, running_sorted_snapshot
@@ -523,50 +506,6 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
     while True:
         process_events_at(now)
 
-        # A drain was just announced and nothing is queued: the
-        # normal decision phase below would skip the scheduler
-        # entirely, so a preempt-migrate policy on a fully busy
-        # cluster could never react before the window starts.
-        # Grant one query (within the decision budget); an accepted
-        # PreemptJob requeues its victim and the regular phase then
-        # takes over (letting the policy keep preempting). With
-        # jobs queued the regular phase consults the scheduler
-        # anyway.
-        if (
-            announce_pending
-            and running
-            and not queued
-            and not stopped
-            and len(decisions) < decision_budget
-        ):
-            view = build_view()
-            action = sim.scheduler.decide(view)
-            result = checker.validate(
-                action,
-                queued=queued,
-                cluster=sim.cluster,
-                all_scheduled=view.all_jobs_scheduled,
-                running=running,
-            )
-            decisions.append(
-                DecisionRecord(
-                    time=now,
-                    action=action,
-                    accepted=result.ok,
-                    violations=result.violations,
-                    meta=dict(sim.scheduler.decision_meta()),
-                )
-            )
-            if not result.ok:
-                sim.scheduler.on_rejection(
-                    action, result.violations, view
-                )
-            elif action.kind is ActionKind.PREEMPT:
-                kill_running(action.job_id, now, "preempt")  # type: ignore[arg-type]
-            elif action.kind is ActionKind.STOP:
-                stopped = True
-        announce_pending = False
-
         # Decision phase: keep querying while jobs are queued and the
         # scheduler keeps placing them (all within the same timestep).
         retries = 0
@@ -583,7 +522,6 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
                 queued=queued,
                 cluster=sim.cluster,
                 all_scheduled=view.all_jobs_scheduled,
-                running=running,
             )
             meta = dict(sim.scheduler.decision_meta())
             decisions.append(
@@ -609,10 +547,6 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
             if action.kind is ActionKind.STOP:
                 stopped = True
                 break
-            if action.kind is ActionKind.PREEMPT:
-                # Voluntary suspend: clean checkpoint, requeue.
-                kill_running(action.job_id, now, "preempt")  # type: ignore[arg-type]
-                continue
             # StartJob / BackfillJob
             job = queued.pop(action.job_id)  # type: ignore[arg-type]
             start_running(job, now)

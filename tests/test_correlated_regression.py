@@ -2,10 +2,12 @@
 
 1. **Zero-correlation identity**: disrupted runs without domain-level
    events must be *byte-identical* to the PR-3 engine. The digests
-   below were generated by the pre-topology code on the exact cells
-   they pin — records, decisions, preemptions, and metric floats all
-   hash in at full precision, so any behavioural drift (event
-   renumbering, view changes, metric columns) fails loudly.
+   below were first generated by the pre-topology code on the exact
+   cells they pin — records, decisions, preemptions, and metric floats
+   all hash in at full precision, so any behavioural drift (event
+   renumbering, view changes, metric columns) fails loudly. The
+   decision stream has moved once since (no query at a drain
+   announcement); the outcome digests pin that nothing else did.
 2. **Correlated determinism**: a seeded correlated trace is
    bit-reproducible across runs and across serial vs. parallel matrix
    execution.
@@ -13,6 +15,8 @@
    and the store schema (v3), and resume never treats one layout's
    runs as covering another's.
 """
+
+import dataclasses
 
 import pytest
 
@@ -24,6 +28,7 @@ from repro.schedulers.recovery import (
     fits_healthy_domain,
     spread_requeue,
 )
+from repro.service.protocol import schedule_digest
 from repro.sim.disruptions import DisruptionSpec, DrainWindow
 from repro.sim.job import Job
 from repro.sim.simulator import SystemView
@@ -56,15 +61,32 @@ CORRELATED = DisruptionSpec(
 )
 
 #: SHA-256 digests of (records, decisions, preemptions, metrics) in
-#: full float precision, produced by the PR-3 engine (commit 1612bb5)
-#: for run_single("drain_window", 30, <scheduler>, workload_seed=2,
-#: disruptions=UNCORRELATED, restart_policy="checkpoint",
-#: checkpoint_interval=400.0).
+#: full float precision for run_single("drain_window", 30, <scheduler>,
+#: workload_seed=2, disruptions=UNCORRELATED,
+#: restart_policy="checkpoint", checkpoint_interval=400.0). First
+#: produced by the PR-3 engine (commit 1612bb5); re-derived when the
+#: engine stopped querying the scheduler at a drain announcement with
+#: an empty queue, which removed one accepted ``Delay`` record per
+#: such announcement and changed nothing else (``OUTCOME_DIGESTS``).
 PR3_DIGESTS = {
-    "fcfs": "ccd28caf3334aa34010c696a9e0147fef43f35c31c354c885db1ded804285196",
-    "fcfs_backfill": "58c13469ea593cd9350b4efba09a2446137f4476c2ea7feaf1ad085475e87faa",
-    "ortools_like": "05edfecb203854f5899a29a26af8e60104197f7813d23672bb4db7e9cb8dfa5f",
+    "fcfs": "9907715fce93a044e2da75e3a61cdaf278362f8a0a72f2f7d64fa51f16176cdf",
+    "fcfs_backfill": "82b2fc7e48193bdc2cff701471a526c91f211e378e3eff143279d27cdec66444",
+    "ortools_like": "92066e9fcdc924d7bc2d0b5fd693ba40d2c7ce15861da848401a2ffbe39b1bcd",
 }
+
+#: The same cells' ``schedule_digest`` with the decision stream left
+#: out — job records, preemptions and metrics only — recorded at
+#: commit 20cba1d, while the announce-time query still ran. The query
+#: only ever added ``Delay`` records, so these never moved.
+OUTCOME_DIGESTS = {
+    "fcfs": "c95a755a2c81ba434f551ab1aa920a5779c959167dfdd22cba108c1b4f493895",
+    "fcfs_backfill": "dabbf1ef77095391a61f5bd9cd42c5d4d2b528654d36cd9db2bbe8db4d88ab2e",
+    "ortools_like": "7392971d872fa5eef142c2c6af926826d237fcc3a8ed48d24c30d9bc3f91266f",
+}
+
+#: Decision records per cell: 105 / 103 / 102 at commit 20cba1d, less
+#: the three accepted ``Delay`` answers to drain announcements.
+DECISION_COUNTS = {"fcfs": 102, "fcfs_backfill": 100, "ortools_like": 99}
 
 
 class TestZeroCorrelationByteIdentity:
@@ -80,6 +102,11 @@ class TestZeroCorrelationByteIdentity:
             checkpoint_interval=400.0,
         )
         assert run_digest(run) == PR3_DIGESTS[scheduler_name]
+        outcome = dataclasses.replace(run.result, decisions=[])
+        assert schedule_digest(
+            outcome, run.metrics.as_dict()
+        ) == OUTCOME_DIGESTS[scheduler_name]
+        assert len(run.result.decisions) == DECISION_COUNTS[scheduler_name]
         # And the PR-3 cell identity is preserved verbatim (modulo the
         # appended flat topology component).
         assert run.disruption_sig == (

@@ -93,21 +93,23 @@ class TestGoodputAndWaste:
 
 
 class TestKillAccounting:
-    def test_voluntary_preempts_excluded_from_kill_stats(self):
-        result = make_result(
-            preemptions=[
-                preemption(reason="failure", saved=0.0),
-                preemption(reason="preempt", saved=1800.0),
-            ]
-        )
-        metrics = disruption_metrics(result)
-        assert metrics["n_kills"] == 1.0
-        # Only the failure's loss counts per kill.
-        assert work_lost_per_kill(result) == pytest.approx(4 * 1800.0)
-
     def test_no_kills_zero(self):
         assert work_lost_per_kill(make_result()) == 0.0
         assert disruption_metrics(make_result())["n_kills"] == 0.0
+
+    def test_failure_and_drain_kills_both_count(self):
+        result = make_result(
+            preemptions=[
+                preemption(job_id=1, reason="failure", saved=0.0),
+                preemption(job_id=2, nodes=2, time=1000.0, reason="drain",
+                           saved=400.0),
+            ]
+        )
+        assert disruption_metrics(result)["n_kills"] == 2.0
+        # Failure loses 4 × 1800 s, drain 2 × 600 s.
+        assert work_lost_per_kill(result) == pytest.approx(
+            (4 * 1800.0 + 2 * 600.0) / 2
+        )
 
 
 class TestRequeueLatency:
@@ -128,18 +130,18 @@ class TestRequeueLatency:
         )
         assert mean_requeue_latency(result) == 0.0
 
-    def test_voluntary_preempts_excluded_from_latency(self):
-        # A policy padding itself with instant voluntary suspensions
-        # must not dilute the involuntary-recovery latency.
+    def test_drain_victims_count(self):
         result = make_result(
             preemptions=[
                 preemption(time=1000.0, start=0.0, restart=1500.0,
                            reason="failure"),
-                preemption(time=1000.0, start=0.0, restart=1000.0,
-                           reason="preempt", saved=1000.0),
+                preemption(time=1000.0, start=0.0, restart=1100.0,
+                           reason="drain", saved=1000.0),
             ]
         )
-        assert mean_requeue_latency(result) == pytest.approx(500.0)
+        assert mean_requeue_latency(result) == pytest.approx(
+            (500.0 + 100.0) / 2
+        )
 
 
 class TestBlastRadius:
@@ -169,15 +171,6 @@ class TestBlastRadius:
         assert largest_event_loss_node_hours(result) == pytest.approx(
             4 * 1800.0 / 3600.0
         )
-
-    def test_voluntary_preempts_never_count(self):
-        result = make_result(
-            preemptions=[
-                preemption(reason="preempt", saved=1800.0, domain="rack0"),
-            ]
-        )
-        assert largest_event_loss_node_hours(result) == 0.0
-        assert domain_kill_counts(result) == {}
 
     def test_domain_kill_counts_sorted_by_label(self):
         result = make_result(
@@ -257,7 +250,7 @@ class TestStatedSumOrder:
                         nodes=int(rng.integers(1, 65)),
                         start=start,
                         time=time,
-                        reason=("failure", "drain", "preempt")[i % 3],
+                        reason=("failure", "drain")[i % 2],
                         saved=saved,
                         restart=time + float(rng.uniform(0.0, 3e4)),
                     )
@@ -275,10 +268,6 @@ class TestStatedSumOrder:
     @staticmethod
     def terms(result):
         """Each metric's summands, in the order the metric folds them."""
-        involuntary = [
-            p for p in result.preemptions
-            if p.reason in disruption.INVOLUNTARY_REASONS
-        ]
         return {
             "goodput_records": [
                 r.job.nodes * (r.end_time - r.start_time)
@@ -288,8 +277,10 @@ class TestStatedSumOrder:
                 p.nodes * p.work_saved for p in result.preemptions
             ],
             "wasted": [p.lost_node_seconds for p in result.preemptions],
-            "lost_per_kill": [p.lost_node_seconds for p in involuntary],
-            "requeue": [p.requeue_latency for p in involuntary],
+            "lost_per_kill": [
+                p.lost_node_seconds for p in result.preemptions
+            ],
+            "requeue": [p.requeue_latency for p in result.preemptions],
         }
 
     def test_float_metrics_are_the_left_fold(self):
@@ -313,8 +304,9 @@ class TestStatedSumOrder:
 
 
 #: Builtin ``sum()`` calls allowed in ``metrics/disruption.py``: the
-#: integer counters, named by the metric key they fill.
-INTEGER_COUNTERS = frozenset({"n_kills", "n_domain_kills"})
+#: integer counters, named by the metric key they fill. (``n_kills``
+#: is a ``len()``, not a sum.)
+INTEGER_COUNTERS = frozenset({"n_domain_kills"})
 
 
 def test_no_builtin_float_sum_in_disruption_metrics():

@@ -1,6 +1,5 @@
 """Unit tests for the disruption subsystem: trace models/generators,
-cluster capacity state, kill/requeue semantics, restart policies, and
-the PreemptJob action."""
+cluster capacity state, kill/requeue semantics and restart policies."""
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from repro.schedulers.base import BaseScheduler
 from repro.schedulers.fcfs import EasyBackfillScheduler, FCFSScheduler
 from repro.schedulers.optimizer import AnnealingOptimizer
-from repro.sim.actions import Delay, PreemptJob, StartJob
+from repro.sim.actions import Delay, StartJob
 from repro.sim.cluster import ResourcePool
 from repro.sim.disruptions import (
     DISRUPTION_PRESETS,
@@ -516,88 +515,10 @@ class TestDrainSemantics:
         assert len(seen[30.0]) == 1  # announced by then
         assert seen[30.0][0].start == 100.0
 
-
-class TestPreemptAction:
-    def test_voluntary_preempt_suspends_cleanly(self):
-        class PreemptOnce(BaseScheduler):
-            name = "preempt_once"
-
-            def __init__(self):
-                super().__init__()
-                self.done = False
-
-            def reset(self):
-                super().reset()
-                self.done = False
-
-            def decide(self, view):
-                if (
-                    not self.done
-                    and view.now >= 20.0
-                    and any(r.job.job_id == 1 for r in view.running)
-                ):
-                    self.done = True
-                    return PreemptJob(1)
-                for job in view.queued:
-                    if view.can_fit(job):
-                        return StartJob(job.job_id)
-                return Delay
-
-        jobs = make_jobs([(1, 0.0, 100.0, 2, 4.0), (2, 20.0, 10.0, 1, 1.0)])
-        result = simulate(
-            jobs, PreemptOnce(),
-            cluster=ResourcePool(total_nodes=4, total_memory_gb=32.0),
-        )
-        preempts = [p for p in result.preemptions if p.reason == "preempt"]
-        assert len(preempts) == 1
-        p = preempts[0]
-        assert p.work_lost == pytest.approx(0.0)  # clean suspend
-        assert p.work_saved == pytest.approx(20.0)
-        rec = result.record_for(1)
-        #
-
-        # Remaining 80s execute after the re-start.
-        assert rec.end_time - rec.start_time == pytest.approx(80.0)
-        # Even without a disruption trace the run is marked undisrupted
-        # but the preemption is logged.
-        assert not result.disrupted
-
-    def test_announce_grants_decision_point_on_busy_cluster(self):
-        """Queue empty, cluster fully busy, drain announced: the
-        scheduler must still get a decision query so it can migrate
-        work off the doomed nodes before the window starts."""
-
-        class MigrateOnAnnounce(BaseScheduler):
-            name = "migrate_on_announce"
-
-            def __init__(self):
-                super().__init__()
-                self.migrated = set()
-
-            def reset(self):
-                super().reset()
-                self.migrated = set()
-
-            def decide(self, view):
-                # Suspend (once) any running job that straddles an
-                # announced drain the shrunken cluster cannot carry.
-                for d in view.upcoming_drains:
-                    if d.start <= view.now:
-                        continue
-                    for run in view.running:
-                        job = run.job
-                        if (
-                            run.expected_end > d.start
-                            and job.nodes > view.total_nodes - d.nodes
-                            and job.job_id not in self.migrated
-                        ):
-                            self.migrated.add(job.job_id)
-                            return PreemptJob(job.job_id)
-                for job in view.queued:
-                    if view.can_fit(job) and view.drain_safe(job):
-                        return StartJob(job.job_id)
-                return Delay
-
+    def test_announcement_on_busy_cluster_queries_no_scheduler(self):
+        """Queue empty, cluster busy, drain announced at t=50: the
+        announcement is no decision point, and preempt_migrate's
+        implicit checkpoint there still keeps the victim's first 50s."""
         jobs = make_jobs([(1, 0.0, 200.0, 3, 6.0)])
         trace = DisruptionTrace(
             drains=(
@@ -606,80 +527,20 @@ class TestPreemptAction:
             )
         )
         result = simulate(
-            jobs, MigrateOnAnnounce(),
+            jobs, FCFSScheduler(),
             cluster=ResourcePool(total_nodes=4, total_memory_gb=32.0),
             disruptions=trace,
             restart_policy="preempt_migrate",
         )
-        # The policy reacted AT the announcement (t=50) — the queue was
-        # empty then, so this requires the announce decision point —
-        # and the clean suspend means zero work lost; the drain then
-        # only takes idle nodes.
-        assert [p.reason for p in result.preemptions] == ["preempt"]
-        assert result.preemptions[0].time == pytest.approx(50.0)
-        assert sum(p.work_lost for p in result.preemptions) == 0.0
+        assert [d.time for d in result.decisions if d.time == 50.0] == []
+        [p] = result.preemptions
+        assert (p.job_id, p.reason, p.time) == (1, "drain", 100.0)
+        assert p.work_saved == pytest.approx(50.0)
+        assert p.work_lost == pytest.approx(50.0)
         rec = result.record_for(1)
         # Restarted after the drain with its saved 50s of progress.
         assert rec.start_time == pytest.approx(150.0)
         assert rec.end_time == pytest.approx(300.0)
-
-    def test_preempt_loop_still_trips_runaway_guard(self):
-        """A scheduler that preempts everything it starts must exhaust
-        the decision budget (voluntary kills do not extend it)."""
-        from repro.sim.simulator import SimulationError
-
-        class Thrasher(BaseScheduler):
-            name = "thrasher"
-
-            def decide(self, view):
-                if view.running:
-                    return PreemptJob(view.running[0].job.job_id)
-                for job in view.queued:
-                    if view.can_fit(job):
-                        return StartJob(job.job_id)
-                return Delay
-
-        # Two jobs on a one-node cluster keep the queue non-empty, so
-        # the thrash loop (start one, preempt it, repeat) never leaves
-        # the decision phase.
-        jobs = make_jobs(
-            [(1, 0.0, 100.0, 1, 1.0), (2, 0.0, 100.0, 1, 1.0)]
-        )
-        with pytest.raises(SimulationError, match="decision budget"):
-            simulate(
-                jobs, Thrasher(),
-                cluster=ResourcePool(total_nodes=1, total_memory_gb=8.0),
-                disruptions=DisruptionTrace(
-                    failures=(NodeFailure(1e6, 0, 1e6 + 1.0),)
-                ),
-            )
-
-    def test_preempt_of_non_running_job_rejected(self):
-        class BadPreempt(BaseScheduler):
-            name = "bad_preempt"
-
-            def __init__(self):
-                super().__init__()
-                self.tried = False
-
-            def reset(self):
-                super().reset()
-                self.tried = False
-
-            def decide(self, view):
-                if not self.tried:
-                    self.tried = True
-                    return PreemptJob(99)
-                for job in view.queued:
-                    if view.can_fit(job):
-                        return StartJob(job.job_id)
-                return Delay
-
-        jobs = make_jobs([(1, 0.0, 10.0, 1, 1.0), (2, 0.0, 10.0, 1, 1.0)])
-        result = simulate(jobs, BadPreempt())
-        rejected = [d for d in result.decisions if not d.accepted]
-        assert rejected
-        assert rejected[0].violations[0].kind.value == "not_running"
 
 
 class TestDecisionBudget:

@@ -18,9 +18,10 @@ object-graph oracle in the package (both live in ``tests/``), a
 packing module without numpy, no second path beside ``store
 doctor --dedupe`` (sharded auto-compaction) or beside SWF (a CSV trace
 format), no read of the environment, no fault injection (the chaos
-harness is ``tests/tooling/faults.py``), and one cluster model, read
+harness is ``tests/tooling/faults.py``), one cluster model, read
 without attribute probes (the per-node model is
-``tests/node_reference.py``).
+``tests/node_reference.py``), and the paper's four actions, with no
+voluntary preemption path behind them.
 """
 
 from __future__ import annotations
@@ -363,6 +364,53 @@ def test_nothing_in_src_probes_the_cluster():
         path.relative_to(ROOT).as_posix(): lines
         for path in sorted(SRC.rglob("*.py"))
         if (lines := cluster_probes(
+            ast.parse(path.read_text(encoding="utf-8"))
+        ))
+    } == {}
+
+
+# -- the paper's four actions and nothing behind a fifth ------------------
+
+
+def test_action_space_is_the_papers_four_verbs():
+    from repro.sim.actions import ActionKind
+
+    assert [kind.value for kind in ActionKind] == [
+        "StartJob", "BackfillJob", "Delay", "Stop",
+    ]
+
+
+def test_sim_exports_no_preempt_action():
+    import repro.sim as sim
+
+    assert "PreemptJob" not in sim.__all__ and not hasattr(sim, "PreemptJob")
+
+
+def test_validation_takes_no_running_set():
+    from repro.sim.constraints import ConstraintChecker
+
+    assert "running" not in signature(ConstraintChecker.validate).parameters
+
+
+def test_engine_keeps_no_announce_flag():
+    assert "announce_pending" not in EngineState.__slots__
+
+
+def preempt_constants(tree: ast.AST) -> list[int]:
+    """Lines of every ``"preempt"`` string constant in *tree*."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "preempt"
+    )
+
+
+def test_no_src_file_names_a_preempt_kill_reason():
+    """Every kill is a failure or a drain; ``preempt_migrate`` is a
+    restart policy, not a kill reason."""
+    assert {
+        path.relative_to(ROOT).as_posix(): lines
+        for path in sorted(SRC.rglob("*.py"))
+        if (lines := preempt_constants(
             ast.parse(path.read_text(encoding="utf-8"))
         ))
     } == {}
