@@ -157,22 +157,6 @@ def _add_disruption_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_anneal_window(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--anneal-window",
-        type=int,
-        default=None,
-        metavar="W",
-        help=(
-            "windowed replanning for the annealing optimizer: search "
-            "only the first W positions of the priority order and "
-            "freeze the tail, bounding per-move packing work at large "
-            "queues (min 2; applies to window-aware schedulers only "
-            "and suffixes their recorded name with @wW)"
-        ),
-    )
-
-
 class UsageError(ValueError):
     """A flag combination or an argument the command cannot act on.
     Handlers raise it; :func:`main` reports it as ``error: <msg>`` and
@@ -252,18 +236,14 @@ def _build_topology(args) -> Optional[ClusterTopology]:
 
 def _experiment_kwargs(args) -> dict:
     """The disruption regime, restart policy and topology of a ``run``
-    or ``matrix`` — validated once (``--anneal-window`` with them: the
-    config would reject it anyway, but deep inside a worker process),
-    passed to every call that takes them."""
-    kwargs = {
+    or ``matrix`` — validated once, passed to every call that takes
+    them."""
+    return {
         "disruptions": _build_disruption_spec(args),
         "topology": _build_topology(args),
         "restart_policy": args.restart_policy.replace("-", "_"),
         "checkpoint_interval": args.checkpoint_interval,
     }
-    if args.anneal_window is not None and args.anneal_window < 2:
-        raise UsageError("--anneal-window must be at least 2")
-    return kwargs
 
 
 def _command(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
@@ -339,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="hard cap on scheduler queries (default: 200·n_jobs + 1000)",
     )
-    _add_anneal_window(pr)
     _add_common(pr)
     _add_disruption_args(pr)
 
@@ -474,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
             "cell, and exit 3 with a failure summary"
         ),
     )
-    _add_anneal_window(pm)
     _add_disruption_args(pm)
 
     ps = _command(
@@ -738,7 +716,6 @@ def _cmd_run(args) -> int:
         args.scheduler,
         scheduler_seed=args.scheduler_seed,
         max_decisions=args.max_decisions,
-        anneal_window=args.anneal_window,
         **shared,
     )
     base = run_single(args.scenario, args.n_jobs, "fcfs", **shared)
@@ -971,7 +948,6 @@ def _cmd_matrix(args) -> int:
         "workload_seeds": args.seeds,
         "scheduler_seeds": args.scheduler_seeds,
         "arrival_mode": args.arrival_mode,
-        "anneal_window": args.anneal_window,
         **_experiment_kwargs(args),
     }
     _check_fault_args(args)

@@ -57,7 +57,6 @@ from repro.experiments.store import (
     cell_key_str,
 )
 from repro.experiments.storage import ShardedStore, StoreBackend, open_store
-from repro.schedulers.registry import scheduler_label
 from repro.sim.disruptions import DisruptionSpec, disruption_signature
 from repro.sim.topology import ClusterTopology, topology_signature
 from repro.workloads.generator import ArrivalMode
@@ -117,20 +116,13 @@ class MatrixCell:
     restart_policy: str = "resubmit"
     checkpoint_interval: Optional[float] = None
     topology: Optional[ClusterTopology] = None
-    anneal_window: Optional[int] = None
-
-    @property
-    def scheduler_label(self) -> str:
-        """Recorded scheduler name (see
-        :func:`~repro.schedulers.registry.scheduler_label`)."""
-        return scheduler_label(self.scheduler, self.anneal_window)
 
     @property
     def key(self) -> CellKey:
         return cell_key(
             self.scenario,
             self.n_jobs,
-            self.scheduler_label,
+            self.scheduler,
             self.workload_seed,
             self.scheduler_seed,
             self.arrival_mode,
@@ -173,7 +165,6 @@ class MatrixCell:
                 if self.topology is not None
                 else None
             ),
-            "anneal_window": self.anneal_window,
         }
 
     @classmethod
@@ -182,6 +173,13 @@ class MatrixCell:
         malformed dict (e.g. hand-edited sidecar). Keys it does not
         know are ignored, so configs written before the ``"engine"``
         key was retired (PR 7–11 sidecars, older clients) still load."""
+        # A window is refused rather than ignored: dropping it would
+        # run full search under the plain scheduler key.
+        if config.get("anneal_window") is not None:
+            raise ValueError(
+                "windowed annealing was removed: a cell config's "
+                "anneal_window must be null or absent"
+            )
         try:
             disruptions = None
             if config.get("disruptions") is not None:
@@ -190,7 +188,6 @@ class MatrixCell:
             if config.get("topology") is not None:
                 topology = ClusterTopology(**config["topology"])
             checkpoint = config.get("checkpoint_interval")
-            window = config.get("anneal_window")
             return cls(
                 scenario=str(config["scenario"]),
                 n_jobs=int(config["n_jobs"]),
@@ -204,7 +201,6 @@ class MatrixCell:
                     float(checkpoint) if checkpoint is not None else None
                 ),
                 topology=topology,
-                anneal_window=int(window) if window is not None else None,
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed cell config: {exc}") from exc
@@ -222,21 +218,19 @@ def expand_cells(
     restart_policy: str = "resubmit",
     checkpoint_interval: Optional[float] = None,
     topology: Optional[ClusterTopology] = None,
-    anneal_window: Optional[int] = None,
 ) -> list[MatrixCell]:
     """Enumerate the full matrix in canonical (deterministic) order.
 
     Nesting matches :func:`~repro.experiments.runner.run_matrix` —
     scenario → size → scheduler — with seed replication innermost, so a
     single-seed parallel sweep returns runs in exactly the serial
-    order. Disruption, topology, and windowing settings apply uniformly
-    to every cell.
+    order. Disruption and topology settings apply uniformly to every
+    cell.
     """
     return [
         MatrixCell(
             scenario, n_jobs, scheduler, wseed, sseed, arrival_mode,
             disruptions, restart_policy, checkpoint_interval, topology,
-            anneal_window,
         )
         for scenario in scenarios
         for n_jobs in sizes
@@ -276,7 +270,6 @@ def _execute_cell(cell: MatrixCell, attempt: int = 1) -> ExperimentRun:
         restart_policy=cell.restart_policy,
         checkpoint_interval=cell.checkpoint_interval,
         topology=cell.topology,
-        anneal_window=cell.anneal_window,
     )
 
 
@@ -727,7 +720,6 @@ def run_matrix_parallel(
     restart_policy: str = "resubmit",
     checkpoint_interval: Optional[float] = None,
     topology: Optional[ClusterTopology] = None,
-    anneal_window: Optional[int] = None,
     workers: Optional[int] = None,
     store: Optional[Union[StoreBackend, str, Path]] = None,
     resume: bool = False,
@@ -778,7 +770,6 @@ def run_matrix_parallel(
         restart_policy=restart_policy,
         checkpoint_interval=checkpoint_interval,
         topology=topology,
-        anneal_window=anneal_window,
     )
     return run_cells(
         cells,

@@ -15,11 +15,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.stats import LatencySummary, summarize_latencies
 from repro.metrics.objectives import MetricReport, compute_metrics
-from repro.schedulers.registry import (
-    create_scheduler,
-    scheduler_label,
-    supports_anneal_window,
-)
+from repro.schedulers.registry import create_scheduler
 from repro.experiments.store import CellKey, cell_key
 from repro.sim.cluster import ResourcePool
 from repro.sim.disruptions import (
@@ -153,7 +149,6 @@ def run_single(
     disruptions: Optional[DisruptionSpec] = None,
     restart_policy: str = "resubmit",
     checkpoint_interval: Optional[float] = None,
-    anneal_window: Optional[int] = None,
     verify: bool = True,
 ) -> ExperimentRun:
     """Simulate one scenario instance under one scheduler.
@@ -163,12 +158,6 @@ def run_single(
     jobs:
         Pre-generated workload override (e.g. a Polaris trace); when
         given, *scenario*/*n_jobs*/*workload_seed* are labels only.
-    anneal_window:
-        Windowed-replanning width for window-aware schedulers (the
-        annealer); ignored — and absent from the recorded scheduler
-        label — for policies that do not consume it. A windowed run is
-        a different experiment than a full-search one, so the label
-        (and therefore the cell key) becomes ``<scheduler>@w<W>``.
     cluster:
         Cluster model override (defaults to the paper's 256/2048
         partition).
@@ -217,12 +206,7 @@ def run_single(
             horizon=estimate_horizon(job_list, the_cluster.total_nodes),
             topology=the_topology,
         )
-    if anneal_window is not None and supports_anneal_window(scheduler):
-        sched = create_scheduler(
-            scheduler, seed=scheduler_seed, anneal_window=anneal_window
-        )
-    else:
-        sched = create_scheduler(scheduler, seed=scheduler_seed)
+    sched = create_scheduler(scheduler, seed=scheduler_seed)
     sim = HPCSimulator(
         jobs=job_list,
         scheduler=sched,
@@ -240,7 +224,7 @@ def run_single(
     return ExperimentRun(
         scenario=scenario,
         n_jobs=len(job_list),
-        scheduler=scheduler_label(scheduler, anneal_window),
+        scheduler=scheduler,
         workload_seed=workload_seed,
         scheduler_seed=scheduler_seed,
         result=result,
@@ -269,7 +253,6 @@ def run_matrix(
     restart_policy: str = "resubmit",
     checkpoint_interval: Optional[float] = None,
     topology: Optional[ClusterTopology] = None,
-    anneal_window: Optional[int] = None,
 ) -> list[ExperimentRun]:
     """Cross product of scenarios × sizes × schedulers.
 
@@ -298,7 +281,6 @@ def run_matrix(
                         disruptions=disruptions,
                         restart_policy=restart_policy,
                         checkpoint_interval=checkpoint_interval,
-                        anneal_window=anneal_window,
                     )
                 )
     return runs

@@ -53,9 +53,8 @@ class PlanStatistics:
     """Bookkeeping about one replanning event.
 
     ``jobs_packed`` counts every placement the event's search paid for
-    (an earliest-fit scan + reservation each); with ``accepted_moves``
-    it yields the packed-jobs-per-accepted-move figure in the run's
-    extras — the quantity windowed replanning bounds.
+    (an earliest-fit scan + reservation each) and ``accepted_moves``
+    the annealing moves it kept; the run's extras sum both.
     """
 
     time: float
@@ -63,17 +62,8 @@ class PlanStatistics:
     iterations: int
     initial_objective: float
     final_objective: float
-    window: Optional[int] = None
     accepted_moves: int = 0
     jobs_packed: int = 0
-
-
-#: Windowed search only: the iteration budget is split into this many
-#: epochs, and at each epoch boundary the full order (current head +
-#: frozen tail) is re-packed once to ground the epoch's incumbent in the
-#: *true* objective — the returned plan is the true-best over epoch
-#: boundaries plus the surrogate-best head.
-WINDOW_EPOCHS = 4
 
 
 @dataclass
@@ -86,12 +76,6 @@ class AnnealingConfig:
     each move multiplies the temperature by ``cooling``. Moves are
     uniform position swaps; the objective is makespan plus
     ``flow_time_weight`` times the mean completion time.
-
-    ``window`` bounds the search to the first W positions of the
-    priority order: the tail is frozen as a fixed suffix, packed once
-    per replanning event, and every annealing move re-packs at most W
-    placements instead of an O(queue) suffix. ``None`` (the default)
-    keeps the full search — bit-identical to the pre-window engine.
     """
 
     base_iterations: int = 60
@@ -100,11 +84,6 @@ class AnnealingConfig:
     t0_fraction: float = 0.05
     cooling: float = 0.995
     flow_time_weight: float = 1e-3
-    window: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.window is not None and self.window < 2:
-            raise ValueError("window must be at least 2 (or None)")
 
     def iterations_for(self, n: int) -> int:
         return min(
@@ -179,10 +158,11 @@ class AnnealingOptimizer(BaseScheduler):
         now: float,
         iterations: int,
     ) -> tuple[list, float, int]:
-        """Legacy full-width annealing over the whole priority order.
+        """Anneal over the whole priority order with uniform swaps.
 
-        Byte-compatible with the pre-window engine: identical RNG call
-        sequence, identical float comparisons, identical commits.
+        Returns ``(best order, best objective, accepted moves)``. The
+        seeded digests pin this RNG call sequence, float comparisons
+        and commits bit for bit.
         """
         cur_order = list(order)
         best_order = order
@@ -209,94 +189,6 @@ class AnnealingOptimizer(BaseScheduler):
                     best_order, best_obj = cand, cur_obj
             temp *= self.config.cooling
         return best_order, best_obj, accepted
-
-    def _anneal_windowed(
-        self,
-        packer: IncrementalPacker,
-        order: list,
-        placements: list[PackedJob],
-        now: float,
-        iterations: int,
-    ) -> tuple[list, Optional[list[PackedJob]], int]:
-        """Bounded-suffix annealing over the first ``window`` positions.
-
-        The tail ``order[window:]`` is frozen as a fixed suffix, so an
-        annealing move re-packs at most ``window`` placements —
-        independent of queue length. Moves are scored by a head-only
-        surrogate (makespan + flow over the head placements): the
-        frozen tail contributes no gradient, and a compact head is what
-        frees early gaps for the tail to fill. To keep the search
-        honest against the *true* objective, the iteration budget is
-        split into :data:`WINDOW_EPOCHS` epochs and the full order is
-        re-packed once per epoch incumbent; the best full order seen at
-        those groundings (or the final surrogate-best head) is
-        returned, along with its already-computed full placements
-        (``None`` when no grounding ran — the caller packs then).
-        Total packing work per replanning event:
-        O(iterations × window + epochs × queue).
-        """
-        cfg = self.config
-        window = cfg.window
-        fw = cfg.flow_time_weight
-        tail_order = order[window:]
-
-        def surrogate(head_placements: list[PackedJob]) -> float:
-            head_max = max(p.end for p in head_placements)
-            total = plan_total_completion(head_placements)
-            return (head_max - now) + fw * total / window
-
-        cur_head = list(order[:window])
-        best_head = cur_head
-        best_obj = cur_obj = surrogate(placements[:window])
-        temp = max(cur_obj * cfg.t0_fraction, 1e-9)
-        accepted = 0
-        # Groundings cost a full O(queue) pack each; cap them at one
-        # per ~150 iterations so a small search budget is spent on
-        # moves, not on re-realizing the tail.
-        epochs = min(WINDOW_EPOCHS, max(1, iterations // 150))
-        true_best: Optional[tuple[list, list[PackedJob]]] = None
-        true_best_obj = math.inf
-        boundaries = {
-            (e + 1) * iterations // epochs for e in range(epochs - 1)
-        }
-        for it in range(iterations):
-            move = self._sample_move(window)
-            if move is not None:
-                lo, hi = move
-                cand = list(cur_head)
-                cand[lo], cand[hi] = cand[hi], cand[lo]
-                # cand is head-only: pack_from re-packs cand[lo:] and
-                # never touches the frozen tail.
-                head_placements = packer.pack_from(cand, lo)
-                cand_obj = surrogate(head_placements)
-                delta = cand_obj - cur_obj
-                if delta <= 0 or self._rng.random() < math.exp(
-                    -delta / temp
-                ):
-                    packer.commit(cand, lo, head_placements)
-                    cur_head, cur_obj = cand, cand_obj
-                    accepted += 1
-                    if cur_obj < best_obj:
-                        best_head, best_obj = cand, cur_obj
-                temp *= cfg.cooling
-            if it + 1 in boundaries:
-                # Epoch grounding: realize the tail under the current
-                # head and score the true objective once.
-                full = packer.pack(cur_head + tail_order)
-                true_obj = self._objective(full, now)
-                if true_obj < true_best_obj:
-                    true_best = (list(cur_head), full)
-                    true_best_obj = true_obj
-        if true_best is not None:
-            # Let the final surrogate-best head compete with the epoch
-            # groundings on the true objective; either way the winning
-            # placements are already computed — no caller re-pack.
-            final_full = packer.pack(best_head + tail_order)
-            if true_best_obj < self._objective(final_full, now):
-                grounded_head, grounded_full = true_best
-                return grounded_head + tail_order, grounded_full, accepted
-            return best_head + tail_order, final_full, accepted
-        return best_head + tail_order, None, accepted
 
     def _replan(self, view: SystemView) -> None:
         jobs = list(view.queued)
@@ -353,32 +245,15 @@ class AnnealingOptimizer(BaseScheduler):
         # clusters with real failure domains, requeued jobs that no
         # healthy domain can currently host are demoted behind the
         # rest (spread-across-domains: don't race a restart back into
-        # the failing rack); identity on flat topologies. The windowed
-        # search freezes the tail, so those demotions stay put.
+        # the failing rack); identity on flat topologies.
         order = sorted(jobs, key=lambda j: (-j.node_seconds, j.job_id))
         order = spread_requeue(view, order)
         placements = packer.pack(order)
         best_obj = initial_obj = self._objective(placements, view.now)
         iterations = self.config.iterations_for(n)
 
-        window = self.config.window
         accepted = 0
-        if window is not None and 2 <= window < n:
-            best_order, final, accepted = self._anneal_windowed(
-                packer, order, placements, view.now, iterations
-            )
-            if final is None:  # no epoch grounding packed the winner
-                final = packer.pack(best_order)
-            final_obj = self._objective(final, view.now)
-            # The windowed search optimizes a frozen-tail surrogate;
-            # re-packing the tail under the winning head can land
-            # (slightly) elsewhere. Never regress past the heuristic
-            # initial order, whose placements are already in hand.
-            if final_obj > initial_obj:
-                final, best_obj = placements, initial_obj
-            else:
-                best_obj = final_obj
-        elif n >= 2:
+        if n >= 2:
             best_order, best_obj, accepted = self._anneal_full(
                 packer, order, best_obj, view.now, iterations
             )
@@ -398,7 +273,6 @@ class AnnealingOptimizer(BaseScheduler):
                 iterations=iterations,
                 initial_objective=initial_obj,
                 final_objective=best_obj,
-                window=window,
                 accepted_moves=accepted,
                 jobs_packed=packer.stats.jobs_packed,
             )
@@ -437,15 +311,9 @@ class AnnealingOptimizer(BaseScheduler):
         return Delay
 
     def collect_extras(self) -> dict[str, Any]:
-        packed = sum(s.jobs_packed for s in self._stats)
-        accepted = sum(s.accepted_moves for s in self._stats)
         return {
             "replans": len(self._stats),
             "plan_stats": list(self._stats),
-            "anneal_window": self.config.window,
-            "packed_jobs": packed,
-            "accepted_moves": accepted,
-            "packed_jobs_per_accepted_move": (
-                packed / accepted if accepted else float(packed)
-            ),
+            "packed_jobs": sum(s.jobs_packed for s in self._stats),
+            "accepted_moves": sum(s.accepted_moves for s in self._stats),
         }

@@ -265,11 +265,10 @@ class PackStats:
     """Work counters one :class:`IncrementalPacker` accumulates.
 
     ``jobs_packed`` counts real placements (an ``earliest_start``
-    search plus a reservation) — the unit windowed annealing
-    minimizes; ``jobs_replayed`` counts known-reservation replays on
-    the checkpoint-restore path, which cost one trusted reserve and no
-    search. The annealer's packed-jobs-per-accepted-move figure
-    divides ``jobs_packed`` by its accepted-move count.
+    search plus a reservation) — the annealer's ``packed_jobs`` extra
+    sums it over replans; ``jobs_replayed`` counts known-reservation
+    replays on the checkpoint-restore path, which cost one trusted
+    reserve and no search.
     """
 
     jobs_packed: int = 0
@@ -387,9 +386,7 @@ class IncrementalPacker:
         self, order: Sequence[Job], pivot: int
     ) -> list[PackedJob]:
         """Speculatively pack *order*, whose first *pivot* entries match
-        the incumbent order, re-packing only ``order[pivot:]``. (The
-        windowed annealer passes head-only orders, so the frozen tail
-        is never packed here at all.)
+        the incumbent order, re-packing only ``order[pivot:]``.
 
         Does not change the incumbent; call :meth:`commit` to adopt the
         candidate.

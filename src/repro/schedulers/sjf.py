@@ -24,32 +24,30 @@ class SJFScheduler(BaseScheduler):
 
     supports_columns = True
 
-    def __init__(self, *, strict: bool = True, use_walltime: bool = True):
+    def __init__(self, *, strict: bool = True):
         super().__init__()
         self.strict = strict
-        self.use_walltime = use_walltime
         self.name = "sjf" if strict else "sjf_firstfit"
 
-    def _key(self, job) -> tuple[float, int]:
-        runtime = job.walltime if self.use_walltime else job.duration
-        return (runtime, job.job_id)
+    @staticmethod
+    def _key(job) -> tuple[float, int]:
+        return (job.walltime, job.job_id)
 
     def _decide_columns(self, view: SystemView) -> Action:
         cols = view.columns()
         if not cols.n:
             return Delay
-        # The order by (runtime, job_id) is fixed for the run and held
+        # The order by (walltime, job_id) is fixed for the run and held
         # as a rank column, so the shortest job of any subset of the
         # queue is an argmin over it.
-        key = "walltime" if self.use_walltime else "duration"
         if self.strict:
-            pos = cols.first_by(key)
+            pos = cols.first_by("walltime")
             if cols.fits_at(pos):
                 return StartJob(cols.id_at(pos))
             return Delay
         hits = np.flatnonzero(cols.fits_mask())
         if hits.size:
-            pos = hits[cols.rank(key)[hits].argmin()]
+            pos = hits[cols.rank("walltime")[hits].argmin()]
             return StartJob(cols.id_at(int(pos)))
         return Delay
 

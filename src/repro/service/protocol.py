@@ -147,11 +147,11 @@ def preemption_to_wire(p: Any) -> dict[str, Any]:
 
 
 # -- digests -----------------------------------------------------------
-# Both digests reproduce tests/test_windowed_regression.py::run_digest
-# line for line. schedule_digest hashes live engine objects (server
-# side); wire_digest hashes the served payloads (client side). Because
-# JSON round-trips every double exactly, the two agree — and both
-# equal run_digest of the equivalent batch run.
+# Both digests reproduce tests/conftest.py::run_digest line for line.
+# schedule_digest hashes live engine objects (server side); wire_digest
+# hashes the served payloads (client side). Because JSON round-trips
+# every double exactly, the two agree — and both equal run_digest of
+# the equivalent batch run.
 def schedule_digest(
     result: Any, metrics: Mapping[str, float]
 ) -> str:

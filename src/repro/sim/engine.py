@@ -17,7 +17,7 @@ records, decision stream, preemption records, view contents handed to
 schedulers — is bit-for-bit identical to the object engine's:
 :class:`EngineState` is a translation that changes data layout, never
 semantics or float arithmetic. ``tests/test_soa_regression.py`` pins
-this on seeded scenarios including disrupted, correlated, windowed,
+this on seeded scenarios including disrupted, correlated,
 walltime-enforced, and dependency workloads; the digest suites from
 earlier PRs run through this engine by default, pinning it transitively
 to digests generated before it existed.

@@ -1,7 +1,7 @@
 """Columnar decision fast path (PR 10): parity, no-copy, and tuning.
 
-1. **Columnar/facade byte-identity**: every scheduler in
-   :data:`COLUMNAR_SCHEDULERS` must produce bit-for-bit identical
+1. **Columnar/facade byte-identity**: every registered scheduler whose
+   class sets ``supports_columns`` must produce bit-for-bit identical
    records, decisions, preemptions, and extras whether its decision
    kernel runs on :class:`ViewColumns` (the default) or on the
    ``Job``-facade path (the ``facade_only`` fixture) — across clean,
@@ -26,11 +26,7 @@ from repro.schedulers.recovery import (
     fits_healthy_domain,
     healthy_domain_mask,
 )
-from repro.schedulers.registry import (
-    COLUMNAR_SCHEDULERS,
-    create_scheduler,
-    supports_columns,
-)
+from repro.schedulers.registry import available_schedulers, create_scheduler
 from repro.sim.cluster import ResourcePool
 from repro.sim.columns import (
     COLUMN_NAMES,
@@ -98,6 +94,12 @@ def assert_identical(a, b):
     assert a.extras == b.extras
 
 
+#: Registered policies with a columnar decision kernel, read off the
+#: ``supports_columns`` class flag.
+COLUMNAR_POLICIES = {
+    n for n in available_schedulers() if create_scheduler(n).supports_columns
+}
+
 #: (scenario, n_jobs, spec, topology, sim kwargs) — the behavioural
 #: regimes every columnar kernel must agree with its facade twin on.
 REGIMES = [
@@ -130,7 +132,7 @@ REGIMES = [
 
 
 class TestColumnarFacadeParity:
-    @pytest.mark.parametrize("name", sorted(COLUMNAR_SCHEDULERS))
+    @pytest.mark.parametrize("name", sorted(COLUMNAR_POLICIES))
     @pytest.mark.parametrize("scenario,n,spec,topology,kw", REGIMES)
     def test_byte_identical(
         self, name, scenario, n, spec, topology, kw, facade_only
@@ -147,16 +149,13 @@ class TestColumnarFacadeParity:
         assert_identical(a, b)
 
     def test_registry_capability_flags(self, facade_only):
-        for name in sorted(COLUMNAR_SCHEDULERS):
-            assert supports_columns(name)
-            assert create_scheduler(name).supports_columns is True
+        for name in sorted(COLUMNAR_POLICIES):
             assert facade_only(create_scheduler(name)).supports_columns \
                 is False
         # The planner sorts once per replan, not per decision: its
         # columnar twin measured inside the noise and was deleted.
         for name in ("random", "ortools_like"):
-            assert not supports_columns(name)
-            assert create_scheduler(name).supports_columns is False
+            assert name not in COLUMNAR_POLICIES
 
 
 class CapturingFCFS(BaseScheduler):

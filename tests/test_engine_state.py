@@ -48,7 +48,7 @@ from repro.sim.topology import ClusterTopology
 from repro.workloads.dags import layered_dag_workload
 from repro.workloads.generator import generate_workload
 
-from tests.conftest import _substituted
+from tests.conftest import _substituted, run_digest
 from tests.node_reference import NodeLevelCluster
 from tests.test_properties import build_jobs, job_lists
 from tests.test_soa_regression import (
@@ -59,7 +59,6 @@ from tests.test_soa_regression import (
     SPEC,
     TOPOLOGY,
 )
-from tests.test_windowed_regression import run_digest
 
 
 def audit(state: EngineState) -> int:
@@ -136,13 +135,9 @@ def run_audited(sim: HPCSimulator):
 
 audited_engine = partial(_substituted, HPCSimulator, "run", run_audited)
 
-#: ``(registry name, anneal_window)`` pairs the generated workloads are
-#: drawn against: every registered policy, the LLM agents included, and
-#: the annealer's windowed search at two widths besides its full one.
-AUDITED_SCHEDULERS = [(name, None) for name in available_schedulers()] + [
-    ("ortools_like", 2),
-    ("ortools_like", 5),
-]
+#: Registry names the generated workloads are drawn against: every
+#: registered policy, the LLM agents included.
+AUDITED_SCHEDULERS = available_schedulers()
 
 
 class TestStepwiseAudit:
@@ -169,8 +164,6 @@ class TestStepwiseAudit:
         self, raw, scheduler, cluster_kind, mtbf, rack_mtbf, drain_every,
         drain_nodes, policy, seed,
     ):
-        name, window = scheduler
-        options = {} if window is None else {"anneal_window": window}
         topology = None
         if cluster_kind != "pool":
             topology = ClusterTopology(n_nodes=8, rack_size=4)
@@ -203,7 +196,7 @@ class TestStepwiseAudit:
         )
         sim = HPCSimulator(
             jobs=jobs,
-            scheduler=create_scheduler(name, seed=seed, **options),
+            scheduler=create_scheduler(scheduler, seed=seed),
             cluster=cluster,
             disruptions=trace,
             restart_policy=policy,

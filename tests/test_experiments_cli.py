@@ -63,22 +63,15 @@ class TestParser:
         assert rc == 2
         assert "--checkpoint-interval" in capsys.readouterr().err
 
-    def test_anneal_window_below_two_is_friendly_error(self, capsys):
-        rc = main([
-            "run", "--scenario", "resource_sparse", "--scheduler",
-            "ortools_like", "-n", "6", "--anneal-window", "1",
-        ])
-        assert rc == 2
-        assert "--anneal-window" in capsys.readouterr().err
-
-    def test_matrix_anneal_window_below_two_is_friendly_error(
-        self, capsys
-    ):
-        rc = main([
-            "matrix", "--scenarios", "resource_sparse", "--sizes", "6",
-            "--schedulers", "fcfs", "--anneal-window", "0",
-        ])
-        assert rc == 2
+    @pytest.mark.parametrize("command", [
+        ["run", "--scenario", "resource_sparse", "--scheduler",
+         "ortools_like"],
+        ["matrix", "--scenarios", "resource_sparse", "--sizes", "6"],
+    ])
+    def test_no_anneal_window_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--anneal-window", "4"])
+        assert excinfo.value.code == 2
         assert "--anneal-window" in capsys.readouterr().err
 
     def test_invalid_preset_override_is_friendly_error(self, capsys):
@@ -163,15 +156,6 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "resource_sparse" in out
         assert "sjf" in out
-
-    def test_run_with_anneal_window(self, capsys):
-        code = main([
-            "run", "--scenario", "resource_sparse", "--scheduler",
-            "ortools_like", "-n", "8", "--anneal-window", "4",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ortools_like@w4" in out
 
     def test_run_llm_prints_overhead(self, capsys):
         code = main([

@@ -14,8 +14,9 @@ from repro.experiments.parallel import (
     run_cells,
     run_matrix_parallel,
 )
-from repro.experiments.runner import run_matrix
+from repro.experiments.runner import run_matrix, run_single
 from repro.experiments.store import FailureSidecar, RunStore
+from repro.schedulers.registry import available_schedulers
 
 SCENARIOS = ("adversarial", "resource_sparse")
 SIZES = (10,)
@@ -40,11 +41,16 @@ class TestExpandCells:
         ]
         assert cells[-1].scenario == "resource_sparse"
 
-    def test_cell_key_matches_store_key(self):
-        cell = MatrixCell("adversarial", 10, "fcfs", 2, 3)
+    @pytest.mark.parametrize("name", available_schedulers())
+    def test_cell_key_matches_store_key(self, name):
+        cell = MatrixCell("adversarial", 10, name, 2, 3)
         assert cell.key == (
-            "adversarial", 10, "fcfs", 2, 3, "scenario", "none", "flat",
+            "adversarial", 10, name, 2, 3, "scenario", "none", "flat",
         )
+        run = run_single(
+            "adversarial", 10, name, workload_seed=2, scheduler_seed=3
+        )
+        assert run.key == cell.key
 
     def test_arrival_mode_is_part_of_cell_identity(self):
         scenario_cell = MatrixCell("adversarial", 10, "fcfs")

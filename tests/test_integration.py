@@ -49,11 +49,10 @@ class TestEverySchedulerEndToEnd:
             )
 
 
-@pytest.mark.parametrize("window", [2, 5, 8])
-class TestWindowedAnnealerEndToEnd:
-    def test_every_job_runs_whole_after_submission(self, window):
+class TestAnnealerEndToEnd:
+    def test_every_job_runs_whole_after_submission(self):
         jobs = generate_workload("heterogeneous_mix", 25, seed=7)
-        sched = create_scheduler("ortools_like", seed=1, anneal_window=window)
+        sched = create_scheduler("ortools_like", seed=1)
         result = HPCSimulator(jobs=jobs, scheduler=sched).run()
         result.verify_capacity()
         assert sorted(r.job.job_id for r in result.records) == [

@@ -85,18 +85,18 @@ def test_packer_keeps_one_incumbent_and_no_knobs():
     assert list(keywords) == ["now", "free_nodes", "free_memory_gb", "releases"]
 
 
-#: ``AnnealingConfig``'s fields once ``late_pivot_p`` was deleted and
-#: ``window_epochs`` became the module constant ``WINDOW_EPOCHS``.
+#: ``AnnealingConfig``'s fields once ``late_pivot_p`` and the windowed
+#: search's ``window`` were deleted.
 ANNEALER_OPTIONS = [
     "base_iterations", "per_job_iterations", "max_iterations",
-    "t0_fraction", "cooling", "flow_time_weight", "window",
+    "t0_fraction", "cooling", "flow_time_weight",
 ]
 
 
 def test_annealer_options_and_uniform_move():
     fields = [f.name for f in dataclasses.fields(optimizer.AnnealingConfig)]
     assert fields == ANNEALER_OPTIONS
-    assert optimizer.WINDOW_EPOCHS == 4
+    assert not hasattr(optimizer, "WINDOW_EPOCHS")
     tree = ast.parse(Path(optimizer.__file__).read_text(encoding="utf-8"))
     sample_move = next(
         node for node in ast.walk(tree)

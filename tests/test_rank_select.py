@@ -38,9 +38,8 @@ from tests.conftest import make_job
 from tests.test_core_reasoning import make_view
 
 
-def _sjf_key(use_walltime):
-    attribute = "walltime" if use_walltime else "duration"
-    return lambda job: (getattr(job, attribute), job.job_id)
+def _sjf_key(job):
+    return (job.walltime, job.job_id)
 
 
 def _largest_key(job):
@@ -50,20 +49,10 @@ def _largest_key(job):
 #: (scheduler factory, its order over the queue as ``sorted`` kwargs,
 #: whether it skips past jobs that do not fit).
 POLICIES = {
-    "sjf": (SJFScheduler, {"key": _sjf_key(True)}, False),
-    "sjf_duration": (
-        lambda: SJFScheduler(use_walltime=False),
-        {"key": _sjf_key(False)},
-        False,
-    ),
+    "sjf": (SJFScheduler, {"key": _sjf_key}, False),
     "sjf_firstfit": (
         lambda: SJFScheduler(strict=False),
-        {"key": _sjf_key(True)},
-        True,
-    ),
-    "sjf_firstfit_duration": (
-        lambda: SJFScheduler(strict=False, use_walltime=False),
-        {"key": _sjf_key(False)},
+        {"key": _sjf_key},
         True,
     ),
     "largest_first": (

@@ -12,6 +12,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro.experiments.cli import main
 from repro.experiments.parallel import MatrixCell
 from repro.experiments.store import (
@@ -145,6 +147,27 @@ class TestLegacyEngineKey:
         assert len(recovered) == 1
         (key,) = recovered
         assert recovered[key] == metrics_by_key(reference)[key]
+
+
+class TestRetiredWindowKey:
+    """Configs written while ``ortools_like`` had a windowed search
+    carry an ``"anneal_window"`` key."""
+
+    def test_null_window_loads_to_the_same_cell(self):
+        (record,) = FailureSidecar(PR11_SIDECAR).load()
+        assert record.config["anneal_window"] is None
+        cell = MatrixCell.from_config(record.config)
+        assert "anneal_window" not in cell.to_config()
+        assert MatrixCell.from_config(
+            {**cell.to_config(), "anneal_window": None}
+        ) == cell
+
+    def test_set_window_is_refused(self):
+        (record,) = FailureSidecar(PR11_SIDECAR).load()
+        config = {**record.config, "scheduler": "ortools_like",
+                  "anneal_window": 16}
+        with pytest.raises(ValueError, match="windowed annealing was removed"):
+            MatrixCell.from_config(config)
 
 
 class TestRetryFailedEdgeCases:

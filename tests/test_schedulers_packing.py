@@ -179,8 +179,7 @@ class TestSplitUnpackable:
         assert [j.job_id for j in packable] == [1, 2]
         assert [j.job_id for j in parked] == [3]
 
-    @pytest.mark.parametrize("window", [None, 2, 5])
-    def test_node_level_cluster_parks_instead_of_crashing(self, window):
+    def test_node_level_cluster_parks_instead_of_crashing(self):
         # A node-level cluster withholds a whole node's memory (8 GB)
         # per running job while the planner's release stream returns
         # only the 1 GB each job asked for, so job 4 never fits the
@@ -194,7 +193,7 @@ class TestSplitUnpackable:
         ]
         result = simulate(
             jobs,
-            create_scheduler("ortools_like", anneal_window=window),
+            create_scheduler("ortools_like"),
             cluster=NodeLevelCluster(node_count=8, memory_per_node_gb=8.0),
         )
         result.verify_capacity()

@@ -68,29 +68,14 @@ class TestRegistry:
         assert agent.backend.profile.hallucination_rate == 0.0
 
 
-class TestAnnealWindowOption:
-    def test_factory_builds_windowed_config(self):
-        from repro.schedulers.registry import create_scheduler
-
-        sched = create_scheduler("ortools_like", seed=0, anneal_window=8)
-        assert sched.config.window == 8
-
-    def test_window_overlays_explicit_config(self):
+class TestAnnealerFactory:
+    def test_config_is_forwarded(self):
         from repro.schedulers.optimizer import AnnealingConfig
-        from repro.schedulers.registry import create_scheduler
 
-        sched = create_scheduler(
-            "ortools_like",
-            seed=0,
-            anneal_window=16,
-            config=AnnealingConfig(max_iterations=100),
-        )
-        assert sched.config.window == 16
-        assert sched.config.max_iterations == 100
+        config = AnnealingConfig(max_iterations=100)
+        sched = create_scheduler("ortools_like", seed=0, config=config)
+        assert sched.config is config
 
-    def test_supports_anneal_window(self):
-        from repro.schedulers.registry import supports_anneal_window
-
-        assert supports_anneal_window("ortools_like")
-        assert not supports_anneal_window("fcfs")
-        assert not supports_anneal_window("random")
+    def test_takes_no_window(self):
+        with pytest.raises(TypeError, match="anneal_window"):
+            create_scheduler("ortools_like", anneal_window=8)

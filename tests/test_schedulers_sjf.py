@@ -54,7 +54,7 @@ class TestStrictSJF:
         result = run_sim(jobs, SJFScheduler(strict=False), nodes=8, memory=64.0)
         assert result.record_for(3).start_time == 1.0
 
-    def test_uses_walltime_estimates_by_default(self):
+    def test_uses_walltime_estimates(self):
         # True durations reversed vs walltimes; SJF must follow walltime.
         jobs = [
             make_job(1, duration=10.0, walltime=100.0, nodes=8),
@@ -62,16 +62,6 @@ class TestStrictSJF:
         ]
         result = run_sim(jobs, SJFScheduler(), nodes=8, memory=64.0)
         assert result.record_for(2).start_time == 0.0
-
-    def test_duration_mode(self):
-        jobs = [
-            make_job(1, duration=10.0, walltime=100.0, nodes=8),
-            make_job(2, duration=90.0, walltime=20.0, nodes=8),
-        ]
-        result = run_sim(
-            jobs, SJFScheduler(use_walltime=False), nodes=8, memory=64.0
-        )
-        assert result.record_for(1).start_time == 0.0
 
     def test_names(self):
         assert SJFScheduler(strict=True).name == "sjf"

@@ -178,7 +178,6 @@ def run_cell_params(workload_seed=0):
             "restart_policy": "resubmit",
             "checkpoint_interval": None,
             "topology": None,
-            "anneal_window": None,
         }
     }
 

@@ -54,7 +54,6 @@ def cell_config(scheduler="fcfs", n_jobs=10, workload_seed=0):
         "restart_policy": "resubmit",
         "checkpoint_interval": None,
         "topology": None,
-        "anneal_window": None,
     }
 
 
@@ -199,6 +198,19 @@ class TestCellCache:
         assert legacy["source"] == "memory"
         assert legacy["run"] == first["run"]
         assert stats["cache"]["simulations"] == 1
+
+    def test_windowed_cell_config_rejected(self, server):
+        """A window is refused, not dropped: dropping it would answer
+        with a full-search run under the plain ``ortools_like`` key."""
+        config = {**cell_config("ortools_like"), "anneal_window": 16}
+        with server.client() as client:
+            before = client.stats()["cache"]["simulations"]
+            with pytest.raises(ServiceError) as excinfo:
+                client.run_cell(config)
+            after = client.stats()["cache"]["simulations"]
+        assert excinfo.value.error_type == "bad_request"
+        assert "windowed annealing was removed" in str(excinfo.value)
+        assert after == before
 
     def test_malformed_cell_config_rejected(self, server):
         with server.client() as client:

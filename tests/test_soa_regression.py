@@ -6,7 +6,7 @@
    records, decisions, preemptions, extras, and metric floats — across
    the scheduler comparison set and every disruption regime (node
    failures, correlated rack shocks, drains, checkpoint/migrate restart
-   policies, walltime enforcement, dependency DAGs, windowed planning).
+   policies, walltime enforcement, dependency DAGs).
 2. **Pinned digests**: a seeded cell matrix — including every identity
    cell above — hashes to digests generated by the object oracle, so
    SoA drift is caught by a constant and not only by agreement with a
@@ -60,13 +60,6 @@ IDENTITY_CELLS = [
     ),
     pytest.param(
         "heterogeneous_mix", 100, "o4-mini-sim", {}, id="llm-o4"
-    ),
-    pytest.param(
-        "heterogeneous_mix",
-        80,
-        "ortools_like",
-        {"anneal_window": 8},
-        id="windowed",
     ),
     pytest.param(
         "adversarial",
@@ -175,8 +168,6 @@ IDENTITY_DIGESTS = {
         "24f49b690d0825e665edc57435b9cdd1207868be494233525d8b08eabcc2e2ef",
     "llm-o4":
         "52dc6e35f326a0827c2f981f7de4a99537cf02c8ee55dd533eb48b1b42043dab",
-    "windowed":
-        "d11f3f83a4264449d733eda89aaae328fb159470babb00407a3a0b4985a03d41",
     "walltime-kills":
         "8d11b11220ea41b788292168d832c6dc2e8b24564cbd71b88ab44492b61b1737",
     "disrupted-checkpoint":
@@ -283,7 +274,7 @@ class TestParallelIdentity:
         cells = expand_cells(
             ["heterogeneous_mix"],
             [40],
-            ["fcfs", "sjf"],
+            ["fcfs", "sjf", "ortools_like"],
             workload_seeds=(0, 1),
         )
         serial = run_cells(cells, workers=1)

@@ -20,8 +20,10 @@ doctor --dedupe`` (sharded auto-compaction) or beside SWF (a CSV trace
 format), no read of the environment, no fault injection (the chaos
 harness is ``tests/tooling/faults.py``), one cluster model, read
 without attribute probes (the per-node model is
-``tests/node_reference.py``), and the paper's four actions, with no
-voluntary preemption path behind them.
+``tests/node_reference.py``), the paper's four actions, with no
+voluntary preemption path behind them, and one annealer search whose
+runs are recorded under the plain registry name (no window option, no
+``@wW`` label).
 """
 
 from __future__ import annotations
@@ -414,3 +416,49 @@ def test_no_src_file_names_a_preempt_kill_reason():
             ast.parse(path.read_text(encoding="utf-8"))
         ))
     } == {}
+
+
+# -- one annealer search, recorded under its registry name ----------------
+
+
+def window_names(tree: ast.AST) -> list[int]:
+    """Lines of every ``anneal_window`` identifier in *tree*: a name,
+    attribute, definition, parameter, keyword argument or import."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if "anneal_window" in {
+            getattr(node, field, None) for field in ("id", "attr", "name", "arg")
+        }
+    )
+
+
+def window_labels(tree: ast.AST) -> list[int]:
+    """Lines of every string constant in *tree* that holds ``"@w"``, as
+    a decorated scheduler label (``f"{name}@w{window}"``) does."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "@w" in node.value
+    )
+
+
+def test_the_guards_see_each_window_spelling():
+    for source in ("anneal_window = 8", "cell.anneal_window",
+                   "def f(anneal_window=None): pass",
+                   "run(x, anneal_window=8)"):
+        assert window_names(ast.parse(source)) == [1], source
+    assert window_names(ast.parse('config.get("anneal_window")')) == []
+    assert window_labels(ast.parse('f"{name}@w{window}"')) == [1]
+    assert window_labels(ast.parse('"user@example"')) == []
+
+
+def test_no_src_file_carries_a_window_option_or_label():
+    """``ortools_like`` has one search: the package takes no window
+    and records no ``<name>@w<W>`` scheduler label."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = window_names(tree) + window_labels(tree)
+        if lines:
+            found[path.relative_to(ROOT).as_posix()] = lines
+    assert found == {}

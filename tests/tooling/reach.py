@@ -388,15 +388,12 @@ CLI_CALLS = {
 
 #: Documented paths no call of :data:`CLI_CALLS` drives, run right after
 #: them in the same directory (``m.store`` is what ``store migrate``
-#: made): the sharded doctor, maintenance drains and their announce
-#: path, and the windowed annealer. :data:`_SERVE` adds TCP serving
-#: and ``subscribe_events``.
+#: made): the sharded doctor, and maintenance drains and their announce
+#: path. :data:`_SERVE` adds TCP serving and ``subscribe_events``.
 DOCUMENTED_CALLS = [
     ["store", "doctor", "m.store"],
     ["run", "--scenario", "drain_window", "--scheduler", "fcfs_backfill",
      "-n", "100", "--disruptions", "maintenance"],
-    ["run", "--scenario", "heterogeneous_mix", "--scheduler",
-     "ortools_like", "--anneal-window", "4", "-n", "20"],
 ]
 
 
