@@ -1,29 +1,1 @@
 """Statistical analysis utilities for experiment results."""
-
-from repro.analysis.gantt import render_gantt, utilization_sparkline
-from repro.analysis.significance import (
-    PairedComparison,
-    compare_schedulers,
-    render_comparison,
-)
-from repro.analysis.stats import (
-    BoxStats,
-    LatencySummary,
-    box_stats,
-    summarize_latencies,
-)
-from repro.analysis.workload_stats import WorkloadStats, characterize
-
-__all__ = [
-    "BoxStats",
-    "LatencySummary",
-    "PairedComparison",
-    "WorkloadStats",
-    "box_stats",
-    "characterize",
-    "compare_schedulers",
-    "render_comparison",
-    "render_gantt",
-    "summarize_latencies",
-    "utilization_sparkline",
-]

@@ -35,7 +35,6 @@ Modules
 """
 
 from repro.core.agent import ReActSchedulingAgent, create_llm_scheduler
-from repro.core.batching import BatchedReActAgent, create_batched_llm_scheduler
 from repro.core.backends import (
     LLMBackend,
     LLMCallRecord,
@@ -56,19 +55,11 @@ from repro.core.profiles import (
 )
 from repro.core.prompt import PromptBuilder, PromptContext
 from repro.core.reasoning import ReasoningPolicy, ReasoningStep
-from repro.core.replay import (
-    RecordingBackend,
-    ReplayBackend,
-    ReplayMismatch,
-    load_replay,
-)
 from repro.core.scratchpad import Scratchpad, ScratchpadEntry
 
 __all__ = [
     "ActionParseError",
-    "BatchedReActAgent",
     "CLAUDE_37_SIM",
-    "create_batched_llm_scheduler",
     "LLMBackend",
     "LLMCallRecord",
     "LLMReply",
@@ -83,11 +74,7 @@ __all__ = [
     "ReActSchedulingAgent",
     "ReasoningPolicy",
     "ReasoningStep",
-    "RecordingBackend",
-    "ReplayBackend",
-    "ReplayMismatch",
     "ScriptedBackend",
-    "load_replay",
     "Scratchpad",
     "ScratchpadEntry",
     "SimulatedReasoningBackend",

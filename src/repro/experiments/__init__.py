@@ -3,47 +3,11 @@
 Each ``figure*`` function in :mod:`repro.experiments.figures`
 regenerates the corresponding table/figure data; the matching pytest
 benchmark in ``benchmarks/`` runs it and prints the same rows/series
-the paper reports (see EXPERIMENTS.md for the paper-vs-measured
-record). :mod:`repro.experiments.cli` exposes everything as the
-``repro-sched`` command.
+the paper reports (the paper-claims tests; README "Tests & CI" says
+how to run them). :mod:`repro.experiments.cli` exposes everything as
+the ``repro-sched`` command.
+
+Import from the defining module (``runner``, ``parallel``, ``store``,
+``storage``, ...): this package imports nothing, so a cold
+``repro-sched run`` loads only the modules it runs.
 """
-
-from repro.experiments.parallel import (
-    MatrixCell,
-    expand_cells,
-    run_cells,
-    run_matrix_parallel,
-)
-from repro.experiments.runner import (
-    DEFAULT_SCHEDULERS,
-    ExperimentRun,
-    OverheadSummary,
-    run_matrix,
-    run_single,
-)
-from repro.experiments.storage import (
-    ShardedStore,
-    StoreBackend,
-    open_store,
-    store_digest,
-)
-from repro.experiments.store import SCHEMA_VERSION, RunStore, StoredRun
-
-__all__ = [
-    "DEFAULT_SCHEDULERS",
-    "ExperimentRun",
-    "MatrixCell",
-    "OverheadSummary",
-    "RunStore",
-    "SCHEMA_VERSION",
-    "ShardedStore",
-    "StoreBackend",
-    "StoredRun",
-    "expand_cells",
-    "open_store",
-    "run_cells",
-    "run_matrix",
-    "run_matrix_parallel",
-    "run_single",
-    "store_digest",
-]

@@ -24,15 +24,8 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.experiments import figures, report
-from repro.experiments.parallel import expand_cells, run_matrix_parallel
+from repro.experiments import report
 from repro.experiments.runner import DEFAULT_SCHEDULERS, run_single
-from repro.experiments.store import FailedCell
-from repro.experiments.storage import (
-    ShardedStore,
-    is_sharded_store,
-    open_store,
-)
 from repro.metrics.normalize import normalize_to_baseline
 from repro.schedulers.registry import available_schedulers
 from repro.sim.disruptions import (
@@ -645,6 +638,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    from repro.experiments import figures
+
     for sample in figures.figure2(
         model=args.model, n_jobs=args.n_jobs, seed=args.seed
     ):
@@ -695,6 +690,8 @@ _FIGURE_ARGS = {"workload_seed": "seed", "n_repeats": "repeats"}
 
 
 def _cmd_figure(args) -> int:
+    from repro.experiments import figures
+
     fig_name, keywords, render_name, render_kwargs = _FIGURES[args.command]
     data = getattr(figures, fig_name)(
         **{kw: getattr(args, _FIGURE_ARGS.get(kw, kw)) for kw in keywords}
@@ -758,6 +755,12 @@ def _open_archive(
     one out), and ``doctor``/``digest`` refuse a missing path too.
     Only ``doctor`` opens for *repair*: a garbled manifest, which is
     an error to every other command, is its to rebuild."""
+    from repro.experiments.storage import (
+        ShardedStore,
+        is_sharded_store,
+        open_store,
+    )
+
     p = Path(path)
     if (p.is_dir() and not is_sharded_store(p)) or (
         must_exist and not p.exists()
@@ -786,6 +789,7 @@ def _drive_sweep(
         DEFAULT_RETRY_BACKOFF_S,
         CellFailedError,
     )
+    from repro.experiments.store import FailedCell
 
     def progress(cell, completed, total):
         print(
@@ -913,6 +917,8 @@ def _print_matrix_report(runs, wanted: set, store) -> None:
     file stay out of the output. Tolerate corrupt lines here — the
     sweep itself succeeded; damage on disk is surfaced loudly by
     --resume and repaired by `store doctor`."""
+    from repro.experiments import figures
+
     source = list(runs)
     if store is not None:
         # Keyed backend query: only the wanted cells come back (on a
@@ -925,6 +931,9 @@ def _print_matrix_report(runs, wanted: set, store) -> None:
 
 
 def _cmd_matrix(args) -> int:
+    from repro.experiments.parallel import expand_cells, run_matrix_parallel
+    from repro.experiments.storage import open_store
+
     if args.retry_failed is not None:
         return _matrix_retry_failed(args)
     if not args.scenarios or not args.sizes:
@@ -1025,6 +1034,8 @@ def _cmd_store_digest(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.experiments import figures
+
     where = {}
     for item in args.where or ():
         field, sep, value = item.partition("=")

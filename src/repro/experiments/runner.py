@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from repro.analysis.stats import LatencySummary, summarize_latencies
 from repro.metrics.objectives import MetricReport, compute_metrics
 from repro.schedulers.registry import create_scheduler
-from repro.experiments.store import CellKey, cell_key
 from repro.sim.cluster import ResourcePool
 from repro.sim.disruptions import (
     DisruptionSpec,
@@ -79,6 +78,34 @@ class OverheadSummary:
             latency=summarize_latencies(lat),
             all_call_latencies=tuple(c.latency_s for c in calls),
         )
+
+
+#: Identity of one matrix cell: (scenario, n_jobs, scheduler,
+#: workload_seed, scheduler_seed, arrival_mode, disruption_sig,
+#: topology_sig). arrival_mode is part of the identity because the
+#: same (scenario, seed) generates a different workload under "zero"
+#: arrivals; disruption_sig because the same workload under a
+#: different failure regime (or restart policy) is a different
+#: experiment; topology_sig because a correlated regime's trace (and
+#: spread placement) depends on the rack layout — resume must not
+#: treat one regime's runs as covering another.
+CellKey = tuple[str, int, str, int, int, str, str, str]
+
+
+def cell_key(
+    scenario: str,
+    n_jobs: int,
+    scheduler: str,
+    workload_seed: int,
+    scheduler_seed: int,
+    arrival_mode: str = "scenario",
+    disruption: str = "none",
+    topology: str = "flat",
+) -> CellKey:
+    """Canonical dictionary/set key for one experiment cell."""
+    return (scenario, int(n_jobs), scheduler, int(workload_seed),
+            int(scheduler_seed), str(arrival_mode), str(disruption),
+            str(topology))
 
 
 @dataclass

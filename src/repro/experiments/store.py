@@ -32,10 +32,9 @@ import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.runner import ExperimentRun
+from repro.experiments.runner import CellKey, ExperimentRun, cell_key
 
 #: Bump when the serialized shape changes incompatibly. Loaders accept
 #: any version up to the current one (older lines keep their shape).
@@ -48,33 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: load with it defaulting to "flat", which is exactly the topology
 #: they ran under.
 SCHEMA_VERSION = 3
-
-#: Identity of one matrix cell: (scenario, n_jobs, scheduler,
-#: workload_seed, scheduler_seed, arrival_mode, disruption_sig,
-#: topology_sig). arrival_mode is part of the identity because the
-#: same (scenario, seed) generates a different workload under "zero"
-#: arrivals; disruption_sig because the same workload under a
-#: different failure regime (or restart policy) is a different
-#: experiment; topology_sig because a correlated regime's trace (and
-#: spread placement) depends on the rack layout — resume must not
-#: treat one regime's runs as covering another.
-CellKey = tuple[str, int, str, int, int, str, str, str]
-
-
-def cell_key(
-    scenario: str,
-    n_jobs: int,
-    scheduler: str,
-    workload_seed: int,
-    scheduler_seed: int,
-    arrival_mode: str = "scenario",
-    disruption: str = "none",
-    topology: str = "flat",
-) -> CellKey:
-    """Canonical dictionary/set key for one experiment cell."""
-    return (scenario, int(n_jobs), scheduler, int(workload_seed),
-            int(scheduler_seed), str(arrival_mode), str(disruption),
-            str(topology))
 
 
 def cell_key_str(key: CellKey) -> str:

@@ -25,17 +25,7 @@ from repro.workloads.arrivals import (
     BurstyArrivals,
     PoissonArrivals,
 )
-from repro.workloads.dags import critical_path_length, layered_dag_workload
 from repro.workloads.generator import generate_workload
-from repro.workloads.swf import jobs_from_swf, jobs_to_swf
-from repro.workloads.transforms import with_scaled_arrivals
-from repro.workloads.polaris import (
-    POLARIS_MEMORY_PER_NODE_GB,
-    POLARIS_NODES,
-    RawTraceRecord,
-    preprocess_trace,
-    synthesize_polaris_trace,
-)
 from repro.workloads.scenarios import SCENARIO_NAMES, SCENARIOS, Scenario
 
 __all__ = [
@@ -43,18 +33,8 @@ __all__ = [
     "ArrivalProcess",
     "BurstyArrivals",
     "PoissonArrivals",
-    "critical_path_length",
-    "jobs_from_swf",
-    "jobs_to_swf",
-    "layered_dag_workload",
-    "with_scaled_arrivals",
-    "POLARIS_MEMORY_PER_NODE_GB",
-    "POLARIS_NODES",
-    "RawTraceRecord",
     "SCENARIOS",
     "SCENARIO_NAMES",
     "Scenario",
     "generate_workload",
-    "preprocess_trace",
-    "synthesize_polaris_trace",
 ]

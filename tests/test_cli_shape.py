@@ -114,21 +114,60 @@ def test_every_subcommand_has_a_handler():
         assert handler.__name__ in FUNCTIONS, path
 
 
+#: Modules a cold ``repro-sched run`` never runs: the sweep pool, both
+#: store layouts, the figure drivers, the plan-ahead and replay agents,
+#: the trace/DAG loaders, the analysis extras and the daemon. Their
+#: commands import them inside the handler.
+NOT_RUN_BY_RUN = (
+    "repro.experiments.parallel",
+    "repro.experiments.store",
+    "repro.experiments.storage",
+    "repro.experiments.figures",
+    "repro.core.batching",
+    "repro.core.replay",
+    "repro.workloads.dags",
+    "repro.workloads.swf",
+    "repro.workloads.transforms",
+    "repro.workloads.polaris",
+    "repro.analysis.gantt",
+    "repro.analysis.significance",
+    "repro.analysis.workload_stats",
+    "repro.service",
+    "multiprocessing",
+    "asyncio",
+)
+
+#: Runs the CLI as ``python -m repro.experiments.cli`` does (the
+#: package is imported before the module) and prints every loaded
+#: module after the command has finished.
+_MODULES_AT_EXIT = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('MODULES', *sys.modules))\n"
+    "runpy.run_module('repro.experiments.cli', run_name='__main__',"
+    " alter_sys=True)\n"
+)
+
+
 def test_import_stays_lazy():
-    """Importing the CLI (what a cold ``repro-sched run`` pays for)
-    pulls in neither asyncio nor the daemon; ``serve`` imports both
-    inside its handler."""
-    code = (
-        "import sys, repro.experiments.cli\n"
-        "print(*(m for m in sys.modules if m.split('.')[0] in "
-        "('repro', 'asyncio')))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
+    """A cold ``repro-sched run`` (what ``paper_matrix`` times as its
+    ``op_ms_p50``) pays to load every module it imports, so it must
+    not import the modules only other subcommands run."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", _MODULES_AT_EXIT,
+            "run", "--scenario", "heterogeneous_mix", "-n", "10",
+            "--scheduler", "claude-3.7-sim",
+        ],
         check=True,
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
-    ).stdout.split()
-    assert "repro.experiments.cli" in out
-    assert not [m for m in out if m.startswith(("asyncio", "repro.service"))]
+    )
+    head, sep, modules = proc.stdout.rpartition("MODULES ")
+    assert sep and "claude-3.7-sim" in head
+    loaded = modules.split()
+    assert "repro.experiments.runner" in loaded
+    assert [
+        m for m in loaded
+        if any(m == n or m.startswith(n + ".") for n in NOT_RUN_BY_RUN)
+    ] == []

@@ -235,7 +235,7 @@ class TestExecution:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(
-            "repro.experiments.cli.run_matrix_parallel", interrupted
+            "repro.experiments.parallel.run_matrix_parallel", interrupted
         )
         code = main([
             "matrix", "--scenarios", "resource_sparse", "--sizes", "8",
@@ -418,7 +418,7 @@ class TestFigureCommands:
     def test_fig_routes_data_to_renderer(
         self, monkeypatch, capsys, argv, fig_name, render_name
     ):
-        from repro.experiments import cli
+        from repro.experiments import cli, figures
 
         sentinel = object()
         seen = {}
@@ -432,7 +432,7 @@ class TestFigureCommands:
             seen["render_kwargs"] = kwargs
             return f"[{render_name} output]"
 
-        monkeypatch.setattr(cli.figures, fig_name, fake_fig)
+        monkeypatch.setattr(figures, fig_name, fake_fig)
         monkeypatch.setattr(cli.report, render_name, fake_render)
         assert main(argv) == 0
         assert f"[{render_name} output]" in capsys.readouterr().out
@@ -442,14 +442,14 @@ class TestFigureCommands:
         )
 
     def test_fig5_and_fig6_label_their_tables(self, monkeypatch, capsys):
-        from repro.experiments import cli
+        from repro.experiments import cli, figures
 
         labels = []
         monkeypatch.setattr(
-            cli.figures, "figure5", lambda **kw: {"f5": 1}
+            figures, "figure5", lambda **kw: {"f5": 1}
         )
         monkeypatch.setattr(
-            cli.figures, "figure6", lambda **kw: {"f6": 1}
+            figures, "figure6", lambda **kw: {"f6": 1}
         )
         monkeypatch.setattr(
             cli.report,
@@ -525,12 +525,12 @@ class TestMatrixInterruptNoStore:
     def test_interrupt_without_out_reports_nothing_persisted(
         self, monkeypatch, capsys
     ):
-        from repro.experiments import cli
+        from repro.experiments import parallel
 
         def boom(*args, **kwargs):
             raise KeyboardInterrupt("mid-sweep")
 
-        monkeypatch.setattr(cli, "run_matrix_parallel", boom)
+        monkeypatch.setattr(parallel, "run_matrix_parallel", boom)
         rc = main([
             "matrix", "--scenarios", "adversarial", "--sizes", "10",
             "--schedulers", "fcfs",
