@@ -6,7 +6,6 @@ cost in schedule quality?
 """
 
 from repro.core.agent import create_llm_scheduler
-from repro.core.batching import create_batched_llm_scheduler
 from repro.metrics.objectives import compute_metrics
 from repro.sim.simulator import HPCSimulator
 from repro.workloads.generator import generate_workload
@@ -18,11 +17,11 @@ def test_batching_overhead_reduction(bench_once):
         rows = {}
         for label, agent in (
             ("per-decision", create_llm_scheduler("o4-mini-sim", seed=0)),
-            ("batch=4", create_batched_llm_scheduler(
+            ("batch=4", create_llm_scheduler(
                 "o4-mini-sim", batch_size=4, seed=0)),
-            ("batch=8", create_batched_llm_scheduler(
+            ("batch=8", create_llm_scheduler(
                 "o4-mini-sim", batch_size=8, seed=0)),
-            ("batch=8+cooldown", create_batched_llm_scheduler(
+            ("batch=8+cooldown", create_llm_scheduler(
                 "o4-mini-sim", batch_size=8, delay_cooldown_s=300.0,
                 seed=0)),
         ):

@@ -27,11 +27,17 @@ Modules
     for the cloud LLMs (its module docstring lists what is substituted).
 ``backends``
     The :class:`~repro.core.backends.LLMBackend` protocol and the
-    simulated / scripted implementations.
+    simulated implementation, which can plan several actions per reply
+    (§3.7.3 batch operation).
+``replay``
+    Record/replay wrappers around any backend (imported on demand).
 ``constraints``
     Natural-language feedback rendering for violations (§2.4).
 ``agent``
-    :class:`~repro.core.agent.ReActSchedulingAgent`, Algorithm 1.
+    :class:`~repro.core.agent.ReActSchedulingAgent`, Algorithm 1, with
+    plan-ahead and periodic (delay cooldown) operation.
+``scheduler``
+    Registers the simulated models with the scheduler registry.
 """
 
 from repro.core.agent import ReActSchedulingAgent, create_llm_scheduler
@@ -39,7 +45,6 @@ from repro.core.backends import (
     LLMBackend,
     LLMCallRecord,
     LLMReply,
-    ScriptedBackend,
     SimulatedReasoningBackend,
 )
 from repro.core.constraints import render_feedback
@@ -74,7 +79,6 @@ __all__ = [
     "ReActSchedulingAgent",
     "ReasoningPolicy",
     "ReasoningStep",
-    "ScriptedBackend",
     "Scratchpad",
     "ScratchpadEntry",
     "SimulatedReasoningBackend",

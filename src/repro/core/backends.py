@@ -2,12 +2,10 @@
 
 :class:`LLMBackend` is the seam where the paper plugs OpenAI's O4-Mini
 and Anthropic's Claude 3.7 via cloud APIs (§3.3). In this offline
-reproduction the default implementation is
+reproduction the implementation is
 :class:`SimulatedReasoningBackend` — the deterministic reasoning policy
 of :mod:`repro.core.reasoning` plus the profile's virtual latency
-model. :class:`ScriptedBackend` replays canned replies (used by tests
-to exercise the agent against arbitrary, including malformed, model
-output).
+model. Record/replay wrappers live in :mod:`repro.core.replay`.
 
 Latency is *virtual*: a sampled number recorded for overhead analysis
 (Figs. 5/6), never a real sleep.
@@ -15,15 +13,15 @@ Latency is *virtual*: a sampled number recorded for overhead analysis
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass, replace
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.core.grammar import action_tag, render_reply
 from repro.core.profiles import ModelProfile
 from repro.core.prompt import PromptContext, estimate_tokens
-from repro.core.reasoning import ReasoningPolicy
+from repro.core.reasoning import ReasoningPolicy, ReasoningStep
 
 
 @dataclass(frozen=True)
@@ -93,15 +91,27 @@ class SimulatedReasoningBackend:
         The model profile (weights, latency, hallucination rate).
     seed:
         Seed for both the policy and latency RNG streams.
+    batch_size:
+        Most actions one reply plans (§3.7.3 batch operation). Above 1
+        the backend is named ``<profile>-batch<k>`` and each call
+        plans ahead against a simulated drain of the free resources.
     """
 
     def __init__(
         self,
         profile: ModelProfile,
         seed: int | np.random.SeedSequence = 0,
+        *,
+        batch_size: int = 1,
     ) -> None:
+        if batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         self.profile = profile
-        self.name = profile.name
+        self.batch_size = batch_size
+        self.name = (
+            profile.name if batch_size == 1
+            else f"{profile.name}-batch{batch_size}"
+        )
         self._seed = seed
         self.reset()
 
@@ -118,8 +128,11 @@ class SimulatedReasoningBackend:
         self._latency_rng = np.random.default_rng(latency_seed)
 
     def complete(self, prompt: str, context: PromptContext) -> LLMReply:
-        step = self.policy.decide(context)
-        text = render_reply(step.thought, step.action)
+        steps = self._plan(context)
+        text = render_reply(
+            "\n".join(step.thought for step in steps),
+            *(step.action for step in steps),
+        )
         heterogeneity = _queue_heterogeneity(context)
         latency = self.profile.latency.sample(
             self._latency_rng,
@@ -135,46 +148,41 @@ class SimulatedReasoningBackend:
             ),
         )
 
+    def _plan(self, context: PromptContext) -> list[ReasoningStep]:
+        """Up to ``batch_size`` policy steps from one prompt.
+
+        Each later step is decided against a simulated drain of the
+        view: the job just picked leaves the queue and its resources
+        leave the free pool, so later picks respect earlier ones. The
+        plan ends at the first Delay/Stop, at a pick that does not fit
+        (the simulator rejects it), or when the queue is drained. The
+        policy reads only ``view`` and ``scratchpad``, so no prompt is
+        rendered for a drained view.
+        """
+        steps = [self.policy.decide(context)]
+        while len(steps) < self.batch_size and steps[-1].action.places_job:
+            view = context.view
+            job = view.queued_job(steps[-1].action.job_id)  # type: ignore[arg-type]
+            if job is None or not view.can_fit(job):
+                break
+            view = replace(
+                view,
+                queued=tuple(j for j in view.queued if j.job_id != job.job_id),
+                free_nodes=view.free_nodes - job.nodes,
+                free_memory_gb=view.free_memory_gb - job.memory_gb,
+            )
+            if not view.queued:
+                break
+            context = replace(context, view=view)
+            steps.append(self.policy.decide(context))
+        return steps
+
 
 def _queue_heterogeneity(context: PromptContext) -> float:
     """Heterogeneity of the *current queue* feeding the latency model."""
     from repro.workloads.generator import workload_heterogeneity
 
     return workload_heterogeneity(context.view.queued)
-
-
-@dataclass
-class ScriptedBackend:
-    """Replays a fixed sequence of reply texts (testing utility).
-
-    After the script is exhausted it keeps returning the final reply
-    (or raises if ``strict``).
-    """
-
-    replies: Sequence[str]
-    latency_s: float = 1.0
-    name: str = "scripted"
-    strict: bool = False
-    _cursor: int = field(default=0, init=False)
-
-    def reset(self) -> None:
-        self._cursor = 0
-
-    def complete(self, prompt: str, context: PromptContext) -> LLMReply:
-        if self._cursor >= len(self.replies):
-            if self.strict:
-                raise RuntimeError("scripted backend exhausted")
-            index = len(self.replies) - 1
-        else:
-            index = self._cursor
-        self._cursor += 1
-        text = self.replies[index]
-        return LLMReply(
-            text=text,
-            latency_s=self.latency_s,
-            input_tokens=estimate_tokens(prompt),
-            output_tokens=estimate_tokens(text),
-        )
 
 
 def make_call_record(

@@ -6,11 +6,14 @@ The paper's prompt (§3.4) instructs the model to answer in the format::
     Action: <your action>
 
 with the action being one of ``StartJob(job_id=X)``,
-``BackfillJob(job_id=Y)``, ``Delay`` or ``Stop``. LLM output is text,
-so parsing must be tolerant of the variation real models produce
-(case, whitespace, ``job_id`` vs bare integers, trailing prose) while
-rejecting genuinely malformed replies so the feedback loop can correct
-them.
+``BackfillJob(job_id=Y)``, ``Delay`` or ``Stop``. An ``Action:`` body
+may also list a plan of several actions separated by ``;`` (for
+example ``StartJob(job_id=3); StartJob(job_id=5); Delay``), which the
+agent executes one decision point at a time (the §3.7.3 batch
+operation). LLM output is text, so parsing must be tolerant of the
+variation real models produce (case, whitespace, ``job_id`` vs bare
+integers, trailing prose) while rejecting genuinely malformed replies
+so the feedback loop can correct them.
 """
 
 from __future__ import annotations
@@ -27,10 +30,15 @@ class ActionParseError(ValueError):
 
 @dataclass(frozen=True)
 class ParsedReply:
-    """A parsed ReAct reply: free-form thought + structured action."""
+    """A parsed ReAct reply: free-form thought + structured action.
+
+    ``rest`` holds the actions a plan lists after ``action``; it is
+    empty for a one-action reply.
+    """
 
     thought: str
     action: Action
+    rest: tuple[Action, ...] = ()
 
 
 _ACTION_LINE = re.compile(r"^\s*action\s*:\s*(?P<body>.+?)\s*$", re.IGNORECASE)
@@ -65,12 +73,13 @@ def parse_action(text: str) -> Action:
 
 
 def parse_reply(text: str) -> ParsedReply:
-    """Parse a full ReAct reply into (thought, action).
+    """Parse a full ReAct reply into (thought, action, rest of plan).
 
     The *last* ``Action:`` line wins (reasoning models sometimes discuss
     candidate actions inside the thought); everything between the first
     ``Thought:`` marker and the chosen action line is the thought. A
-    reply with no ``Action:`` line raises :class:`ActionParseError`.
+    reply with no ``Action:`` line, or whose plan has any element that
+    does not parse, raises :class:`ActionParseError`.
     """
     lines = text.splitlines()
     action_idx = None
@@ -80,7 +89,7 @@ def parse_reply(text: str) -> ParsedReply:
     if action_idx is None:
         raise ActionParseError("reply contains no 'Action:' line")
     body = _ACTION_LINE.match(lines[action_idx]).group("body")  # type: ignore[union-attr]
-    action = parse_action(body)
+    action, *rest = map(parse_action, body.split(";"))
 
     thought_lines: list[str] = []
     in_thought = False
@@ -97,12 +106,14 @@ def parse_reply(text: str) -> ParsedReply:
         # Tolerate replies that skip the Thought: marker entirely.
         thought_lines = [ln for ln in lines[:action_idx]]
     thought = "\n".join(thought_lines).strip()
-    return ParsedReply(thought=thought, action=action)
+    return ParsedReply(thought=thought, action=action, rest=tuple(rest))
 
 
-def render_reply(thought: str, action: Action) -> str:
-    """Render a (thought, action) pair in the canonical ReAct format."""
-    return f"Thought: {thought}\nAction: {action.render()}"
+def render_reply(thought: str, action: Action, *rest: Action) -> str:
+    """Render a thought and its action (or plan) in the canonical ReAct
+    format."""
+    plan = "; ".join(map(Action.render, (action, *rest)))
+    return f"Thought: {thought}\nAction: {plan}"
 
 
 def action_tag(action: Action) -> str:

@@ -2,7 +2,7 @@
 
 
 from repro.core.agent import ReActSchedulingAgent, create_llm_scheduler
-from repro.core.backends import ScriptedBackend
+from tests.scripted_backend import ScriptedBackend
 from repro.experiments.runner import OverheadSummary
 from repro.sim.actions import ActionKind
 
@@ -129,6 +129,130 @@ class TestMalformedReplies:
         jobs = [make_job(1, duration=10.0), make_job(2, submit=1.0, duration=5.0)]
         run_sim(jobs, agent, nodes=8, memory=64.0)
         assert agent.calls[0].accepted is False
+
+
+class TestScriptedPlans:
+    """Multi-action replies: the agent runs a plan's actions at the next
+    decision points without a call, and drops the rest of it when an
+    action is rejected or a job arrives that the plan did not see."""
+
+    def test_plan_runs_without_further_calls(self):
+        backend = ScriptedBackend(
+            [
+                "Thought: both\n"
+                "Action: StartJob(job_id=1); Delay; StartJob(job_id=2)",
+                "Thought: done\nAction: Stop",
+            ],
+            strict=True,
+        )
+        agent = ReActSchedulingAgent(backend)
+        jobs = [
+            make_job(1, duration=10.0, nodes=8),
+            make_job(2, duration=10.0, nodes=8),
+        ]
+        result = run_sim(jobs, agent, nodes=8, memory=64.0)
+        assert {r.job.job_id: r.start_time for r in result.records} == {
+            1: 0.0, 2: 10.0,
+        }
+        assert len(agent.calls) == 2
+        # One scratchpad entry per executed action; the thought goes
+        # with the first.
+        assert [(e.time, e.action_text) for e in agent.scratchpad] == [
+            (0.0, "StartJob(job_id=1)"),
+            (0.0, "Delay"),
+            (10.0, "StartJob(job_id=2)"),
+            (10.0, "Stop"),
+        ]
+        assert [e.thought for e in agent.scratchpad][:3] == ["both", "", ""]
+
+    def test_malformed_plan_becomes_delay_with_parse_feedback(self):
+        backend = ScriptedBackend(
+            [
+                "Thought: plan\n"
+                "Action: StartJob(job_id=1); Launch(job_id=2); Delay",
+                "Thought: ok\nAction: StartJob(job_id=1); StartJob(job_id=2)",
+                "Thought: done\nAction: Stop",
+            ],
+            strict=True,
+        )
+        agent = ReActSchedulingAgent(backend)
+        jobs = [
+            make_job(1, duration=10.0),
+            make_job(2, submit=1.0, duration=10.0),
+        ]
+        result = run_sim(jobs, agent, nodes=8, memory=64.0)
+        assert len(result.records) == 2
+        first = agent.scratchpad.entries[0]
+        assert first.action_text == "(unparseable reply)"
+        assert "could not be parsed" in first.feedback
+        assert "Launch(job_id=2)" in first.feedback
+        assert agent.calls[0].accepted is False
+        # Nothing of the malformed plan ran: the next call's plan did.
+        assert [e.action_text for e in agent.scratchpad][1:] == [
+            "StartJob(job_id=1)", "StartJob(job_id=2)", "Stop",
+        ]
+
+    def test_rejection_mid_plan_drops_the_rest(self):
+        backend = ScriptedBackend(
+            [
+                "Thought: greedy\n"
+                "Action: StartJob(job_id=1); StartJob(job_id=2); Stop",
+                "Thought: full\nAction: Delay",
+                "Thought: room now\nAction: StartJob(job_id=2)",
+                "Thought: done\nAction: Stop",
+            ],
+            strict=True,
+        )
+        agent = ReActSchedulingAgent(backend)
+        jobs = [
+            make_job(1, duration=100.0, nodes=8),
+            make_job(2, duration=10.0, nodes=8),
+        ]
+        result = run_sim(jobs, agent, nodes=8, memory=64.0)
+        assert [e.action_text for e in agent.scratchpad] == [
+            "StartJob(job_id=1)",
+            "StartJob(job_id=2)",
+            "Delay",
+            "StartJob(job_id=2)",
+            "Stop",
+        ]
+        # The feedback goes with the rejected action, not the plan's
+        # first; the plan's call is the one marked rejected.
+        assert "cannot be started" in agent.scratchpad.entries[1].feedback
+        assert not agent.scratchpad.entries[0].feedback
+        assert [c.accepted for c in agent.calls] == [False, True, True, True]
+        assert {r.job.job_id: r.start_time for r in result.records} == {
+            1: 0.0, 2: 100.0,
+        }
+
+    def test_new_arrival_drops_the_rest(self):
+        backend = ScriptedBackend(
+            [
+                "Thought: one now\n"
+                "Action: StartJob(job_id=1); Delay; StartJob(job_id=2)",
+                "Thought: newcomer\nAction: StartJob(job_id=3)",
+                "Thought: then two\nAction: StartJob(job_id=2)",
+                "Thought: done\nAction: Stop",
+            ],
+            strict=True,
+        )
+        agent = ReActSchedulingAgent(backend)
+        jobs = [
+            make_job(1, duration=100.0, nodes=2),
+            make_job(2, duration=100.0, nodes=2),
+            make_job(3, submit=5.0, duration=100.0, nodes=2),
+        ]
+        result = run_sim(jobs, agent, nodes=8, memory=64.0)
+        assert len(agent.calls) == 4
+        assert [(e.time, e.action_text) for e in agent.scratchpad][:4] == [
+            (0.0, "StartJob(job_id=1)"),
+            (0.0, "Delay"),
+            (5.0, "StartJob(job_id=3)"),
+            (5.0, "StartJob(job_id=2)"),
+        ]
+        assert {r.job.job_id: r.start_time for r in result.records} == {
+            1: 0.0, 2: 5.0, 3: 5.0,
+        }
 
 
 class TestConfiguration:

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.backends import (
-    ScriptedBackend,
-    SimulatedReasoningBackend,
-    make_call_record,
-)
+from repro.core.backends import SimulatedReasoningBackend, make_call_record
 from repro.core.grammar import parse_reply
 from repro.core.profiles import CLAUDE_37_SIM, O4_MINI_SIM
 from repro.core.prompt import PromptBuilder
@@ -15,6 +11,7 @@ from repro.sim.actions import Delay, StartJob
 from repro.sim.simulator import SystemView
 
 from tests.conftest import make_job
+from tests.scripted_backend import ScriptedBackend
 
 
 def ctx_with_queue(jobs=(), now=0.0):

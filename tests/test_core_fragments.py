@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.agent import create_llm_scheduler
-from repro.core.batching import create_batched_llm_scheduler
 from repro.core.prompt import PromptBuilder
 from repro.core.replay import RecordingBackend
 from repro.core.scratchpad import Scratchpad
@@ -200,12 +199,11 @@ def test_sixty_jobs_at_zero_render_each_line_once_per_instant():
     )
 
 
-@pytest.mark.parametrize(
-    "create", [create_llm_scheduler, create_batched_llm_scheduler]
-)
-def test_both_agents_report_the_counts(create):
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_both_modes_report_the_counts(batch_size):
     jobs = generate_workload("resource_sparse", 10, seed=0)
-    extras = run_agent(jobs, create("o4-mini-sim", seed=0)).extras
+    agent = create_llm_scheduler("o4-mini-sim", seed=0, batch_size=batch_size)
+    extras = run_agent(jobs, agent).extras
     assert extras["prompt_lines_rendered"] > 0
     assert {"prompt_lines_reused", "prompt_completed_ids_rendered"} <= set(
         extras

@@ -56,6 +56,7 @@ class TestParseReply:
         reply = parse_reply("Thought: pick the short job\nAction: StartJob(job_id=9)")
         assert reply.thought == "pick the short job"
         assert reply.action == StartJob(9)
+        assert reply.rest == ()
 
     def test_multiline_thought(self):
         text = (
@@ -74,6 +75,28 @@ class TestParseReply:
             "Action: Delay"
         )
         assert parse_reply(text).action == Delay
+
+    def test_last_action_line_wins_over_an_earlier_plan(self):
+        text = (
+            "Thought: first idea\n"
+            "Action: StartJob(job_id=1); StartJob(job_id=2)\n"
+            "On reflection, the cluster is full.\n"
+            "Action: Delay"
+        )
+        reply = parse_reply(text)
+        assert reply.action == Delay
+        assert reply.rest == ()
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            "StartJob(job_id=3); LaunchRocket(job_id=4); Delay",
+            "StartJob(job_id=3);",
+        ],
+    )
+    def test_plan_with_one_bad_element_raises(self, plan):
+        with pytest.raises(ActionParseError, match="unrecognized action"):
+            parse_reply(f"Thought: x\nAction: {plan}")
 
     def test_reply_without_thought_marker(self):
         reply = parse_reply("just some musings\nAction: Stop")
@@ -99,6 +122,17 @@ class TestRenderRoundTrip:
         parsed = parse_reply(text)
         assert parsed.action == action
         assert parsed.thought == "some reasoning"
+
+
+    def test_plan_round_trip(self):
+        text = render_reply("pack three", StartJob(3), BackfillJob(5), Delay)
+        assert text.splitlines()[-1] == (
+            "Action: StartJob(job_id=3); BackfillJob(job_id=5); Delay"
+        )
+        parsed = parse_reply(text)
+        assert parsed.thought == "pack three"
+        assert parsed.action == StartJob(3)
+        assert parsed.rest == (BackfillJob(5), Delay)
 
 
 class TestActionTag:

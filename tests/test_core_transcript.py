@@ -18,17 +18,17 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import pytest
 
 from repro.core.agent import ReActSchedulingAgent, create_llm_scheduler
-from repro.core.batching import BatchedReActAgent, create_batched_llm_scheduler
-from repro.core.prompt import PromptBuilder
-from repro.core.replay import RecordingBackend, _fingerprint
+from repro.core.replay import RecordingBackend, ReplayBackend
+from repro.metrics.objectives import compute_metrics
 from repro.schedulers.base import BaseScheduler
+from repro.service.protocol import schedule_digest
 from repro.sim.cluster import ResourcePool
 from repro.sim.job import Job
 from repro.sim.schedule import ScheduleResult
@@ -46,7 +46,7 @@ class Cell:
 
     label: str
     jobs: Callable[[], list[Job]]
-    agent: Callable[[], BaseScheduler]
+    agent: Callable[[], ReActSchedulingAgent]
 
 
 def _cells() -> list[Cell]:
@@ -81,12 +81,13 @@ def _cells() -> list[Cell]:
             ),
         )
     )
-    # Plan-ahead agent: prompts over ``replace``d views at one ``now``.
+    # Plan-ahead mode: multi-action replies, and plans dropped on a
+    # rejection or an arrival.
     cells.append(
         Cell(
             "heterogeneous_mix/40/claude-3.7-sim/batch4",
             lambda: generate_workload("heterogeneous_mix", 40, seed=2),
-            lambda: create_batched_llm_scheduler(
+            lambda: create_llm_scheduler(
                 "claude-3.7-sim", batch_size=4, seed=5
             ),
         )
@@ -110,61 +111,28 @@ def _sha(payload) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class FingerprintingBuilder(PromptBuilder):
-    """Fingerprints every prompt it builds — the batched agent has no
-    backend seam to record at."""
-
-    fingerprints: list[str] = field(default_factory=list)
-
-    def build(self, view, scratchpad):
-        context = super().build(view, scratchpad)
-        self.fingerprints.append(_fingerprint(context.prompt_text))
-        return context
-
-
 def transcript(cell: Cell) -> dict:
     """Hashes of everything the agent said and was told in *cell*."""
     agent = cell.agent()
-    if isinstance(agent, ReActSchedulingAgent):
-        recorder = agent.backend = RecordingBackend(agent.backend)
-        result = run_agent(cell.jobs(), agent)
-        tape = [
-            [
-                call.prompt_fingerprint,
-                call.text,
-                call.latency_s.hex(),
-                call.input_tokens,
-                call.output_tokens,
-            ]
-            for call in recorder.tape
+    recorder = agent.backend = RecordingBackend(agent.backend)
+    result = run_agent(cell.jobs(), agent)
+    tape = [
+        [
+            call.prompt_fingerprint,
+            call.text,
+            call.latency_s.hex(),
+            call.input_tokens,
+            call.output_tokens,
         ]
-        scratchpad_text = result.extras["scratchpad_text"]
-    else:
-        assert isinstance(agent, BatchedReActAgent)
-        builder = agent.prompt_builder = FingerprintingBuilder()
-        result = run_agent(cell.jobs(), agent)
-        tape = [
-            [
-                call.time.hex(),
-                call.latency_s.hex(),
-                call.input_tokens,
-                call.output_tokens,
-                call.action_tag,
-                call.queue_len,
-                call.accepted,
-            ]
-            for call in result.extras["llm_calls"]
-        ] + builder.fingerprints
-        agent.scratchpad.window = None
-        scratchpad_text = agent.scratchpad.render()
+        for call in recorder.tape
+    ]
     return {
         "calls": len(result.extras["llm_calls"]),
         "rejected": sum(
             not call.accepted for call in result.extras["llm_calls"]
         ),
         "tape": _sha(tape),
-        "scratchpad": _sha(scratchpad_text),
+        "scratchpad": _sha(result.extras["scratchpad_text"]),
     }
 
 
@@ -184,6 +152,23 @@ def test_the_feedback_path_is_pinned():
 @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: cell.label)
 def test_transcript_matches_the_recording(cell):
     assert transcript(cell) == json.loads(TAPES.read_text())[cell.label]
+
+
+def _digest(result: ScheduleResult) -> str:
+    return schedule_digest(result, compute_metrics(result).as_dict())
+
+
+def test_a_batched_run_replays_from_its_tape():
+    """Plans travel in the reply text, so a tape of a plan-ahead run
+    replays it with every prompt checked against the recording."""
+    (cell,) = [c for c in CELLS if c.label.endswith("/batch4")]
+    agent = cell.agent()
+    recorder = agent.backend = RecordingBackend(agent.backend)
+    recorded = run_agent(cell.jobs(), agent)
+    replay = ReplayBackend(recorder.tape, verify_prompts=True)
+    replayed = run_agent(cell.jobs(), ReActSchedulingAgent(replay))
+    assert len(replayed.extras["llm_calls"]) == len(recorder.tape)
+    assert _digest(replayed) == _digest(recorded)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batching import create_batched_llm_scheduler
+from repro.core.agent import create_llm_scheduler
 from repro.metrics.energy import PowerModel, energy_report
 from repro.schedulers.heuristics import FirstFitScheduler
 from repro.sim.cluster import ResourcePool
@@ -71,7 +71,7 @@ def test_batched_agent_invariants(raw, batch_size, cooldown):
         )
         for i, (submit, duration, nodes) in enumerate(raw)
     ]
-    agent = create_batched_llm_scheduler(
+    agent = create_llm_scheduler(
         batch_size=batch_size, delay_cooldown_s=cooldown, seed=0
     )
     sim = HPCSimulator(

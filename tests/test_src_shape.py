@@ -23,7 +23,8 @@ without attribute probes (the per-node model is
 ``tests/node_reference.py``), the paper's four actions, with no
 voluntary preemption path behind them, and one annealer search whose
 runs are recorded under the plain registry name (no window option, no
-``@wW`` label).
+``@wW`` label), and one agent loop, with no canned-reply backend beside
+the simulated one (``ScriptedBackend`` is ``tests/scripted_backend.py``).
 """
 
 from __future__ import annotations
@@ -462,3 +463,22 @@ def test_no_src_file_carries_a_window_option_or_label():
         if lines:
             found[path.relative_to(ROOT).as_posix()] = lines
     assert found == {}
+
+
+# -- one agent loop, no canned-reply backend in the wheel ------------------
+
+
+def test_no_src_file_names_a_second_agent_or_the_scripted_backend():
+    """Plan-ahead is a multi-action reply to ``ReActSchedulingAgent``;
+    canned replies are a test harness."""
+    import repro.core as core
+
+    assert not hasattr(core, "ScriptedBackend")
+    names = {"BatchedReActAgent", "ScriptedBackend"}
+    assert {
+        path.relative_to(ROOT).as_posix(): sorted(found)
+        for path in sorted(SRC.rglob("*.py"))
+        if (found := names & _identifiers(
+            ast.parse(path.read_text(encoding="utf-8"))
+        ))
+    } == {}
