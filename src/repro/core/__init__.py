@@ -29,8 +29,6 @@ Modules
     The :class:`~repro.core.backends.LLMBackend` protocol and the
     simulated implementation, which can plan several actions per reply
     (§3.7.3 batch operation).
-``replay``
-    Record/replay wrappers around any backend (imported on demand).
 ``constraints``
     Natural-language feedback rendering for violations (§2.4).
 ``agent``

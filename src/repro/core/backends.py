@@ -5,7 +5,8 @@ and Anthropic's Claude 3.7 via cloud APIs (§3.3). In this offline
 reproduction the implementation is
 :class:`SimulatedReasoningBackend` — the deterministic reasoning policy
 of :mod:`repro.core.reasoning` plus the profile's virtual latency
-model. Record/replay wrappers live in :mod:`repro.core.replay`.
+model. Any object with the protocol's ``name``, ``reset()`` and
+``complete(prompt, context)`` drives the agent unchanged.
 
 Latency is *virtual*: a sampled number recorded for overhead analysis
 (Figs. 5/6), never a real sleep.

@@ -13,7 +13,6 @@ from repro.schedulers.fcfs import EasyBackfillScheduler, FCFSScheduler
 from repro.schedulers.heuristics import (
     FirstFitScheduler,
     LargestFirstScheduler,
-    RandomScheduler,
 )
 from repro.schedulers.optimizer import AnnealingOptimizer, PlanStatistics
 from repro.schedulers.packing import PackedJob, ResourceProfile
@@ -33,7 +32,6 @@ __all__ = [
     "LargestFirstScheduler",
     "PackedJob",
     "PlanStatistics",
-    "RandomScheduler",
     "ResourceProfile",
     "SCHEDULER_FACTORIES",
     "SJFScheduler",

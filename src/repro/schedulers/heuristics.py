@@ -1,9 +1,9 @@
-"""Additional simple policies used for ablations and testing.
+"""Additional simple policies used for ablations.
 
-None of these appear in the paper's comparison; they exist to bracket
-the baselines (how much of the LLM agent's advantage is explained by
-plain greedy packing?) and to exercise the simulator under policies
-with different structural behaviour.
+Neither appears in the paper's comparison; they bracket the baselines
+(how much of the LLM agent's advantage is explained by plain greedy
+packing?) and exercise the simulator under policies with different
+structural behaviour.
 """
 
 from __future__ import annotations
@@ -77,31 +77,3 @@ class LargestFirstScheduler(BaseScheduler):
         if best is None:
             return Delay
         return StartJob(best.job_id)
-
-
-class RandomScheduler(BaseScheduler):
-    """Start a uniformly random feasible job.
-
-    Useful as a stochastic chaff policy in property tests: any
-    invariant the simulator guarantees must hold under arbitrary
-    feasible choices.
-    """
-
-    name = "random"
-
-    def __init__(self, seed: int | np.random.SeedSequence = 0):
-        super().__init__()
-        self._seed = seed
-        self._rng = np.random.default_rng(seed)
-
-    def reset(self) -> None:
-        super().reset()
-        self._rng = np.random.default_rng(self._seed)
-
-    def decide(self, view: SystemView) -> Action:
-        feasible = view.feasible_jobs()
-        if not feasible:
-            return Delay
-        pick = feasible[int(self._rng.integers(0, len(feasible)))]
-        return StartJob(pick.job_id)
-

@@ -63,10 +63,6 @@ class ProfileSnapshot:
     free_nodes: list[float]
     free_memory: list[float]
 
-    @property
-    def size(self) -> int:
-        return len(self.times)
-
 
 class ResourceProfile:
     """Stepwise free-capacity timeline supporting earliest-fit queries.

@@ -16,7 +16,6 @@ from repro.schedulers.fcfs import EasyBackfillScheduler, FCFSScheduler
 from repro.schedulers.heuristics import (
     FirstFitScheduler,
     LargestFirstScheduler,
-    RandomScheduler,
 )
 from repro.schedulers.optimizer import AnnealingOptimizer
 from repro.schedulers.sjf import SJFScheduler
@@ -31,7 +30,6 @@ SCHEDULER_FACTORIES: Dict[str, SchedulerFactory] = {
     "ortools_like": lambda seed=0, **kw: AnnealingOptimizer(seed=seed, **kw),
     "first_fit": lambda seed=0, **kw: FirstFitScheduler(),
     "largest_first": lambda seed=0, **kw: LargestFirstScheduler(),
-    "random": lambda seed=0, **kw: RandomScheduler(seed=seed),
 }
 
 

@@ -12,10 +12,12 @@ Three layers, thin to thick (the SimCash ``api/`` + simulator split):
   response envelopes, and the job/record/decision serializers whose
   floats round-trip exactly (so digests survive the wire).
 * :mod:`repro.service.service` + :mod:`repro.service.session` — the
-  engine room: per-session isolated simulators with incrementally
-  extended arrival calendars, a :class:`CellKey`-keyed result cache
-  backed by :class:`~repro.experiments.store.RunStore`, and a process
-  pool for sweep cells.
+  engine room: isolated sessions, each generation of which replays the
+  session's jobs through the batch path
+  (:func:`~repro.experiments.runner.run_single`), a
+  :class:`CellKey`-keyed result cache backed by
+  :class:`~repro.experiments.store.RunStore`, and a process pool for
+  sweep cells.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   asyncio socket server behind ``repro-sched serve`` and the small
   synchronous client used by tests and the CI smoke.
@@ -28,7 +30,6 @@ change a single persisted bit.
 
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.embedded import EmbeddedServer
 from repro.service.protocol import PROTOCOL_VERSION, schedule_digest
 from repro.service.server import ServiceServer
 from repro.service.service import SchedulingService
@@ -37,7 +38,6 @@ from repro.service.session import Session, SessionConfig
 __all__ = [
     "PROTOCOL_VERSION",
     "CacheStats",
-    "EmbeddedServer",
     "ResultCache",
     "SchedulingService",
     "ServiceClient",

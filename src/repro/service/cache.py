@@ -103,10 +103,6 @@ class ResultCache:
         self.stats.misses += 1
         return None, "miss"
 
-    def get(self, key: CellKey) -> Optional[StoredRun]:
-        """Cached run for *key*, consulting memory then the store."""
-        return self.lookup(key)[0]
-
     def put(self, stored: StoredRun, *, persist: bool = True) -> None:
         """Write-through insert of a freshly simulated cell."""
         self._remember(stored.key, stored)

@@ -132,9 +132,6 @@ class ServiceClient:
     def get_metrics(self, session_id: str) -> dict[str, Any]:
         return self.request("get_metrics", {"session_id": session_id})
 
-    def session_stats(self, session_id: str) -> dict[str, Any]:
-        return self.request("session_stats", {"session_id": session_id})
-
     def close_session(self, session_id: str) -> dict[str, Any]:
         return self.request("close_session", {"session_id": session_id})
 

@@ -245,7 +245,7 @@ async def run_server(
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
             # NotImplementedError: platform without signal support;
-            # RuntimeError: not the main thread (embedded runners).
+            # RuntimeError: not the main thread (a daemon on a thread).
             with contextlib.suppress(NotImplementedError, RuntimeError):
                 loop.add_signal_handler(
                     sig, service.shutdown_requested.set

@@ -1,10 +1,10 @@
 """The service layer: sessions, the cell cache, and the process pool.
 
 :class:`SchedulingService` is transport-agnostic — the socket server
-(:mod:`repro.service.server`) and the in-process test harness
-(:mod:`repro.service.embedded`) both drive the same
-:meth:`SchedulingService.handle` dispatch, so every behaviour the
-tests pin holds for real connections too.
+(:mod:`repro.service.server`) drives its
+:meth:`SchedulingService.handle` dispatch, and the tests run that same
+server on a background thread, so every behaviour they pin holds for
+real connections too.
 
 Concurrency model, by workload class:
 
@@ -73,7 +73,6 @@ _OPS = {
     "submit_jobs": "op_submit_jobs",
     "get_schedule": "op_get_schedule",
     "get_metrics": "op_get_metrics",
-    "session_stats": "op_session_stats",
     "close_session": "op_close_session",
     "run_cell": "op_run_cell",
     "stats": "op_stats",
@@ -253,9 +252,6 @@ class SchedulingService:
             "metrics": metrics,
             "digest": protocol.schedule_digest(result, metrics),
         }
-
-    async def op_session_stats(self, params: dict) -> dict:
-        return self._session(params).stats()
 
     async def op_close_session(self, params: dict) -> dict:
         session = self._session(params)

@@ -83,12 +83,12 @@ class Session:
     def append_jobs(self, jobs: Sequence[Job]) -> int:
         """Append one strictly-newer batch of arrivals.
 
-        Validates the streaming contract — submit times must be
-        numbers, inside the batch and against the session tail
-        (submit_time, job_id) must be strictly increasing, and job ids
-        must be fresh — then appends
-        the batch. Returns how many jobs were added. A rejected batch
-        changes nothing (validation runs before any mutation).
+        Validates the streaming contract — inside the batch and
+        against the session tail (submit_time, job_id) must be strictly
+        increasing, and job ids must be fresh — then appends the batch.
+        Returns how many jobs were added. A rejected batch changes
+        nothing (validation runs before any mutation). Non-finite
+        fields never get here: :class:`~repro.sim.job.Job` refuses them.
         """
         batch = list(jobs)
         if not batch:
@@ -99,13 +99,6 @@ class Session:
             else None
         )
         for job in batch:
-            if job.submit_time != job.submit_time:
-                # NaN compares false both ways, so the order check
-                # below would wave it through and every later replay
-                # would fail on it.
-                raise SessionError(
-                    f"job {job.job_id} has a NaN submit_time"
-                )
             mark = (job.submit_time, job.job_id)
             if last is not None and mark <= last:
                 raise SessionError(

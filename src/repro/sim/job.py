@@ -11,7 +11,8 @@ real traces (Polaris) distinguish requested from actual runtime.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
@@ -70,31 +71,34 @@ class Job:
     depends_on: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        # Chained comparisons: NaN fails every one, so each check also
+        # rejects NaN and inf without a separate finiteness test.
         if self.walltime < 0:
             object.__setattr__(self, "walltime", float(self.duration))
+        elif not self.walltime < math.inf:
+            raise ValueError(f"walltime must be finite, got {self.walltime}")
         if self.job_id < 0:
             raise ValueError(f"job_id must be non-negative, got {self.job_id}")
-        if self.submit_time < 0:
+        if not 0.0 <= self.submit_time < math.inf:
             raise ValueError(
-                f"submit_time must be non-negative, got {self.submit_time}"
+                "submit_time must be finite and non-negative, "
+                f"got {self.submit_time}"
             )
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(
+                f"duration must be finite and positive, got {self.duration}"
+            )
         if self.nodes <= 0:
             raise ValueError(f"nodes must be positive, got {self.nodes}")
-        if self.memory_gb < 0:
+        if not 0.0 <= self.memory_gb < math.inf:
             raise ValueError(
-                f"memory_gb must be non-negative, got {self.memory_gb}"
+                "memory_gb must be finite and non-negative, "
+                f"got {self.memory_gb}"
             )
         if not isinstance(self.depends_on, tuple):
             object.__setattr__(self, "depends_on", tuple(self.depends_on))
         if self.job_id in self.depends_on:
             raise ValueError(f"job {self.job_id} cannot depend on itself")
-
-    def with_submit_time(self, submit_time: float) -> "Job":
-        """Return a copy with a different submit time (used by arrival
-        process rewriting and the all-at-zero experimental mode)."""
-        return replace(self, submit_time=float(submit_time))
 
     @property
     def node_seconds(self) -> float:

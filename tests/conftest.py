@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.schedulers.registry import register_scheduler
 from repro.service.protocol import schedule_digest
 from repro.sim.cluster import ResourcePool
 from repro.sim.job import Job
@@ -20,7 +21,13 @@ from tests.packing_reference import (
     ReferenceResourceProfile,
     reference_pack_order,
 )
+from tests.random_policy import RandomScheduler
 from tests.tooling import faults
+
+# Not a paper baseline, so not in the package; registered here so that
+# every audit over ``available_schedulers()`` still runs the engine
+# under arbitrary feasible choices.
+register_scheduler("random", lambda seed=0, **kw: RandomScheduler(seed=seed))
 
 
 @pytest.fixture(autouse=True)

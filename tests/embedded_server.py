@@ -1,4 +1,4 @@
-"""In-process daemon harness for tests.
+"""In-process daemon harness for the service tests (not in the package).
 
 Runs the real asyncio server — real socket, real protocol, real
 service — on a background thread, so synchronous test code can drive

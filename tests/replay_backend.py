@@ -1,4 +1,4 @@
-"""Record/replay for LLM backends.
+"""Record/replay for LLM backends (a test harness, not in the package).
 
 Cloud reasoning calls are slow and expensive (the whole point of the
 paper's §3.7 overhead analysis). This module lets a session be captured

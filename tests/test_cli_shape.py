@@ -115,15 +115,14 @@ def test_every_subcommand_has_a_handler():
 
 
 #: Modules a cold ``repro-sched run`` never runs: the sweep pool, both
-#: store layouts, the figure drivers, the record/replay backends, the
-#: trace/DAG loaders, the analysis extras and the daemon. Their
-#: commands import them inside the handler.
+#: store layouts, the figure drivers, the trace/DAG loaders, the
+#: analysis extras and the daemon. Their commands import them inside
+#: the handler.
 NOT_RUN_BY_RUN = (
     "repro.experiments.parallel",
     "repro.experiments.store",
     "repro.experiments.storage",
     "repro.experiments.figures",
-    "repro.core.replay",
     "repro.workloads.dags",
     "repro.workloads.swf",
     "repro.workloads.transforms",

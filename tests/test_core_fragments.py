@@ -18,12 +18,12 @@ from hypothesis import given, strategies as st
 
 from repro.core.agent import create_llm_scheduler
 from repro.core.prompt import PromptBuilder
-from repro.core.replay import RecordingBackend
 from repro.core.scratchpad import Scratchpad
 from repro.sim.simulator import CompletedLog, RunningJob
 from repro.workloads.generator import generate_workload, workload_heterogeneity
 
 from tests.conftest import make_job
+from tests.replay_backend import RecordingBackend
 from tests.test_core_prompt import view_with
 from tests.test_core_transcript import CELLS, run_agent
 

@@ -5,15 +5,15 @@ import pytest
 from repro.core.agent import ReActSchedulingAgent
 from repro.core.backends import SimulatedReasoningBackend
 from repro.core.profiles import CLAUDE_37_SIM
-from repro.core.replay import (
+from repro.workloads.generator import generate_workload
+
+from tests.conftest import run_sim
+from tests.replay_backend import (
     RecordingBackend,
     ReplayBackend,
     ReplayMismatch,
     load_replay,
 )
-from repro.workloads.generator import generate_workload
-
-from tests.conftest import run_sim
 
 
 def record_session(jobs, seed=0):

@@ -5,7 +5,7 @@ code under ``src/repro/core/`` was last reworked.
 ``schedule_digest`` hashes records, decisions and metrics only, so a
 drifted prompt or latency draw is invisible to every other tier-1
 test. Here each cell's simulated backend is wrapped in
-:class:`~repro.core.replay.RecordingBackend` and the tape is hashed
+:class:`~tests.replay_backend.RecordingBackend` and the tape is hashed
 together with the final scratchpad text.
 
 Regenerate (only after a *deliberate* change of prompt or policy)::
@@ -25,7 +25,6 @@ from typing import Callable
 import pytest
 
 from repro.core.agent import ReActSchedulingAgent, create_llm_scheduler
-from repro.core.replay import RecordingBackend, ReplayBackend
 from repro.metrics.objectives import compute_metrics
 from repro.schedulers.base import BaseScheduler
 from repro.service.protocol import schedule_digest
@@ -35,6 +34,8 @@ from repro.sim.schedule import ScheduleResult
 from repro.sim.simulator import HPCSimulator
 from repro.workloads.generator import generate_workload
 from repro.workloads.scenarios import PAPER_SCENARIOS
+
+from tests.replay_backend import RecordingBackend, ReplayBackend
 
 TAPES = Path(__file__).parent / "data" / "agent_tapes.json"
 MODELS = ("claude-3.7-sim", "o4-mini-sim")

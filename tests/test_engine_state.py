@@ -28,6 +28,7 @@ import gc
 import math
 import types
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -348,7 +349,7 @@ def queue_contents_log(run):
 class TestViewContentsAgainstOracle:
     def test_starts_from_the_middle_of_a_deep_backlog(self, object_engine):
         jobs = [
-            job.with_submit_time(0.0)
+            replace(job, submit_time=0.0)
             for job in generate_workload("heterogeneous_mix", 150, seed=4)
         ]
 

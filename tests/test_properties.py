@@ -10,7 +10,7 @@ from repro.metrics.fairness import jain_index
 from repro.metrics.normalize import normalize_to_baseline
 from repro.metrics.objectives import compute_metrics
 from repro.schedulers.fcfs import EasyBackfillScheduler, FCFSScheduler
-from repro.schedulers.heuristics import FirstFitScheduler, RandomScheduler
+from repro.schedulers.heuristics import FirstFitScheduler
 from repro.schedulers.packing import IncrementalPacker, ResourceProfile
 from repro.schedulers.sjf import SJFScheduler
 from repro.sim.actions import BackfillJob, Delay, StartJob, Stop
@@ -21,6 +21,7 @@ from repro.sim.simulator import HPCSimulator
 
 from tests.conftest import pop_earliest
 from tests.event_reference import Event, EventQueue
+from tests.random_policy import RandomScheduler
 
 # ---------------------------------------------------------------------------
 # Strategies

@@ -1,12 +1,9 @@
 """Unit tests for ablation heuristics."""
 
-from repro.schedulers.heuristics import (
-    FirstFitScheduler,
-    LargestFirstScheduler,
-    RandomScheduler,
-)
+from repro.schedulers.heuristics import FirstFitScheduler, LargestFirstScheduler
 
 from tests.conftest import make_job, run_sim
+from tests.random_policy import RandomScheduler
 
 
 class TestFirstFit:

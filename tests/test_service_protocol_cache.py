@@ -129,13 +129,13 @@ class TestResultCache:
         for stored in stored_runs:
             cache.put(stored)
         assert len(cache) == 2
-        assert cache.get(stored_runs[0].key) is None
-        assert cache.get(stored_runs[2].key) is stored_runs[2]
-        # get() refreshes recency: [1] is now the eviction candidate.
-        cache.get(stored_runs[2].key)
+        assert cache.lookup(stored_runs[0].key)[0] is None
+        assert cache.lookup(stored_runs[2].key)[0] is stored_runs[2]
+        # lookup() refreshes recency: [1] is now the eviction candidate.
+        cache.lookup(stored_runs[2].key)
         cache.put(stored_runs[0])
-        assert cache.get(stored_runs[1].key) is None
-        assert cache.get(stored_runs[2].key) is stored_runs[2]
+        assert cache.lookup(stored_runs[1].key)[0] is None
+        assert cache.lookup(stored_runs[2].key)[0] is stored_runs[2]
 
     def test_storeless_cache_counts_misses(self, stored_runs):
         cache = ResultCache.for_path(None)

@@ -1,6 +1,6 @@
 """End-to-end daemon tests: real socket, real protocol, sync client.
 
-Driven through :class:`~repro.service.embedded.EmbeddedServer`, which
+Driven through :class:`~tests.embedded_server.EmbeddedServer`, which
 runs the exact ``run_server`` code path the ``repro-sched serve`` CLI
 uses (minus signal handlers) on a background thread. Pins the ISSUE-8
 serving invariants:
@@ -16,6 +16,7 @@ serving invariants:
 * a worker death costs one request, not the daemon.
 """
 
+import math
 import threading
 import time
 
@@ -23,9 +24,10 @@ import pytest
 
 from repro.experiments.runner import run_single
 from repro.service.client import ServiceError
-from repro.service.embedded import EmbeddedServer
 from repro.service.protocol import schedule_digest, wire_digest
 from repro.workloads.generator import generate_workload
+
+from tests.embedded_server import EmbeddedServer
 
 
 def sorted_jobs(scenario, n, seed):
@@ -110,7 +112,7 @@ class TestServedSchedules:
             client.submit_jobs(sid, sorted_jobs("adversarial", 15, 1))
             metrics = client.get_metrics(sid)
             sched = client.get_schedule(sid)
-            stats = client.session_stats(sid)
+            stats = client.stats()["sessions"][sid]
             client.close_session(sid)
         assert metrics["digest"] == sched["digest"]
         assert metrics["metrics"] == sched["metrics"]
@@ -308,8 +310,9 @@ class TestShutdownAndErrors:
         with server.client() as client:
             sid = client.open_session(scheduler="fcfs")
             client.close_session(sid)
+            assert sid not in client.stats()["sessions"]
             with pytest.raises(ServiceError) as excinfo:
-                client.session_stats(sid)
+                client.get_metrics(sid)
         assert excinfo.value.error_type == "unknown_session"
 
     def test_streaming_contract_violation_is_session_error(self, server):
@@ -327,15 +330,21 @@ class TestShutdownAndErrors:
                 client.submit_jobs(sid, [dict(job, job_id=2, submit_time=1.0)])
             assert excinfo.value.error_type == "session_error"
             # The rejected batch left the session untouched.
-            assert client.session_stats(sid)["n_jobs"] == 1
+            assert client.stats()["sessions"][sid]["n_jobs"] == 1
             client.close_session(sid)
 
-    def test_nan_submit_time_is_refused_at_submit(self, server):
-        # JSON carries NaN; it must bounce off submit_jobs rather than
+    @pytest.mark.parametrize("field, value", [
+        ("submit_time", math.nan),
+        ("duration", math.nan),
+        ("submit_time", math.inf),
+    ])
+    def test_non_finite_job_is_refused_at_submit(self, server, field, value):
+        # JSON carries NaN and Infinity; they must bounce off
+        # submit_jobs, as any malformed field value does, rather than
         # sit in the session and fail every later query.
         job = {
             "job_id": 1,
-            "submit_time": float("nan"),
+            "submit_time": 0.0,
             "duration": 1.0,
             "nodes": 1,
             "memory_gb": 1.0,
@@ -343,9 +352,10 @@ class TestShutdownAndErrors:
         with server.client() as client:
             sid = client.open_session(scheduler="fcfs")
             with pytest.raises(ServiceError) as excinfo:
-                client.submit_jobs(sid, [job])
-            assert excinfo.value.error_type == "session_error"
-            client.submit_jobs(sid, [dict(job, submit_time=0.0)])
+                client.submit_jobs(sid, [dict(job, **{field: value})])
+            assert excinfo.value.error_type == "bad_request"
+            assert client.stats()["sessions"][sid]["n_jobs"] == 0
+            client.submit_jobs(sid, [job])
             sched = client.get_schedule(sid)
             client.close_session(sid)
         assert [r["job_id"] for r in sched["records"]] == [1]

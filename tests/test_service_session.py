@@ -244,12 +244,13 @@ class TestStreamingContract:
             session.ensure_result()
 
     def test_nan_submit_time_rejected(self):
-        # NaN is neither before nor after the tail, so only an explicit
-        # check keeps it out; once in, every replay would fail on it.
+        # NaN is neither before nor after the tail, so the order check
+        # could not keep it out; the job itself refuses it, before any
+        # batch holding it can reach the session.
         session = Session("t")
         session.append_jobs([self.job(1, 1.0)])
-        with pytest.raises(SessionError, match="NaN"):
-            session.append_jobs([self.job(2, 2.0), self.job(3, float("nan"))])
+        with pytest.raises(ValueError, match="submit_time"):
+            self.job(3, float("nan"))
         assert session.n_jobs == 1 and session.generation == 1
         session.append_jobs([self.job(2, 2.0)])
         result, _ = session.ensure_result()

@@ -25,6 +25,10 @@ voluntary preemption path behind them, and one annealer search whose
 runs are recorded under the plain registry name (no window option, no
 ``@wW`` label), and one agent loop, with no canned-reply backend beside
 the simulated one (``ScriptedBackend`` is ``tests/scripted_backend.py``).
+No test harness ships either: the in-process daemon, the record/replay
+backends and the ``random`` policy are ``tests/embedded_server.py``,
+``tests/replay_backend.py`` and ``tests/random_policy.py``, and no
+``session_stats`` op duplicates ``stats``.
 """
 
 from __future__ import annotations
@@ -479,6 +483,65 @@ def test_no_src_file_names_a_second_agent_or_the_scripted_backend():
         path.relative_to(ROOT).as_posix(): sorted(found)
         for path in sorted(SRC.rglob("*.py"))
         if (found := names & _identifiers(
+            ast.parse(path.read_text(encoding="utf-8"))
+        ))
+    } == {}
+
+
+# -- no test harness in the wheel -------------------------------------------
+
+#: What left the package with the harness: the random policy, its
+#: registry key and the duplicate ``session_stats`` op (``stats``
+#: already returns each session's dict).
+HARNESS_IDENTIFIERS = {"RandomScheduler", "session_stats", "op_session_stats"}
+HARNESS_STRINGS = {"random", "session_stats"}
+
+
+def harness_names(tree: ast.AST) -> list[int]:
+    """Lines of every harness identifier (a name, attribute,
+    definition, parameter or import) or string constant in *tree*."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in HARNESS_STRINGS
+        or HARNESS_IDENTIFIERS & {
+            getattr(node, field, None)
+            for field in ("id", "attr", "name", "arg")
+        }
+    )
+
+
+def test_the_guard_sees_each_harness_spelling():
+    for source in ("class RandomScheduler: pass",
+                   "from x import RandomScheduler",
+                   '{"random": make}', 'register_scheduler("random", f)',
+                   '_OPS = {"session_stats": "op_x"}',
+                   "async def op_session_stats(self): pass",
+                   "client.session_stats(sid)"):
+        assert harness_names(ast.parse(source)) == [1], source
+    assert harness_names(ast.parse("np.random.default_rng(0)")) == []
+
+
+def test_no_src_module_is_a_test_harness():
+    """The in-process daemon is ``tests/embedded_server.py`` and the
+    record/replay backends are ``tests/replay_backend.py``."""
+    import repro.service as service
+
+    assert not hasattr(service, "EmbeddedServer")
+    assert [
+        path.relative_to(ROOT).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if path.stem in {"embedded", "replay"}
+    ] == []
+
+
+def test_no_src_file_names_the_random_policy_or_session_stats():
+    """``random`` is registered by ``tests/conftest.py`` from
+    ``tests/random_policy.py``; the package ships the paper's baselines
+    and the heuristics that bracket them."""
+    assert {
+        path.relative_to(ROOT).as_posix(): lines
+        for path in sorted(SRC.rglob("*.py"))
+        if (lines := harness_names(
             ast.parse(path.read_text(encoding="utf-8"))
         ))
     } == {}
