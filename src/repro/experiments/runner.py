@@ -190,8 +190,8 @@ def run_single(
         partition).
     topology:
         Optional node → rack → switch hierarchy for the default
-        cluster; drives correlated-failure traces, domain-scoped
-        drains, and spread placement, and enters the cell identity.
+        cluster; drives correlated-failure traces and spread
+        placement, and enters the cell identity.
         To combine with a *cluster* override, attach the topology to
         the cluster directly instead (passing both is an error).
     max_retries / max_decisions / enforce_walltime:

@@ -16,8 +16,7 @@ is where they differentiate:
   eviction and its restart.
 
 Runs whose trace carries *domain-level* events (correlated rack/switch
-shocks, domain-scoped drains) additionally report the **blast-radius**
-objectives:
+shocks) additionally report the **blast-radius** objectives:
 
 * **largest event loss** — the worst single event's total discarded
   node-hours, grouping every kill at one (time, reason, domain) into
@@ -51,7 +50,7 @@ CORE_DISRUPTION_METRIC_NAMES: tuple[str, ...] = (
 )
 
 #: Blast-radius columns, reported only by runs whose trace carried
-#: domain-level events (correlated shocks, domain-scoped drains).
+#: domain-level events (correlated shocks).
 BLAST_METRIC_NAMES: tuple[str, ...] = (
     "largest_event_loss_node_hours",
     "n_domain_kills",

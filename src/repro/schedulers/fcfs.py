@@ -22,11 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.schedulers.base import BaseScheduler
-from repro.schedulers.recovery import (
-    domain_pressures,
-    fits_healthy_domain,
-    healthy_domain_mask,
-)
+from repro.schedulers.recovery import fits_healthy_domain, healthy_domain_mask
 from repro.sim.actions import Action, BackfillJob, Delay, StartJob
 from repro.sim.job import Job
 from repro.sim.simulator import RunningJob, SystemView
@@ -124,9 +120,9 @@ class EasyBackfillScheduler(BaseScheduler):
 
     Topology awareness: on clusters with real failure domains, a
     *requeued* job (one a failure or drain already evicted) is not
-    backfilled unless some healthy domain — enough free nodes after
-    announced domain-scoped drains are charged as single capacity
-    notches — can host its restart
+    backfilled unless some healthy domain — a rack, or a switch group
+    for jobs wider than a rack, with enough free nodes — can host its
+    restart
     (:func:`~repro.schedulers.recovery.fits_healthy_domain`). Flat
     topologies and undisrupted runs skip the check entirely.
     """
@@ -164,7 +160,7 @@ class EasyBackfillScheduler(BaseScheduler):
             )
             if view.remaining_runtimes and view.has_domains:
                 unhealthy = cols.requeued_mask() & ~healthy_domain_mask(
-                    view, cols.nodes, domain_pressures(view)
+                    view, cols.nodes
                 )
                 ok &= ~unhealthy
             ok &= (view.now + cols.walltime <= shadow + 1e-9) | (
@@ -188,14 +184,9 @@ class EasyBackfillScheduler(BaseScheduler):
             shadow, extra_nodes, extra_mem = _reservation(
                 view, head, head_fits
             )
-            spread_check = bool(view.remaining_runtimes) and view.has_domains
-            pressures = domain_pressures(view) if spread_check else ()
             for job in fitting:
-                if (
-                    spread_check
-                    and job.job_id in view.remaining_runtimes
-                    and not fits_healthy_domain(view, job, pressures)
-                ):
+                requeued = job.job_id in view.remaining_runtimes
+                if requeued and not fits_healthy_domain(view, job):
                     continue
                 if view.now + job.walltime <= shadow + 1e-9 or (
                     job.nodes <= extra_nodes

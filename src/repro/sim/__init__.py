@@ -34,8 +34,7 @@ Public surface
     byte-identical to the undisrupted code path.
 :class:`~repro.sim.topology.ClusterTopology`
     Node → rack → switch-group hierarchy: the failure domains the
-    correlated generators strike, domain-scoped drains take, and
-    spread placement balances. The flat default (one domain) is
+    correlated generators strike and spread placement balances. The flat default (one domain) is
     behaviourally invisible.
 """
 

@@ -172,14 +172,10 @@ class ResourcePool:
         self._free_nodes += 1
         self._free_memory_gb += self._node_memory_share
 
-    def drain_take_idle(
-        self, tag: str, within: Optional[range] = None
-    ) -> bool:
+    def drain_take_idle(self, tag: str) -> bool:
         """Drain one idle node under *tag*; False if none is idle
         (the simulator must kill a running job first — see
-        :meth:`drain_victim`). The aggregate model has no node
-        identity, so a domain restriction (*within*) cannot narrow the
-        idle pool and is ignored."""
+        :meth:`drain_victim`)."""
         if self._free_nodes < 1:
             return False
         self._free_nodes -= 1
@@ -188,10 +184,9 @@ class ResourcePool:
         self._drain_tags[tag] = self._drain_tags.get(tag, 0) + 1
         return True
 
-    def drain_victim(self, within: Optional[range] = None) -> Optional[int]:
+    def drain_victim(self) -> Optional[int]:
         """Job to preempt so a drain can proceed: the most recently
-        started allocation (the "top" of the slot layout). *within* is
-        ignored — see :meth:`drain_take_idle`."""
+        started allocation (the "top" of the slot layout)."""
         if not self._allocations:
             return None
         return next(reversed(self._allocations))

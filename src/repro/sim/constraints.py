@@ -21,9 +21,7 @@ from repro.sim.job import Job
 class ViolationKind(enum.Enum):
     """Why a proposed action was rejected."""
 
-    UNKNOWN_JOB = "unknown_job"
     NOT_QUEUED = "not_queued"
-    NOT_YET_SUBMITTED = "not_yet_submitted"
     INSUFFICIENT_NODES = "insufficient_nodes"
     INSUFFICIENT_MEMORY = "insufficient_memory"
     EXCEEDS_CAPACITY = "exceeds_capacity"

@@ -65,18 +65,11 @@ def normalize_restart_policy(name: str) -> str:
 
 @dataclass(frozen=True)
 class NodeFailure:
-    """One node going down at ``time`` and returning at ``repair_time``.
-
-    ``domain`` names the failure domain (e.g. ``rack3``) the node
-    belongs to when the trace was generated against a topology; it is
-    metadata only — ``None`` for independent per-node processes, so
-    pre-topology traces are unchanged.
-    """
+    """One node going down at ``time`` and returning at ``repair_time``."""
 
     time: float
     node: int
     repair_time: float
-    domain: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not (self.time >= 0.0 and self.time == self.time):
@@ -138,19 +131,12 @@ class DrainWindow:
     ``announce_time`` is when the window becomes visible to schedulers
     (via ``SystemView.upcoming_drains``); it defaults to ``start``
     (no advance notice) and is clamped to 0.
-
-    ``domain`` optionally pins the drain to one failure domain
-    (``rack2``): the drain takes at most that domain's size (the pool
-    has no node identity, so it takes them from the global idle pool),
-    and schedulers see the window as a single capacity notch of
-    ``nodes`` (never N per-node events).
     """
 
     start: float
     end: float
     nodes: int
     announce_time: float = -1.0
-    domain: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.announce_time < 0:
@@ -413,12 +399,10 @@ def periodic_drains(
     nodes: int,
     horizon: float,
     announce_lead: float = 0.0,
-    domain: Optional[str] = None,
 ) -> tuple[DrainWindow, ...]:
     """Deterministic maintenance windows: every ``every`` seconds from
     ``first_start`` until ``horizon``, each taking ``nodes`` nodes for
-    ``duration`` seconds and announced ``announce_lead`` ahead.
-    *domain* optionally pins every window to one failure domain."""
+    ``duration`` seconds and announced ``announce_lead`` ahead."""
     if every <= 0 or duration <= 0:
         raise ValueError("drain period and duration must be positive")
     if announce_lead < 0:
@@ -432,7 +416,6 @@ def periodic_drains(
                 end=start + duration,
                 nodes=nodes,
                 announce_time=max(0.0, start - announce_lead),
-                domain=domain,
             )
         )
         start += every
@@ -778,8 +761,8 @@ class PreemptionRecord:
     work_lost: float
     restart_time: Optional[float] = None
     #: Failure-domain label (``rack3``) when the kill came from a
-    #: correlated shock or a domain-scoped drain; ``None`` for
-    #: independent node failures and unscoped drains. Blast-radius
+    #: correlated shock; ``None`` for independent node failures and
+    #: drains. Blast-radius
     #: metrics group on (time, reason, domain) to attribute losses.
     domain: Optional[str] = None
 

@@ -596,19 +596,15 @@ class EngineState:
         cluster = self.cluster
         tag = f"drain:{idx}"
         target = min(drain.nodes, cluster.total_nodes)
-        within: Optional[range] = None
-        if drain.domain is not None:
-            within = self.topo.domain_range(drain.domain)
-            target = min(target, len(within))
         taken = 0
         while taken < target:
-            if cluster.drain_take_idle(tag, within):
+            if cluster.drain_take_idle(tag):
                 taken += 1
                 continue
-            victim = cluster.drain_victim(within)
+            victim = cluster.drain_victim()
             if victim is None:
                 break  # nothing left to take; partial drain
-            self.kill(victim, drain.start, "drain", drain.domain)
+            self.kill(victim, drain.start, "drain")
 
     def _on_drain_end(self, idx: int, time: float) -> None:
         self.cluster.drain_release(f"drain:{idx}")
@@ -838,11 +834,8 @@ class EngineState:
         )
         if trace is not None:
             result.extras["disruption_kills"] = dict(self.n_kills)
-            n_domain_events = len(trace.domain_failures) + sum(
-                1 for d in trace.drains if d.domain is not None
-            )
-            if n_domain_events:
-                result.extras["domain_events"] = n_domain_events
+            if trace.domain_failures:
+                result.extras["domain_events"] = len(trace.domain_failures)
                 result.extras["domain_kills"] = dict(
                     sorted(self.domain_kills.items())
                 )

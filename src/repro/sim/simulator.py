@@ -485,23 +485,6 @@ class HPCSimulator:
             )
         self.jobs = validate_workload(self.jobs)
         validate_dependencies(self.jobs)
-        # Fail fast on domain labels the cluster's topology cannot
-        # resolve: a bad label must be a construction-time error, not
-        # an IndexError deep in the event loop at DRAIN_START time.
-        if self.disruptions is not None and self.disruptions.drains:
-            topo = self.cluster.topology
-            for drain in self.disruptions.drains:
-                if drain.domain is None:
-                    continue
-                try:
-                    topo.domain_range(drain.domain)
-                except (ValueError, IndexError) as exc:
-                    raise SimulationError(
-                        f"drain window {drain.start:g}-{drain.end:g} is "
-                        f"scoped to domain {drain.domain!r}, which the "
-                        f"cluster topology ({topo.signature()}) cannot "
-                        f"resolve: {exc}"
-                    ) from exc
         for job in self.jobs:
             if job.nodes > self.cluster.total_nodes or (
                 job.memory_gb > self.cluster.total_memory_gb + 1e-9

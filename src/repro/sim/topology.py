@@ -21,9 +21,9 @@ Design constraints:
   every topology-aware code path (domain capacity views, spread
   placement, correlated generators) is gated on ``is_flat`` so existing
   configs and zero-correlation runs take byte-identical code paths.
-* **Domains are contiguous node blocks.** ``rack_of`` is integer
-  division, domain membership is a ``range`` — no per-node tables, so
-  a 100k-node topology costs the same three ints as a 256-node one.
+* **Domains are contiguous node blocks.** Domain membership is a
+  ``range`` — no per-node tables, so a 100k-node topology costs the
+  same three ints as a 256-node one.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class ClusterTopology:
     last rack may be short when ``rack_size`` does not divide
     ``n_nodes``); ``racks_per_switch`` consecutive racks share one
     switch group. Rack and switch-group indices double as *failure
-    domains*: a correlated shock or a domain-scoped drain takes a
-    contiguous node block inside exactly one of them.
+    domains*: a correlated shock takes a contiguous node block inside
+    exactly one of them.
     """
 
     n_nodes: int
@@ -90,12 +90,6 @@ class ClusterTopology:
         return -(-self.n_racks // self.racks_per_switch)
 
     # -- membership ------------------------------------------------------
-    def rack_of(self, node: int) -> int:
-        """Rack index owning *node*."""
-        if not 0 <= node < self.n_nodes:
-            raise IndexError(f"node {node} outside [0, {self.n_nodes})")
-        return node // self.rack_size
-
     def rack_nodes(self, rack: int) -> range:
         """Contiguous node indices of rack *rack*."""
         if not 0 <= rack < self.n_racks:
@@ -140,14 +134,6 @@ class ClusterTopology:
                 f"unknown domain level {level!r}; choose from {DOMAIN_LEVELS}"
             )
         return f"{level}{index}"
-
-    def domain_range(self, label: str) -> range:
-        """Resolve a ``rackN`` / ``switchN`` label back to its node
-        range (inverse of :meth:`domain_label`)."""
-        for level in DOMAIN_LEVELS:
-            if label.startswith(level) and label[len(level):].isdigit():
-                return self.domain_nodes(level, int(label[len(level):]))
-        raise ValueError(f"unparseable domain label {label!r}")
 
     def validate_for(self, n_nodes: int) -> "ClusterTopology":
         """Assert this topology covers exactly *n_nodes* (the shared

@@ -9,9 +9,8 @@ models on the same workloads and asserts aggregate accounting does not
 change scheduling outcomes (jobs spread memory evenly across their
 nodes), and ``tests/test_engine_state.py``'s audit draws it beside the
 pool. Node identity is what the pool does not have, so failures strike
-real nodes, rack-scoped drains stay inside their rack and single-rack
-jobs go to the emptiest rack — the cases where a crash in the shared
-engine shows up only here.
+real nodes and single-rack jobs go to the emptiest rack — the cases
+where a crash in the shared engine shows up only here.
 
 ``tests/test_sim_cluster.py`` checks that it still provides every
 attribute the engine reads off a cluster.
@@ -207,26 +206,15 @@ class NodeLevelCluster:
         self._agg_cache = None
 
     @staticmethod
-    def _highest_in(mask: np.ndarray, within: Optional[range]) -> int:
-        """Highest node index satisfying *mask* inside *within* (the
-        whole machine when None); -1 if none does."""
-        if within is not None:
-            hits = np.flatnonzero(mask[within.start : within.stop])
-            return within.start + int(hits[-1]) if hits.size else -1
+    def _highest_in(mask: np.ndarray) -> int:
+        """Highest node index satisfying *mask*; -1 if none does."""
         hits = np.flatnonzero(mask)
         return int(hits[-1]) if hits.size else -1
 
-    def drain_take_idle(
-        self, tag: str, within: Optional[range] = None
-    ) -> bool:
-        """Drain the highest-indexed idle online node under *tag*.
-
-        With *within* (a domain's node range) only nodes inside that
-        block are taken — a rack-scoped maintenance window drains that
-        rack, not whichever nodes happen to be idle elsewhere.
-        """
+    def drain_take_idle(self, tag: str) -> bool:
+        """Drain the highest-indexed idle online node under *tag*."""
         idle = (self._node_owner < 0) & ~self._node_offline
-        node = self._highest_in(idle, within)
+        node = self._highest_in(idle)
         if node < 0:
             return False
         self._node_offline[node] = True
@@ -234,11 +222,10 @@ class NodeLevelCluster:
         self._agg_cache = None
         return True
 
-    def drain_victim(self, within: Optional[range] = None) -> Optional[int]:
-        """Owner of the highest-indexed occupied online node (within
-        the given domain block, when restricted)."""
+    def drain_victim(self) -> Optional[int]:
+        """Owner of the highest-indexed occupied online node."""
         occupied = (self._node_owner >= 0) & ~self._node_offline
-        node = self._highest_in(occupied, within)
+        node = self._highest_in(occupied)
         if node < 0:
             return None
         return int(self._node_owner[node])

@@ -246,8 +246,8 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
     ) -> None:
         """Evict a running job and requeue it under the restart
         policy. ``reason`` is "failure" or "drain"; ``domain``
-        attributes the kill to a failure domain (correlated shock /
-        scoped drain) for blast-radius accounting."""
+        attributes a shock's kill to its failure domain for
+        blast-radius accounting."""
         nonlocal stopped, final_stop_asked, decision_budget
         if sim.max_decisions is None:
             # Each kill legitimately costs extra decisions (the
@@ -308,27 +308,19 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
 
     def apply_drain_start(idx: int) -> None:
         """Take the drain's nodes out of service, idle nodes first,
-        preempting running jobs only when too few are idle. A
-        domain-scoped drain takes its nodes from that domain's
-        block (on clusters with node identity)."""
+        preempting running jobs only when too few are idle."""
         drain = trace.drains[idx]
         tag = f"drain:{idx}"
-        within: Optional[range] = None
-        topo = getattr(sim.cluster, "topology", None)
-        if drain.domain is not None and topo is not None:
-            within = topo.domain_range(drain.domain)
         taken = 0
         target = min(drain.nodes, sim.cluster.total_nodes)
-        if within is not None:
-            target = min(target, len(within))
         while taken < target:
-            if sim.cluster.drain_take_idle(tag, within):
+            if sim.cluster.drain_take_idle(tag):
                 taken += 1
                 continue
-            victim = sim.cluster.drain_victim(within)
+            victim = sim.cluster.drain_victim()
             if victim is None:
                 break  # nothing left to take; partial drain
-            kill_running(victim, drain.start, "drain", drain.domain)
+            kill_running(victim, drain.start, "drain")
         invalidate_view()
 
     def process_events_at(time: float) -> None:
@@ -629,11 +621,8 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
         # Blast-radius bookkeeping only for traces that actually
         # carry domain-level events: zero-correlation runs keep the
         # exact PR-3 extras (and therefore metric columns).
-        n_domain_events = len(trace.domain_failures) + sum(
-            1 for d in trace.drains if d.domain is not None
-        )
-        if n_domain_events:
-            result.extras["domain_events"] = n_domain_events
+        if trace.domain_failures:
+            result.extras["domain_events"] = len(trace.domain_failures)
             result.extras["domain_kills"] = dict(
                 sorted(domain_kills.items())
             )

@@ -21,11 +21,7 @@ import numpy as np
 import pytest
 
 from repro.schedulers.base import BaseScheduler
-from repro.schedulers.recovery import (
-    domain_pressures,
-    fits_healthy_domain,
-    healthy_domain_mask,
-)
+from repro.schedulers.recovery import fits_healthy_domain, healthy_domain_mask
 from repro.schedulers.registry import available_schedulers, create_scheduler
 from repro.sim.cluster import ResourcePool
 from repro.sim.columns import (
@@ -34,11 +30,7 @@ from repro.sim.columns import (
     QueueColumns,
     queue_columns_from_jobs,
 )
-from repro.sim.disruptions import (
-    DisruptionSpec,
-    DrainWindow,
-    estimate_horizon,
-)
+from repro.sim.disruptions import DisruptionSpec, estimate_horizon
 from repro.sim.simulator import SystemView, simulate
 from repro.sim.topology import ClusterTopology
 from repro.workloads.generator import generate_workload
@@ -255,8 +247,7 @@ class TestZeroCopy:
         assert cols.fits_at(0) and cols.id_at(1) == 2
 
 
-def domain_view(*, domain_free, drains=(), remaining=None,
-                racks_per_switch=2):
+def domain_view(*, domain_free, racks_per_switch=2):
     topo = ClusterTopology(
         n_nodes=64, rack_size=16, racks_per_switch=racks_per_switch
     )
@@ -272,8 +263,6 @@ def domain_view(*, domain_free, drains=(), remaining=None,
         pending_arrivals=0,
         next_arrival_time=None,
         next_completion_time=None,
-        upcoming_drains=tuple(drains),
-        remaining_runtimes=remaining or {},
         topology=topo,
         domain_free_nodes=tuple(domain_free),
     )
@@ -285,34 +274,22 @@ class TestHealthyDomainMask:
     NODE_COUNTS = [1, 2, 4, 8, 15, 16, 17, 24, 31, 32, 33, 48, 64]
 
     @pytest.mark.parametrize(
-        "domain_free,drains",
+        "domain_free,racks_per_switch",
         [
-            pytest.param((16, 16, 16, 16), (), id="all-free"),
-            pytest.param((0, 2, 16, 4), (), id="uneven"),
-            pytest.param((0, 0, 0, 0), (), id="exhausted"),
-            pytest.param(
-                (0, 2, 16, 4),
-                (
-                    DrainWindow(
-                        start=500.0,
-                        end=1_000.0,
-                        nodes=16,
-                        announce_time=0.0,
-                        domain="rack2",
-                    ),
-                ),
-                id="drain-pressure",
-            ),
+            pytest.param((16, 16, 16, 16), 2, id="all-free"),
+            pytest.param((0, 2, 16, 4), 2, id="uneven"),
+            pytest.param((0, 0, 0, 0), 2, id="exhausted"),
+            pytest.param((0, 2, 16, 4), 1, id="rack-per-switch"),
         ],
     )
-    def test_matches_scalar_predicate(self, domain_free, drains):
-        view = domain_view(domain_free=domain_free, drains=drains)
-        pressures = domain_pressures(view)
+    def test_matches_scalar_predicate(self, domain_free, racks_per_switch):
+        view = domain_view(
+            domain_free=domain_free, racks_per_switch=racks_per_switch
+        )
         nodes = np.array(self.NODE_COUNTS, dtype=np.int64)
-        mask = healthy_domain_mask(view, nodes, pressures)
+        mask = healthy_domain_mask(view, nodes)
         scalar = [
-            fits_healthy_domain(view, make_job(i + 1, nodes=int(n)),
-                                pressures)
+            fits_healthy_domain(view, make_job(i + 1, nodes=int(n)))
             for i, n in enumerate(self.NODE_COUNTS)
         ]
         assert mask.tolist() == scalar

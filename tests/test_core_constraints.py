@@ -81,12 +81,14 @@ class TestOtherFeedback:
         assert render_feedback(StartJob(1), (), view) == ""
 
     def test_generic_fallback(self):
+        # A capacity violation for a job the view's queue does not hold
+        # has no job to describe, so it falls through to the details.
         view = view_with_queue([])
         violations = (
-            Violation(ViolationKind.NOT_YET_SUBMITTED, 4, "arrives later"),
+            Violation(ViolationKind.INSUFFICIENT_NODES, 4, "needs 8 nodes"),
         )
         text = render_feedback(StartJob(4), violations, view)
-        assert "arrives later" in text
+        assert text == "Action StartJob(job_id=4) rejected — needs 8 nodes."
 
 
 class TestParseFeedback:

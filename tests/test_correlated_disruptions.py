@@ -15,6 +15,7 @@ from repro.sim.disruptions import (
     DisruptionSpec,
     DisruptionTrace,
     DomainFailure,
+    DrainWindow,
     NodeFailure,
     correlated_failures,
 )
@@ -25,6 +26,11 @@ from repro.sim.topology import ClusterTopology
 from tests.node_reference import NodeLevelCluster
 
 TOPO = ClusterTopology(n_nodes=256, rack_size=32, racks_per_switch=4)
+#: Each rack's node range under its shock label (``rack0`` …).
+RACKS = {
+    TOPO.domain_label("rack", r): TOPO.domain_nodes("rack", r)
+    for r in range(TOPO.n_domains("rack"))
+}
 
 
 def job(jid, submit=0.0, duration=500.0, nodes=8, memory=None, walltime=None):
@@ -122,8 +128,7 @@ class TestCorrelatedGenerator:
             mttr=2_000.0, correlation=1.0, seed=0,
         )
         for df in shocks:
-            rack = TOPO.domain_range(df.domain)
-            assert df.nodes == tuple(rack)
+            assert df.nodes == tuple(RACKS[df.domain])
 
     def test_partial_correlation_block_inside_domain(self):
         shocks = correlated_failures(
@@ -133,7 +138,7 @@ class TestCorrelatedGenerator:
         assert shocks
         for df in shocks:
             assert df.n_nodes == 8  # 0.25 × 32
-            rack = TOPO.domain_range(df.domain)
+            rack = RACKS[df.domain]
             assert df.nodes[0] >= rack.start
             assert df.nodes[-1] < rack.stop
             # Contiguous block.
@@ -290,27 +295,6 @@ class TestDomainFailureSemantics:
         # 16 - 1 (node 0) - 7 (fresh shock labels) = 8 free at t=200.
         assert rec.start_time == 200.0
 
-    def test_unresolvable_drain_domain_fails_fast(self):
-        from repro.sim.disruptions import DrainWindow
-        from repro.sim.simulator import SimulationError
-
-        trace = DisruptionTrace(
-            drains=(
-                DrainWindow(start=10.0, end=50.0, nodes=4,
-                            domain="rack9"),
-            )
-        )
-        with pytest.raises(SimulationError, match="rack9"):
-            run_sim([job(1)], trace)
-        # A resolvable label on the same layout constructs fine.
-        ok = DisruptionTrace(
-            drains=(
-                DrainWindow(start=10.0, end=50.0, nodes=4,
-                            domain="rack2"),
-            )
-        )
-        run_sim([job(1)], ok)
-
     def test_shock_on_already_offline_node_is_pinned_noop(self):
         # Node 0 fails independently at t=50 (repairs at t=5000). A
         # shock at t=100 strikes nodes 0-3: it takes only 1-3, and its
@@ -422,3 +406,33 @@ class TestBlastRadiusEndToEnd:
         clean = run_sim([job(1, nodes=4, duration=1_000.0)], plain)
         assert "n_domain_kills" not in compute_metrics(clean).as_dict()
         assert "domain_kills" not in clean.extras
+
+    def test_drain_kills_stay_outside_the_blast_radius(self, object_engine):
+        # A shock and a drain in one trace: only the shock names a
+        # domain, so only its kills and its one event are counted, on
+        # the product engine and the object reference alike.
+        from repro.metrics.objectives import compute_metrics
+
+        jobs = [job(1, nodes=4, duration=1_000.0),
+                job(2, nodes=4, duration=1_000.0)]
+        trace = DisruptionTrace(
+            domain_failures=(
+                DomainFailure(100.0, tuple(range(0, 8)), 5_000.0,
+                              domain="switch0"),
+            ),
+            drains=(DrainWindow(start=300.0, end=400.0, nodes=16),),
+        )
+        result = run_sim(jobs, trace)
+        shock = [p for p in result.preemptions if p.reason == "failure"]
+        drain = [p for p in result.preemptions if p.reason == "drain"]
+        assert [p.domain for p in shock] == ["switch0", "switch0"]
+        assert drain and all(p.domain is None for p in drain)
+        assert result.extras["domain_events"] == 1
+        assert result.extras["domain_kills"] == {"switch0": 2}
+        assert compute_metrics(result).as_dict()["n_domain_kills"] == 2.0
+
+        with object_engine():
+            reference = run_sim(jobs, trace)
+        assert reference.preemptions == result.preemptions
+        assert reference.records == result.records
+        assert reference.extras == result.extras

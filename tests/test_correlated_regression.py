@@ -23,13 +23,9 @@ import pytest
 from repro.experiments.parallel import expand_cells, run_cells
 from repro.experiments.runner import run_single
 from repro.experiments.store import RunStore, StoredRun
-from repro.schedulers.recovery import (
-    domain_pressures,
-    fits_healthy_domain,
-    spread_requeue,
-)
+from repro.schedulers.recovery import fits_healthy_domain, spread_requeue
 from repro.service.protocol import schedule_digest
-from repro.sim.disruptions import DisruptionSpec, DrainWindow
+from repro.sim.disruptions import DisruptionSpec
 from repro.sim.job import Job
 from repro.sim.simulator import SystemView
 from repro.sim.topology import ClusterTopology
@@ -229,28 +225,24 @@ class TestTopologyIdentity:
 
 
 def view_with_domains(
-    *,
-    queued=(),
-    free_nodes=64,
-    domain_free=(16, 16, 16, 16),
-    drains=(),
-    remaining=None,
-    now=0.0,
+    *, domain_free=(16, 16, 16, 16), remaining=None, racks_per_switch=1
 ):
-    topo = ClusterTopology(n_nodes=64, rack_size=16)
+    """A 64-node machine, 4 racks of 16."""
+    topo = ClusterTopology(
+        n_nodes=64, rack_size=16, racks_per_switch=racks_per_switch
+    )
     return SystemView(
-        now=now,
-        queued=tuple(queued),
+        now=0.0,
+        queued=(),
         running=(),
         completed_ids=(),
-        free_nodes=free_nodes,
+        free_nodes=64,
         free_memory_gb=512.0,
         total_nodes=64,
         total_memory_gb=512.0,
         pending_arrivals=0,
         next_arrival_time=None,
         next_completion_time=None,
-        upcoming_drains=tuple(drains),
         remaining_runtimes=remaining or {},
         topology=topo,
         domain_free_nodes=tuple(domain_free),
@@ -263,42 +255,11 @@ def jb(jid, nodes=8):
 
 
 class TestSpreadHelpers:
-    def test_domain_pressure_charges_scoped_drains_as_one_notch(self):
-        view = view_with_domains(
-            drains=(
-                DrainWindow(start=500.0, end=1_000.0, nodes=16,
-                            announce_time=0.0, domain="rack1"),
-                DrainWindow(start=600.0, end=1_100.0, nodes=16,
-                            announce_time=0.0, domain="rack1"),
-            )
-        )
-        # Two overlapping windows on one domain stay ONE 16-node notch,
-        # not 32 independent nodes.
-        assert domain_pressures(view) == (0, 16, 0, 0)
-
-    def test_started_and_unscoped_drains_not_charged(self):
-        view = view_with_domains(
-            now=700.0,
-            drains=(
-                DrainWindow(start=500.0, end=1_000.0, nodes=16,
-                            announce_time=0.0, domain="rack1"),
-                DrainWindow(start=900.0, end=1_000.0, nodes=8,
-                            announce_time=0.0),
-            ),
-        )
-        assert domain_pressures(view) == (0, 0, 0, 0)
-
     def test_fits_healthy_domain(self):
-        view = view_with_domains(
-            domain_free=(0, 2, 16, 4),
-            drains=(
-                DrainWindow(start=500.0, end=1_000.0, nodes=16,
-                            announce_time=0.0, domain="rack2"),
-            ),
-        )
-        # rack2 has room but is about to drain away entirely; no other
-        # rack fits 8 nodes.
+        view = view_with_domains(domain_free=(0, 2, 6, 4))
+        # No rack has 8 free nodes; rack 2 has 6.
         assert not fits_healthy_domain(view, jb(1, nodes=8))
+        assert fits_healthy_domain(view, jb(1, nodes=6))
         assert fits_healthy_domain(view, jb(1, nodes=4))
         # Jobs wider than a rack are governed by aggregate tests.
         assert fits_healthy_domain(view, jb(1, nodes=32))
@@ -327,32 +288,9 @@ class TestSpreadHelpers:
         assert spread_requeue(view, order) == order
 
 
-def view_with_switches(
-    *,
-    domain_free=(4, 4, 4, 4),
-    drains=(),
-    free_nodes=16,
-    now=0.0,
-):
-    """A 64-node machine, 4 racks of 16, 2 racks per switch group."""
-    topo = ClusterTopology(n_nodes=64, rack_size=16, racks_per_switch=2)
-    return SystemView(
-        now=now,
-        queued=(),
-        running=(),
-        completed_ids=(),
-        free_nodes=free_nodes,
-        free_memory_gb=512.0,
-        total_nodes=64,
-        total_memory_gb=512.0,
-        pending_arrivals=0,
-        next_arrival_time=None,
-        next_completion_time=None,
-        upcoming_drains=tuple(drains),
-        remaining_runtimes={},
-        topology=topo,
-        domain_free_nodes=tuple(domain_free),
-    )
+def view_with_switches(*, domain_free):
+    """:func:`view_with_domains` with 2 racks per switch group."""
+    return view_with_domains(domain_free=domain_free, racks_per_switch=2)
 
 
 class TestSwitchGroupFits:
@@ -370,33 +308,6 @@ class TestSwitchGroupFits:
         view = view_with_switches(domain_free=(10, 10, 10, 10))
         # Every group offers 20 < 24: no healthy switch group.
         assert not fits_healthy_domain(view, jb(1, nodes=24))
-
-    def test_group_capacity_discounts_drain_pressure(self):
-        # Group 1 would fit 24, but rack 2's announced scoped drain
-        # claims 12 of its nodes.
-        view = view_with_switches(
-            domain_free=(2, 2, 12, 12),
-            drains=(
-                DrainWindow(start=500.0, end=1_000.0, nodes=12,
-                            announce_time=0.0, domain="rack2"),
-            ),
-        )
-        assert not fits_healthy_domain(view, jb(1, nodes=24))
-        # A smaller job still fits the group's healthy remainder.
-        assert fits_healthy_domain(view, jb(1, nodes=12))
-
-    def test_fully_drained_rack_never_contributes_negative(self):
-        # Rack 2's pressure exceeds its free count; the group sum must
-        # clamp that rack at zero, not subtract through it.
-        view = view_with_switches(
-            domain_free=(2, 2, 4, 12),
-            drains=(
-                DrainWindow(start=500.0, end=1_000.0, nodes=16,
-                            announce_time=0.0, domain="rack2"),
-            ),
-        )
-        assert fits_healthy_domain(view, jb(1, nodes=12))
-        assert not fits_healthy_domain(view, jb(1, nodes=13))
 
     def test_wider_than_switch_group_stays_vacuously_true(self):
         view = view_with_switches(domain_free=(0, 0, 0, 0))

@@ -51,16 +51,16 @@ class TestShape:
 
 
 class TestMembership:
-    def test_rack_of_is_contiguous_blocks(self):
+    def test_racks_tile_the_machine_in_contiguous_blocks(self):
         t = topo()
-        assert t.rack_of(0) == 0
-        assert t.rack_of(31) == 0
-        assert t.rack_of(32) == 1
-        assert t.rack_of(255) == 7
+        tiled = [n for r in range(t.n_racks) for n in t.rack_nodes(r)]
+        assert tiled == list(range(256))
+        assert t.rack_nodes(0) == range(0, 32)
+        assert t.rack_nodes(7) == range(224, 256)
         with pytest.raises(IndexError):
-            t.rack_of(256)
+            t.rack_nodes(8)
         with pytest.raises(IndexError):
-            t.rack_of(-1)
+            t.rack_nodes(-1)
 
     def test_switch_of_groups_racks(self):
         t = topo()
@@ -79,12 +79,16 @@ class TestMembership:
     def test_domain_labels_round_trip(self):
         t = topo()
         assert t.domain_label("rack", 3) == "rack3"
-        assert t.domain_range("rack3") == t.rack_nodes(3)
-        assert t.domain_range("switch1") == t.switch_nodes(1)
+        assert t.domain_label("switch", 1) == "switch1"
+        for level, nodes_of in (
+            ("rack", t.rack_nodes), ("switch", t.switch_nodes)
+        ):
+            for index in range(t.n_domains(level)):
+                label = t.domain_label(level, index)
+                back = int(label.removeprefix(level))
+                assert t.domain_nodes(level, back) == nodes_of(index)
         with pytest.raises(ValueError):
-            t.domain_range("pdu7")
-        with pytest.raises(ValueError):
-            t.domain_range("rack")
+            t.domain_label("pdu", 7)
 
 
 class TestIdentity:
@@ -157,13 +161,33 @@ class TestClusterIntegration:
                              nodes=64, memory_gb=64.0))
         assert list(cluster.placement_of(1)) == list(range(64))
 
-    def test_domain_scoped_drain_takes_rack_nodes(self):
-        cluster = NodeLevelCluster(node_count=256, topology=topo())
-        within = cluster.topology.domain_range("rack2")
-        for _ in range(5):
-            assert cluster.drain_take_idle("drain:0", within)
-        offline = [n for n in range(256) if cluster.slot_victim(n) is None
-                   and cluster._node_offline[n]]
-        assert all(n in within for n in offline)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(
+                lambda: ResourcePool(total_nodes=256, topology=topo()),
+                id="pool",
+            ),
+            pytest.param(
+                lambda: NodeLevelCluster(node_count=256, topology=topo()),
+                id="node",
+            ),
+        ],
+    )
+    def test_drain_takes_the_top_of_the_machine(self, make):
+        # A drain names no rack: it takes the highest idle nodes, across
+        # rack boundaries, on both cluster models.
+        cluster = make()
+        cluster.allocate(Job(job_id=1, submit_time=0.0, duration=10.0,
+                             nodes=48, memory_gb=48.0))
+        for _ in range(40):
+            assert cluster.drain_take_idle("drain:0")
+        assert cluster.domain_free_nodes() == (0, 16, 32, 32, 32, 32, 24, 0)
+        while cluster.drain_take_idle("drain:0"):
+            pass
+        assert cluster.free_nodes == 0
+        assert cluster.domain_free_nodes() == (0,) * 8
+        assert cluster.drain_victim() == 1
         cluster.drain_release("drain:0")
-        assert cluster.free_nodes == 256
+        assert cluster.free_nodes == 256 - 48
+        assert cluster.domain_free_nodes() == (0, 16) + (32,) * 6

@@ -28,7 +28,9 @@ the simulated one (``ScriptedBackend`` is ``tests/scripted_backend.py``).
 No test harness ships either: the in-process daemon, the record/replay
 backends and the ``random`` policy are ``tests/embedded_server.py``,
 ``tests/replay_backend.py`` and ``tests/random_policy.py``, and no
-``session_stats`` op duplicates ``stats``.
+``session_stats`` op duplicates ``stats``. Drains are unscoped: only a
+correlated shock names a failure domain, so no drain, node failure,
+cluster call or spread check takes one.
 """
 
 from __future__ import annotations
@@ -542,6 +544,61 @@ def test_no_src_file_names_the_random_policy_or_session_stats():
         path.relative_to(ROOT).as_posix(): lines
         for path in sorted(SRC.rglob("*.py"))
         if (lines := harness_names(
+            ast.parse(path.read_text(encoding="utf-8"))
+        ))
+    } == {}
+
+
+# -- only correlated shocks name a failure domain ---------------------------
+
+#: Parameters that scoped a drain to one rack (``within``: the node range
+#: a drain took from) or charged it against the racks' free nodes
+#: (``pressures``).
+SCOPE_PARAMETERS = {"within", "pressures"}
+
+
+def scope_parameters(tree: ast.AST) -> list[int]:
+    """Lines of every function or lambda parameter in *tree* named in
+    :data:`SCOPE_PARAMETERS`."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.arg) and node.arg in SCOPE_PARAMETERS
+    )
+
+
+def test_the_guard_sees_each_scope_parameter():
+    for source in ("def f(self, tag, within=None): pass",
+                   "def g(view, job, *, pressures): pass",
+                   "lambda within: within"):
+        assert scope_parameters(ast.parse(source)) == [1], source
+    assert scope_parameters(ast.parse("within = 3\nf(within=within)")) == []
+
+
+def test_drains_and_node_failures_carry_no_domain():
+    from dataclasses import fields
+
+    from repro.sim.disruptions import DrainWindow, NodeFailure
+
+    for cls in (DrainWindow, NodeFailure):
+        assert "domain" not in {f.name for f in fields(cls)}, cls.__name__
+
+
+def test_nothing_maps_a_drain_onto_racks():
+    from repro.schedulers import recovery
+    from repro.sim.topology import ClusterTopology
+
+    assert not hasattr(ClusterTopology, "domain_range")
+    assert not hasattr(ClusterTopology, "rack_of")
+    assert not hasattr(recovery, "domain_pressures")
+
+
+def test_no_src_function_takes_a_domain_scope():
+    """No cluster call, engine step or spread check takes a drain's
+    rack or its charge against the racks."""
+    assert {
+        path.relative_to(ROOT).as_posix(): lines
+        for path in sorted(SRC.rglob("*.py"))
+        if (lines := scope_parameters(
             ast.parse(path.read_text(encoding="utf-8"))
         ))
     } == {}
