@@ -15,7 +15,7 @@ Latency is *virtual*: a sampled number recorded for overhead analysis
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -127,6 +127,11 @@ class SimulatedReasoningBackend:
             self.profile, np.random.default_rng(policy_seed)
         )
         self._latency_rng = np.random.default_rng(latency_seed)
+        #: (queued tuple, its heterogeneity) of the last call: the views
+        #: of one queue state share one tuple, so a decision loop over a
+        #: stable queue computes it once. The strong reference keeps the
+        #: tuple's identity from being reused by another queue.
+        self._heterogeneity: tuple[Optional[tuple], float] = (None, 0.0)
 
     def complete(self, prompt: str, context: PromptContext) -> LLMReply:
         steps = self._plan(context)
@@ -134,10 +139,14 @@ class SimulatedReasoningBackend:
             "\n".join(step.thought for step in steps),
             *(step.action for step in steps),
         )
-        heterogeneity = _queue_heterogeneity(context)
+        queued = context.view.queued
+        memo_queue, heterogeneity = self._heterogeneity
+        if memo_queue is not queued:
+            heterogeneity = _queue_heterogeneity(context)
+            self._heterogeneity = (queued, heterogeneity)
         latency = self.profile.latency.sample(
             self._latency_rng,
-            queue_len=len(context.view.queued),
+            queue_len=len(queued),
             heterogeneity=heterogeneity,
         )
         return LLMReply(

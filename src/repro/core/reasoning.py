@@ -397,11 +397,12 @@ class ReasoningPolicy:
     def _delay_thought(self, ctx: PromptContext) -> str:
         view = ctx.view
         lines = [self._state_summary(ctx)]
-        blockers = sorted(
-            view.queued, key=lambda j: (j.nodes, j.memory_gb), reverse=True
+        # The first largest request in queue order: what a stable
+        # descending sort would put first.
+        j = max(
+            view.queued, key=lambda q: (q.nodes, q.memory_gb), default=None
         )
-        if blockers:
-            j = blockers[0]
+        if j is not None:
             lines.append(
                 f"All eligible jobs currently require more nodes or memory "
                 f"than is available (e.g. Job {j.job_id} needs {j.nodes} "

@@ -63,10 +63,11 @@ class BaseScheduler:
         constant-factor switch — the twin kernels are digest-pinned
         identical.
         """
+        cols = view._columns
         return (
             self.supports_columns
-            and len(view.queued) >= COLUMNAR_MIN_QUEUE
-            and view._columns is not None
+            and cols is not None
+            and cols.n >= COLUMNAR_MIN_QUEUE
         )
 
     # -- SchedulerProtocol -------------------------------------------------

@@ -34,9 +34,9 @@ class FCFSScheduler(BaseScheduler):
     name = "fcfs"
 
     def decide(self, view: SystemView) -> Action:
-        if not view.queued:
+        head = view.queue.head
+        if head is None:
             return Delay
-        head = view.queued[0]
         if view.can_fit(head):
             return StartJob(head.job_id)
         return Delay
@@ -132,15 +132,14 @@ class EasyBackfillScheduler(BaseScheduler):
 
     def decide(self, view: SystemView) -> Action:
         self._clear_meta()
-        queued = view.queued
-        if not queued:
+        head = view.queue.head
+        if head is None:
             return Delay
         cols = view._columns
         if cols is not None and view.free_nodes < cols.min_nodes:
             # Fewer free nodes than the smallest request queued: the
             # head is blocked and nothing can backfill around it.
             return Delay
-        head = queued[0]
         head_fits = view.can_fit(head)
         if head_fits and view.drain_safe(head):
             return StartJob(head.job_id)
@@ -176,7 +175,7 @@ class EasyBackfillScheduler(BaseScheduler):
             # decision just to skip the head.
             fitting = [
                 job
-                for job in islice(queued, 1, None)
+                for job in islice(view.queued, 1, None)
                 if view.can_fit(job) and view.drain_safe(job)
             ]
             if not fitting:

@@ -19,13 +19,14 @@ Three layers, matching how often each changes:
   one **rank column** here (:meth:`JobColumns.rank`): the only sort of
   the run. Picking the queue's first job by that key is then a
   selection, not a sort.
-* :class:`QueueColumns` — the queue-order projection: a private copy
-  of the engine's queued positions, selecting over the masters. Taken
-  only when the queue actually changes (the same cadence as the cached
-  ``queued`` tuple) and never aliasing a container the engine goes on
-  mutating, so a retained view keeps the queue of its own instant;
-  gathered columns are cached per copy, so a stable backlog pays zero
-  per-decision gather cost.
+* :class:`QueueColumns` — the queue snapshot: a private copy of the
+  engine's queued positions over the run's job list, selecting over
+  the masters. Taken only when the queue actually changes and never
+  aliasing a container the engine goes on mutating, so a retained view
+  keeps the queue of its own instant. Everything read from it is
+  cached per copy — the ``queued`` tuple, built only for a reader that
+  asks for it, and the gathered columns — so a stable backlog pays
+  zero per-decision build or gather cost.
 * :class:`ViewColumns` — the per-view handle returned by
   :meth:`~repro.sim.simulator.SystemView.columns`: queue columns plus
   the view's capacity scalars/vectors and the derived per-decision
@@ -33,7 +34,7 @@ Three layers, matching how often each changes:
 
 **Ownership runs one way.** A view owns its :class:`ViewColumns`; the
 columns refer back to the view through a weak reference. So a view and
-everything it holds (queue tuple, :class:`QueueColumns`, running
+everything it holds (:class:`QueueColumns` and its queue tuple, running
 tuples, completion log) form no reference cycle and are freed by
 reference count the moment the engine and the scheduler drop the view,
 not left to the cyclic collector. The columns are valid while their
@@ -49,14 +50,16 @@ Columnar schedulers are digest-pinned against their facade twins on
 the full disruption/topology regime matrix.
 
 Hand-built views (tests, bench harnesses) get the same surface with no
-engine behind them: the fallback builds masters from ``view.queued``
-directly and uses the identity selector, so the gathered columns *are*
-the masters — still zero copies per decision.
+engine behind them: the fallback snapshot's job list is ``view.queued``
+itself, masters are built from it directly and the selector is the
+identity, so the gathered columns *are* the masters — still zero
+copies per decision.
 """
 
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -141,15 +144,19 @@ class JobColumns:
 
 
 class QueueColumns:
-    """Queue-order projection of :class:`JobColumns`.
+    """The queue snapshot: queue-order projection of :class:`JobColumns`.
 
-    ``sel`` holds the workload positions of the queued jobs in queue
-    order (``None`` means the identity selector: masters already *are*
-    queue order — the hand-built-view fallback). The projection owns
-    it: the engine hands over an ``array('q')`` copy, which the first
-    ``sel`` access wraps through the buffer protocol with no
-    per-element conversion. Gathers are lazy and cached, so they run
-    once per queue change, not once per decision.
+    ``pos`` holds the workload positions of the queued jobs in queue
+    order, indexing *jobs* (``None`` is the identity selector: *jobs*
+    already *is* the queue — the hand-built-view fallback). The engine
+    hands over an ``array('q')`` copy and the run's job list, which
+    nothing mutates, so a snapshot read after later queue changes still
+    shows the queue of its own instant. Each read is paid only by a
+    reader that needs it: ``n``, ``head`` and ``snapshot[k]`` go through
+    the copy (Python scalars, no per-job work); :meth:`as_tuple`
+    and the gathered columns are built once and cached, so every view
+    of one queue state shares them. The first ``sel`` access wraps the
+    copy through the buffer protocol with no per-element conversion.
 
     ``min_nodes`` is a lower bound on the node requests queued. The
     engine keeps the exact minimum next to the queue and hands it
@@ -158,21 +165,47 @@ class QueueColumns:
     engine behind them leave it at 0, the bound that rules nothing out.
     """
 
-    __slots__ = ("_masters", "_sel", "n", "min_nodes", "_gathered", "_first")
+    __slots__ = (
+        "_jobs", "_masters", "_pos", "_sel", "n", "head", "min_nodes",
+        "_queued", "_gathered", "_first",
+    )
 
     def __init__(
         self,
+        jobs: Sequence["Job"],
         masters: Union[JobColumns, Callable[[], JobColumns]],
-        sel: Optional[Sequence[int]],
-        n: int,
+        pos: Optional[Sequence[int]],
         min_nodes: float = 0,
     ) -> None:
+        self._jobs = jobs
         self._masters = masters
-        self._sel = sel
-        self.n = n
+        self._pos = pos
+        self._sel: Optional[np.ndarray] = None
+        self.n = n = len(jobs) if pos is None else len(pos)
+        #: The job at queue position 0, or ``None`` for an empty queue:
+        #: what FCFS-shaped policies read, as a plain attribute.
+        self.head = (jobs[0] if pos is None else jobs[pos[0]]) if n else None
         self.min_nodes = min_nodes
+        self._queued: Optional[tuple["Job", ...]] = None
         self._gathered: dict[str, np.ndarray] = {}
         self._first: dict[str, int] = {}
+
+    def __getitem__(self, k: int) -> "Job":
+        """The job at queue position *k* (an int; no slices)."""
+        pos = self._pos
+        return self._jobs[k if pos is None else pos[k]]
+
+    def as_tuple(self) -> tuple["Job", ...]:
+        """The queued jobs, queue order; built once and cached."""
+        queued = self._queued
+        if queued is None:
+            pos = self._pos
+            jobs = self._jobs
+            queued = self._queued = (
+                tuple(jobs) if pos is None
+                else tuple(map(jobs.__getitem__, pos))
+            )
+        return queued
 
     @property
     def masters(self) -> JobColumns:
@@ -186,17 +219,17 @@ class QueueColumns:
         """Workload positions of the queued jobs, queue order."""
         sel = self._sel
         if sel is None:
-            sel = np.arange(self.n, dtype=np.int64)
-            sel.setflags(write=False)
-            self._sel = sel
-        elif not isinstance(sel, np.ndarray):
-            sel = np.asarray(sel, dtype=np.int64)
+            pos = self._pos
+            sel = (
+                np.arange(self.n, dtype=np.int64) if pos is None
+                else np.asarray(pos, dtype=np.int64)
+            )
             sel.setflags(write=False)
             self._sel = sel
         return sel
 
     def _gather(self, name: str, master: np.ndarray) -> np.ndarray:
-        if self._sel is None:
+        if self._pos is None:
             arr = master
         else:
             arr = master[self.sel]
@@ -230,9 +263,10 @@ class QueueColumns:
 
 
 def queue_columns_from_jobs(jobs: Sequence["Job"]) -> QueueColumns:
-    """Fallback projection for hand-built views: masters over exactly
-    the queued jobs, identity selector."""
-    return QueueColumns(JobColumns(jobs), None, len(jobs))
+    """Fallback projection for hand-built views: the queued jobs are
+    the snapshot's own job list, masters are built over exactly them on
+    first column access, identity selector."""
+    return QueueColumns(jobs, partial(JobColumns, jobs), None)
 
 
 class ViewColumns:
@@ -306,19 +340,19 @@ class ViewColumns:
         return self._q.min_nodes
 
     # -- O(1) scalar probes (no gather, no numpy boxing) ---------------
-    # Single-position reads go through the view's queued tuple: the
-    # engine materializes it for every view anyway, and its Python
+    # Single-position reads take the job off the queue snapshot's
+    # position copy, never building the view's queued tuple: its Python
     # scalars compare ~5× faster than boxed numpy scalars pulled out
-    # of the masters. Identical values either way — the columns are
-    # built from these very attributes.
+    # of the masters or ``sel``. Identical values either way — the
+    # columns are built from these very attributes.
     def id_at(self, pos: int) -> int:
-        return self._view().queued[pos].job_id
+        return self._q[pos].job_id
 
     def fits_at(self, pos: int) -> bool:
         """``SystemView.can_fit`` for queue position *pos* — O(1),
         identical arithmetic."""
         view = self._view()
-        job = view.queued[pos]
+        job = self._q[pos]
         return (
             job.nodes <= view.free_nodes
             and job.memory_gb <= view.free_memory_gb + 1e-9

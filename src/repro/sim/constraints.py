@@ -45,18 +45,6 @@ class Violation:
         return f"{core}: {self.detail}" if self.detail else core
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of validating an action."""
-
-    action: Action
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class ConstraintChecker:
     """Validates scheduler actions against the current system state.
 
@@ -77,8 +65,9 @@ class ConstraintChecker:
         queued: dict[int, Job],
         cluster: ResourcePool,
         all_scheduled: bool,
-    ) -> ValidationResult:
-        """Validate *action* against the queue and cluster state.
+    ) -> tuple[Violation, ...]:
+        """Validate *action* against the queue and cluster state; return
+        every reason it is infeasible (empty: the action is valid).
 
         Parameters
         ----------
@@ -92,50 +81,43 @@ class ConstraintChecker:
             True when no job remains queued or pending-arrival (running
             jobs may still exist; ``Stop`` is legal then).
         """
-        violations: list[Violation] = []
-
         if action.kind is ActionKind.DELAY:
-            return ValidationResult(action)
+            return ()
 
         if action.kind is ActionKind.STOP:
-            if not all_scheduled:
-                violations.append(
-                    Violation(
-                        ViolationKind.PREMATURE_STOP,
-                        detail="jobs remain in the queue or are still arriving",
-                    )
-                )
-            return ValidationResult(action, tuple(violations))
+            if all_scheduled:
+                return ()
+            return (
+                Violation(
+                    ViolationKind.PREMATURE_STOP,
+                    detail="jobs remain in the queue or are still arriving",
+                ),
+            )
 
         # StartJob / BackfillJob
         job_id = action.job_id
         if job_id is None:
-            return ValidationResult(
-                action,
-                (
-                    Violation(
-                        ViolationKind.MALFORMED_ACTION,
-                        detail=f"{action.kind.value} requires a job_id",
-                    ),
+            return (
+                Violation(
+                    ViolationKind.MALFORMED_ACTION,
+                    detail=f"{action.kind.value} requires a job_id",
                 ),
             )
 
         job = queued.get(job_id)
         if job is None:
-            return ValidationResult(
-                action,
-                (
-                    Violation(
-                        ViolationKind.NOT_QUEUED,
-                        job_id=job_id,
-                        detail=(
-                            f"job {job_id} is not in the waiting queue "
-                            "(unknown, already running, or completed)"
-                        ),
+            return (
+                Violation(
+                    ViolationKind.NOT_QUEUED,
+                    job_id=job_id,
+                    detail=(
+                        f"job {job_id} is not in the waiting queue "
+                        "(unknown, already running, or completed)"
                     ),
                 ),
             )
 
+        violations: list[Violation] = []
         if job.nodes > cluster.total_nodes or (
             job.memory_gb > cluster.total_memory_gb + 1e-9
         ):
@@ -174,4 +156,4 @@ class ConstraintChecker:
                     )
                 )
 
-        return ValidationResult(action, tuple(violations))
+        return tuple(violations)

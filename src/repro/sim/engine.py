@@ -8,9 +8,9 @@ primitive-tuple completion lane, no per-event objects), and the
 running-set indexes (walltime expiry, next completion) are flat sorted
 arrays with in-place shift maintenance. Queue membership is a state
 code array; the queue itself is maintained, never re-derived: the
-queued workload positions and their ``Job`` objects sit side by side
-in queue order, appended to on enqueue and deleted from on start, so a
-snapshot is a plain copy of both.
+queued workload positions sit in queue order in one ``array('q')``,
+appended to on enqueue and deleted from on start, so a snapshot is a
+plain copy of it over the run's (never mutated) job list.
 
 **Byte-identity is the contract.** Every observable of a run — job
 records, decision stream, preemption records, view contents handed to
@@ -30,9 +30,14 @@ layout buys on top of the object loop:
 * no ``Event`` allocation or heap traffic for the (large, static)
   arrival + disruption schedule — popped off sorted arrays by cursor;
 * O(1) next-completion lookup per view instead of an O(running) scan;
-* the queued-jobs tuple (and its id index) is cached across decision
-  points and re-copied only when the queue actually changes — completions
-  and time advances on a deep backlog no longer pay O(queue) each;
+* the queue snapshot is a copy of the queued positions, taken only
+  when the queue actually changes and shared by every view of that
+  queue state; the ``queued`` tuple (and its id index) is built from it
+  on first read only — ``fcfs`` and the columnar kernels read the
+  length and single positions off the copy and never build it;
+* a decision is recorded at plain-object cost: the validator returns
+  the violations tuple itself and the record is written through its
+  instance dict;
 * a killed job is not in the queue, so its requeue is a plain append;
 * views are freed by reference count: a view owns its
   :class:`~repro.sim.columns.ViewColumns`, which refer back weakly, so
@@ -71,8 +76,10 @@ _PENDING, _QUEUED, _RUNNING, _COMPLETED, _BLOCKED = 0, 1, 2, 3, 4
 
 #: ``SystemView`` field layout :meth:`EngineState.build_view`'s fast
 #: constructor writes directly (init fields in declaration order,
-#: then the three lazy caches). Guarded at import so a field added to
-#: the dataclass cannot silently desynchronize the hot path.
+#: then the three lazy caches; ``queued`` is left out, for the view to
+#: build off the queue snapshot it carries as ``queue`` on first read).
+#: Guarded at import so a field added to the dataclass cannot silently
+#: desynchronize the hot path.
 _VIEW_FIELDS = (
     "now",
     "queued",
@@ -99,6 +106,13 @@ if tuple(f.name for f in dataclasses.fields(SystemView)) != _VIEW_FIELDS:
     raise AssertionError(
         "SystemView fields changed; update EngineState.build_view's "
         "fast constructor to match"
+    )
+if tuple(f.name for f in dataclasses.fields(DecisionRecord)) != (
+    "time", "action", "accepted", "violations", "retry_index", "meta",
+):
+    raise AssertionError(
+        "DecisionRecord fields changed; update EngineState.ask's fast "
+        "constructor to match"
     )
 if tuple(f.name for f in dataclasses.fields(RunningJob)) != (
     "job",
@@ -250,7 +264,7 @@ class EngineState:
         # clock and calendar
         "now", "cal",
         # job lifecycle codes and the queue over them
-        "state", "queue_pos", "queue_jobs", "n_queued", "n_blocked",
+        "state", "queue_pos", "n_queued", "n_blocked",
         "size_counts", "queue_floor",
         "pending_arrivals", "dependents", "completed_ids", "completed_set",
         "queued_map",
@@ -290,11 +304,10 @@ class EngineState:
         # Python ints, no numpy boxing).
         self.state = bytearray(n_jobs)  # zero-filled == _PENDING
         # The live queue, in queue order (arrival order, requeues at
-        # the tail): workload positions and the jobs at them, kept
-        # element for element equal by _enqueue and start — as are the
-        # queued jobs per distinct node request and the smallest one.
+        # the tail): workload positions, kept by _enqueue and start —
+        # as are the queued jobs per distinct node request and the
+        # smallest one.
         self.queue_pos = array("q")
-        self.queue_jobs: list = []
         self.n_queued = 0
         self.size_counts: dict[int, int] = {}
         self.queue_floor: float = math.inf
@@ -340,10 +353,10 @@ class EngineState:
         self._prev_view: Optional[SystemView] = None
         #: (running jobs in placement order, in walltime-expiry order)
         self._running_snap: Optional[tuple[tuple, tuple]] = None
-        #: (queued jobs, their columnar projection): built and dropped
-        #: together, so facade tuple and columns can never disagree
-        #: about what is queued.
-        self._queue_snap: Optional[tuple[tuple, QueueColumns]] = None
+        #: The queue snapshot every view of this queue state shares: the
+        #: one source of its ``queued`` tuple and of its columns, so the
+        #: two can never disagree about what is queued.
+        self._queue_snap: Optional[QueueColumns] = None
         # One CompletedLog per completion, not per view: the log is
         # append-only, so equal length means identical snapshot.
         self._completed_log = CompletedLog(self.completed_ids)
@@ -371,10 +384,8 @@ class EngineState:
     def _enqueue(self, i: int) -> None:
         self.state[i] = _QUEUED
         self.n_queued += 1
-        job = self.jobs[i]
         self.queue_pos.append(i)
-        self.queue_jobs.append(job)
-        nodes = job.nodes
+        nodes = self.jobs[i].nodes
         counts = self.size_counts
         if nodes in counts:
             counts[nodes] += 1
@@ -395,7 +406,7 @@ class EngineState:
         # C-level search.
         at = 0 if queue_pos[0] == i else queue_pos.index(i)
         del queue_pos[at]
-        job = self.queue_jobs.pop(at)
+        job = self.jobs[i]
         nodes = job.nodes
         counts = self.size_counts
         left = counts[nodes] - 1
@@ -613,16 +624,12 @@ class EngineState:
         self.last_announce = time
 
     # -- the view ------------------------------------------------------
-    def _snapshot_queue(self) -> tuple[tuple, QueueColumns]:
-        """The queued tuple and its columns, as of now: both are
-        copies, so a view kept across a later queue change still shows
-        the queue of its own instant."""
-        return (
-            tuple(self.queue_jobs),
-            QueueColumns(
-                self.masters, self.queue_pos[:], self.n_queued,
-                self.queue_floor,
-            ),
+    def _snapshot_queue(self) -> QueueColumns:
+        """The queue as of now: a copy of the queued positions over the
+        run's job list, which nothing mutates, so a view kept across a
+        later queue change still shows the queue of its own instant."""
+        return QueueColumns(
+            self.jobs, self.masters, self.queue_pos[:], self.queue_floor
         )
 
     def build_view(self) -> SystemView:
@@ -633,10 +640,10 @@ class EngineState:
         cluster = self.cluster
         jobs = self.jobs
         pending_arrivals = self.pending_arrivals
-        reused_queue = self._queue_snap is not None
+        queue_snap = self._queue_snap
+        reused_queue = queue_snap is not None
         if not reused_queue:
-            self._queue_snap = self._snapshot_queue()
-        queued, queue_cols = self._queue_snap
+            queue_snap = self._queue_snap = self._snapshot_queue()
         if self._running_snap is None:
             running = self.running
             self._running_snap = (
@@ -654,12 +661,13 @@ class EngineState:
         # of going through the frozen dataclass __init__ (17 guarded
         # object.__setattr__ calls per decision point). The field
         # layout is pinned against the dataclass by the import-time
-        # _VIEW_FIELDS check.
+        # _VIEW_FIELDS check. No "queued": the view builds it off its
+        # "queue" snapshot on first read.
         view = SystemView.__new__(SystemView)
         fields = view.__dict__
         fields.update({
             "now": now,
-            "queued": queued,
+            "queue": queue_snap,
             "running": running_snap,
             "completed_ids": self._completed_log,
             "free_nodes": cluster.free_nodes,
@@ -688,16 +696,16 @@ class EngineState:
             "_running_sorted": running_sorted,
             # Zero-copy columnar projection: shared masters, selector
             # gathered at most once per queue change.
-            "_columns": ViewColumns(queue_cols, view),
+            "_columns": ViewColumns(queue_snap, view),
         })
-        # Unchanged queue: carry the previous view's lazily-built id
-        # index forward so optimizer-style schedulers don't rebuild an
-        # O(queue) dict at every decision point of a stable backlog.
+        # Unchanged queue (the previous view shares queue_snap): carry
+        # its lazily-built id index forward so optimizer-style
+        # schedulers don't rebuild an O(queue) dict at every decision
+        # point of a stable backlog.
         prev = self._prev_view
         if (
             reused_queue
             and prev is not None
-            and prev.queued is queued
             and prev._queued_index is not None
         ):
             fields["_queued_index"] = prev._queued_index
@@ -716,26 +724,34 @@ class EngineState:
         """
         scheduler = self.scheduler
         action = scheduler.decide(view)
-        result = self.checker.validate(
+        # The view is this instant's: its all_jobs_scheduled, from the
+        # counters it was built from, without reading its queue.
+        violations = self.checker.validate(
             action,
             queued=self.queued_map,
             cluster=self.cluster,
-            all_scheduled=view.all_jobs_scheduled,
+            all_scheduled=not (
+                self.n_queued or self.pending_arrivals or self.n_blocked
+            ),
         )
-        self.decisions.append(
-            DecisionRecord(
-                time=self.now,
-                action=action,
-                accepted=result.ok,
-                violations=result.violations,
-                retry_index=retry_index,
-                meta=dict(scheduler.decision_meta()),
-            )
-        )
-        if result.ok:
+        # Fast construction (cf. the view fast path), pinned by the
+        # import-time DecisionRecord field check. Key by key, in field
+        # order: the instance dict stays a key-sharing table, where a
+        # bulk update() would give every kept record its own key table
+        # (~200 B more each).
+        record = DecisionRecord.__new__(DecisionRecord)
+        fields = record.__dict__
+        fields["time"] = self.now
+        fields["action"] = action
+        fields["accepted"] = not violations
+        fields["violations"] = violations
+        fields["retry_index"] = retry_index
+        fields["meta"] = dict(scheduler.decision_meta())
+        self.decisions.append(record)
+        if not violations:
             return action
         if not closing:
-            scheduler.on_rejection(action, result.violations, view)
+            scheduler.on_rejection(action, violations, view)
         return None
 
     def apply_action(self, action: Action) -> None:

@@ -135,6 +135,34 @@ class CompletedLog(Sequence[int]):
         return f"CompletedLog({tuple(self)!r})"
 
 
+class _QueuedOnFirstRead:
+    """``SystemView.queued`` of a view whose instance dict lacks it (an
+    engine-built one): built off the view's queue snapshot and stored
+    in that dict. A non-data descriptor yields to the instance dict, so
+    every later read, and every read on a hand-built view, is a plain
+    attribute read."""
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        queued = view.__dict__["queued"] = view.queue.as_tuple()
+        return queued
+
+
+class _HandBuiltQueue:
+    """``SystemView.queue`` of a view whose instance dict lacks it (a
+    hand-built one): a snapshot over ``queued`` itself, stored in that
+    dict."""
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        from repro.sim.columns import queue_columns_from_jobs
+
+        queue = view.__dict__["queue"] = queue_columns_from_jobs(view.queued)
+        return queue
+
+
 @dataclass(frozen=True)
 class SystemView:
     """Read-only snapshot handed to schedulers at a decision point.
@@ -148,6 +176,12 @@ class SystemView:
     passes a :class:`CompletedLog` (an O(1) copy-on-write snapshot of
     its append-only completion log), while hand-built views in tests
     typically pass plain tuples.
+
+    ``queued`` on an engine-built view is built on its first read, off
+    the view's queue snapshot (:class:`~repro.sim.columns.QueueColumns`),
+    which caches it: a policy that needs only the queue's length, its
+    head or a few positions reads them through ``queue`` and never pays
+    for the tuple.
     """
 
     now: float
@@ -203,12 +237,19 @@ class SystemView:
         default=None, init=False, repr=False, compare=False
     )
 
+    #: The queue snapshot (:class:`~repro.sim.columns.QueueColumns`):
+    #: ``n``, ``head`` and integer-index reads that never build
+    #: ``queued``. The engine hands every view its own; a hand-built
+    #: view gets one over ``queued`` on first read. Not a field: no
+    #: init argument, no comparison.
+    queue = _HandBuiltQueue()
+
     @property
     def all_jobs_scheduled(self) -> bool:
         """True when nothing is queued, nothing will arrive, and no job
         is waiting on dependencies."""
         return (
-            not self.queued
+            not self.queue.n
             and self.pending_arrivals == 0
             and self.blocked_jobs == 0
         )
@@ -226,12 +267,9 @@ class SystemView:
         """
         cols = self._columns
         if cols is None:
-            from repro.sim.columns import (
-                ViewColumns,
-                queue_columns_from_jobs,
-            )
+            from repro.sim.columns import ViewColumns
 
-            cols = ViewColumns(queue_columns_from_jobs(self.queued), self)
+            cols = ViewColumns(self.queue, self)
             object.__setattr__(self, "_columns", cols)
         return cols
 
@@ -390,6 +428,11 @@ class SystemView:
                 self.now - job.submit_time
             )
         return waits
+
+
+# Set once the dataclass exists: in the class body, ``queued`` would
+# read as the field's default.
+SystemView.queued = _QueuedOnFirstRead()  # type: ignore[assignment]
 
 
 @runtime_checkable

@@ -509,7 +509,7 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
                 )
             view = build_view()
             action = sim.scheduler.decide(view)
-            result = checker.validate(
+            violations = checker.validate(
                 action,
                 queued=queued,
                 cluster=sim.cluster,
@@ -520,14 +520,14 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
                 DecisionRecord(
                     time=now,
                     action=action,
-                    accepted=result.ok,
-                    violations=result.violations,
+                    accepted=not violations,
+                    violations=violations,
                     retry_index=retries,
                     meta=meta,
                 )
             )
-            if not result.ok:
-                sim.scheduler.on_rejection(action, result.violations, view)
+            if violations:
+                sim.scheduler.on_rejection(action, violations, view)
                 retries += 1
                 if retries > sim.max_retries:
                     break  # force a delay
@@ -557,7 +557,7 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
             final_stop_asked = True
             view = build_view()
             action = sim.scheduler.decide(view)
-            result = checker.validate(
+            violations = checker.validate(
                 action,
                 queued=queued,
                 cluster=sim.cluster,
@@ -567,12 +567,12 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
                 DecisionRecord(
                     time=now,
                     action=action,
-                    accepted=result.ok,
-                    violations=result.violations,
+                    accepted=not violations,
+                    violations=violations,
                     meta=dict(sim.scheduler.decision_meta()),
                 )
             )
-            if result.ok and action.kind is ActionKind.STOP:
+            if not violations and action.kind is ActionKind.STOP:
                 stopped = True
 
         # Termination / time advance.

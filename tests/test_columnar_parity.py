@@ -208,8 +208,8 @@ class TestZeroCopy:
         assert list(cols.sel) == list(range(5))
 
     def test_selector_gather_is_cached(self):
-        masters = JobColumns([make_job(i, nodes=i) for i in range(1, 7)])
-        cols = QueueColumns(masters, [4, 1, 3], 3)
+        jobs = [make_job(i, nodes=i) for i in range(1, 7)]
+        cols = QueueColumns(jobs, JobColumns(jobs), [4, 1, 3])
         gathered = cols.col("nodes")
         assert gathered.tolist() == [5, 2, 4]
         assert cols.col("nodes") is gathered  # one gather per rebuild
@@ -222,7 +222,7 @@ class TestZeroCopy:
             calls.append(1)
             return JobColumns([make_job(1), make_job(2)])
 
-        cols = QueueColumns(build, None, 2)
+        cols = QueueColumns([make_job(1), make_job(2)], build, None)
         assert cols.masters is cols.masters
         assert len(calls) == 1
 

@@ -1,8 +1,9 @@
 """A run leaves nothing to the cyclic collector.
 
 Every decision point builds a :class:`~repro.sim.simulator.SystemView`
-that holds the queue tuple, its column projection, the running tuples
-and the completion log. A view owns its
+that holds the queue snapshot (a copy of the queued positions, and the
+queue tuple and gathered columns once a policy reads them), the running
+tuples and the completion log. A view owns its
 :class:`~repro.sim.columns.ViewColumns`, and the columns refer back to
 it only weakly, so a view is freed by reference count as soon as the
 engine and the scheduler drop it. A cycle anywhere in that graph would

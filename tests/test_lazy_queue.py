@@ -1,0 +1,122 @@
+"""A decision pays for the queue tuple only when its policy reads it.
+
+An engine-built view carries its queue as the snapshot's copy of the
+queued positions (:class:`~repro.sim.columns.QueueColumns`);
+``view.queued`` is built from it on first read and cached on the
+snapshot, and ``view.queue`` — the snapshot itself — answers the
+length, the head and single-position reads without building it. Two
+halves are pinned here:
+
+1. **Isolation**: a tuple first built long after its view's instant —
+   after later starts, kills and requeues — is still the queue of that
+   instant (a hypothesis property over generated runs).
+2. **Counts, not a stopwatch**: ``fcfs`` on a deep backlog and the
+   columnar kernels on a 40-deep queue hand back every view with
+   ``queued`` never built; only the facade kernels of short queues
+   build it.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from repro.schedulers.registry import available_schedulers, create_scheduler
+from repro.sim.cluster import ResourcePool
+from repro.sim.columns import COLUMNAR_MIN_QUEUE
+from repro.sim.disruptions import DisruptionSpec, estimate_horizon
+from repro.sim.simulator import simulate
+from repro.workloads.generator import generate_workload
+
+from tests.test_properties import build_jobs, job_lists
+
+
+def built(view) -> bool:
+    """Has *view* built its ``queued`` tuple? (It lives in the instance
+    dict from the first read on.)"""
+    return "queued" in vars(view)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    raw=job_lists,
+    scheduler=st.sampled_from(available_schedulers()),
+    mtbf=st.one_of(st.none(), st.floats(200.0, 5_000.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_a_late_first_read_shows_the_queue_of_its_instant(
+    raw, scheduler, mtbf, seed
+):
+    """A wrapping ``decide`` copies each view's queue position by
+    position before the policy sees it; after the run, each view's
+    ``queued`` — built then for every view the policy left alone —
+    equals that copy."""
+    jobs = build_jobs(raw)
+    policy = create_scheduler(scheduler, seed=seed)
+    decide = policy.decide
+    held = []
+
+    def copying(view):
+        queue = view.queue
+        held.append((view, tuple(queue[k] for k in range(queue.n))))
+        return decide(view)
+
+    policy.decide = copying
+    kw = {}
+    if mtbf is not None:
+        kw = {
+            "disruptions": DisruptionSpec(mtbf=mtbf, mttr=120.0, seed=seed)
+            .build(n_nodes=8, horizon=estimate_horizon(jobs, 8)),
+            "restart_policy": "checkpoint",
+            "checkpoint_interval": 50.0,
+        }
+    simulate(
+        jobs, policy, cluster=ResourcePool(total_nodes=8, total_memory_gb=64.0),
+        **kw,
+    )
+    late = [view for view, _ in held if not built(view)]
+    if scheduler == "fcfs":  # reads only the head: every read is late
+        assert len(late) == len(held) > 0
+    for view, then in held:
+        assert view.queued == then
+        assert view.queue.n == len(then)
+
+
+def depth_and_built(name: str, jobs) -> list[tuple[int, bool]]:
+    """Per decision of *name* over *jobs*: the queue depth of the view
+    handed to the policy, and whether ``queued`` was built once the
+    policy had answered."""
+    policy = create_scheduler(name)
+    decide = policy.decide
+    log = []
+
+    def watched(view):
+        action = decide(view)
+        log.append((view.queue.n, built(view)))
+        return action
+
+    policy.decide = watched
+    simulate(jobs, policy)
+    return log
+
+
+def test_fcfs_on_a_deep_backlog_never_builds_the_tuple():
+    log = depth_and_built(
+        "fcfs", generate_workload("heterogeneous_mix", 400, seed=0)
+    )
+    assert max(depth for depth, _ in log) > 200
+    assert sum(was_built for _, was_built in log) == 0
+
+
+def test_columnar_kernels_never_build_the_tuple():
+    """On a 40-deep queue every decision the columnar kernel takes
+    reads the queue through the snapshot; the facade twin, below
+    ``COLUMNAR_MIN_QUEUE``, may build it."""
+    jobs = generate_workload(
+        "heterogeneous_mix", 40, seed=0, arrival_mode="zero"
+    )
+    for name in ("fcfs_backfill", "sjf_firstfit"):
+        log = depth_and_built(name, jobs)
+        deep = [was_built for depth, was_built in log
+                if depth >= COLUMNAR_MIN_QUEUE]
+        assert len(deep) >= 40 - COLUMNAR_MIN_QUEUE, name
+        assert sum(deep) == 0, name

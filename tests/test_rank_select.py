@@ -87,15 +87,14 @@ def assert_all_picks_agree(view, facade_only):
 
 
 def test_rank_is_the_sorted_place_read_only_and_built_once():
-    masters = JobColumns(
-        [make_job(3, walltime=5.0), make_job(1, walltime=5.0),
-         make_job(2, walltime=1.0)]
-    )
+    jobs = [make_job(3, walltime=5.0), make_job(1, walltime=5.0),
+            make_job(2, walltime=1.0)]
+    masters = JobColumns(jobs)
     rank = masters.rank("walltime")
     assert rank.tolist() == [2, 1, 0]  # ids 2 < 1 < 3: the tie is on id
     assert masters.rank("walltime") is rank
     assert not rank.flags.writeable
-    queue = QueueColumns(masters, [0, 1], 2)
+    queue = QueueColumns(jobs, masters, [0, 1])
     assert queue.rank("walltime").tolist() == [2, 1]
     assert queue.rank("walltime") is queue.rank("walltime")
     assert not queue.rank("walltime").flags.writeable

@@ -30,48 +30,47 @@ def validate(checker, action, *, queued=None, pool=None, all_scheduled=False):
 
 class TestDelayAndStop:
     def test_delay_always_valid(self, checker):
-        assert validate(checker, Delay).ok
+        assert validate(checker, Delay) == ()
 
     def test_stop_valid_when_all_scheduled(self, checker):
-        assert validate(checker, Stop, all_scheduled=True).ok
+        assert validate(checker, Stop, all_scheduled=True) == ()
 
     def test_premature_stop_rejected(self, checker):
-        result = validate(checker, Stop, all_scheduled=False)
-        assert not result.ok
-        assert result.violations[0].kind is ViolationKind.PREMATURE_STOP
+        violations = validate(checker, Stop, all_scheduled=False)
+        assert violations
+        assert violations[0].kind is ViolationKind.PREMATURE_STOP
 
 
 class TestStartValidation:
     def test_feasible_start_ok(self, checker, pool):
         job = make_job(1, nodes=4, memory=16.0)
-        result = validate(checker, StartJob(1), queued={1: job}, pool=pool)
-        assert result.ok
+        assert validate(checker, StartJob(1), queued={1: job}, pool=pool) == ()
 
     def test_unknown_job_rejected(self, checker, pool):
-        result = validate(checker, StartJob(42), queued={}, pool=pool)
-        assert not result.ok
-        assert result.violations[0].kind is ViolationKind.NOT_QUEUED
-        assert result.violations[0].job_id == 42
+        violations = validate(checker, StartJob(42), queued={}, pool=pool)
+        assert violations
+        assert violations[0].kind is ViolationKind.NOT_QUEUED
+        assert violations[0].job_id == 42
 
     def test_insufficient_nodes(self, checker, pool):
         pool.allocate(make_job(9, nodes=6, memory=1.0))
         job = make_job(1, nodes=4, memory=1.0)
-        result = validate(checker, StartJob(1), queued={1: job}, pool=pool)
-        kinds = {v.kind for v in result.violations}
+        violations = validate(checker, StartJob(1), queued={1: job}, pool=pool)
+        kinds = {v.kind for v in violations}
         assert kinds == {ViolationKind.INSUFFICIENT_NODES}
 
     def test_insufficient_memory(self, checker, pool):
         pool.allocate(make_job(9, nodes=1, memory=60.0))
         job = make_job(1, nodes=1, memory=16.0)
-        result = validate(checker, StartJob(1), queued={1: job}, pool=pool)
-        kinds = {v.kind for v in result.violations}
+        violations = validate(checker, StartJob(1), queued={1: job}, pool=pool)
+        kinds = {v.kind for v in violations}
         assert kinds == {ViolationKind.INSUFFICIENT_MEMORY}
 
     def test_both_resources_insufficient(self, checker, pool):
         pool.allocate(make_job(9, nodes=6, memory=60.0))
         job = make_job(1, nodes=4, memory=16.0)
-        result = validate(checker, StartJob(1), queued={1: job}, pool=pool)
-        kinds = {v.kind for v in result.violations}
+        violations = validate(checker, StartJob(1), queued={1: job}, pool=pool)
+        kinds = {v.kind for v in violations}
         assert kinds == {
             ViolationKind.INSUFFICIENT_NODES,
             ViolationKind.INSUFFICIENT_MEMORY,
@@ -79,19 +78,19 @@ class TestStartValidation:
 
     def test_exceeds_total_capacity(self, checker, pool):
         job = make_job(1, nodes=100, memory=1.0)
-        result = validate(checker, StartJob(1), queued={1: job}, pool=pool)
-        assert result.violations[0].kind is ViolationKind.EXCEEDS_CAPACITY
+        violations = validate(checker, StartJob(1), queued={1: job}, pool=pool)
+        assert violations[0].kind is ViolationKind.EXCEEDS_CAPACITY
 
     def test_backfill_validated_like_start(self, checker, pool):
         job = make_job(1, nodes=4, memory=16.0)
-        assert validate(checker, BackfillJob(1), queued={1: job}, pool=pool).ok
+        assert validate(checker, BackfillJob(1), queued={1: job}, pool=pool) == ()
 
     def test_violation_detail_mentions_numbers(self, checker, pool):
         pool.allocate(make_job(9, nodes=6, memory=1.0))
         job = make_job(1, nodes=4, memory=1.0)
-        result = validate(checker, StartJob(1), queued={1: job}, pool=pool)
-        assert "requires 4 nodes" in result.violations[0].detail
-        assert "available: 2" in result.violations[0].detail
+        violations = validate(checker, StartJob(1), queued={1: job}, pool=pool)
+        assert "requires 4 nodes" in violations[0].detail
+        assert "available: 2" in violations[0].detail
 
 
 class TestViolationStr:

@@ -401,6 +401,22 @@ def test_validation_takes_no_running_set():
     assert "running" not in signature(ConstraintChecker.validate).parameters
 
 
+def test_validation_and_the_queue_have_one_representation():
+    """``ConstraintChecker.validate`` returns the violations tuple
+    itself (no result wrapper), and the engine's queue is its position
+    array alone (no parallel list of jobs beside it): neither name is
+    left anywhere in ``src/``, code, slot string or docstring."""
+    gone = ("ValidationResult", "queue_jobs")
+    assert {
+        path.relative_to(ROOT).as_posix(): names
+        for path in sorted(SRC.rglob("*.py"))
+        if (names := [
+            name for name in gone
+            if name in path.read_text(encoding="utf-8")
+        ])
+    } == {}
+
+
 def test_engine_keeps_no_announce_flag():
     assert "announce_pending" not in EngineState.__slots__
 
