@@ -53,21 +53,23 @@ class BaseScheduler:
 
         True only when the policy has a columnar kernel, the queue is
         deep enough to amortize numpy dispatch
-        (:data:`~repro.sim.columns.COLUMNAR_MIN_QUEUE`), *and* a
-        columnar projection is already attached to the view (the
-        engine attaches one per decision point). Short queues take the
-        byte-identical facade path, which beats vectorization on a
-        handful of jobs, and hand-built views — the object-graph test
-        oracle's, and test fixtures' — never pay the O(queue) fallback
-        master build per decision just to dispatch. A pure
-        constant-factor switch — the twin kernels are digest-pinned
-        identical.
+        (:data:`~repro.sim.columns.COLUMNAR_MIN_QUEUE`), *and* the
+        view's columns are cheap to reach: either a columnar projection
+        is already attached to the view, or its queue is an engine
+        snapshot, whose columns are gathers from the run's shared
+        masters (the kernel then builds the view's columns on its first
+        ``columns()`` call). Short queues take the byte-identical
+        facade path, which beats vectorization on a handful of jobs,
+        and hand-built views — the object-graph test oracle's, and test
+        fixtures' — never pay the O(queue) fallback master build per
+        decision just to dispatch. A pure constant-factor switch — the
+        twin kernels are digest-pinned identical.
         """
-        cols = view._columns
-        return (
-            self.supports_columns
-            and cols is not None
-            and cols.n >= COLUMNAR_MIN_QUEUE
+        if not self.supports_columns:
+            return False
+        queue = view.queue
+        return queue.n >= COLUMNAR_MIN_QUEUE and (
+            queue.over_run or view._columns is not None
         )
 
     # -- SchedulerProtocol -------------------------------------------------

@@ -135,8 +135,7 @@ class EasyBackfillScheduler(BaseScheduler):
         head = view.queue.head
         if head is None:
             return Delay
-        cols = view._columns
-        if cols is not None and view.free_nodes < cols.min_nodes:
+        if view.free_nodes < view.queue.min_nodes:
             # Fewer free nodes than the smallest request queued: the
             # head is blocked and nothing can backfill around it.
             return Delay
@@ -146,6 +145,7 @@ class EasyBackfillScheduler(BaseScheduler):
         # What could start right now comes first: only if something
         # can is the head's reservation worth computing.
         if self.columnar(view):
+            cols = view.columns()
             # Vectorized candidate scan: one boolean mask per facade
             # predicate, elementwise-identical arithmetic (same 1e-9
             # slacks, same float64 adds), so the first set bit is the

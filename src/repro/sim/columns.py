@@ -190,6 +190,14 @@ class QueueColumns:
         self._gathered: dict[str, np.ndarray] = {}
         self._first: dict[str, int] = {}
 
+    @property
+    def over_run(self) -> bool:
+        """True for an engine snapshot (positions into the run's job
+        list, whose columns are gathers from the run's shared masters);
+        False for the hand-built fallback, whose first column access
+        builds masters over the queue itself."""
+        return self._pos is not None
+
     def __getitem__(self, k: int) -> "Job":
         """The job at queue position *k* (an int; no slices)."""
         pos = self._pos
@@ -274,10 +282,10 @@ class ViewColumns:
 
     Queue-order attribute columns (delegated to the underlying
     :class:`QueueColumns`, shared across unchanged-queue decisions)
-    plus the queue floor and the vectorized per-decision predicates.
-    One instance per view, cached on the view itself — repeated
-    ``columns()`` calls return the same object, and derived masks are
-    computed at most once per decision point.
+    plus the vectorized per-decision predicates. At most one instance
+    per view, built on the first ``columns()`` call and cached on the
+    view itself — repeated calls return the same object, and derived
+    masks are computed at most once per decision point.
 
     The view owns this object; ``_view`` is only a weak reference back
     (call it to get the view), so the pair is no reference cycle. Reach
@@ -331,13 +339,6 @@ class ViewColumns:
     def first_by(self, key: str) -> int:
         """Queue position of the smallest :meth:`rank`."""
         return self._q.first_by(key)
-
-    # -- the queue floor -----------------------------------------------
-    @property
-    def min_nodes(self) -> float:
-        """No queued job asks for fewer nodes: see
-        :class:`QueueColumns`."""
-        return self._q.min_nodes
 
     # -- O(1) scalar probes (no gather, no numpy boxing) ---------------
     # Single-position reads take the job off the queue snapshot's

@@ -5,12 +5,13 @@ loop. Job lifecycle state lives in flat preallocated arrays
 indexed by workload position, the event stream is an
 :class:`~repro.sim.events.ArrayCalendar` (pre-sorted static lane +
 primitive-tuple completion lane, no per-event objects), and the
-running-set indexes (walltime expiry, next completion) are flat sorted
-arrays with in-place shift maintenance. Queue membership is a state
-code array; the queue itself is maintained, never re-derived: the
-queued workload positions sit in queue order in one ``array('q')``,
-appended to on enqueue and deleted from on start, so a snapshot is a
-plain copy of it over the run's (never mutated) job list.
+running-set indexes (walltime expiry, next completion) are plain lists
+of ``(key, seq, item)`` tuples kept in order by :mod:`bisect`, so every
+insert and removal is one C-level search and one C-level shift. Queue
+membership is a state code array; the queue itself is maintained, never
+re-derived: the queued workload positions sit in queue order in one
+``array('q')``, appended to on enqueue and deleted from on start, so a
+snapshot is a plain copy of it over the run's (never mutated) job list.
 
 **Byte-identity is the contract.** Every observable of a run — job
 records, decision stream, preemption records, view contents handed to
@@ -35,14 +36,19 @@ layout buys on top of the object loop:
   queue state; the ``queued`` tuple (and its id index) is built from it
   on first read only — ``fcfs`` and the columnar kernels read the
   length and single positions off the copy and never build it;
+* a view is a copy of one per-run template dict (the fields that
+  never move during a run, filled once) with the fields that do move
+  written over it, installed as the view's instance dict;
+* a view's :class:`~repro.sim.columns.ViewColumns` are built on the
+  first ``columns()`` call, by a policy that asks for them; policies
+  that never do (``fcfs``, the agent) pay nothing for them;
 * a decision is recorded at plain-object cost: the validator returns
   the violations tuple itself and the record is written through its
   instance dict;
 * a killed job is not in the queue, so its requeue is a plain append;
-* views are freed by reference count: a view owns its
-  :class:`~repro.sim.columns.ViewColumns`, which refer back weakly, so
-  a dropped view and its queue snapshot never wait for the cyclic
-  collector.
+* views are freed by reference count: a view owns its columns, which
+  refer back weakly, so a dropped view and its queue snapshot never
+  wait for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -50,14 +56,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from functools import cache, partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.actions import Action, ActionKind
-from repro.sim.columns import JobColumns, QueueColumns, ViewColumns
+from repro.sim.columns import JobColumns, QueueColumns
 from repro.sim.constraints import ConstraintChecker
-from repro.sim.disruptions import DrainWindow, PreemptionRecord
+from repro.sim.disruptions import PreemptionRecord
 from repro.sim.events import ArrayCalendar, EventKind
 from repro.sim.schedule import DecisionRecord, JobRecord, ScheduleResult
 from repro.sim.simulator import (
@@ -74,12 +80,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Job lifecycle codes for the flat state array.
 _PENDING, _QUEUED, _RUNNING, _COMPLETED, _BLOCKED = 0, 1, 2, 3, 4
 
-#: ``SystemView`` field layout :meth:`EngineState.build_view`'s fast
-#: constructor writes directly (init fields in declaration order,
-#: then the three lazy caches; ``queued`` is left out, for the view to
-#: build off the queue snapshot it carries as ``queue`` on first read).
-#: Guarded at import so a field added to the dataclass cannot silently
-#: desynchronize the hot path.
+#: ``SystemView`` field layout the per-run view template is derived
+#: from (init fields in declaration order, then the three lazy caches;
+#: see :func:`_view_template`). Guarded at import so a field added to
+#: the dataclass cannot silently desynchronize the hot path.
 _VIEW_FIELDS = (
     "now",
     "queued",
@@ -104,8 +108,8 @@ _VIEW_FIELDS = (
 )
 if tuple(f.name for f in dataclasses.fields(SystemView)) != _VIEW_FIELDS:
     raise AssertionError(
-        "SystemView fields changed; update EngineState.build_view's "
-        "fast constructor to match"
+        "SystemView fields changed; update _view_template and "
+        "EngineState.build_view to match"
     )
 if tuple(f.name for f in dataclasses.fields(DecisionRecord)) != (
     "time", "action", "accepted", "violations", "retry_index", "meta",
@@ -125,73 +129,6 @@ if tuple(f.name for f in dataclasses.fields(RunningJob)) != (
     )
 
 
-class _SortedIndex:
-    """Flat-array sorted multiset of ``(key, seq) -> id`` rows.
-
-    The running-set indexes (walltime-expiry order, expected-end order)
-    are maintained with bisect + in-place slice shifts over
-    preallocated primitive arrays (``array('d')``/``array('q')``),
-    not numpy — the same finding as ``ResourceProfile``'s list-backed
-    timeline: the running set is small, element access is always
-    scalar, and stdlib arrays hand back plain Python floats/ints with
-    none of the numpy boxing cost that dominated the first cut of this
-    index. ``seq`` (the monotone placement counter) breaks key ties
-    exactly like the object engine's stable tuples.
-    """
-
-    __slots__ = ("_keys", "_seqs", "_ids", "_n")
-
-    def __init__(self, capacity: int = 64) -> None:
-        self._keys = array("d", bytes(8 * capacity))
-        self._seqs = array("q", bytes(8 * capacity))
-        self._ids = array("q", bytes(8 * capacity))
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def _grow(self) -> None:
-        for name in ("_keys", "_seqs", "_ids"):
-            old = getattr(self, name)
-            old.frombytes(bytes(old.itemsize * len(old)))
-
-    def _position(self, key: float, seq: int) -> int:
-        n = self._n
-        keys = self._keys
-        pos = bisect_left(keys, key, 0, n)
-        while pos < n and keys[pos] == key and self._seqs[pos] < seq:
-            pos += 1
-        return pos
-
-    def insert(self, key: float, seq: int, ident: int) -> None:
-        if self._n == len(self._keys):
-            self._grow()
-        pos, n = self._position(key, seq), self._n
-        if pos != n:
-            self._keys[pos + 1 : n + 1] = self._keys[pos:n]
-            self._seqs[pos + 1 : n + 1] = self._seqs[pos:n]
-            self._ids[pos + 1 : n + 1] = self._ids[pos:n]
-        self._keys[pos] = key
-        self._seqs[pos] = seq
-        self._ids[pos] = ident
-        self._n = n + 1
-
-    def remove(self, key: float, seq: int) -> None:
-        pos, n = self._position(key, seq), self._n
-        if pos != n - 1:
-            self._keys[pos : n - 1] = self._keys[pos + 1 : n]
-            self._seqs[pos : n - 1] = self._seqs[pos + 1 : n]
-            self._ids[pos : n - 1] = self._ids[pos + 1 : n]
-        self._n = n - 1
-
-    def min_key(self) -> float:
-        return self._keys[0]
-
-    def ids(self) -> list[int]:
-        """Row ids in sorted (key, seq) order."""
-        return self._ids[: self._n].tolist()
-
-
 class _QueueMap:
     """Read-only dict facade over the flat queue state, for
     :class:`~repro.sim.constraints.ConstraintChecker` (which only ever
@@ -209,6 +146,30 @@ class _QueueMap:
         if i is None or self._state[i] != _QUEUED:
             return default
         return self._jobs[i]
+
+
+def _view_template(cluster) -> dict:
+    """The instance dict every view of one run is copied from.
+
+    One key per :data:`_VIEW_FIELDS` entry, in that order, except that
+    ``queued`` is carried as ``queue``, the view's queue snapshot (a
+    view builds ``queued`` off it on first read). It holds the run's
+    constants, and ``None`` / ``()`` for the fields
+    :meth:`EngineState.build_view` writes only when they are set; it
+    writes every other field over each copy. It never holds engine
+    state, so no copy of it aliases anything the engine mutates.
+    """
+    fields = dict.fromkeys(
+        "queue" if name == "queued" else name for name in _VIEW_FIELDS
+    )
+    fields.update(
+        total_nodes=cluster.total_nodes,
+        total_memory_gb=cluster.total_memory_gb,
+        upcoming_drains=(),
+        topology=cluster.topology,
+        domain_free_nodes=(),
+    )
+    return fields
 
 
 def _static_calendar(jobs, trace) -> ArrayCalendar:
@@ -278,10 +239,10 @@ class EngineState:
         "stopped", "final_stop_asked", "decision_budget", "records",
         "decisions",
         # snapshots and what they are built from
-        "_view", "_prev_view", "_running_snap", "_queue_snap",
-        "_completed_log", "masters",
+        "_view", "_prev_view", "_view_template", "_running_snap",
+        "_queue_snap", "_completed_log", "masters",
         # static per-run cluster facts, off the per-decision path
-        "topo", "has_domains", "drains",
+        "has_domains", "drains",
     )
 
     def __init__(self, sim: "HPCSimulator") -> None:
@@ -326,8 +287,11 @@ class EngineState:
         #: current attempt; keeps the drop path and the stale-completion
         #: check off the RunningJob property chain.
         self.run_info: dict[int, tuple[int, float, float]] = {}
-        self.wt_index = _SortedIndex()  # (start + walltime, seq) -> job_id
-        self.end_index = _SortedIndex()  # (expected_end, seq) -> job_id
+        #: ``(start + walltime, seq, run)`` and ``(expected_end, seq,
+        #: job_id)`` rows in order. ``(key, seq)`` is unique, so the
+        #: third item is never compared.
+        self.wt_index: list[tuple[float, int, RunningJob]] = []
+        self.end_index: list[tuple[float, int, int]] = []
         self.place_seq = 0
 
         self.remaining: dict[int, float] = {}
@@ -351,6 +315,7 @@ class EngineState:
 
         self._view: Optional[SystemView] = None
         self._prev_view: Optional[SystemView] = None
+        self._view_template = _view_template(cluster)
         #: (running jobs in placement order, in walltime-expiry order)
         self._running_snap: Optional[tuple[tuple, tuple]] = None
         #: The queue snapshot every view of this queue state shares: the
@@ -364,8 +329,7 @@ class EngineState:
         #: and shared by every queue projection of the run.
         self.masters = cache(partial(JobColumns, jobs))
 
-        self.topo = cluster.topology
-        self.has_domains = not self.topo.is_flat
+        self.has_domains = not cluster.topology.is_flat
         self.drains = trace.drains if trace is not None else ()
 
         cluster.reset()
@@ -438,9 +402,9 @@ class EngineState:
         seq = self.place_seq
         self.place_seq = seq + 1
         wt_key = start + job.walltime
-        self.wt_index.insert(wt_key, seq, job_id)
+        insort(self.wt_index, (wt_key, seq, run))
         expected_end = start + runtime
-        self.end_index.insert(expected_end, seq, job_id)
+        insort(self.end_index, (expected_end, seq, job_id))
         self.run_info[job_id] = (seq, wt_key, expected_end)
         if job_id in self.pending_restart:
             restarted = self.preemptions[self.pending_restart.pop(job_id)]
@@ -452,8 +416,10 @@ class EngineState:
         self.running_changed()
         run = self.running.pop(job_id)
         seq, wt_key, end_key = self.run_info.pop(job_id)
-        self.wt_index.remove(wt_key, seq)
-        self.end_index.remove(end_key, seq)
+        # (key, seq) sorts just before the one row that carries it.
+        wt_index, end_index = self.wt_index, self.end_index
+        del wt_index[bisect_left(wt_index, (wt_key, seq))]
+        del end_index[bisect_left(end_index, (end_key, seq))]
         self.cluster.release(job_id)
         return run
 
@@ -644,60 +610,44 @@ class EngineState:
         reused_queue = queue_snap is not None
         if not reused_queue:
             queue_snap = self._queue_snap = self._snapshot_queue()
-        if self._running_snap is None:
-            running = self.running
-            self._running_snap = (
-                tuple(running.values()),
-                tuple(map(running.__getitem__, self.wt_index.ids())),
+        running_snap = self._running_snap
+        if running_snap is None:
+            running_snap = self._running_snap = (
+                tuple(self.running.values()),
+                tuple([run for _, _, run in self.wt_index]),
             )
-        running_snap, running_sorted = self._running_snap
         now = self.now
-        drains: tuple[DrainWindow, ...] = ()
+        # Fast construction: the run's template, copied, with the
+        # fields that move written over it, becomes the instance dict —
+        # no frozen dataclass __init__ (17 guarded object.__setattr__
+        # calls per decision point). The layout is pinned against the
+        # dataclass by the import-time _VIEW_FIELDS check. The template
+        # leaves "queued" out and "_columns" empty: the view builds
+        # both on first use.
+        fields = self._view_template.copy()
+        fields["now"] = now
+        fields["queue"] = queue_snap
+        fields["running"], fields["_running_sorted"] = running_snap
+        fields["completed_ids"] = self._completed_log
+        fields["free_nodes"] = cluster.free_nodes
+        fields["free_memory_gb"] = cluster.free_memory_gb
+        fields["pending_arrivals"] = pending_arrivals
+        if pending_arrivals:
+            fields["next_arrival_time"] = (
+                jobs[len(jobs) - pending_arrivals].submit_time
+            )
+        if self.end_index:
+            fields["next_completion_time"] = self.end_index[0][0]
+        fields["blocked_jobs"] = self.n_blocked
+        fields["nodes_offline"] = cluster.offline_nodes
         if self.drains:
-            drains = tuple(
+            fields["upcoming_drains"] = tuple(
                 d for d in self.drains if d.announce_time <= now < d.end
             )
-        # Fast construction: write the instance dict directly instead
-        # of going through the frozen dataclass __init__ (17 guarded
-        # object.__setattr__ calls per decision point). The field
-        # layout is pinned against the dataclass by the import-time
-        # _VIEW_FIELDS check. No "queued": the view builds it off its
-        # "queue" snapshot on first read.
-        view = SystemView.__new__(SystemView)
-        fields = view.__dict__
-        fields.update({
-            "now": now,
-            "queue": queue_snap,
-            "running": running_snap,
-            "completed_ids": self._completed_log,
-            "free_nodes": cluster.free_nodes,
-            "free_memory_gb": cluster.free_memory_gb,
-            "total_nodes": cluster.total_nodes,
-            "total_memory_gb": cluster.total_memory_gb,
-            "pending_arrivals": pending_arrivals,
-            "next_arrival_time": (
-                jobs[len(jobs) - pending_arrivals].submit_time
-                if pending_arrivals
-                else None
-            ),
-            "next_completion_time": (
-                self.end_index.min_key() if self.running else None
-            ),
-            "blocked_jobs": self.n_blocked,
-            "nodes_offline": cluster.offline_nodes,
-            "upcoming_drains": drains,
-            # Shared, not copied: see _own_remaining.
-            "remaining_runtimes": self.remaining or _NO_REMAINING,
-            "topology": self.topo,
-            "domain_free_nodes": (
-                cluster.domain_free_nodes() if self.has_domains else ()
-            ),
-            "_queued_index": None,
-            "_running_sorted": running_sorted,
-            # Zero-copy columnar projection: shared masters, selector
-            # gathered at most once per queue change.
-            "_columns": ViewColumns(queue_snap, view),
-        })
+        # Shared, not copied: see _own_remaining.
+        fields["remaining_runtimes"] = self.remaining or _NO_REMAINING
+        if self.has_domains:
+            fields["domain_free_nodes"] = cluster.domain_free_nodes()
         # Unchanged queue (the previous view shares queue_snap): carry
         # its lazily-built id index forward so optimizer-style
         # schedulers don't rebuild an O(queue) dict at every decision
@@ -709,6 +659,8 @@ class EngineState:
             and prev._queued_index is not None
         ):
             fields["_queued_index"] = prev._queued_index
+        view = SystemView.__new__(SystemView)
+        object.__setattr__(view, "__dict__", fields)
         self._view = self._prev_view = view
         return view
 

@@ -230,9 +230,10 @@ class SystemView:
         default=None, init=False, repr=False, compare=False
     )
     #: Lazily-built columnar projection of the queue (see
-    #: :meth:`columns`); the engine pre-seeds it with the zero-copy
-    #: flat-array projection, hand-built views fall back to building
-    #: columns from ``queued`` on first use.
+    #: :meth:`columns`), built on the first ``columns()`` call from the
+    #: view's queue snapshot: on an engine-built view a zero-copy
+    #: selection over the run's master arrays, on a hand-built one
+    #: columns built from ``queued``.
     _columns: Optional["ViewColumns"] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -261,9 +262,11 @@ class SystemView:
         attribute columns over the queued jobs in queue order, plus
         vectorized feasibility/recovery masks — the batch-query surface
         sort/filter-shaped schedulers consume instead of iterating
-        ``Job`` facades. Engine-built views share one set of per-run
-        master arrays (zero per-decision copies); hand-built views pay
-        one column build on first use and cache it.
+        ``Job`` facades. Built on the first call and cached on the
+        view, so a policy that never asks pays nothing. Engine-built
+        views share one set of per-run master arrays (zero
+        per-decision copies); hand-built views pay one column build on
+        first use.
         """
         cols = self._columns
         if cols is None:

@@ -231,7 +231,7 @@ class TestShape:
 
     def test_build_view_copies_no_mapping(self):
         """No ``dict(...)`` call at all in ``build_view`` (the view's
-        fields are written through one dict *literal*), and
+        fields are a copy of the run's template, written key by key), and
         ``remaining`` changes hands in ``_own_remaining`` only."""
         calls = [
             node.func.id

@@ -2,14 +2,15 @@
 
 1. **Step-wise invariant audit**: :func:`run_audited` drives
    :meth:`EngineState.step` itself and checks the state after every
-   step — node conservation, running-set indexes, lifecycle counters,
+   step — node conservation, running-set indexes and what a view reads
+   off them, lifecycle counters,
    queue order, clock monotonicity — and at the end that every job
    completed exactly once and that the node-hours the running set held
    (integrated independently, step by step) equal goodput + wasted.
    It runs over the ten identity regimes of ``test_soa_regression``
    (where the audited run must also reproduce the pinned digest: the
-   audit only reads) and over generated workloads x disruptions x
-   every registered scheduler. Nothing in ``src/`` knows about it.
+   audit reads, and the view it builds only fills caches) and over
+   generated workloads x disruptions x every registered scheduler. Nothing in ``src/`` knows about it.
 2. **Instances share nothing**: two states stepped alternately digest
    exactly as when run alone.
 3. **Views**: a view kept across later queue changes still shows the
@@ -25,6 +26,7 @@
 """
 
 import ast
+import dataclasses
 import gc
 import math
 import types
@@ -45,7 +47,7 @@ from repro.service.protocol import schedule_digest
 from repro.sim.cluster import ResourcePool
 from repro.sim.disruptions import DisruptionSpec, estimate_horizon
 from repro.sim.engine import EngineState, run_soa
-from repro.sim.simulator import HPCSimulator, simulate
+from repro.sim.simulator import HPCSimulator, SystemView, simulate
 from repro.sim.topology import ClusterTopology
 from repro.workloads.dags import layered_dag_workload
 from repro.workloads.generator import generate_workload
@@ -78,12 +80,29 @@ def audit(state: EngineState) -> int:
     if isinstance(cluster, NodeLevelCluster):
         assert not (cluster._node_offline & (cluster._node_owner >= 0)).any()
 
-    # Running-set indexes hold exactly the running set.
+    # Running-set indexes hold exactly the running set, one row per
+    # job as run_info records it, in (key, seq) order.
     ids = sorted(running)
-    assert sorted(state.wt_index.ids()) == ids
-    assert sorted(state.end_index.ids()) == ids
-    assert sorted(state.run_info) == ids
+    info = state.run_info
+    assert sorted(info) == ids
     assert all(codes[state.idx_of[i]] == engine._RUNNING for i in ids)
+    assert state.wt_index == sorted(
+        (key, seq, running[job_id]) for job_id, (seq, key, _) in info.items()
+    )
+    assert state.end_index == sorted(
+        (end, seq, job_id) for job_id, (seq, _, end) in info.items()
+    )
+    # What a view reads off them: the walltime order is a stable sort
+    # of the running set (placement order breaks ties), and the next
+    # completion is the earliest expected end.
+    view = state.build_view()
+    assert view.running == tuple(running.values())
+    assert view.running_by_walltime_end() == tuple(
+        sorted(view.running, key=lambda r: r.start_time + r.job.walltime)
+    )
+    assert view.next_completion_time == min(
+        (end for _, _, end in info.values()), default=None
+    )
 
     # Counters equal the counts of their lifecycle codes.
     assert state.n_queued == codes.count(engine._QUEUED)
@@ -479,6 +498,30 @@ class TestEngineShape:
             if not isinstance(ref, types.FrameType)
         ]
         assert holders == []
+
+    def test_view_template_follows_the_field_guard(self):
+        """The import-time ``_VIEW_FIELDS`` check covers the template
+        every view dict is copied from: one key per field, in field
+        order, ``queue`` (the snapshot) standing in for ``queued``; a
+        built view carries exactly those keys until something reads
+        ``queued``."""
+        assert engine._VIEW_FIELDS == tuple(
+            f.name for f in dataclasses.fields(SystemView)
+        )
+        keys = [
+            "queue" if name == "queued" else name
+            for name in engine._VIEW_FIELDS
+        ]
+        jobs = generate_workload("heterogeneous_mix", 20, seed=0)
+        state = EngineState(
+            HPCSimulator(jobs=jobs, scheduler=create_scheduler("fcfs"))
+        )
+        assert list(state._view_template) == keys
+        state.step()
+        view = state.build_view()
+        assert list(vars(view)) == keys
+        assert isinstance(view.queued, tuple)
+        assert list(vars(view)) == keys + ["queued"]
 
     def test_the_queue_has_one_representation(self):
         assert not hasattr(engine, "QueueChurnCrossover")

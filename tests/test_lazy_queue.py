@@ -1,4 +1,5 @@
-"""A decision pays for the queue tuple only when its policy reads it.
+"""A decision pays for the queue tuple and its columns only when its
+policy reads them.
 
 An engine-built view carries its queue as the snapshot's copy of the
 queued positions (:class:`~repro.sim.columns.QueueColumns`);
@@ -13,13 +14,21 @@ halves are pinned here:
 2. **Counts, not a stopwatch**: ``fcfs`` on a deep backlog and the
    columnar kernels on a 40-deep queue hand back every view with
    ``queued`` never built; only the facade kernels of short queues
-   build it.
+   build it. The same holds for a view's
+   :class:`~repro.sim.columns.ViewColumns`, built on the first
+   ``columns()`` call: ``fcfs`` builds none, the columnar kernels at
+   most one per view and none below ``COLUMNAR_MIN_QUEUE``, and a
+   hand-built view takes the facade path until columns are attached.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.sim.columns as columns
 from repro.schedulers.registry import available_schedulers, create_scheduler
 from repro.sim.cluster import ResourcePool
 from repro.sim.columns import COLUMNAR_MIN_QUEUE
@@ -27,6 +36,7 @@ from repro.sim.disruptions import DisruptionSpec, estimate_horizon
 from repro.sim.simulator import simulate
 from repro.workloads.generator import generate_workload
 
+from tests.test_core_reasoning import make_view
 from tests.test_properties import build_jobs, job_lists
 
 
@@ -81,42 +91,97 @@ def test_a_late_first_read_shows_the_queue_of_its_instant(
         assert view.queue.n == len(then)
 
 
-def depth_and_built(name: str, jobs) -> list[tuple[int, bool]]:
+@pytest.fixture
+def column_builds(monkeypatch) -> Counter:
+    """``ViewColumns`` builds, counted by the id of the view they are
+    built for (``SystemView.columns`` looks the class up per build)."""
+    builds: Counter = Counter()
+
+    class Counted(columns.ViewColumns):
+        __slots__ = ()
+
+        def __init__(self, queue_cols, view):
+            builds[id(view)] += 1
+            super().__init__(queue_cols, view)
+
+    monkeypatch.setattr(columns, "ViewColumns", Counted)
+    return builds
+
+
+def depth_and_built(name: str, jobs, builds: Counter):
     """Per decision of *name* over *jobs*: the queue depth of the view
-    handed to the policy, and whether ``queued`` was built once the
-    policy had answered."""
+    handed to the policy, whether ``queued`` was built once the policy
+    had answered, and how many ``ViewColumns`` it built for the view."""
     policy = create_scheduler(name)
     decide = policy.decide
     log = []
 
     def watched(view):
         action = decide(view)
-        log.append((view.queue.n, built(view)))
+        log.append((view.queue.n, built(view), builds.pop(id(view), 0)))
         return action
 
     policy.decide = watched
     simulate(jobs, policy)
+    assert not builds  # every build was for a view the policy was shown
     return log
 
 
-def test_fcfs_on_a_deep_backlog_never_builds_the_tuple():
+def test_fcfs_on_a_deep_backlog_never_builds_the_tuple(column_builds):
     log = depth_and_built(
-        "fcfs", generate_workload("heterogeneous_mix", 400, seed=0)
+        "fcfs",
+        generate_workload("heterogeneous_mix", 400, seed=0),
+        column_builds,
     )
-    assert max(depth for depth, _ in log) > 200
-    assert sum(was_built for _, was_built in log) == 0
+    assert max(depth for depth, _, _ in log) > 200
+    assert sum(was_built for _, was_built, _ in log) == 0
+    assert sum(n_columns for _, _, n_columns in log) == 0
 
 
-def test_columnar_kernels_never_build_the_tuple():
+def test_columnar_kernels_never_build_the_tuple(column_builds):
     """On a 40-deep queue every decision the columnar kernel takes
-    reads the queue through the snapshot; the facade twin, below
-    ``COLUMNAR_MIN_QUEUE``, may build it."""
+    reads the queue through the snapshot and builds the view's columns
+    at most once; the facade twin, below ``COLUMNAR_MIN_QUEUE``, may
+    build the tuple and builds no columns."""
     jobs = generate_workload(
         "heterogeneous_mix", 40, seed=0, arrival_mode="zero"
     )
     for name in ("fcfs_backfill", "sjf_firstfit"):
-        log = depth_and_built(name, jobs)
-        deep = [was_built for depth, was_built in log
-                if depth >= COLUMNAR_MIN_QUEUE]
+        log = depth_and_built(name, jobs, column_builds)
+        deep = [
+            (was_built, n_columns) for depth, was_built, n_columns in log
+            if depth >= COLUMNAR_MIN_QUEUE
+        ]
         assert len(deep) >= 40 - COLUMNAR_MIN_QUEUE, name
-        assert sum(deep) == 0, name
+        assert sum(was_built for was_built, _ in deep) == 0, name
+        assert max(n_columns for _, n_columns in deep) == 1, name
+        assert sum(
+            n_columns for depth, _, n_columns in log
+            if depth < COLUMNAR_MIN_QUEUE
+        ) == 0, name
+
+
+COLUMNAR_POLICIES = [
+    name for name in available_schedulers()
+    if create_scheduler(name).supports_columns
+]
+
+
+@pytest.mark.parametrize("name", COLUMNAR_POLICIES)
+def test_hand_built_views_take_the_facade_until_columns_are_attached(
+    name, column_builds
+):
+    """A hand-built view of a 40-deep queue: deciding on it builds no
+    columns, and the kernel switches to columnar only once
+    ``columns()`` has been attached."""
+    jobs = generate_workload(
+        "heterogeneous_mix", 40, seed=0, arrival_mode="zero"
+    )
+    policy = create_scheduler(name)
+    view = make_view(jobs, free_nodes=2, free_mem=16.0)
+    assert view.queue.n >= COLUMNAR_MIN_QUEUE
+    facade = policy.decide(view)
+    assert not policy.columnar(view) and not column_builds
+    view.columns()
+    assert policy.columnar(view) and sum(column_builds.values()) == 1
+    assert policy.decide(view) == facade

@@ -8,7 +8,9 @@ decision is an argmin / argmax over the queue's gathered ranks.
    the facade pick and ``sorted(queued, key=...)``'s first (fitting)
    job are the same job, for ``sjf``, ``sjf_firstfit`` and
    ``largest_first``; engine views retained across later starts still
-   answer for their own queue, and agree with a hand-built view of it.
+   answer for their own queue, and agree with a hand-built view of it;
+   and across later starts, completions and kills they keep their own
+   capacity, running set and remaining runtimes.
 2. **The guard is a count**: one ``np.lexsort`` per (run, key) for the
    SJF family, none for the policies that never rank; and the
    schedulers' source holds no sort call at all (counted on the stdlib
@@ -31,11 +33,13 @@ from repro.schedulers.registry import create_scheduler
 from repro.schedulers.sjf import SJFScheduler
 from repro.sim.actions import Delay, StartJob
 from repro.sim.columns import COLUMNAR_MIN_QUEUE, JobColumns, QueueColumns
-from repro.sim.simulator import simulate
+from repro.sim.engine import EngineState
+from repro.sim.simulator import HPCSimulator, simulate
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import make_job
 from tests.test_core_reasoning import make_view
+from tests.test_engine_state import _checkpoint_disrupted
 
 
 def _sjf_key(job):
@@ -167,6 +171,54 @@ def test_retained_engine_views_answer_for_their_own_queue(facade_only):
         rebuilt = dataclasses.replace(view)
         assert rebuilt.columns().sel.tolist() == list(range(len(view.queued)))
         assert_all_picks_agree(rebuilt, facade_only)
+
+
+def test_retained_engine_views_keep_their_own_instant():
+    """Hold every view of a disrupted run with what it answered when
+    the policy was shown it. After the run — later starts, completions
+    and kills since — each still answers the same, and the template
+    every view dict was copied from still holds only the run's
+    constants: no copy of it aliased engine state."""
+    jobs = generate_workload("checkpoint_stress", 60, seed=1)
+    scheduler = create_scheduler("fcfs_backfill")
+    decide = scheduler.decide
+    held = []
+
+    def answers(view):
+        return (
+            view.free_nodes,
+            view.free_memory_gb,
+            [run.job.job_id for run in view.running],
+            [run.job.job_id for run in view.running_by_walltime_end()],
+            view.next_completion_time,
+            dict(view.remaining_runtimes),
+        )
+
+    def keeping(view):
+        held.append((view, answers(view), view.queue.n))
+        return decide(view)
+
+    scheduler.decide = keeping
+    state = EngineState(
+        HPCSimulator(
+            jobs=jobs, scheduler=scheduler, **_checkpoint_disrupted(jobs)
+        )
+    )
+    template = dict(state._view_template)
+    while state.step():
+        pass
+    assert state.result().preemptions
+    running = [set(then[2]) for _, then, _ in held]
+    assert any(b - a for a, b in zip(running, running[1:]))  # starts
+    assert any(a - b for a, b in zip(running, running[1:]))  # departures
+    assert len({then[0] for _, then, _ in held}) > 1
+    assert len({then[4] for _, then, _ in held}) > 1
+    for view, then, depth in held:
+        assert answers(view) == then
+        assert view.columns().n == depth
+    assert state._view_template == template
+    dicts = {id(vars(view)) for view, _, _ in held}
+    assert len(dicts) == len(held) and id(state._view_template) not in dicts
 
 
 # -- the guard is a count, not a stopwatch ------------------------------

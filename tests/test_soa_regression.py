@@ -22,13 +22,14 @@ from repro.experiments.parallel import expand_cells, run_cells
 from repro.experiments.runner import run_single
 from repro.schedulers.registry import create_scheduler
 from repro.sim.disruptions import DisruptionSpec
-from repro.sim.engine import _SortedIndex
+from repro.sim.cluster import ResourcePool
+from repro.sim.engine import EngineState
 from repro.sim.simulator import HPCSimulator, SimulationError, simulate
 from repro.sim.topology import ClusterTopology
 from repro.workloads.dags import layered_dag_workload
 from repro.workloads.generator import generate_workload
 
-from tests.conftest import run_digest
+from tests.conftest import make_job, run_digest
 
 SPEC = DisruptionSpec(
     mtbf=40_000.0,
@@ -250,23 +251,48 @@ class TestPinnedDigests:
         assert run_digest(run) == expected
 
 
-class TestSortedIndexGrowth:
-    def test_grows_past_initial_capacity_in_sorted_order(self, rng):
-        """More simultaneously running jobs than the preallocated
-        capacity: the index doubles in place and keeps (key, seq)
-        order, ties included."""
-        index = _SortedIndex(capacity=4)
-        rows = [
-            (float(rng.integers(0, 20)), seq, 1000 + seq) for seq in range(50)
+class TestRunningIndexOrder:
+    def test_tied_keys_keep_key_seq_order(self, rng):
+        """Jobs start, complete and are killed in an order unlike the
+        order of their keys, and most keys tie: after every step each
+        running-set index equals ``sorted()`` of the running set's
+        ``(key, seq)`` rows, so ties keep placement order."""
+        jobs = [
+            make_job(
+                job_id,
+                submit=float(rng.choice([0.0, 5.0, 20.0])),
+                duration=float(rng.choice([10.0, 50.0])),
+                walltime=float(rng.choice([50.0, 100.0])),
+                nodes=int(rng.integers(1, 3)),
+            )
+            for job_id in range(1, 81)
         ]
-        for key, seq, ident in rows:
-            index.insert(key, seq, ident)
-        assert len(index) == 50
-        assert index.ids() == [ident for _, _, ident in sorted(rows)]
-        assert index.min_key() == min(rows)[0]
-        for key, seq, _ in rows[::2]:
-            index.remove(key, seq)
-        assert index.ids() == [ident for _, _, ident in sorted(rows[1::2])]
+        state = EngineState(
+            HPCSimulator(
+                jobs=sorted(jobs, key=lambda job: (job.submit_time, job.job_id)),
+                scheduler=create_scheduler("first_fit"),
+                cluster=ResourcePool(total_nodes=16, total_memory_gb=1024.0),
+            )
+        )
+        ties = kills = 0
+        while state.step():
+            if state.running and rng.random() < 0.3:
+                state.kill(int(rng.choice(list(state.running))), state.now, "failure")
+                kills += 1
+            info = state.run_info
+            wt_rows = sorted(
+                (key, seq, job_id) for job_id, (seq, key, _) in info.items()
+            )
+            end_rows = sorted(
+                (end, seq, job_id) for job_id, (seq, _, end) in info.items()
+            )
+            assert [
+                (key, seq, run.job.job_id) for key, seq, run in state.wt_index
+            ] == wt_rows
+            assert state.end_index == end_rows
+            ties += len(wt_rows) - len({key for key, _, _ in wt_rows})
+        assert ties > 50 and kills > 5
+        assert len(state.result().records) == len(jobs)
 
 
 class TestParallelIdentity:
