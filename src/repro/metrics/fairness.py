@@ -59,16 +59,18 @@ def per_group_means(
     labels = np.asarray(labels)
     if values.shape != labels.shape:
         raise ValueError("values and labels must have equal shape")
-    seen: dict[object, int] = {}
-    order: list[object] = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(order)
-            order.append(lab)
-    sums = np.zeros(len(order))
-    counts = np.zeros(len(order))
-    for val, lab in zip(values, labels):
-        idx = seen[lab]
-        sums[idx] += val
-        counts[idx] += 1
-    return np.array(order, dtype=object), sums / counts
+    # Plain floats summed in record order: the same additions, in the
+    # same order, as a running total per label.
+    sums: dict[object, float] = {}
+    counts: dict[object, int] = {}
+    for val, lab in zip(values.tolist(), labels.tolist()):
+        if lab in sums:
+            sums[lab] += val
+            counts[lab] += 1
+        else:
+            sums[lab] = 0.0 + val
+            counts[lab] = 1
+    return (
+        np.array(list(sums), dtype=object),
+        np.array(list(sums.values())) / np.array(list(counts.values())),
+    )

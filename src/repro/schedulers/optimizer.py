@@ -145,10 +145,13 @@ class AnnealingOptimizer(BaseScheduler):
     def _sample_move(self, m: int) -> Optional[tuple[int, int]]:
         """Draw one uniform swap move over ``range(m)`` as ``(lo, hi)``;
         ``None`` on an i == j draw, matching the legacy skip."""
-        i, j = self._rng.integers(0, m, size=2)
+        # Two scalar draws give the stream one size-2 draw gives, and
+        # skip its shape handling.
+        i = int(self._rng.integers(0, m))
+        j = int(self._rng.integers(0, m))
         if i == j:
             return None
-        return (int(i), int(j)) if i < j else (int(j), int(i))
+        return (i, j) if i < j else (j, i)
 
     def _anneal_full(
         self,

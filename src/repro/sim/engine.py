@@ -12,6 +12,9 @@ membership is a state code array; the queue itself is maintained, never
 re-derived: the queued workload positions sit in queue order in one
 ``array('q')``, appended to on enqueue and deleted from on start, so a
 snapshot is a plain copy of it over the run's (never mutated) job list.
+Every enqueue appends, so queue order is enqueue order: a start off the
+head finds its position by bisect on each job's enqueue number, not by
+a scan that compares every position.
 
 **Byte-identity is the contract.** Every observable of a run — job
 records, decision stream, preemption records, view contents handed to
@@ -225,12 +228,14 @@ class EngineState:
         # clock and calendar
         "now", "cal",
         # job lifecycle codes and the queue over them
-        "state", "queue_pos", "n_queued", "n_blocked",
+        "state", "queue_pos", "enq_seq", "n_enqueued", "n_queued",
+        "n_blocked",
         "size_counts", "queue_floor",
         "pending_arrivals", "dependents", "completed_ids", "completed_set",
         "queued_map",
         # running set and its sorted indexes
-        "running", "run_info", "wt_index", "end_index", "place_seq",
+        "running", "run_info", "wt_index", "wt_runs", "end_index",
+        "place_seq",
         # disruption bookkeeping
         "remaining", "preemptions", "pending_restart", "effective_failures",
         "domain_offline", "failed_down_nodes", "domain_kills", "n_kills",
@@ -260,15 +265,17 @@ class EngineState:
         self.now = min(0.0, jobs[0].submit_time) if jobs else 0.0
         self.cal = _static_calendar(jobs, trace)
 
-        # One lifecycle code per workload position. A bytearray, not a
-        # numpy array: every access is a scalar read/write (plain
-        # Python ints, no numpy boxing).
+        # One lifecycle code per workload position, in a bytearray: each
+        # scalar read or write is a plain Python int (no numpy boxing).
         self.state = bytearray(n_jobs)  # zero-filled == _PENDING
         # The live queue, in queue order (arrival order, requeues at
         # the tail): workload positions, kept by _enqueue and start —
-        # as are the queued jobs per distinct node request and the
-        # smallest one.
+        # as are each job's latest enqueue number (ascending along the
+        # queue: start's bisect key), the queued jobs per distinct node
+        # request and the smallest one.
         self.queue_pos = array("q")
+        self.enq_seq = array("q", bytes(8 * n_jobs))
+        self.n_enqueued = 0
         self.n_queued = 0
         self.size_counts: dict[int, int] = {}
         self.queue_floor: float = math.inf
@@ -284,13 +291,13 @@ class EngineState:
 
         self.running: dict[int, RunningJob] = {}
         #: job_id -> (placement seq, walltime key, expected end) of the
-        #: current attempt; keeps the drop path and the stale-completion
-        #: check off the RunningJob property chain.
+        #: current attempt, for the drop path and stale completions.
         self.run_info: dict[int, tuple[int, float, float]] = {}
         #: ``(start + walltime, seq, run)`` and ``(expected_end, seq,
-        #: job_id)`` rows in order. ``(key, seq)`` is unique, so the
-        #: third item is never compared.
+        #: job_id)`` rows in (unique) ``(key, seq)`` order; ``wt_runs``
+        #: is the runs of ``wt_index``, edited at the same positions.
         self.wt_index: list[tuple[float, int, RunningJob]] = []
+        self.wt_runs: list[RunningJob] = []
         self.end_index: list[tuple[float, int, int]] = []
         self.place_seq = 0
 
@@ -349,6 +356,9 @@ class EngineState:
         self.state[i] = _QUEUED
         self.n_queued += 1
         self.queue_pos.append(i)
+        seq = self.n_enqueued
+        self.enq_seq[i] = seq
+        self.n_enqueued = seq + 1
         nodes = self.jobs[i].nodes
         counts = self.size_counts
         if nodes in counts:
@@ -366,9 +376,12 @@ class EngineState:
         self.state[i] = _RUNNING
         self.n_queued -= 1
         queue_pos = self.queue_pos
-        # FCFS-shaped policies start the head; anything else costs one
-        # C-level search.
-        at = 0 if queue_pos[0] == i else queue_pos.index(i)
+        # FCFS-shaped policies start the head; anything else is found
+        # by bisect, since enqueue numbers ascend along the queue.
+        enq_seq = self.enq_seq
+        at = 0 if queue_pos[0] == i else bisect_left(
+            queue_pos, enq_seq[i], key=enq_seq.__getitem__
+        )
         del queue_pos[at]
         job = self.jobs[i]
         nodes = job.nodes
@@ -402,7 +415,10 @@ class EngineState:
         seq = self.place_seq
         self.place_seq = seq + 1
         wt_key = start + job.walltime
-        insort(self.wt_index, (wt_key, seq, run))
+        wt_index = self.wt_index
+        at = bisect_left(wt_index, (wt_key, seq))
+        wt_index.insert(at, (wt_key, seq, run))
+        self.wt_runs.insert(at, run)
         expected_end = start + runtime
         insort(self.end_index, (expected_end, seq, job_id))
         self.run_info[job_id] = (seq, wt_key, expected_end)
@@ -418,7 +434,9 @@ class EngineState:
         seq, wt_key, end_key = self.run_info.pop(job_id)
         # (key, seq) sorts just before the one row that carries it.
         wt_index, end_index = self.wt_index, self.end_index
-        del wt_index[bisect_left(wt_index, (wt_key, seq))]
+        at = bisect_left(wt_index, (wt_key, seq))
+        del wt_index[at]
+        del self.wt_runs[at]
         del end_index[bisect_left(end_index, (end_key, seq))]
         self.cluster.release(job_id)
         return run
@@ -614,7 +632,7 @@ class EngineState:
         if running_snap is None:
             running_snap = self._running_snap = (
                 tuple(self.running.values()),
-                tuple([run for _, _, run in self.wt_index]),
+                tuple(self.wt_runs),
             )
         now = self.now
         # Fast construction: the run's template, copied, with the

@@ -137,16 +137,13 @@ class ArrayCalendar:
         if self._sealed:
             raise RuntimeError("calendar already sealed")
         self._sealed = True
-        n = len(self._pending)
+        pending = self._pending
+        n = len(pending)
         self._n_static = n
         self._next_seq = n
-        times = np.empty(n, dtype=np.float64)
-        kinds = np.empty(n, dtype=np.int64)
-        payloads = np.empty(n, dtype=np.int64)
-        for i, (t, k, p) in enumerate(self._pending):
-            times[i] = t
-            kinds[i] = k
-            payloads[i] = p
+        times = np.array([e[0] for e in pending], dtype=np.float64)
+        kinds = np.array([e[1] for e in pending], dtype=np.int64)
+        payloads = np.array([e[2] for e in pending], dtype=np.int64)
         self._pending = []
         # Stable sort by (time, kind); seq (the original index) breaks
         # the remaining ties by construction of lexsort's stability.

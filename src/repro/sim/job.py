@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
 
@@ -117,7 +118,7 @@ def validate_workload(jobs: Iterable[Job]) -> list[Job]:
     ValueError
         If two jobs share an id.
     """
-    ordered = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+    ordered = sorted(jobs, key=attrgetter("submit_time", "job_id"))
     seen: set[int] = set()
     for job in ordered:
         if job.job_id in seen:
@@ -133,6 +134,9 @@ def validate_dependencies(jobs: Iterable[Job]) -> None:
     dependency graph must be acyclic (a cycle would deadlock any
     non-preemptive scheduler). Raises ``ValueError`` otherwise.
     """
+    jobs = list(jobs)
+    if not any(map(attrgetter("depends_on"), jobs)):
+        return  # no edges: nothing unknown, no cycle
     by_id = {j.job_id: j for j in jobs}
     for job in by_id.values():
         for dep in job.depends_on:

@@ -112,28 +112,23 @@ class ScheduleResult:
         ``turnaround`` (float64) and ``user`` (object array of user
         labels), ``job_id`` (int64).
         """
-        n = len(self.records)
+        records = self.records
+        jobs = [rec.job for rec in records]
         out = {
-            "submit": np.empty(n),
-            "start": np.empty(n),
-            "end": np.empty(n),
-            "duration": np.empty(n),
-            "nodes": np.empty(n),
-            "memory_gb": np.empty(n),
-            "job_id": np.empty(n, dtype=np.int64),
-            "user": np.empty(n, dtype=object),
-        }
-        for i, rec in enumerate(self.records):
-            out["submit"][i] = rec.job.submit_time
-            out["start"][i] = rec.start_time
-            out["end"][i] = rec.end_time
+            "submit": np.array([job.submit_time for job in jobs], dtype=float),
+            "start": np.array([rec.start_time for rec in records], dtype=float),
+            "end": np.array([rec.end_time for rec in records], dtype=float),
             # Actual runtime (differs from job.duration for jobs killed
             # at their walltime limit).
-            out["duration"][i] = rec.end_time - rec.start_time
-            out["nodes"][i] = rec.job.nodes
-            out["memory_gb"][i] = rec.job.memory_gb
-            out["job_id"][i] = rec.job.job_id
-            out["user"][i] = rec.job.user
+            "duration": np.array(
+                [rec.end_time - rec.start_time for rec in records], dtype=float
+            ),
+            "nodes": np.array([job.nodes for job in jobs], dtype=float),
+            "memory_gb": np.array([job.memory_gb for job in jobs], dtype=float),
+            "job_id": np.array([job.job_id for job in jobs], dtype=np.int64),
+            "user": np.empty(len(jobs), dtype=object),
+        }
+        out["user"][:] = [job.user for job in jobs]
         out["wait"] = out["start"] - out["submit"]
         out["turnaround"] = out["end"] - out["submit"]
         return out
@@ -179,22 +174,31 @@ class ScheduleResult:
         this to assert the capacity invariant independently of the
         cluster model's online accounting.
         """
-        if not self.records:
+        records = self.records
+        if not records:
             return (0.0, 0.0)
-        points: list[tuple[float, int, float, float]] = []
-        for rec in self.records:
-            # Ends sort before starts at equal times (half-open intervals).
-            points.append((rec.end_time, 0, -rec.job.nodes, -rec.job.memory_gb))
-            points.append((rec.start_time, 1, rec.job.nodes, rec.job.memory_gb))
-        points.sort(key=lambda p: (p[0], p[1]))
-        nodes = mem = 0.0
-        peak_nodes = peak_mem = 0.0
-        for _, _, dn, dm in points:
-            nodes += dn
-            mem += dm
-            peak_nodes = max(peak_nodes, nodes)
-            peak_mem = max(peak_mem, mem)
-        return (peak_nodes, peak_mem)
+        n = len(records)
+        jobs = [rec.job for rec in records]
+        # Per record an end point, then a start point; a stable sort by
+        # (time, kind) puts ends before starts at equal times
+        # (half-open intervals) and keeps record order otherwise.
+        time = np.empty(2 * n)
+        time[0::2] = [rec.end_time for rec in records]
+        time[1::2] = [rec.start_time for rec in records]
+        kind = np.tile(np.array([0, 1], dtype=np.int8), n)
+        order = np.lexsort((kind, time))
+
+        def peak(amounts: list) -> float:
+            delta = np.empty(2 * n)
+            delta[1::2] = amounts
+            delta[0::2] = -delta[1::2]
+            # cumsum adds in sequence, as a running total would.
+            return max(0.0, float(np.cumsum(delta[order]).max()))
+
+        return (
+            peak([job.nodes for job in jobs]),
+            peak([job.memory_gb for job in jobs]),
+        )
 
     def verify_capacity(self) -> None:
         """Raise ``AssertionError`` if the schedule ever oversubscribed

@@ -20,9 +20,12 @@
    every ``decide`` sees equal the object oracle's, decision by
    decision, where starts come from the middle, where kills requeue,
    and where completions unblock dependents.
-4. **Shape**: ``engine.py`` keeps no ``nonlocal``, no function longer
-   than the recorded maximum, one decision site, and one queue
-   representation mutated in two places.
+4. **Queue model**: driven op by op, the queue equals a plain list
+   under starts from anywhere, kill-requeues and dependency releases.
+5. **Shape**: ``engine.py`` keeps no ``nonlocal``, no function longer
+   than the recorded maximum, one decision site, one queue
+   representation mutated in two places and enqueue numbers written
+   in one.
 """
 
 import ast
@@ -47,6 +50,7 @@ from repro.service.protocol import schedule_digest
 from repro.sim.cluster import ResourcePool
 from repro.sim.disruptions import DisruptionSpec, estimate_horizon
 from repro.sim.engine import EngineState, run_soa
+from repro.sim.job import Job
 from repro.sim.simulator import HPCSimulator, SystemView, simulate
 from repro.sim.topology import ClusterTopology
 from repro.workloads.dags import layered_dag_workload
@@ -92,6 +96,9 @@ def audit(state: EngineState) -> int:
     assert state.end_index == sorted(
         (end, seq, job_id) for job_id, (seq, _, end) in info.items()
     )
+    # The run list is the walltime index's third column, object for
+    # object (it is edited at the same positions).
+    assert list(map(id, state.wt_runs)) == [id(run) for *_, run in state.wt_index]
     # What a view reads off them: the walltime order is a stable sort
     # of the running set (placement order breaks ties), and the next
     # completion is the earliest expected end.
@@ -120,6 +127,11 @@ def audit(state: EngineState) -> int:
     assert sorted(positions) == [
         i for i, code in enumerate(codes) if code == engine._QUEUED
     ]
+    # start's bisect precondition: enqueue numbers strictly ascend
+    # along the queue, and none reaches the counter.
+    seqs = [state.enq_seq[p] for p in positions]
+    assert all(a < b for a, b in zip(seqs, seqs[1:]))
+    assert all(seq < state.n_enqueued for seq in seqs)
     queue = [state.jobs[p] for p in positions]
     snap = state._queue_snap
     if snap is not None:
@@ -449,6 +461,71 @@ class TestViewContentsAgainstOracle:
             assert queue_contents_log(run) == log
 
 
+class TestQueueModel:
+    """The queue against a plain list under every way it changes:
+    starts from anywhere in it, kills requeueing at the tail, and
+    completions releasing blocked dependents in workload order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12))
+    def test_queue_follows_a_list_model(self, data, n):
+        deps = [
+            tuple(sorted(data.draw(st.sets(st.integers(0, j - 1), max_size=2))))
+            if j
+            else ()
+            for j in range(n)
+        ]
+        # Ids equal workload positions: the model speaks in positions.
+        jobs = [
+            Job(j, 0.0, 10.0, nodes=1, memory_gb=1.0, depends_on=deps[j])
+            for j in range(n)
+        ]
+        state = EngineState(
+            HPCSimulator(jobs=jobs, scheduler=create_scheduler("fcfs"))
+        )
+        model: list[int] = []
+        blocked: set[int] = set()
+        done: set[int] = set()
+        arrived = 0
+        for _ in range(data.draw(st.integers(1, 40))):
+            running = sorted(state.running)
+            ops = ["arrive"] * (arrived < n) + ["start"] * bool(model)
+            ops += ["kill", "complete"] * bool(running)
+            if not ops:
+                break
+            op = data.draw(st.sampled_from(ops))
+            state.now += 1.0
+            if op == "arrive":
+                state._on_arrival(arrived, state.now)
+                if done.issuperset(deps[arrived]):
+                    model.append(arrived)
+                else:
+                    blocked.add(arrived)
+                arrived += 1
+            elif op == "start":
+                i = data.draw(st.sampled_from(model))
+                state.start(i)
+                model.remove(i)
+            elif op == "kill":
+                job_id = data.draw(st.sampled_from(running))
+                state.kill(job_id, state.now, "failure")
+                model.append(state.idx_of[job_id])
+            else:
+                job_id = data.draw(st.sampled_from(running))
+                state._on_completion(
+                    state.idx_of[job_id], state.run_info[job_id][2]
+                )
+                done.add(job_id)
+                released = [
+                    j for j in sorted(blocked)
+                    if job_id in deps[j] and done.issuperset(deps[j])
+                ]
+                blocked.difference_update(released)
+                model += released
+            assert state.queue_pos.tolist() == model
+            audit(state)
+
+
 #: Longest function in ``engine.py`` after the closure was split
 #: (``EngineState.__init__``); ``run_soa`` was 710 lines before.
 MAX_FUNCTION_LINES = 91
@@ -562,3 +639,21 @@ class TestEngineShape:
 
         assert "_enqueue" in attrs("kill")
         assert not attrs("kill") & {"n_queued", "queue_changed", "state"}
+
+        # The enqueue numbers start's bisect keys on: created in
+        # ``__init__``, written in ``_enqueue`` only, read in ``start``.
+        numbering = {"enq_seq", "n_enqueued"}
+        naming = {name for name in self.functions if attrs(name) & numbering}
+        assert naming == {"__init__", "_enqueue", "start"}
+        writers = {
+            name
+            for name, function in self.functions.items()
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Assign, ast.AugAssign))
+            for target in (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            for leaf in ast.walk(target)
+            if isinstance(leaf, ast.Attribute) and leaf.attr in numbering
+        }
+        assert writers == {"__init__", "_enqueue"}

@@ -71,3 +71,42 @@ class TestPerGroupMeans:
         )
         assert list(labs) == ["u"]
         assert means[0] == pytest.approx(5.0)
+
+
+def per_group_means_reference(values, labels):
+    """``per_group_means`` as per-label numpy accumulators, one record
+    at a time: the additions the plain-float sums must reproduce."""
+    seen: dict[object, int] = {}
+    order: list[object] = []
+    for lab in labels:
+        if lab not in seen:
+            seen[lab] = len(order)
+            order.append(lab)
+    sums = np.zeros(len(order))
+    counts = np.zeros(len(order))
+    for val, lab in zip(values, labels):
+        sums[seen[lab]] += val
+        counts[seen[lab]] += 1
+    return order, sums / counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_per_group_means_bits_equal_the_record_order_sums(seed):
+    rng = np.random.default_rng(seed)
+    # Waits spanning magnitudes, so a different summation order would
+    # round differently.
+    values = rng.exponential(1.0, 400) * 10.0 ** rng.integers(-3, 6, 400)
+    labels = np.array(
+        [f"user_{k}" for k in rng.integers(0, 7, 400)], dtype=object
+    )
+    labs, means = per_group_means(values, labels)
+    want_labs, want_means = per_group_means_reference(values, labels)
+    assert labs.dtype == object
+    assert labs.tolist() == want_labs
+    assert means.dtype == np.float64
+    assert means.tobytes() == want_means.tobytes()
+
+
+def test_per_group_means_of_nothing():
+    labs, means = per_group_means(np.array([]), np.array([], dtype=object))
+    assert labs.shape == means.shape == (0,)

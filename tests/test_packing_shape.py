@@ -18,6 +18,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments.runner import run_single
@@ -107,6 +108,23 @@ def test_annealer_options_and_uniform_move():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     }
     assert called == {"integers"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_moves_draw_the_sized_draw_stream(seed):
+    """``_sample_move`` consumes the generator exactly as one
+    ``integers(0, m, size=2)`` draw per move did, with the acceptance
+    test's ``random()`` calls between moves — the seeded digests rest
+    on this stream."""
+    annealer = optimizer.AnnealingOptimizer(seed=seed)
+    twin = np.random.default_rng(seed)
+    for k in range(1500):
+        m = 2 + k % 300
+        i, j = twin.integers(0, m, size=2)
+        want = None if i == j else (int(min(i, j)), int(max(i, j)))
+        assert annealer._sample_move(m) == want
+        if k % 3 == 0:
+            assert annealer._rng.random() == twin.random()
 
 
 #: ``(replans, packed_jobs, accepted_moves)`` of the annealer on the

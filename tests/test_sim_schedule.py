@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.actions import Delay, StartJob
 from repro.sim.constraints import Violation, ViolationKind
@@ -136,3 +137,173 @@ class TestCapacityVerification:
         )
         with pytest.raises(AssertionError, match="memory capacity"):
             res.verify_capacity()
+
+
+#: ``(start, duration, nodes, memory_gb)`` rows on an integer clock, so
+#: jobs start together and one ends as another starts; memory in
+#: quarters, so every sum below is exact.
+touching_rows = st.lists(
+    st.tuples(
+        st.integers(0, 20),
+        st.integers(1, 10),
+        st.integers(1, 8),
+        st.integers(0, 64).map(lambda q: q / 4),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def rows_result(rows, nodes=256, mem=2048.0):
+    return result_with(
+        [
+            record(k, start=float(t), dur=float(d), nodes=n, mem=m)
+            for k, (t, d, n, m) in enumerate(rows)
+        ],
+        nodes=nodes,
+        mem=mem,
+    )
+
+
+def brute_force_peak(records):
+    """The largest node and memory sums over the records running at one
+    instant (``start <= s < end``), tried at every start instant."""
+    instants = {rec.start_time for rec in records}
+    running = [
+        [rec for rec in records if rec.start_time <= s < rec.end_time]
+        for s in instants
+    ]
+    return (
+        max(sum(rec.job.nodes for rec in group) for group in running),
+        max(sum(rec.job.memory_gb for rec in group) for group in running),
+    )
+
+
+def sweep_reference(records):
+    """``max_concurrent_usage`` as a sorted list of points and a running
+    total: the arithmetic the vectorized sweep must reproduce bit for
+    bit."""
+    points = []
+    for rec in records:
+        points.append((rec.end_time, 0, -rec.job.nodes, -rec.job.memory_gb))
+        points.append((rec.start_time, 1, rec.job.nodes, rec.job.memory_gb))
+    points.sort(key=lambda p: (p[0], p[1]))
+    nodes = mem = peak_nodes = peak_mem = 0.0
+    for _, _, dn, dm in points:
+        nodes += dn
+        mem += dm
+        peak_nodes = max(peak_nodes, nodes)
+        peak_mem = max(peak_mem, mem)
+    return (peak_nodes, peak_mem)
+
+
+class TestCapacityRightness:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=touching_rows,
+        cap_nodes=st.integers(1, 60),
+        cap_mem=st.integers(0, 200).map(float),
+    )
+    def test_peak_is_the_brute_force_peak(self, rows, cap_nodes, cap_mem):
+        res = rows_result(rows, nodes=cap_nodes, mem=cap_mem)
+        peak = brute_force_peak(res.records)
+        assert res.max_concurrent_usage() == peak
+        # verify_capacity raises exactly when a peak exceeds capacity.
+        over = peak[0] > cap_nodes or peak[1] > cap_mem
+        if over:
+            with pytest.raises(AssertionError, match="capacity violated"):
+                res.verify_capacity()
+        else:
+            res.verify_capacity()
+
+    def test_oversubscription_at_a_shared_start_instant(self):
+        # 3 + 3 nodes end at t=10 as 4 + 3 start: 7 <= 8 across the
+        # handover, but the job still running from t=5 makes it 9.
+        res = result_with(
+            [
+                record(1, start=0.0, dur=10.0, nodes=3),
+                record(2, start=0.0, dur=10.0, nodes=3),
+                record(3, start=10.0, dur=5.0, nodes=4),
+                record(4, start=10.0, dur=5.0, nodes=3),
+                record(5, start=5.0, dur=6.0, nodes=2),
+            ],
+            nodes=8,
+        )
+        assert res.max_concurrent_usage()[0] == 9.0
+        with pytest.raises(AssertionError, match="node capacity violated"):
+            res.verify_capacity()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1e6),
+                st.floats(1e-3, 1e5),
+                st.integers(1, 64),
+                st.floats(0.0, 512.0),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_sweep_bits_equal_the_running_total(self, rows):
+        res = result_with(
+            [
+                record(k, start=t, dur=d, nodes=n, mem=m)
+                for k, (t, d, n, m) in enumerate(rows)
+            ]
+        )
+        got = res.max_concurrent_usage()
+        want = sweep_reference(res.records)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def to_arrays_reference(records):
+    """``to_arrays`` as one scalar store per field and record."""
+    n = len(records)
+    out = {name: np.empty(n) for name in (
+        "submit", "start", "end", "duration", "nodes", "memory_gb",
+    )}
+    out["job_id"] = np.empty(n, dtype=np.int64)
+    out["user"] = np.empty(n, dtype=object)
+    for i, rec in enumerate(records):
+        out["submit"][i] = rec.job.submit_time
+        out["start"][i] = rec.start_time
+        out["end"][i] = rec.end_time
+        out["duration"][i] = rec.end_time - rec.start_time
+        out["nodes"][i] = rec.job.nodes
+        out["memory_gb"][i] = rec.job.memory_gb
+        out["job_id"][i] = rec.job.job_id
+        out["user"][i] = rec.job.user
+    out["wait"] = out["start"] - out["submit"]
+    out["turnaround"] = out["end"] - out["submit"]
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 37])
+def test_to_arrays_bits_equal_the_scalar_stores(n):
+    rng = np.random.default_rng(n)
+    records = []
+    for k in range(n):
+        submit = float(rng.uniform(0, 1e4))
+        start = submit + float(rng.exponential(300.0))
+        job = make_job(
+            int(rng.integers(0, 10**6)),
+            submit=submit,
+            duration=float(rng.uniform(1.0, 5e3)),
+            nodes=int(rng.integers(1, 64)),
+            memory=float(rng.uniform(0.0, 512.0)),
+            user=f"u{k % 3}",
+        )
+        # Killed at a walltime: an end that is not start + duration.
+        records.append(JobRecord(job, start, start + job.duration * 0.7))
+    got = result_with(records).to_arrays()
+    want = to_arrays_reference(records)
+    assert list(got) == list(want)
+    for name, column in want.items():
+        assert got[name].dtype == column.dtype, name
+        assert got[name].shape == column.shape, name
+        if column.dtype == object:
+            assert got[name].tolist() == column.tolist()
+        else:
+            assert got[name].tobytes() == column.tobytes(), name

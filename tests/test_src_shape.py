@@ -13,7 +13,9 @@ diff, and an exemption nothing needs any more fails.
 
 The rest pins what ships: one event calendar with one pop path, built
 by the engine for each run and handed in by no caller (served sessions
-replay through ``run_single``), no object event queue and no
+replay through ``run_single``), starts and drops that find their
+position by bisect (no linear ``.index`` / ``.remove``), no object
+event queue and no
 object-graph oracle in the package (both live in ``tests/``), a
 packing module without numpy, no second path beside ``store
 doctor --dedupe`` (sharded auto-compaction) or beside SWF (a CSV trace
@@ -185,6 +187,28 @@ def test_one_way_into_the_engine():
     """The engine builds its own calendar; no caller hands one in."""
     assert list(signature(run_soa).parameters) == ["sim"]
     assert list(signature(EngineState.__init__).parameters) == ["self", "sim"]
+
+
+def test_starts_and_drops_search_by_bisect():
+    """A start off the head and a drop find their position by bisect:
+    no ``.index`` / ``.remove`` call, a linear scan that compares every
+    position of the queue or a running-set index."""
+    engine_class = next(
+        node for node in _tree("sim/engine.py").body
+        if isinstance(node, ast.ClassDef) and node.name == "EngineState"
+    )
+    methods = {
+        node.name: node for node in engine_class.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("start", "_drop"):
+        calls = [
+            node.func for node in ast.walk(methods[name])
+            if isinstance(node, ast.Call)
+        ]
+        methods_called = {f.attr for f in calls if isinstance(f, ast.Attribute)}
+        assert not methods_called & {"index", "remove"}, name
+        assert "bisect_left" in {f.id for f in calls if isinstance(f, ast.Name)}
 
 
 def test_sessions_replay_through_the_batch_path():
