@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -191,8 +192,10 @@ def _build_disruption_spec(args) -> Optional[DisruptionSpec]:
         raise UsageError(
             "--restart-policy checkpoint requires --checkpoint-interval"
         )
-    if args.checkpoint_interval is not None and args.checkpoint_interval <= 0:
-        raise UsageError("--checkpoint-interval must be positive")
+    if args.checkpoint_interval is not None and not (
+        0.0 < args.checkpoint_interval < math.inf
+    ):
+        raise UsageError("--checkpoint-interval must be positive and finite")
     base = (
         get_disruption_preset(args.disruptions)
         if args.disruptions

@@ -72,13 +72,13 @@ class NodeFailure:
     repair_time: float
 
     def __post_init__(self) -> None:
-        if not (self.time >= 0.0 and self.time == self.time):
+        if not 0.0 <= self.time < math.inf:
             raise ValueError(f"failure time must be finite and >= 0: {self}")
         if self.node < 0:
             raise ValueError(f"failure node must be non-negative: {self}")
-        if not self.repair_time > self.time:
+        if not self.time < self.repair_time < math.inf:
             raise ValueError(
-                f"repair_time must be after the failure: {self}"
+                f"repair_time must be finite and after the failure: {self}"
             )
 
 
@@ -104,7 +104,7 @@ class DomainFailure:
     def __post_init__(self) -> None:
         if not isinstance(self.nodes, tuple):
             object.__setattr__(self, "nodes", tuple(self.nodes))
-        if not (self.time >= 0.0 and self.time == self.time):
+        if not 0.0 <= self.time < math.inf:
             raise ValueError(f"failure time must be finite and >= 0: {self}")
         if not self.nodes:
             raise ValueError(f"domain failure must strike >= 1 node: {self}")
@@ -114,9 +114,9 @@ class DomainFailure:
             raise ValueError(
                 f"domain failure nodes must be strictly ascending: {self}"
             )
-        if not self.repair_time > self.time:
+        if not self.time < self.repair_time < math.inf:
             raise ValueError(
-                f"repair_time must be after the failure: {self}"
+                f"repair_time must be finite and after the failure: {self}"
             )
 
     @property
@@ -490,19 +490,28 @@ class DisruptionSpec:
             )
         # Validate eagerly so bad values fail at spec construction
         # (where the CLI's friendly-error path catches them), not
-        # later inside build() on a worker process.
-        if self.mtbf is not None and self.mtbf <= 0:
-            raise ValueError(f"mtbf must be positive, got {self.mtbf}")
-        if self.mttr <= 0:
-            raise ValueError(f"mttr must be positive, got {self.mttr}")
-        if self.weibull_shape <= 0:
-            raise ValueError(
-                f"weibull_shape must be positive, got {self.weibull_shape}"
-            )
-        if self.rack_mtbf is not None and self.rack_mtbf <= 0:
-            raise ValueError(
-                f"rack_mtbf must be positive, got {self.rack_mtbf}"
-            )
+        # later inside build() on a worker process. Chained
+        # comparisons: NaN fails every one, so each check also rejects
+        # NaN and inf — and every numeric field is checked, drains on
+        # or off, because the spec is a hashed cache key.
+        for name in ("mtbf", "rack_mtbf", "drain_every"):
+            value = getattr(self, name)
+            if not (value is None or 0.0 < value < math.inf):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}"
+                )
+        for name in ("mttr", "weibull_shape", "drain_duration"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}"
+                )
+        for name in ("drain_lead", "drain_first"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be non-negative and finite, got {value}"
+                )
         if not 0.0 < self.correlation <= 1.0:
             raise ValueError(
                 f"correlation must be in (0, 1], got {self.correlation}"
@@ -512,27 +521,8 @@ class DisruptionSpec:
                 f"correlation_level must be 'rack' or 'switch', "
                 f"got {self.correlation_level!r}"
             )
-        if self.drain_every is not None:
-            if self.drain_nodes <= 0:
-                raise ValueError("drain_every requires drain_nodes >= 1")
-            if self.drain_every <= 0:
-                raise ValueError(
-                    f"drain_every must be positive, got {self.drain_every}"
-                )
-            if self.drain_duration <= 0:
-                raise ValueError(
-                    f"drain_duration must be positive, got "
-                    f"{self.drain_duration}"
-                )
-            if self.drain_lead < 0:
-                raise ValueError(
-                    f"drain_lead must be non-negative, got {self.drain_lead}"
-                )
-            if self.drain_first < 0:
-                raise ValueError(
-                    f"drain_first must be non-negative, got "
-                    f"{self.drain_first}"
-                )
+        if self.drain_every is not None and self.drain_nodes <= 0:
+            raise ValueError("drain_every requires drain_nodes >= 1")
 
     def __bool__(self) -> bool:
         return (

@@ -3,8 +3,8 @@
 This is the flat-array rebuild of :meth:`HPCSimulator.run`'s hot
 loop. Job lifecycle state lives in flat preallocated arrays
 indexed by workload position, the event stream is an
-:class:`~repro.sim.events.ArrayCalendar` (pre-sorted static lane +
-primitive-tuple completion lane, no per-event objects), and the
+:class:`~repro.sim.events.ArrayCalendar` (a static event list sorted
+once plus a heap of mid-run completions, all plain tuples), and the
 running-set indexes (walltime expiry, next completion) are plain lists
 of ``(key, seq, item)`` tuples kept in order by :mod:`bisect`, so every
 insert and removal is one C-level search and one C-level shift. Queue
@@ -32,7 +32,7 @@ generators, and metrics modules cannot tell the engines apart. What the
 layout buys on top of the object loop:
 
 * no ``Event`` allocation or heap traffic for the (large, static)
-  arrival + disruption schedule — popped off sorted arrays by cursor;
+  arrival + disruption schedule — popped off one sorted list by cursor;
 * O(1) next-completion lookup per view instead of an O(running) scan;
 * the queue snapshot is a copy of the queued positions, taken only
   when the queue actually changes and shared by every view of that
@@ -176,32 +176,30 @@ def _view_template(cluster) -> dict:
 
 
 def _static_calendar(jobs, trace) -> ArrayCalendar:
-    """The sealed calendar of one run: one ARRIVAL per job in workload
-    order (payload = workload index), then the disruption schedule.
+    """The calendar of one run: one ARRIVAL per job in workload order
+    (payload = workload index), then the disruption schedule.
 
-    Static adds replay the object engine's push order exactly, so the
-    sequence numbers — the tie-break of last resort — are identical.
-    Every run builds its own; nothing else constructs one.
+    The events are listed in the object engine's push order exactly,
+    so the sequence numbers — the tie-break of last resort — are
+    identical. Every run builds its own.
     """
-    cal = ArrayCalendar()
-    for i, job in enumerate(jobs):
-        cal.add_static(job.submit_time, EventKind.ARRIVAL, i)
+    arrival = EventKind.ARRIVAL
+    events = [(job.submit_time, arrival, i) for i, job in enumerate(jobs)]
     if trace is not None:
         for idx, failure in enumerate(trace.failures):
-            cal.add_static(failure.time, EventKind.NODE_FAILURE, idx)
-            cal.add_static(failure.repair_time, EventKind.NODE_REPAIR, idx)
+            events.append((failure.time, EventKind.NODE_FAILURE, idx))
+            events.append((failure.repair_time, EventKind.NODE_REPAIR, idx))
         for idx, shock in enumerate(trace.domain_failures):
-            cal.add_static(shock.time, EventKind.DOMAIN_FAILURE, idx)
-            cal.add_static(shock.repair_time, EventKind.DOMAIN_REPAIR, idx)
+            events.append((shock.time, EventKind.DOMAIN_FAILURE, idx))
+            events.append((shock.repair_time, EventKind.DOMAIN_REPAIR, idx))
         for idx, drain in enumerate(trace.drains):
             if drain.announce_time < drain.start:
-                cal.add_static(
-                    drain.announce_time, EventKind.DRAIN_ANNOUNCE, idx
+                events.append(
+                    (drain.announce_time, EventKind.DRAIN_ANNOUNCE, idx)
                 )
-            cal.add_static(drain.start, EventKind.DRAIN_START, idx)
-            cal.add_static(drain.end, EventKind.DRAIN_END, idx)
-    cal.seal()
-    return cal
+            events.append((drain.start, EventKind.DRAIN_START, idx))
+            events.append((drain.end, EventKind.DRAIN_END, idx))
+    return ArrayCalendar(events)
 
 
 class EngineState:

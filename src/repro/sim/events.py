@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import enum
 import heapq
-from typing import Optional
-
-import numpy as np
+import math
+from typing import Iterable, Optional
 
 
 class EventKind(enum.IntEnum):
@@ -62,131 +61,62 @@ class EventKind(enum.IntEnum):
 
 
 class ArrayCalendar:
-    """Array-backed event calendar for the structure-of-arrays engine.
+    """Event calendar of one run: a sorted static list and a heap.
 
     Ordering contract: events pop in ascending ``(time, kind, seq)``
     order, where ``kind`` is the :class:`EventKind` value and ``seq``
-    the global insertion order (every :meth:`add_static`, then every
-    :meth:`push`, in call order). One calendar serves one run: the
-    engine builds it, seals it and consumes it. The representation
-    avoids per-event object churn entirely:
+    the global insertion order (the constructor's events in the order
+    given, then every :meth:`push`, in call order). Each event is one
+    plain ``(time, kind, seq, payload)`` tuple, kept in one of two
+    lists:
 
-    * The **static lane** holds every event known before the run starts
-      (arrivals, failures/repairs, drains). It is built once from the
-      exact push sequence the object engine uses, sorted into flat
-      preallocated numpy arrays, and consumed by advancing a cursor —
-      zero allocation per pop, O(n log n) once instead of O(n log n)
-      heap churn spread over the run.
-    * The **dynamic lane** receives events discovered mid-run (job
-      completions). It is a primitive-tuple min-heap whose sequence
-      numbers continue after the static lane's, so cross-lane ties
-      replay the global insertion order exactly.
+    * the **static** list holds every event known before the run starts
+      (arrivals, failures/repairs, drains), passed to the constructor,
+      sorted there once and consumed by advancing a cursor;
+    * the **heap** receives events discovered mid-run (job
+      completions); its sequence numbers continue after the static
+      ones, so cross-list ties replay the global insertion order.
 
-    The engine consumes it through :meth:`peek_time` and
-    :meth:`pop_due`, which return plain ``(time, kind_value, payload)``
-    triples.
+    ``seq`` is unique, so two events never compare equal and a payload
+    is never compared. The engine consumes the calendar through
+    :meth:`peek_time` and :meth:`pop_due`, which return plain
+    ``(time, kind_value, payload)`` triples.
     """
 
-    __slots__ = (
-        "_times",
-        "_kinds",
-        "_payloads",
-        "_seqs",
-        "_cursor",
-        "_n_static",
-        "_heap",
-        "_next_seq",
-        "_sealed",
-        "_pending",
-        "_head",
-    )
+    __slots__ = ("_static", "_n_static", "_cursor", "_heap", "_next_seq")
 
-    def __init__(self) -> None:
-        self._pending: list[tuple[float, int, int]] = []
-        self._sealed = False
-        self._heap: list[tuple[float, int, int, int]] = []
+    def __init__(self, static: Iterable[tuple[float, EventKind, int]]) -> None:
+        """*static*: the pre-run ``(time, kind, payload)`` events, in
+        insertion order — of two events at equal ``(time, kind)`` the
+        one given first pops first."""
+        events = [
+            (_event_time(time), int(kind), seq, int(payload))
+            for seq, (time, kind, payload) in enumerate(static)
+        ]
+        events.sort()
+        self._static = events
+        self._n_static = self._next_seq = len(events)
         self._cursor = 0
-        self._n_static = 0
-        self._next_seq = 0
-        #: Cached (time, kind, seq) of the static head as plain Python
-        #: scalars — peek_time and pop_due both need it, so converting numpy
-        #: scalars once per cursor position (not per call) keeps the
-        #: per-event constant factor below the object queue's.
-        self._head: Optional[tuple[float, int, int]] = None
-
-    @staticmethod
-    def _check_time(time: float) -> None:
-        if not (time >= 0.0 and time == time):
-            raise ValueError(
-                f"event time must be finite and >= 0: {time!r}"
-            )
-
-    def add_static(self, time: float, kind: EventKind, payload: int) -> None:
-        """Append one pre-run event. Call order defines the sequence
-        numbers, the tie-break of last resort: of two events at equal
-        ``(time, kind)`` the one added first pops first."""
-        if self._sealed:
-            raise RuntimeError("calendar already sealed")
-        self._check_time(time)
-        self._pending.append((float(time), int(kind), int(payload)))
-
-    def seal(self) -> None:
-        """Freeze the static lane: sort it into flat arrays. Static
-        adds are accepted only before sealing, dynamic pushes only
-        after."""
-        if self._sealed:
-            raise RuntimeError("calendar already sealed")
-        self._sealed = True
-        pending = self._pending
-        n = len(pending)
-        self._n_static = n
-        self._next_seq = n
-        times = np.array([e[0] for e in pending], dtype=np.float64)
-        kinds = np.array([e[1] for e in pending], dtype=np.int64)
-        payloads = np.array([e[2] for e in pending], dtype=np.int64)
-        self._pending = []
-        # Stable sort by (time, kind); seq (the original index) breaks
-        # the remaining ties by construction of lexsort's stability.
-        order = np.lexsort((kinds, times))
-        self._times = times[order]
-        self._kinds = kinds[order]
-        # Payloads are consumed one scalar at a time in the hot loop —
-        # a plain list hands back ready-made Python ints.
-        self._payloads = payloads[order].tolist()
-        self._seqs = order.astype(np.int64)
+        self._heap: list[tuple[float, int, int, int]] = []
 
     def push(self, time: float, kind: EventKind, payload: int) -> None:
-        """Insert a dynamic (mid-run) event."""
-        if not self._sealed:
-            raise RuntimeError("seal() the static lane before pushing")
-        self._check_time(time)
+        """Insert a mid-run event."""
         seq = self._next_seq
         self._next_seq = seq + 1
-        heapq.heappush(self._heap, (float(time), int(kind), seq, int(payload)))
-
-    def _static_key(self) -> Optional[tuple[float, int, int]]:
-        head = self._head
-        if head is None:
-            i = self._cursor
-            if i >= self._n_static:
-                return None
-            head = self._head = (
-                float(self._times[i]),
-                int(self._kinds[i]),
-                int(self._seqs[i]),
-            )
-        return head
+        heapq.heappush(
+            self._heap, (_event_time(time), int(kind), seq, int(payload))
+        )
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest event, or ``None`` if empty."""
-        s = self._static_key()
-        if self._heap:
-            d = self._heap[0]
-            if s is None or (d[0], d[1], d[2]) < s:
-                return d[0]
-        if s is None:
-            return None
-        return s[0]
+        heap = self._heap
+        i = self._cursor
+        if i < self._n_static:
+            s = self._static[i][0]
+            if heap and heap[0][0] < s:
+                return heap[0][0]
+            return s
+        return heap[0][0] if heap else None
 
     def pop_due(self, time: float) -> Optional[tuple[float, int, int]]:
         """Pop and return the earliest ``(time, kind, payload)`` with
@@ -194,24 +124,33 @@ class ArrayCalendar:
         (``pop_due(math.inf)`` pops whatever is earliest).
 
         The engine's event drain runs this once per event plus one
-        ``None`` return per step: one fused call, because a separate
-        peek and pop cost three ``_static_key`` resolutions per event,
-        which is measurable at one step per simulated event.
+        ``None`` return per step, so a peek and a pop are one call.
         """
-        s = self._static_key()
-        if self._heap:
-            d = self._heap[0]
-            if s is None or (d[0], d[1], d[2]) < s:
-                if d[0] > time:
-                    return None
-                heapq.heappop(self._heap)
-                return (d[0], d[1], d[3])
-        if s is None or s[0] > time:
-            return None
+        heap = self._heap
         i = self._cursor
-        self._cursor = i + 1
-        self._head = None
-        return (s[0], s[1], self._payloads[i])
+        if i < self._n_static:
+            s = self._static[i]
+            if not heap or s < heap[0]:
+                if s[0] > time:
+                    return None
+                self._cursor = i + 1
+                return s[0], s[1], s[3]
+        elif not heap:
+            return None
+        d = heap[0]
+        if d[0] > time:
+            return None
+        heapq.heappop(heap)
+        return d[0], d[1], d[3]
 
     def __len__(self) -> int:
         return (self._n_static - self._cursor) + len(self._heap)
+
+
+def _event_time(time: float) -> float:
+    """*time* as a float, or ``ValueError`` unless it is finite and
+    >= 0 (the chained comparison is false for NaN too)."""
+    time = float(time)
+    if not 0.0 <= time < math.inf:
+        raise ValueError(f"event time must be finite and >= 0: {time!r}")
+    return time

@@ -178,11 +178,13 @@ def screen_unschedulable(
     A job whose request exceeds the *total* cluster capacity can never
     start; admitting one would deadlock any non-preemptive scheduler.
     The paper's generator never produces such jobs; traces might.
+    Memory gets the same 1e-9 GB slack as every fit check in the
+    simulator, so a job this screen keeps is one the simulator admits.
     """
     ok: list[Job] = []
     bad: list[Job] = []
     for job in jobs:
-        if job.nodes > total_nodes or job.memory_gb > total_memory_gb:
+        if job.nodes > total_nodes or job.memory_gb > total_memory_gb + 1e-9:
             bad.append(job)
         else:
             ok.append(job)

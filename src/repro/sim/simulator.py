@@ -15,6 +15,7 @@ the ReAct LLM agent all implement :class:`SchedulerProtocol`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -36,7 +37,12 @@ from repro.sim.disruptions import (
     DrainWindow,
     normalize_restart_policy,
 )
-from repro.sim.job import Job, validate_dependencies, validate_workload
+from repro.sim.job import (
+    Job,
+    screen_unschedulable,
+    validate_dependencies,
+    validate_workload,
+)
 from repro.sim.schedule import ScheduleResult
 from repro.sim.topology import ClusterTopology
 
@@ -518,11 +524,12 @@ class HPCSimulator:
 
     def __post_init__(self) -> None:
         self.restart_policy = normalize_restart_policy(self.restart_policy)
-        if self.checkpoint_interval is not None:
-            if self.checkpoint_interval <= 0:
+        interval = self.checkpoint_interval
+        if interval is not None:
+            if not 0.0 < interval < math.inf:
                 raise ValueError(
-                    f"checkpoint_interval must be positive, got "
-                    f"{self.checkpoint_interval}"
+                    f"checkpoint_interval must be positive and finite, "
+                    f"got {interval}"
                 )
         elif self.restart_policy == "checkpoint":
             raise ValueError(
@@ -531,17 +538,19 @@ class HPCSimulator:
             )
         self.jobs = validate_workload(self.jobs)
         validate_dependencies(self.jobs)
-        for job in self.jobs:
-            if job.nodes > self.cluster.total_nodes or (
-                job.memory_gb > self.cluster.total_memory_gb + 1e-9
-            ):
-                raise SimulationError(
-                    f"job {job.job_id} exceeds total cluster capacity "
-                    f"({job.nodes} nodes / {job.memory_gb:g} GB vs "
-                    f"{self.cluster.total_nodes} / "
-                    f"{self.cluster.total_memory_gb:g}); screen the workload "
-                    "with repro.sim.job.screen_unschedulable first"
-                )
+        cluster = self.cluster
+        _, too_big = screen_unschedulable(
+            self.jobs, cluster.total_nodes, cluster.total_memory_gb
+        )
+        if too_big:
+            job = too_big[0]
+            raise SimulationError(
+                f"job {job.job_id} exceeds total cluster capacity "
+                f"({job.nodes} nodes / {job.memory_gb:g} GB vs "
+                f"{cluster.total_nodes} / {cluster.total_memory_gb:g}); "
+                "screen the workload with "
+                "repro.sim.job.screen_unschedulable first"
+            )
 
     # -- main loop -------------------------------------------------------
     def run(self) -> ScheduleResult:

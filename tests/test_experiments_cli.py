@@ -74,6 +74,24 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--anneal-window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mttr", "inf"], "mttr must be positive and finite"),
+        (["--mttr", "nan"], "mttr must be positive and finite"),
+        (["--restart-policy", "checkpoint", "--checkpoint-interval", "inf"],
+         "--checkpoint-interval must be positive and finite"),
+        (["--restart-policy", "checkpoint", "--checkpoint-interval", "nan"],
+         "--checkpoint-interval must be positive and finite"),
+    ])
+    def test_non_finite_disruption_flag_is_friendly_error(
+        self, flags, message, capsys
+    ):
+        rc = main([
+            "run", "--scenario", "heterogeneous_mix", "--n-jobs", "10",
+            "--scheduler", "fcfs", "--mtbf", "3600", *flags,
+        ])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_invalid_preset_override_is_friendly_error(self, capsys):
         rc = main([
             "matrix", "--scenarios", "drain_window", "--sizes", "8",

@@ -252,14 +252,13 @@ def test_profile_earliest_start_is_feasible(releases, nodes, duration):
 def test_event_queue_pop_order(times, n_static):
     """The object queue pops in (time, kind) order, and the calendar
     pops exactly its sequence for the same inserts — the first
-    *n_static* into the static lane, the rest pushed after sealing."""
+    *n_static* given to the constructor, the rest pushed after it."""
     q = EventQueue()
-    cal = ArrayCalendar()
     for i, (t, kind) in enumerate(times):
         q.push(Event(t, kind, i))
-        if i < n_static:
-            cal.add_static(t, kind, i)
-    cal.seal()
+    cal = ArrayCalendar(
+        [(t, kind, i) for i, (t, kind) in enumerate(times[:n_static])]
+    )
     for i, (t, kind) in enumerate(times[n_static:], n_static):
         cal.push(t, kind, i)
     popped = [q.pop() for _ in range(len(times))]

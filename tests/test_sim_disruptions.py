@@ -1,6 +1,8 @@
 """Unit tests for the disruption subsystem: trace models/generators,
 cluster capacity state, kill/requeue semantics and restart policies."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.sim.disruptions import (
     DISRUPTION_PRESETS,
     DisruptionSpec,
     DisruptionTrace,
+    DomainFailure,
     DrainWindow,
     NodeFailure,
     disruption_signature,
@@ -52,6 +55,14 @@ class TestTraceModels:
             NodeFailure(time=5.0, node=0, repair_time=5.0)
         with pytest.raises(ValueError, match="finite"):
             NodeFailure(time=float("nan"), node=0, repair_time=1.0)
+
+    @pytest.mark.parametrize("repair_time", [math.inf, math.nan])
+    def test_repair_time_must_be_finite(self, repair_time):
+        # A repair at t = inf would let the engine start jobs at inf.
+        with pytest.raises(ValueError, match="repair_time must be finite"):
+            NodeFailure(time=5.0, node=0, repair_time=repair_time)
+        with pytest.raises(ValueError, match="repair_time must be finite"):
+            DomainFailure(time=5.0, nodes=(0, 1), repair_time=repair_time)
 
     def test_drain_validation(self):
         with pytest.raises(ValueError, match="end after"):
@@ -370,6 +381,15 @@ class TestFailureSemantics:
         # Restarts immediately on remaining 3 nodes? Needs 2 nodes — yes.
         assert rec.start_time == pytest.approx(50.0)
         assert rec.end_time == pytest.approx(50.0 + 60.0)
+
+    @pytest.mark.parametrize("interval", [math.inf, math.nan])
+    def test_checkpoint_interval_must_be_finite(self, interval):
+        jobs = make_jobs([(1, 0.0, 10.0, 1, 1.0)])
+        with pytest.raises(ValueError, match="checkpoint_interval must be"):
+            HPCSimulator(
+                jobs=jobs, scheduler=FCFSScheduler(),
+                restart_policy="checkpoint", checkpoint_interval=interval,
+            )
 
     def test_checkpoint_policy_requires_interval(self):
         jobs = make_jobs([(1, 0.0, 10.0, 1, 1.0)])
@@ -917,6 +937,21 @@ class TestSpecValidation:
             ({"drain_every": 100.0, "drain_nodes": 1,
               "drain_first": -1.0},
              "drain_first must be non-negative"),
+            # Non-finite values: NaN included, drains on or off.
+            ({"mtbf": math.inf}, "mtbf must be positive and finite"),
+            ({"mtbf": math.nan}, "mtbf must be positive and finite"),
+            ({"mttr": math.inf}, "mttr must be positive and finite"),
+            ({"mttr": math.nan}, "mttr must be positive and finite"),
+            ({"weibull_shape": math.inf}, "weibull_shape must be positive"),
+            ({"rack_mtbf": math.nan}, "rack_mtbf must be positive"),
+            ({"drain_every": math.inf, "drain_nodes": 1},
+             "drain_every must be positive and finite"),
+            ({"drain_duration": math.nan},
+             "drain_duration must be positive and finite"),
+            ({"drain_lead": math.inf},
+             "drain_lead must be non-negative and finite"),
+            ({"drain_first": math.nan},
+             "drain_first must be non-negative and finite"),
         ],
     )
     def test_bad_spec_rejected(self, kwargs, message):

@@ -1,4 +1,4 @@
-"""Unit tests for the array-backed calendar, and for the object event
+"""Unit tests for the engine's event calendar, and for the object event
 queue (``tests/event_reference.py``) it is checked against."""
 
 import pytest
@@ -11,16 +11,6 @@ from tests.event_reference import Event, EventQueue
 
 def ev(time, kind=EventKind.ARRIVAL, job_id=1):
     return Event(time=time, kind=kind, job_id=job_id)
-
-
-def sealed(*events):
-    """An ArrayCalendar with *events* = (time, kind, payload) triples
-    loaded into the static lane, sealed and ready to pop."""
-    cal = ArrayCalendar()
-    for time, kind, payload in events:
-        cal.add_static(time, kind, payload)
-    cal.seal()
-    return cal
 
 
 class TestOrdering:
@@ -161,14 +151,14 @@ class TestValidation:
 
 class TestArrayCalendarOrdering:
     """The ArrayCalendar must replay EventQueue's (time, kind, seq)
-    contract exactly — including across its two lanes."""
+    contract exactly — including across its static list and its heap."""
 
     def test_pops_in_time_order(self):
-        cal = sealed(
+        cal = ArrayCalendar([
             (5.0, EventKind.ARRIVAL, 1),
             (1.0, EventKind.ARRIVAL, 2),
             (3.0, EventKind.ARRIVAL, 3),
-        )
+        ])
         assert [pop_earliest(cal)[0] for _ in range(3)] == [1.0, 3.0, 5.0]
 
     def test_same_instant_kind_order_is_pinned(self):
@@ -183,7 +173,9 @@ class TestArrayCalendarOrdering:
             EventKind.NODE_FAILURE,
             EventKind.DRAIN_END,
         ]
-        cal = sealed(*[(5.0, kind, i) for i, kind in enumerate(scrambled)])
+        cal = ArrayCalendar(
+            [(5.0, kind, i) for i, kind in enumerate(scrambled)]
+        )
         popped = [pop_earliest(cal)[1] for _ in range(len(scrambled))]
         assert popped == [
             int(EventKind.COMPLETION),
@@ -196,19 +188,19 @@ class TestArrayCalendarOrdering:
         ]
 
     def test_full_ties_break_by_insertion_order(self):
-        cal = sealed(
-            *[(1.0, EventKind.ARRIVAL, payload) for payload in (7, 8, 9)]
+        cal = ArrayCalendar(
+            [(1.0, EventKind.ARRIVAL, payload) for payload in (7, 8, 9)]
         )
         assert [pop_earliest(cal)[2] for _ in range(3)] == [7, 8, 9]
 
     def test_dynamic_lane_merges_by_time_and_kind(self):
-        """A mid-run completion pushed *after* sealing still pops
+        """A mid-run completion pushed after construction still pops
         before a same-instant static arrival (kind order), and before
         any later static event (time order)."""
-        cal = sealed(
+        cal = ArrayCalendar([
             (2.0, EventKind.ARRIVAL, 1),
             (4.0, EventKind.ARRIVAL, 2),
-        )
+        ])
         assert pop_earliest(cal)[2] == 1
         cal.push(4.0, EventKind.COMPLETION, 99)
         assert [pop_earliest(cal)[1:] for _ in range(2)] == [
@@ -219,7 +211,7 @@ class TestArrayCalendarOrdering:
     def test_dynamic_seqs_continue_after_static(self):
         """Cross-lane full ties (same time *and* kind) replay global
         insertion order: static first, then pushes in push order."""
-        cal = sealed((3.0, EventKind.COMPLETION, 1))
+        cal = ArrayCalendar([(3.0, EventKind.COMPLETION, 1)])
         cal.push(3.0, EventKind.COMPLETION, 2)
         cal.push(3.0, EventKind.COMPLETION, 3)
         assert [pop_earliest(cal)[2] for _ in range(3)] == [1, 2, 3]
@@ -239,7 +231,7 @@ class TestArrayCalendarOrdering:
         q = EventQueue()
         for time, kind, payload in events:
             q.push(Event(time=time, kind=kind, job_id=payload))
-        cal = sealed(*events)
+        cal = ArrayCalendar(events)
         expected = [
             (e.time, int(e.kind), e.job_id)
             for e in (q.pop() for _ in range(len(events)))
@@ -249,19 +241,19 @@ class TestArrayCalendarOrdering:
 
 class TestArrayCalendarOperations:
     def test_peek_time_does_not_remove(self):
-        cal = sealed((3.5, EventKind.ARRIVAL, 1))
+        cal = ArrayCalendar([(3.5, EventKind.ARRIVAL, 1)])
         assert cal.peek_time() == 3.5
         assert len(cal) == 1
 
     def test_empty_calendar(self):
-        cal = sealed()
+        cal = ArrayCalendar([])
         assert len(cal) == 0
         assert cal.peek_time() is None
         assert pop_earliest(cal) is None
 
     def test_pop_due_inclusive(self):
-        cal = sealed(
-            *[(t, EventKind.ARRIVAL, i) for i, t in enumerate([1.0, 2.0, 3.0, 4.0])]
+        cal = ArrayCalendar(
+            [(t, EventKind.ARRIVAL, i) for i, t in enumerate([1.0, 2.0, 3.0, 4.0])]
         )
         popped = []
         while (event := cal.pop_due(3.0)) is not None:
@@ -270,14 +262,16 @@ class TestArrayCalendarOperations:
         assert len(cal) == 1
 
     def test_pop_due_empty_result(self):
-        cal = sealed((10.0, EventKind.ARRIVAL, 1))
+        cal = ArrayCalendar([(10.0, EventKind.ARRIVAL, 1)])
         assert cal.pop_due(5.0) is None
         assert len(cal) == 1
 
     def test_pop_due_merges_lanes_under_the_horizon(self):
         """A due dynamic event pops before a later static one, and
         neither pops past the horizon."""
-        cal = sealed((1.0, EventKind.ARRIVAL, 1), (6.0, EventKind.ARRIVAL, 2))
+        cal = ArrayCalendar(
+            [(1.0, EventKind.ARRIVAL, 1), (6.0, EventKind.ARRIVAL, 2)]
+        )
         cal.push(3.0, EventKind.COMPLETION, 9)
         assert cal.pop_due(2.0) == (1.0, int(EventKind.ARRIVAL), 1)
         assert cal.pop_due(2.0) is None  # the dynamic head is not due
@@ -288,8 +282,8 @@ class TestArrayCalendarOperations:
     def test_push_interleaves_with_unconsumed_static_tail(self):
         """Pushes made mid-run land between the static events still
         ahead of the cursor, in time order."""
-        cal = sealed(
-            *[(t, EventKind.ARRIVAL, i) for i, t in enumerate((0.0, 4.0, 8.0))]
+        cal = ArrayCalendar(
+            [(t, EventKind.ARRIVAL, i) for i, t in enumerate((0.0, 4.0, 8.0))]
         )
         assert pop_earliest(cal)[2] == 0
         cal.push(2.0, EventKind.COMPLETION, 10)
@@ -297,10 +291,10 @@ class TestArrayCalendarOperations:
         assert [pop_earliest(cal)[2] for _ in range(4)] == [10, 1, 11, 2]
         assert pop_earliest(cal) is None
 
-    def test_sealed_empty_calendar_runs_on_pushes_alone(self):
-        """An empty static lane is valid: the dynamic lane alone keeps
+    def test_empty_static_list_runs_on_pushes_alone(self):
+        """An empty static list is valid: the heap alone keeps
         the (time, kind, seq) order."""
-        cal = sealed()
+        cal = ArrayCalendar([])
         cal.push(3.0, EventKind.ARRIVAL, 1)
         cal.push(1.0, EventKind.ARRIVAL, 2)
         cal.push(3.0, EventKind.COMPLETION, 3)
@@ -309,7 +303,7 @@ class TestArrayCalendarOperations:
         assert len(cal) == 0
 
     def test_len_spans_both_lanes(self):
-        cal = sealed((1.0, EventKind.ARRIVAL, 1))
+        cal = ArrayCalendar([(1.0, EventKind.ARRIVAL, 1)])
         cal.push(2.0, EventKind.COMPLETION, 1)
         assert len(cal) == 2
         pop_earliest(cal)  # the static head; the pushed event remains
@@ -319,33 +313,23 @@ class TestArrayCalendarOperations:
 
 
 class TestArrayCalendarLifecycle:
-    def test_add_static_after_seal_rejected(self):
-        cal = sealed()
-        with pytest.raises(RuntimeError):
-            cal.add_static(1.0, EventKind.ARRIVAL, 1)
+    """Event times must be finite and >= 0, both at construction and
+    on a mid-run push."""
 
-    def test_push_before_seal_rejected(self):
-        cal = ArrayCalendar()
-        with pytest.raises(RuntimeError):
-            cal.push(1.0, EventKind.COMPLETION, 1)
-
-    def test_double_seal_rejected(self):
-        cal = sealed()
-        with pytest.raises(RuntimeError):
-            cal.seal()
+    @staticmethod
+    def assert_rejected(time):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ArrayCalendar([(time, EventKind.ARRIVAL, 1)])
+        cal = ArrayCalendar([])
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            cal.push(time, EventKind.COMPLETION, 1)
+        assert len(cal) == 0
 
     def test_negative_time_rejected(self):
-        cal = ArrayCalendar()
-        with pytest.raises(ValueError):
-            cal.add_static(-1.0, EventKind.ARRIVAL, 1)
-        cal.seal()
-        with pytest.raises(ValueError):
-            cal.push(-1.0, EventKind.COMPLETION, 1)
+        self.assert_rejected(-1.0)
 
     def test_nan_time_rejected(self):
-        cal = ArrayCalendar()
-        with pytest.raises(ValueError):
-            cal.add_static(float("nan"), EventKind.ARRIVAL, 1)
-        cal.seal()
-        with pytest.raises(ValueError):
-            cal.push(float("nan"), EventKind.COMPLETION, 1)
+        self.assert_rejected(float("nan"))
+
+    def test_inf_time_rejected(self):
+        self.assert_rejected(float("inf"))

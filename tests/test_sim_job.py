@@ -4,7 +4,10 @@ import math
 
 import pytest
 
+from repro.schedulers.fcfs import FCFSScheduler
+from repro.sim.cluster import ResourcePool
 from repro.sim.job import Job, JobState, screen_unschedulable, validate_workload
+from repro.sim.simulator import HPCSimulator, SimulationError
 
 from tests.conftest import make_job
 
@@ -97,6 +100,23 @@ class TestScreenUnschedulable:
     def test_all_fit(self):
         ok, bad = screen_unschedulable([make_job(1)], 256, 2048.0)
         assert len(ok) == 1 and not bad
+
+    def test_agrees_with_simulator_at_the_memory_boundary(self):
+        """The screen keeps exactly the jobs the simulator admits: the
+        same 1e-9 GB memory slack on both sides."""
+        within = make_job(1, nodes=1, memory=64.0 + 5e-10)
+        beyond = make_job(2, nodes=1, memory=64.0 + 1e-6)
+        ok, bad = screen_unschedulable([within, beyond], 8, 64.0)
+        assert (ok, bad) == ([within], [beyond])
+        cluster = ResourcePool(total_nodes=8, total_memory_gb=64.0)
+        sim = HPCSimulator(
+            jobs=[within], scheduler=FCFSScheduler(), cluster=cluster
+        )
+        assert sim.run().record_for(1).end_time == 100.0
+        with pytest.raises(SimulationError, match="exceeds total"):
+            HPCSimulator(
+                jobs=[beyond], scheduler=FCFSScheduler(), cluster=cluster
+            )
 
 
 class TestJobState:

@@ -173,9 +173,11 @@ def test_calendar_pops_one_way():
         node.name for node in calendar.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
-    assert public == {"add_static", "seal", "push", "peek_time", "pop_due"}
-    # No consumed-past floor: a calendar is built, sealed and consumed
-    # by one run, and nothing appends to it afterwards.
+    assert public == {"push", "peek_time", "pop_due"}
+    # The static events are sorted into a plain list: no numpy lanes.
+    assert "numpy" not in imported_packages(_tree("sim/events.py"))
+    # No consumed-past floor: a calendar is built and consumed by one
+    # run, and nothing appends to it afterwards.
     assert [
         path.relative_to(ROOT).as_posix()
         for path in sorted(SRC.rglob("*.py"))
