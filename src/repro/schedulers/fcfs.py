@@ -11,7 +11,8 @@ al., cited by the paper as the classic FCFS+backfilling approach): when
 the head job cannot start, a *reservation* is computed for it — the
 earliest time enough resources will be free, assuming running jobs end
 at their walltime — and smaller jobs may jump the queue only if they
-cannot push that reservation back.
+cannot push that reservation back. Candidates are tried in queue
+order and the first that qualifies starts, so the scan stops there.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Sequence
 
-import numpy as np
-
 from repro.schedulers.base import BaseScheduler
-from repro.schedulers.recovery import fits_healthy_domain, healthy_domain_mask
+from repro.schedulers.recovery import fits_healthy_domain
 from repro.sim.actions import Action, BackfillJob, Delay, StartJob
 from repro.sim.job import Job
 from repro.sim.simulator import RunningJob, SystemView
@@ -125,17 +124,25 @@ class EasyBackfillScheduler(BaseScheduler):
     restart
     (:func:`~repro.schedulers.recovery.fits_healthy_domain`). Flat
     topologies and undisrupted runs skip the check entirely.
+
+    A decision is one pass over the queue snapshot behind the head, in
+    queue order, that stops at the first job allowed to backfill; it
+    builds neither the view's ``queued`` tuple nor its columns. The
+    policy has no columnar kernel: a whole-queue mask pays for every
+    queued job on every decision, while the first hit is typically a
+    fraction of the way down the queue.
     """
 
     name = "fcfs_backfill"
-    supports_columns = True
 
     def decide(self, view: SystemView) -> Action:
         self._clear_meta()
-        head = view.queue.head
+        queue = view.queue
+        head = queue.head
         if head is None:
             return Delay
-        if view.free_nodes < view.queue.min_nodes:
+        free_nodes = view.free_nodes
+        if free_nodes < queue.min_nodes:
             # Fewer free nodes than the smallest request queued: the
             # head is blocked and nothing can backfill around it.
             return Delay
@@ -143,57 +150,26 @@ class EasyBackfillScheduler(BaseScheduler):
         if head_fits and view.drain_safe(head):
             return StartJob(head.job_id)
         # What could start right now comes first: only if something
-        # can is the head's reservation worth computing.
-        if self.columnar(view):
-            cols = view.columns()
-            # Vectorized candidate scan: one boolean mask per facade
-            # predicate, elementwise-identical arithmetic (same 1e-9
-            # slacks, same float64 adds), so the first set bit is the
-            # exact job the scalar scan would have returned.
-            ok = cols.fits_mask() & cols.drain_safe_mask()
-            ok[0] = False  # the head is the reservation, not a candidate
-            if not ok.any():
-                return Delay
-            shadow, extra_nodes, extra_mem = _reservation(
-                view, head, head_fits
-            )
-            if view.remaining_runtimes and view.has_domains:
-                unhealthy = cols.requeued_mask() & ~healthy_domain_mask(
-                    view, cols.nodes
+        # can is the head's reservation worth computing, and then once.
+        mem_limit = view.free_memory_gb + 1e-9
+        drains = view.upcoming_drains
+        requeued = view.remaining_runtimes
+        shadow = None
+        for job in islice(queue, 1, None):
+            if not (
+                job.nodes <= free_nodes and job.memory_gb <= mem_limit
+            ) or (drains and not view.drain_safe(job)):
+                continue
+            if shadow is None:
+                shadow, extra_nodes, extra_mem = _reservation(
+                    view, head, head_fits
                 )
-                ok &= ~unhealthy
-            ok &= (view.now + cols.walltime <= shadow + 1e-9) | (
-                (cols.nodes <= extra_nodes)
-                & (cols.memory_gb <= extra_mem + 1e-9)
-            )
-            hits = np.flatnonzero(ok)
-            if not hits.size:
-                return Delay
-            backfill = cols.id_at(int(hits[0]))
-        else:
-            # islice avoids copying the (possibly long) queue tuple per
-            # decision just to skip the head.
-            fitting = [
-                job
-                for job in islice(view.queued, 1, None)
-                if view.can_fit(job) and view.drain_safe(job)
-            ]
-            if not fitting:
-                return Delay
-            shadow, extra_nodes, extra_mem = _reservation(
-                view, head, head_fits
-            )
-            for job in fitting:
-                requeued = job.job_id in view.remaining_runtimes
-                if requeued and not fits_healthy_domain(view, job):
-                    continue
-                if view.now + job.walltime <= shadow + 1e-9 or (
-                    job.nodes <= extra_nodes
-                    and job.memory_gb <= extra_mem + 1e-9
-                ):
-                    backfill = job.job_id
-                    break
-            else:
-                return Delay
-        self._set_meta(shadow_time=shadow, reserved_job=head.job_id)
-        return BackfillJob(backfill)
+            if job.job_id in requeued and not fits_healthy_domain(view, job):
+                continue
+            if view.now + job.walltime <= shadow + 1e-9 or (
+                job.nodes <= extra_nodes
+                and job.memory_gb <= extra_mem + 1e-9
+            ):
+                self._set_meta(shadow_time=shadow, reserved_job=head.job_id)
+                return BackfillJob(job.job_id)
+        return Delay

@@ -24,15 +24,15 @@ the *spread-across-domains* placement helpers:
 :func:`spread_requeue` (demote requeued jobs that currently have no
 healthy domain to restart into). Both are identity/no-op on flat
 topologies, so recovery-aware policies stay byte-identical on legacy
-runs.
+runs. Both ask per job: EASY backfill consults the predicate only for
+a requeued job that could start right now, too few per decision for a
+vectorized form to pay.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.sim.job import Job
 from repro.sim.simulator import SystemView
@@ -116,42 +116,6 @@ def fits_healthy_domain(view: SystemView, job: Job) -> bool:
             for lo in range(0, topo.n_racks, per)
         )
     return any(job.nodes <= rack_free for rack_free in free)
-
-
-def healthy_domain_mask(view: SystemView, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`fits_healthy_domain` over a node-count column.
-
-    One boolean per entry of *nodes* (a per-job node-request vector in
-    any order the caller likes), elementwise-identical to calling the
-    scalar predicate per job: the test depends on a job only through
-    its node count, so the three placement levels collapse to three
-    scalar capacity ceilings computed once —
-
-    * single-rack jobs (``nodes <= rack_size``) need the best rack's
-      free nodes,
-    * switch-group jobs need the best group's summed free nodes,
-    * group-spanning jobs are vacuously True.
-
-    All-True (no copy semantics beyond one array) when the view has no
-    real failure domains.
-    """
-    n = len(nodes)
-    if not view.has_domains:
-        return np.ones(n, dtype=bool)
-    topo = view.topology
-    free = np.asarray(view.domain_free_nodes, dtype=np.int64)
-    rack_cap = int(free.max())
-    rack_size = topo.rack_size
-    group_size = rack_size * topo.racks_per_switch
-    nodes = np.asarray(nodes)
-    mask = nodes <= rack_cap
-    over_rack = nodes > rack_size
-    if over_rack.any():
-        starts = np.arange(0, topo.n_racks, topo.racks_per_switch)
-        group_cap = int(np.add.reduceat(free, starts).max())
-        np.copyto(mask, nodes <= group_cap, where=over_rack)
-        mask |= nodes > group_size
-    return mask
 
 
 def spread_requeue(view: SystemView, jobs: Sequence[Job]) -> list[Job]:

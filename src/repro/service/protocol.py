@@ -155,29 +155,31 @@ def preemption_to_wire(p: Any) -> dict[str, Any]:
 def schedule_digest(
     result: Any, metrics: Mapping[str, float]
 ) -> str:
-    """Full-precision behavioural digest of one served schedule."""
-    h = hashlib.sha256()
-    for rec in result.records:
-        h.update(
-            f"{rec.job.job_id},{rec.start_time.hex()},"
-            f"{rec.end_time.hex()},{rec.killed}\n".encode()
-        )
-    for d in result.decisions:
-        h.update(
-            f"{d.time.hex()},{d.action.kind.value},{d.accepted},"
-            f"{len(d.violations)}\n".encode()
-        )
+    """Full-precision behavioural digest of one served schedule.
+
+    The lines :func:`wire_digest` hashes one ``update`` at a time,
+    joined and hashed in one: the same digest, one call.
+    """
+    lines = [
+        f"{rec.job.job_id},{rec.start_time.hex()},"
+        f"{rec.end_time.hex()},{rec.killed}\n"
+        for rec in result.records
+    ]
+    lines += [
+        f"{d.time.hex()},{d.action.kind.value},{d.accepted},"
+        f"{len(d.violations)}\n"
+        for d in result.decisions
+    ]
     for p in result.preemptions:
         restart = (
             p.restart_time.hex() if p.restart_time is not None else "None"
         )
-        h.update(
+        lines.append(
             f"{p.job_id},{p.time.hex()},{p.reason},{p.work_saved.hex()},"
-            f"{p.work_lost.hex()},{restart}\n".encode()
+            f"{p.work_lost.hex()},{restart}\n"
         )
-    for k, v in sorted(metrics.items()):
-        h.update(f"{k}={float(v).hex()}\n".encode())
-    return h.hexdigest()
+    lines += [f"{k}={float(v).hex()}\n" for k, v in sorted(metrics.items())]
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def wire_digest(

@@ -26,7 +26,9 @@ Three layers, matching how often each changes:
   keeps the queue of its own instant. Everything read from it is
   cached per copy — the ``queued`` tuple, built only for a reader that
   asks for it, and the gathered columns — so a stable backlog pays
-  zero per-decision build or gather cost.
+  zero per-decision build or gather cost. A reader that walks the
+  queue in order (EASY backfill) iterates the snapshot itself and
+  builds neither.
 * :class:`ViewColumns` — the per-view handle returned by
   :meth:`~repro.sim.simulator.SystemView.columns`: queue columns plus
   the view's capacity scalars/vectors and the derived per-decision
@@ -60,7 +62,9 @@ from __future__ import annotations
 
 import weakref
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union,
+)
 
 import numpy as np
 
@@ -152,8 +156,9 @@ class QueueColumns:
     hands over an ``array('q')`` copy and the run's job list, which
     nothing mutates, so a snapshot read after later queue changes still
     shows the queue of its own instant. Each read is paid only by a
-    reader that needs it: ``n``, ``head`` and ``snapshot[k]`` go through
-    the copy (Python scalars, no per-job work); :meth:`as_tuple`
+    reader that needs it: ``n``, ``head``, ``snapshot[k]`` and
+    iteration go through the copy (Python scalars, no per-job work
+    beyond the jobs actually read); :meth:`as_tuple`
     and the gathered columns are built once and cached, so every view
     of one queue state shares them. The first ``sel`` access wraps the
     copy through the buffer protocol with no per-element conversion.
@@ -203,16 +208,19 @@ class QueueColumns:
         pos = self._pos
         return self._jobs[k if pos is None else pos[k]]
 
+    def __iter__(self) -> Iterator["Job"]:
+        """The queued jobs in queue order, one at a time off the
+        position copy: no tuple and no columns built, and a reader that
+        stops early reads no further."""
+        pos = self._pos
+        jobs = self._jobs
+        return iter(jobs) if pos is None else map(jobs.__getitem__, pos)
+
     def as_tuple(self) -> tuple["Job", ...]:
         """The queued jobs, queue order; built once and cached."""
         queued = self._queued
         if queued is None:
-            pos = self._pos
-            jobs = self._jobs
-            queued = self._queued = (
-                tuple(jobs) if pos is None
-                else tuple(map(jobs.__getitem__, pos))
-            )
+            queued = self._queued = tuple(self)
         return queued
 
     @property
@@ -293,13 +301,12 @@ class ViewColumns:
     the view: once the view is freed they have nothing to read.
     """
 
-    __slots__ = ("_q", "_view", "_fits", "_requeued")
+    __slots__ = ("_q", "_view", "_fits")
 
     def __init__(self, queue_cols: QueueColumns, view: "SystemView") -> None:
         self._q = queue_cols
         self._view = weakref.ref(view)
         self._fits: Optional[np.ndarray] = None
-        self._requeued: Optional[np.ndarray] = None
 
     # -- queue-order attribute columns ---------------------------------
     @property
@@ -326,10 +333,6 @@ class ViewColumns:
     @property
     def memory_gb(self) -> np.ndarray:
         return self._q.col("memory_gb")
-
-    @property
-    def walltime(self) -> np.ndarray:
-        return self._q.col("walltime")
 
     def rank(self, key: str) -> np.ndarray:
         """Queue-order rank by ``(key, job_id)``: see
@@ -372,43 +375,3 @@ class ViewColumns:
             )
             self._fits = mask
         return mask
-
-    def requeued_mask(self) -> np.ndarray:
-        """Mask of queued jobs that were evicted and requeued (present
-        in ``remaining_runtimes``) — the population the
-        spread-across-domains restart gate applies to."""
-        mask = self._requeued
-        if mask is None:
-            rem = self._view().remaining_runtimes
-            if not rem:
-                mask = np.zeros(self.n, dtype=bool)
-            else:
-                # Membership in the view's own mapping, id by id: one
-                # hash probe each, no sort-and-search over two arrays.
-                mask = np.fromiter(
-                    map(rem.__contains__, self.ids.tolist()),
-                    dtype=bool,
-                    count=self.n,
-                )
-            self._requeued = mask
-        return mask
-
-    def drain_safe_mask(self) -> np.ndarray:
-        """Mask of queued jobs that are drain-safe right now.
-
-        All-True with no announced drains (the vacuous fast path every
-        undisrupted decision takes, allocation-free beyond one array).
-        With drains pending, the per-job capacity test delegates to the
-        scalar :meth:`SystemView.drain_safe` — drain decision points
-        are rare and the peak-overlap window differs per job, so a
-        faithful scalar loop beats a speculative vectorization here.
-        """
-        view = self._view()
-        if not view.upcoming_drains:
-            return np.ones(self.n, dtype=bool)
-        queued = view.queued
-        return np.fromiter(
-            (view.drain_safe(job) for job in queued),
-            dtype=bool,
-            count=self.n,
-        )

@@ -129,8 +129,9 @@ class DrainWindow:
     """A scheduled maintenance window taking ``nodes`` nodes offline.
 
     ``announce_time`` is when the window becomes visible to schedulers
-    (via ``SystemView.upcoming_drains``); it defaults to ``start``
-    (no advance notice) and is clamped to 0.
+    (via ``SystemView.upcoming_drains``); a negative value (the
+    default) means ``start`` (no advance notice), and the result is
+    clamped to 0. NaN and ``+inf`` are rejected.
     """
 
     start: float
@@ -139,6 +140,10 @@ class DrainWindow:
     announce_time: float = -1.0
 
     def __post_init__(self) -> None:
+        if not self.announce_time < math.inf:
+            raise ValueError(
+                f"drain announce_time must not be NaN or +inf: {self}"
+            )
         if self.announce_time < 0:
             object.__setattr__(self, "announce_time", float(self.start))
         object.__setattr__(

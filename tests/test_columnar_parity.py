@@ -10,10 +10,7 @@
    master arrays (the same :class:`JobColumns` object across every
    decision), hand-built views gather through the identity selector
    (columns *are* the masters), and every exposed column is read-only.
-3. **Vectorized-predicate equivalence**: ``healthy_domain_mask`` is
-   elementwise-identical to the scalar ``fits_healthy_domain`` on
-   rack-, switch-group-, and cluster-scale node counts.
-4. **Queue churn parity**: a high-churn disrupted run (kills and
+3. **Queue churn parity**: a high-churn disrupted run (kills and
    requeues at every failure) is identical to the object oracle's.
 """
 
@@ -21,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.schedulers.base import BaseScheduler
-from repro.schedulers.recovery import fits_healthy_domain, healthy_domain_mask
 from repro.schedulers.registry import available_schedulers, create_scheduler
 from repro.sim.cluster import ResourcePool
 from repro.sim.columns import (
@@ -145,8 +141,11 @@ class TestColumnarFacadeParity:
             assert facade_only(create_scheduler(name)).supports_columns \
                 is False
         # The planner sorts once per replan, not per decision: its
-        # columnar twin measured inside the noise and was deleted.
-        for name in ("random", "ortools_like"):
+        # columnar twin measured inside the noise and was deleted. EASY
+        # backfill stops at the first job that may backfill, which a
+        # whole-queue mask cannot: one scan, pinned by digest in
+        # test_backfill_floor.
+        for name in ("random", "ortools_like", "fcfs_backfill"):
             assert name not in COLUMNAR_POLICIES
 
 
@@ -245,64 +244,6 @@ class TestZeroCopy:
         assert cols.fits_mask().tolist() == [True, True]
         assert cols.fits_mask() is cols.fits_mask()  # cached mask
         assert cols.fits_at(0) and cols.id_at(1) == 2
-
-
-def domain_view(*, domain_free, racks_per_switch=2):
-    topo = ClusterTopology(
-        n_nodes=64, rack_size=16, racks_per_switch=racks_per_switch
-    )
-    return SystemView(
-        now=0.0,
-        queued=(),
-        running=(),
-        completed_ids=(),
-        free_nodes=sum(domain_free),
-        free_memory_gb=512.0,
-        total_nodes=64,
-        total_memory_gb=512.0,
-        pending_arrivals=0,
-        next_arrival_time=None,
-        next_completion_time=None,
-        topology=topo,
-        domain_free_nodes=tuple(domain_free),
-    )
-
-
-class TestHealthyDomainMask:
-    #: Every placement level: sub-rack, exactly rack, switch-group,
-    #: exactly group, and group-spanning (vacuously healthy).
-    NODE_COUNTS = [1, 2, 4, 8, 15, 16, 17, 24, 31, 32, 33, 48, 64]
-
-    @pytest.mark.parametrize(
-        "domain_free,racks_per_switch",
-        [
-            pytest.param((16, 16, 16, 16), 2, id="all-free"),
-            pytest.param((0, 2, 16, 4), 2, id="uneven"),
-            pytest.param((0, 0, 0, 0), 2, id="exhausted"),
-            pytest.param((0, 2, 16, 4), 1, id="rack-per-switch"),
-        ],
-    )
-    def test_matches_scalar_predicate(self, domain_free, racks_per_switch):
-        view = domain_view(
-            domain_free=domain_free, racks_per_switch=racks_per_switch
-        )
-        nodes = np.array(self.NODE_COUNTS, dtype=np.int64)
-        mask = healthy_domain_mask(view, nodes)
-        scalar = [
-            fits_healthy_domain(view, make_job(i + 1, nodes=int(n)))
-            for i, n in enumerate(self.NODE_COUNTS)
-        ]
-        assert mask.tolist() == scalar
-
-    def test_all_true_without_domains(self):
-        view = SystemView(
-            now=0.0, queued=(), running=(), completed_ids=(),
-            free_nodes=4, free_memory_gb=32.0, total_nodes=64,
-            total_memory_gb=512.0, pending_arrivals=0,
-            next_arrival_time=None, next_completion_time=None,
-        )
-        nodes = np.array([1, 64], dtype=np.int64)
-        assert healthy_domain_mask(view, nodes).all()
 
 
 class TestQueueChurn:

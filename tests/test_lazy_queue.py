@@ -11,18 +11,20 @@ halves are pinned here:
 1. **Isolation**: a tuple first built long after its view's instant —
    after later starts, kills and requeues — is still the queue of that
    instant (a hypothesis property over generated runs).
-2. **Counts, not a stopwatch**: ``fcfs`` on a deep backlog and the
-   columnar kernels on a 40-deep queue hand back every view with
-   ``queued`` never built; only the facade kernels of short queues
-   build it. The same holds for a view's
-   :class:`~repro.sim.columns.ViewColumns`, built on the first
-   ``columns()`` call: ``fcfs`` builds none, the columnar kernels at
-   most one per view and none below ``COLUMNAR_MIN_QUEUE``, and a
-   hand-built view takes the facade path until columns are attached.
+2. **Counts, not a stopwatch**: ``fcfs`` on a deep backlog,
+   ``fcfs_backfill`` at any depth and the columnar kernels on a
+   40-deep queue hand back every view with ``queued`` never built;
+   only the facade kernels of short queues build it. The same holds
+   for a view's :class:`~repro.sim.columns.ViewColumns`, built on the
+   first ``columns()`` call: ``fcfs`` and ``fcfs_backfill`` build
+   none, the columnar kernels at most one per view and none below
+   ``COLUMNAR_MIN_QUEUE``, and a hand-built view takes the facade path
+   until columns are attached.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 
 import pytest
@@ -31,11 +33,17 @@ from hypothesis import given, settings, strategies as st
 import repro.sim.columns as columns
 from repro.schedulers.registry import available_schedulers, create_scheduler
 from repro.sim.cluster import ResourcePool
-from repro.sim.columns import COLUMNAR_MIN_QUEUE
+from repro.sim.columns import (
+    COLUMNAR_MIN_QUEUE,
+    JobColumns,
+    QueueColumns,
+    queue_columns_from_jobs,
+)
 from repro.sim.disruptions import DisruptionSpec, estimate_horizon
 from repro.sim.simulator import simulate
 from repro.workloads.generator import generate_workload
 
+from tests.conftest import make_job
 from tests.test_core_reasoning import make_view
 from tests.test_properties import build_jobs, job_lists
 
@@ -89,6 +97,29 @@ def test_a_late_first_read_shows_the_queue_of_its_instant(
     for view, then in held:
         assert view.queued == then
         assert view.queue.n == len(then)
+
+
+def test_iterating_a_snapshot_reads_only_the_jobs_taken():
+    """``iter(view.queue)`` walks the position copy in queue order, one
+    job-list read per job taken, and caches neither the tuple nor a
+    column; over a hand-built queue it walks the jobs themselves."""
+    jobs = [make_job(i, nodes=i) for i in range(1, 7)]
+    reads = []
+
+    class ReadLogging(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    snapshot = QueueColumns(
+        ReadLogging(jobs), JobColumns(jobs), array("q", [4, 1, 3])
+    )
+    assert reads == [4]  # the head, read once when the snapshot is taken
+    walk = iter(snapshot)
+    assert next(walk) is jobs[4] and reads == [4, 4]
+    assert list(walk) == [jobs[1], jobs[3]] and reads == [4, 4, 1, 3]
+    assert snapshot._queued is None and not snapshot._gathered
+    assert list(queue_columns_from_jobs(tuple(jobs))) == jobs
 
 
 @pytest.fixture
@@ -146,19 +177,32 @@ def test_columnar_kernels_never_build_the_tuple(column_builds):
     jobs = generate_workload(
         "heterogeneous_mix", 40, seed=0, arrival_mode="zero"
     )
-    for name in ("fcfs_backfill", "sjf_firstfit"):
-        log = depth_and_built(name, jobs, column_builds)
-        deep = [
-            (was_built, n_columns) for depth, was_built, n_columns in log
-            if depth >= COLUMNAR_MIN_QUEUE
-        ]
-        assert len(deep) >= 40 - COLUMNAR_MIN_QUEUE, name
-        assert sum(was_built for was_built, _ in deep) == 0, name
-        assert max(n_columns for _, n_columns in deep) == 1, name
-        assert sum(
-            n_columns for depth, _, n_columns in log
-            if depth < COLUMNAR_MIN_QUEUE
-        ) == 0, name
+    log = depth_and_built("sjf_firstfit", jobs, column_builds)
+    deep = [
+        (was_built, n_columns) for depth, was_built, n_columns in log
+        if depth >= COLUMNAR_MIN_QUEUE
+    ]
+    assert len(deep) >= 40 - COLUMNAR_MIN_QUEUE
+    assert sum(was_built for was_built, _ in deep) == 0
+    assert max(n_columns for _, n_columns in deep) == 1
+    assert sum(
+        n_columns for depth, _, n_columns in log
+        if depth < COLUMNAR_MIN_QUEUE
+    ) == 0
+
+
+def test_easy_backfill_builds_neither_at_any_depth(column_builds):
+    """``fcfs_backfill`` walks the snapshot itself: from a full
+    40-deep queue down to the last job, no decision builds the tuple
+    or the columns."""
+    jobs = generate_workload(
+        "heterogeneous_mix", 40, seed=0, arrival_mode="zero"
+    )
+    log = depth_and_built("fcfs_backfill", jobs, column_builds)
+    depths = {depth for depth, _, _ in log}
+    assert max(depths) == 40 and min(depths) <= 1
+    assert sum(was_built for _, was_built, _ in log) == 0
+    assert sum(n_columns for _, _, n_columns in log) == 0
 
 
 COLUMNAR_POLICIES = [

@@ -7,6 +7,7 @@ LRU eviction, and the in-flight coalescing fast path.
 """
 
 import asyncio
+import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +19,7 @@ from repro.service.cache import CacheStats, ResultCache
 from repro.service.client import wait_for_server
 from repro.service.server import ServiceServer
 from repro.service.service import SchedulingService
+from repro.sim.disruptions import DisruptionSpec
 from repro.sim.job import Job
 
 
@@ -97,6 +99,42 @@ class TestDigestParity:
         assert protocol.schedule_digest(result, metrics) == (
             protocol.wire_digest([], [], wire, metrics)
         )
+
+    def test_one_update_hashes_what_one_update_per_line_did(self):
+        """``schedule_digest`` joins its lines and hashes them at once;
+        on a disrupted run with preemptions it equals the line-by-line
+        hash it replaced."""
+        run = run_single(
+            "checkpoint_stress", 40, "fcfs_backfill",
+            disruptions=DisruptionSpec(mtbf=20_000.0, mttr=1_200.0, seed=3),
+            restart_policy="checkpoint", checkpoint_interval=900.0,
+        )
+        result, metrics = run.result, run.metrics.as_dict()
+        assert result.preemptions
+        h = hashlib.sha256()
+        for rec in result.records:
+            h.update(
+                f"{rec.job.job_id},{rec.start_time.hex()},"
+                f"{rec.end_time.hex()},{rec.killed}\n".encode()
+            )
+        for d in result.decisions:
+            h.update(
+                f"{d.time.hex()},{d.action.kind.value},{d.accepted},"
+                f"{len(d.violations)}\n".encode()
+            )
+        for p in result.preemptions:
+            restart = (
+                p.restart_time.hex() if p.restart_time is not None
+                else "None"
+            )
+            h.update(
+                f"{p.job_id},{p.time.hex()},{p.reason},"
+                f"{p.work_saved.hex()},{p.work_lost.hex()},"
+                f"{restart}\n".encode()
+            )
+        for k, v in sorted(metrics.items()):
+            h.update(f"{k}={float(v).hex()}\n".encode())
+        assert protocol.schedule_digest(result, metrics) == h.hexdigest()
 
     def test_wire_digest_distinguishes_restart_shapes(self):
         base = dict(

@@ -75,6 +75,20 @@ class TestTraceModels:
     def test_drain_announce_defaults_to_start(self):
         d = DrainWindow(start=5.0, end=10.0, nodes=2)
         assert d.announce_time == 5.0
+        early = DrainWindow(start=5.0, end=10.0, nodes=2, announce_time=-3.0)
+        assert early.announce_time == 5.0
+        assert DrainWindow(
+            start=5.0, end=10.0, nodes=2, announce_time=-math.inf
+        ).announce_time == 5.0
+
+    @pytest.mark.parametrize("announce_time", [math.nan, math.inf])
+    def test_drain_announce_rejects_nan_and_inf(self, announce_time):
+        # NaN once slipped past the negative-sentinel test and was
+        # clamped to 0: a drain announced at t = 0.
+        with pytest.raises(ValueError, match="NaN or \\+inf"):
+            DrainWindow(
+                start=5.0, end=10.0, nodes=1, announce_time=announce_time
+            )
 
     def test_trace_sorts_and_rejects_overlapping_node_failures(self):
         a = NodeFailure(10.0, 3, 20.0)
