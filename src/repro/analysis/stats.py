@@ -13,19 +13,57 @@ from typing import Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's linear interpolation between *a* and *b*: from the
+    nearer end, so ``t`` of 0 and 1 return *a* and *b* exactly."""
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
+
+
+def _percentiles(ordered: Sequence[float], qs: Sequence[float]) -> list[float]:
+    """The *qs* percentiles of the ascending *ordered* values by
+    ``np.percentile``'s default (linear) rule, bit for bit."""
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        vi = last * (q / 100)
+        lo = int(vi)
+        out.append(
+            _lerp(ordered[min(lo, last)], ordered[min(lo + 1, last)], vi - lo)
+        )
+    return out
+
+
 class BoxStats:
     """Five-number summary with Tukey whiskers and outliers."""
 
-    n: int
-    median: float
-    q1: float
-    q3: float
-    whisker_lo: float
-    whisker_hi: float
-    outliers: tuple[float, ...]
-    mean: float
-    std: float
+    __slots__ = (
+        "n", "median", "q1", "q3", "whisker_lo", "whisker_hi", "outliers",
+        "mean", "std",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        median: float,
+        q1: float,
+        q3: float,
+        whisker_lo: float,
+        whisker_hi: float,
+        outliers: tuple[float, ...],
+        mean: float,
+        std: float,
+    ) -> None:
+        self.n = n
+        self.median = median
+        self.q1 = q1
+        self.q3 = q3
+        self.whisker_lo = whisker_lo
+        self.whisker_hi = whisker_hi
+        self.outliers = outliers
+        self.mean = mean
+        self.std = std
 
     @property
     def iqr(self) -> float:
@@ -45,10 +83,11 @@ def box_stats(values: Sequence[float]) -> BoxStats:
     Whiskers extend to the most extreme data point within 1.5·IQR of
     the quartiles; anything beyond is an outlier.
     """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    values = [float(v) for v in values]
+    if not values:
         raise ValueError("box_stats requires at least one value")
-    q1, med, q3 = np.percentile(arr, [25, 50, 75])
+    arr = np.asarray(values)
+    q1, med, q3 = _percentiles(sorted(values), (25, 50, 75))
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr
@@ -60,9 +99,9 @@ def box_stats(values: Sequence[float]) -> BoxStats:
     )
     return BoxStats(
         n=int(arr.size),
-        median=float(med),
-        q1=float(q1),
-        q3=float(q3),
+        median=med,
+        q1=q1,
+        q3=q3,
         whisker_lo=whisker_lo,
         whisker_hi=whisker_hi,
         outliers=outliers,
@@ -71,7 +110,7 @@ def box_stats(values: Sequence[float]) -> BoxStats:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LatencySummary:
     """Per-call latency distribution summary (Figs. 5/6 right panels)."""
 
@@ -98,17 +137,18 @@ class LatencySummary:
 
 def summarize_latencies(latencies: Sequence[float]) -> LatencySummary:
     """Summarize a list of per-call latencies (seconds)."""
-    arr = np.asarray(list(latencies), dtype=float)
-    if arr.size == 0:
+    values = [float(v) for v in latencies]
+    if not values:
         return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
-    p50, p90, p99 = np.percentile(arr, [50, 90, 99])
+    arr = np.asarray(values)
+    p50, p90, p99 = _percentiles(sorted(values), (50, 90, 99))
     return LatencySummary(
         n_calls=int(arr.size),
         total_s=float(arr.sum()),
         mean_s=float(arr.mean()),
-        median_s=float(p50),
-        p90_s=float(p90),
-        p99_s=float(p99),
+        median_s=p50,
+        p90_s=p90,
+        p99_s=p99,
         max_s=float(arr.max()),
         std_s=float(arr.std()),
         over_100s=int((arr > 100.0).sum()),

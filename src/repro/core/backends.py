@@ -25,17 +25,21 @@ from repro.core.prompt import PromptContext, estimate_tokens
 from repro.core.reasoning import ReasoningPolicy, ReasoningStep
 
 
-@dataclass(frozen=True)
 class LLMReply:
     """One model completion with its (virtual) cost."""
 
-    text: str
-    latency_s: float
-    input_tokens: int
-    output_tokens: int
+    __slots__ = ("text", "latency_s", "input_tokens", "output_tokens")
+
+    def __init__(
+        self, text: str, latency_s: float, input_tokens: int, output_tokens: int
+    ) -> None:
+        self.text = text
+        self.latency_s = latency_s
+        self.input_tokens = input_tokens
+        self.output_tokens = output_tokens
 
 
-@dataclass
+@dataclass(repr=False)
 class LLMCallRecord:
     """Bookkeeping for one LLM call, the unit of overhead analysis.
 

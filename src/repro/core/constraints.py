@@ -49,16 +49,6 @@ def render_feedback(
                 f"{view.free_nodes} Nodes, {view.free_memory_gb:g} GB."
             )
 
-    if ViolationKind.EXCEEDS_CAPACITY in kinds:
-        detail = next(
-            v.detail
-            for v in violations
-            if v.kind is ViolationKind.EXCEEDS_CAPACITY
-        )
-        return (
-            f"Job {job_id} can never run on this system — {detail}."
-        )
-
     if ViolationKind.NOT_QUEUED in kinds:
         return (
             f"Job {job_id} is not in the waiting queue (it may be "

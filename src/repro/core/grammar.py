@@ -19,7 +19,6 @@ so the feedback loop can correct them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from repro.sim.actions import Action, ActionKind, BackfillJob, Delay, StartJob, Stop
 
@@ -28,7 +27,6 @@ class ActionParseError(ValueError):
     """A reply's Action line could not be understood."""
 
 
-@dataclass(frozen=True)
 class ParsedReply:
     """A parsed ReAct reply: free-form thought + structured action.
 
@@ -36,9 +34,14 @@ class ParsedReply:
     empty for a one-action reply.
     """
 
-    thought: str
-    action: Action
-    rest: tuple[Action, ...] = ()
+    __slots__ = ("thought", "action", "rest")
+
+    def __init__(
+        self, thought: str, action: Action, rest: tuple[Action, ...] = ()
+    ) -> None:
+        self.thought = thought
+        self.action = action
+        self.rest = rest
 
 
 _ACTION_LINE = re.compile(r"^\s*action\s*:\s*(?P<body>.+?)\s*$", re.IGNORECASE)

@@ -64,7 +64,7 @@ class PolicyWeights:
                 raise ValueError(f"{name} weight must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LatencyModel:
     """Virtual per-call latency sampler.
 
@@ -103,7 +103,7 @@ class LatencyModel:
         return float(latency)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ModelProfile:
     """Everything that distinguishes one simulated LLM from another."""
 

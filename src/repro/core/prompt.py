@@ -51,7 +51,7 @@ Thought: <your reasoning>
 Action: <your action>"""
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class PromptContext:
     """Structured companion to the rendered prompt text."""
 
@@ -60,7 +60,6 @@ class PromptContext:
     prompt_text: str
 
 
-@dataclass
 class _Fragments:
     """Prompt text a :class:`PromptBuilder` has already rendered.
 
@@ -69,23 +68,24 @@ class _Fragments:
     ids can never see each other's lines.
     """
 
-    #: job id -> (job, its waiting line up to ``waiting=``).
-    job_prefix: dict[int, tuple[Job, str]] = field(default_factory=dict)
-    #: The clock value ``waiting`` was rendered for.
-    instant: Optional[float] = None
-    #: job id -> (job, its finished waiting line at ``instant``).
-    waiting: dict[int, tuple[Job, str]] = field(default_factory=dict)
-    #: job id -> (running job, its line).
-    running: dict[int, tuple[RunningJob, str]] = field(default_factory=dict)
-    #: The completion-log snapshot ``completed_text`` joins.
-    completed: Optional[CompletedLog] = None
-    completed_text: str = ""
-    lines_rendered: int = 0
-    lines_reused: int = 0
-    completed_ids_rendered: int = 0
+    def __init__(self) -> None:
+        #: job id -> (job, its waiting line up to ``waiting=``).
+        self.job_prefix: dict[int, tuple[Job, str]] = {}
+        #: The clock value ``waiting`` was rendered for.
+        self.instant: Optional[float] = None
+        #: job id -> (job, its finished waiting line at ``instant``).
+        self.waiting: dict[int, tuple[Job, str]] = {}
+        #: job id -> (running job, its line).
+        self.running: dict[int, tuple[RunningJob, str]] = {}
+        #: The completion-log snapshot ``completed_text`` joins.
+        self.completed: Optional[CompletedLog] = None
+        self.completed_text = ""
+        self.lines_rendered = 0
+        self.lines_reused = 0
+        self.completed_ids_rendered = 0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class PromptBuilder:
     """Builds §3.4-style prompts from a system view + scratchpad.
 

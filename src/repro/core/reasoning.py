@@ -24,7 +24,6 @@ carries — so swapping in a real API backend changes nothing upstream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,16 +52,28 @@ def _median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-@dataclass(frozen=True)
 class JobScore:
     """Per-job multiobjective score decomposition."""
 
-    job: Job
-    fairness: float
-    makespan: float
-    utilization: float
-    throughput: float
-    total: float
+    __slots__ = (
+        "job", "fairness", "makespan", "utilization", "throughput", "total"
+    )
+
+    def __init__(
+        self,
+        job: Job,
+        fairness: float,
+        makespan: float,
+        utilization: float,
+        throughput: float,
+        total: float,
+    ) -> None:
+        self.job = job
+        self.fairness = fairness
+        self.makespan = makespan
+        self.utilization = utilization
+        self.throughput = throughput
+        self.total = total
 
     def dominant_objective(self) -> str:
         parts = {
@@ -74,23 +85,29 @@ class JobScore:
         return max(parts, key=parts.get)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
 class ReasoningStep:
     """One decision produced by the policy."""
 
-    thought: str
-    action: Action
-    hallucinated: bool = False
+    __slots__ = ("thought", "action", "hallucinated")
+
+    def __init__(
+        self, thought: str, action: Action, hallucinated: bool = False
+    ) -> None:
+        self.thought = thought
+        self.action = action
+        self.hallucinated = hallucinated
 
 
-@dataclass
 class ReasoningPolicy:
     """Deterministic multiobjective decision policy for one model profile."""
 
-    profile: ModelProfile
-    rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0)
-    )
+    def __init__(
+        self,
+        profile: ModelProfile,
+        rng: Optional[np.random.Generator] = None,
+    ) -> None:
+        self.profile = profile
+        self.rng = np.random.default_rng(0) if rng is None else rng
 
     # -- scoring -----------------------------------------------------------
     def score_jobs(

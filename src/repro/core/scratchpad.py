@@ -10,27 +10,28 @@ analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional
 
 
-@dataclass(frozen=True)
 class ScratchpadEntry:
     """One scratchpad line: a decision or an environment feedback."""
 
-    time: float
-    thought: str
-    action_text: str
-    feedback: str = ""
+    def __init__(
+        self, time: float, thought: str, action_text: str, feedback: str = ""
+    ) -> None:
+        self.time = time
+        self.thought = thought
+        self.action_text = action_text
+        self.feedback = feedback
 
     def render(self) -> str:
         return self._text
 
     @cached_property
     def _text(self) -> str:
-        # An entry is frozen, so it is rendered once however many
-        # prompts its window puts it in.
+        # An entry is never changed (feedback replaces it), so it is
+        # rendered once however many prompts its window puts it in.
         parts = [f"[t={self.time:g}] Action: {self.action_text}"]
         if self.thought:
             # Keep the scratchpad compact: first line of the thought only.
@@ -41,7 +42,6 @@ class ScratchpadEntry:
         return "\n".join(parts)
 
 
-@dataclass
 class Scratchpad:
     """Append-only decision history with windowed rendering.
 
@@ -51,10 +51,17 @@ class Scratchpad:
         How many most-recent entries to include when rendering into a
         prompt (``None`` renders everything). The full history is kept
         regardless — Fig. 2's analysis reads it back out.
+    entries:
+        The history to start from (a new list by default).
     """
 
-    window: Optional[int] = 12
-    entries: list[ScratchpadEntry] = field(default_factory=list)
+    def __init__(
+        self,
+        window: Optional[int] = 12,
+        entries: Optional[list[ScratchpadEntry]] = None,
+    ) -> None:
+        self.window = window
+        self.entries = [] if entries is None else entries
 
     def append(
         self,

@@ -42,7 +42,6 @@ DEFAULT_SCHEDULERS: tuple[str, ...] = (
 LLM_SCHEDULERS: tuple[str, ...] = ("claude-3.7-sim", "o4-mini-sim")
 
 
-@dataclass(frozen=True)
 class OverheadSummary:
     """LLM computational overhead of one run (paper §3.7).
 
@@ -52,13 +51,28 @@ class OverheadSummary:
     job count plus backfill variation).
     """
 
-    model: str
-    elapsed_s: float
-    n_calls: int
-    n_accepted_placements: int
-    n_rejected: int
-    latency: LatencySummary
-    all_call_latencies: tuple[float, ...]
+    __slots__ = (
+        "model", "elapsed_s", "n_calls", "n_accepted_placements",
+        "n_rejected", "latency", "all_call_latencies",
+    )
+
+    def __init__(
+        self,
+        model: str,
+        elapsed_s: float,
+        n_calls: int,
+        n_accepted_placements: int,
+        n_rejected: int,
+        latency: LatencySummary,
+        all_call_latencies: tuple[float, ...],
+    ) -> None:
+        self.model = model
+        self.elapsed_s = elapsed_s
+        self.n_calls = n_calls
+        self.n_accepted_placements = n_accepted_placements
+        self.n_rejected = n_rejected
+        self.latency = latency
+        self.all_call_latencies = all_call_latencies
 
     @classmethod
     def from_result(cls, result: ScheduleResult) -> Optional["OverheadSummary"]:
@@ -108,7 +122,7 @@ def cell_key(
             str(topology))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ExperimentRun:
     """One simulated (workload, scheduler) pair with its measurements."""
 

@@ -18,12 +18,6 @@ from repro.metrics.disruption import (
     wasted_node_hours,
     work_lost_per_kill,
 )
-from repro.metrics.energy import (
-    EnergyReport,
-    PowerModel,
-    compare_energy,
-    energy_report,
-)
 from repro.metrics.fairness import jain_index
 from repro.metrics.normalize import (
     LOWER_BETTER,
@@ -46,15 +40,11 @@ from repro.metrics.objectives import (
 
 __all__ = [
     "DISRUPTION_METRIC_NAMES",
-    "EnergyReport",
     "HIGHER_BETTER",
     "LOWER_BETTER",
     "METRIC_NAMES",
     "MetricReport",
-    "PowerModel",
-    "compare_energy",
     "disruption_metrics",
-    "energy_report",
     "average_turnaround_time",
     "average_wait_time",
     "compute_metrics",

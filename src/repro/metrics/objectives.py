@@ -109,7 +109,7 @@ def per_user_fairness(arrays: Mapping[str, np.ndarray]) -> float:
     return jain_index(means)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class MetricReport:
     """All objectives for one schedule, as an immutable record."""
 

@@ -14,8 +14,6 @@ from repro.schedulers.heuristics import (
     FirstFitScheduler,
     LargestFirstScheduler,
 )
-from repro.schedulers.optimizer import AnnealingOptimizer, PlanStatistics
-from repro.schedulers.packing import PackedJob, ResourceProfile
 from repro.schedulers.registry import (
     SCHEDULER_FACTORIES,
     available_schedulers,
@@ -24,15 +22,11 @@ from repro.schedulers.registry import (
 from repro.schedulers.sjf import SJFScheduler
 
 __all__ = [
-    "AnnealingOptimizer",
     "BaseScheduler",
     "EasyBackfillScheduler",
     "FCFSScheduler",
     "FirstFitScheduler",
     "LargestFirstScheduler",
-    "PackedJob",
-    "PlanStatistics",
-    "ResourceProfile",
     "SCHEDULER_FACTORIES",
     "SJFScheduler",
     "available_schedulers",

@@ -17,17 +17,25 @@ from repro.schedulers.heuristics import (
     FirstFitScheduler,
     LargestFirstScheduler,
 )
-from repro.schedulers.optimizer import AnnealingOptimizer
 from repro.schedulers.sjf import SJFScheduler
 
 SchedulerFactory = Callable[..., BaseScheduler]
+
+
+def _ortools_like(seed: int = 0, **kw) -> BaseScheduler:
+    # The annealer and its packer are imported here, so a run under any
+    # other policy does not load them.
+    from repro.schedulers.optimizer import AnnealingOptimizer
+
+    return AnnealingOptimizer(seed=seed, **kw)
+
 
 SCHEDULER_FACTORIES: Dict[str, SchedulerFactory] = {
     "fcfs": lambda seed=0, **kw: FCFSScheduler(),
     "fcfs_backfill": lambda seed=0, **kw: EasyBackfillScheduler(),
     "sjf": lambda seed=0, **kw: SJFScheduler(strict=True),
     "sjf_firstfit": lambda seed=0, **kw: SJFScheduler(strict=False),
-    "ortools_like": lambda seed=0, **kw: AnnealingOptimizer(seed=seed, **kw),
+    "ortools_like": _ortools_like,
     "first_fit": lambda seed=0, **kw: FirstFitScheduler(),
     "largest_first": lambda seed=0, **kw: LargestFirstScheduler(),
 }

@@ -31,7 +31,7 @@ class AllocationError(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ResourcePool:
     """Aggregate node + memory accounting with first-fit feasibility.
 

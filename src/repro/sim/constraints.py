@@ -24,12 +24,11 @@ class ViolationKind(enum.Enum):
     NOT_QUEUED = "not_queued"
     INSUFFICIENT_NODES = "insufficient_nodes"
     INSUFFICIENT_MEMORY = "insufficient_memory"
-    EXCEEDS_CAPACITY = "exceeds_capacity"
     PREMATURE_STOP = "premature_stop"
     MALFORMED_ACTION = "malformed_action"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Violation:
     """One reason an action is infeasible, with enough context to
     render an actionable natural-language explanation."""
@@ -118,42 +117,27 @@ class ConstraintChecker:
             )
 
         violations: list[Violation] = []
-        if job.nodes > cluster.total_nodes or (
-            job.memory_gb > cluster.total_memory_gb + 1e-9
-        ):
+        if job.nodes > cluster.free_nodes:
             violations.append(
                 Violation(
-                    ViolationKind.EXCEEDS_CAPACITY,
+                    ViolationKind.INSUFFICIENT_NODES,
                     job_id=job_id,
                     detail=(
-                        f"requires {job.nodes} nodes / {job.memory_gb:g} GB; "
-                        f"cluster capacity is {cluster.total_nodes} nodes / "
-                        f"{cluster.total_memory_gb:g} GB"
+                        f"requires {job.nodes} nodes; "
+                        f"available: {cluster.free_nodes}"
                     ),
                 )
             )
-        else:
-            if job.nodes > cluster.free_nodes:
-                violations.append(
-                    Violation(
-                        ViolationKind.INSUFFICIENT_NODES,
-                        job_id=job_id,
-                        detail=(
-                            f"requires {job.nodes} nodes; "
-                            f"available: {cluster.free_nodes}"
-                        ),
-                    )
+        if job.memory_gb > cluster.free_memory_gb + 1e-9:
+            violations.append(
+                Violation(
+                    ViolationKind.INSUFFICIENT_MEMORY,
+                    job_id=job_id,
+                    detail=(
+                        f"requires {job.memory_gb:g} GB; "
+                        f"available: {cluster.free_memory_gb:g} GB"
+                    ),
                 )
-            if job.memory_gb > cluster.free_memory_gb + 1e-9:
-                violations.append(
-                    Violation(
-                        ViolationKind.INSUFFICIENT_MEMORY,
-                        job_id=job_id,
-                        detail=(
-                            f"requires {job.memory_gb:g} GB; "
-                            f"available: {cluster.free_memory_gb:g} GB"
-                        ),
-                    )
-                )
+            )
 
         return tuple(violations)

@@ -735,7 +735,7 @@ def get_disruption_preset(name: str) -> DisruptionSpec:
 # Run bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(repr=False)
 class PreemptionRecord:
     """One kill of a running job by a node failure or a drain.
 

@@ -23,7 +23,7 @@ from repro.sim.disruptions import PreemptionRecord
 from repro.sim.job import Job
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class JobRecord:
     """Execution record of one completed job.
 
@@ -54,7 +54,7 @@ class JobRecord:
         return self.start_time - self.job.submit_time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class DecisionRecord:
     """One scheduler decision as seen by the simulator."""
 
@@ -66,7 +66,7 @@ class DecisionRecord:
     meta: Mapping[str, Any] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ScheduleResult:
     """Everything a simulation run produced.
 

@@ -58,7 +58,7 @@ class SimulationError(RuntimeError):
 _NO_REMAINING: dict[int, float] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RunningJob:
     """A job currently holding resources.
 
@@ -169,7 +169,7 @@ class _HandBuiltQueue:
         return queue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SystemView:
     """Read-only snapshot handed to schedulers at a decision point.
 
@@ -470,7 +470,7 @@ class SchedulerProtocol(Protocol):
         ...
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class HPCSimulator:
     """Event-driven simulation of one workload under one scheduler.
 

@@ -11,7 +11,6 @@ submit times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -26,15 +25,15 @@ class ArrivalProcess(Protocol):
         ...
 
 
-@dataclass(frozen=True)
 class AllAtZero:
     """Every job is submitted at system initialization (paper §3.3)."""
+
+    __slots__ = ()
 
     def times(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.zeros(n)
 
 
-@dataclass(frozen=True)
 class PoissonArrivals:
     """Homogeneous Poisson process with rate λ (jobs per second).
 
@@ -43,11 +42,12 @@ class PoissonArrivals:
     simulation start (matching the paper's traces, Fig. 2).
     """
 
-    rate: float
+    __slots__ = ("rate",)
 
-    def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"arrival rate must be positive, got {self.rate}")
+    def __init__(self, rate: float) -> None:
+        if rate <= 0:
+            raise ValueError(f"arrival rate must be positive, got {rate}")
+        self.rate = rate
 
     def times(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n == 0:
@@ -57,7 +57,6 @@ class PoissonArrivals:
         return np.cumsum(gaps)
 
 
-@dataclass(frozen=True)
 class BurstyArrivals:
     """Bursts of closely spaced submissions separated by idle gaps.
 
@@ -67,17 +66,23 @@ class BurstyArrivals:
     scenario's uneven submission pattern.
     """
 
-    burst_size: int = 8
-    burst_rate: float = 0.5
-    idle_gap: float = 1800.0
+    __slots__ = ("burst_size", "burst_rate", "idle_gap")
 
-    def __post_init__(self) -> None:
-        if self.burst_size <= 0:
+    def __init__(
+        self,
+        burst_size: int = 8,
+        burst_rate: float = 0.5,
+        idle_gap: float = 1800.0,
+    ) -> None:
+        if burst_size <= 0:
             raise ValueError("burst_size must be positive")
-        if self.burst_rate <= 0:
+        if burst_rate <= 0:
             raise ValueError("burst_rate must be positive")
-        if self.idle_gap < 0:
+        if idle_gap < 0:
             raise ValueError("idle_gap must be non-negative")
+        self.burst_size = burst_size
+        self.burst_rate = burst_rate
+        self.idle_gap = idle_gap
 
     def times(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n == 0:

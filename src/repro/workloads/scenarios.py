@@ -24,7 +24,6 @@ and never emits a job that exceeds total capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,13 +43,15 @@ CLUSTER_MEMORY_GB = 2048.0
 DEFAULT_USER_POOL = 8
 
 
-@dataclass(frozen=True)
 class JobDraw:
     """One sampled job profile (before ids/arrival times are attached)."""
 
-    duration: float
-    nodes: int
-    memory_gb: float
+    __slots__ = ("duration", "nodes", "memory_gb")
+
+    def __init__(self, duration: float, nodes: int, memory_gb: float) -> None:
+        self.duration = duration
+        self.nodes = nodes
+        self.memory_gb = memory_gb
 
     def clamped(self) -> "JobDraw":
         """Clamp to cluster capacity and sane minima."""
@@ -63,18 +64,34 @@ class JobDraw:
 Sampler = Callable[[np.random.Generator, int, int], JobDraw]
 
 
-@dataclass(frozen=True)
 class Scenario:
-    """A named workload scenario: sampler + arrival process + metadata."""
+    """A named workload scenario: sampler + arrival process + metadata.
 
-    name: str
-    description: str
-    sampler: Sampler
-    arrivals: ArrivalProcess
-    #: Degree of heterogeneity in [0, 1]; feeds the simulated-LLM latency
-    #: model (reasoning is slower on diverse queues, paper §3.7.1).
-    heterogeneity: float = 0.0
-    user_pool: int = DEFAULT_USER_POOL
+    ``heterogeneity`` is the degree of heterogeneity in [0, 1]; it
+    feeds the simulated-LLM latency model (reasoning is slower on
+    diverse queues, paper §3.7.1).
+    """
+
+    __slots__ = (
+        "name", "description", "sampler", "arrivals", "heterogeneity",
+        "user_pool",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        sampler: Sampler,
+        arrivals: ArrivalProcess,
+        heterogeneity: float = 0.0,
+        user_pool: int = DEFAULT_USER_POOL,
+    ) -> None:
+        self.name = name
+        self.description = description
+        self.sampler = sampler
+        self.arrivals = arrivals
+        self.heterogeneity = heterogeneity
+        self.user_pool = user_pool
 
     def sample(self, rng: np.random.Generator, index: int, n: int) -> JobDraw:
         return self.sampler(rng, index, n).clamped()

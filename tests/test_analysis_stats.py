@@ -2,8 +2,46 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import box_stats, summarize_latencies
+
+#: Samples of 1 to 400 values: continuous at magnitudes of 1e-3 and 1e6,
+#: and drawn from a five-value menu so that ties are the rule.
+SAMPLES = st.one_of(
+    st.lists(st.floats(0.0, 1e-3), min_size=1, max_size=400),
+    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=400),
+    st.lists(
+        st.sampled_from([0.0, 1e-3, 2.5e-3, 1e6, 3.5e6]),
+        min_size=1,
+        max_size=400,
+    ),
+)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestPercentilesAreNumpys:
+    """Both summaries interpolate percentiles by ``np.percentile``'s
+    default rule, bit for bit, without calling numpy for them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=SAMPLES)
+    def test_box_stats_quartiles(self, values):
+        bs = box_stats(values)
+        assert _bits([bs.q1, bs.median, bs.q3]) == _bits(
+            np.percentile(np.asarray(values), [25, 50, 75])
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=SAMPLES)
+    def test_latency_percentiles(self, values):
+        summary = summarize_latencies(values)
+        assert _bits(
+            [summary.median_s, summary.p90_s, summary.p99_s]
+        ) == _bits(np.percentile(np.asarray(values), [50, 90, 99]))
 
 
 class TestBoxStats:

@@ -116,8 +116,10 @@ def test_every_subcommand_has_a_handler():
 
 #: Modules a cold ``repro-sched run`` never runs: the sweep pool, both
 #: store layouts, the figure drivers, the trace/DAG loaders, the
-#: analysis extras and the daemon. Their commands import them inside
-#: the handler.
+#: analysis extras and the daemon (their commands import them inside
+#: the handler); the annealer and its packer (only the ``ortools_like``
+#: factory imports them), the energy model, and ``numpy.ma``, which
+#: ``np.percentile`` would load.
 NOT_RUN_BY_RUN = (
     "repro.experiments.parallel",
     "repro.experiments.store",
@@ -131,6 +133,10 @@ NOT_RUN_BY_RUN = (
     "repro.analysis.significance",
     "repro.analysis.workload_stats",
     "repro.service",
+    "repro.schedulers.optimizer",
+    "repro.schedulers.packing",
+    "repro.metrics.energy",
+    "numpy.ma",
     "multiprocessing",
     "asyncio",
 )

@@ -52,17 +52,6 @@ class TestResourceFeedback:
 
 
 class TestOtherFeedback:
-    def test_capacity_exceeded(self):
-        view = view_with_queue([make_job(9, nodes=300)])
-        violations = (
-            Violation(
-                ViolationKind.EXCEEDS_CAPACITY, 9,
-                "requires 300 nodes / 1 GB; cluster capacity is 256 nodes / 2048 GB",
-            ),
-        )
-        text = render_feedback(StartJob(9), violations, view)
-        assert "can never run" in text
-
     def test_not_queued(self):
         view = view_with_queue([])
         violations = (Violation(ViolationKind.NOT_QUEUED, 77, "gone"),)

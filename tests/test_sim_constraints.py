@@ -76,11 +76,6 @@ class TestStartValidation:
             ViolationKind.INSUFFICIENT_MEMORY,
         }
 
-    def test_exceeds_total_capacity(self, checker, pool):
-        job = make_job(1, nodes=100, memory=1.0)
-        violations = validate(checker, StartJob(1), queued={1: job}, pool=pool)
-        assert violations[0].kind is ViolationKind.EXCEEDS_CAPACITY
-
     def test_backfill_validated_like_start(self, checker, pool):
         job = make_job(1, nodes=4, memory=16.0)
         assert validate(checker, BackfillJob(1), queued={1: job}, pool=pool) == ()
