@@ -150,12 +150,6 @@ class PromptBuilder:
         else:
             lines.append("None")
 
-        if view.blocked_jobs:
-            lines.append(
-                f"Jobs held by unmet dependencies (not yet eligible): "
-                f"{view.blocked_jobs}"
-            )
-
         lines.append("")
         lines.append("# Scratchpad (Decision History)")
         lines.append(scratchpad.render())

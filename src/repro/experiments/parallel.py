@@ -12,9 +12,10 @@ killed sweep restarts where it left off.
 Determinism is part of the contract: a cell's result depends only on
 its (scenario, n_jobs, scheduler, workload_seed, scheduler_seed,
 arrival_mode) identity, never on worker scheduling, so
-:func:`run_matrix_parallel` returns results bit-identical to the serial
-:func:`~repro.experiments.runner.run_matrix` for the same seeds, in the
-same deterministic cell order.
+:func:`run_matrix_parallel` returns results bit-identical to running
+the same cells one after another in one process, for the same seeds,
+in the same deterministic cell order: scenario, then size, then
+scheduler, with seeds innermost.
 
 The engine is also fault-tolerant (the ScalienDB discipline: crashes
 are an input, not an exception) and recovery is sized to the failure:
@@ -221,10 +222,10 @@ def expand_cells(
 ) -> list[MatrixCell]:
     """Enumerate the full matrix in canonical (deterministic) order.
 
-    Nesting matches :func:`~repro.experiments.runner.run_matrix` —
-    scenario → size → scheduler — with seed replication innermost, so a
-    single-seed parallel sweep returns runs in exactly the serial
-    order. Disruption and topology settings apply uniformly to every
+    The nesting is a serial sweep's — scenario → size → scheduler —
+    with seed replication innermost, so a single-seed parallel sweep
+    returns runs in exactly the order one process running the loops
+    would. Disruption and topology settings apply uniformly to every
     cell.
     """
     return [
@@ -732,9 +733,10 @@ def run_matrix_parallel(
 ) -> list[ExperimentRun]:
     """Parallel, resumable scenarios × sizes × schedulers × seeds sweep.
 
-    The parallel counterpart of
-    :func:`~repro.experiments.runner.run_matrix`: for the same seeds it
-    produces identical metrics in the identical order, just faster.
+    For the same seeds it produces the metrics a serial loop over
+    scenarios, sizes and schedulers (one workload per scenario and
+    size, shared by its schedulers) produces, in the identical order,
+    just faster.
     Accepts seed *sequences* so repetition sweeps (paper Fig. 7 style)
     fan out over the same pool.
 

@@ -1,4 +1,4 @@
-"""Single-run and matrix experiment execution.
+"""Single-run experiment execution.
 
 An :class:`ExperimentRun` bundles everything one (workload, scheduler)
 simulation produced: the schedule, the metric report, and — for LLM
@@ -280,48 +280,3 @@ def run_single(
         checkpoint_interval=checkpoint_interval,
         topology_sig=topology_signature(the_topology),
     )
-
-
-def run_matrix(
-    scenarios: Sequence[str],
-    sizes: Sequence[int],
-    schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
-    *,
-    workload_seed: int = 0,
-    scheduler_seed: int = 0,
-    arrival_mode: ArrivalMode = "scenario",
-    disruptions: Optional[DisruptionSpec] = None,
-    restart_policy: str = "resubmit",
-    checkpoint_interval: Optional[float] = None,
-    topology: Optional[ClusterTopology] = None,
-) -> list[ExperimentRun]:
-    """Cross product of scenarios × sizes × schedulers.
-
-    Workloads are generated once per (scenario, size) so every
-    scheduler sees the identical instance — the comparison the paper
-    makes. A disruption spec or topology, when given, applies to every
-    cell (each cell materializes its own deterministic trace).
-    """
-    runs: list[ExperimentRun] = []
-    for scenario in scenarios:
-        for n_jobs in sizes:
-            jobs = generate_workload(
-                scenario, n_jobs, seed=workload_seed, arrival_mode=arrival_mode
-            )
-            for scheduler in schedulers:
-                runs.append(
-                    run_single(
-                        scenario,
-                        n_jobs,
-                        scheduler,
-                        workload_seed=workload_seed,
-                        scheduler_seed=scheduler_seed,
-                        arrival_mode=arrival_mode,
-                        jobs=jobs,
-                        topology=topology,
-                        disruptions=disruptions,
-                        restart_policy=restart_policy,
-                        checkpoint_interval=checkpoint_interval,
-                    )
-                )
-    return runs

@@ -18,6 +18,7 @@ socket boundary.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Any, Iterable, Mapping, Optional
@@ -32,6 +33,9 @@ PROTOCOL_VERSION = 1
 #: memory against a misbehaving client; generous enough for a
 #: 100k-job ``submit_jobs`` batch.
 MAX_LINE_BYTES = 64 * 1024 * 1024
+
+#: The keys a job payload may carry: :class:`Job`'s fields.
+_JOB_KEYS = frozenset(f.name for f in dataclasses.fields(Job))
 
 
 # -- framing -----------------------------------------------------------
@@ -89,14 +93,18 @@ def job_to_wire(job: Job) -> dict[str, Any]:
         "user": job.user,
         "group": job.group,
         "name": job.name,
-        "depends_on": list(job.depends_on),
     }
 
 
 def job_from_wire(payload: Mapping[str, Any]) -> Job:
     """Inverse of :func:`job_to_wire`; raises ``ValueError`` on a
-    malformed payload (missing fields, wrong types)."""
+    malformed payload (missing fields, wrong types) and on a key that
+    is not a :class:`Job` field, which would otherwise be dropped
+    without a word."""
     try:
+        if not _JOB_KEYS.issuperset(payload.keys()):
+            unknown = sorted(payload.keys() - _JOB_KEYS)
+            raise ValueError(f"unknown job payload keys: {unknown}")
         return Job(
             job_id=int(payload["job_id"]),
             submit_time=float(payload["submit_time"]),
@@ -107,11 +115,8 @@ def job_from_wire(payload: Mapping[str, Any]) -> Job:
             user=str(payload.get("user", "user_0")),
             group=str(payload.get("group", "group_0")),
             name=str(payload.get("name", "")),
-            depends_on=tuple(
-                int(d) for d in payload.get("depends_on", ())
-            ),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed job payload: {exc}") from exc
 
 

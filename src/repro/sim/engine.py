@@ -21,10 +21,10 @@ records, decision stream, preemption records, view contents handed to
 schedulers — is bit-for-bit identical to the object engine's:
 :class:`EngineState` is a translation that changes data layout, never
 semantics or float arithmetic. ``tests/test_soa_regression.py`` pins
-this on seeded scenarios including disrupted, correlated,
-walltime-enforced, and dependency workloads; the digest suites from
-earlier PRs run through this engine by default, pinning it transitively
-to digests generated before it existed.
+this on seeded scenarios including disrupted, correlated and
+walltime-enforced workloads; the digest suites from earlier PRs run
+through this engine by default, pinning it transitively to digests
+generated before it existed.
 
 :class:`~repro.sim.simulator.SystemView` (and ``Job``/``RunningJob`` at
 the API boundary) stay untouched facades: schedulers, disruption
@@ -80,8 +80,10 @@ from repro.sim.simulator import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import HPCSimulator
 
-#: Job lifecycle codes for the flat state array.
-_PENDING, _QUEUED, _RUNNING, _COMPLETED, _BLOCKED = 0, 1, 2, 3, 4
+#: Job lifecycle codes for the flat state array: an arrival queues a
+#: pending job, a start runs it, a kill queues it again and its
+#: completion ends it.
+_PENDING, _QUEUED, _RUNNING, _COMPLETED = 0, 1, 2, 3
 
 #: ``SystemView`` field layout the per-run view template is derived
 #: from (init fields in declaration order, then the three lazy caches;
@@ -99,7 +101,6 @@ _VIEW_FIELDS = (
     "pending_arrivals",
     "next_arrival_time",
     "next_completion_time",
-    "blocked_jobs",
     "nodes_offline",
     "upcoming_drains",
     "remaining_runtimes",
@@ -227,9 +228,7 @@ class EngineState:
         "now", "cal",
         # job lifecycle codes and the queue over them
         "state", "queue_pos", "enq_seq", "n_enqueued", "n_queued",
-        "n_blocked",
-        "size_counts", "queue_floor",
-        "pending_arrivals", "dependents", "completed_ids", "completed_set",
+        "size_counts", "queue_floor", "pending_arrivals", "completed_ids",
         "queued_map",
         # running set and its sorted indexes
         "running", "run_info", "wt_index", "wt_runs", "end_index",
@@ -277,14 +276,8 @@ class EngineState:
         self.n_queued = 0
         self.size_counts: dict[int, int] = {}
         self.queue_floor: float = math.inf
-        self.n_blocked = 0
         self.pending_arrivals = n_jobs
-        self.dependents: dict[int, list[int]] = {}
-        for job in jobs:
-            for dep in job.depends_on:
-                self.dependents.setdefault(dep, []).append(job.job_id)
         self.completed_ids: list[int] = []
-        self.completed_set: set[int] = set()
         self.queued_map = _QueueMap(self.idx_of, self.state, jobs)
 
         self.running: dict[int, RunningJob] = {}
@@ -528,22 +521,10 @@ class EngineState:
         )
         self.completed_ids.append(job_id)
         self._completed_log = CompletedLog(self.completed_ids)
-        done = self.completed_set
-        done.add(job_id)
-        for dep_id in self.dependents.get(job_id, ()):
-            j = self.idx_of[dep_id]
-            waiting = self.jobs[j].depends_on
-            if self.state[j] == _BLOCKED and done.issuperset(waiting):
-                self.n_blocked -= 1
-                self._enqueue(j)
 
     def _on_arrival(self, i: int, time: float) -> None:
         self.pending_arrivals -= 1
-        if self.completed_set.issuperset(self.jobs[i].depends_on):
-            self._enqueue(i)
-        else:
-            self.state[i] = _BLOCKED
-            self.n_blocked += 1
+        self._enqueue(i)
 
     def _on_node_failure(self, idx: int, time: float) -> None:
         node = self.trace.failures[idx].node
@@ -654,7 +635,6 @@ class EngineState:
             )
         if self.end_index:
             fields["next_completion_time"] = self.end_index[0][0]
-        fields["blocked_jobs"] = self.n_blocked
         fields["nodes_offline"] = cluster.offline_nodes
         if self.drains:
             fields["upcoming_drains"] = tuple(
@@ -698,9 +678,7 @@ class EngineState:
             action,
             queued=self.queued_map,
             cluster=self.cluster,
-            all_scheduled=not (
-                self.n_queued or self.pending_arrivals or self.n_blocked
-            ),
+            all_scheduled=not (self.n_queued or self.pending_arrivals),
         )
         # Fast construction (cf. the view fast path), pinned by the
         # import-time DecisionRecord field check. Key by key, in field
@@ -764,7 +742,6 @@ class EngineState:
         # Closing-Stop query for narrate-stop agents.
         if (
             not self.n_queued
-            and not self.n_blocked
             and self.pending_arrivals == 0
             and not self.stopped
             and not self.final_stop_asked
@@ -782,12 +759,6 @@ class EngineState:
         n_queued = self.n_queued
         if not self.running and self.pending_arrivals == 0:
             if not n_queued:
-                if self.n_blocked:
-                    raise SimulationError(
-                        f"{self.n_blocked} jobs blocked on dependencies "
-                        "with nothing running — dependency graph is "
-                        "inconsistent"
-                    )
                 return False
             if self.stopped:
                 raise SimulationError("stopped with jobs still queued")

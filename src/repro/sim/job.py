@@ -66,10 +66,6 @@ class Job:
     user: str = "user_0"
     group: str = "group_0"
     name: str = ""
-    #: Ids of jobs that must *complete* before this one becomes
-    #: eligible to schedule (the paper's §6 future-work constraint;
-    #: see :func:`validate_dependencies`). Empty for independent jobs.
-    depends_on: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         # Chained comparisons: NaN fails every one, so each check also
@@ -96,10 +92,6 @@ class Job:
                 "memory_gb must be finite and non-negative, "
                 f"got {self.memory_gb}"
             )
-        if not isinstance(self.depends_on, tuple):
-            object.__setattr__(self, "depends_on", tuple(self.depends_on))
-        if self.job_id in self.depends_on:
-            raise ValueError(f"job {self.job_id} cannot depend on itself")
 
     @property
     def node_seconds(self) -> float:
@@ -125,49 +117,6 @@ def validate_workload(jobs: Iterable[Job]) -> list[Job]:
             raise ValueError(f"duplicate job_id {job.job_id} in workload")
         seen.add(job.job_id)
     return ordered
-
-
-def validate_dependencies(jobs: Iterable[Job]) -> None:
-    """Validate the dependency structure of a workload.
-
-    Every ``depends_on`` id must exist in the workload, and the
-    dependency graph must be acyclic (a cycle would deadlock any
-    non-preemptive scheduler). Raises ``ValueError`` otherwise.
-    """
-    jobs = list(jobs)
-    if not any(map(attrgetter("depends_on"), jobs)):
-        return  # no edges: nothing unknown, no cycle
-    by_id = {j.job_id: j for j in jobs}
-    for job in by_id.values():
-        for dep in job.depends_on:
-            if dep not in by_id:
-                raise ValueError(
-                    f"job {job.job_id} depends on unknown job {dep}"
-                )
-    # Iterative three-colour DFS for cycle detection.
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {jid: WHITE for jid in by_id}
-    for root in by_id:
-        if colour[root] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        colour[root] = GREY
-        while stack:
-            node, idx = stack[-1]
-            deps = by_id[node].depends_on
-            if idx < len(deps):
-                stack[-1] = (node, idx + 1)
-                child = deps[idx]
-                if colour[child] == GREY:
-                    raise ValueError(
-                        f"dependency cycle involving jobs {node} and {child}"
-                    )
-                if colour[child] == WHITE:
-                    colour[child] = GREY
-                    stack.append((child, 0))
-            else:
-                colour[node] = BLACK
-                stack.pop()
 
 
 def screen_unschedulable(

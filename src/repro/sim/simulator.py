@@ -37,12 +37,7 @@ from repro.sim.disruptions import (
     DrainWindow,
     normalize_restart_policy,
 )
-from repro.sim.job import (
-    Job,
-    screen_unschedulable,
-    validate_dependencies,
-    validate_workload,
-)
+from repro.sim.job import Job, screen_unschedulable, validate_workload
 from repro.sim.schedule import ScheduleResult
 from repro.sim.topology import ClusterTopology
 
@@ -201,9 +196,6 @@ class SystemView:
     pending_arrivals: int
     next_arrival_time: Optional[float]
     next_completion_time: Optional[float]
-    #: Jobs submitted but held back by unmet dependencies (the §6
-    #: dependency extension); they are not eligible to schedule yet.
-    blocked_jobs: int = 0
     #: Nodes currently out of service (failed or draining); already
     #: reflected in ``free_nodes``/``free_memory_gb``, exposed so
     #: recovery-aware policies can tell saturation from outage.
@@ -253,13 +245,8 @@ class SystemView:
 
     @property
     def all_jobs_scheduled(self) -> bool:
-        """True when nothing is queued, nothing will arrive, and no job
-        is waiting on dependencies."""
-        return (
-            not self.queue.n
-            and self.pending_arrivals == 0
-            and self.blocked_jobs == 0
-        )
+        """True when nothing is queued and nothing will arrive."""
+        return not self.queue.n and self.pending_arrivals == 0
 
     def columns(self) -> "ViewColumns":
         """Columnar (structure-of-arrays) projection of the queue.
@@ -537,7 +524,6 @@ class HPCSimulator:
                 "checkpoint_interval"
             )
         self.jobs = validate_workload(self.jobs)
-        validate_dependencies(self.jobs)
         cluster = self.cluster
         _, too_big = screen_unschedulable(
             self.jobs, cluster.total_nodes, cluster.total_memory_gb

@@ -92,9 +92,9 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
             events.push(Event(drain.end, EventKind.DRAIN_END, idx))
 
     queued: dict[int, Job] = {}
-    #: Queue in arrival/unblock order. Placed jobs leave ``queued``
-    #: but their ids linger here until the lazy compaction below,
-    #: keeping removal O(1) and iteration amortized O(queue size).
+    #: Queue in arrival order, requeues at the tail. Placed jobs leave
+    #: ``queued`` but their ids linger here until the lazy compaction
+    #: below, keeping removal O(1) and iteration amortized O(queue size).
     queue_order: list[int] = []
     #: Submit times in arrival order (``sim.jobs`` is sorted by
     #: (submit_time, job_id)); arrivals pop from the event heap in
@@ -107,13 +107,6 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
     decisions: list[DecisionRecord] = []
     pending_arrivals = len(sim.jobs)
     completed_ids: list[int] = []
-    completed_set: set[int] = set()
-    #: Submitted jobs held back by unmet dependencies (§6 extension).
-    blocked: dict[int, Job] = {}
-    dependents: dict[int, list[int]] = {}
-    for job in sim.jobs:
-        for dep in job.depends_on:
-            dependents.setdefault(dep, []).append(job.job_id)
     stopped = False
     #: The budget guards against runaway schedulers, but disruption
     #: churn is legitimate work: every event is a decision point
@@ -182,9 +175,6 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
     now = 0.0
     if sim.jobs:
         now = min(now, sim.jobs[0].submit_time)
-
-    def deps_met(job: Job) -> bool:
-        return all(dep in completed_set for dep in job.depends_on)
 
     #: Decision-point snapshot, reused verbatim across rejection
     #: retries (system state cannot change between them) and rebuilt
@@ -344,22 +334,11 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
                     )
                 )
                 completed_ids.append(event.job_id)
-                completed_set.add(event.job_id)
-                # Release any dependents this completion unblocks.
-                for dep_id in dependents.get(event.job_id, ()):
-                    job = blocked.get(dep_id)
-                    if job is not None and deps_met(job):
-                        del blocked[dep_id]
-                        queued[job.job_id] = job
-                        queue_order.append(job.job_id)
             elif event.kind is EventKind.ARRIVAL:
                 job = jobs_by_id[event.job_id]
                 pending_arrivals -= 1
-                if deps_met(job):
-                    queued[job.job_id] = job
-                    queue_order.append(job.job_id)
-                else:
-                    blocked[job.job_id] = job
+                queued[job.job_id] = job
+                queue_order.append(job.job_id)
             elif event.kind is EventKind.NODE_FAILURE:
                 failure = trace.failures[event.job_id]
                 # A label a domain shock already downed is a no-op
@@ -474,7 +453,6 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
             pending_arrivals=pending_arrivals,
             next_arrival_time=next_arrival,
             next_completion_time=next_completion,
-            blocked_jobs=len(blocked),
             nodes_offline=getattr(sim.cluster, "offline_nodes", 0),
             upcoming_drains=drains,
             # Snapshot copy: views are immutable snapshots, and the
@@ -548,7 +526,6 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
         # jobs are still running — Fig. 2) get one final query.
         if (
             not queued
-            and not blocked
             and pending_arrivals == 0
             and not stopped
             and not final_stop_asked
@@ -576,21 +553,8 @@ def run_object(sim: "HPCSimulator") -> ScheduleResult:
                 stopped = True
 
         # Termination / time advance.
-        if (
-            not queued
-            and not running
-            and not blocked
-            and pending_arrivals == 0
-        ):
+        if not queued and not running and pending_arrivals == 0:
             break
-        if blocked and not queued and not running and pending_arrivals == 0:
-            # Cannot happen with acyclic dependencies: a blocked
-            # job's dependency chain always bottoms out in a
-            # runnable job. Defensive guard.
-            raise SimulationError(
-                f"{len(blocked)} jobs blocked on dependencies with "
-                "nothing running — dependency graph is inconsistent"
-            )
         if stopped and not running and pending_arrivals == 0 and queued:
             # Stop accepted only when all_scheduled; defensive.
             raise SimulationError("stopped with jobs still queued")

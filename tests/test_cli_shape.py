@@ -115,27 +115,23 @@ def test_every_subcommand_has_a_handler():
 
 
 #: Modules a cold ``repro-sched run`` never runs: the sweep pool, both
-#: store layouts, the figure drivers, the trace/DAG loaders, the
-#: analysis extras and the daemon (their commands import them inside
+#: store layouts, the figure drivers, the trace loaders, the
+#: significance tests and the daemon (their commands import them inside
 #: the handler); the annealer and its packer (only the ``ortools_like``
-#: factory imports them), the energy model, and ``numpy.ma``, which
-#: ``np.percentile`` would load.
+#: factory imports them), and ``numpy.ma``, which ``np.percentile``
+#: would load.
 NOT_RUN_BY_RUN = (
     "repro.experiments.parallel",
     "repro.experiments.store",
     "repro.experiments.storage",
     "repro.experiments.figures",
-    "repro.workloads.dags",
     "repro.workloads.swf",
     "repro.workloads.transforms",
     "repro.workloads.polaris",
-    "repro.analysis.gantt",
     "repro.analysis.significance",
-    "repro.analysis.workload_stats",
     "repro.service",
     "repro.schedulers.optimizer",
     "repro.schedulers.packing",
-    "repro.metrics.energy",
     "numpy.ma",
     "multiprocessing",
     "asyncio",

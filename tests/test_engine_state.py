@@ -18,10 +18,10 @@
    ``queued`` is first built after those changes — and the remaining
    runtimes of its own instant; and the queue contents
    every ``decide`` sees equal the object oracle's, decision by
-   decision, where starts come from the middle, where kills requeue,
-   and where completions unblock dependents.
+   decision, where starts come from the middle and where kills
+   requeue.
 4. **Queue model**: driven op by op, the queue equals a plain list
-   under starts from anywhere, kill-requeues and dependency releases.
+   under arrivals, starts from anywhere and kill-requeues.
 5. **Shape**: ``engine.py`` keeps no ``nonlocal``, no function longer
    than the recorded maximum, one decision site, one queue
    representation mutated in two places and enqueue numbers written
@@ -53,7 +53,6 @@ from repro.sim.engine import EngineState, run_soa
 from repro.sim.job import Job
 from repro.sim.simulator import HPCSimulator, SystemView, simulate
 from repro.sim.topology import ClusterTopology
-from repro.workloads.dags import layered_dag_workload
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import _substituted, run_digest
@@ -113,7 +112,6 @@ def audit(state: EngineState) -> int:
 
     # Counters equal the counts of their lifecycle codes.
     assert state.n_queued == codes.count(engine._QUEUED)
-    assert state.n_blocked == codes.count(engine._BLOCKED)
     assert state.pending_arrivals == codes.count(engine._PENDING)
     assert len(running) == codes.count(engine._RUNNING)
     assert len(state.records) == codes.count(engine._COMPLETED)
@@ -450,42 +448,21 @@ class TestViewContentsAgainstOracle:
         with object_engine():
             assert queue_contents_log(run) == log
 
-    def test_blocked_jobs_join_on_completion(self, object_engine):
-        jobs = layered_dag_workload(24, seed=2, n_layers=4)
-
-        def run(recording):
-            return simulate(list(jobs), recording(create_scheduler("fcfs")))
-
-        log = queue_contents_log(run)
-        with object_engine():
-            assert queue_contents_log(run) == log
-
 
 class TestQueueModel:
     """The queue against a plain list under every way it changes:
-    starts from anywhere in it, kills requeueing at the tail, and
-    completions releasing blocked dependents in workload order."""
+    arrivals and kills append at the tail, starts take from anywhere in
+    it, and completions leave it alone."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(2, 12))
     def test_queue_follows_a_list_model(self, data, n):
-        deps = [
-            tuple(sorted(data.draw(st.sets(st.integers(0, j - 1), max_size=2))))
-            if j
-            else ()
-            for j in range(n)
-        ]
         # Ids equal workload positions: the model speaks in positions.
-        jobs = [
-            Job(j, 0.0, 10.0, nodes=1, memory_gb=1.0, depends_on=deps[j])
-            for j in range(n)
-        ]
+        jobs = [Job(j, 0.0, 10.0, nodes=1, memory_gb=1.0) for j in range(n)]
         state = EngineState(
             HPCSimulator(jobs=jobs, scheduler=create_scheduler("fcfs"))
         )
         model: list[int] = []
-        blocked: set[int] = set()
-        done: set[int] = set()
         arrived = 0
         for _ in range(data.draw(st.integers(1, 40))):
             running = sorted(state.running)
@@ -497,10 +474,7 @@ class TestQueueModel:
             state.now += 1.0
             if op == "arrive":
                 state._on_arrival(arrived, state.now)
-                if done.issuperset(deps[arrived]):
-                    model.append(arrived)
-                else:
-                    blocked.add(arrived)
+                model.append(arrived)
                 arrived += 1
             elif op == "start":
                 i = data.draw(st.sampled_from(model))
@@ -515,13 +489,6 @@ class TestQueueModel:
                 state._on_completion(
                     state.idx_of[job_id], state.run_info[job_id][2]
                 )
-                done.add(job_id)
-                released = [
-                    j for j in sorted(blocked)
-                    if job_id in deps[j] and done.issuperset(deps[j])
-                ]
-                blocked.difference_update(released)
-                model += released
             assert state.queue_pos.tolist() == model
             audit(state)
 

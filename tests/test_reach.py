@@ -15,7 +15,9 @@ import pytest
 from repro.experiments.cli import build_parser
 from tests.tooling import reach
 
-DAGS = ("repro.workloads.dags", "critical_path_length")
+#: A function no user path reaches (a ``documented`` row of the table),
+#: so only the probe's own call can record it.
+PROBE = ("repro.experiments.report", "describe_where")
 
 
 def reached_by(*argv: str) -> set[tuple[str, str]]:
@@ -29,10 +31,10 @@ def reached_by(*argv: str) -> set[tuple[str, str]]:
         return reach.reached(collection.hits())
 
 
-def test_quickstart_reaches_the_engine_and_not_the_dag_tools():
+def test_quickstart_reaches_the_engine_and_not_the_probe():
     got = reached_by(str(reach.ROOT / "examples" / "quickstart.py"))
     assert ("repro.sim.engine", "run_soa") in got
-    assert DAGS not in got
+    assert PROBE not in got
 
 
 def test_forked_child_leaving_through_os_exit_is_recorded():
@@ -40,21 +42,21 @@ def test_forked_child_leaving_through_os_exit_is_recorded():
         import os
         pid = os.fork()
         if pid == 0:
-            from repro.workloads.dags import critical_path_length
-            critical_path_length([])
+            from repro.experiments.report import describe_where
+            describe_where({})
             os._exit(0)
         os.waitpid(pid, 0)
     """))
-    assert DAGS in got
+    assert PROBE in got
 
 
 def test_subprocess_of_a_measured_process_is_recorded():
-    child = "from repro.workloads.dags import critical_path_length as f; f([])"
+    child = "from repro.experiments.report import describe_where as f; f({})"
     got = reached_by("-c", textwrap.dedent(f"""
         import subprocess, sys
         subprocess.run([sys.executable, "-c", {child!r}], check=True)
     """))
-    assert DAGS in got
+    assert PROBE in got
 
 
 @pytest.mark.parametrize(

@@ -16,11 +16,13 @@ from repro.experiments.runner import run_single
 from repro.experiments.store import StoredRun
 from repro.service import protocol
 from repro.service.cache import CacheStats, ResultCache
-from repro.service.client import wait_for_server
+from repro.service.client import ServiceError, wait_for_server
 from repro.service.server import ServiceServer
 from repro.service.service import SchedulingService
 from repro.sim.disruptions import DisruptionSpec
 from repro.sim.job import Job
+
+from tests.embedded_server import EmbeddedServer
 
 
 class TestProtocolFraming:
@@ -47,9 +49,30 @@ class TestProtocolFraming:
             user="user_7",
             group="group_2",
             name="batch-3",
-            depends_on=(1, 2),
         )
         assert protocol.job_from_wire(protocol.job_to_wire(job)) == job
+
+    def test_job_from_wire_names_unknown_keys(self):
+        payload = {**protocol.job_to_wire(Job(1, 0.0, 5.0, 1, 1.0)), "x": 0}
+        with pytest.raises(ValueError, match=r"unknown job payload keys: \['x'\]"):
+            protocol.job_from_wire(payload)
+
+    def test_dependency_edges_are_refused_not_dropped(self):
+        """Jobs carry no dependencies: a served schedule that ignored a
+        client's edges would look like one that honoured them, so the
+        key is a ``bad_request`` and the session keeps no job of the
+        batch."""
+        jobs = [Job(1, 0.0, 5.0, 1, 1.0), Job(2, 0.0, 5.0, 1, 1.0)]
+        wire = [protocol.job_to_wire(job) for job in jobs]
+        wire[1]["depends_on"] = [1]
+        with EmbeddedServer(workers=1) as server:
+            with server.client() as client:
+                sid = client.open_session(scheduler="fcfs")
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit_jobs(sid, wire)
+                assert client.submit_jobs(sid, jobs)["n_jobs"] == 2
+        assert excinfo.value.error_type == "bad_request"
+        assert "depends_on" in str(excinfo.value)
 
     def test_job_from_wire_rejects_missing_fields(self):
         with pytest.raises(ValueError, match="malformed job payload"):

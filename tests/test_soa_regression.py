@@ -6,7 +6,7 @@
    records, decisions, preemptions, extras, and metric floats — across
    the scheduler comparison set and every disruption regime (node
    failures, correlated rack shocks, drains, checkpoint/migrate restart
-   policies, walltime enforcement, dependency DAGs).
+   policies, walltime enforcement).
 2. **Pinned digests**: a seeded cell matrix — including every identity
    cell above — hashes to digests generated by the object oracle, so
    SoA drift is caught by a constant and not only by agreement with a
@@ -24,9 +24,8 @@ from repro.schedulers.registry import create_scheduler
 from repro.sim.disruptions import DisruptionSpec
 from repro.sim.cluster import ResourcePool
 from repro.sim.engine import EngineState
-from repro.sim.simulator import HPCSimulator, SimulationError, simulate
+from repro.sim.simulator import HPCSimulator, SimulationError
 from repro.sim.topology import ClusterTopology
-from repro.workloads.dags import layered_dag_workload
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import make_job, run_digest
@@ -127,14 +126,6 @@ class TestEngineByteIdentity:
         assert a.preemptions == b.preemptions
         assert a.extras == b.extras
         assert run_digest(obj) == run_digest(soa)
-
-    def test_dependency_dag_identical(self, object_engine):
-        jobs = layered_dag_workload(24, seed=2, n_layers=4)
-        b = simulate(list(jobs), create_scheduler("fcfs"))
-        with object_engine():
-            a = simulate(list(jobs), create_scheduler("fcfs"))
-        assert a.records == b.records
-        assert a.decisions == b.decisions
 
     def test_decision_budget_identical(self, object_engine):
         """Both engines enforce ``max_decisions`` at the same count."""
