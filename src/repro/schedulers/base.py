@@ -35,10 +35,12 @@ class BaseScheduler:
         closing ``Stop`` (the LLM agent does; heuristics don't).
     supports_columns:
         Capability flag: the policy has a columnar decision kernel that
-        consumes :meth:`SystemView.columns` instead of iterating ``Job``
-        facades. Columnar kernels are byte-identical twins of the facade
-        path (digest-pinned); which one a decision runs is chosen by
-        :meth:`columnar` from the view alone.
+        reads the view's queue snapshot (:attr:`SystemView.queue`, a
+        :class:`~repro.sim.columns.QueueColumns`) as numpy columns
+        instead of iterating ``Job`` facades. Columnar kernels are
+        byte-identical twins of the facade path (digest-pinned); which
+        one a decision runs is chosen by :meth:`columnar` from the view
+        alone.
     """
 
     name: str = "base"
@@ -51,26 +53,21 @@ class BaseScheduler:
     def columnar(self, view: SystemView) -> bool:
         """Should this decision run the columnar kernel?
 
-        True only when the policy has a columnar kernel, the queue is
-        deep enough to amortize numpy dispatch
-        (:data:`~repro.sim.columns.COLUMNAR_MIN_QUEUE`), *and* the
-        view's columns are cheap to reach: either a columnar projection
-        is already attached to the view, or its queue is an engine
-        snapshot, whose columns are gathers from the run's shared
-        masters (the kernel then builds the view's columns on its first
-        ``columns()`` call). Short queues take the byte-identical
-        facade path, which beats vectorization on a handful of jobs,
-        and hand-built views — the object-graph test oracle's, and test
-        fixtures' — never pay the O(queue) fallback master build per
-        decision just to dispatch. A pure constant-factor switch — the
-        twin kernels are digest-pinned identical.
+        True only when the policy has a columnar kernel, the view's
+        queue is an engine snapshot, whose columns are gathers from the
+        run's shared masters, and it is deep enough to amortize numpy
+        dispatch (:data:`~repro.sim.columns.COLUMNAR_MIN_QUEUE`). Short
+        queues take the byte-identical facade path, which beats
+        vectorization on a handful of jobs, and hand-built views — the
+        object-graph test oracle's, and test fixtures' — always do, so
+        no decision pays an O(queue) master build just to dispatch. A
+        pure constant-factor switch: the twin kernels are digest-pinned
+        identical.
         """
         if not self.supports_columns:
             return False
         queue = view.queue
-        return queue.n >= COLUMNAR_MIN_QUEUE and (
-            queue.over_run or view._columns is not None
-        )
+        return queue.over_run and queue.n >= COLUMNAR_MIN_QUEUE
 
     # -- SchedulerProtocol -------------------------------------------------
     def reset(self) -> None:

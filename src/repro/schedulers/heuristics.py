@@ -27,10 +27,12 @@ class FirstFitScheduler(BaseScheduler):
 
     def decide(self, view: SystemView) -> Action:
         if self.columnar(view):
-            cols = view.columns()
-            hits = np.flatnonzero(cols.fits_mask())
+            queue = view.queue
+            hits = np.flatnonzero(
+                queue.fits_mask(view.free_nodes, view.free_memory_gb)
+            )
             if hits.size:
-                return StartJob(cols.id_at(int(hits[0])))
+                return StartJob(queue[int(hits[0])].job_id)
             return Delay
         # Inlined can_fit with hoisted capacity locals: this scan runs
         # once per decision over the whole queue.
@@ -55,14 +57,16 @@ class LargestFirstScheduler(BaseScheduler):
 
     def decide(self, view: SystemView) -> Action:
         if self.columnar(view):
-            cols = view.columns()
-            feasible = np.flatnonzero(cols.fits_mask())
+            queue = view.queue
+            feasible = np.flatnonzero(
+                queue.fits_mask(view.free_nodes, view.free_memory_gb)
+            )
             if not feasible.size:
                 return Delay
             # max by (node_seconds, job_id): ranks are unique, so the
             # argmax is exactly the facade's max-key job.
-            winner = feasible[cols.rank("node_seconds")[feasible].argmax()]
-            return StartJob(cols.id_at(int(winner)))
+            winner = feasible[queue.rank("node_seconds")[feasible].argmax()]
+            return StartJob(queue[int(winner)].job_id)
         # Single pass: track the max feasible job instead of
         # materializing the feasible tuple first.
         free_nodes = view.free_nodes

@@ -34,21 +34,21 @@ class SJFScheduler(BaseScheduler):
         return (job.walltime, job.job_id)
 
     def _decide_columns(self, view: SystemView) -> Action:
-        cols = view.columns()
-        if not cols.n:
-            return Delay
+        queue = view.queue
         # The order by (walltime, job_id) is fixed for the run and held
         # as a rank column, so the shortest job of any subset of the
         # queue is an argmin over it.
         if self.strict:
-            pos = cols.first_by("walltime")
-            if cols.fits_at(pos):
-                return StartJob(cols.id_at(pos))
+            job = queue[queue.first_by("walltime")]
+            if view.can_fit(job):
+                return StartJob(job.job_id)
             return Delay
-        hits = np.flatnonzero(cols.fits_mask())
+        hits = np.flatnonzero(
+            queue.fits_mask(view.free_nodes, view.free_memory_gb)
+        )
         if hits.size:
-            pos = hits[cols.rank("walltime")[hits].argmin()]
-            return StartJob(cols.id_at(int(pos)))
+            pos = hits[queue.rank("walltime")[hits].argmin()]
+            return StartJob(queue[int(pos)].job_id)
         return Delay
 
     def decide(self, view: SystemView) -> Action:

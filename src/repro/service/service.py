@@ -145,7 +145,7 @@ class SchedulingService:
         for queue in list(self._subscribers):
             try:
                 queue.put_nowait(message)
-            except asyncio.QueueFull:  # pragma: no cover - slow reader
+            except asyncio.QueueFull:  # a slow reader
                 pass
 
     # -- session ops -----------------------------------------------------

@@ -9,38 +9,29 @@ once per workload, projected onto the current queue as numpy arrays, so
 sort/filter-shaped decision kernels run as boolean masks and one
 argmin over a precomputed rank instead of per-job key lambdas.
 
-Three layers, matching how often each changes:
+Two layers, matching how often each changes:
 
-* :class:`JobColumns` — one array per job attribute, indexed by
-  workload position. Built **once per run** (lazily, on the first
-  columnar access) and shared by every view of that run; the no-copy
-  property test pins exactly this sharing. A sort key ``(attribute,
-  job_id)`` never changes during a run, so each key in use also gets
-  one **rank column** here (:meth:`JobColumns.rank`): the only sort of
-  the run. Picking the queue's first job by that key is then a
-  selection, not a sort.
-* :class:`QueueColumns` — the queue snapshot: a private copy of the
-  engine's queued positions over the run's job list, selecting over
-  the masters. Taken only when the queue actually changes and never
-  aliasing a container the engine goes on mutating, so a retained view
-  keeps the queue of its own instant. Everything read from it is
-  cached per copy — the ``queued`` tuple, built only for a reader that
-  asks for it, and the gathered columns — so a stable backlog pays
-  zero per-decision build or gather cost. A reader that walks the
-  queue in order (EASY backfill) iterates the snapshot itself and
-  builds neither.
-* :class:`ViewColumns` — the per-view handle returned by
-  :meth:`~repro.sim.simulator.SystemView.columns`: queue columns plus
-  the view's capacity scalars/vectors and the derived per-decision
-  masks (``fits_mask``), each cached on the view's lifetime.
-
-**Ownership runs one way.** A view owns its :class:`ViewColumns`; the
-columns refer back to the view through a weak reference. So a view and
-everything it holds (:class:`QueueColumns` and its queue tuple, running
-tuples, completion log) form no reference cycle and are freed by
-reference count the moment the engine and the scheduler drop the view,
-not left to the cyclic collector. The columns are valid while their
-view lives, and the only way to reach them is ``view.columns()``.
+* :class:`JobColumns` — one array per job attribute a kernel reads,
+  indexed by workload position. Built **once per run** (lazily, on the
+  first columnar access) and shared by every view of that run; the
+  no-copy property test pins exactly this sharing. A sort key
+  ``(attribute, job_id)`` never changes during a run, so each key in
+  use also gets one **rank column** here (:meth:`JobColumns.rank`):
+  the only sort of the run. Picking the queue's first job by that key
+  is then a selection, not a sort.
+* :class:`QueueColumns` — the queue snapshot, ``view.queue``: a
+  private copy of the engine's queued positions over the run's job
+  list, selecting over the masters. Taken only when the queue actually
+  changes and never aliasing a container the engine goes on mutating,
+  so a retained view keeps the queue of its own instant. Everything
+  read from it is cached per copy — the ``queued`` tuple, built only
+  for a reader that asks for it, the gathered columns and each key's
+  first position — so a stable backlog pays zero per-decision build or
+  gather cost. A reader that walks the queue in order (EASY backfill)
+  iterates the snapshot itself and builds neither. The columnar
+  kernels read it and the view's capacity scalars directly; the one
+  per-decision predicate, :meth:`QueueColumns.fits_mask`, takes those
+  scalars as arguments. The snapshot holds no reference to any view.
 
 **Byte-identity is inherited, not re-proven**: columns carry the exact
 float/int values the ``Job`` facades hold (no casts through lower
@@ -51,16 +42,17 @@ subset of the queue is that subset's first job in sorted order.
 Columnar schedulers are digest-pinned against their facade twins on
 the full disruption/topology regime matrix.
 
-Hand-built views (tests, bench harnesses) get the same surface with no
-engine behind them: the fallback snapshot's job list is ``view.queued``
-itself, masters are built from it directly and the selector is the
-identity, so the gathered columns *are* the masters — still zero
-copies per decision.
+Hand-built views (tests, bench harnesses) get the same snapshot class
+with no engine behind it: its job list is ``view.queued`` itself,
+masters are built from it on first column access and the selector is
+the identity, so the gathered columns *are* the masters. The kernels
+never dispatch on one (:meth:`~repro.schedulers.base.BaseScheduler.columnar`
+takes only engine snapshots), so a decision on a hand-built view never
+pays that O(queue) build.
 """
 
 from __future__ import annotations
 
-import weakref
 from functools import partial
 from typing import (
     TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union,
@@ -70,20 +62,16 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.job import Job
-    from repro.sim.simulator import SystemView
 
-#: Gatherable per-job attribute columns, in a fixed order.
+#: Gatherable per-job attribute columns, in a fixed order: the ones a
+#: kernel reads (``job_id`` is every rank's tie-break).
 COLUMN_NAMES = (
     "job_id",
     "nodes",
     "memory_gb",
     "walltime",
-    "duration",
-    "submit_time",
     "node_seconds",
 )
-
-_INT_COLUMNS = frozenset({"job_id", "nodes"})
 
 #: Queue depth below which columnar kernels defer to their facade
 #: twins. On short steady-state queues numpy dispatch (gathers, mask
@@ -120,13 +108,9 @@ class JobColumns:
         self.walltime = np.fromiter(
             (j.walltime for j in jobs), np.float64, count=n
         )
-        self.duration = np.fromiter(
+        self.node_seconds = self.nodes * np.fromiter(
             (j.duration for j in jobs), np.float64, count=n
         )
-        self.submit_time = np.fromiter(
-            (j.submit_time for j in jobs), np.float64, count=n
-        )
-        self.node_seconds = self.nodes * self.duration
         for name in COLUMN_NAMES:
             getattr(self, name).setflags(write=False)
         self._ranks: dict[str, np.ndarray] = {}
@@ -277,6 +261,16 @@ class QueueColumns:
             pos = self._first[key] = int(self.rank(key).argmin())
         return pos
 
+    def fits_mask(self, free_nodes: int, free_memory_gb: float) -> np.ndarray:
+        """Boolean mask of queued jobs that fit *free_nodes* and
+        *free_memory_gb* — the vectorized twin of
+        :meth:`~repro.sim.simulator.SystemView.can_fit` (same ``+ 1e-9``
+        slack, same comparisons, elementwise). Not cached: a kernel
+        asks once per decision."""
+        return (self.col("nodes") <= free_nodes) & (
+            self.col("memory_gb") <= free_memory_gb + 1e-9
+        )
+
 
 def queue_columns_from_jobs(jobs: Sequence["Job"]) -> QueueColumns:
     """Fallback projection for hand-built views: the queued jobs are
@@ -284,94 +278,3 @@ def queue_columns_from_jobs(jobs: Sequence["Job"]) -> QueueColumns:
     first column access, identity selector."""
     return QueueColumns(jobs, partial(JobColumns, jobs), None)
 
-
-class ViewColumns:
-    """The columnar surface of one :class:`SystemView`.
-
-    Queue-order attribute columns (delegated to the underlying
-    :class:`QueueColumns`, shared across unchanged-queue decisions)
-    plus the vectorized per-decision predicates. At most one instance
-    per view, built on the first ``columns()`` call and cached on the
-    view itself — repeated calls return the same object, and derived
-    masks are computed at most once per decision point.
-
-    The view owns this object; ``_view`` is only a weak reference back
-    (call it to get the view), so the pair is no reference cycle. Reach
-    the columns through ``view.columns()`` and use them while holding
-    the view: once the view is freed they have nothing to read.
-    """
-
-    __slots__ = ("_q", "_view", "_fits")
-
-    def __init__(self, queue_cols: QueueColumns, view: "SystemView") -> None:
-        self._q = queue_cols
-        self._view = weakref.ref(view)
-        self._fits: Optional[np.ndarray] = None
-
-    # -- queue-order attribute columns ---------------------------------
-    @property
-    def n(self) -> int:
-        return self._q.n
-
-    @property
-    def sel(self) -> np.ndarray:
-        return self._q.sel
-
-    @property
-    def masters(self) -> JobColumns:
-        """The shared per-run master arrays (workload order)."""
-        return self._q.masters
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self._q.col("job_id")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._q.col("nodes")
-
-    @property
-    def memory_gb(self) -> np.ndarray:
-        return self._q.col("memory_gb")
-
-    def rank(self, key: str) -> np.ndarray:
-        """Queue-order rank by ``(key, job_id)``: see
-        :meth:`JobColumns.rank`."""
-        return self._q.rank(key)
-
-    def first_by(self, key: str) -> int:
-        """Queue position of the smallest :meth:`rank`."""
-        return self._q.first_by(key)
-
-    # -- O(1) scalar probes (no gather, no numpy boxing) ---------------
-    # Single-position reads take the job off the queue snapshot's
-    # position copy, never building the view's queued tuple: its Python
-    # scalars compare ~5× faster than boxed numpy scalars pulled out
-    # of the masters or ``sel``. Identical values either way — the
-    # columns are built from these very attributes.
-    def id_at(self, pos: int) -> int:
-        return self._q[pos].job_id
-
-    def fits_at(self, pos: int) -> bool:
-        """``SystemView.can_fit`` for queue position *pos* — O(1),
-        identical arithmetic."""
-        view = self._view()
-        job = self._q[pos]
-        return (
-            job.nodes <= view.free_nodes
-            and job.memory_gb <= view.free_memory_gb + 1e-9
-        )
-
-    # -- vectorized predicates -----------------------------------------
-    def fits_mask(self) -> np.ndarray:
-        """Boolean mask of queued jobs that fit right now — the
-        vectorized twin of ``can_fit`` (same ``+ 1e-9`` slack, same
-        comparisons, elementwise)."""
-        mask = self._fits
-        if mask is None:
-            view = self._view()
-            mask = (self.nodes <= view.free_nodes) & (
-                self.memory_gb <= view.free_memory_gb + 1e-9
-            )
-            self._fits = mask
-        return mask

@@ -42,16 +42,13 @@ layout buys on top of the object loop:
 * a view is a copy of one per-run template dict (the fields that
   never move during a run, filled once) with the fields that do move
   written over it, installed as the view's instance dict;
-* a view's :class:`~repro.sim.columns.ViewColumns` are built on the
-  first ``columns()`` call, by a policy that asks for them; policies
-  that never do (``fcfs``, the agent) pay nothing for them;
 * a decision is recorded at plain-object cost: the validator returns
   the violations tuple itself and the record is written through its
   instance dict;
 * a killed job is not in the queue, so its requeue is a plain append;
-* views are freed by reference count: a view owns its columns, which
-  refer back weakly, so a dropped view and its queue snapshot never
-  wait for the cyclic collector.
+* views are freed by reference count: nothing a view holds refers back
+  to it, so a dropped view and its queue snapshot never wait for the
+  cyclic collector.
 """
 
 from __future__ import annotations
@@ -86,7 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _PENDING, _QUEUED, _RUNNING, _COMPLETED = 0, 1, 2, 3
 
 #: ``SystemView`` field layout the per-run view template is derived
-#: from (init fields in declaration order, then the three lazy caches;
+#: from (init fields in declaration order, then the two lazy caches;
 #: see :func:`_view_template`). Guarded at import so a field added to
 #: the dataclass cannot silently desynchronize the hot path.
 _VIEW_FIELDS = (
@@ -108,7 +105,6 @@ _VIEW_FIELDS = (
     "domain_free_nodes",
     "_queued_index",
     "_running_sorted",
-    "_columns",
 )
 if tuple(f.name for f in dataclasses.fields(SystemView)) != _VIEW_FIELDS:
     raise AssertionError(
@@ -619,8 +615,7 @@ class EngineState:
         # no frozen dataclass __init__ (17 guarded object.__setattr__
         # calls per decision point). The layout is pinned against the
         # dataclass by the import-time _VIEW_FIELDS check. The template
-        # leaves "queued" out and "_columns" empty: the view builds
-        # both on first use.
+        # leaves "queued" out: the view builds it on first read.
         fields = self._view_template.copy()
         fields["now"] = now
         fields["queue"] = queue_snap

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Iterable,
     Iterator,
@@ -40,9 +39,6 @@ from repro.sim.disruptions import (
 from repro.sim.job import Job, screen_unschedulable, validate_workload
 from repro.sim.schedule import ScheduleResult
 from repro.sim.topology import ClusterTopology
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.columns import ViewColumns
 
 
 class SimulationError(RuntimeError):
@@ -227,47 +223,18 @@ class SystemView:
     _running_sorted: Optional[tuple[RunningJob, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Lazily-built columnar projection of the queue (see
-    #: :meth:`columns`), built on the first ``columns()`` call from the
-    #: view's queue snapshot: on an engine-built view a zero-copy
-    #: selection over the run's master arrays, on a hand-built one
-    #: columns built from ``queued``.
-    _columns: Optional["ViewColumns"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
     #: The queue snapshot (:class:`~repro.sim.columns.QueueColumns`):
     #: ``n``, ``head`` and integer-index reads that never build
-    #: ``queued``. The engine hands every view its own; a hand-built
-    #: view gets one over ``queued`` on first read. Not a field: no
-    #: init argument, no comparison.
+    #: ``queued``, and the numpy columns the columnar kernels read. The
+    #: engine hands every view its own; a hand-built view gets one over
+    #: ``queued`` on first read. Not a field: no init argument, no
+    #: comparison.
     queue = _HandBuiltQueue()
 
     @property
     def all_jobs_scheduled(self) -> bool:
         """True when nothing is queued and nothing will arrive."""
         return not self.queue.n and self.pending_arrivals == 0
-
-    def columns(self) -> "ViewColumns":
-        """Columnar (structure-of-arrays) projection of the queue.
-
-        Returns a :class:`~repro.sim.columns.ViewColumns`: numpy
-        attribute columns over the queued jobs in queue order, plus
-        vectorized feasibility/recovery masks — the batch-query surface
-        sort/filter-shaped schedulers consume instead of iterating
-        ``Job`` facades. Built on the first call and cached on the
-        view, so a policy that never asks pays nothing. Engine-built
-        views share one set of per-run master arrays (zero
-        per-decision copies); hand-built views pay one column build on
-        first use.
-        """
-        cols = self._columns
-        if cols is None:
-            from repro.sim.columns import ViewColumns
-
-            cols = ViewColumns(self.queue, self)
-            object.__setattr__(self, "_columns", cols)
-        return cols
 
     def queued_job(self, job_id: int) -> Optional[Job]:
         """O(1) lookup of a queued job by id.

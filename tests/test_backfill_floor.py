@@ -109,7 +109,9 @@ def tally():
         action = decide(view)
         reads = job_list.reads - reads
         built_queued = "queued" in vars(view)
-        built_columns = view._columns is not None
+        built_columns = (
+            bool(view.queue._gathered) or view.queue._sel is not None
+        )
         queued = view.queued
         ids = [job.job_id for job in queued]
         head_starts = view.can_fit(queued[0]) and view.drain_safe(queued[0])

@@ -3,13 +3,15 @@
 1. **Columnar/facade byte-identity**: every registered scheduler whose
    class sets ``supports_columns`` must produce bit-for-bit identical
    records, decisions, preemptions, and extras whether its decision
-   kernel runs on :class:`ViewColumns` (the default) or on the
-   ``Job``-facade path (the ``facade_only`` fixture) — across clean,
-   disrupted, correlated-topology, and drained/walltime regimes.
+   kernel runs on the queue snapshot's columns (:class:`QueueColumns`,
+   the default) or on the ``Job``-facade path (the ``facade_only``
+   fixture) — across clean, disrupted, correlated-topology, and
+   drained/walltime regimes.
 2. **Zero-copy contract**: engine-built views share one per-run set of
    master arrays (the same :class:`JobColumns` object across every
-   decision), hand-built views gather through the identity selector
-   (columns *are* the masters), and every exposed column is read-only.
+   decision), hand-built snapshots gather through the identity selector
+   (columns *are* the masters), every exposed column is read-only, and
+   the snapshot's ``fits_mask`` is ``can_fit`` elementwise.
 3. **Queue churn parity**: a high-churn disrupted run (kills and
    requeues at every failure) is identical to the object oracle's.
 """
@@ -27,11 +29,12 @@ from repro.sim.columns import (
     queue_columns_from_jobs,
 )
 from repro.sim.disruptions import DisruptionSpec, estimate_horizon
-from repro.sim.simulator import SystemView, simulate
+from repro.sim.simulator import simulate
 from repro.sim.topology import ClusterTopology
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import make_job
+from tests.test_core_reasoning import make_view
 
 SPEC = DisruptionSpec(
     mtbf=40_000.0,
@@ -150,24 +153,24 @@ class TestColumnarFacadeParity:
 
 
 class CapturingFCFS(BaseScheduler):
-    """Minimal scheduler capturing the columnar surface per decision."""
+    """Minimal scheduler capturing the queue snapshot per decision."""
 
     name = "capturing-fcfs"
 
     def __init__(self):
         super().__init__()
         self.masters = []
-        self.view_cols = []
+        self.queues = []
 
     def decide(self, view):
         from repro.sim.actions import Delay, StartJob
 
-        cols = view.columns()
-        self.view_cols.append(cols)
-        self.masters.append(cols.masters)
-        assert view.columns() is cols  # cached on the view
-        if cols.n and cols.fits_at(0):
-            return StartJob(cols.id_at(0))
+        queue = view.queue
+        self.queues.append(queue)
+        self.masters.append(queue.masters)
+        assert view.queue is queue  # one snapshot per view
+        if queue.n and view.can_fit(queue.head):
+            return StartJob(queue.head.job_id)
         return Delay
 
 
@@ -182,10 +185,10 @@ class TestZeroCopy:
         # of the master arrays.
         assert len({id(m) for m in sched.masters}) == 1
         masters = sched.masters[0]
-        for cols in sched.view_cols:
+        for queue in sched.queues:
             for name in COLUMN_NAMES:
                 assert np.shares_memory(
-                    getattr(cols.masters, name), getattr(masters, name)
+                    getattr(queue.masters, name), getattr(masters, name)
                 )
 
     def test_masters_and_columns_are_read_only(self):
@@ -225,25 +228,21 @@ class TestZeroCopy:
         assert cols.masters is cols.masters
         assert len(calls) == 1
 
-    def test_handbuilt_view_columns_cached(self):
-        view = SystemView(
-            now=0.0,
-            queued=(make_job(1, nodes=2), make_job(2, nodes=4)),
-            running=(),
-            completed_ids=(),
-            free_nodes=8,
-            free_memory_gb=64.0,
-            total_nodes=8,
-            total_memory_gb=64.0,
-            pending_arrivals=0,
-            next_arrival_time=None,
-            next_completion_time=None,
-        )
-        cols = view.columns()
-        assert view.columns() is cols
-        assert cols.fits_mask().tolist() == [True, True]
-        assert cols.fits_mask() is cols.fits_mask()  # cached mask
-        assert cols.fits_at(0) and cols.id_at(1) == 2
+    def test_fits_mask_is_can_fit_elementwise(self):
+        """Same comparisons and ``+ 1e-9`` slack as ``can_fit``, and
+        no mask kept: each call computes its own."""
+        jobs = [
+            make_job(1, nodes=2, memory=32.0),
+            make_job(2, nodes=4, memory=16.0),
+            make_job(3, nodes=1, memory=32.0 + 5e-10),
+            make_job(4, nodes=1, memory=32.0 + 2e-9),
+        ]
+        view = make_view(jobs, free_nodes=3, free_mem=32.0)
+        queue = QueueColumns(jobs, JobColumns(jobs), [0, 1, 2, 3])
+        mask = queue.fits_mask(view.free_nodes, view.free_memory_gb)
+        assert mask.tolist() == [view.can_fit(job) for job in jobs]
+        assert mask.tolist() == [True, False, True, False]
+        assert queue.fits_mask(3, 32.0) is not mask
 
 
 class TestQueueChurn:

@@ -3,10 +3,9 @@
 Every decision point builds a :class:`~repro.sim.simulator.SystemView`
 that holds the queue snapshot (a copy of the queued positions, and the
 queue tuple and gathered columns once a policy reads them), the running
-tuples and the completion log. A view owns its
-:class:`~repro.sim.columns.ViewColumns`, and the columns refer back to
-it only weakly, so a view is freed by reference count as soon as the
-engine and the scheduler drop it. A cycle anywhere in that graph would
+tuples and the completion log. Nothing it holds refers back to it, so
+a view is freed by reference count as soon as the engine and the
+scheduler drop it. A cycle anywhere in that graph would
 instead leave every snapshot (thousands of jobs deep on a backlog) for
 the collector to walk, again at each gen-0 pass until it is freed.
 
@@ -91,17 +90,19 @@ def test_a_hand_built_view_dies_with_its_last_reference():
         next_arrival_time=None,
         next_completion_time=None,
     )
-    cols = view.columns()
-    assert view.columns() is cols
-    assert [cols.fits_at(pos) for pos in range(4)] == [True, True, False, False]
-    assert cols.fits_mask().tolist() == [True, True, False, False]
+    queue = view.queue
+    mask = queue.fits_mask(view.free_nodes, view.free_memory_gb)
+    assert mask.tolist() == [True, True, False, False]
+    # The snapshot refers to no view at all, not even weakly.
+    assert not any(ref is view for ref in gc.get_referents(queue))
     alive = weakref.ref(view)
-    # ``cols`` stays referenced: the columns must not keep the view.
+    # ``queue`` stays referenced: the snapshot must not keep the view.
     enabled = gc.isenabled()
     gc.disable()
     try:
         del view
         assert alive() is None
+        assert queue.n == 4 and queue.col("nodes").tolist() == [1, 2, 3, 4]
     finally:
         if enabled:
             gc.enable()

@@ -299,7 +299,7 @@ class TestRetainedViews:
     def test_view_kept_across_queue_changes_is_unchanged(self):
         """Hold every view the scheduler is shown, touch no column
         until the run is over (starts, kills and requeues since), then
-        resolve the columns for the first time."""
+        gather the snapshot's columns for the first time."""
         jobs = generate_workload("checkpoint_stress", 60, seed=1)
         scheduler = create_scheduler("fcfs_backfill")
         held = []
@@ -313,14 +313,14 @@ class TestRetainedViews:
         result = simulate(jobs, scheduler, **_checkpoint_disrupted(jobs))
         assert result.preemptions and len(held) > len(jobs)
         for view, ids_then in held:
-            cols = view.columns()
+            queue = view.queue
             assert [job.job_id for job in view.queued] == ids_then
-            assert [jobs[p] for p in cols.sel.tolist()] == list(view.queued)
-            assert cols.ids.tolist() == ids_then
-            assert cols.n == len(ids_then)
-            assert cols.fits_mask().tolist() == [
-                view.can_fit(job) for job in view.queued
-            ]
+            assert [jobs[p] for p in queue.sel.tolist()] == list(view.queued)
+            assert queue.col("job_id").tolist() == ids_then
+            assert queue.n == len(ids_then)
+            assert queue.fits_mask(
+                view.free_nodes, view.free_memory_gb
+            ).tolist() == [view.can_fit(job) for job in view.queued]
 
 
     def test_queued_first_read_after_later_queue_changes(self, object_engine):
@@ -397,7 +397,7 @@ def queue_contents_log(run):
             log.append(
                 (
                     [job.job_id for job in view.queued],
-                    view.columns().ids.tolist(),
+                    view.queue.col("job_id").tolist(),
                 )
             )
             return decide(view)

@@ -15,11 +15,12 @@ halves are pinned here:
    ``fcfs_backfill`` at any depth and the columnar kernels on a
    40-deep queue hand back every view with ``queued`` never built;
    only the facade kernels of short queues build it. The same holds
-   for a view's :class:`~repro.sim.columns.ViewColumns`, built on the
-   first ``columns()`` call: ``fcfs`` and ``fcfs_backfill`` build
-   none, the columnar kernels at most one per view and none below
-   ``COLUMNAR_MIN_QUEUE``, and a hand-built view takes the facade path
-   until columns are attached.
+   for the columns: ``fcfs`` and ``fcfs_backfill`` build no
+   :class:`~repro.sim.columns.JobColumns` masters and gather no
+   column, the columnar kernels build the run's masters once and
+   gather nothing below ``COLUMNAR_MIN_QUEUE``, and a hand-built view
+   always takes the facade path while an engine view of the same depth
+   takes the kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.sim.columns as columns
 from repro.schedulers.registry import available_schedulers, create_scheduler
 from repro.sim.cluster import ResourcePool
 from repro.sim.columns import (
@@ -40,7 +40,8 @@ from repro.sim.columns import (
     queue_columns_from_jobs,
 )
 from repro.sim.disruptions import DisruptionSpec, estimate_horizon
-from repro.sim.simulator import simulate
+from repro.sim.engine import EngineState
+from repro.sim.simulator import HPCSimulator, simulate
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import make_job
@@ -123,86 +124,97 @@ def test_iterating_a_snapshot_reads_only_the_jobs_taken():
 
 
 @pytest.fixture
-def column_builds(monkeypatch) -> Counter:
-    """``ViewColumns`` builds, counted by the id of the view they are
-    built for (``SystemView.columns`` looks the class up per build)."""
-    builds: Counter = Counter()
+def column_work(monkeypatch) -> Counter:
+    """Column work as it happens: ``"masters"`` counts
+    :class:`JobColumns` builds, ``"gathers"`` the queue-order columns a
+    snapshot gathers off them."""
+    work: Counter = Counter()
+    build, gather = JobColumns.__init__, QueueColumns._gather
 
-    class Counted(columns.ViewColumns):
-        __slots__ = ()
+    def counted_build(self, jobs):
+        work["masters"] += 1
+        build(self, jobs)
 
-        def __init__(self, queue_cols, view):
-            builds[id(view)] += 1
-            super().__init__(queue_cols, view)
+    def counted_gather(self, name, master):
+        work["gathers"] += 1
+        return gather(self, name, master)
 
-    monkeypatch.setattr(columns, "ViewColumns", Counted)
-    return builds
+    monkeypatch.setattr(JobColumns, "__init__", counted_build)
+    monkeypatch.setattr(QueueColumns, "_gather", counted_gather)
+    return work
 
 
-def depth_and_built(name: str, jobs, builds: Counter):
+def depth_and_built(name: str, jobs, work: Counter):
     """Per decision of *name* over *jobs*: the queue depth of the view
     handed to the policy, whether ``queued`` was built once the policy
-    had answered, and how many ``ViewColumns`` it built for the view."""
+    had answered, and the masters built and columns gathered while it
+    decided."""
     policy = create_scheduler(name)
     decide = policy.decide
     log = []
 
     def watched(view):
+        before = work.copy()
         action = decide(view)
-        log.append((view.queue.n, built(view), builds.pop(id(view), 0)))
+        done = work - before
+        log.append(
+            (view.queue.n, built(view), done["masters"], done["gathers"])
+        )
         return action
 
     policy.decide = watched
     simulate(jobs, policy)
-    assert not builds  # every build was for a view the policy was shown
+    # All column work happened inside a decision the log saw.
+    assert sum(entry[2] for entry in log) == work["masters"]
+    assert sum(entry[3] for entry in log) == work["gathers"]
     return log
 
 
-def test_fcfs_on_a_deep_backlog_never_builds_the_tuple(column_builds):
+def test_fcfs_on_a_deep_backlog_never_builds_the_tuple(column_work):
     log = depth_and_built(
         "fcfs",
         generate_workload("heterogeneous_mix", 400, seed=0),
-        column_builds,
+        column_work,
     )
-    assert max(depth for depth, _, _ in log) > 200
-    assert sum(was_built for _, was_built, _ in log) == 0
-    assert sum(n_columns for _, _, n_columns in log) == 0
+    assert max(depth for depth, _, _, _ in log) > 200
+    assert sum(was_built for _, was_built, _, _ in log) == 0
+    assert not column_work
 
 
-def test_columnar_kernels_never_build_the_tuple(column_builds):
+def test_columnar_kernels_never_build_the_tuple(column_work):
     """On a 40-deep queue every decision the columnar kernel takes
-    reads the queue through the snapshot and builds the view's columns
-    at most once; the facade twin, below ``COLUMNAR_MIN_QUEUE``, may
-    build the tuple and builds no columns."""
+    reads the queue through the snapshot; the run builds its masters
+    once and each snapshot gathers a column at most once (``nodes``,
+    ``memory_gb`` and the walltime rank: three at most per decision).
+    The facade twin, below ``COLUMNAR_MIN_QUEUE``, may build the tuple
+    and builds and gathers no column."""
     jobs = generate_workload(
         "heterogeneous_mix", 40, seed=0, arrival_mode="zero"
     )
-    log = depth_and_built("sjf_firstfit", jobs, column_builds)
-    deep = [
-        (was_built, n_columns) for depth, was_built, n_columns in log
-        if depth >= COLUMNAR_MIN_QUEUE
-    ]
+    log = depth_and_built("sjf_firstfit", jobs, column_work)
+    deep = [entry for entry in log if entry[0] >= COLUMNAR_MIN_QUEUE]
     assert len(deep) >= 40 - COLUMNAR_MIN_QUEUE
-    assert sum(was_built for was_built, _ in deep) == 0
-    assert max(n_columns for _, n_columns in deep) == 1
-    assert sum(
-        n_columns for depth, _, n_columns in log
+    assert sum(was_built for _, was_built, _, _ in deep) == 0
+    assert column_work["masters"] == 1
+    assert 0 < max(gathers for _, _, _, gathers in deep) <= 3
+    assert not any(
+        masters or gathers for depth, _, masters, gathers in log
         if depth < COLUMNAR_MIN_QUEUE
-    ) == 0
+    )
 
 
-def test_easy_backfill_builds_neither_at_any_depth(column_builds):
+def test_easy_backfill_builds_neither_at_any_depth(column_work):
     """``fcfs_backfill`` walks the snapshot itself: from a full
     40-deep queue down to the last job, no decision builds the tuple
-    or the columns."""
+    or a column."""
     jobs = generate_workload(
         "heterogeneous_mix", 40, seed=0, arrival_mode="zero"
     )
-    log = depth_and_built("fcfs_backfill", jobs, column_builds)
-    depths = {depth for depth, _, _ in log}
+    log = depth_and_built("fcfs_backfill", jobs, column_work)
+    depths = {depth for depth, _, _, _ in log}
     assert max(depths) == 40 and min(depths) <= 1
-    assert sum(was_built for _, was_built, _ in log) == 0
-    assert sum(n_columns for _, _, n_columns in log) == 0
+    assert sum(was_built for _, was_built, _, _ in log) == 0
+    assert not column_work
 
 
 COLUMNAR_POLICIES = [
@@ -212,20 +224,27 @@ COLUMNAR_POLICIES = [
 
 
 @pytest.mark.parametrize("name", COLUMNAR_POLICIES)
-def test_hand_built_views_take_the_facade_until_columns_are_attached(
-    name, column_builds
+def test_hand_built_views_take_the_facade_engine_views_the_kernel(
+    name, column_work
 ):
-    """A hand-built view of a 40-deep queue: deciding on it builds no
-    columns, and the kernel switches to columnar only once
-    ``columns()`` has been attached."""
+    """The engine's first view of a 40-deep queue dispatches to the
+    kernel, which gathers columns; the same queue and capacity on a
+    hand-built view takes the facade, which builds and gathers none,
+    and picks the same job."""
     jobs = generate_workload(
         "heterogeneous_mix", 40, seed=0, arrival_mode="zero"
     )
     policy = create_scheduler(name)
-    view = make_view(jobs, free_nodes=2, free_mem=16.0)
-    assert view.queue.n >= COLUMNAR_MIN_QUEUE
-    facade = policy.decide(view)
-    assert not policy.columnar(view) and not column_builds
-    view.columns()
-    assert policy.columnar(view) and sum(column_builds.values()) == 1
-    assert policy.decide(view) == facade
+    state = EngineState(HPCSimulator(jobs=jobs, scheduler=policy))
+    state.apply_events(state.now)
+    engine_view = state.build_view()
+    hand_built = make_view(
+        engine_view.queue, free_nodes=engine_view.free_nodes,
+        free_mem=engine_view.free_memory_gb,
+    )
+    assert hand_built.queue.n == engine_view.queue.n == 40
+    facade = policy.decide(hand_built)
+    assert not policy.columnar(hand_built) and not column_work
+    assert policy.columnar(engine_view)
+    assert policy.decide(engine_view) == facade
+    assert column_work["masters"] == 1 and column_work["gathers"] > 0

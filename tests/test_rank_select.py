@@ -8,7 +8,7 @@ decision is an argmin / argmax over the queue's gathered ranks.
    the facade pick and ``sorted(queued, key=...)``'s first (fitting)
    job are the same job, for ``sjf``, ``sjf_firstfit`` and
    ``largest_first``; engine views retained across later starts still
-   answer for their own queue, and agree with a hand-built view of it;
+   answer for their own queue, and agree with a rebuilt view of it;
    and across later starts, completions and kills they keep their own
    capacity, running set and remaining runtimes.
 2. **The guard is a count**: one ``np.lexsort`` per (run, key) for the
@@ -22,6 +22,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+from array import array
 
 import numpy as np
 import pytest
@@ -79,9 +80,22 @@ def sorted_pick(view, order, skips):
     return Delay
 
 
+def engine_shaped(view):
+    """*view* with an engine-shaped snapshot of its own queue in place
+    of the hand-built one: positions into a job list with its own
+    masters, so the columnar kernels dispatch on it."""
+    jobs = view.queued
+    object.__setattr__(
+        view,
+        "queue",
+        QueueColumns(jobs, JobColumns(jobs), array("q", range(len(jobs)))),
+    )
+    return view
+
+
 def assert_all_picks_agree(view, facade_only):
-    """*view* has a columnar projection attached and a queue deep
-    enough to dispatch on it."""
+    """*view* carries an engine snapshot deep enough for the columnar
+    kernels to dispatch on it."""
     for name, (make, order, skips) in POLICIES.items():
         columnar = make()
         assert columnar.columnar(view), name
@@ -107,9 +121,10 @@ def test_rank_is_the_sorted_place_read_only_and_built_once():
 
 @st.composite
 def tied_queue_views(draw):
-    """Hand-built views of queues deep enough for the columnar kernels whose every sort
-    attribute takes 2-3 values, so almost every comparison is decided
-    by the job-id tie-break; ids arrive shuffled."""
+    """Views of queues deep enough for the columnar kernels, with
+    engine-shaped snapshots, whose every sort attribute takes 2-3
+    values, so almost every comparison is decided by the job-id
+    tie-break; ids arrive shuffled."""
     n = draw(st.integers(COLUMNAR_MIN_QUEUE, 3 * COLUMNAR_MIN_QUEUE))
     ids = draw(st.permutations(range(1, n + 1)))
     few = st.sampled_from
@@ -123,10 +138,12 @@ def tied_queue_views(draw):
         )
         for job_id in ids
     ]
-    return make_view(
-        jobs,
-        free_nodes=draw(st.integers(0, 5)),
-        free_mem=draw(few([0.0, 8.0, 32.0, 64.0])),
+    return engine_shaped(
+        make_view(
+            jobs,
+            free_nodes=draw(st.integers(0, 5)),
+            free_mem=draw(few([0.0, 8.0, 32.0, 64.0])),
+        )
     )
 
 
@@ -139,7 +156,6 @@ def tied_queue_views(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_columnar_facade_and_sorted_pick_the_same_job(facade_only, view):
-    view.columns()  # attach the identity-selector projection
     assert_all_picks_agree(view, facade_only)
 
 
@@ -163,13 +179,13 @@ def test_retained_engine_views_answer_for_their_own_queue(facade_only):
     assert len({v.queued for v in deep}) > 30
     # Not the identity selector: jobs have left from mid-queue.
     assert any(
-        v.columns().sel.tolist() != list(range(len(v.queued))) for v in deep
+        v.queue.sel.tolist() != list(range(len(v.queued))) for v in deep
     )
     for view in deep:
         assert_all_picks_agree(view, facade_only)
-        # The same queue and capacity, rebuilt by hand.
-        rebuilt = dataclasses.replace(view)
-        assert rebuilt.columns().sel.tolist() == list(range(len(view.queued)))
+        # The same queue and capacity, rebuilt over a fresh job list.
+        rebuilt = engine_shaped(dataclasses.replace(view))
+        assert rebuilt.queue.sel.tolist() == list(range(len(view.queued)))
         assert_all_picks_agree(rebuilt, facade_only)
 
 
@@ -215,7 +231,7 @@ def test_retained_engine_views_keep_their_own_instant():
     assert len({then[4] for _, then, _ in held}) > 1
     for view, then, depth in held:
         assert answers(view) == then
-        assert view.columns().n == depth
+        assert view.queue.n == depth
     assert state._view_template == template
     dicts = {id(vars(view)) for view, _, _ in held}
     assert len(dicts) == len(held) and id(state._view_template) not in dicts

@@ -289,6 +289,47 @@ class TestServiceUnit:
         asyncio.run(scenario())
 
 
+    def test_a_subscriber_that_never_reads_loses_events_not_service(self):
+        """A subscriber's queue holds 1024 events; past that, publishing
+        drops the newest for it instead of waiting, so the service keeps
+        answering, and ``unsubscribe`` stops the fan-out to it."""
+        published = 1100
+
+        async def scenario():
+            service = SchedulingService()
+            stalled = service.subscribe()
+            try:
+                for k in range(published):
+                    service.publish("tick", {"k": k})
+                assert await service.handle("ping", {}) == {
+                    "protocol": protocol.PROTOCOL_VERSION
+                }
+                sid = (
+                    await service.handle("open_session", {"scheduler": "fcfs"})
+                )["session_id"]
+                job = Job(job_id=1, submit_time=0.0, duration=10.0, nodes=1,
+                          memory_gb=1.0)
+                await service.handle(
+                    "submit_jobs",
+                    {"session_id": sid, "jobs": [protocol.job_to_wire(job)]},
+                )
+                metrics = await service.handle(
+                    "get_metrics", {"session_id": sid}
+                )
+                assert metrics["metrics"]["makespan"] == 10.0
+                assert stalled.qsize() == stalled.maxsize == 1024
+                kept = [stalled.get_nowait()["data"]["k"] for _ in range(3)]
+                assert kept == [0, 1, 2]  # the oldest stay, the newest drop
+                service.unsubscribe(stalled)
+                assert stalled not in service._subscribers
+                service.publish("tick", {"k": published})
+                assert stalled.qsize() == 1024 - 3
+            finally:
+                await service.aclose(grace_s=1.0)
+
+        asyncio.run(scenario())
+
+
 class TestServerBinding:
     def test_exactly_one_bind_required(self):
         service = SchedulingService()
