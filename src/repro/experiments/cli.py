@@ -168,6 +168,22 @@ def _usage_errors(prefix: str = ""):
         raise UsageError(f"{prefix}{exc}") from exc
 
 
+def _check_schedulers(names: Sequence[str]) -> None:
+    """An unregistered scheduler name is a usage error before any cell
+    runs, not a ``KeyError`` from inside one."""
+    known = available_schedulers()
+    for name in names:
+        if name not in known:
+            raise UsageError(
+                f"unknown scheduler {name!r}; available: {', '.join(known)}"
+            )
+
+
+def _check_job_counts(flag: str, counts: Sequence[int]) -> None:
+    if any(n < 0 for n in counts):
+        raise UsageError(f"{flag} must be >= 0")
+
+
 def _check_fault_args(args) -> None:
     """Friendly validation for the fault-tolerance flags."""
     if args.cell_timeout is not None and args.cell_timeout <= 0:
@@ -704,6 +720,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _check_schedulers([args.scheduler])
+    _check_job_counts("-n/--n-jobs", [args.n_jobs])
     shared = {
         "workload_seed": args.seed,
         "arrival_mode": args.arrival_mode,
@@ -947,6 +965,8 @@ def _cmd_matrix(args) -> int:
         raise UsageError("--resume requires --out")
     if args.shards is not None and args.store_format != "sharded":
         raise UsageError("--shards needs --store-format sharded")
+    _check_schedulers(args.schedulers)
+    _check_job_counts("--sizes", args.sizes)
     store = None
     if args.out:
         with _usage_errors():
@@ -1093,6 +1113,8 @@ def _cmd_compare(args) -> int:
         render_comparison,
     )
 
+    _check_schedulers([args.a, args.b])
+    _check_job_counts("-n/--n-jobs", [args.n_jobs])
     comps = compare_schedulers(
         args.scenario, args.n_jobs, args.a, args.b, n_seeds=args.seeds
     )

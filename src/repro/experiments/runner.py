@@ -190,7 +190,6 @@ def run_single(
     disruptions: Optional[DisruptionSpec] = None,
     restart_policy: str = "resubmit",
     checkpoint_interval: Optional[float] = None,
-    verify: bool = True,
 ) -> ExperimentRun:
     """Simulate one scenario instance under one scheduler.
 
@@ -220,8 +219,8 @@ def run_single(
     restart_policy / checkpoint_interval:
         Recovery semantics for killed jobs (see
         :class:`~repro.sim.simulator.HPCSimulator`).
-    verify:
-        Re-verify the capacity invariant on the finished schedule.
+
+    The finished schedule's capacity invariant is always re-verified.
     """
     if jobs is None:
         job_list = generate_workload(
@@ -260,8 +259,7 @@ def run_single(
         checkpoint_interval=checkpoint_interval,
     )
     result = sim.run()
-    if verify:
-        result.verify_capacity()
+    result.verify_capacity()
     return ExperimentRun(
         scenario=scenario,
         n_jobs=len(job_list),

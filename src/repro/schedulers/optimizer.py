@@ -34,8 +34,8 @@ import numpy as np
 
 from repro.schedulers.base import BaseScheduler
 from repro.schedulers.packing import (
-    IncrementalPacker,
     PackedJob,
+    SerialPacker,
     plan_makespan,
     plan_total_completion,
 )
@@ -155,7 +155,7 @@ class AnnealingOptimizer(BaseScheduler):
 
     def _anneal_full(
         self,
-        packer: IncrementalPacker,
+        packer: SerialPacker,
         order: list,
         initial_obj: float,
         now: float,
@@ -165,7 +165,7 @@ class AnnealingOptimizer(BaseScheduler):
 
         Returns ``(best order, best objective, accepted moves)``. The
         seeded digests pin this RNG call sequence, float comparisons
-        and commits bit for bit.
+        and accepted moves bit for bit.
         """
         cur_order = list(order)
         best_order = order
@@ -179,13 +179,9 @@ class AnnealingOptimizer(BaseScheduler):
             lo, hi = move
             cand = list(cur_order)
             cand[lo], cand[hi] = cand[hi], cand[lo]
-            # The candidate shares the incumbent's prefix below the
-            # lower swap position: only the suffix is re-packed.
-            cand_placements = packer.pack_from(cand, lo)
-            cand_obj = self._objective(cand_placements, now)
+            cand_obj = self._objective(packer.pack(cand), now)
             delta = cand_obj - cur_obj
             if delta <= 0 or self._rng.random() < math.exp(-delta / temp):
-                packer.commit(cand, lo, cand_placements)
                 cur_order, cur_obj = cand, cand_obj
                 accepted += 1
                 if cur_obj < best_obj:
@@ -236,7 +232,7 @@ class AnnealingOptimizer(BaseScheduler):
             self._plan_pos = 0
             self._planned_ids = {j.job_id for j in unpackable}
             return
-        packer = IncrementalPacker(
+        packer = SerialPacker(
             now=view.now,
             free_nodes=view.free_nodes,
             free_memory_gb=view.free_memory_gb,
@@ -277,7 +273,7 @@ class AnnealingOptimizer(BaseScheduler):
                 initial_objective=initial_obj,
                 final_objective=best_obj,
                 accepted_moves=accepted,
-                jobs_packed=packer.stats.jobs_packed,
+                jobs_packed=packer.jobs_packed,
             )
         )
 

@@ -3,7 +3,7 @@
 A :class:`ResourceProfile` is a stepwise-constant timeline of free
 (node, memory) capacity with breakpoints at reservation starts/ends and
 at the expected release times of already-running jobs. The serial
-schedule-generation scheme (:meth:`IncrementalPacker.pack`) places a
+schedule-generation scheme (:meth:`SerialPacker.pack`) places a
 permutation of jobs, in order, each at its earliest feasible start
 against the profile (later jobs may start earlier in time if they fit
 a gap: permutations are priority lists) — the
@@ -21,10 +21,8 @@ evaluation throughput:
   back — so there is one kernel and no size switch;
 * the full profile state can be captured and restored in O(k) as three
   list copies (:meth:`ResourceProfile.snapshot` /
-  :meth:`ResourceProfile.restore`), which :class:`IncrementalPacker`
-  uses to cache the annealer's incumbent at checkpoint positions so a
-  candidate permutation differing from it only from position *m*
-  onward re-packs just the suffix;
+  :meth:`ResourceProfile.restore`), which :class:`SerialPacker` uses
+  to start every candidate permutation from the same base timeline;
 * the earliest-fit query is one early-exit scan that starts at the
   interval holding ``not_before`` and visits each interval at most
   once.
@@ -40,7 +38,7 @@ trajectories are bit-identical — verified by
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.sim.job import Job
@@ -229,11 +227,10 @@ class ResourceProfile:
     ) -> None:
         """:meth:`reserve` without the oversubscription re-check.
 
-        For reservations whose feasibility is already established —
+        For a reservation whose feasibility is already established —
         a start just returned by :meth:`earliest_start` against this
-        exact profile state, or the replay of a previously validated
-        placement. The check in :meth:`reserve` can only fire on caller
-        error, and it costs a second pass over the reserved intervals
+        exact profile state. The check in :meth:`reserve` can only fire
+        on caller error, and it costs a second pass over the reserved intervals
         per placement on the replanning hot path.
         """
         i = self._ensure_breakpoint(start)
@@ -256,61 +253,11 @@ class PackedJob:
         return self.start + self.job.duration
 
 
-@dataclass
-class PackStats:
-    """Work counters one :class:`IncrementalPacker` accumulates.
-
-    ``jobs_packed`` counts real placements (an ``earliest_start``
-    search plus a reservation) — the annealer's ``packed_jobs`` extra
-    sums it over replans; ``jobs_replayed`` counts known-reservation
-    replays on the checkpoint-restore path, which cost one trusted
-    reserve and no search.
-    """
-
-    jobs_packed: int = 0
-    jobs_replayed: int = 0
-    full_packs: int = 0
-    suffix_packs: int = 0
-    commits: int = 0
-
-
-@dataclass
-class _Incumbent:
-    """The current (order, placements, checkpoints) pack state.
-
-    Snapshots are immutable and *shared*: an incumbent committed from a
-    ``pack_from`` at pivot *c* keeps every checkpoint at or below *c*
-    by reference, so an accepted annealing move copies no snapshot.
-    """
-
-    order: list[Job] = field(default_factory=list)
-    placements: list[PackedJob] = field(default_factory=list)
-    checkpoints: dict[int, ProfileSnapshot] = field(default_factory=dict)
-
-
-class IncrementalPacker:
-    """Prefix-cached serial schedule generation for one decision state.
-
-    Built once per replanning event from the system snapshot (free
-    capacity + expected releases), then used to evaluate many candidate
-    permutations. The packer keeps one incumbent — the order last
-    packed or committed — with its placements and O(k) profile
-    snapshots at checkpoint positions; a candidate that shares the
-    incumbent's prefix up to ``pivot`` (an annealing swap at positions
-    ``i < j`` shares ``[0, i)``) restores the cached state at the pivot
-    and packs only the suffix.
-
-    Checkpoint density is adaptive: every position for small queues,
-    every ``n // 96`` positions for large ones (restoring then replays
-    at most one stride of already-known reservations — no
-    ``earliest_start`` searches — to reach the pivot), bounding memory
-    at ~96 snapshots while keeping restores cheap.
-
-    All placements are produced by the identical operation sequence a
-    from-scratch :meth:`pack` would perform, so a suffix re-pack is
-    bit-identical to a full pack — the property the annealer's seeded
-    trajectory depends on.
-    """
+class SerialPacker:
+    """Serial schedule generation for one replanning event: each
+    :meth:`pack` restores the base profile (free capacity + expected
+    releases) and places a whole candidate order. ``jobs_packed`` counts
+    the placements; the annealer's ``packed_jobs`` extra sums it."""
 
     def __init__(
         self,
@@ -325,88 +272,24 @@ class IncrementalPacker:
             now, free_nodes, free_memory_gb, releases
         )
         self._base = self._profile.snapshot()
-        # Checkpoint 0 from the start so pack_from() before any pack()
-        # degrades to a pivot-0 full pack instead of failing.
-        self._inc = _Incumbent(checkpoints={0: self._base})
-        self.stats = PackStats()
+        self.jobs_packed = 0
 
-    @staticmethod
-    def _stride_for(n: int) -> int:
-        return max(1, n // 96)
-
-    def _place(self, job: Job) -> PackedJob:
-        start = self._profile.earliest_start(
-            job.nodes, job.memory_gb, job.duration,
-            not_before=max(self._now, job.submit_time),
-        )
-        self._profile.reserve_trusted(
-            start, job.duration, job.nodes, job.memory_gb
-        )
-        self.stats.jobs_packed += 1
-        return PackedJob(job, start)
-
-    # -- packing ------------------------------------------------------------
     def pack(self, order: Sequence[Job]) -> list[PackedJob]:
-        """Pack *order* from scratch and adopt it as the incumbent."""
-        self._profile.restore(self._base)
-        stride = self._stride_for(len(order))
-        checkpoints = {0: self._base}
+        """Place *order*, in order, each job at its earliest fit."""
+        profile = self._profile
+        profile.restore(self._base)
         placements: list[PackedJob] = []
-        for p, job in enumerate(order):
-            if p and p % stride == 0:
-                checkpoints[p] = self._profile.snapshot()
-            placements.append(self._place(job))
-        self._inc = _Incumbent(list(order), placements, checkpoints)
-        self.stats.full_packs += 1
-        return list(placements)
-
-    def _restore_to(self, pivot: int) -> None:
-        """Put the profile in the incumbent's state after ``[0, pivot)``."""
-        inc = self._inc
-        anchor = max(p for p in inc.checkpoints if p <= pivot)
-        self._profile.restore(inc.checkpoints[anchor])
-        stride = self._stride_for(len(inc.order))
-        for p in range(anchor, pivot):
-            pl = inc.placements[p]
-            self._profile.reserve_trusted(
-                pl.start, pl.job.duration, pl.job.nodes, pl.job.memory_gb
+        for job in order:
+            start = profile.earliest_start(
+                job.nodes, job.memory_gb, job.duration,
+                not_before=max(self._now, job.submit_time),
             )
-            self.stats.jobs_replayed += 1
-            # Densify checkpoints along the replay path so repeated
-            # restores near this pivot skip the replay next time.
-            nxt = p + 1
-            if nxt % stride == 0 and nxt not in inc.checkpoints:
-                inc.checkpoints[nxt] = self._profile.snapshot()
-
-    def pack_from(
-        self, order: Sequence[Job], pivot: int
-    ) -> list[PackedJob]:
-        """Speculatively pack *order*, whose first *pivot* entries match
-        the incumbent order, re-packing only ``order[pivot:]``.
-
-        Does not change the incumbent; call :meth:`commit` to adopt the
-        candidate.
-        """
-        pivot = min(pivot, len(self._inc.placements))
-        self._restore_to(pivot)
-        suffix = [self._place(job) for job in order[pivot:]]
-        self.stats.suffix_packs += 1
-        return self._inc.placements[:pivot] + suffix
-
-    def commit(
-        self,
-        order: Sequence[Job],
-        pivot: int,
-        placements: Sequence[PackedJob],
-    ) -> None:
-        """Adopt a candidate evaluated via :meth:`pack_from` as the new
-        incumbent; cached state before *pivot* stays valid (snapshots
-        at or below the pivot are carried over by reference)."""
-        checkpoints = {
-            p: snap for p, snap in self._inc.checkpoints.items() if p <= pivot
-        }
-        self._inc = _Incumbent(list(order), list(placements), checkpoints)
-        self.stats.commits += 1
+            profile.reserve_trusted(
+                start, job.duration, job.nodes, job.memory_gb
+            )
+            placements.append(PackedJob(job, start))
+        self.jobs_packed += len(placements)
+        return placements
 
 
 def plan_makespan(placements: Sequence[PackedJob], now: float) -> float:

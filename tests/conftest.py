@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,32 +160,26 @@ def object_engine():
 
 
 class NaivePacker:
-    """:class:`~repro.schedulers.packing.IncrementalPacker`'s surface
-    over the naive reference packer: every candidate is packed from
-    scratch, no prefix cache, no incumbent state."""
+    """:class:`~repro.schedulers.packing.SerialPacker`'s surface over
+    the naive reference packer: every candidate is packed from scratch
+    on a fresh ``np.insert`` profile."""
 
     def __init__(self, **profile):
         self._profile = profile
-        self.stats = SimpleNamespace(jobs_packed=0)
+        self.jobs_packed = 0
 
     def pack(self, order):
-        self.stats.jobs_packed += len(order)
+        self.jobs_packed += len(order)
         return reference_pack_order(order, **self._profile)
-
-    def pack_from(self, order, pivot):
-        return self.pack(order)
-
-    def commit(self, order, pivot, placements):
-        pass
 
 
 @pytest.fixture
 def naive_packer():
     """``with naive_packer(): ...`` makes the annealer plan with
-    :class:`NaivePacker` instead of the incremental packing kernel."""
+    :class:`NaivePacker` instead of the list-backed packing kernel."""
     return partial(
         _substituted,
-        "repro.schedulers.optimizer.IncrementalPacker",
+        "repro.schedulers.optimizer.SerialPacker",
         NaivePacker,
     )
 

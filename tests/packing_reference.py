@@ -130,7 +130,7 @@ def reference_pack_order(
     releases: Iterable[tuple[float, float, float]] = (),
 ) -> list[PackedJob]:
     """Full-rebuild serial schedule-generation scheme, the one
-    :meth:`repro.schedulers.packing.IncrementalPacker.pack` must match."""
+    :meth:`repro.schedulers.packing.SerialPacker.pack` must match."""
     profile = ReferenceResourceProfile(
         now, free_nodes, free_memory_gb, releases
     )

@@ -1,7 +1,13 @@
 """Tests for the repro-sched CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments.cli import build_parser, main
 
 
@@ -304,6 +310,82 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "paired" in out
         assert "makespan" in out
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a usage error must be raised before any cell runs")
+
+
+class TestBadNamesAndCounts:
+    """An unknown scheduler or a negative job count is a usage error:
+    exit 2, one ``error:`` line, no traceback, nothing simulated and no
+    store written."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--scheduler", "nope", "-n", "5"], "unknown scheduler 'nope'"),
+        (["--scheduler", "fcfs", "-n", "-5"], "-n/--n-jobs must be >= 0"),
+    ])
+    def test_run(self, argv, message, capsys, monkeypatch):
+        monkeypatch.setattr("repro.experiments.cli.run_single", _must_not_run)
+        code = main(["run", "--scenario", "adversarial", *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--a", "fcfs", "--b", "nope"], "unknown scheduler 'nope'"),
+        (["--a", "nope", "--b", "sjf"], "unknown scheduler 'nope'"),
+        (["--a", "fcfs", "--b", "sjf", "-n", "-1"], "-n/--n-jobs must be >= 0"),
+    ])
+    def test_compare(self, argv, message, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "repro.analysis.significance.compare_schedulers", _must_not_run
+        )
+        code = main(["compare", "--scenario", "adversarial", *argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--sizes", "6", "--schedulers", "fcfs", "nope"],
+         "unknown scheduler 'nope'"),
+        (["--sizes", "6", "-3", "--schedulers", "fcfs"],
+         "--sizes must be >= 0"),
+    ])
+    def test_matrix(self, argv, message, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            "repro.experiments.parallel.run_matrix_parallel", _must_not_run
+        )
+        for out in (tmp_path / "runs.jsonl", tmp_path / "shards"):
+            code = main([
+                "matrix", "--scenarios", "adversarial", *argv,
+                "--workers", "1", "--out", str(out),
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}")
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    def test_entry_point_prints_one_line(self):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.experiments.cli", "run",
+                "--scenario", "adversarial", "--scheduler", "nope",
+            ],
+            capture_output=True,
+            text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+            },
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: unknown scheduler 'nope'")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
 
 class TestFaultToleranceFlags:

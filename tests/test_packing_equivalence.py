@@ -1,18 +1,18 @@
-"""Equivalence guarantees of the incremental packing kernel.
+"""Equivalence guarantees of the packing kernel.
 
-The performance rewrite (list-backed profile columns, prefix-pack
-caching, zero-copy decision snapshots) is only valid if it is
+The performance rewrite (list-backed profile columns, zero-copy
+decision snapshots) is only valid if it is
 *invisible* to results: the annealer's seeded trajectory acceptance
 decisions compare floats, so placements and objectives must be
 **bit-identical**, not merely close. These tests pin that contract
 against the retained naive reference implementation
 (``tests/packing_reference.py``) at three levels:
 
-1. single packs and incremental suffix re-packs vs the reference, on
-   randomized workloads;
+1. single packs, and one packer's successive candidate packs, vs the
+   reference on randomized workloads;
 2. profile snapshot/rollback round-trips;
 3. whole simulations: byte-identical :class:`ScheduleResult`s for the
-   annealing optimizer (incremental vs naive packer) and for both the
+   annealing optimizer (list-backed vs naive packer) and for both the
    optimizer and EASY backfill under old-style (fully materialized)
    system views vs the zero-copy views.
 """
@@ -20,12 +20,13 @@ against the retained naive reference implementation
 import numpy as np
 import pytest
 
+from repro.schedulers import optimizer
 from repro.schedulers.fcfs import EasyBackfillScheduler
 from repro.schedulers.optimizer import AnnealingOptimizer
 from repro.schedulers.packing import (
-    IncrementalPacker,
     PackingError,
     ResourceProfile,
+    SerialPacker,
 )
 from tests.packing_reference import (
     ReferenceResourceProfile,
@@ -78,7 +79,7 @@ class TestPackOrderEquivalence:
                 now=5.0, free_nodes=8, free_memory_gb=64.0, releases=releases
             )
             assert_same_placements(
-                IncrementalPacker(**kwargs).pack(jobs),
+                SerialPacker(**kwargs).pack(jobs),
                 reference_pack_order(jobs, **kwargs),
             )
 
@@ -140,7 +141,7 @@ class TestPackOrderEquivalence:
             assert {type(v) for v in free_nodes + free_memory} == {float}
         assert profile_columns(fast) == profile_columns(ref)
         jobs = [make_job(i + 1, submit=0, duration=10 * (i + 1)) for i in range(3)]
-        packer = IncrementalPacker(now=0, free_nodes=4, free_memory_gb=64)
+        packer = SerialPacker(now=0, free_nodes=4, free_memory_gb=64)
         for placed in packer.pack(jobs):
             assert type(placed.start) is float
 
@@ -173,18 +174,20 @@ class TestPackOrderEquivalence:
                 profile.earliest_start(9, 8.0, 1.0, not_before=1e6)
 
 
-class TestIncrementalKernel:
-    def test_suffix_repack_matches_scratch_pack(self):
+class TestSerialKernel:
+    def test_one_packer_scores_a_swap_walk(self):
+        """The annealer reuses one packer for every candidate of a
+        replan; each candidate must pack exactly as a scratch pack on a
+        fresh reference profile, whatever was packed before it."""
         rng = np.random.default_rng(23)
         for _ in range(12):
             n = int(rng.integers(2, 45))
-            jobs = random_jobs(rng, n)
-            releases = random_releases(rng)
+            current = random_jobs(rng, n)
             kwargs = dict(
-                now=0.0, free_nodes=8, free_memory_gb=64.0, releases=releases
+                now=0.0, free_nodes=8, free_memory_gb=64.0,
+                releases=random_releases(rng),
             )
-            packer = IncrementalPacker(**kwargs)
-            current = list(jobs)
+            packer = SerialPacker(**kwargs)
             packer.pack(current)
             for _ in range(20):
                 i, j = rng.integers(0, n, size=2)
@@ -192,68 +195,11 @@ class TestIncrementalKernel:
                     continue
                 cand = list(current)
                 cand[i], cand[j] = cand[j], cand[i]
-                pivot = int(min(i, j))
-                got = packer.pack_from(cand, pivot)
                 assert_same_placements(
-                    got, reference_pack_order(cand, **kwargs)
+                    packer.pack(cand), reference_pack_order(cand, **kwargs)
                 )
-                if rng.random() < 0.5:  # adopt some candidates
-                    packer.commit(cand, pivot, got)
+                if rng.random() < 0.5:  # walk on from some candidates
                     current = cand
-
-    # Checkpoint strides 2, 3, 4 and 5.
-    @pytest.mark.parametrize("n", [192, 288, 384, 480])
-    def test_checkpoint_stride_does_not_change_results(self, n):
-        """Long queues checkpoint every ``n // 96`` positions. A pivot
-        between checkpoints replays known reservations from the one
-        below it, and a restore past the last commit's pivot densifies
-        the checkpoints it walks over — all invisible in placements."""
-        stride = n // 96
-        rng = np.random.default_rng(5)
-        current = random_jobs(rng, n)
-        kwargs = dict(now=0.0, free_nodes=8, free_memory_gb=64.0)
-        packer = IncrementalPacker(**kwargs)
-        packer.pack(current)
-        # Each pivot sits one past / one before a checkpoint; after the
-        # first commit only checkpoints 0 and `stride` survive, so the
-        # second pivot replays 6 * stride + 1 placements.
-        pivots = (stride + 1, 7 * stride + 1, 3 * stride - 1)
-        for step, lo in enumerate(pivots):
-            cand = list(current)
-            cand[lo], cand[n - 1 - step] = cand[n - 1 - step], cand[lo]
-            got = packer.pack_from(cand, lo)
-            assert_same_placements(got, reference_pack_order(cand, **kwargs))
-            if step == 1:
-                assert set(range(0, lo, stride)) <= set(
-                    packer._inc.checkpoints
-                )
-            packer.commit(cand, lo, got)
-            current = cand
-        assert packer.stats.jobs_replayed == 1 + (6 * stride + 1) + (
-            stride - 1
-        )
-
-    def test_pack_from_pivot_zero_equals_full_pack(self):
-        rng = np.random.default_rng(9)
-        jobs = random_jobs(rng, 15)
-        kwargs = dict(now=0.0, free_nodes=8, free_memory_gb=64.0)
-        packer = IncrementalPacker(**kwargs)
-        packer.pack(jobs)
-        reordered = list(reversed(jobs))
-        assert_same_placements(
-            packer.pack_from(reordered, 0),
-            reference_pack_order(reordered, **kwargs),
-        )
-
-    def test_pack_from_before_any_pack_is_a_full_pack(self):
-        rng = np.random.default_rng(13)
-        jobs = random_jobs(rng, 10)
-        kwargs = dict(now=0.0, free_nodes=8, free_memory_gb=64.0)
-        packer = IncrementalPacker(**kwargs)
-        # No incumbent yet: any pivot degrades to a pivot-0 full pack.
-        assert_same_placements(
-            packer.pack_from(jobs, 4), reference_pack_order(jobs, **kwargs)
-        )
 
 
 class TestSnapshotRollback:
@@ -373,21 +319,23 @@ class TestSerialEquivalence:
     """Acceptance: fixed seeds -> byte-identical ScheduleResults."""
 
     def test_fixture_substitutes_the_naive_packer(self, naive_packer):
-        """The naive side of the comparisons below must really pack
-        from scratch: a full O(queue) pack per candidate where the
-        kernel re-packs only a suffix."""
+        """The naive side of the comparisons below must really plan on
+        the reference profile. Both sides pack every candidate's whole
+        order, so their work counts match."""
         jobs = generate_workload("heterogeneous_mix", 40, seed=0)
         fast = run_sim(jobs, AnnealingOptimizer(seed=7))
         with naive_packer():
+            assert optimizer.SerialPacker.__name__ == "NaivePacker"
             naive = run_sim(jobs, AnnealingOptimizer(seed=7))
-        assert naive.extras["packed_jobs"] > fast.extras["packed_jobs"]
+        assert optimizer.SerialPacker is SerialPacker
+        assert naive.extras["packed_jobs"] == fast.extras["packed_jobs"]
 
     @pytest.mark.parametrize("scenario,seed", [
         ("heterogeneous_mix", 0),
         ("adversarial", 3),
         ("bursty_idle", 1),
     ])
-    def test_annealer_incremental_vs_naive_packer(
+    def test_annealer_vs_naive_packer(
         self, scenario, seed, naive_packer
     ):
         jobs = generate_workload(scenario, 40, seed=seed)

@@ -11,7 +11,7 @@ from repro.metrics.normalize import normalize_to_baseline
 from repro.metrics.objectives import compute_metrics
 from repro.schedulers.fcfs import EasyBackfillScheduler, FCFSScheduler
 from repro.schedulers.heuristics import FirstFitScheduler
-from repro.schedulers.packing import IncrementalPacker, ResourceProfile
+from repro.schedulers.packing import ResourceProfile, SerialPacker
 from repro.schedulers.sjf import SJFScheduler
 from repro.sim.actions import BackfillJob, Delay, StartJob, Stop
 from repro.sim.cluster import ResourcePool
@@ -193,7 +193,7 @@ def test_grammar_round_trip(job_id, kind, thought):
 @given(raw=job_lists)
 def test_packing_never_oversubscribes(raw):
     jobs = build_jobs(raw)
-    packed = IncrementalPacker(now=0.0, free_nodes=8, free_memory_gb=64.0).pack(
+    packed = SerialPacker(now=0.0, free_nodes=8, free_memory_gb=64.0).pack(
         jobs
     )
     points = []

@@ -7,7 +7,7 @@ from repro.experiments.runner import run_single
 from repro.metrics.objectives import compute_metrics
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.optimizer import AnnealingConfig, AnnealingOptimizer
-from repro.schedulers.packing import IncrementalPacker
+from repro.schedulers.packing import SerialPacker
 from repro.sim.actions import ActionKind
 from repro.sim.simulator import SystemView
 from repro.workloads.generator import generate_workload
@@ -75,7 +75,7 @@ class TestAdoptedPlan:
         sched = AnnealingOptimizer(seed=0)
         sched._replan(queued_at_zero(jobs))
         lpt = sorted(jobs, key=lambda j: (-j.node_seconds, j.job_id))
-        start = IncrementalPacker(
+        start = SerialPacker(
             now=0.0, free_nodes=256, free_memory_gb=2048.0
         ).pack(lpt)
         (stats,) = sched._stats

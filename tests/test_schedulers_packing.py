@@ -7,10 +7,10 @@ import pytest
 
 from repro.schedulers.optimizer import AnnealingOptimizer
 from repro.schedulers.packing import (
-    IncrementalPacker,
     PackedJob,
     PackingError,
     ResourceProfile,
+    SerialPacker,
     plan_makespan,
     plan_total_completion,
 )
@@ -25,7 +25,7 @@ from tests.node_reference import NodeLevelCluster
 def pack(jobs, **profile):
     """Serial schedule generation: *jobs* in order, each at its earliest
     feasible start."""
-    return IncrementalPacker(**profile).pack(jobs)
+    return SerialPacker(**profile).pack(jobs)
 
 
 class TestResourceProfile:
@@ -315,44 +315,11 @@ class TestStatedSumOrder:
             )
 
 
-class TestPackStats:
-    def jobs(self, n=10):
-        return [make_job(i + 1, duration=10.0 * (i + 1), nodes=2)
-                for i in range(n)]
-
-    def test_counters_track_packing_work(self):
-        packer = IncrementalPacker(now=0.0, free_nodes=8, free_memory_gb=64.0)
-        jobs = self.jobs(10)
-        packer.pack(jobs)
-        assert packer.stats.full_packs == 1
-        assert packer.stats.jobs_packed == 10
-        cand = list(jobs)
-        cand[4], cand[7] = cand[7], cand[4]
-        packer.pack_from(cand, 4)
-        assert packer.stats.suffix_packs == 1
-        assert packer.stats.jobs_packed == 16  # 10 + suffix of 6
-        packer.commit(cand, 4, packer.pack_from(cand, 4))
-        assert packer.stats.commits == 1
-
-
-class TestCommit:
-    def test_commit_shares_prefix_snapshots(self):
-        # A candidate committed at pivot c keeps the incumbent's
-        # checkpoints at or below c by reference — the annealer relies
-        # on it: an accepted move copies no snapshot.
-        packer = IncrementalPacker(now=0.0, free_nodes=8, free_memory_gb=64.0)
-        jobs = [make_job(i + 1, duration=5.0 * (i + 1), nodes=2)
-                for i in range(8)]
-        packer.pack(jobs)
-        parent_snapshots = dict(packer._inc.checkpoints)
-        child = jobs[:4] + list(reversed(jobs[4:]))
-        placements = packer.pack_from(child, 4)
-        packer.commit(child, 4, placements)
-        assert sorted(packer._inc.checkpoints) == [0, 1, 2, 3, 4]
-        for pos, snap in packer._inc.checkpoints.items():
-            assert snap is parent_snapshots[pos]
-
-    KWARGS = dict(now=0.0, free_nodes=8, free_memory_gb=64.0)
+class TestSerialPacker:
+    KWARGS = dict(
+        now=0.0, free_nodes=8, free_memory_gb=64.0,
+        releases=[(12.0, 2, 16.0)],
+    )
 
     def jobs(self, n=10):
         return [
@@ -360,40 +327,28 @@ class TestCommit:
             for i in range(n)
         ]
 
-    def test_pack_from_leaves_the_incumbent(self):
-        # A rejected move is simply never committed: the next candidate
-        # still shares its prefix with the order packed last.
-        packer = IncrementalPacker(**self.KWARGS)
-        jobs = self.jobs()
+    def test_jobs_packed_counts_every_placement(self):
+        packer = SerialPacker(**self.KWARGS)
+        jobs = self.jobs(10)
         packer.pack(jobs)
-        packer.pack_from(jobs[:2] + list(reversed(jobs[2:])), 2)
-        second = list(jobs)
-        second[5], second[8] = second[8], second[5]
-        got = packer.pack_from(second, 5)
-        expected = pack(second, **self.KWARGS)
-        assert [(p.job.job_id, p.start) for p in got] == [
-            (p.job.job_id, p.start) for p in expected
-        ]
-        assert packer._inc.order == jobs
-        assert packer.stats.commits == 0
+        assert packer.jobs_packed == 10
+        cand = list(jobs)
+        cand[4], cand[7] = cand[7], cand[4]
+        packer.pack(cand)
+        assert packer.jobs_packed == 20  # a candidate places its whole order
+        packer.pack([])
+        assert packer.jobs_packed == 20
 
-    def test_commit_at_pivot_zero_keeps_only_the_base(self):
-        packer = IncrementalPacker(**self.KWARGS)
+    def test_every_pack_starts_from_the_base_profile(self):
+        # Reservations of one candidate never leak into the next: the
+        # packer holds no state between packs but its counter.
+        packer = SerialPacker(**self.KWARGS)
         jobs = self.jobs()
-        packer.pack(jobs)
-        base = packer._inc.checkpoints[0]
-        reordered = list(reversed(jobs))
-        packer.commit(reordered, 0, packer.pack_from(reordered, 0))
-        assert list(packer._inc.checkpoints) == [0]
-        assert packer._inc.checkpoints[0] is base
-        # The next suffix pack replays the committed prefix from the
-        # base, checkpointing each position it walks over.
-        cand = list(reordered)
-        cand[3], cand[6] = cand[6], cand[3]
-        got = packer.pack_from(cand, 3)
-        expected = pack(cand, **self.KWARGS)
-        assert [(p.job.job_id, p.start) for p in got] == [
-            (p.job.job_id, p.start) for p in expected
-        ]
-        assert packer.stats.jobs_replayed == 3
-        assert sorted(packer._inc.checkpoints) == [0, 1, 2, 3]
+        first = packer.pack(jobs)
+        packer.pack(list(reversed(jobs)))
+        again = packer.pack(jobs)
+        fresh = SerialPacker(**self.KWARGS).pack(jobs)
+        for plan in (again, fresh):
+            assert [(p.job.job_id, p.start) for p in plan] == [
+                (p.job.job_id, p.start) for p in first
+            ]
