@@ -657,8 +657,15 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    from repro.core.profiles import MODEL_PROFILES
     from repro.experiments import figures
 
+    if args.model not in MODEL_PROFILES:
+        raise UsageError(
+            f"unknown model profile {args.model!r}; "
+            f"available: {', '.join(MODEL_PROFILES)}"
+        )
+    _check_job_counts("--n-jobs", [args.n_jobs])
     for sample in figures.figure2(
         model=args.model, n_jobs=args.n_jobs, seed=args.seed
     ):
@@ -712,6 +719,12 @@ def _cmd_figure(args) -> int:
     from repro.experiments import figures
 
     fig_name, keywords, render_name, render_kwargs = _FIGURES[args.command]
+    if "n_jobs" in keywords:
+        _check_job_counts("--n-jobs", [args.n_jobs])
+    if "sizes" in keywords:
+        _check_job_counts("--sizes", args.sizes)
+    if "n_repeats" in keywords and args.repeats < 1:
+        raise UsageError("--repeats must be >= 1")
     data = getattr(figures, fig_name)(
         **{kw: getattr(args, _FIGURE_ARGS.get(kw, kw)) for kw in keywords}
     )

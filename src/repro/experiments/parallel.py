@@ -9,12 +9,19 @@ cell in flight each — streams each finished run into a
 — with ``resume=True`` — skips cells the store already holds, so a
 killed sweep restarts where it left off.
 
+A cell answers with its measurement, the
+:class:`~repro.experiments.store.StoredRun` the store persists, on the
+inline and the pooled path alike: what a sweep's readers (the report,
+:func:`~repro.experiments.figures.matrix_blocks`, the store) read, and
+no schedule. A caller that wants a cell's schedule calls
+:func:`~repro.experiments.runner.run_single` for it.
+
 Determinism is part of the contract: a cell's result depends only on
 its (scenario, n_jobs, scheduler, workload_seed, scheduler_seed,
 arrival_mode) identity, never on worker scheduling, so
-:func:`run_matrix_parallel` returns results bit-identical to running
-the same cells one after another in one process, for the same seeds,
-in the same deterministic cell order: scenario, then size, then
+:func:`run_matrix_parallel` returns measurements equal to those of
+running the same cells one after another in one process, for the same
+seeds, in the same deterministic cell order: scenario, then size, then
 scheduler, with seeds innermost.
 
 The engine is also fault-tolerant (the ScalienDB discipline: crashes
@@ -45,15 +52,12 @@ from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from repro.experiments.runner import (
-    DEFAULT_SCHEDULERS,
-    ExperimentRun,
-    run_single,
-)
+from repro.experiments.runner import DEFAULT_SCHEDULERS, run_single
 from repro.experiments.store import (
     CellKey,
     FailedCell,
     FailureSidecar,
+    StoredRun,
     cell_key,
     cell_key_str,
 )
@@ -249,8 +253,10 @@ def _worker_init() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _execute_cell(cell: MatrixCell, attempt: int = 1) -> ExperimentRun:
-    """Worker entry point: simulate one cell (top-level for pickling).
+def _execute_cell(cell: MatrixCell, attempt: int = 1) -> StoredRun:
+    """Worker entry point: simulate one cell (top-level for pickling)
+    and answer with its measurement, the :class:`StoredRun` the store
+    persists — the schedule itself never crosses a worker's pipe.
 
     *attempt* (1-based) exists solely for the chaos harness: the
     parent tracks how many times a cell has been tried so injected
@@ -260,7 +266,7 @@ def _execute_cell(cell: MatrixCell, attempt: int = 1) -> ExperimentRun:
     """
     if cell_fault is not None:
         cell_fault(cell_key_str(cell.key), attempt)
-    return run_single(
+    return StoredRun.from_run(run_single(
         cell.scenario,
         cell.n_jobs,
         cell.scheduler,
@@ -271,7 +277,7 @@ def _execute_cell(cell: MatrixCell, attempt: int = 1) -> ExperimentRun:
         restart_policy=cell.restart_policy,
         checkpoint_interval=cell.checkpoint_interval,
         topology=cell.topology,
-    )
+    ))
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -307,8 +313,9 @@ def _worker_main(
     conn: Connection, parent_end: Connection, store_path: Optional[str]
 ) -> None:
     """Body of one owned worker process: answer ``(cell, attempt)``
-    tasks on *conn*, one at a time, with the run or with the exception
-    the cell raised, until the explicit ``None`` task.
+    tasks on *conn*, one at a time, with the cell's :class:`StoredRun`
+    or with the exception the cell raised, until the explicit ``None``
+    task.
 
     With *store_path* (a sharded store) the worker persists each cell
     itself, into the shard the cell's key hashes to and under that
@@ -412,7 +419,7 @@ class _Sweep:
             if self.store is not None else None
         )
         self.attempts = [0] * len(self.pending)
-        self.results: dict[int, ExperimentRun] = {}
+        self.results: dict[int, StoredRun] = {}
         self.failed: dict[int, FailedCell] = {}
         self.queue: deque[int] = deque(range(len(self.pending)))
         self.ready_at: dict[int, float] = {}
@@ -423,7 +430,7 @@ class _Sweep:
         self.persisted = False
 
     # -- accounting (both paths) ----------------------------------------
-    def record(self, index: int, run: ExperimentRun) -> None:
+    def record(self, index: int, run: StoredRun) -> None:
         self.results[index] = run
         if self.store is not None and not self.persisted:
             self.store.append(run)
@@ -563,7 +570,7 @@ class _Sweep:
 
     def collect(self, timeout: Optional[float]):
         """Wait up to *timeout* for busy workers to answer and yield
-        ``(cell index, ExperimentRun | Exception, failure kind)`` per
+        ``(cell index, StoredRun | Exception, failure kind)`` per
         answer. EOF on a pipe is a dead worker: it is replaced and its
         cell answers :class:`WorkerLost`, a ``"pool-crash"``.
 
@@ -647,11 +654,13 @@ def run_cells(
     retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
     on_cell_failure: str = "abort",
     failures: Optional[list[FailedCell]] = None,
-) -> list[ExperimentRun]:
+) -> list[StoredRun]:
     """Execute *cells* across fault-tolerant worker processes.
 
-    Returns the runs for the cells that completed, in the order the
-    cells were given (completion order never leaks into results). With
+    Returns the :class:`StoredRun` measurements of the cells that
+    completed, in the order the cells were given (completion order
+    never leaks into results) — ``StoredRun.from_run(run_single(...))``
+    of each, whether it ran inline or in a worker. With
     ``resume=True`` and a store, cells whose key the store already
     holds are skipped — read them back with ``store.load()``.
 
@@ -730,13 +739,13 @@ def run_matrix_parallel(
     retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
     on_cell_failure: str = "abort",
     failures: Optional[list[FailedCell]] = None,
-) -> list[ExperimentRun]:
+) -> list[StoredRun]:
     """Parallel, resumable scenarios × sizes × schedulers × seeds sweep.
 
-    For the same seeds it produces the metrics a serial loop over
-    scenarios, sizes and schedulers (one workload per scenario and
-    size, shared by its schedulers) produces, in the identical order,
-    just faster.
+    Returns one :class:`StoredRun` per executed cell. For the same
+    seeds they hold the metrics a serial loop over scenarios, sizes and
+    schedulers (one workload per scenario and size, shared by its
+    schedulers) produces, in the identical order, just faster.
     Accepts seed *sequences* so repetition sweeps (paper Fig. 7 style)
     fan out over the same pool.
 

@@ -33,12 +33,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.schedulers.base import BaseScheduler
-from repro.schedulers.packing import (
-    PackedJob,
-    SerialPacker,
-    plan_makespan,
-    plan_total_completion,
-)
+from repro.schedulers.packing import PackedJob, SerialPacker
 from repro.schedulers.recovery import (
     effective_jobs,
     split_unpackable,
@@ -134,12 +129,17 @@ class AnnealingOptimizer(BaseScheduler):
         self._stats = []
 
     # -- planning ---------------------------------------------------------
-    def _objective(self, placements: list[PackedJob], now: float) -> float:
-        n = len(placements)
+    def _objective(
+        self, packed: tuple[list[float], float, float], now: float
+    ) -> float:
+        """Makespan from *now* plus the weighted mean completion time
+        of a :meth:`SerialPacker.pack` answer."""
+        starts, latest_end, total_end = packed
+        n = len(starts)
         if n == 0:
             return 0.0
-        return plan_makespan(placements, now) + (
-            self.config.flow_time_weight * plan_total_completion(placements) / n
+        return latest_end - now + (
+            self.config.flow_time_weight * total_end / n
         )
 
     def _sample_move(self, m: int) -> Optional[tuple[int, int]]:
@@ -247,18 +247,17 @@ class AnnealingOptimizer(BaseScheduler):
         # the failing rack); identity on flat topologies.
         order = sorted(jobs, key=lambda j: (-j.node_seconds, j.job_id))
         order = spread_requeue(view, order)
-        placements = packer.pack(order)
-        best_obj = initial_obj = self._objective(placements, view.now)
+        packed = packer.pack(order)
+        best_obj = initial_obj = self._objective(packed, view.now)
         iterations = self.config.iterations_for(n)
 
         accepted = 0
         if n >= 2:
-            best_order, best_obj, accepted = self._anneal_full(
+            order, best_obj, accepted = self._anneal_full(
                 packer, order, best_obj, view.now, iterations
             )
-            final = packer.pack(best_order)
-        else:
-            final = placements
+            packed = packer.pack(order)
+        final = [PackedJob(job, start) for job, start in zip(order, packed[0])]
         # Execute in planned start-time order; capacity-starved jobs
         # (failed nodes) trail the plan until repairs let them fit.
         self._plan = sorted(final, key=lambda p: (p.start, p.job.job_id))

@@ -243,14 +243,10 @@ class ResourceProfile:
 
 @dataclass(frozen=True)
 class PackedJob:
-    """One job placement produced by the packer."""
+    """One job placement of the plan the annealer adopts."""
 
     job: Job
     start: float
-
-    @property
-    def end(self) -> float:
-        return self.start + self.job.duration
 
 
 class SerialPacker:
@@ -274,41 +270,38 @@ class SerialPacker:
         self._base = self._profile.snapshot()
         self.jobs_packed = 0
 
-    def pack(self, order: Sequence[Job]) -> list[PackedJob]:
-        """Place *order*, in order, each job at its earliest fit."""
+    def pack(self, order: Sequence[Job]) -> tuple[list[float], float, float]:
+        """Place *order*, in order, each job at its earliest fit.
+
+        Returns ``(starts, latest end, sum of ends)``: the start of each
+        job of *order*, and the two values the annealer's objective
+        reads, so scoring a candidate builds no per-job objects. The
+        latest end is ``now`` for an empty order. The sum is a plain
+        left-to-right fold, not builtin ``sum()``: from Python 3.12
+        ``sum()`` compensates float rounding, so the annealer's accept
+        test — and every seeded plan — would depend on the interpreter.
+        The fold is the value ``sum()`` returned on 3.11, where the
+        goldens were recorded.
+        """
         profile = self._profile
         profile.restore(self._base)
-        placements: list[PackedJob] = []
+        now = self._now
+        starts: list[float] = []
+        latest = now
+        total = 0.0
         for job in order:
+            duration = job.duration
             start = profile.earliest_start(
-                job.nodes, job.memory_gb, job.duration,
-                not_before=max(self._now, job.submit_time),
+                job.nodes, job.memory_gb, duration,
+                not_before=max(now, job.submit_time),
             )
             profile.reserve_trusted(
-                start, job.duration, job.nodes, job.memory_gb
+                start, duration, job.nodes, job.memory_gb
             )
-            placements.append(PackedJob(job, start))
-        self.jobs_packed += len(placements)
-        return placements
-
-
-def plan_makespan(placements: Sequence[PackedJob], now: float) -> float:
-    """Makespan of a packed plan measured from *now*."""
-    if not placements:
-        return 0.0
-    return max(p.end for p in placements) - now
-
-
-def plan_total_completion(placements: Sequence[PackedJob]) -> float:
-    """Sum of completion times (the flow-time tiebreak objective).
-
-    A plain left-to-right fold, not builtin ``sum()``: from Python 3.12
-    ``sum()`` compensates float rounding, so the annealer's accept test
-    — and every seeded plan — would depend on the interpreter. The fold
-    is the value ``sum()`` returned on 3.11, where the goldens were
-    recorded.
-    """
-    total = 0.0
-    for p in placements:
-        total += p.end
-    return total
+            starts.append(start)
+            end = start + duration
+            if end > latest:
+                latest = end
+            total += end
+        self.jobs_packed += len(starts)
+        return starts, latest, total

@@ -17,7 +17,10 @@ Concurrency model, by workload class:
   isolation between sessions, ordering inside one.
 * **Sweep cells** (``run_cell``) are pure functions of their
   :class:`~repro.experiments.store.CellKey` and go to a process pool
-  (the same ``_execute_cell`` entry point the sweep engine uses).
+  through the same ``_execute_cell`` entry point the sweep engine
+  uses, which answers with the cell's
+  :class:`~repro.experiments.store.StoredRun`: only the measurement
+  crosses the pool's pipe.
   Identical concurrent requests coalesce onto one in-flight
   simulation; finished cells land in the two-tier
   :class:`~repro.service.cache.ResultCache`, so a repeat request never
@@ -297,7 +300,7 @@ class SchedulingService:
         loop = asyncio.get_running_loop()
         pool = self._ensure_pool()
         try:
-            run = await loop.run_in_executor(pool, _execute_cell, cell)
+            stored = await loop.run_in_executor(pool, _execute_cell, cell)
         except BrokenExecutor as exc:
             # One dead worker breaks a ProcessPoolExecutor for good:
             # drop it, or every later run_cell fails the same way.
@@ -309,7 +312,6 @@ class SchedulingService:
                 f"the pool was replaced, retry the request"
             ) from exc
         self.cache.stats.simulations += 1
-        stored = StoredRun.from_run(run)
         self.cache.put(stored)
         self.publish(
             "cell_completed",

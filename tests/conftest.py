@@ -18,6 +18,7 @@ from repro.sim.simulator import HPCSimulator
 from tests.object_reference import run_object
 from tests.packing_reference import (
     ReferenceResourceProfile,
+    plan_values,
     reference_pack_order,
 )
 from tests.random_policy import RandomScheduler
@@ -170,7 +171,9 @@ class NaivePacker:
 
     def pack(self, order):
         self.jobs_packed += len(order)
-        return reference_pack_order(order, **self._profile)
+        return plan_values(
+            reference_pack_order(order, **self._profile), self._profile["now"]
+        )
 
 
 @pytest.fixture

@@ -143,3 +143,16 @@ def reference_pack_order(
         profile.reserve(start, job.duration, job.nodes, job.memory_gb)
         placements.append(PackedJob(job, start))
     return placements
+
+
+def plan_values(
+    placements: Sequence[PackedJob], now: float
+) -> tuple[list[float], float, float]:
+    """What :meth:`repro.schedulers.packing.SerialPacker.pack` answers
+    for *placements*: their starts, the latest end (builtin ``max``,
+    ``now`` for an empty plan) and the left-to-right fold of the ends."""
+    ends = [p.start + p.job.duration for p in placements]
+    total = 0.0
+    for end in ends:
+        total += end
+    return [p.start for p in placements], max(ends, default=now), total

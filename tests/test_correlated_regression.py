@@ -31,6 +31,7 @@ from repro.sim.simulator import SystemView
 from repro.sim.topology import ClusterTopology
 
 from tests.conftest import run_digest
+from tests.runner_reference import forked_run_digests, run_digests
 
 TOPO = ClusterTopology(n_nodes=256, rack_size=32, racks_per_switch=4)
 
@@ -152,10 +153,8 @@ class TestCorrelatedDeterminism:
         serial = run_cells(cells, workers=1)
         parallel = run_cells(cells, workers=2)
         assert len(serial) == len(parallel) == 4
-        for s, p in zip(serial, parallel):
-            assert s.key == p.key
-            assert s.metrics.as_dict() == p.metrics.as_dict()
-            assert run_digest(s) == run_digest(p)
+        assert serial == parallel  # field for field, key and metrics too
+        assert forked_run_digests(cells) == run_digests(cells)
 
 
 class TestTopologyIdentity:

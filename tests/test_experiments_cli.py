@@ -317,9 +317,9 @@ def _must_not_run(*args, **kwargs):
 
 
 class TestBadNamesAndCounts:
-    """An unknown scheduler or a negative job count is a usage error:
-    exit 2, one ``error:`` line, no traceback, nothing simulated and no
-    store written."""
+    """An unknown scheduler or model profile, or a negative job count,
+    is a usage error: exit 2, one ``error:`` line, no traceback,
+    nothing simulated and no store written."""
 
     @pytest.mark.parametrize("argv,message", [
         (["--scheduler", "nope", "-n", "5"], "unknown scheduler 'nope'"),
@@ -366,6 +366,32 @@ class TestBadNamesAndCounts:
             assert err.startswith(f"error: {message}")
             assert "Traceback" not in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv,figure,message", [
+        (["fig2", "--model", "nope", "--n-jobs", "3"], "figure2",
+         "unknown model profile 'nope'; available: claude-3.7-sim"),
+        (["fig2", "--n-jobs", "-3"], "figure2", "--n-jobs must be >= 0"),
+        (["fig3", "--n-jobs", "-1"], "figure3", "--n-jobs must be >= 0"),
+        (["fig4", "--sizes", "5", "-2"], "figure4", "--sizes must be >= 0"),
+        (["fig5", "--n-jobs", "-3"], "figure5", "--n-jobs must be >= 0"),
+        (["fig6", "--sizes", "-2"], "figure6", "--sizes must be >= 0"),
+        (["fig7", "--n-jobs", "-1"], "figure7", "--n-jobs must be >= 0"),
+        (["fig7", "--repeats", "0"], "figure7", "--repeats must be >= 1"),
+        (["fig8", "--n-jobs", "-1"], "figure8", "--n-jobs must be >= 0"),
+    ], ids=[
+        "fig2-model", "fig2-n", "fig3-n", "fig4-sizes", "fig5-n",
+        "fig6-sizes", "fig7-n", "fig7-repeats", "fig8-n",
+    ])
+    def test_figures(self, argv, figure, message, capsys, monkeypatch):
+        monkeypatch.setattr(
+            f"repro.experiments.figures.{figure}", _must_not_run
+        )
+        code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_entry_point_prints_one_line(self):
         proc = subprocess.run(

@@ -52,12 +52,10 @@ class TestFigure3:
 class TestMatrixBlocks:
     def test_blocks_from_stored_runs(self):
         from repro.experiments.parallel import run_matrix_parallel
-        from repro.experiments.store import StoredRun
 
-        runs = run_matrix_parallel(
+        stored = run_matrix_parallel(
             ("resource_sparse",), (8,), SMALL_SCHEDULERS, workers=1
         )
-        stored = [StoredRun.from_run(r) for r in runs]
         blocks = figures.matrix_blocks(stored)
         assert set(blocks) == {
             ("resource_sparse", 8, 0, "scenario", "none", "flat")

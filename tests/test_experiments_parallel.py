@@ -14,11 +14,12 @@ from repro.experiments.parallel import (
     run_cells,
     run_matrix_parallel,
 )
-from repro.experiments.runner import run_single
-from repro.experiments.store import FailureSidecar, RunStore
+from repro.experiments.runner import LLM_SCHEDULERS, run_single
+from repro.experiments.store import FailureSidecar, RunStore, StoredRun
 from repro.schedulers.registry import available_schedulers
+from repro.sim.disruptions import DisruptionSpec
 
-from tests.runner_reference import run_matrix
+from tests.runner_reference import cell_run, run_matrix
 
 SCENARIOS = ("adversarial", "resource_sparse")
 SIZES = (10,)
@@ -88,6 +89,39 @@ class TestSerialParallelEquivalence:
         one = run_matrix_parallel(SCENARIOS, SIZES, SCHEDULERS, workers=1)
         two = run_matrix_parallel(SCENARIOS, SIZES, SCHEDULERS, workers=2)
         assert [r.values for r in one] == [r.values for r in two]
+
+
+class TestCellAnswerIsTheMeasurement:
+    """A sweep answers with what its readers read: each cell's
+    ``StoredRun``, the same object on the inline and the pooled path,
+    equal to ``StoredRun.from_run`` of the cell's ``run_single``."""
+
+    CELLS = (
+        MatrixCell("heterogeneous_mix", 8, LLM_SCHEDULERS[0]),
+        MatrixCell(
+            "drain_window", 10, "fcfs_backfill",
+            disruptions=DisruptionSpec(
+                mtbf=60_000.0, mttr=800.0, drain_every=6_000.0,
+                drain_duration=1_000.0, drain_nodes=48, drain_lead=1_500.0,
+                drain_first=2_000.0, seed=5,
+            ),
+            restart_policy="checkpoint",
+            checkpoint_interval=400.0,
+        ),
+        MatrixCell("adversarial", 8, "ortools_like", 1, 2),
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_cells_answers_with_stored_runs(self, workers):
+        runs = run_cells(self.CELLS, workers=workers)
+        assert [type(r) for r in runs] == [StoredRun] * len(self.CELLS)
+        # Dataclass equality: every field, the columns below included.
+        assert runs == [StoredRun.from_run(cell_run(c)) for c in self.CELLS]
+        llm, disrupted, planner = runs
+        assert llm.overhead is not None and llm.overhead["n_calls"] > 0
+        assert disrupted.disruption is not None
+        assert disrupted.disruption["n_preemptions"] > 0
+        assert planner.overhead is None and planner.disruption is None
 
 
 class TestStoreStreaming:

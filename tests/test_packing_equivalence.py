@@ -30,6 +30,7 @@ from repro.schedulers.packing import (
 )
 from tests.packing_reference import (
     ReferenceResourceProfile,
+    plan_values,
     reference_pack_order,
 )
 from repro.sim.simulator import HPCSimulator, SystemView
@@ -62,11 +63,10 @@ def random_releases(rng: np.random.Generator) -> list:
     ]
 
 
-def assert_same_placements(got, expected):
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert g.job.job_id == e.job.job_id
-        assert g.start == e.start  # bitwise float equality, not approx
+def assert_same_placements(packed, placements, now):
+    """A packer's answer equals the reference plan's starts, latest end
+    and sum of ends — bitwise float equality, not approx."""
+    assert packed == plan_values(placements, now)
 
 
 class TestPackOrderEquivalence:
@@ -81,6 +81,7 @@ class TestPackOrderEquivalence:
             assert_same_placements(
                 SerialPacker(**kwargs).pack(jobs),
                 reference_pack_order(jobs, **kwargs),
+                5.0,
             )
 
     def test_profile_arrays_match_reference_after_reserves(self):
@@ -142,8 +143,8 @@ class TestPackOrderEquivalence:
         assert profile_columns(fast) == profile_columns(ref)
         jobs = [make_job(i + 1, submit=0, duration=10 * (i + 1)) for i in range(3)]
         packer = SerialPacker(now=0, free_nodes=4, free_memory_gb=64)
-        for placed in packer.pack(jobs):
-            assert type(placed.start) is float
+        starts, latest, total = packer.pack(jobs)
+        assert {type(v) for v in starts + [latest, total]} == {float}
 
     def test_drain_notches_and_queries_past_the_last_breakpoint(self):
         """Negative releases (announced drains) make capacity
@@ -196,7 +197,7 @@ class TestSerialKernel:
                 cand = list(current)
                 cand[i], cand[j] = cand[j], cand[i]
                 assert_same_placements(
-                    packer.pack(cand), reference_pack_order(cand, **kwargs)
+                    packer.pack(cand), reference_pack_order(cand, **kwargs), 0.0
                 )
                 if rng.random() < 0.5:  # walk on from some candidates
                     current = cand

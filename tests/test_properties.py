@@ -21,6 +21,7 @@ from repro.sim.simulator import HPCSimulator
 
 from tests.conftest import pop_earliest
 from tests.event_reference import Event, EventQueue
+from tests.packing_reference import plan_values, reference_pack_order
 from tests.random_policy import RandomScheduler
 
 # ---------------------------------------------------------------------------
@@ -193,14 +194,14 @@ def test_grammar_round_trip(job_id, kind, thought):
 @given(raw=job_lists)
 def test_packing_never_oversubscribes(raw):
     jobs = build_jobs(raw)
-    packed = SerialPacker(now=0.0, free_nodes=8, free_memory_gb=64.0).pack(
-        jobs
-    )
+    starts, _, _ = SerialPacker(
+        now=0.0, free_nodes=8, free_memory_gb=64.0
+    ).pack(jobs)
     points = []
-    for p in packed:
-        assert p.start >= p.job.submit_time - 1e-9
-        points.append((p.end, 0, -p.job.nodes, -p.job.memory_gb))
-        points.append((p.start, 1, p.job.nodes, p.job.memory_gb))
+    for job, start in zip(jobs, starts):
+        assert start >= job.submit_time - 1e-9
+        points.append((start + job.duration, 0, -job.nodes, -job.memory_gb))
+        points.append((start, 1, job.nodes, job.memory_gb))
     points.sort(key=lambda x: (x[0], x[1]))
     nodes = mem = 0.0
     for _, _, dn, dm in points:
@@ -208,6 +209,36 @@ def test_packing_never_oversubscribes(raw):
         mem += dm
         assert nodes <= 8 + 1e-6
         assert mem <= 64.0 + 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    raw=job_lists,
+    now=st.floats(min_value=0.0, max_value=300.0),
+    releases=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=600.0),
+            st.integers(min_value=0, max_value=4),
+            st.floats(min_value=0.0, max_value=32.0),
+        ),
+        max_size=5,
+    ),
+)
+def test_pack_values_are_the_reference_plans(raw, now, releases):
+    """The annealer scores a candidate by the latest end and the sum of
+    ends ``pack`` folds while placing: bit for bit what the reference
+    packer's plan gives, starts included."""
+    jobs = build_jobs(raw)
+    kwargs = dict(
+        now=now, free_nodes=8, free_memory_gb=64.0, releases=releases
+    )
+    starts, latest, total = SerialPacker(**kwargs).pack(jobs)
+    ref_starts, ref_latest, ref_total = plan_values(
+        reference_pack_order(jobs, **kwargs), now
+    )
+    assert [s.hex() for s in starts] == [s.hex() for s in ref_starts]
+    assert latest.hex() == ref_latest.hex()
+    assert total.hex() == ref_total.hex()
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,6 +14,7 @@ from repro.workloads.generator import generate_workload
 from repro.workloads.scenarios import PAPER_SCENARIOS
 
 from tests.conftest import make_job, run_digest, run_sim
+from tests.packing_reference import plan_values
 
 
 #: SHA-256 digests produced by the engine at commit f415ab5, before
@@ -80,7 +81,8 @@ class TestAdoptedPlan:
         ).pack(lpt)
         (stats,) = sched._stats
         assert stats.initial_objective == sched._objective(start, 0.0)
-        assert sched._objective(sched._plan, 0.0) == pytest.approx(
+        adopted = plan_values(sched._plan, 0.0)
+        assert sched._objective(adopted, 0.0) == pytest.approx(
             stats.final_objective, rel=1e-12
         )
         assert stats.final_objective <= stats.initial_objective

@@ -7,12 +7,9 @@ import pytest
 
 from repro.schedulers.optimizer import AnnealingOptimizer
 from repro.schedulers.packing import (
-    PackedJob,
     PackingError,
     ResourceProfile,
     SerialPacker,
-    plan_makespan,
-    plan_total_completion,
 )
 from repro.schedulers.recovery import split_unpackable
 from repro.schedulers.registry import create_scheduler
@@ -23,9 +20,10 @@ from tests.node_reference import NodeLevelCluster
 
 
 def pack(jobs, **profile):
-    """Serial schedule generation: *jobs* in order, each at its earliest
-    feasible start."""
-    return SerialPacker(**profile).pack(jobs)
+    """Serial schedule generation: the starts of *jobs* placed in
+    order, each at its earliest feasible start."""
+    starts, _, _ = SerialPacker(**profile).pack(jobs)
+    return starts
 
 
 class TestResourceProfile:
@@ -207,9 +205,8 @@ class TestPackOrder:
             make_job(1, duration=10.0, nodes=8),
             make_job(2, duration=20.0, nodes=8),
         ]
-        packed = pack(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
-        assert packed[0].start == 0.0
-        assert packed[1].start == 10.0
+        starts = pack(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
+        assert starts == [0.0, 10.0]
 
     def test_later_job_can_start_earlier(self):
         # Order is a priority list: job 2 (second in order) fits in the
@@ -219,30 +216,26 @@ class TestPackOrder:
             make_job(2, duration=5.0, nodes=8),
             make_job(3, duration=3.0, nodes=2),
         ]
-        packed = pack(
+        starts = pack(
             [jobs[0], jobs[1], jobs[2]],
             now=0.0, free_nodes=8, free_memory_gb=64.0,
         )
-        by_id = {p.job.job_id: p for p in packed}
-        assert by_id[1].start == 0.0
-        assert by_id[2].start == 10.0
-        assert by_id[3].start == 15.0
+        assert starts == [0.0, 10.0, 15.0]
 
     def test_respects_submit_times(self):
         jobs = [make_job(1, submit=42.0, duration=10.0, nodes=1)]
-        packed = pack(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
-        assert packed[0].start == 42.0
+        assert pack(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0) == [42.0]
 
     def test_respects_running_releases(self):
         jobs = [make_job(1, duration=10.0, nodes=8)]
-        packed = pack(
+        starts = pack(
             jobs,
             now=0.0,
             free_nodes=2,
             free_memory_gb=64.0,
             releases=[(30.0, 6, 0.0)],
         )
-        assert packed[0].start == 30.0
+        assert starts == [30.0]
 
     def test_packed_plan_never_oversubscribes(self):
         rng = np.random.default_rng(3)
@@ -255,12 +248,12 @@ class TestPackOrder:
             )
             for i in range(1, 40)
         ]
-        packed = pack(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
+        starts = pack(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
         # Sweep check against capacity.
         points = []
-        for p in packed:
-            points.append((p.end, 0, -p.job.nodes, -p.job.memory_gb))
-            points.append((p.start, 1, p.job.nodes, p.job.memory_gb))
+        for job, start in zip(jobs, starts):
+            points.append((start + job.duration, 0, -job.nodes, -job.memory_gb))
+            points.append((start, 1, job.nodes, job.memory_gb))
         points.sort(key=lambda x: (x[0], x[1]))
         nodes = mem = 0.0
         for _, _, dn, dm in points:
@@ -274,13 +267,14 @@ class TestPackOrder:
             make_job(1, duration=10.0, nodes=8),
             make_job(2, duration=20.0, nodes=8),
         ]
-        packed = pack(jobs, now=0.0, free_nodes=8, free_memory_gb=64.0)
-        assert plan_makespan(packed, 0.0) == 30.0
-        assert plan_total_completion(packed) == 40.0
+        packer = SerialPacker(now=0.0, free_nodes=8, free_memory_gb=64.0)
+        assert packer.pack(jobs) == ([0.0, 10.0], 30.0, 40.0)
 
     def test_empty_plan(self):
-        assert plan_makespan([], 0.0) == 0.0
-        assert plan_total_completion([]) == 0.0
+        packer = SerialPacker(now=5.0, free_nodes=8, free_memory_gb=64.0)
+        packed = packer.pack([])
+        assert packed == ([], 5.0, 0.0)
+        assert AnnealingOptimizer()._objective(packed, 5.0) == 0.0
 
 
 class TestStatedSumOrder:
@@ -289,29 +283,36 @@ class TestStatedSumOrder:
     with them its accept decisions, by the last bits."""
 
     def plans(self, n=60):
+        """Job lists that pack at their submit times on a cluster wide
+        enough for all of them at once."""
         for seed in range(50):
             rng = np.random.default_rng(seed)
             yield [
-                PackedJob(
-                    make_job(i + 1, duration=float(rng.uniform(1.0, 5e3))),
-                    float(rng.uniform(0.0, 1e5)),
+                make_job(
+                    i + 1,
+                    duration=float(rng.uniform(1.0, 5e3)),
+                    submit=float(rng.uniform(0.0, 1e5)),
                 )
                 for i in range(n)
             ]
 
     def test_plan_total_completion_is_the_left_fold(self):
-        differing = [
-            plan for plan in self.plans()
-            if neumaier_sum(p.end for p in plan)
-            != left_fold(p.end for p in plan)
-        ]
+        differing = []
+        for jobs in self.plans():
+            ends = [j.submit_time + j.duration for j in jobs]
+            if neumaier_sum(ends) != left_fold(ends):
+                differing.append((jobs, ends))
         assert len(differing) >= 10  # the hazard is not hypothetical
         weight = AnnealingOptimizer().config.flow_time_weight
-        for plan in differing:
-            fold = left_fold(p.end for p in plan)
-            assert plan_total_completion(plan) == fold
-            assert AnnealingOptimizer()._objective(plan, 0.0) == (
-                plan_makespan(plan, 0.0) + weight * fold / len(plan)
+        for jobs, ends in differing:
+            packer = SerialPacker(now=0.0, free_nodes=1e6, free_memory_gb=1e9)
+            packed = packer.pack(jobs)
+            starts, latest, total = packed
+            assert starts == [j.submit_time for j in jobs]
+            fold = left_fold(ends)
+            assert (latest, total) == (max(ends), fold)
+            assert AnnealingOptimizer()._objective(packed, 0.0) == (
+                max(ends) + weight * fold / len(jobs)
             )
 
 
@@ -348,7 +349,5 @@ class TestSerialPacker:
         packer.pack(list(reversed(jobs)))
         again = packer.pack(jobs)
         fresh = SerialPacker(**self.KWARGS).pack(jobs)
-        for plan in (again, fresh):
-            assert [(p.job.job_id, p.start) for p in plan] == [
-                (p.job.job_id, p.start) for p in first
-            ]
+        assert again == first
+        assert fresh == first

@@ -29,6 +29,7 @@ from repro.sim.topology import ClusterTopology
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import make_job, run_digest
+from tests.runner_reference import forked_run_digests, run_digests
 
 SPEC = DisruptionSpec(
     mtbf=40_000.0,
@@ -294,8 +295,9 @@ class TestParallelIdentity:
             ["fcfs", "sjf", "ortools_like"],
             workload_seeds=(0, 1),
         )
+        # The sweep answers with measurements; the whole schedules are
+        # compared across a forked process by digest.
         serial = run_cells(cells, workers=1)
         parallel = run_cells(cells, workers=2)
-        assert [run_digest(r) for r in serial] == [
-            run_digest(r) for r in parallel
-        ]
+        assert serial == parallel
+        assert forked_run_digests(cells) == run_digests(cells)
