@@ -26,10 +26,10 @@ def test_fig6_overhead_scaling(bench_once):
     )
 
     for model in ("claude-3.7-sim", "o4-mini-sim"):
-        placements = [data[n][model].n_accepted_placements for n in SIZES]
+        placements = [data[n][model]["n_accepted_placements"] for n in SIZES]
         # Linear call scaling: placements == job count at every size.
         assert placements == SIZES, model
-        elapsed = [data[n][model].elapsed_s for n in SIZES]
+        elapsed = [data[n][model]["elapsed_s"] for n in SIZES]
         # Monotonic-ish growth (allow one local dip from stochastic draws).
         dips = sum(1 for a, b in zip(elapsed, elapsed[1:]) if b < a)
         assert dips <= 1, (model, elapsed)
@@ -37,21 +37,22 @@ def test_fig6_overhead_scaling(bench_once):
     claude_100 = data[100]["claude-3.7-sim"]
     o4_100 = data[100]["o4-mini-sim"]
     # Several-fold end-to-end gap at 100 jobs.
-    assert o4_100.elapsed_s > 3.0 * claude_100.elapsed_s
+    assert o4_100["elapsed_s"] > 3.0 * claude_100["elapsed_s"]
 
     # Superlinearity check: o4's per-job cost grows with scale while
     # claude's stays roughly flat.
-    o4_per_job_small = data[10]["o4-mini-sim"].elapsed_s / 10
-    o4_per_job_large = o4_100.elapsed_s / 100
+    o4_per_job_small = data[10]["o4-mini-sim"]["elapsed_s"] / 10
+    o4_per_job_large = o4_100["elapsed_s"] / 100
     assert o4_per_job_large > 1.5 * o4_per_job_small
-    claude_per_job_small = data[10]["claude-3.7-sim"].elapsed_s / 10
-    claude_per_job_large = claude_100.elapsed_s / 100
+    claude_per_job_small = data[10]["claude-3.7-sim"]["elapsed_s"] / 10
+    claude_per_job_large = claude_100["elapsed_s"] / 100
     assert claude_per_job_large < 2.5 * claude_per_job_small
 
     # Deployment-implication summary (§3.7.3).
     print(
         f"\n§3.7.3 summary: at 100 jobs, o4-mini-sim total scheduling time "
-        f"{o4_100.elapsed_s:.0f}s vs claude-3.7-sim {claude_100.elapsed_s:.0f}s "
-        f"({o4_100.elapsed_s / claude_100.elapsed_s:.1f}x); "
-        f"o4 outliers >100s: {o4_100.latency.over_100s}"
+        f"{o4_100['elapsed_s']:.0f}s vs claude-3.7-sim "
+        f"{claude_100['elapsed_s']:.0f}s "
+        f"({o4_100['elapsed_s'] / claude_100['elapsed_s']:.1f}x); "
+        f"o4 outliers >100s: {o4_100['latency']['over_100s']}"
     )

@@ -132,7 +132,7 @@ class TestParallelSpeedup:
     def test_speedup_at_four_workers(self):
         speedup, serial, parallel = self._measure()
         # Determinism survives the pool.
-        assert [r.values for r in serial] == [r.values for r in parallel]
+        assert [r.metrics for r in serial] == [r.metrics for r in parallel]
         if speedup <= 2.0:
             # One retry absorbs transient scheduler jitter on shared
             # CI runners; a genuinely serial engine still fails twice.

@@ -54,7 +54,9 @@ def compare_schedulers(
 ) -> dict[str, PairedComparison]:
     """Paired comparison of two schedulers over *n_seeds* workload draws.
 
-    Both schedulers run on identical instances per seed (paired design).
+    Both schedulers run on identical instances per seed (paired design),
+    the 2 × *n_seeds* cells as one
+    :func:`~repro.experiments.parallel.run_cells` sweep.
     Returns one :class:`PairedComparison` per metric;
     ``mean_diff = mean(a) − mean(b)``.
     """
@@ -62,29 +64,21 @@ def compare_schedulers(
 
     # Imported lazily: repro.experiments builds on repro.analysis, so a
     # top-level import here would be circular.
-    from repro.experiments.runner import run_single
+    from repro.experiments.parallel import expand_cells, run_cells
 
     if n_seeds < 2:
         raise ValueError("n_seeds must be at least 2")
-    values_a: dict[str, list[float]] = {m: [] for m in metrics}
-    values_b: dict[str, list[float]] = {m: [] for m in metrics}
-    for seed in range(n_seeds):
-        run_a = run_single(
-            scenario, n_jobs, scheduler_a,
-            workload_seed=seed, scheduler_seed=scheduler_seed,
-        )
-        run_b = run_single(
-            scenario, n_jobs, scheduler_b,
-            workload_seed=seed, scheduler_seed=scheduler_seed,
-        )
-        for metric in metrics:
-            values_a[metric].append(run_a.values[metric])
-            values_b[metric].append(run_b.values[metric])
+    runs = run_cells(expand_cells(
+        [scenario], [n_jobs], [scheduler_a, scheduler_b],
+        workload_seeds=range(n_seeds), scheduler_seeds=[scheduler_seed],
+    ))
+    # Seeds nest inside schedulers: a's n_seeds runs, then b's.
+    runs_a, runs_b = runs[:n_seeds], runs[n_seeds:]
 
     out: dict[str, PairedComparison] = {}
     for metric in metrics:
-        a = np.array(values_a[metric])
-        b = np.array(values_b[metric])
+        a = np.array([run.metrics[metric] for run in runs_a])
+        b = np.array([run.metrics[metric] for run in runs_b])
         diffs = a - b
         if np.allclose(diffs, 0.0):
             p = float("nan")

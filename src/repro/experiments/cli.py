@@ -36,6 +36,7 @@ from repro.sim.disruptions import (
     get_disruption_preset,
 )
 from repro.sim.topology import ClusterTopology
+from repro.workloads.generator import ARRIVAL_MODES
 from repro.workloads.scenarios import CLUSTER_NODES, SCENARIOS
 
 
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--scheduler", required=True)
     pr.add_argument("-n", "--n-jobs", type=int, default=60)
     pr.add_argument(
-        "--arrival-mode", choices=["scenario", "zero"], default="scenario"
+        "--arrival-mode", choices=ARRIVAL_MODES, default="scenario"
     )
     pr.add_argument(
         "--enforce-walltime",
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip cells already persisted in --out",
     )
     pm.add_argument(
-        "--arrival-mode", choices=["scenario", "zero"], default="scenario"
+        "--arrival-mode", choices=ARRIVAL_MODES, default="scenario"
     )
     f = pm.add_argument_group("fault tolerance")
     f.add_argument(

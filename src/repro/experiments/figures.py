@@ -12,6 +12,15 @@ figure7   Robustness over 5 repetitions, Het-Mix 100 jobs (§4)
 figure8   Polaris trace, 100 jobs (§5)
 ========  ==========================================================
 
+Figs. 3–7 are views of the evaluation matrix: each builds its cells
+with :func:`~repro.experiments.parallel.expand_cells`, runs them with
+:func:`~repro.experiments.parallel.run_cells` — the sweep ``repro-sched
+matrix`` runs, on every core — and reads the
+:class:`~repro.experiments.store.StoredRun` each cell answers with,
+keyed in the order of the figure's arguments. Fig. 2 needs the agent's
+scratchpad text and Fig. 8 a preprocessed Polaris trace on a 560-node
+pool, neither of which a cell describes, so both simulate in process.
+
 Every driver returns plain nested dicts/dataclasses so benchmarks,
 tests and the CLI share one code path; rendering lives in
 :mod:`repro.experiments.report`.
@@ -20,16 +29,17 @@ tests and the CLI share one code path; rendering lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Protocol, Sequence
+from operator import attrgetter
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.stats import BoxStats, box_stats
+from repro.experiments.parallel import MatrixCell, expand_cells, run_cells
 from repro.experiments.runner import (
     DEFAULT_SCHEDULERS,
     LLM_SCHEDULERS,
-    ExperimentRun,
-    OverheadSummary,
     run_single,
 )
+from repro.experiments.store import StoredRun
 from repro.metrics.normalize import normalize_to_baseline
 from repro.metrics.objectives import METRIC_NAMES
 from repro.sim.cluster import ResourcePool
@@ -59,52 +69,38 @@ BASELINE = "fcfs"
 InstanceKey = tuple[str, int, int, str, str, str]
 
 
-class RunLike(Protocol):
-    """Structural type shared by :class:`ExperimentRun` and
-    :class:`~repro.experiments.store.StoredRun`: cell identity plus a
-    metric dict."""
-
-    scenario: str
-    n_jobs: int
-    workload_seed: int
-    scheduler: str
-    arrival_mode: str
-
-    @property
-    def values(self) -> dict[str, float]: ...
+def _instance_key(run: StoredRun) -> InstanceKey:
+    return (
+        run.scenario,
+        run.n_jobs,
+        run.workload_seed,
+        run.arrival_mode,
+        run.disruption_sig,
+        run.topology_sig,
+    )
 
 
 def matrix_blocks(
-    runs: Sequence["RunLike"],
+    runs: Sequence[StoredRun],
     *,
     baseline: str = BASELINE,
 ) -> dict[InstanceKey, dict[str, dict[str, float]]]:
-    """Normalized figure blocks from sweep results or stored artifacts.
+    """Normalized figure blocks from a sweep's or a store's runs.
 
-    Accepts any mix of :class:`ExperimentRun` and
-    :class:`~repro.experiments.store.StoredRun` (anything with the cell
-    identity fields and a ``values`` dict), groups them by workload
-    instance, averages metric values over scheduler seeds, and
-    normalizes each block to *baseline* — the Fig. 3/4 transformation,
-    applied to a whole persisted sweep.
+    Groups the :class:`~repro.experiments.store.StoredRun` measurements
+    by workload instance, averages metric values over scheduler seeds,
+    and normalizes each block to *baseline* — the Fig. 3/4
+    transformation, applied to a whole sweep. Instance keys come out
+    sorted, *baseline* first in each block.
 
     Blocks whose instance lacks a *baseline* run are returned with raw
     (unnormalized) metric values.
     """
     grouped: dict[InstanceKey, dict[str, list[dict[str, float]]]] = {}
     for run in runs:
-        sig = getattr(run, "disruption_sig", "none")
-        key = (
-            run.scenario,
-            run.n_jobs,
-            run.workload_seed,
-            getattr(run, "arrival_mode", "scenario"),
-            str(sig),
-            str(getattr(run, "topology_sig", "flat")),
-        )
-        grouped.setdefault(key, {}).setdefault(run.scheduler, []).append(
-            dict(run.values)
-        )
+        grouped.setdefault(_instance_key(run), {}).setdefault(
+            run.scheduler, []
+        ).append(run.metrics)
 
     out: dict[InstanceKey, dict[str, dict[str, float]]] = {}
     for key in sorted(grouped):
@@ -154,55 +150,30 @@ def store_blocks(
     return matrix_blocks(runs, baseline=baseline)
 
 
-def _normalized_block(
-    runs: Mapping[str, ExperimentRun]
-) -> dict[str, dict[str, float]]:
-    """{scheduler: {metric: value / FCFS}} for one workload instance."""
-    baseline = runs[BASELINE].values
-    return {
-        name: normalize_to_baseline(run.values, baseline)
-        for name, run in runs.items()
-    }
-
-
-def _overheads(
-    runs: Mapping[str, ExperimentRun]
-) -> dict[str, OverheadSummary]:
-    """{model: OverheadSummary} for one workload instance."""
-    out: dict[str, OverheadSummary] = {}
-    for model, run in runs.items():
-        assert run.overhead is not None
-        out[model] = run.overhead
-    return out
-
-
-def _sweep(
-    instances,
-    schedulers: Sequence[str],
-    summarize,
-    *,
-    workload_seed: int,
-    scheduler_seed: int,
+def _by_label(
+    runs: Sequence[StoredRun],
+    label: Callable[[StoredRun], object],
+    value: Callable[[StoredRun], object],
 ) -> dict:
-    """The one body behind Figs. 3–6: ``{label: summarize(runs)}`` over
-    ``(label, scenario, n_jobs)`` workload instances, every scheduler
-    run on the same generated jobs. Figs. 3/5 iterate the scenario
-    axis, Figs. 4/6 the queue-size axis."""
-    out = {}
-    for label, scenario, n_jobs in instances:
-        jobs = generate_workload(scenario, n_jobs, seed=workload_seed)
-        out[label] = summarize({
-            name: run_single(
-                scenario,
-                n_jobs,
-                name,
-                workload_seed=workload_seed,
-                scheduler_seed=scheduler_seed,
-                jobs=jobs,
-            )
-            for name in schedulers
-        })
+    """``{label(run): {run.scheduler: value(run)}}`` in sweep order.
+
+    :func:`~repro.experiments.parallel.expand_cells` nests scenario →
+    size → scheduler and :func:`~repro.experiments.parallel.run_cells`
+    answers in cell order, so this is the order of the figure's
+    arguments (where :func:`matrix_blocks` sorts)."""
+    out: dict = {}
+    for run in runs:
+        out.setdefault(label(run), {})[run.scheduler] = value(run)
     return out
+
+
+def _normalized(runs: Sequence[StoredRun], label) -> dict:
+    """One single-seed sweep as ``{label: {scheduler: {metric: value /
+    FCFS}}}`` (raw values where the sweep has no FCFS cell)."""
+    blocks = matrix_blocks(runs)
+    return _by_label(
+        runs, label, lambda run: blocks[_instance_key(run)][run.scheduler]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +264,12 @@ def figure3(
     Heterogeneous Mix is excluded by default, as in the paper (§3.5 —
     it is covered by the scalability analysis).
     """
-    return _sweep(
-        [(scenario, scenario, n_jobs) for scenario in scenarios],
-        schedulers,
-        _normalized_block,
-        workload_seed=workload_seed,
-        scheduler_seed=scheduler_seed,
+    return _normalized(
+        run_cells(expand_cells(
+            scenarios, [n_jobs], schedulers,
+            workload_seeds=[workload_seed], scheduler_seeds=[scheduler_seed],
+        )),
+        attrgetter("scenario"),
     )
 
 
@@ -318,12 +289,12 @@ def figure4(
 
     Returns ``{n_jobs: {scheduler: {metric: normalized}}}``.
     """
-    return _sweep(
-        [(n_jobs, scenario, n_jobs) for n_jobs in sizes],
-        schedulers,
-        _normalized_block,
-        workload_seed=workload_seed,
-        scheduler_seed=scheduler_seed,
+    return _normalized(
+        run_cells(expand_cells(
+            [scenario], sizes, schedulers,
+            workload_seeds=[workload_seed], scheduler_seeds=[scheduler_seed],
+        )),
+        attrgetter("n_jobs"),
     )
 
 
@@ -338,17 +309,18 @@ def figure5(
     scenarios: Sequence[str] = FIGURE3_SCENARIOS,
     workload_seed: int = 0,
     scheduler_seed: int = 0,
-) -> dict[str, dict[str, OverheadSummary]]:
+) -> dict[str, dict[str, dict]]:
     """Overhead per scenario at fixed scale (Fig. 5).
 
-    Returns ``{scenario: {model: OverheadSummary}}``.
+    Returns ``{scenario: {model: StoredRun.overhead}}``.
     """
-    return _sweep(
-        [(scenario, scenario, n_jobs) for scenario in scenarios],
-        models,
-        _overheads,
-        workload_seed=workload_seed,
-        scheduler_seed=scheduler_seed,
+    return _by_label(
+        run_cells(expand_cells(
+            scenarios, [n_jobs], models,
+            workload_seeds=[workload_seed], scheduler_seeds=[scheduler_seed],
+        )),
+        attrgetter("scenario"),
+        attrgetter("overhead"),
     )
 
 
@@ -359,17 +331,18 @@ def figure6(
     scenario: str = "heterogeneous_mix",
     workload_seed: int = 0,
     scheduler_seed: int = 0,
-) -> dict[int, dict[str, OverheadSummary]]:
+) -> dict[int, dict[str, dict]]:
     """Overhead scaling with queue size on Heterogeneous Mix (Fig. 6).
 
-    Returns ``{n_jobs: {model: OverheadSummary}}``.
+    Returns ``{n_jobs: {model: StoredRun.overhead}}``.
     """
-    return _sweep(
-        [(n_jobs, scenario, n_jobs) for n_jobs in sizes],
-        models,
-        _overheads,
-        workload_seed=workload_seed,
-        scheduler_seed=scheduler_seed,
+    return _by_label(
+        run_cells(expand_cells(
+            [scenario], sizes, models,
+            workload_seeds=[workload_seed], scheduler_seeds=[scheduler_seed],
+        )),
+        attrgetter("n_jobs"),
+        attrgetter("overhead"),
     )
 
 
@@ -388,37 +361,33 @@ def figure7(
     """Metric distributions over repeated runs (Fig. 7).
 
     The workload instance is fixed (the paper repeats the *scheduling
-    pipeline*, not the workload draw); each repetition re-seeds the
-    scheduler, so stochastic methods (LLM agents, the annealer) vary
-    while FCFS/SJF stay deterministic and flat.
+    pipeline*, not the workload draw); repetition *k* runs the
+    scheduler at seed *k*, so stochastic methods (LLM agents, the
+    annealer) vary while FCFS/SJF stay deterministic and flat. Every
+    run is normalized to one more cell, FCFS at scheduler seed 0, which
+    is left out of the result.
 
     Returns ``{scheduler: {metric: BoxStats over repetitions}}``.
     """
-    jobs = generate_workload(scenario, n_jobs, seed=workload_seed)
-    baseline = run_single(
-        scenario, n_jobs, BASELINE, workload_seed=workload_seed, jobs=jobs
-    ).values
-
-    out: dict[str, dict[str, BoxStats]] = {}
-    for name in schedulers:
-        per_metric: dict[str, list[float]] = {m: [] for m in METRIC_NAMES}
-        for rep in range(n_repeats):
-            run = run_single(
-                scenario,
-                n_jobs,
-                name,
-                workload_seed=workload_seed,
-                scheduler_seed=rep,
-                jobs=jobs,
-            )
-            normalized = normalize_to_baseline(run.values, baseline)
-            for metric, value in normalized.items():
-                per_metric[metric].append(value)
-        out[name] = {
+    cells = expand_cells(
+        [scenario], [n_jobs], schedulers,
+        workload_seeds=[workload_seed], scheduler_seeds=range(n_repeats),
+    )
+    *runs, base = run_cells(
+        cells + [MatrixCell(scenario, n_jobs, BASELINE, workload_seed)]
+    )
+    samples = {name: {m: [] for m in METRIC_NAMES} for name in schedulers}
+    for run in runs:
+        normalized = normalize_to_baseline(run.metrics, base.metrics)
+        for metric, value in normalized.items():
+            samples[run.scheduler][metric].append(value)
+    return {
+        name: {
             metric: box_stats(values)
             for metric, values in per_metric.items()
         }
-    return out
+        for name, per_metric in samples.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +412,8 @@ def figure8(
     """
     raw = synthesize_polaris_trace(n_jobs=int(n_jobs * 1.25), seed=trace_seed)
     jobs = preprocess_trace(raw, n_jobs=n_jobs)
-    runs: dict[str, ExperimentRun] = {}
-    for name in schedulers:
-        runs[name] = run_single(
+    values = {
+        name: run_single(
             "polaris_trace",
             len(jobs),
             name,
@@ -456,5 +424,10 @@ def figure8(
                 total_nodes=POLARIS_NODES,
                 total_memory_gb=POLARIS_TOTAL_MEMORY_GB,
             ),
-        )
-    return _normalized_block(runs)
+        ).values
+        for name in schedulers
+    }
+    return {
+        name: normalize_to_baseline(metrics, values[BASELINE])
+        for name, metrics in values.items()
+    }

@@ -9,12 +9,19 @@ cell in flight each — streams each finished run into a
 — with ``resume=True`` — skips cells the store already holds, so a
 killed sweep restarts where it left off.
 
+This is the one path a grid of cells runs through: ``repro-sched
+matrix``, the figure drivers of Figs. 3–7
+(:mod:`repro.experiments.figures`) and
+:func:`~repro.analysis.significance.compare_schedulers` each build
+their cells with :func:`expand_cells` and hand them to
+:func:`run_cells`, on every core unless told otherwise.
+
 A cell answers with its measurement, the
 :class:`~repro.experiments.store.StoredRun` the store persists, on the
 inline and the pooled path alike: what a sweep's readers (the report,
-:func:`~repro.experiments.figures.matrix_blocks`, the store) read, and
-no schedule. A caller that wants a cell's schedule calls
-:func:`~repro.experiments.runner.run_single` for it.
+the figures, the store) read, and no schedule. A caller that wants a
+cell's schedule calls :func:`~repro.experiments.runner.run_single` for
+it.
 
 Determinism is part of the contract: a cell's result depends only on
 its (scenario, n_jobs, scheduler, workload_seed, scheduler_seed,
@@ -64,7 +71,7 @@ from repro.experiments.store import (
 from repro.experiments.storage import ShardedStore, StoreBackend, open_store
 from repro.sim.disruptions import DisruptionSpec, disruption_signature
 from repro.sim.topology import ClusterTopology, topology_signature
-from repro.workloads.generator import ArrivalMode
+from repro.workloads.generator import ArrivalMode, check_arrival_mode
 
 #: Progress callback: (cell, completed runs so far, total cells).
 ProgressFn = Callable[["MatrixCell", int, int], None]
@@ -199,7 +206,9 @@ class MatrixCell:
                 scheduler=str(config["scheduler"]),
                 workload_seed=int(config["workload_seed"]),
                 scheduler_seed=int(config["scheduler_seed"]),
-                arrival_mode=str(config["arrival_mode"]),
+                # Refused here, before any worker: the cell would fail
+                # inside generate_workload.
+                arrival_mode=check_arrival_mode(str(config["arrival_mode"])),
                 disruptions=disruptions,
                 restart_policy=str(config["restart_policy"]),
                 checkpoint_interval=(

@@ -11,7 +11,6 @@ import math
 from typing import Mapping, Sequence
 
 from repro.analysis.stats import BoxStats
-from repro.experiments.runner import OverheadSummary
 from repro.metrics.disruption import DISRUPTION_METRIC_NAMES
 from repro.metrics.objectives import METRIC_NAMES
 
@@ -161,12 +160,13 @@ def render_figure4(
 
 
 def render_overhead_table(
-    data: Mapping[object, Mapping[str, OverheadSummary]],
+    data: Mapping[object, Mapping[str, Mapping]],
     *,
     key_label: str,
     title: str,
 ) -> str:
-    """Figs. 5/6: elapsed time, call count, latency distribution."""
+    """Figs. 5/6: elapsed time, call count, latency distribution, from
+    each cell's stored overhead record (``StoredRun.overhead``)."""
     headers = [
         key_label,
         "model",
@@ -182,18 +182,19 @@ def render_overhead_table(
     rows = []
     for key, per_model in data.items():
         for model, ov in per_model.items():
+            latency = ov["latency"]
             rows.append(
                 [
                     str(key),
                     model,
-                    f"{ov.elapsed_s:.1f}",
-                    str(ov.n_calls),
-                    str(ov.n_accepted_placements),
-                    str(ov.n_rejected),
-                    f"{ov.latency.median_s:.2f}",
-                    f"{ov.latency.p90_s:.2f}",
-                    f"{ov.latency.max_s:.2f}",
-                    str(ov.latency.over_100s),
+                    f"{ov['elapsed_s']:.1f}",
+                    str(ov["n_calls"]),
+                    str(ov["n_accepted_placements"]),
+                    str(ov["n_rejected"]),
+                    f"{latency['median_s']:.2f}",
+                    f"{latency['p90_s']:.2f}",
+                    f"{latency['max_s']:.2f}",
+                    str(latency["over_100s"]),
                 ]
             )
     return f"== {title}\n" + format_table(headers, rows)

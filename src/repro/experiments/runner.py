@@ -53,7 +53,7 @@ class OverheadSummary:
 
     __slots__ = (
         "model", "elapsed_s", "n_calls", "n_accepted_placements",
-        "n_rejected", "latency", "all_call_latencies",
+        "n_rejected", "latency",
     )
 
     def __init__(
@@ -64,7 +64,6 @@ class OverheadSummary:
         n_accepted_placements: int,
         n_rejected: int,
         latency: LatencySummary,
-        all_call_latencies: tuple[float, ...],
     ) -> None:
         self.model = model
         self.elapsed_s = elapsed_s
@@ -72,7 +71,6 @@ class OverheadSummary:
         self.n_accepted_placements = n_accepted_placements
         self.n_rejected = n_rejected
         self.latency = latency
-        self.all_call_latencies = all_call_latencies
 
     @classmethod
     def from_result(cls, result: ScheduleResult) -> Optional["OverheadSummary"]:
@@ -90,7 +88,6 @@ class OverheadSummary:
             n_accepted_placements=len(accepted_placements),
             n_rejected=sum(1 for c in calls if not c.accepted),
             latency=summarize_latencies(lat),
-            all_call_latencies=tuple(c.latency_s for c in calls),
         )
 
 
@@ -157,20 +154,6 @@ class ExperimentRun:
     @property
     def values(self) -> dict[str, float]:
         return self.metrics.as_dict()
-
-    @property
-    def key(self) -> CellKey:
-        """Cell identity, shared with ``StoredRun``/``MatrixCell``."""
-        return cell_key(
-            self.scenario,
-            self.n_jobs,
-            self.scheduler,
-            self.workload_seed,
-            self.scheduler_seed,
-            self.arrival_mode,
-            self.disruption_sig,
-            self.topology_sig,
-        )
 
 
 def run_single(

@@ -99,9 +99,10 @@ def normalize_where(
 class StoredRun:
     """One persisted experiment cell: identity + measurements.
 
-    Mirrors the measurement surface of
-    :class:`~repro.experiments.runner.ExperimentRun` (``values`` /
-    ``metrics``) so reporting code can consume either interchangeably.
+    What every sweep answers with, per cell: the matrix, the figures
+    (:mod:`repro.experiments.figures`), ``compare`` and the report all
+    read these. :class:`~repro.experiments.runner.ExperimentRun`, with
+    the schedule itself, is for callers of ``run_single``.
     """
 
     scenario: str
@@ -140,11 +141,6 @@ class StoredRun:
             self.disruption_sig,
             self.topology_sig,
         )
-
-    @property
-    def values(self) -> dict[str, float]:
-        """Metric dict, same accessor :class:`ExperimentRun` exposes."""
-        return dict(self.metrics)
 
     # -- construction ----------------------------------------------------
     @classmethod

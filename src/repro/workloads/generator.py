@@ -9,7 +9,7 @@ every job at ``t = 0``; pass ``arrival_mode="zero"`` for that.
 from __future__ import annotations
 
 import math
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence, get_args
 
 import numpy as np
 
@@ -18,6 +18,19 @@ from repro.workloads.arrivals import AllAtZero
 from repro.workloads.scenarios import Scenario, get_scenario
 
 ArrivalMode = Literal["scenario", "zero"]
+
+#: The arrival modes a workload can be generated with.
+ARRIVAL_MODES: tuple[str, ...] = get_args(ArrivalMode)
+
+
+def check_arrival_mode(mode: str) -> str:
+    """*mode* if it is one of :data:`ARRIVAL_MODES`, else ``ValueError``."""
+    if mode not in ARRIVAL_MODES:
+        raise ValueError(
+            f"unknown arrival_mode {mode!r}; expected one of "
+            f"{', '.join(ARRIVAL_MODES)}"
+        )
+    return mode
 
 
 def generate_workload(
@@ -54,6 +67,7 @@ def generate_workload(
     """
     if n_jobs < 0:
         raise ValueError(f"n_jobs must be non-negative, got {n_jobs}")
+    check_arrival_mode(arrival_mode)
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     rng = np.random.default_rng(seed)
     pool = user_pool if user_pool is not None else spec.user_pool

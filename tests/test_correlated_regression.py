@@ -130,7 +130,7 @@ class TestCorrelatedDeterminism:
 
         a, b = one(), one()
         assert run_digest(a) == run_digest(b)
-        assert a.key == b.key
+        assert StoredRun.from_run(a).key == StoredRun.from_run(b).key
         assert [
             (p.job_id, p.time, p.reason, p.domain)
             for p in a.result.preemptions
@@ -168,11 +168,12 @@ class TestTopologyIdentity:
             checkpoint_interval=400.0,
         )
         assert run.topology_sig == "rack32x4"
-        assert run.key[-1] == "rack32x4"
+        stored = StoredRun.from_run(run)
+        assert stored.key[-1] == "rack32x4"
         store = RunStore(tmp_path / "runs.jsonl")
         store.append(run)
         (loaded,) = store.load()
-        assert loaded.key == run.key
+        assert loaded.key == stored.key
         assert loaded.topology_sig == "rack32x4"
         assert loaded.schema_version == 3
         assert "rack_mtbf" in loaded.disruption["spec"]

@@ -13,6 +13,7 @@ import pytest
 
 from repro.experiments.parallel import expand_cells, run_cells
 from repro.experiments.runner import run_single
+from repro.experiments.store import StoredRun
 from repro.metrics.objectives import compute_metrics
 from repro.schedulers.registry import create_scheduler
 from repro.sim.disruptions import DisruptionSpec, DisruptionTrace
@@ -121,7 +122,7 @@ class TestDisruptedDeterminism:
             for p in b.result.preemptions
         ]
         assert a.metrics.as_dict() == b.metrics.as_dict()
-        assert a.key == b.key
+        assert StoredRun.from_run(a).key == StoredRun.from_run(b).key
 
     def test_serial_vs_parallel_matrix_identical(self, tmp_path):
         cells = expand_cells(
@@ -149,14 +150,16 @@ class TestDisruptedDeterminism:
             disruptions=HOSTILE,
             restart_policy="checkpoint", checkpoint_interval=400.0,
         )
-        assert clean.key != disrupted.key
+        assert (
+            StoredRun.from_run(clean).key != StoredRun.from_run(disrupted).key
+        )
         assert clean.disruption_sig == "none"
         assert disrupted.disruption_sig != "none"
 
 
 class TestStoreRoundTrip:
     def test_disruption_columns_round_trip(self, tmp_path):
-        from repro.experiments.store import RunStore, StoredRun
+        from repro.experiments.store import RunStore
 
         run = run_single(
             "drain_window", 12, "fcfs_backfill",
@@ -167,7 +170,7 @@ class TestStoreRoundTrip:
         store = RunStore(tmp_path / "runs.jsonl")
         store.append(run)
         (loaded,) = store.load()
-        assert loaded.key == run.key
+        assert loaded.key == StoredRun.from_run(run).key
         assert loaded.disruption_sig == run.disruption_sig
         assert loaded.disruption is not None
         assert loaded.disruption["restart_policy"] == "checkpoint"

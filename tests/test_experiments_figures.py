@@ -1,11 +1,16 @@
 """Tests for the per-figure drivers (scaled-down instances)."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 
+from repro.analysis.stats import BoxStats, box_stats
 from repro.experiments import figures
+from repro.metrics.normalize import normalize_to_baseline
 from repro.metrics.objectives import METRIC_NAMES
+
+from tests.runner_reference import run_matrix
 
 SMALL_SCHEDULERS = ("fcfs", "sjf", "claude-3.7-sim")
 
@@ -121,8 +126,8 @@ class TestFigure5:
             scenarios=("resource_sparse",),
         )
         ov = data["resource_sparse"]["claude-3.7-sim"]
-        assert ov.n_accepted_placements == 8
-        assert ov.elapsed_s > 0
+        assert ov["n_accepted_placements"] == 8
+        assert ov["elapsed_s"] > 0
 
 
 class TestFigure6:
@@ -130,9 +135,9 @@ class TestFigure6:
         data = figures.figure6(sizes=[5, 15], models=("claude-3.7-sim",))
         small = data[5]["claude-3.7-sim"]
         large = data[15]["claude-3.7-sim"]
-        assert large.n_accepted_placements == 15
-        assert large.n_calls > small.n_calls
-        assert large.elapsed_s > small.elapsed_s
+        assert large["n_accepted_placements"] == 15
+        assert large["n_calls"] > small["n_calls"]
+        assert large["elapsed_s"] > small["elapsed_s"]
 
 
 class TestFigure7:
@@ -158,3 +163,129 @@ class TestFigure8:
         assert set(data) == set(SMALL_SCHEDULERS)
         for value in data["fcfs"].values():
             assert value == pytest.approx(1.0) or math.isnan(value)
+
+
+def bits(value):
+    """*value* with every float as ``float.hex`` and every mapping as
+    its item list, so ``==`` is bit-exact, NaN-safe and order-aware."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(key, bits(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [bits(item) for item in value]
+    if isinstance(value, BoxStats):
+        return [bits(getattr(value, name)) for name in BoxStats.__slots__]
+    return value
+
+
+def normalized(runs):
+    """One workload instance's serial runs as ``{scheduler: {metric:
+    value / FCFS}}``, in run order."""
+    base = next(run for run in runs if run.scheduler == "fcfs").values
+    return {run.scheduler: normalize_to_baseline(run.values, base)
+            for run in runs}
+
+
+def overhead_record(run):
+    ov = run.overhead
+    return {
+        "model": ov.model,
+        "elapsed_s": ov.elapsed_s,
+        "n_calls": ov.n_calls,
+        "n_accepted_placements": ov.n_accepted_placements,
+        "n_rejected": ov.n_rejected,
+        "latency": asdict(ov.latency),
+    }
+
+
+class TestFiguresAreSweeps:
+    """Figs. 3–7 equal what the serial reference sweep
+    (``tests/runner_reference.run_matrix``, one workload per instance
+    shared by its schedulers) computes, bit for bit and keyed in the
+    order of the figure's arguments — which is not the order
+    ``matrix_blocks`` sorts into."""
+
+    SCENARIOS = ("resource_sparse", "adversarial")
+    SIZES = (12, 6)
+    SCHEDULERS = ("sjf", "claude-3.7-sim", "fcfs")
+    MODELS = ("o4-mini-sim", "claude-3.7-sim")
+
+    def test_figure3(self):
+        data = figures.figure3(
+            n_jobs=8, schedulers=self.SCHEDULERS, scenarios=self.SCENARIOS,
+            workload_seed=1, scheduler_seed=2,
+        )
+        expected = {
+            scenario: normalized(run_matrix(
+                [scenario], [8], self.SCHEDULERS,
+                workload_seed=1, scheduler_seed=2,
+            ))
+            for scenario in self.SCENARIOS
+        }
+        assert bits(data) == bits(expected)
+
+    def test_figure4(self):
+        data = figures.figure4(
+            sizes=self.SIZES, schedulers=self.SCHEDULERS, workload_seed=3,
+        )
+        expected = {
+            n: normalized(run_matrix(
+                ["heterogeneous_mix"], [n], self.SCHEDULERS, workload_seed=3,
+            ))
+            for n in self.SIZES
+        }
+        assert bits(data) == bits(expected)
+
+    def test_figure5(self):
+        data = figures.figure5(
+            n_jobs=8, models=self.MODELS, scenarios=self.SCENARIOS,
+            scheduler_seed=1,
+        )
+        expected = {
+            scenario: {
+                run.scheduler: overhead_record(run)
+                for run in run_matrix(
+                    [scenario], [8], self.MODELS, scheduler_seed=1
+                )
+            }
+            for scenario in self.SCENARIOS
+        }
+        assert bits(data) == bits(expected)
+
+    def test_figure6(self):
+        data = figures.figure6(sizes=self.SIZES, models=self.MODELS)
+        expected = {
+            n: {
+                run.scheduler: overhead_record(run)
+                for run in run_matrix(["heterogeneous_mix"], [n], self.MODELS)
+            }
+            for n in self.SIZES
+        }
+        assert bits(data) == bits(expected)
+
+    @pytest.mark.parametrize("schedulers", [
+        ("sjf", "fcfs", "claude-3.7-sim"),
+        ("claude-3.7-sim", "sjf"),  # no fcfs: swept, not returned
+    ])
+    def test_figure7(self, schedulers):
+        data = figures.figure7(
+            n_jobs=10, n_repeats=3, schedulers=schedulers,
+            scenario="adversarial", workload_seed=2,
+        )
+        (base,) = run_matrix(["adversarial"], [10], ["fcfs"], workload_seed=2)
+        samples = {name: {m: [] for m in METRIC_NAMES} for name in schedulers}
+        for rep in range(3):
+            for run in run_matrix(
+                ["adversarial"], [10], schedulers,
+                workload_seed=2, scheduler_seed=rep,
+            ):
+                norm = normalize_to_baseline(run.values, base.values)
+                for metric, value in norm.items():
+                    samples[run.scheduler][metric].append(value)
+        expected = {
+            name: {m: box_stats(v) for m, v in per_metric.items()}
+            for name, per_metric in samples.items()
+        }
+        assert list(data) == list(schedulers)
+        assert bits(data) == bits(expected)

@@ -53,7 +53,7 @@ class TestExpandCells:
         run = run_single(
             "adversarial", 10, name, workload_seed=2, scheduler_seed=3
         )
-        assert run.key == cell.key
+        assert StoredRun.from_run(run).key == cell.key
 
     def test_arrival_mode_is_part_of_cell_identity(self):
         scenario_cell = MatrixCell("adversarial", 10, "fcfs")
@@ -83,12 +83,12 @@ class TestSerialParallelEquivalence:
                 p.scenario, p.n_jobs, p.scheduler
             )
             # Bit-identical objective values, not just approximately.
-            assert s.values == p.values
+            assert s.values == p.metrics
 
     def test_worker_count_does_not_change_results(self):
         one = run_matrix_parallel(SCENARIOS, SIZES, SCHEDULERS, workers=1)
         two = run_matrix_parallel(SCENARIOS, SIZES, SCHEDULERS, workers=2)
-        assert [r.values for r in one] == [r.values for r in two]
+        assert [r.metrics for r in one] == [r.metrics for r in two]
 
 
 class TestCellAnswerIsTheMeasurement:
@@ -135,7 +135,7 @@ class TestStoreStreaming:
         # Persisted metrics equal the in-memory ones.
         by_key = {s.key: s for s in stored}
         for run in runs:
-            assert by_key[run.key].metrics == run.values
+            assert by_key[run.key].metrics == run.metrics
 
     def test_store_accepts_plain_path(self, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -181,7 +181,7 @@ class TestResume:
         fresh = run_matrix(SCENARIOS, SIZES, SCHEDULERS)
         persisted = {s.key: s.metrics for s in store.load()}
         for run in fresh:
-            assert persisted[run.key] == run.values
+            assert persisted[StoredRun.from_run(run).key] == run.values
 
     def test_resume_requires_store(self):
         with pytest.raises(ValueError, match="store"):

@@ -11,7 +11,8 @@ from repro.experiments.report import (
     render_normalized_block,
     render_overhead_table,
 )
-from repro.experiments.runner import OverheadSummary
+from dataclasses import asdict
+
 from repro.analysis.stats import summarize_latencies
 from repro.metrics.objectives import METRIC_NAMES
 
@@ -71,15 +72,15 @@ class TestFigureRenderers:
         assert "Polaris" in render_figure8(block())
 
     def test_overhead_table(self):
-        ov = OverheadSummary(
-            model="claude-3.7-sim",
-            elapsed_s=100.0,
-            n_calls=20,
-            n_accepted_placements=15,
-            n_rejected=1,
-            latency=summarize_latencies([5.0] * 15),
-            all_call_latencies=tuple([5.0] * 20),
-        )
+        # A cell's stored overhead record (``StoredRun.overhead``).
+        ov = {
+            "model": "claude-3.7-sim",
+            "elapsed_s": 100.0,
+            "n_calls": 20,
+            "n_accepted_placements": 15,
+            "n_rejected": 1,
+            "latency": asdict(summarize_latencies([5.0] * 15)),
+        }
         text = render_overhead_table(
             {"scenario_x": {"claude-3.7-sim": ov}},
             key_label="scenario",

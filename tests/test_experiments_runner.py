@@ -114,6 +114,6 @@ class TestOverheadAccounting:
         )
         ov = run.overhead
         assert ov is not None
-        total_all = sum(ov.all_call_latencies)
+        total_all = sum(c.latency_s for c in run.result.extras["llm_calls"])
         assert ov.elapsed_s <= total_all
         assert ov.n_calls >= ov.n_accepted_placements

@@ -76,11 +76,6 @@ class TestStoredRun:
         assert stored.overhead["latency"]["n_calls"] >= 0
         assert StoredRun.from_json(stored.to_json()) == stored
 
-    def test_values_mirrors_experiment_run(self):
-        stored = make_stored()
-        assert stored.values == stored.metrics
-        assert stored.values is not stored.metrics  # defensive copy
-
     def test_rejects_newer_schema(self):
         payload = json.loads(make_stored().to_json())
         payload["schema_version"] = SCHEMA_VERSION + 1

@@ -214,6 +214,21 @@ class TestCellCache:
         assert "windowed annealing was removed" in str(excinfo.value)
         assert after == before
 
+    @pytest.mark.parametrize("mode", ["nope", "Zero"])
+    def test_unknown_arrival_mode_rejected(self, server, mode):
+        """An unknown mode is a ``bad_request`` before any simulation:
+        it used to run scenario arrivals and cache that run under a key
+        naming the bogus mode."""
+        config = {**cell_config(), "arrival_mode": mode}
+        with server.client() as client:
+            before = client.stats()["cache"]["simulations"]
+            with pytest.raises(ServiceError) as excinfo:
+                client.run_cell(config)
+            after = client.stats()["cache"]["simulations"]
+        assert excinfo.value.error_type == "bad_request"
+        assert "unknown arrival_mode" in str(excinfo.value)
+        assert after == before
+
     def test_malformed_cell_config_rejected(self, server):
         with server.client() as client:
             with pytest.raises(ServiceError) as excinfo:

@@ -54,6 +54,11 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError):
             generate_workload("adversarial", -1, seed=0)
 
+    @pytest.mark.parametrize("mode", ["nope", "Zero"])
+    def test_unknown_arrival_mode_raises(self, mode):
+        with pytest.raises(ValueError, match="unknown arrival_mode"):
+            generate_workload("adversarial", 5, seed=0, arrival_mode=mode)
+
     def test_names_carry_scenario(self):
         jobs = generate_workload("high_parallelism", 3, seed=0)
         assert all(j.name.startswith("high_parallelism_") for j in jobs)
