@@ -21,12 +21,11 @@ import argparse
 import contextlib
 import math
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.experiments import report
-from repro.experiments.runner import DEFAULT_SCHEDULERS, run_single
+from repro.experiments.runner import DEFAULT_SCHEDULERS, MatrixCell, run_single
 from repro.metrics.normalize import normalize_to_baseline
 from repro.schedulers.registry import available_schedulers
 from repro.sim.disruptions import (
@@ -167,17 +166,6 @@ def _usage_errors(prefix: str = ""):
         yield
     except ValueError as exc:
         raise UsageError(f"{prefix}{exc}") from exc
-
-
-def _check_schedulers(names: Sequence[str]) -> None:
-    """An unregistered scheduler name is a usage error before any cell
-    runs, not a ``KeyError`` from inside one."""
-    known = available_schedulers()
-    for name in names:
-        if name not in known:
-            raise UsageError(
-                f"unknown scheduler {name!r}; available: {', '.join(known)}"
-            )
 
 
 def _check_job_counts(flag: str, counts: Sequence[int]) -> None:
@@ -734,13 +722,18 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    _check_schedulers([args.scheduler])
     _check_job_counts("-n/--n-jobs", [args.n_jobs])
+    experiment = _experiment_kwargs(args)
+    with _usage_errors():
+        MatrixCell(
+            args.scenario, args.n_jobs, args.scheduler, args.seed,
+            args.scheduler_seed, args.arrival_mode, **experiment,
+        )
     shared = {
         "workload_seed": args.seed,
         "arrival_mode": args.arrival_mode,
         "enforce_walltime": args.enforce_walltime,
-        **_experiment_kwargs(args),
+        **experiment,
     }
     run = run_single(
         args.scenario,
@@ -808,21 +801,22 @@ def _open_archive(
 
 
 def _drive_sweep(
-    args, launch, store, *, on_cell_failure: str, interrupted, finish,
-    failed_head: str, failed_foot: Optional[str] = None,
+    args, cells, store, *, resume: bool, on_cell_failure: str, interrupted,
+    finish, failed_head: str, failed_foot: Optional[str] = None,
 ) -> int:
     """The sweep behind ``matrix`` and ``matrix --retry-failed``.
 
-    *launch* is ``run_matrix_parallel`` / ``run_cells`` with its cells
-    bound, called here with the progress printer and the pool and
-    fault-tolerance keywords. Ctrl-C prints ``interrupted(exc)`` and
-    exits 130; a cell out of retries under the abort policy exits 1;
-    otherwise ``finish(runs)`` reports the sweep, and quarantined cells
-    are listed under *failed_head* / *failed_foot* with exit 3.
+    Runs *cells* through ``run_cells`` with the progress printer and
+    the pool and fault-tolerance keywords. Ctrl-C prints
+    ``interrupted(exc)`` and exits 130; a cell out of retries under the
+    abort policy exits 1; otherwise ``finish(runs)`` reports the sweep,
+    and quarantined cells are listed under *failed_head* /
+    *failed_foot* with exit 3.
     """
     from repro.experiments.parallel import (
         DEFAULT_RETRY_BACKOFF_S,
         CellFailedError,
+        run_cells,
     )
     from repro.experiments.store import FailedCell
 
@@ -836,7 +830,9 @@ def _drive_sweep(
 
     failures: list[FailedCell] = []
     try:
-        runs = launch(
+        runs = run_cells(
+            cells,
+            resume=resume,
             workers=args.workers,
             store=store,
             progress=progress,
@@ -890,7 +886,6 @@ def _matrix_retry_failed(args) -> int:
     stay quarantined (their sidecar record refreshed) and the exit
     status is 3, mirroring the quarantine sweep itself.
     """
-    from repro.experiments.parallel import MatrixCell, run_cells
     from repro.experiments.store import FailureSidecar
 
     if args.scenarios or args.sizes or args.resume or args.out:
@@ -934,8 +929,9 @@ def _matrix_retry_failed(args) -> int:
 
     return _drive_sweep(
         args,
-        partial(run_cells, list(cells.values()), resume=True),
+        list(cells.values()),
         store,
+        resume=True,
         on_cell_failure="quarantine",
         interrupted=lambda exc: (
             "interrupted — completed retries are persisted in "
@@ -966,7 +962,7 @@ def _print_matrix_report(runs, wanted: set, store) -> None:
 
 
 def _cmd_matrix(args) -> int:
-    from repro.experiments.parallel import expand_cells, run_matrix_parallel
+    from repro.experiments.parallel import expand_cells
     from repro.experiments.storage import open_store
 
     if args.retry_failed is not None:
@@ -979,24 +975,23 @@ def _cmd_matrix(args) -> int:
         raise UsageError("--resume requires --out")
     if args.shards is not None and args.store_format != "sharded":
         raise UsageError("--shards needs --store-format sharded")
-    _check_schedulers(args.schedulers)
     _check_job_counts("--sizes", args.sizes)
+    experiment = _experiment_kwargs(args)
+    _check_fault_args(args)
+    # Built once, for the sweep and for the report; a cell that cannot
+    # run is refused here, before the store exists.
+    with _usage_errors():
+        cells = expand_cells(
+            args.scenarios, args.sizes, args.schedulers,
+            workload_seeds=args.seeds, scheduler_seeds=args.scheduler_seeds,
+            arrival_mode=args.arrival_mode, **experiment,
+        )
     store = None
     if args.out:
         with _usage_errors():
             store = open_store(
                 args.out, format=args.store_format, n_shards=args.shards
             )
-    # What identifies this sweep's cells, built once for the pool and
-    # for the report's own expansion of the same matrix.
-    matrix = (args.scenarios, args.sizes, args.schedulers)
-    identity = {
-        "workload_seeds": args.seeds,
-        "scheduler_seeds": args.scheduler_seeds,
-        "arrival_mode": args.arrival_mode,
-        **_experiment_kwargs(args),
-    }
-    _check_fault_args(args)
 
     def interrupted(exc) -> str:
         detail = f" ({exc})" if str(exc) else ""
@@ -1008,7 +1003,6 @@ def _cmd_matrix(args) -> int:
         )
 
     def finish(runs) -> None:
-        cells = expand_cells(*matrix, **identity)
         if args.resume:
             print(f"resumed: {len(cells) - len(runs)} cells already in "
                   f"{args.out}, {len(runs)} executed")
@@ -1016,8 +1010,9 @@ def _cmd_matrix(args) -> int:
 
     return _drive_sweep(
         args,
-        partial(run_matrix_parallel, *matrix, **identity, resume=args.resume),
+        cells,
         store,
+        resume=args.resume,
         on_cell_failure=args.on_cell_failure,
         interrupted=interrupted,
         finish=finish,
@@ -1127,8 +1122,12 @@ def _cmd_compare(args) -> int:
         render_comparison,
     )
 
-    _check_schedulers([args.a, args.b])
     _check_job_counts("-n/--n-jobs", [args.n_jobs])
+    if args.seeds < 2:
+        raise UsageError("--seeds must be >= 2")
+    with _usage_errors():
+        for name in (args.a, args.b):
+            MatrixCell(args.scenario, args.n_jobs, name)
     comps = compare_schedulers(
         args.scenario, args.n_jobs, args.a, args.b, n_seeds=args.seeds
     )

@@ -47,7 +47,6 @@ the store's write slot.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -59,19 +58,17 @@ from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from repro.experiments.runner import DEFAULT_SCHEDULERS, run_single
+from repro.experiments.runner import DEFAULT_SCHEDULERS, MatrixCell, run_single
 from repro.experiments.store import (
-    CellKey,
     FailedCell,
     FailureSidecar,
     StoredRun,
-    cell_key,
     cell_key_str,
 )
 from repro.experiments.storage import ShardedStore, StoreBackend, open_store
-from repro.sim.disruptions import DisruptionSpec, disruption_signature
-from repro.sim.topology import ClusterTopology, topology_signature
-from repro.workloads.generator import ArrivalMode, check_arrival_mode
+from repro.sim.disruptions import DisruptionSpec
+from repro.sim.topology import ClusterTopology
+from repro.workloads.generator import ArrivalMode
 
 #: Progress callback: (cell, completed runs so far, total cells).
 ProgressFn = Callable[["MatrixCell", int, int], None]
@@ -105,119 +102,6 @@ class CellFailedError(RuntimeError):
     label, the attempt count, the original error (also chained as
     ``__cause__``), and — appended by the salvage pass — the
     completed/salvaged/cancelled accounting of the aborted sweep."""
-
-
-@dataclass(frozen=True)
-class MatrixCell:
-    """Identity of one independent simulation in a sweep.
-
-    The disruption and topology fields ride along because a worker
-    must be able to reconstruct the cell bit-for-bit from the cell
-    alone: spec and topology are frozen/picklable plain data, and the
-    trace they build depends only on (spec, topology, cluster size,
-    workload) — never on which worker runs it.
-    """
-
-    scenario: str
-    n_jobs: int
-    scheduler: str
-    workload_seed: int = 0
-    scheduler_seed: int = 0
-    arrival_mode: ArrivalMode = "scenario"
-    disruptions: Optional[DisruptionSpec] = None
-    restart_policy: str = "resubmit"
-    checkpoint_interval: Optional[float] = None
-    topology: Optional[ClusterTopology] = None
-
-    @property
-    def key(self) -> CellKey:
-        return cell_key(
-            self.scenario,
-            self.n_jobs,
-            self.scheduler,
-            self.workload_seed,
-            self.scheduler_seed,
-            self.arrival_mode,
-            disruption_signature(
-                self.disruptions,
-                self.restart_policy,
-                self.checkpoint_interval,
-            ),
-            topology_signature(self.topology),
-        )
-
-    # -- lossless config round-trip --------------------------------------
-    # The CellKey alone cannot rebuild a cell: its disruption/topology
-    # parts are opaque signature strings. to_config()/from_config()
-    # carry the actual constructor arguments, so a quarantined cell's
-    # sidecar record is enough to re-run it (`matrix --retry-failed`).
-    def to_config(self) -> dict:
-        """JSON-safe dict from which :meth:`from_config` rebuilds the
-        cell exactly (``from_config(to_config()) == cell``)."""
-        return {
-            "scenario": self.scenario,
-            "n_jobs": self.n_jobs,
-            "scheduler": self.scheduler,
-            "workload_seed": self.workload_seed,
-            "scheduler_seed": self.scheduler_seed,
-            "arrival_mode": self.arrival_mode,
-            "disruptions": (
-                dataclasses.asdict(self.disruptions)
-                if self.disruptions is not None
-                else None
-            ),
-            "restart_policy": self.restart_policy,
-            "checkpoint_interval": self.checkpoint_interval,
-            "topology": (
-                {
-                    "n_nodes": self.topology.n_nodes,
-                    "rack_size": self.topology.rack_size,
-                    "racks_per_switch": self.topology.racks_per_switch,
-                }
-                if self.topology is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_config(cls, config: dict) -> "MatrixCell":
-        """Inverse of :meth:`to_config`; raises ``ValueError`` on a
-        malformed dict (e.g. hand-edited sidecar). Keys it does not
-        know are ignored, so configs written before the ``"engine"``
-        key was retired (PR 7–11 sidecars, older clients) still load."""
-        # A window is refused rather than ignored: dropping it would
-        # run full search under the plain scheduler key.
-        if config.get("anneal_window") is not None:
-            raise ValueError(
-                "windowed annealing was removed: a cell config's "
-                "anneal_window must be null or absent"
-            )
-        try:
-            disruptions = None
-            if config.get("disruptions") is not None:
-                disruptions = DisruptionSpec(**config["disruptions"])
-            topology = None
-            if config.get("topology") is not None:
-                topology = ClusterTopology(**config["topology"])
-            checkpoint = config.get("checkpoint_interval")
-            return cls(
-                scenario=str(config["scenario"]),
-                n_jobs=int(config["n_jobs"]),
-                scheduler=str(config["scheduler"]),
-                workload_seed=int(config["workload_seed"]),
-                scheduler_seed=int(config["scheduler_seed"]),
-                # Refused here, before any worker: the cell would fail
-                # inside generate_workload.
-                arrival_mode=check_arrival_mode(str(config["arrival_mode"])),
-                disruptions=disruptions,
-                restart_policy=str(config["restart_policy"]),
-                checkpoint_interval=(
-                    float(checkpoint) if checkpoint is not None else None
-                ),
-                topology=topology,
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed cell config: {exc}") from exc
 
 
 def expand_cells(
@@ -673,6 +557,13 @@ def run_cells(
     ``resume=True`` and a store, cells whose key the store already
     holds are skipped — read them back with ``store.load()``.
 
+    *workers* is the pool size: ``None`` uses every core, ``1`` runs
+    inline. *store* (a backend, or a path opened with
+    :func:`~repro.experiments.storage.open_store`) receives each run
+    the moment it completes; with a :class:`ShardedStore` and
+    ``workers >= 2``, pooled workers write their own cells straight
+    into per-shard files.
+
     Fault tolerance (all of it inert on a healthy sweep — with no
     failures the engine behaves byte-identically to a plain pool), and
     every failure costs exactly the one cell it happened to:
@@ -739,17 +630,11 @@ def run_matrix_parallel(
     restart_policy: str = "resubmit",
     checkpoint_interval: Optional[float] = None,
     topology: Optional[ClusterTopology] = None,
-    workers: Optional[int] = None,
-    store: Optional[Union[StoreBackend, str, Path]] = None,
-    resume: bool = False,
-    progress: Optional[ProgressFn] = None,
-    cell_timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
-    on_cell_failure: str = "abort",
-    failures: Optional[list[FailedCell]] = None,
+    **sweep,
 ) -> list[StoredRun]:
-    """Parallel, resumable scenarios × sizes × schedulers × seeds sweep.
+    """Parallel, resumable scenarios × sizes × schedulers × seeds sweep:
+    :func:`run_cells` over :func:`expand_cells`, with *sweep* (workers,
+    store, resume, progress and the fault-tolerance knobs) passed on.
 
     Returns one :class:`StoredRun` per executed cell. For the same
     seeds they hold the metrics a serial loop over scenarios, sizes and
@@ -757,27 +642,6 @@ def run_matrix_parallel(
     schedulers) produces, in the identical order, just faster.
     Accepts seed *sequences* so repetition sweeps (paper Fig. 7 style)
     fan out over the same pool.
-
-    Parameters
-    ----------
-    workers:
-        Pool size; ``None`` uses every core, ``1`` runs inline.
-    store:
-        Optional store backend (or path, opened via
-        :func:`~repro.experiments.storage.open_store`) that receives
-        each completed run as one JSONL line, immediately on
-        completion. With a :class:`ShardedStore` and ``workers >= 2``,
-        pooled workers write their own cells straight into per-shard
-        files — concurrent writers with no cross-shard contention.
-    resume:
-        Skip cells already persisted in *store*; only the remaining
-        cells are executed (and returned).
-    cell_timeout / max_retries / retry_backoff_s / on_cell_failure /
-    failures:
-        Fault-tolerance knobs, forwarded to :func:`run_cells` (per-cell
-        watchdog budget, retry budget and deterministic backoff, and
-        whether an exhausted cell aborts the sweep or is quarantined
-        into *failures* and the store's ``.failures`` sidecar).
     """
     cells = expand_cells(
         scenarios,
@@ -791,15 +655,4 @@ def run_matrix_parallel(
         checkpoint_interval=checkpoint_interval,
         topology=topology,
     )
-    return run_cells(
-        cells,
-        workers=workers,
-        store=store,
-        resume=resume,
-        progress=progress,
-        cell_timeout=cell_timeout,
-        max_retries=max_retries,
-        retry_backoff_s=retry_backoff_s,
-        on_cell_failure=on_cell_failure,
-        failures=failures,
-    )
+    return run_cells(cells, **sweep)

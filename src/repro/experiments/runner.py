@@ -5,21 +5,23 @@ simulation produced: the schedule, the metric report, and — for LLM
 agents — the overhead summary computed per the paper's §3.7.1
 accounting (only accepted ``start_job``/``backfill_job`` calls count
 toward elapsed scheduling time; delay calls reflect saturation, not
-reasoning cost).
+reasoning cost). A :class:`MatrixCell` names one run of the evaluation
+grid, and refuses to name one that cannot run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.stats import LatencySummary, summarize_latencies
 from repro.metrics.objectives import MetricReport, compute_metrics
-from repro.schedulers.registry import create_scheduler
+from repro.schedulers.registry import check_scheduler, create_scheduler
 from repro.sim.cluster import ResourcePool
 from repro.sim.disruptions import (
     DisruptionSpec,
     DisruptionTrace,
+    check_recovery,
     disruption_signature,
     estimate_horizon,
 )
@@ -27,7 +29,8 @@ from repro.sim.job import Job
 from repro.sim.schedule import ScheduleResult
 from repro.sim.simulator import HPCSimulator
 from repro.sim.topology import ClusterTopology, topology_signature
-from repro.workloads.generator import ArrivalMode, generate_workload
+from repro.workloads.generator import ArrivalMode, check_arrival_mode, generate_workload
+from repro.workloads.scenarios import SCENARIOS
 
 #: The paper's §3.3 comparison set, in figure-legend order.
 DEFAULT_SCHEDULERS: tuple[str, ...] = (
@@ -117,6 +120,116 @@ def cell_key(
     return (scenario, int(n_jobs), scheduler, int(workload_seed),
             int(scheduler_seed), str(arrival_mode), str(disruption),
             str(topology))
+
+
+@dataclass(frozen=True)
+class MatrixCell:
+    """Identity of one independent simulation in a sweep.
+
+    The disruption and topology fields ride along because a worker
+    must be able to reconstruct the cell bit-for-bit from the cell
+    alone: spec and topology are frozen/picklable plain data, and the
+    trace they build depends only on (spec, topology, cluster size,
+    workload) — never on which worker runs it.
+
+    The constructor is the one check of a cell's parameters: a cell
+    that cannot run (unknown scheduler, scenario or arrival mode, a
+    negative size or seed, a broken recovery rule) is a ``ValueError``
+    naming the field. The restart policy is stored canonical.
+    """
+
+    scenario: str
+    n_jobs: int
+    scheduler: str
+    workload_seed: int = 0
+    scheduler_seed: int = 0
+    arrival_mode: ArrivalMode = "scenario"
+    disruptions: Optional[DisruptionSpec] = None
+    restart_policy: str = "resubmit"
+    checkpoint_interval: Optional[float] = None
+    topology: Optional[ClusterTopology] = None
+
+    def __post_init__(self) -> None:
+        check_scheduler(self.scheduler)
+        if self.scenario not in SCENARIOS:
+            raise ValueError(
+                f"unknown scenario {self.scenario!r}; "
+                f"available: {', '.join(SCENARIOS)}"
+            )
+        for name in ("n_jobs", "workload_seed", "scheduler_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
+        check_arrival_mode(self.arrival_mode)
+        object.__setattr__(self, "restart_policy", check_recovery(
+            self.restart_policy, self.checkpoint_interval
+        ))
+
+    @property
+    def key(self) -> CellKey:
+        return cell_key(
+            self.scenario,
+            self.n_jobs,
+            self.scheduler,
+            self.workload_seed,
+            self.scheduler_seed,
+            self.arrival_mode,
+            disruption_signature(
+                self.disruptions,
+                self.restart_policy,
+                self.checkpoint_interval,
+            ),
+            topology_signature(self.topology),
+        )
+
+    # -- lossless config round-trip --------------------------------------
+    # The CellKey alone cannot rebuild a cell: its disruption/topology
+    # parts are opaque signature strings. to_config()/from_config()
+    # carry the actual constructor arguments, so a quarantined cell's
+    # sidecar record is enough to re-run it (`matrix --retry-failed`).
+    def to_config(self) -> dict:
+        """JSON-safe dict from which :meth:`from_config` rebuilds the
+        cell exactly (``from_config(to_config()) == cell``)."""
+        return asdict(self)
+
+    @classmethod
+    def from_config(cls, config: dict) -> "MatrixCell":
+        """Inverse of :meth:`to_config`; raises ``ValueError`` on a
+        malformed dict (e.g. hand-edited sidecar). Keys it does not
+        know are ignored, so configs written before the ``"engine"``
+        key was retired (older sidecars and clients) still load."""
+        # A window is refused rather than ignored: dropping it would
+        # run full search under the plain scheduler key.
+        if config.get("anneal_window") is not None:
+            raise ValueError(
+                "windowed annealing was removed: a cell config's "
+                "anneal_window must be null or absent"
+            )
+        try:
+            disruptions = None
+            if config.get("disruptions") is not None:
+                disruptions = DisruptionSpec(**config["disruptions"])
+            topology = None
+            if config.get("topology") is not None:
+                topology = ClusterTopology(**config["topology"])
+            checkpoint = config.get("checkpoint_interval")
+            return cls(
+                scenario=str(config["scenario"]),
+                n_jobs=int(config["n_jobs"]),
+                scheduler=str(config["scheduler"]),
+                workload_seed=int(config["workload_seed"]),
+                scheduler_seed=int(config["scheduler_seed"]),
+                arrival_mode=str(config["arrival_mode"]),
+                disruptions=disruptions,
+                restart_policy=str(config["restart_policy"]),
+                checkpoint_interval=(
+                    float(checkpoint) if checkpoint is not None else None
+                ),
+                topology=topology,
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed cell config: {exc}") from exc
 
 
 @dataclass(eq=False, repr=False)

@@ -271,7 +271,7 @@ class ShardedStore(StoreBackend):
                 fcntl.flock(lock_fh.fileno(), fcntl.LOCK_UN)
 
     # -- writing ---------------------------------------------------------
-    def append(self, run) -> StoredRun:
+    def append(self, stored: StoredRun) -> StoredRun:
         """Persist one run into its key's shard (creating the store on
         first use), under that shard's inter-process append lock.
 
@@ -281,9 +281,6 @@ class ShardedStore(StoreBackend):
         shard nor rewrites it; a line it supersedes stays until
         ``doctor(dedupe=True)``.
         """
-        stored = (
-            run if isinstance(run, StoredRun) else StoredRun.from_run(run)
-        )
         if not self.manifest_path.exists():
             self.ensure_initialized()
         index = shard_index(stored.key, self.n_shards)

@@ -1,10 +1,10 @@
 """Resumable JSONL artifact store for experiment runs.
 
 Large sweeps (scenarios × sizes × schedulers × seeds) stream each
-completed :class:`~repro.experiments.runner.ExperimentRun` to disk as
-one schema-versioned JSON line the moment it finishes, so a killed or
-crashed sweep loses at most the cells in flight. On restart the engine
-asks the store which cells are already persisted and skips them.
+completed run's :class:`StoredRun` to disk as one schema-versioned
+JSON line the moment it finishes, so a killed or crashed sweep loses
+at most the cells in flight. On restart the engine asks the store
+which cells are already persisted and skips them.
 
 What is persisted is the *measurement*, not the full simulation: the
 eight §3.2 metrics, the LLM overhead summary (§3.7 accounting) and a
@@ -492,10 +492,9 @@ class RunStore(StoreBackend):
     #: archive or losing the cell.
     APPEND_RETRIES = 3
 
-    def append(self, run: Union[StoredRun, "ExperimentRun"]) -> StoredRun:
-        """Persist one run (coercing :class:`ExperimentRun`) and return
-        the stored form. Each line is flushed to the OS immediately so
-        a crash loses at most the line being written.
+    def append(self, stored: StoredRun) -> StoredRun:
+        """Persist one run and return it. Each line is flushed to the
+        OS immediately so a crash loses at most the line being written.
 
         A write that fails with ``OSError`` (ENOSPC and kin) is retried
         up to :attr:`APPEND_RETRIES` times; each attempt re-repairs the
@@ -510,7 +509,6 @@ class RunStore(StoreBackend):
         retry, an injected torn or garbled line, or another writer's
         bytes in between drop it, and the next read re-parses.
         """
-        stored = run if isinstance(run, StoredRun) else StoredRun.from_run(run)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = stored.to_json()
         last_err: Optional[OSError] = None

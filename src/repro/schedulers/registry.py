@@ -54,13 +54,21 @@ def create_scheduler(name: str, seed: int = 0, **kwargs) -> BaseScheduler:
     :mod:`repro` top-level does that automatically.
     """
     try:
-        factory = SCHEDULER_FACTORIES[name]
-    except KeyError:
-        raise KeyError(
+        check_scheduler(name)
+    except ValueError as exc:
+        raise KeyError(str(exc)) from None
+    return SCHEDULER_FACTORIES[name](seed=seed, **kwargs)
+
+
+def check_scheduler(name: str) -> str:
+    """*name* if it is registered, else ``ValueError`` listing the
+    registered names; no scheduler is built."""
+    if name not in SCHEDULER_FACTORIES:
+        raise ValueError(
             f"unknown scheduler {name!r}; available: "
-            f"{', '.join(sorted(SCHEDULER_FACTORIES))}"
-        ) from None
-    return factory(seed=seed, **kwargs)
+            f"{', '.join(available_schedulers())}"
+        )
+    return name
 
 
 def available_schedulers() -> list[str]:

@@ -177,11 +177,6 @@ class SchedulingService:
             ),
             enforce_walltime=bool(params.get("enforce_walltime", False)),
         )
-        # Fail fast on an unknown scheduler, at open rather than at
-        # first query (create_scheduler raises KeyError).
-        from repro.schedulers.registry import create_scheduler
-
-        create_scheduler(config.scheduler, seed=config.scheduler_seed)
         session_id = f"s{next(self._session_counter)}"
         self._sessions[session_id] = Session(session_id, config)
         self._session_locks[session_id] = asyncio.Lock()
@@ -276,6 +271,8 @@ class SchedulingService:
         config = params.get("config")
         if not isinstance(config, dict):
             raise ValueError("run_cell needs a 'config' object")
+        # A cell that cannot run is a bad_request here, before the
+        # cache counts a miss or the pool starts.
         cell = MatrixCell.from_config(config)
         key = cell.key
         stored, source = self.cache.lookup(key)

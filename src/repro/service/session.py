@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.experiments.runner import run_single
+from repro.schedulers.registry import check_scheduler
 from repro.sim.job import Job
 from repro.sim.schedule import ScheduleResult
 
@@ -44,13 +45,22 @@ class SessionError(ValueError):
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Immutable per-session engine settings, fixed at open time."""
+    """Immutable per-session engine settings, fixed at open time. An
+    unknown scheduler or a negative seed is a ``ValueError`` here, at
+    open, not at the first query; no scheduler is built."""
 
     scheduler: str = "fcfs"
     scheduler_seed: int = 0
     max_retries: int = 3
     max_decisions: Optional[int] = None
     enforce_walltime: bool = False
+
+    def __post_init__(self) -> None:
+        check_scheduler(self.scheduler)
+        if self.scheduler_seed < 0:
+            raise ValueError(
+                f"scheduler_seed must be >= 0, got {self.scheduler_seed}"
+            )
 
 
 @dataclass

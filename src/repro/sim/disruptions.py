@@ -63,6 +63,27 @@ def normalize_restart_policy(name: str) -> str:
     return canon
 
 
+def check_recovery(
+    restart_policy: str, checkpoint_interval: Optional[float]
+) -> str:
+    """The canonical restart policy, once the recovery rule holds: an
+    interval, when given, is positive and finite, and ``checkpoint``
+    has one. ``ValueError`` otherwise."""
+    policy = normalize_restart_policy(restart_policy)
+    if checkpoint_interval is not None:
+        if not 0.0 < checkpoint_interval < math.inf:
+            raise ValueError(
+                f"checkpoint_interval must be positive and finite, "
+                f"got {checkpoint_interval}"
+            )
+    elif policy == "checkpoint":
+        raise ValueError(
+            "restart_policy='checkpoint' requires a positive "
+            "checkpoint_interval"
+        )
+    return policy
+
+
 @dataclass(frozen=True)
 class NodeFailure:
     """One node going down at ``time`` and returning at ``repair_time``."""
@@ -781,6 +802,7 @@ __all__ = [
     "NodeFailure",
     "PreemptionRecord",
     "RESTART_POLICIES",
+    "check_recovery",
     "correlated_failures",
     "disruption_signature",
     "estimate_horizon",

@@ -15,7 +15,6 @@ the ReAct LLM agent all implement :class:`SchedulerProtocol`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -34,7 +33,7 @@ from repro.sim.constraints import Violation
 from repro.sim.disruptions import (
     DisruptionTrace,
     DrainWindow,
-    normalize_restart_policy,
+    check_recovery,
 )
 from repro.sim.job import Job, screen_unschedulable, validate_workload
 from repro.sim.schedule import ScheduleResult
@@ -477,19 +476,9 @@ class HPCSimulator:
     checkpoint_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self.restart_policy = normalize_restart_policy(self.restart_policy)
-        interval = self.checkpoint_interval
-        if interval is not None:
-            if not 0.0 < interval < math.inf:
-                raise ValueError(
-                    f"checkpoint_interval must be positive and finite, "
-                    f"got {interval}"
-                )
-        elif self.restart_policy == "checkpoint":
-            raise ValueError(
-                "restart_policy='checkpoint' requires a positive "
-                "checkpoint_interval"
-            )
+        self.restart_policy = check_recovery(
+            self.restart_policy, self.checkpoint_interval
+        )
         self.jobs = validate_workload(self.jobs)
         cluster = self.cluster
         _, too_big = screen_unschedulable(

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.schedulers.registry import register_scheduler
+from repro.schedulers.registry import SCHEDULER_FACTORIES, register_scheduler
 from repro.service.protocol import schedule_digest
 from repro.sim.cluster import ResourcePool
 from repro.sim.job import Job
@@ -28,6 +28,20 @@ from tests.tooling import faults
 # every audit over ``available_schedulers()`` still runs the engine
 # under arbitrary feasible choices.
 register_scheduler("random", lambda seed=0, **kw: RandomScheduler(seed=seed))
+
+
+def _broken(seed=0, **kw):
+    raise RuntimeError("the broken scheduler cannot be built")
+
+
+@pytest.fixture
+def broken_scheduler(monkeypatch):
+    """Registers ``broken``, a scheduler whose factory raises, for the
+    test's duration: a valid cell that fails inside its worker, which
+    is what the retry and quarantine paths need. Forked workers
+    inherit the registration."""
+    monkeypatch.setitem(SCHEDULER_FACTORIES, "broken", _broken)
+    return "broken"
 
 
 @pytest.fixture(autouse=True)

@@ -171,7 +171,7 @@ class TestTopologyIdentity:
         stored = StoredRun.from_run(run)
         assert stored.key[-1] == "rack32x4"
         store = RunStore(tmp_path / "runs.jsonl")
-        store.append(run)
+        store.append(stored)
         (loaded,) = store.load()
         assert loaded.key == stored.key
         assert loaded.topology_sig == "rack32x4"

@@ -168,7 +168,7 @@ class TestStoreRoundTrip:
             restart_policy="checkpoint", checkpoint_interval=400.0,
         )
         store = RunStore(tmp_path / "runs.jsonl")
-        store.append(run)
+        store.append(StoredRun.from_run(run))
         (loaded,) = store.load()
         assert loaded.key == StoredRun.from_run(run).key
         assert loaded.disruption_sig == run.disruption_sig

@@ -258,9 +258,7 @@ class TestExecution:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(
-            "repro.experiments.parallel.run_matrix_parallel", interrupted
-        )
+        monkeypatch.setattr("repro.experiments.parallel.run_cells", interrupted)
         code = main([
             "matrix", "--scenarios", "resource_sparse", "--sizes", "8",
             "--schedulers", "fcfs", "sjf", "--workers", "1",
@@ -324,6 +322,10 @@ class TestBadNamesAndCounts:
     @pytest.mark.parametrize("argv,message", [
         (["--scheduler", "nope", "-n", "5"], "unknown scheduler 'nope'"),
         (["--scheduler", "fcfs", "-n", "-5"], "-n/--n-jobs must be >= 0"),
+        (["--scheduler", "fcfs", "-n", "5", "--seed", "-1"],
+         "workload_seed must be >= 0"),
+        (["--scheduler", "ortools_like", "-n", "5", "--scheduler-seed", "-1"],
+         "scheduler_seed must be >= 0"),
     ])
     def test_run(self, argv, message, capsys, monkeypatch):
         monkeypatch.setattr("repro.experiments.cli.run_single", _must_not_run)
@@ -337,6 +339,8 @@ class TestBadNamesAndCounts:
         (["--a", "fcfs", "--b", "nope"], "unknown scheduler 'nope'"),
         (["--a", "nope", "--b", "sjf"], "unknown scheduler 'nope'"),
         (["--a", "fcfs", "--b", "sjf", "-n", "-1"], "-n/--n-jobs must be >= 0"),
+        (["--a", "fcfs", "--b", "sjf", "--seeds", "0"], "--seeds must be >= 2"),
+        (["--a", "fcfs", "--b", "sjf", "--seeds", "1"], "--seeds must be >= 2"),
     ])
     def test_compare(self, argv, message, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -344,18 +348,23 @@ class TestBadNamesAndCounts:
         )
         code = main(["compare", "--scenario", "adversarial", *argv])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv,message", [
         (["--sizes", "6", "--schedulers", "fcfs", "nope"],
          "unknown scheduler 'nope'"),
         (["--sizes", "6", "-3", "--schedulers", "fcfs"],
          "--sizes must be >= 0"),
+        (["--sizes", "6", "--schedulers", "fcfs", "--seeds", "-1"],
+         "workload_seed must be >= 0"),
     ])
     def test_matrix(self, argv, message, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(
             "repro.experiments.parallel.run_matrix_parallel", _must_not_run
         )
+        monkeypatch.setattr("repro.experiments.parallel.run_cells", _must_not_run)
         for out in (tmp_path / "runs.jsonl", tmp_path / "shards"):
             code = main([
                 "matrix", "--scenarios", "adversarial", *argv,
@@ -656,7 +665,7 @@ class TestMatrixInterruptNoStore:
         def boom(*args, **kwargs):
             raise KeyboardInterrupt("mid-sweep")
 
-        monkeypatch.setattr(parallel, "run_matrix_parallel", boom)
+        monkeypatch.setattr(parallel, "run_cells", boom)
         rc = main([
             "matrix", "--scenarios", "adversarial", "--sizes", "10",
             "--schedulers", "fcfs",

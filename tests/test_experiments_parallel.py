@@ -61,6 +61,66 @@ class TestExpandCells:
         assert scenario_cell.key != zero_cell.key
 
 
+class TestCellContract:
+    """A cell that cannot run is a ``ValueError`` naming the field at
+    construction, so no sweep starts a worker for it or retries it."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("scheduler", "nope", "unknown scheduler 'nope'; available: "),
+        ("scenario", "nope", "unknown scenario 'nope'; available: "),
+        ("n_jobs", -3, "n_jobs must be >= 0, got -3"),
+        ("workload_seed", -1, "workload_seed must be >= 0, got -1"),
+        ("scheduler_seed", -1, "scheduler_seed must be >= 0, got -1"),
+        ("arrival_mode", "Zero", "unknown arrival_mode 'Zero'"),
+        ("restart_policy", "nope", "unknown restart policy 'nope'"),
+        ("restart_policy", "checkpoint",
+         "restart_policy='checkpoint' requires a positive checkpoint_interval"),
+        ("checkpoint_interval", float("nan"), "must be positive and finite"),
+        ("checkpoint_interval", -5.0, "must be positive and finite"),
+    ])
+    def test_refused_at_construction(self, field, value, message):
+        config = {**MatrixCell("adversarial", 8, "fcfs").to_config(),
+                  field: value}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MatrixCell.from_config(config)
+
+    def test_refused_before_any_worker_and_never_retried(self, monkeypatch):
+        from repro.analysis.significance import compare_schedulers
+        from repro.experiments import parallel
+
+        calls = []
+        monkeypatch.setattr(
+            parallel, "_execute_cell", lambda *args: calls.append(args)
+        )
+        with pytest.raises(ValueError, match="unknown scheduler 'nope'"):
+            run_cells(
+                [MatrixCell("adversarial", 8, "fcfs"),
+                 MatrixCell("adversarial", 8, "nope")],
+                workers=2,
+            )
+        with pytest.raises(ValueError, match="unknown scheduler 'nope'"):
+            compare_schedulers("adversarial", 8, "fcfs", "nope", n_seeds=2)
+        with pytest.raises(ValueError, match="workload_seed must be >= 0"):
+            run_matrix_parallel(
+                ["adversarial"], [8], ["fcfs"], workload_seeds=[0, -1],
+                workers=2,
+            )
+        assert calls == []
+
+    def test_restart_policy_is_stored_canonical(self):
+        spec = DisruptionSpec(mtbf=50_000.0, mttr=600.0, seed=1)
+        cell = MatrixCell(
+            "adversarial", 8, "fcfs", disruptions=spec,
+            restart_policy="Preempt-Migrate", checkpoint_interval=300.0,
+        )
+        assert cell.restart_policy == "preempt_migrate"
+        assert cell == MatrixCell(
+            "adversarial", 8, "fcfs", disruptions=spec,
+            restart_policy="preempt_migrate", checkpoint_interval=300.0,
+        )
+        assert MatrixCell.from_config(cell.to_config()) == cell
+
+
 class TestResolveWorkers:
     def test_defaults_to_cpu_count(self):
         assert resolve_workers(None) >= 1
@@ -204,25 +264,29 @@ class TestResume:
 
 
 class TestFailingCell:
-    def test_failure_persists_completed_cells_and_raises(self, tmp_path):
+    def test_failure_persists_completed_cells_and_raises(
+        self, tmp_path, broken_scheduler
+    ):
         store = RunStore(tmp_path / "runs.jsonl")
         cells = [
             MatrixCell("adversarial", 8, "fcfs"),
-            MatrixCell("adversarial", 8, "no-such-scheduler"),
+            MatrixCell("adversarial", 8, broken_scheduler),
         ]
-        with pytest.raises(Exception, match="no-such-scheduler"):
+        with pytest.raises(Exception, match="broken"):
             run_cells(cells, workers=2, store=store)
         # The good cell — finished or in flight at failure time — is
         # persisted, not silently discarded.
         assert {s.scheduler for s in store.load()} == {"fcfs"}
 
-    def test_inline_failure_keeps_earlier_cells(self, tmp_path):
+    def test_inline_failure_keeps_earlier_cells(
+        self, tmp_path, broken_scheduler
+    ):
         store = RunStore(tmp_path / "runs.jsonl")
         cells = [
             MatrixCell("adversarial", 8, "fcfs"),
-            MatrixCell("adversarial", 8, "no-such-scheduler"),
+            MatrixCell("adversarial", 8, broken_scheduler),
         ]
-        with pytest.raises(Exception, match="no-such-scheduler"):
+        with pytest.raises(Exception, match="broken"):
             run_cells(cells, workers=1, store=store)
         assert len(store.load()) == 1
 
@@ -235,8 +299,8 @@ class TestRetryPolicy:
                 workers=1, on_cell_failure="explode",
             )
 
-    def test_abort_error_reports_attempt_count(self):
-        cells = [MatrixCell("adversarial", 8, "no-such-scheduler")]
+    def test_abort_error_reports_attempt_count(self, broken_scheduler):
+        cells = [MatrixCell("adversarial", 8, broken_scheduler)]
         with pytest.raises(
             CellFailedError, match=r"after 1 attempt\(s\)"
         ):
@@ -246,11 +310,13 @@ class TestRetryPolicy:
         ):
             run_cells(cells, workers=1, max_retries=2, retry_backoff_s=0.0)
 
-    def test_quarantine_mode_finishes_healthy_cells(self, tmp_path):
+    def test_quarantine_mode_finishes_healthy_cells(
+        self, tmp_path, broken_scheduler
+    ):
         store = RunStore(tmp_path / "runs.jsonl")
         cells = [
             MatrixCell("adversarial", 8, "fcfs"),
-            MatrixCell("adversarial", 8, "no-such-scheduler"),
+            MatrixCell("adversarial", 8, broken_scheduler),
             MatrixCell("adversarial", 8, "sjf"),
         ]
         failures = []
@@ -264,7 +330,7 @@ class TestRetryPolicy:
         fc = failures[0]
         assert fc.kind == "exception"
         assert fc.attempts == 2
-        assert "no-such-scheduler" in str(fc.key)
+        assert broken_scheduler in fc.key
         assert fc.traceback_tail  # enough context to diagnose
         # The quarantined cell never pollutes the store, and the
         # sidecar record survives a reload.

@@ -108,13 +108,6 @@ class TestRunStore:
         assert store.completed_keys() == {a.key, b.key}
         assert a.key in store
 
-    def test_append_coerces_experiment_run(self, tmp_path):
-        store = RunStore(tmp_path / "runs.jsonl")
-        run = run_single("adversarial", 6, "fcfs")
-        stored = store.append(run)
-        assert isinstance(stored, StoredRun)
-        assert store.load() == [stored]
-
     def test_last_write_wins_on_duplicates(self, tmp_path):
         # Re-running a sweep into the same store supersedes old lines.
         store = RunStore(tmp_path / "runs.jsonl")

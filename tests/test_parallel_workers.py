@@ -143,19 +143,21 @@ class TestOneCellSweepHasAWatchdog:
 
 
 class TestRemoteTraceback:
-    def test_failure_record_names_the_line_in_the_worker(self):
+    def test_failure_record_names_the_line_in_the_worker(
+        self, broken_scheduler
+    ):
         failures: list[FailedCell] = []
         run_cells(
             [
                 MatrixCell("adversarial", 6, "fcfs"),
-                MatrixCell("adversarial", 6, "no-such-scheduler"),
+                MatrixCell("adversarial", 6, broken_scheduler),
             ],
             workers=2, max_retries=0,
             on_cell_failure="quarantine", failures=failures,
         )
         (failure,) = failures
         assert failure.kind == "exception"
-        assert "no-such-scheduler" in failure.message
+        assert "broken scheduler cannot be built" in failure.message
         tail = failure.traceback_tail
         assert "in _execute_cell" in tail and "runner.py" in tail
         assert tail.splitlines()[-1].startswith(failure.error_type)

@@ -214,19 +214,38 @@ class TestCellCache:
         assert "windowed annealing was removed" in str(excinfo.value)
         assert after == before
 
-    @pytest.mark.parametrize("mode", ["nope", "Zero"])
-    def test_unknown_arrival_mode_rejected(self, server, mode):
-        """An unknown mode is a ``bad_request`` before any simulation:
-        it used to run scenario arrivals and cache that run under a key
-        naming the bogus mode."""
-        config = {**cell_config(), "arrival_mode": mode}
-        with server.client() as client:
-            before = client.stats()["cache"]["simulations"]
-            with pytest.raises(ServiceError) as excinfo:
-                client.run_cell(config)
-            after = client.stats()["cache"]["simulations"]
+    @pytest.mark.parametrize("field, value, message", [
+        ("scheduler", "nope", "unknown scheduler 'nope'; available: "),
+        ("scenario", "nope", "unknown scenario 'nope'; available: "),
+        ("n_jobs", -3, "n_jobs must be >= 0"),
+        ("workload_seed", -1, "workload_seed must be >= 0"),
+        ("scheduler_seed", -1, "scheduler_seed must be >= 0"),
+        ("restart_policy", "nope", "unknown restart policy 'nope'"),
+        ("restart_policy", "checkpoint",
+         "restart_policy='checkpoint' requires a positive checkpoint_interval"),
+        ("checkpoint_interval", 0.0,
+         "checkpoint_interval must be positive and finite"),
+        ("arrival_mode", "nope", "unknown arrival_mode 'nope'"),
+        ("arrival_mode", "Zero", "unknown arrival_mode 'Zero'"),
+    ], ids=[
+        "scheduler", "scenario", "n_jobs", "workload_seed", "scheduler_seed",
+        "restart_policy", "checkpoint-without-interval", "interval-zero",
+        "arrival_mode", "arrival_mode-case",
+    ])
+    def test_invalid_cell_refused_before_the_pool(self, field, value, message):
+        """A cell that cannot run is a ``bad_request`` before the cache
+        or the pool sees it: no miss counted, no worker started. An
+        unknown arrival mode used to run scenario arrivals and cache
+        that run under a key naming the bogus mode."""
+        with EmbeddedServer(workers=1) as srv:
+            with srv.client() as client:
+                before = client.stats()["cache"]
+                with pytest.raises(ServiceError) as excinfo:
+                    client.run_cell({**cell_config(), field: value})
+                after = client.stats()["cache"]
+            assert srv.server.service._pool is None
         assert excinfo.value.error_type == "bad_request"
-        assert "unknown arrival_mode" in str(excinfo.value)
+        assert message in str(excinfo.value)
         assert after == before
 
     def test_malformed_cell_config_rejected(self, server):
@@ -380,8 +399,21 @@ class TestShutdownAndErrors:
             with pytest.raises(ServiceError) as excinfo:
                 client.request("no_such_op")
             assert excinfo.value.error_type == "bad_request"
-            with pytest.raises(ServiceError):
+            sessions = client.stats()["sessions"]
+            with pytest.raises(ServiceError) as excinfo:
                 client.open_session(scheduler="no_such_scheduler")
+            assert excinfo.value.error_type == "bad_request"
+            assert "unknown scheduler 'no_such_scheduler'" in str(excinfo.value)
+            assert client.stats()["sessions"] == sessions
+
+    def test_negative_scheduler_seed_refused_at_open(self, server):
+        # Refused by the session's config, which builds no scheduler,
+        # rather than by the first query's replay.
+        with server.client() as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.open_session(scheduler="ortools_like", scheduler_seed=-1)
+        assert excinfo.value.error_type == "bad_request"
+        assert "scheduler_seed must be >= 0" in str(excinfo.value)
 
     def test_ping_and_stats(self, server):
         with server.client() as client:
