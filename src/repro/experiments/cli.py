@@ -39,11 +39,20 @@ from repro.workloads.generator import ARRIVAL_MODES
 from repro.workloads.scenarios import CLUSTER_NODES, SCENARIOS
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="workload seed")
-    p.add_argument(
-        "--scheduler-seed", type=int, default=0, help="scheduler RNG seed"
-    )
+#: Seed flags by the keyword of the function that reads them:
+#: (flag, default, help). A command gets only the seeds it reads.
+_SEED_FLAGS = {
+    "workload_seed": ("--seed", 0, "workload seed"),
+    "scheduler_seed": ("--scheduler-seed", 0, "scheduler RNG seed"),
+    "trace_seed": ("--trace-seed", 2024, None),
+}
+
+
+def _add_seeds(p: argparse.ArgumentParser, keywords: Sequence[str]) -> None:
+    for keyword in keywords:
+        if keyword in _SEED_FLAGS:
+            flag, default, help_text = _SEED_FLAGS[keyword]
+            p.add_argument(flag, type=int, default=default, help=help_text)
 
 
 #: The disruption and topology flag groups, one row per field of
@@ -168,8 +177,8 @@ def _usage_errors(prefix: str = ""):
         raise UsageError(f"{prefix}{exc}") from exc
 
 
-def _check_job_counts(flag: str, counts: Sequence[int]) -> None:
-    if any(n < 0 for n in counts):
+def _check_non_negative(flag: str, values: Sequence[int]) -> None:
+    if any(n < 0 for n in values):
         raise UsageError(f"{flag} must be >= 0")
 
 
@@ -268,37 +277,36 @@ def build_parser() -> argparse.ArgumentParser:
     p2 = _command(sub, "fig2", _cmd_fig2, help="representative reasoning traces")
     p2.add_argument("--model", default="claude-3.7-sim")
     p2.add_argument("--n-jobs", type=int, default=20)
-    _add_common(p2)
+    _add_seeds(p2, ["workload_seed"])
 
     p3 = _command(sub, "fig3", _cmd_figure, help="six scenarios × 60 jobs")
     p3.add_argument("--n-jobs", type=int, default=60)
-    _add_common(p3)
+    _add_seeds(p3, _FIGURES["fig3"][1])
 
     p4 = _command(sub, "fig4", _cmd_figure, help="scalability on heterogeneous mix")
     p4.add_argument(
         "--sizes", type=int, nargs="+", default=[10, 20, 40, 60, 80, 100]
     )
-    _add_common(p4)
+    _add_seeds(p4, _FIGURES["fig4"][1])
 
     p5 = _command(sub, "fig5", _cmd_figure, help="overhead per scenario (60 jobs)")
     p5.add_argument("--n-jobs", type=int, default=60)
-    _add_common(p5)
+    _add_seeds(p5, _FIGURES["fig5"][1])
 
     p6 = _command(sub, "fig6", _cmd_figure, help="overhead scaling with queue size")
     p6.add_argument(
         "--sizes", type=int, nargs="+", default=[10, 20, 40, 60, 80, 100]
     )
-    _add_common(p6)
+    _add_seeds(p6, _FIGURES["fig6"][1])
 
     p7 = _command(sub, "fig7", _cmd_figure, help="robustness over repetitions")
     p7.add_argument("--n-jobs", type=int, default=100)
     p7.add_argument("--repeats", type=int, default=5)
-    _add_common(p7)
+    _add_seeds(p7, _FIGURES["fig7"][1])
 
     p8 = _command(sub, "fig8", _cmd_figure, help="Polaris trace evaluation")
     p8.add_argument("--n-jobs", type=int, default=100)
-    p8.add_argument("--trace-seed", type=int, default=2024)
-    _add_common(p8)
+    _add_seeds(p8, _FIGURES["fig8"][1])
 
     pr = _command(
         sub, "run", _cmd_run, help="one scenario × scheduler simulation"
@@ -320,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="hard cap on scheduler queries (default: 200·n_jobs + 1000)",
     )
-    _add_common(pr)
+    _add_seeds(pr, ["workload_seed", "scheduler_seed"])
     _add_disruption_args(pr)
 
     pm = _command(
@@ -384,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "layout for a store created at --out: one JSONL file "
-            "(default) or a cell-key-hash sharded directory — pooled "
-            "workers then write their own shards concurrently and "
+            "(default) or a cell-key-hash sharded directory, where "
             "keyed report queries parse one shard, not the archive. "
             "An existing store's on-disk layout always wins."
         ),
@@ -654,7 +661,8 @@ def _cmd_fig2(args) -> int:
             f"unknown model profile {args.model!r}; "
             f"available: {', '.join(MODEL_PROFILES)}"
         )
-    _check_job_counts("--n-jobs", [args.n_jobs])
+    _check_non_negative("--n-jobs", [args.n_jobs])
+    _check_non_negative("--seed", [args.seed])
     for sample in figures.figure2(
         model=args.model, n_jobs=args.n_jobs, seed=args.seed
     ):
@@ -708,21 +716,23 @@ def _cmd_figure(args) -> int:
     from repro.experiments import figures
 
     fig_name, keywords, render_name, render_kwargs = _FIGURES[args.command]
+    values = {kw: getattr(args, _FIGURE_ARGS.get(kw, kw)) for kw in keywords}
     if "n_jobs" in keywords:
-        _check_job_counts("--n-jobs", [args.n_jobs])
+        _check_non_negative("--n-jobs", [args.n_jobs])
     if "sizes" in keywords:
-        _check_job_counts("--sizes", args.sizes)
+        _check_non_negative("--sizes", args.sizes)
+    for kw, value in values.items():
+        if kw in _SEED_FLAGS:
+            _check_non_negative(_SEED_FLAGS[kw][0], [value])
     if "n_repeats" in keywords and args.repeats < 1:
         raise UsageError("--repeats must be >= 1")
-    data = getattr(figures, fig_name)(
-        **{kw: getattr(args, _FIGURE_ARGS.get(kw, kw)) for kw in keywords}
-    )
+    data = getattr(figures, fig_name)(**values)
     print(getattr(report, render_name)(data, **render_kwargs))
     return 0
 
 
 def _cmd_run(args) -> int:
-    _check_job_counts("-n/--n-jobs", [args.n_jobs])
+    _check_non_negative("-n/--n-jobs", [args.n_jobs])
     experiment = _experiment_kwargs(args)
     with _usage_errors():
         MatrixCell(
@@ -975,7 +985,7 @@ def _cmd_matrix(args) -> int:
         raise UsageError("--resume requires --out")
     if args.shards is not None and args.store_format != "sharded":
         raise UsageError("--shards needs --store-format sharded")
-    _check_job_counts("--sizes", args.sizes)
+    _check_non_negative("--sizes", args.sizes)
     experiment = _experiment_kwargs(args)
     _check_fault_args(args)
     # Built once, for the sweep and for the report; a cell that cannot
@@ -1122,7 +1132,7 @@ def _cmd_compare(args) -> int:
         render_comparison,
     )
 
-    _check_job_counts("-n/--n-jobs", [args.n_jobs])
+    _check_non_negative("-n/--n-jobs", [args.n_jobs])
     if args.seeds < 2:
         raise UsageError("--seeds must be >= 2")
     with _usage_errors():

@@ -65,7 +65,7 @@ from repro.experiments.store import (
     StoredRun,
     cell_key_str,
 )
-from repro.experiments.storage import ShardedStore, StoreBackend, open_store
+from repro.experiments.storage import StoreBackend, open_store
 from repro.sim.disruptions import DisruptionSpec
 from repro.sim.topology import ClusterTopology
 from repro.workloads.generator import ArrivalMode
@@ -202,34 +202,21 @@ class WorkerLost(RuntimeError):
     (OOM kill, segfault, ``os._exit``) while running one cell."""
 
 
-def _worker_main(
-    conn: Connection, parent_end: Connection, store_path: Optional[str]
-) -> None:
+def _worker_main(conn: Connection, parent_end: Connection) -> None:
     """Body of one owned worker process: answer ``(cell, attempt)``
     tasks on *conn*, one at a time, with the cell's :class:`StoredRun`
     or with the exception the cell raised, until the explicit ``None``
-    task.
-
-    With *store_path* (a sharded store) the worker persists each cell
-    itself, into the shard the cell's key hashes to and under that
-    shard's lock only — concurrent writers with no parent funnel.
-    Safe because a key's shard is process-independent and
-    last-write-wins is per shard: a retried cell that already landed
-    supersedes itself with identical bytes. The store object lives as
-    long as the worker, so its manifest read and parsed shards stay
-    warm across cells.
+    task. A worker computes and never opens a store: the parent
+    persists every answer it receives.
     """
     _worker_init()
     # Under ``fork`` this process holds a copy of the parent's end of
     # its own pipe; while it does, a dead parent never reads as EOF.
     parent_end.close()
-    store = ShardedStore(store_path) if store_path is not None else None
     try:
         while (task := conn.recv()) is not None:
             try:
                 answer = _execute_cell(*task)
-                if store is not None:
-                    store.append(answer)
             except Exception as exc:
                 exc.worker_traceback = _traceback_tail(exc)
                 answer = exc
@@ -243,15 +230,13 @@ class _Worker:
     most one cell it has in flight (*index*, with its watchdog
     *deadline* when a ``cell_timeout`` was asked for)."""
 
-    def __init__(self, store_path: Optional[str]) -> None:
-        self.store_path = store_path
+    def __init__(self) -> None:
         self.start()
 
     def start(self) -> None:
         self.conn, child_end = multiprocessing.Pipe()
         self.process = multiprocessing.Process(
-            target=_worker_main, daemon=True,
-            args=(child_end, self.conn, self.store_path),
+            target=_worker_main, daemon=True, args=(child_end, self.conn),
         )
         self.process.start()
         # Ours must not keep the child's end open, or a *dead* worker
@@ -317,15 +302,11 @@ class _Sweep:
         self.queue: deque[int] = deque(range(len(self.pending)))
         self.ready_at: dict[int, float] = {}
         self.workers: list[_Worker] = []
-        #: Sharded stores flip the write path: workers persist their
-        #: own cells into per-shard files (no parent funnel, no
-        #: cross-shard contention); the parent only does accounting.
-        self.persisted = False
 
     # -- accounting (both paths) ----------------------------------------
     def record(self, index: int, run: StoredRun) -> None:
         self.results[index] = run
-        if self.store is not None and not self.persisted:
+        if self.store is not None:
             self.store.append(run)
         if self.progress is not None:
             self.progress(
@@ -392,16 +373,9 @@ class _Sweep:
         processes with at most one cell each (a dispatched cell starts
         at once, so its deadline clock is honest); an exception answer,
         a dead worker, an overdue deadline each cost that one cell."""
-        store_path = None
-        if isinstance(self.store, ShardedStore):
-            # The manifest is written up front so every worker reads
-            # one agreed shard count.
-            self.store.ensure_initialized()
-            store_path = str(self.store.path)
-            self.persisted = True
         try:
             for _ in range(min(n_workers, len(self.pending))):
-                self.workers.append(_Worker(store_path))
+                self.workers.append(_Worker())
             while self.queue or self.busy():
                 self.dispatch()
                 for answer in self.collect(self.next_wake_s()):
@@ -560,9 +534,8 @@ def run_cells(
     *workers* is the pool size: ``None`` uses every core, ``1`` runs
     inline. *store* (a backend, or a path opened with
     :func:`~repro.experiments.storage.open_store`) receives each run
-    the moment it completes; with a :class:`ShardedStore` and
-    ``workers >= 2``, pooled workers write their own cells straight
-    into per-shard files.
+    the moment it completes. The parent appends it, whichever path ran
+    the cell and whatever the store's layout: workers only compute.
 
     Fault tolerance (all of it inert on a healthy sweep — with no
     failures the engine behaves byte-identically to a plain pool), and

@@ -8,8 +8,8 @@ Public surface:
 * :func:`open_store` — the front door: sniffs the on-disk layout (or
   honors an explicit ``format``) and returns the right backend.
 * :class:`ShardedStore` — cell-key-hash sharded directory layout for
-  million-run archives (single-shard keyed queries, concurrent
-  per-shard writers).
+  million-run archives (single-shard keyed queries, per-shard append
+  locks).
 * :func:`migrate_to_sharded` / :func:`migrate_to_jsonl` — loss-free
   conversion between layouts, round-trippable byte-identically.
 * :func:`store_digest` — layout-blind content identity (the CI

@@ -1,15 +1,14 @@
 """Hash-sharded run store: one directory, N independent JSONL shards.
 
 A million-cell single-file archive makes the first parse and every
-report query linear in the archive, and funnels every concurrent
-writer (pooled matrix workers, the service cache) through one file.
-:class:`ShardedStore` splits the archive by **cell-key hash**: each
-cell's canonical key string is SHA-256'd to pick one of ``n_shards``
-shard files, so
+keyed query linear in the archive. :class:`ShardedStore` splits the
+archive by **cell-key hash**: each cell's canonical key string is
+SHA-256'd to pick one of ``n_shards`` shard files, so
 
 * a keyed lookup parses exactly one shard (1/N of the archive),
-* concurrent writers contend only when their cells share a shard —
-  there is no cross-shard lock at all — and
+* two processes sharing one store (a ``serve`` daemon and a
+  ``matrix --out`` sweep) serialize per shard under a ``flock`` —
+  there is no cross-shard lock — and
 * every shard is an ordinary :class:`~repro.experiments.store.RunStore`
   file, inheriting its tail repair, bounded append retries, parsed-key
   cache, and doctor wholesale (the ScalienDB discipline: sharding
@@ -30,12 +29,12 @@ Layout::
 
 Because a cell key always routes to exactly one shard, last-write-wins
 resolution per key is untouched by sharding. What sharding *does*
-change is global order: concurrent writers interleave per shard, so
+change is global order: append order is kept per shard only, so
 :meth:`ShardedStore.load` returns runs in **canonical key order**
 (sorted by :data:`~repro.experiments.store.CellKey`) — a pure function
-of the run *set*, identical no matter how many workers wrote it. The
-digest tests pin a 4-worker sharded sweep to the serial single-file
-reference through exactly this canonicalization.
+of the run *set*, identical in whatever order the cells completed.
+The digest tests pin a 4-worker sharded sweep to the serial
+single-file reference through exactly this canonicalization.
 """
 
 from __future__ import annotations
@@ -74,9 +73,8 @@ STORE_FORMAT = "sharded-runstore"
 #: Bump when the manifest shape itself changes incompatibly.
 MANIFEST_VERSION = 1
 
-#: Default shard count for new stores: enough that a 4–16-worker pool
-#: almost never collides on a shard, few enough that a full load is
-#: still a handful of file reads.
+#: Default shard count for new stores: a keyed read parses 1/16 of the
+#: archive, and a full load is still a handful of file reads.
 DEFAULT_SHARDS = 16
 
 
@@ -113,9 +111,8 @@ class ShardedStore(StoreBackend):
     See the module docstring for the layout and ordering contract. The
     directory and manifest are created lazily on first append (a
     missing store reads as empty, so ``--resume`` against a fresh path
-    is a no-op), or eagerly via :meth:`ensure_initialized` — the
-    matrix engine calls that before fanning out workers so every
-    worker reads one agreed shard count.
+    is a no-op), or eagerly via :meth:`ensure_initialized`, which the
+    first append and ``store migrate`` call.
     """
 
     def __init__(self, path: Union[str, Path], *, n_shards: Optional[int] = None):
@@ -252,12 +249,11 @@ class ShardedStore(StoreBackend):
     def _append_lock(self, index: int):
         """Exclusive inter-process lock for one shard's appends.
 
-        Writers in different processes (pooled matrix workers) may
-        land on the same shard; ``flock`` on a per-shard lock file
-        serializes the tail-repair + append pair so two writers never
-        interleave bytes. Locks are **per shard** — writers on
-        different shards never wait on each other, which is the whole
-        point of sharding the write path.
+        Two processes may share one store (a ``serve`` daemon and a
+        ``matrix --out`` sweep) and land on the same shard; ``flock``
+        on a per-shard lock file serializes the tail-repair + append
+        pair so two writers never interleave bytes. Locks are **per
+        shard**: writers on different shards never wait on each other.
         """
         if fcntl is None:  # pragma: no cover - non-POSIX fallback
             yield
@@ -293,8 +289,8 @@ class ShardedStore(StoreBackend):
         """All persisted runs in **canonical key order** (sorted by
         :data:`CellKey`), last write per cell winning.
 
-        Canonical — not append — order because concurrent writers make
-        per-shard interleaving nondeterministic: sorting by key makes
+        Canonical — not append — order because a pooled sweep appends
+        in completion order, which varies run to run: sorting by key makes
         the result a pure function of the run *set*, so a 4-worker
         sharded sweep loads identically to a serial one. *on_corrupt*
         is forwarded to every shard (:meth:`RunStore.load` semantics

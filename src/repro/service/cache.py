@@ -103,10 +103,10 @@ class ResultCache:
         self.stats.misses += 1
         return None, "miss"
 
-    def put(self, stored: StoredRun, *, persist: bool = True) -> None:
+    def put(self, stored: StoredRun) -> None:
         """Write-through insert of a freshly simulated cell."""
         self._remember(stored.key, stored)
-        if persist and self.store is not None:
+        if self.store is not None:
             self.store.append(stored)
             self.stats.store_appends += 1
 

@@ -310,6 +310,20 @@ class TestExecution:
         assert "makespan" in out
 
 
+#: Every seed flag of every figure command.
+_FIGURE_SEEDS = [
+    ("fig2", "--seed"),
+    *[
+        (f"fig{n}", flag)
+        for n in (3, 4, 5, 6)
+        for flag in ("--seed", "--scheduler-seed")
+    ],
+    ("fig7", "--seed"),
+    ("fig8", "--trace-seed"),
+    ("fig8", "--scheduler-seed"),
+]
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("a usage error must be raised before any cell runs")
 
@@ -387,9 +401,15 @@ class TestBadNamesAndCounts:
         (["fig7", "--n-jobs", "-1"], "figure7", "--n-jobs must be >= 0"),
         (["fig7", "--repeats", "0"], "figure7", "--repeats must be >= 1"),
         (["fig8", "--n-jobs", "-1"], "figure8", "--n-jobs must be >= 0"),
+        *[
+            ([command, flag, "-1"], f"figure{command[3:]}",
+             f"{flag} must be >= 0")
+            for command, flag in _FIGURE_SEEDS
+        ],
     ], ids=[
         "fig2-model", "fig2-n", "fig3-n", "fig4-sizes", "fig5-n",
         "fig6-sizes", "fig7-n", "fig7-repeats", "fig8-n",
+        *[f"{command}{flag}" for command, flag in _FIGURE_SEEDS],
     ])
     def test_figures(self, argv, figure, message, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -677,8 +697,9 @@ class TestMatrixInterruptNoStore:
 
 
 class TestRetiredOptions:
-    """The second benchmark and the twin-selector flag are gone from
-    the parser, not silently accepted."""
+    """The second benchmark, the twin-selector flag and the figure
+    seed flags no driver read are gone from the parser, not silently
+    accepted."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -689,8 +710,15 @@ class TestRetiredOptions:
                 "matrix", "--scenarios", "adversarial", "--sizes", "8",
                 "--engine", "object",
             ],
+            # Seed flags a figure's driver never read.
+            ["fig2", "--scheduler-seed", "1"],
+            ["fig7", "--scheduler-seed", "1"],
+            ["fig8", "--seed", "1"],
         ],
-        ids=["bench", "run-engine", "matrix-engine"],
+        ids=[
+            "bench", "run-engine", "matrix-engine",
+            "fig2-scheduler-seed", "fig7-scheduler-seed", "fig8-seed",
+        ],
     )
     def test_argparse_rejects(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

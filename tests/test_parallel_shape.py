@@ -1,7 +1,8 @@
 """The shape of ``experiments/parallel.py``, so the pool rebuild does
 not grow back: the sweep owns its worker processes (nothing from
 ``concurrent.futures``, no reach into an executor's ``_processes``),
-the books are kept without a refund rule, and the module has no
+the books are kept without a refund rule, a worker computes and never
+opens a store (the parent persists every answer), and the module has no
 per-file exemption from the complexity gate ``test_src_shape.py`` runs
 over all of ``src/repro``.
 """
@@ -55,3 +56,19 @@ def test_the_pool_rebuild_is_gone_not_renamed():
         and "attempts" in ast.unparse(node.target)
     ]
     assert not refunds
+
+
+def test_workers_open_no_store():
+    main = next(
+        node for node in ast.walk(TREE)
+        if isinstance(node, ast.FunctionDef) and node.name == "_worker_main"
+    )
+    assert [arg.arg for arg in main.args.args] == ["conn", "parent_end"]
+    names = {
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(TREE)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert not names & {"ShardedStore", "persisted", "ensure_initialized"}

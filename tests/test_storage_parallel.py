@@ -1,7 +1,9 @@
-"""Sweep engine × sharded store: concurrent per-shard writers must be
-indistinguishable (by content digest) from the serial single-file
-reference, and resume/failure bookkeeping must survive the layout
-change."""
+"""Sweep engine × sharded store: a pooled sweep, whose parent appends
+every cell its workers answer, must be indistinguishable (by content
+digest) from the serial single-file reference, and resume/failure
+bookkeeping must survive the layout change."""
+
+import os
 
 import pytest
 
@@ -34,20 +36,39 @@ class TestDigestIdentity:
     def test_pooled_sharded_matches_serial_jsonl(
         self, tmp_path, reference
     ):
-        """Four workers appending straight to their cells' shards end
-        up content-identical to the serial single-file reference."""
+        """Four workers' cells, appended to their shards by the
+        parent, end up content-identical to the serial single-file
+        reference."""
         store = ShardedStore(tmp_path / "runs.store", n_shards=4)
         runs = run_cells(_cells(), workers=4, store=store)
         assert len(runs) == len(_cells())
         assert store_digest(store) == store_digest(reference)
 
     def test_pooled_shard_files_hold_the_runs(self, tmp_path):
-        """Worker-side appends actually land in the shard files (the
-        parent does accounting only)."""
+        """The parent's appends land in the shard files, readable by
+        a store opened afresh."""
         store = ShardedStore(tmp_path / "runs.store", n_shards=4)
         run_cells(_cells(), workers=4, store=store)
         reread = ShardedStore(tmp_path / "runs.store")
         assert len(reread) == len(_cells())
+
+    def test_pooled_appends_come_from_the_parent(
+        self, tmp_path, monkeypatch
+    ):
+        """Workers compute, the parent persists: every shard append of
+        a pooled sweep runs in this process. Forked workers inherit the
+        patch, so an append made in a worker would log its own pid."""
+        pids = []
+        append = RunStore.append
+
+        def logged(self, stored):
+            pids.append(os.getpid())
+            return append(self, stored)
+
+        monkeypatch.setattr(RunStore, "append", logged)
+        store = ShardedStore(tmp_path / "runs.store", n_shards=4)
+        run_cells(_cells(), workers=2, store=store)
+        assert pids == [os.getpid()] * len(_cells())
 
     def test_inline_sharded_matches_too(self, tmp_path, reference):
         store = ShardedStore(tmp_path / "runs.store", n_shards=4)
