@@ -382,29 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         help=(
-            "artifact store path (JSONL file or sharded directory); "
-            "each run streams in on completion"
-        ),
-    )
-    pm.add_argument(
-        "--store-format",
-        choices=["jsonl", "sharded"],
-        default=None,
-        help=(
-            "layout for a store created at --out: one JSONL file "
-            "(default) or a cell-key-hash sharded directory, where "
-            "keyed report queries parse one shard, not the archive. "
-            "An existing store's on-disk layout always wins."
-        ),
-    )
-    pm.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "shard count when creating a sharded store (default 16; "
-            "fixed at creation — needs --store-format sharded)"
+            "artifact store path; each run streams in on completion. "
+            "An existing file opens as JSONL, an existing directory "
+            "as a sharded store; a fresh path ending in .jsonl becomes "
+            "one JSONL file, any other fresh path a sharded directory "
+            "(16 shards), where keyed report queries parse one shard, "
+            "not the archive"
         ),
     )
     pm.add_argument(
@@ -529,24 +512,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="convert a store between JSONL and sharded layouts",
         description=(
             "Loss-free layout conversion: a JSONL file splits into a "
-            "fresh sharded directory (lines verbatim, routed by cell-"
-            "key hash, original order recorded in a sidecar); a "
-            "sharded store merges back into one JSONL file — byte-"
-            "identical to the original when the order sidecar still "
-            "matches, load()-identical otherwise. v1-v3 lines cross "
-            "untouched. The direction is inferred from the source "
-            "layout; the destination must not already exist."
+            "fresh sharded directory of 16 shards (lines verbatim, "
+            "routed by cell-key hash, original order recorded in a "
+            "sidecar); a sharded store merges back into one JSONL "
+            "file — byte-identical to the original when the order "
+            "sidecar still matches, load()-identical otherwise. v1-v3 "
+            "lines cross untouched. A directory source merges, a file "
+            "source splits; the destination must not already exist."
         ),
     )
     pmig.add_argument("src", help="existing store (file or sharded dir)")
     pmig.add_argument("dest", help="fresh path for the converted store")
-    pmig.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count when splitting to sharded (default 16)",
-    )
     pdig = _command(
         store_sub, "digest", _cmd_store_digest,
         help="print the store's layout-independent content digest",
@@ -597,19 +573,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         help=(
-            "artifact store backing the cell result cache (JSONL file "
-            "or sharded dir); cells already persisted are served "
-            "without simulating, new cells are appended (shareable "
-            "with matrix --out)"
-        ),
-    )
-    pv.add_argument(
-        "--store-format",
-        choices=["jsonl", "sharded"],
-        default=None,
-        help=(
-            "layout for a store created at --store (an existing "
-            "store's on-disk layout always wins)"
+            "artifact store backing the cell result cache, laid out "
+            "as for matrix --out (a fresh path ending in .jsonl is "
+            "one JSONL file, any other a sharded dir); cells already "
+            "persisted are served without simulating, new cells are "
+            "appended (shareable with matrix --out)"
         ),
     )
     pv.add_argument(
@@ -983,8 +951,6 @@ def _cmd_matrix(args) -> int:
         )
     if args.resume and not args.out:
         raise UsageError("--resume requires --out")
-    if args.shards is not None and args.store_format != "sharded":
-        raise UsageError("--shards needs --store-format sharded")
     _check_non_negative("--sizes", args.sizes)
     experiment = _experiment_kwargs(args)
     _check_fault_args(args)
@@ -999,9 +965,7 @@ def _cmd_matrix(args) -> int:
     store = None
     if args.out:
         with _usage_errors():
-            store = open_store(
-                args.out, format=args.store_format, n_shards=args.shards
-            )
+            store = open_store(args.out)
 
     def interrupted(exc) -> str:
         detail = f" ({exc})" if str(exc) else ""
@@ -1047,21 +1011,11 @@ def _cmd_store_doctor(args) -> int:
 def _cmd_store_migrate(args) -> int:
     from repro.experiments import storage
 
-    merging = storage.detect_format(args.src) == "sharded"
-    if merging and args.shards is not None:
-        raise UsageError(
-            "--shards applies when splitting jsonl -> sharded, not merging back"
-        )
     with _usage_errors():
-        if merging:
+        if Path(args.src).is_dir():
             rep = storage.migrate_to_jsonl(args.src, args.dest)
         else:
-            n_shards = (
-                storage.DEFAULT_SHARDS if args.shards is None else args.shards
-            )
-            rep = storage.migrate_to_sharded(
-                args.src, args.dest, n_shards=n_shards
-            )
+            rep = storage.migrate_to_sharded(args.src, args.dest)
     print(rep.summary())
     return 0
 
@@ -1103,6 +1057,8 @@ def _cmd_serve(args) -> int:
 
     if args.host is None and args.port:
         raise UsageError("--port needs --host (or use --socket PATH)")
+    if args.cache_size is not None:
+        _check_non_negative("--cache-size", [args.cache_size])
 
     try:
         asyncio.run(
@@ -1111,7 +1067,6 @@ def _cmd_serve(args) -> int:
                 host=args.host,
                 port=args.port,
                 store_path=args.store,
-                store_format=args.store_format,
                 workers=args.workers,
                 cache_size=args.cache_size,
                 ready=lambda server: print(

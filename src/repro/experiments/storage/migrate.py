@@ -13,7 +13,7 @@ replays it to reconstruct the original file **byte-identically**. A
 store that has been appended to or compacted since (or was natively
 written sharded) falls back to shard-order concatenation — no longer
 the original bytes, but still ``load()``-identical, which
-:func:`~repro.experiments.storage.backend.store_digest` checks cheaply.
+:func:`~repro.experiments.storage.store_digest` checks cheaply.
 
 Corruption policy: migration refuses interior corruption (run
 ``store doctor`` first — silently dropping lines is the opposite of
@@ -97,12 +97,10 @@ def _require_fresh_dest(dest: Path) -> None:
 
 
 def migrate_to_sharded(
-    src: Union[str, Path],
-    dest: Union[str, Path],
-    *,
-    n_shards: int = DEFAULT_SHARDS,
+    src: Union[str, Path], dest: Union[str, Path]
 ) -> MigrationReport:
-    """Split a single-file JSONL archive into a fresh sharded store.
+    """Split a single-file JSONL archive into a fresh sharded store
+    of :data:`DEFAULT_SHARDS` shards.
 
     Every line lands verbatim in the shard its key hashes to, with
     within-shard relative order preserved; the order sidecar records
@@ -113,20 +111,18 @@ def migrate_to_sharded(
     dest = Path(dest)
     if not src.is_file():
         raise ValueError(f"{src}: no JSONL store file to migrate")
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     _require_fresh_dest(dest)
 
+    store = ShardedStore(dest, n_shards=DEFAULT_SHARDS)
     order: list[int] = []
-    shard_lines: list[list[str]] = [[] for _ in range(n_shards)]
+    shard_lines: list[list[str]] = [[] for _ in range(store.n_shards)]
     final_newline = True
     for raw, stored in _verbatim_lines(src):
-        index = shard_index(stored.key, n_shards)
+        index = shard_index(stored.key, store.n_shards)
         final_newline = raw.endswith("\n")
         shard_lines[index].append(raw.rstrip("\n") + "\n")
         order.append(index)
 
-    store = ShardedStore(dest, n_shards=n_shards)
     store.ensure_initialized()
     for shard_path, chunk in zip(store.shard_paths, shard_lines):
         if chunk:
@@ -148,7 +144,7 @@ def migrate_to_sharded(
         dest=dest,
         direction="jsonl->sharded",
         n_lines=len(order),
-        n_shards=n_shards,
+        n_shards=store.n_shards,
         order_preserved=True,
     )
 

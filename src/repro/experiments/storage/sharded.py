@@ -67,7 +67,10 @@ from repro.experiments.store import (
 #: keys between shards, so it is store metadata, not a knob).
 MANIFEST_NAME = "MANIFEST.json"
 
-#: Format marker inside the manifest; sniffed by ``open_store``.
+#: Failure sidecar, inside the store directory.
+SIDECAR_NAME = "failures.jsonl"
+
+#: Format marker inside the manifest, checked on every manifest read.
 STORE_FORMAT = "sharded-runstore"
 
 #: Bump when the manifest shape itself changes incompatibly.
@@ -96,11 +99,13 @@ def shard_name(index: int) -> str:
 def is_sharded_store(path: Union[str, Path]) -> bool:
     """Whether *path* looks like a sharded store: a directory holding
     a manifest, or (manifest lost) at least one shard file — the
-    doctor can rebuild a manifest, so shard files alone still count."""
+    doctor can rebuild a manifest, so shard files alone still count —
+    or only a failure sidecar, which is what a sweep into a fresh
+    store leaves when every one of its cells is quarantined."""
     p = Path(path)
     if not p.is_dir():
         return False
-    if (p / MANIFEST_NAME).exists():
+    if (p / MANIFEST_NAME).exists() or (p / SIDECAR_NAME).exists():
         return True
     return any(p.glob("shard-*.jsonl"))
 
@@ -335,7 +340,7 @@ class ShardedStore(StoreBackend):
         """Failure sidecar lives *inside* the store directory so the
         sweep's artifacts — shards, manifest, quarantines, failures —
         travel as one directory."""
-        return self.path / "failures.jsonl"
+        return self.path / SIDECAR_NAME
 
     def doctor(
         self, dry_run: bool = False, *, dedupe: bool = False

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from repro.experiments.store import CellKey, StoredRun
-from repro.experiments.storage import StoreBackend, open_store
+from repro.experiments.storage import StoreBackend
 
 #: Default LRU capacity: enough for a full paper-scale sweep matrix
 #: to stay memory-resident, small enough to be harmless.
@@ -68,21 +67,11 @@ class ResultCache:
     stats: CacheStats = field(default_factory=CacheStats)
     _lru: OrderedDict = field(default_factory=OrderedDict)
 
-    @classmethod
-    def for_path(
-        cls,
-        path: Optional[Union[str, Path]],
-        max_entries: int = DEFAULT_CACHE_SIZE,
-        *,
-        format: Optional[str] = None,
-    ) -> "ResultCache":
-        """Cache over the archive at *path* — whatever backend is on
-        disk there (:func:`open_store` sniffing), or *format* for a
-        path that doesn't exist yet."""
-        store = (
-            open_store(path, format=format) if path is not None else None
-        )
-        return cls(store=store, max_entries=max_entries)
+    def __post_init__(self) -> None:
+        if self.max_entries < 0:
+            raise ValueError(
+                f"max_entries must be >= 0, got {self.max_entries}"
+            )
 
     def lookup(
         self, key: CellKey

@@ -217,7 +217,6 @@ async def run_server(
     host: Optional[str] = None,
     port: int = 0,
     store_path: Optional[Union[str, Path]] = None,
-    store_format: Optional[str] = None,
     workers: Optional[int] = None,
     cache_size: Optional[int] = None,
     ready: Optional[Any] = None,
@@ -231,7 +230,6 @@ async def run_server(
     """
     kwargs: dict[str, Any] = {
         "store_path": store_path,
-        "store_format": store_format,
         "workers": workers,
     }
     if cache_size is not None:

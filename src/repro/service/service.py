@@ -46,6 +46,7 @@ from repro.experiments.parallel import (
     resolve_workers,
 )
 from repro.experiments.store import StoredRun, cell_key_str
+from repro.experiments.storage import open_store
 from repro.service import protocol
 from repro.service.cache import DEFAULT_CACHE_SIZE, ResultCache
 from repro.service.session import Session, SessionConfig, SessionError
@@ -90,12 +91,12 @@ class SchedulingService:
         self,
         *,
         store_path: Optional[Union[str, Path]] = None,
-        store_format: Optional[str] = None,
         workers: Optional[int] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> None:
-        self.cache = ResultCache.for_path(
-            store_path, cache_size, format=store_format
+        self.cache = ResultCache(
+            None if store_path is None else open_store(store_path),
+            cache_size,
         )
         self.workers = resolve_workers(workers) if workers else None
         self._sessions: dict[str, Session] = {}

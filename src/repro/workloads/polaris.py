@@ -111,7 +111,7 @@ def synthesize_polaris_trace(
 
     # Bursty daytime submissions: lognormal interarrivals (median ~6 min).
     gaps = rng.lognormal(mean=np.log(360.0), sigma=1.3, size=n_jobs)
-    gaps[0] = 0.0
+    gaps[:1] = 0.0
     submits = _TRACE_EPOCH + np.cumsum(gaps)
 
     records: list[RawTraceRecord] = []

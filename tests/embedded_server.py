@@ -36,7 +36,6 @@ class EmbeddedServer:
         *,
         socket_path: Optional[Union[str, Path]] = None,
         store_path: Optional[Union[str, Path]] = None,
-        store_format: Optional[str] = None,
         workers: Optional[int] = None,
         cache_size: Optional[int] = None,
     ) -> None:
@@ -46,7 +45,6 @@ class EmbeddedServer:
             socket_path = Path(self._tmpdir.name) / "daemon.sock"
         self.socket_path = Path(socket_path)
         self.store_path = store_path
-        self.store_format = store_format
         self.workers = workers
         self.cache_size = cache_size
         self.server: Optional[ServiceServer] = None
@@ -66,7 +64,6 @@ class EmbeddedServer:
                     run_server(
                         socket_path=self.socket_path,
                         store_path=self.store_path,
-                        store_format=self.store_format,
                         workers=self.workers,
                         cache_size=self.cache_size,
                         ready=on_ready,

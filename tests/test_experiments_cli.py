@@ -390,6 +390,17 @@ class TestBadNamesAndCounts:
             assert "Traceback" not in err
             assert not out.exists()
 
+    def test_serve_negative_cache_size(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("repro.service.server.run_server", _must_not_run)
+        code = main([
+            "serve", "--socket", str(tmp_path / "d.sock"),
+            "--cache-size", "-1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --cache-size must be >= 0")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv,figure,message", [
         (["fig2", "--model", "nope", "--n-jobs", "3"], "figure2",
          "unknown model profile 'nope'; available: claude-3.7-sim"),
@@ -596,6 +607,10 @@ class TestFigureCommands:
             "trace_seed" in seen["fig_kwargs"]
         )
 
+    def test_fig8_zero_jobs_prints_its_table(self, capsys):
+        assert main(["fig8", "--n-jobs", "0"]) == 0
+        assert "Figure 8" in capsys.readouterr().out
+
     def test_fig5_and_fig6_label_their_tables(self, monkeypatch, capsys):
         from repro.experiments import cli, figures
 
@@ -697,9 +712,9 @@ class TestMatrixInterruptNoStore:
 
 
 class TestRetiredOptions:
-    """The second benchmark, the twin-selector flag and the figure
-    seed flags no driver read are gone from the parser, not silently
-    accepted."""
+    """The second benchmark, the twin-selector flag, the figure seed
+    flags no driver read and the store-layout flags are gone from the
+    parser, not silently accepted."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -714,13 +729,29 @@ class TestRetiredOptions:
             ["fig2", "--scheduler-seed", "1"],
             ["fig7", "--scheduler-seed", "1"],
             ["fig8", "--seed", "1"],
+            # The path names a store's layout; no flag chooses it.
+            [
+                "matrix", "--scenarios", "adversarial", "--sizes", "8",
+                "--out", "runs", "--store-format", "sharded",
+            ],
+            [
+                "matrix", "--scenarios", "adversarial", "--sizes", "8",
+                "--out", "runs", "--shards", "8",
+            ],
+            ["serve", "--socket", "d.sock", "--store-format", "jsonl"],
+            ["store", "migrate", "a", "b", "--shards", "8"],
         ],
         ids=[
             "bench", "run-engine", "matrix-engine",
             "fig2-scheduler-seed", "fig7-scheduler-seed", "fig8-seed",
+            "matrix-store-format", "matrix-shards", "serve-store-format",
+            "migrate-shards",
         ],
     )
-    def test_argparse_rejects(self, argv, capsys):
+    def test_argparse_rejects(self, argv, capsys, monkeypatch, tmp_path):
+        # Were a row accepted, it must neither serve nor write here.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("repro.service.server.run_server", _must_not_run)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

@@ -16,6 +16,7 @@ import pytest
 
 from repro.experiments.cli import main
 from repro.experiments.parallel import MatrixCell
+from repro.experiments.storage import ShardedStore
 from repro.experiments.store import (
     FailedCell,
     FailureSidecar,
@@ -171,6 +172,23 @@ class TestRetiredWindowKey:
 
 
 class TestRetryFailedEdgeCases:
+    def test_store_holding_only_its_sidecar(self, tmp_path, capsys):
+        """Every cell of a sweep into a fresh sharded path quarantined:
+        the directory holds the failure sidecar alone, and is still
+        the store to retry."""
+        store = tmp_path / "runs"
+        faultinject.install(FaultPlan(seed=0, rules=(
+            FaultRule(kind="crash", match="adversarial|8|", max_attempt=99),
+        )))
+        assert main(sweep_args(store)) == 3
+        assert [p.name for p in store.iterdir()] == ["failures.jsonl"]
+        faultinject.install(None)
+        capsys.readouterr()
+        rc = main(["matrix", "--retry-failed", str(store), "--workers", "1"])
+        assert rc == 0
+        assert "recovered 2/2" in capsys.readouterr().out
+        assert len(ShardedStore(store).load()) == 2
+
     def test_nothing_to_retry_is_success(self, tmp_path, capsys):
         store = tmp_path / "runs.jsonl"
         assert main(sweep_args(store)) == 0

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.experiments.runner import run_single
+from repro.experiments.storage import open_store
 from repro.experiments.store import StoredRun
 from repro.service import protocol
 from repro.service.cache import CacheStats, ResultCache
@@ -198,18 +199,23 @@ class TestResultCache:
         assert cache.lookup(stored_runs[1].key)[0] is None
         assert cache.lookup(stored_runs[2].key)[0] is stored_runs[2]
 
+    @pytest.mark.parametrize("max_entries", [-1, -5])
+    def test_negative_capacity_refused(self, max_entries):
+        with pytest.raises(ValueError, match="max_entries must be >= 0"):
+            ResultCache(max_entries=max_entries)
+
     def test_storeless_cache_counts_misses(self, stored_runs):
-        cache = ResultCache.for_path(None)
+        cache = ResultCache()
         assert cache.store is None
         assert cache.lookup(stored_runs[0].key) == (None, "miss")
         assert cache.stats.misses == 1
 
     def test_store_hit_promotes_into_memory(self, tmp_path, stored_runs):
-        cache = ResultCache.for_path(tmp_path / "cells.jsonl")
+        cache = ResultCache(open_store(tmp_path / "cells.jsonl"))
         cache.put(stored_runs[0])
-        # A fresh cache over the same file: first lookup is a store
+        # A fresh cache over the same store: first lookup is a store
         # hit, the second a memory hit.
-        fresh = ResultCache.for_path(tmp_path / "cells.jsonl")
+        fresh = ResultCache(open_store(tmp_path / "cells.jsonl"))
         assert fresh.lookup(stored_runs[0].key)[1] == "store"
         assert fresh.lookup(stored_runs[0].key)[1] == "memory"
         assert fresh.stats.as_dict()["hits_store"] == 1

@@ -1,6 +1,6 @@
-"""CLI surface of the storage redesign: ``matrix --store-format``,
-``store migrate``/``digest``, sharded ``store doctor``, and
-``report --where``."""
+"""CLI surface of the storage redesign: the layout ``matrix --out``
+names by its path, ``store migrate``/``digest``, sharded ``store
+doctor``, and ``report --where``."""
 
 import json
 
@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments.cli import build_parser, main
 from repro.experiments.storage import (
+    DEFAULT_SHARDS,
     MANIFEST_NAME,
     ShardedStore,
     open_store,
@@ -22,15 +23,6 @@ MATRIX = [
 
 
 class TestParser:
-    def test_store_format_flags_parse(self):
-        parser = build_parser()
-        args = parser.parse_args(MATRIX + [
-            "--out", "x.store", "--store-format", "sharded",
-            "--shards", "8",
-        ])
-        assert args.store_format == "sharded"
-        assert args.shards == 8
-
     def test_store_subcommands_parse(self):
         parser = build_parser()
         assert parser.parse_args(
@@ -51,13 +43,13 @@ class TestParser:
 class TestMatrixStoreFormat:
     def test_sharded_sweep_and_digest_identity(self, tmp_path, capsys):
         assert main(MATRIX + [
-            "--out", str(tmp_path / "runs.store"),
-            "--store-format", "sharded", "--shards", "4",
-            "--workers", "4",
+            "--out", str(tmp_path / "runs.store"), "--workers", "4",
         ]) == 0
         assert main(MATRIX + [
             "--out", str(tmp_path / "ref.jsonl"),
         ]) == 0
+        assert (tmp_path / "runs.store").is_dir()
+        assert (tmp_path / "ref.jsonl").is_file()
         capsys.readouterr()
         assert main(
             ["store", "digest", str(tmp_path / "runs.store")]
@@ -68,30 +60,11 @@ class TestMatrixStoreFormat:
         ) == 0
         assert capsys.readouterr().out.strip() == sharded_digest
 
-    def test_shards_without_sharded_format_rejected(self, tmp_path):
-        assert main(MATRIX + [
-            "--out", str(tmp_path / "runs.jsonl"), "--shards", "4",
-        ]) == 2
-
-    @pytest.mark.parametrize("shards", ["0", "-1"])
-    def test_shards_below_one_rejected(self, tmp_path, capsys, shards):
-        out = tmp_path / "runs.store"
-        assert main(MATRIX + [
-            "--out", str(out), "--store-format", "sharded",
-            "--shards", shards,
-        ]) == 2
-        assert "n_shards must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_format_mismatch_rejected(self, tmp_path, capsys):
-        assert main(MATRIX + [
-            "--out", str(tmp_path / "ref.jsonl"),
-        ]) == 0
-        assert main(MATRIX + [
-            "--out", str(tmp_path / "ref.jsonl"),
-            "--store-format", "sharded",
-        ]) == 2
-        assert "migrate" in capsys.readouterr().err
+    def test_fresh_suffixless_out_is_sharded(self, tmp_path):
+        out = tmp_path / "runs"
+        assert main(MATRIX + ["--out", str(out)]) == 0
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        assert manifest["n_shards"] == DEFAULT_SHARDS
 
 
 class TestStoreMigrateCLI:
@@ -105,7 +78,6 @@ class TestStoreMigrateCLI:
         src = self._sweep(tmp_path)
         assert main([
             "store", "migrate", str(src), str(tmp_path / "runs.store"),
-            "--shards", "4",
         ]) == 0
         assert "jsonl->sharded" in capsys.readouterr().out
         assert main([
@@ -116,26 +88,6 @@ class TestStoreMigrateCLI:
         assert (
             (tmp_path / "back.jsonl").read_bytes() == src.read_bytes()
         )
-
-    def test_shards_flag_rejected_on_sharded_source(self, tmp_path):
-        src = self._sweep(tmp_path)
-        assert main([
-            "store", "migrate", str(src), str(tmp_path / "runs.store"),
-        ]) == 0
-        assert main([
-            "store", "migrate", str(tmp_path / "runs.store"),
-            str(tmp_path / "back.jsonl"), "--shards", "4",
-        ]) == 2
-
-    @pytest.mark.parametrize("shards", ["0", "-1"])
-    def test_shards_below_one_rejected(self, tmp_path, capsys, shards):
-        src = self._sweep(tmp_path)
-        dest = tmp_path / "runs.store"
-        assert main([
-            "store", "migrate", str(src), str(dest), "--shards", shards,
-        ]) == 2
-        assert "n_shards must be >= 1" in capsys.readouterr().err
-        assert not dest.exists()
 
     def test_existing_dest_rejected(self, tmp_path, capsys):
         src = self._sweep(tmp_path)
@@ -149,7 +101,6 @@ class TestStoreDoctorSharded:
     def test_healthy_exit_zero(self, tmp_path, capsys):
         assert main(MATRIX + [
             "--out", str(tmp_path / "runs.store"),
-            "--store-format", "sharded", "--shards", "2",
         ]) == 0
         assert main(["store", "doctor", str(tmp_path / "runs.store")]) == 0
         assert "healthy" in capsys.readouterr().out
@@ -157,7 +108,6 @@ class TestStoreDoctorSharded:
     def test_corrupt_shard_exit_one_and_repairs(self, tmp_path, capsys):
         assert main(MATRIX + [
             "--out", str(tmp_path / "runs.store"),
-            "--store-format", "sharded", "--shards", "2",
         ]) == 0
         shard = tmp_path / "runs.store" / shard_name(0)
         shard.write_text("{garbage\n" + shard.read_text())
@@ -169,7 +119,6 @@ class TestStoreDoctorSharded:
     def test_lost_manifest_repaired(self, tmp_path, capsys):
         assert main(MATRIX + [
             "--out", str(tmp_path / "runs.store"),
-            "--store-format", "sharded", "--shards", "2",
         ]) == 0
         (tmp_path / "runs.store" / MANIFEST_NAME).unlink()
         assert main(["store", "doctor", str(tmp_path / "runs.store")]) == 1
@@ -181,7 +130,7 @@ class TestStoreDoctorSharded:
         the shard count from the shard files and rebuilds it."""
         path = tmp_path / "runs.store"
         assert main(MATRIX + [
-            "--out", str(path), "--store-format", "sharded", "--shards", "2",
+            "--out", str(path),
         ]) == 0
         capsys.readouterr()
         assert main(["store", "digest", str(path)]) == 0
@@ -230,15 +179,14 @@ class TestLegacyManifest:
         "digest": ["store", "digest", "{store}"],
         "report": ["report", "--store", "{store}"],
         "migrate": ["store", "migrate", "{store}", "{tmp}/back.jsonl"],
-        "resume": MATRIX + ["--out", "{store}", "--store-format", "sharded",
-                            "--resume"],
+        "resume": MATRIX + ["--out", "{store}", "--resume"],
     }
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_command_reads_it(self, tmp_path, capsys, command):
         path = tmp_path / "runs.store"
         assert main(MATRIX + [
-            "--out", str(path), "--store-format", "sharded", "--shards", "2",
+            "--out", str(path),
         ]) == 0
         before = store_digest(open_store(path))
         manifest = path / MANIFEST_NAME
@@ -266,8 +214,7 @@ class TestReportWhere:
     def archive(self, tmp_path):
         path = tmp_path / "runs.store"
         assert main(MATRIX + [
-            "--out", str(path), "--store-format", "sharded",
-            "--shards", "2", "--seeds", "0", "1",
+            "--out", str(path), "--seeds", "0", "1",
         ]) == 0
         return path
 
@@ -306,11 +253,7 @@ class TestSweepReadsBackThroughIterRuns:
         """A resumed matrix prints the full table, reading the already
         -complete cells back through the keyed query API."""
         out = str(tmp_path / "runs.store")
-        assert main(MATRIX + [
-            "--out", out, "--store-format", "sharded", "--shards", "2",
-        ]) == 0
+        assert main(MATRIX + ["--out", out]) == 0
         capsys.readouterr()
-        assert main(MATRIX + [
-            "--out", out, "--store-format", "sharded", "--resume",
-        ]) == 0
+        assert main(MATRIX + ["--out", out, "--resume"]) == 0
         assert "sjf" in capsys.readouterr().out

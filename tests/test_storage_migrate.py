@@ -81,9 +81,7 @@ class TestRoundTrip:
         write_mixed_archive(src)
         original = src.read_bytes()
 
-        report = migrate_to_sharded(
-            src, tmp_path / "runs.store", n_shards=4
-        )
+        report = migrate_to_sharded(src, tmp_path / "runs.store")
         assert report.n_lines == 5
         assert report.direction == "jsonl->sharded"
 
@@ -96,7 +94,7 @@ class TestRoundTrip:
     def test_load_identical(self, tmp_path):
         src = tmp_path / "runs.jsonl"
         write_mixed_archive(src)
-        migrate_to_sharded(src, tmp_path / "runs.store", n_shards=4)
+        migrate_to_sharded(src, tmp_path / "runs.store")
         migrate_to_jsonl(tmp_path / "runs.store", tmp_path / "back.jsonl")
         assert (
             RunStore(src).load()
@@ -110,7 +108,7 @@ class TestRoundTrip:
     def test_schema_versions_survive_verbatim(self, tmp_path):
         src = tmp_path / "runs.jsonl"
         write_mixed_archive(src)
-        migrate_to_sharded(src, tmp_path / "runs.store", n_shards=2)
+        migrate_to_sharded(src, tmp_path / "runs.store")
         versions = sorted(
             run.schema_version
             for run in ShardedStore(tmp_path / "runs.store").load()
@@ -123,7 +121,7 @@ class TestRoundTrip:
         # Strip the final newline: still a complete, parseable tail.
         src.write_bytes(src.read_bytes()[:-1])
         original = src.read_bytes()
-        migrate_to_sharded(src, tmp_path / "runs.store", n_shards=2)
+        migrate_to_sharded(src, tmp_path / "runs.store")
         migrate_to_jsonl(tmp_path / "runs.store", tmp_path / "back.jsonl")
         assert (tmp_path / "back.jsonl").read_bytes() == original
 
@@ -132,7 +130,7 @@ class TestRoundTrip:
         concatenation: no longer byte-identical, still load-identical."""
         src = tmp_path / "runs.jsonl"
         write_mixed_archive(src)
-        migrate_to_sharded(src, tmp_path / "runs.store", n_shards=4)
+        migrate_to_sharded(src, tmp_path / "runs.store")
         (tmp_path / "runs.store" / ORDER_NAME).unlink()
         report = migrate_to_jsonl(
             tmp_path / "runs.store", tmp_path / "back.jsonl"
@@ -164,9 +162,9 @@ class TestMigrationSafety:
         src = tmp_path / "runs.jsonl"
         write_mixed_archive(src)
         dest = tmp_path / "runs.store"
-        migrate_to_sharded(src, dest, n_shards=2)
+        migrate_to_sharded(src, dest)
         with pytest.raises(ValueError, match="exists"):
-            migrate_to_sharded(src, dest, n_shards=2)
+            migrate_to_sharded(src, dest)
         with pytest.raises(ValueError, match="exists"):
             migrate_to_jsonl(dest, src)
 

@@ -100,7 +100,7 @@ class TestResume:
 
 class TestStorePathCoercion:
     def test_run_cells_accepts_sharded_path(self, tmp_path):
-        """A path holding a sharded store is sniffed by open_store."""
+        """A store path given to run_cells opens as the layout on disk."""
         seed = ShardedStore(tmp_path / "runs.store", n_shards=2)
         seed.ensure_initialized()
         run_cells(_cells()[:1], workers=1, store=tmp_path / "runs.store")

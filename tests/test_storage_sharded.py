@@ -10,7 +10,6 @@ from repro.experiments.storage import (
     MANIFEST_NAME,
     ShardedStore,
     StoreBackend,
-    detect_format,
     is_sharded_store,
     open_store,
     shard_index,
@@ -368,43 +367,36 @@ class TestIterRuns:
 
 
 class TestOpenStore:
-    def test_sniffs_jsonl_file(self, tmp_path):
-        RunStore(tmp_path / "runs.jsonl").append(make_stored())
-        store = open_store(tmp_path / "runs.jsonl")
-        assert isinstance(store, RunStore)
-        assert detect_format(tmp_path / "runs.jsonl") == "jsonl"
+    """The path alone picks the layout: an existing file is JSONL and
+    an existing directory sharded, with its manifest's shard count; a
+    fresh path is a JSONL file when it ends in ``.jsonl`` and a
+    sharded directory of ``DEFAULT_SHARDS`` shards otherwise."""
 
-    def test_sniffs_sharded_dir(self, tmp_path):
-        ShardedStore(tmp_path / "runs.store", n_shards=2).append(
-            make_stored()
-        )
-        store = open_store(tmp_path / "runs.store")
-        assert isinstance(store, ShardedStore)
-        assert is_sharded_store(tmp_path / "runs.store")
-        assert detect_format(tmp_path / "runs.store") == "sharded"
-
-    def test_fresh_path_defaults_to_jsonl(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "new.jsonl"), RunStore)
-
-    def test_fresh_path_sharded_format(self, tmp_path):
-        store = open_store(
-            tmp_path / "new.store", format="sharded", n_shards=4
-        )
-        assert isinstance(store, ShardedStore)
-        assert store.n_shards == 4
-
-    def test_default_shards(self, tmp_path):
-        store = open_store(tmp_path / "new.store", format="sharded")
-        assert store.n_shards == DEFAULT_SHARDS
-
-    def test_format_mismatch_mentions_migrate(self, tmp_path):
-        RunStore(tmp_path / "runs.jsonl").append(make_stored())
-        with pytest.raises(ValueError, match="migrate"):
-            open_store(tmp_path / "runs.jsonl", format="sharded")
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            open_store(tmp_path / "x", format="parquet")
+    @pytest.mark.parametrize("name,existing,layout,n_shards", [
+        ("x.jsonl", None, RunStore, None),
+        ("x.store", None, ShardedStore, DEFAULT_SHARDS),
+        ("x.store", lambda p: ShardedStore(p, n_shards=2), ShardedStore, 2),
+        ("x", RunStore, RunStore, None),
+        ("x.jsonl", lambda p: ShardedStore(p, n_shards=2), ShardedStore, 2),
+    ], ids=[
+        "fresh-jsonl-file", "fresh-store-dir", "existing-2-shard-store",
+        "existing-suffixless-file", "existing-dir-named-jsonl",
+    ])
+    def test_path_rule(self, tmp_path, name, existing, layout, n_shards):
+        path = tmp_path / name
+        if existing is not None:
+            existing(path).append(make_stored())
+        store = open_store(path)
+        assert type(store) is layout
+        run = make_stored(n_jobs=11)
+        store.append(run)
+        assert run in open_store(path).load()
+        if layout is RunStore:
+            assert path.is_file()
+        else:
+            assert store.n_shards == n_shards
+            manifest = json.loads((path / MANIFEST_NAME).read_text())
+            assert manifest["n_shards"] == n_shards
 
     def test_both_backends_satisfy_protocol(self, tmp_path):
         assert isinstance(RunStore(tmp_path / "a.jsonl"), StoreBackend)

@@ -70,7 +70,7 @@ def test_empty_directory_is_still_a_destination(tmp_path, capsys):
     rc = main([
         "matrix", "--scenarios", "adversarial", "--sizes", "8",
         "--schedulers", "fcfs", "--workers", "1",
-        "--out", str(out), "--store-format", "sharded", "--shards", "2",
+        "--out", str(out),
     ])
     assert rc == 0
     assert is_sharded_store(out)

@@ -51,6 +51,10 @@ class TestSynthesizer:
         records = synthesize_polaris_trace(n_jobs=100, seed=7)
         assert all(r.start_ts >= r.submit_ts for r in records)
 
+    def test_zero_jobs_gives_empty_trace(self):
+        assert synthesize_polaris_trace(n_jobs=0, seed=1) == []
+        assert preprocess_trace(synthesize_polaris_trace(n_jobs=0), n_jobs=0) == []
+
     def test_validation(self):
         with pytest.raises(ValueError):
             synthesize_polaris_trace(n_jobs=-1)

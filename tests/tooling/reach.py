@@ -381,8 +381,7 @@ CLI_CALLS = {
     "matrix": ["matrix", *_SWEEP, "--workers", "2", "--out", "m.jsonl"],
     "report": ["report", "--store", "m.jsonl"],
     "store doctor": ["store", "doctor", "m.jsonl"],
-    "store migrate": ["store", "migrate", "m.jsonl", "m.store",
-                      "--shards", "2"],
+    "store migrate": ["store", "migrate", "m.jsonl", "m.store"],
     "store digest": ["store", "digest", "m.store"],
 }
 
