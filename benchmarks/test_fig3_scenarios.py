@@ -20,7 +20,7 @@ from repro.experiments.report import render_figure3
 def test_fig3_six_scenarios(bench_once):
     data = bench_once(figure3, n_jobs=60, workload_seed=0, scheduler_seed=0)
     print()
-    print(render_figure3(data))
+    print(render_figure3(data, n_jobs=60))
 
     llms = ("claude-3.7-sim", "o4-mini-sim")
 

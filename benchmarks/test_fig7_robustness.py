@@ -16,7 +16,7 @@ NEGATIVE_METRICS = ("makespan", "avg_wait_time", "avg_turnaround_time")
 def test_fig7_robustness(bench_once):
     data = bench_once(figure7, n_jobs=100, n_repeats=5, workload_seed=0)
     print()
-    print(render_figure7(data))
+    print(render_figure7(data, n_jobs=100, n_repeats=5))
 
     # FCFS and SJF are deterministic → zero spread on every metric.
     for name in ("fcfs", "sjf"):

@@ -16,7 +16,7 @@ from repro.experiments.report import render_figure8
 def test_fig8_polaris_trace(bench_once):
     data = bench_once(figure8, n_jobs=100, trace_seed=2024, scheduler_seed=0)
     print()
-    print(render_figure8(data))
+    print(render_figure8(data, n_jobs=100))
 
     llms = ("claude-3.7-sim", "o4-mini-sim")
     for model in llms:

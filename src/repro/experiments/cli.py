@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -640,40 +641,42 @@ def _cmd_fig2(args) -> int:
 
 
 #: fig3–fig8: the ``figures`` function and the keywords it takes from
-#: ``args``, the ``report`` renderer and its keywords. Both functions are
-#: looked up when the command runs.
+#: ``args``, the ``report`` renderer, and its keywords built from the
+#: figure's — a title names the counts the figure ran with. Both
+#: functions are looked up when the command runs.
 _FIGURES = {
     "fig3": (
         "figure3", ("n_jobs", "workload_seed", "scheduler_seed"),
-        "render_figure3", {},
+        "render_figure3", lambda v: {"n_jobs": v["n_jobs"]},
     ),
     "fig4": (
         "figure4", ("sizes", "workload_seed", "scheduler_seed"),
-        "render_figure4", {},
+        "render_figure4", lambda v: {},
     ),
     "fig5": (
         "figure5", ("n_jobs", "workload_seed", "scheduler_seed"),
         "render_overhead_table",
-        {
+        lambda v: {
             "key_label": "scenario",
-            "title": "Figure 5 — overhead per scenario (60 jobs)",
+            "title": f"Figure 5 — overhead per scenario ({v['n_jobs']} jobs)",
         },
     ),
     "fig6": (
         "figure6", ("sizes", "workload_seed", "scheduler_seed"),
         "render_overhead_table",
-        {
+        lambda v: {
             "key_label": "n_jobs",
             "title": "Figure 6 — overhead scaling (heterogeneous mix)",
         },
     ),
     "fig7": (
         "figure7", ("n_jobs", "n_repeats", "workload_seed"),
-        "render_figure7", {},
+        "render_figure7",
+        lambda v: {"n_jobs": v["n_jobs"], "n_repeats": v["n_repeats"]},
     ),
     "fig8": (
         "figure8", ("n_jobs", "trace_seed", "scheduler_seed"),
-        "render_figure8", {},
+        "render_figure8", lambda v: {"n_jobs": v["n_jobs"]},
     ),
 }
 #: Figure keyword → ``args`` attribute where the two differ.
@@ -695,7 +698,7 @@ def _cmd_figure(args) -> int:
     if "n_repeats" in keywords and args.repeats < 1:
         raise UsageError("--repeats must be >= 1")
     data = getattr(figures, fig_name)(**values)
-    print(getattr(report, render_name)(data, **render_kwargs))
+    print(getattr(report, render_name)(data, **render_kwargs(values)))
     return 0
 
 
@@ -1107,10 +1110,19 @@ def _cmd_compare(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout went away (``report | head -1``). What
+        # is still buffered goes to devnull, so the flush at interpreter
+        # shutdown does not raise a second time; the status is 128 +
+        # SIGPIPE, what a shell shows for a stage the signal ended.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,7 +7,11 @@ over worker processes it owns — one process, one pipe and at most one
 cell in flight each — streams each finished run into a
 :class:`~repro.experiments.store.RunStore` the moment it completes, and
 — with ``resume=True`` — skips cells the store already holds, so a
-killed sweep restarts where it left off.
+killed sweep restarts where it left off. A worker that answers is
+handed its next cell first and its answer persisted second, so the
+worker computes while the parent writes and fsyncs; and each process
+generates a job set once, for all the cells (a block's schedulers)
+that share it.
 
 This is the one path a grid of cells runs through: ``repro-sched
 matrix``, the figure drivers of Figs. 3–7
@@ -54,6 +58,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -67,8 +72,9 @@ from repro.experiments.store import (
 )
 from repro.experiments.storage import StoreBackend, open_store
 from repro.sim.disruptions import DisruptionSpec
+from repro.sim.job import Job
 from repro.sim.topology import ClusterTopology
-from repro.workloads.generator import ArrivalMode
+from repro.workloads.generator import ArrivalMode, generate_workload
 
 #: Progress callback: (cell, completed runs so far, total cells).
 ProgressFn = Callable[["MatrixCell", int, int], None]
@@ -146,10 +152,28 @@ def _worker_init() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+@lru_cache(maxsize=32)
+def _job_set(
+    scenario: str, n_jobs: int, workload_seed: int, arrival_mode: ArrivalMode,
+) -> tuple[Job, ...]:
+    """One workload draw, generated once per process and shared by
+    every cell of that identity that the process runs — a block's
+    schedulers all run the same job set. 32 entries cover one block's
+    workload-seed fan-out (:func:`expand_cells` nests the seeds inside
+    the schedulers); at ~0.4 KB per :class:`Job` the cache holds at
+    most ``32 × n_jobs × 0.4 KB`` per process (~1.3 MB at the paper's
+    100 jobs). A tuple of frozen jobs: no run can alter it."""
+    return tuple(generate_workload(
+        scenario, n_jobs, seed=workload_seed, arrival_mode=arrival_mode,
+    ))
+
+
 def _execute_cell(cell: MatrixCell, attempt: int = 1) -> StoredRun:
     """Worker entry point: simulate one cell (top-level for pickling)
     and answer with its measurement, the :class:`StoredRun` the store
-    persists — the schedule itself never crosses a worker's pipe.
+    persists — the schedule itself never crosses a worker's pipe. The
+    cell's jobs come from this process's :func:`_job_set` cache, so a
+    job set is generated once per process, not once per cell.
 
     *attempt* (1-based) exists solely for the chaos harness: the
     parent tracks how many times a cell has been tried so injected
@@ -166,6 +190,9 @@ def _execute_cell(cell: MatrixCell, attempt: int = 1) -> StoredRun:
         workload_seed=cell.workload_seed,
         scheduler_seed=cell.scheduler_seed,
         arrival_mode=cell.arrival_mode,
+        jobs=_job_set(
+            cell.scenario, cell.n_jobs, cell.workload_seed, cell.arrival_mode,
+        ),
         disruptions=cell.disruptions,
         restart_policy=cell.restart_policy,
         checkpoint_interval=cell.checkpoint_interval,
@@ -174,11 +201,16 @@ def _execute_cell(cell: MatrixCell, attempt: int = 1) -> StoredRun:
 
 
 def resolve_workers(workers: Optional[int]) -> int:
-    """Resolve a worker request: ``None`` → all cores, otherwise a
-    floor of 1. Requests above the core count are honored as given —
-    deliberate oversubscription is harmless (the OS time-slices) and
-    it keeps the pool path exercisable on small machines."""
+    """Resolve a worker request: ``None`` → every core this process may
+    run on (its CPU affinity mask, which a Slurm cpuset or ``taskset``
+    narrows; the host's core count where the platform has no mask),
+    otherwise a floor of 1. Requests above the core count are honored
+    as given — deliberate oversubscription is harmless (the OS
+    time-slices) and it keeps the pool path exercisable on small
+    machines."""
     if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return max(1, int(workers))
 
@@ -379,6 +411,8 @@ class _Sweep:
             while self.queue or self.busy():
                 self.dispatch()
                 for answer in self.collect(self.next_wake_s()):
+                    # The freed worker computes while its answer persists.
+                    self.dispatch()
                     self.settle(*answer)
                 self.reap_overdue()
         except BaseException as exc:
@@ -531,11 +565,15 @@ def run_cells(
     ``resume=True`` and a store, cells whose key the store already
     holds are skipped — read them back with ``store.load()``.
 
-    *workers* is the pool size: ``None`` uses every core, ``1`` runs
-    inline. *store* (a backend, or a path opened with
+    *workers* is the pool size: ``None`` uses every core this process
+    may run on (:func:`resolve_workers`), ``1`` runs inline. *store* (a
+    backend, or a path opened with
     :func:`~repro.experiments.storage.open_store`) receives each run
     the moment it completes. The parent appends it, whichever path ran
-    the cell and whatever the store's layout: workers only compute.
+    the cell and whatever the store's layout: workers only compute. A
+    pooled answer is appended after its worker has been handed the next
+    cell, and a job set is generated once per process for all the
+    cells that share it; neither changes a returned or persisted byte.
 
     Fault tolerance (all of it inert on a healthy sweep — with no
     failures the engine behaves byte-identically to a plain pool), and

@@ -136,11 +136,11 @@ def describe_where(where: Mapping[str, object]) -> str:
 
 
 def render_figure3(
-    data: Mapping[str, Mapping[str, Mapping[str, float]]]
+    data: Mapping[str, Mapping[str, Mapping[str, float]]], *, n_jobs: int
 ) -> str:
-    """Fig. 3: one block per scenario."""
+    """Fig. 3: one block per scenario, of *n_jobs* jobs each."""
     parts = [
-        render_normalized_block(block, f"Figure 3 — {scenario}, 60 jobs")
+        render_normalized_block(block, f"Figure 3 — {scenario}, {n_jobs} jobs")
         for scenario, block in data.items()
     ]
     return "\n\n".join(parts)
@@ -200,8 +200,11 @@ def render_overhead_table(
     return f"== {title}\n" + format_table(headers, rows)
 
 
-def render_figure7(data: Mapping[str, Mapping[str, BoxStats]]) -> str:
-    """Fig. 7: box-plot statistics per scheduler × metric."""
+def render_figure7(
+    data: Mapping[str, Mapping[str, BoxStats]], *, n_jobs: int, n_repeats: int
+) -> str:
+    """Fig. 7: box-plot statistics per scheduler × metric over
+    *n_repeats* runs of *n_jobs* jobs."""
     headers = [
         "scheduler",
         "metric",
@@ -228,13 +231,15 @@ def render_figure7(data: Mapping[str, Mapping[str, BoxStats]]) -> str:
                 ]
             )
     return (
-        "== Figure 7 — Heterogeneous Mix, 100 jobs × 5 repetitions "
-        "(normalized to FCFS)\n" + format_table(headers, rows)
+        f"== Figure 7 — Heterogeneous Mix, {n_jobs} jobs × {n_repeats} "
+        "repetitions (normalized to FCFS)\n" + format_table(headers, rows)
     )
 
 
-def render_figure8(data: Mapping[str, Mapping[str, float]]) -> str:
-    """Fig. 8: Polaris trace block."""
+def render_figure8(
+    data: Mapping[str, Mapping[str, float]], *, n_jobs: int
+) -> str:
+    """Fig. 8: Polaris trace block of *n_jobs* jobs."""
     return render_normalized_block(
-        data, "Figure 8 — Polaris trace, 100 jobs (560 nodes × 512 GB)"
+        data, f"Figure 8 — Polaris trace, {n_jobs} jobs (560 nodes × 512 GB)"
     )

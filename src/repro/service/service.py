@@ -98,7 +98,7 @@ class SchedulingService:
             None if store_path is None else open_store(store_path),
             cache_size,
         )
-        self.workers = resolve_workers(workers) if workers else None
+        self.workers = resolve_workers(workers or None)
         self._sessions: dict[str, Session] = {}
         self._session_locks: dict[str, asyncio.Lock] = {}
         self._session_counter = itertools.count(1)

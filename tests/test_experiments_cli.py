@@ -454,6 +454,48 @@ class TestBadNamesAndCounts:
         assert proc.stderr.count("\n") == 1
 
 
+class TestClosedStdout:
+    """A reader that stops early (``report | head -1``) ends the
+    command quietly: no traceback, exit status 141 (128 + SIGPIPE)."""
+
+    def test_report_into_a_reader_that_closes_after_one_line(self, tmp_path):
+        import dataclasses
+
+        from repro.experiments.runner import run_single
+        from repro.experiments.store import RunStore, StoredRun
+
+        store = RunStore(tmp_path / "runs.jsonl")
+        runs = [
+            StoredRun.from_run(run_single("adversarial", 2, name))
+            for name in ("fcfs", "sjf")
+        ]
+        # One block per workload seed: a report far beyond the 64 KiB
+        # a pipe buffers, so the writer is still writing at the close.
+        for seed in range(600):
+            for run in runs:
+                store.append(dataclasses.replace(run, workload_seed=seed))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.experiments.cli", "report",
+                "--store", str(store.path),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+            },
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+        assert first.startswith(b"== adversarial, 2 jobs")
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
+        proc.stderr.close()
+
+
 class TestFaultToleranceFlags:
     MATRIX = [
         "matrix", "--scenarios", "resource_sparse", "--sizes", "6",
@@ -610,6 +652,21 @@ class TestFigureCommands:
     def test_fig8_zero_jobs_prints_its_table(self, capsys):
         assert main(["fig8", "--n-jobs", "0"]) == 0
         assert "Figure 8" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, title", [
+        (["fig3", "--n-jobs", "4"], "Figure 3 — adversarial, 4 jobs"),
+        (["fig5", "--n-jobs", "4"], "Figure 5 — overhead per scenario (4 jobs)"),
+        (
+            ["fig7", "--n-jobs", "6", "--repeats", "2"],
+            "Figure 7 — Heterogeneous Mix, 6 jobs × 2 repetitions",
+        ),
+        (["fig8", "--n-jobs", "0"], "Figure 8 — Polaris trace, 0 jobs"),
+    ])
+    def test_titles_name_the_counts_that_ran(self, capsys, argv, title):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert title in out
+        assert "60 jobs" not in out and "100 jobs" not in out
 
     def test_fig5_and_fig6_label_their_tables(self, monkeypatch, capsys):
         from repro.experiments import cli, figures

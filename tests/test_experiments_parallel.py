@@ -1,6 +1,8 @@
 """Tests for the parallel experiment engine: determinism, streaming
 artifacts, and resume."""
 
+import dataclasses
+import os
 import re
 
 import pytest
@@ -18,6 +20,7 @@ from repro.experiments.runner import LLM_SCHEDULERS, run_single
 from repro.experiments.store import FailureSidecar, RunStore, StoredRun
 from repro.schedulers.registry import available_schedulers
 from repro.sim.disruptions import DisruptionSpec
+from repro.workloads.generator import generate_workload
 
 from tests.runner_reference import cell_run, run_matrix
 
@@ -129,6 +132,101 @@ class TestResolveWorkers:
         assert resolve_workers(0) == 1
         assert resolve_workers(-4) == 1
         assert resolve_workers(3) == 3
+
+    def test_default_follows_the_affinity_mask(self, monkeypatch):
+        from repro.service.service import SchedulingService
+
+        # A Slurm cpuset or ``taskset`` leaves one core of eight.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_workers(None) == 1
+        assert resolve_workers(3) == 3  # an explicit request stands
+        # The daemon's run_cell pool has the same default.
+        assert SchedulingService().workers == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_workers(None) == 8
+
+
+class TestSweepOverlap:
+    """A worker that answers gets its next cell before the parent
+    appends (and fsyncs) the answer: while cells are queued, every
+    append happens with both workers computing."""
+
+    def test_every_append_with_cells_queued_has_both_workers_busy(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import parallel
+
+        sweeps, seen = [], []
+        post_init = parallel._Sweep.__post_init__
+
+        def remember(self):
+            post_init(self)
+            sweeps.append(self)
+
+        real_append = RunStore.append
+
+        def watched_append(self, run):
+            sweep, = sweeps
+            seen.append((len(sweep.queue), len(sweep.busy())))
+            return real_append(self, run)
+
+        monkeypatch.setattr(parallel._Sweep, "__post_init__", remember)
+        monkeypatch.setattr(RunStore, "append", watched_append)
+        cells = expand_cells(SCENARIOS, (6, 8), SCHEDULERS)
+        assert len(cells) >= 6
+        run_cells(cells, workers=2, store=RunStore(tmp_path / "r.jsonl"))
+        assert len(seen) == len(cells)
+        queued = [busy for n_queued, busy in seen if n_queued]
+        assert queued and queued == [2] * len(queued)
+
+
+class TestJobSetReuse:
+    """A job set is generated once per process and shared by the cells
+    of its (scenario, n_jobs, workload_seed, arrival_mode) identity."""
+
+    CELLS = expand_cells(
+        SCENARIOS, (8,), ("fcfs", "sjf", LLM_SCHEDULERS[0]),
+        workload_seeds=(0, 3),
+    )
+
+    def test_a_block_generates_each_job_set_once(self, monkeypatch):
+        from repro.experiments import parallel, runner
+
+        calls = []
+
+        def counting(scenario, n_jobs, **kwargs):
+            calls.append((scenario, n_jobs, kwargs["seed"]))
+            return generate_workload(scenario, n_jobs, **kwargs)
+
+        parallel._job_set.cache_clear()
+        monkeypatch.setattr(parallel, "generate_workload", counting,
+                            raising=False)
+        monkeypatch.setattr(runner, "generate_workload", counting)
+        assert len(self.CELLS) == 2 * 2 * 3
+        inline = run_cells(self.CELLS, workers=1)
+        assert len(calls) == 4
+        assert sorted(set(calls)) == sorted(calls)
+        pooled = run_cells(self.CELLS, workers=2)
+        expected = [StoredRun.from_run(cell_run(c)) for c in self.CELLS]
+        # Dataclass equality is field for field; the lines byte for byte.
+        assert inline == expected and pooled == expected
+        assert [r.to_json() for r in pooled] == [
+            r.to_json() for r in expected
+        ]
+
+    def test_the_cached_job_set_is_a_tuple_a_run_leaves_unchanged(self):
+        from repro.experiments import parallel
+
+        cell = MatrixCell("adversarial", 10, "sjf", 2)
+        jobs = parallel._job_set("adversarial", 10, 2, "scenario")
+        assert isinstance(jobs, tuple)
+        before = [dataclasses.astuple(job) for job in jobs]
+        parallel._execute_cell(cell)
+        assert parallel._job_set("adversarial", 10, 2, "scenario") is jobs
+        assert [dataclasses.astuple(job) for job in jobs] == before
+        assert list(jobs) == generate_workload("adversarial", 10, seed=2)
 
 
 class TestSerialParallelEquivalence:

@@ -58,18 +58,20 @@ class TestNormalizedBlock:
 
 class TestFigureRenderers:
     def test_figure3(self):
-        text = render_figure3({"adversarial": block(), "bursty_idle": block()})
+        text = render_figure3(
+            {"adversarial": block(), "bursty_idle": block()}, n_jobs=60
+        )
         assert "adversarial" in text
         assert "bursty_idle" in text
 
     def test_figure7(self):
         data = {"fcfs": {m: box_stats([1.0, 1.0, 1.0]) for m in METRIC_NAMES}}
-        text = render_figure7(data)
+        text = render_figure7(data, n_jobs=100, n_repeats=5)
         assert "median" in text
         assert "fcfs" in text
 
     def test_figure8(self):
-        assert "Polaris" in render_figure8(block())
+        assert "Polaris" in render_figure8(block(), n_jobs=100)
 
     def test_overhead_table(self):
         # A cell's stored overhead record (``StoredRun.overhead``).
